@@ -1,26 +1,20 @@
-//! Edge latency under concurrent keep-alive load: threads vs epoll.
+//! Edge latency under concurrent keep-alive load.
 //!
 //! Drives N concurrent keep-alive connections of mixed traffic — report
 //! POSTs to `/oak/report` and page GETs through the rewriter — against
-//! the full Oak service fronted by each transport backend, and records
+//! the full Oak service behind `oak_edge::EdgeServer`, and records
 //! client-observed per-exchange latency percentiles (p50/p95/p99) into
 //! `BENCH_edge_latency.json`.
 //!
 //! The connections are *mostly idle* by construction: each client
 //! thread round-robins its share of the pool, so at most a handful of
 //! requests are in flight at once while every connection stays open —
-//! exactly the workload the epoll reactor exists for (thousands of
-//! keep-alive clients posting occasional Oak reports), and the workload
-//! a thread-per-connection edge pays one parked OS thread per socket to
-//! carry.
+//! the workload the reactor exists for (thousands of keep-alive clients
+//! posting occasional Oak reports).
 //!
-//! Gates (exit nonzero on violation):
-//! - epoll report-POST p95 must stay under 10 ms at the largest
-//!   connection count measured (1024 full, 256 `--smoke`);
-//! - at 64 connections the epoll backend must not be meaningfully
-//!   slower than threads (p95 within `max(2x, +2 ms)` — generous
-//!   because shared CI runners are noisy, but a real regression of the
-//!   reactor's hot path blows straight through it).
+//! Gate (exit nonzero on violation): report-POST p95 must stay under
+//! 10 ms at the largest connection count measured (1024 full, 256
+//! `--smoke`).
 //!
 //! Run with `cargo run --release -p oak-bench --bin bench_edge_latency`
 //! (full sweep, nightly CI) or `-- --smoke` (per-push CI).
@@ -30,7 +24,7 @@ use std::time::Instant;
 
 use oak_core::engine::{Oak, OakConfig};
 use oak_core::report::{ObjectTiming, PerfReport};
-use oak_edge::{AnyServer, Backend};
+use oak_edge::{EdgeConfig, EdgeServer};
 use oak_http::fault::ChaosClient;
 use oak_http::{Method, Request, ServerLimits, TransportStats};
 use oak_server::{OakService, ServiceObs, SiteStore, REPORT_PATH};
@@ -46,7 +40,6 @@ const CLIENT_THREADS: usize = 4;
 const POST_P95_TARGET_US: u64 = 10_000;
 
 struct LatencyRow {
-    backend: Backend,
     connections: usize,
     post_us: Vec<u64>,
     get_us: Vec<u64>,
@@ -87,10 +80,10 @@ fn pct(sorted_us: &[u64], q: f64) -> u64 {
     sorted_us[idx]
 }
 
-/// Measures one (backend, connections) configuration: `rounds` visits
-/// of every connection, alternating POST and GET per visit, after one
-/// unmeasured warmup round.
-fn run_config(backend: Backend, connections: usize, rounds: usize) -> LatencyRow {
+/// Measures one connection count: `rounds` visits of every connection,
+/// alternating POST and GET per visit, after one unmeasured warmup
+/// round.
+fn run_config(connections: usize, rounds: usize) -> LatencyRow {
     let service = service();
     let obs = ServiceObs::wall(64, 500);
     let stats = Arc::new(TransportStats::default());
@@ -98,15 +91,15 @@ fn run_config(backend: Backend, connections: usize, rounds: usize) -> LatencyRow
         max_connections: connections + 64,
         ..ServerLimits::default()
     };
-    let mut server = AnyServer::start_with_obs(
-        backend,
+    let mut server = EdgeServer::start_with_config(
         0,
         service,
         limits,
         Arc::clone(&stats),
         Some(Arc::clone(&obs.http)),
+        EdgeConfig::default(),
     )
-    .unwrap_or_else(|e| panic!("{backend} backend failed to start: {e}"));
+    .unwrap_or_else(|e| panic!("server failed to start: {e}"));
     let addr = server.addr();
 
     let threads = CLIENT_THREADS.min(connections);
@@ -163,7 +156,6 @@ fn run_config(backend: Backend, connections: usize, rounds: usize) -> LatencyRow
     get_us.sort_unstable();
     server.shutdown();
     LatencyRow {
-        backend,
         connections,
         post_us,
         get_us,
@@ -176,24 +168,10 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // Smoke keeps per-push CI fast; the full sweep is the nightly 1k
-    // proof. Both always include the 64-connection pair for the
-    // epoll-vs-threads comparison gate.
-    let configs: &[(Backend, usize)] = if smoke {
-        &[
-            (Backend::Threads, 64),
-            (Backend::Epoll, 64),
-            (Backend::Epoll, 256),
-        ]
-    } else {
-        &[
-            (Backend::Threads, 64),
-            (Backend::Epoll, 64),
-            (Backend::Threads, 1024),
-            (Backend::Epoll, 1024),
-        ]
-    };
+    // proof. The last count is the gated one.
+    let configs: &[usize] = if smoke { &[64, 256] } else { &[64, 1024] };
     let rounds = if smoke { 20 } else { 12 };
-    let top_connections = configs.iter().map(|&(_, n)| n).max().unwrap_or(0);
+    let top_connections = *configs.last().expect("at least one count");
 
     println!(
         "Edge latency, mixed report-POST / page-GET keep-alive traffic \
@@ -201,22 +179,14 @@ fn main() {
         if smoke { "smoke" } else { "full" }
     );
     println!(
-        "{:<9} {:>6} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "backend",
-        "conns",
-        "samples",
-        "POST p50",
-        "POST p95",
-        "POST p99",
-        "GET p50",
-        "GET p95",
-        "GET p99"
+        "{:>6} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "conns", "samples", "POST p50", "POST p95", "POST p99", "GET p50", "GET p95", "GET p99"
     );
 
     let mut rows = oak_json::Value::array();
-    let mut post_p95 = std::collections::HashMap::new();
-    for &(backend, connections) in configs {
-        let row = run_config(backend, connections, rounds);
+    let mut post_p95_at_top = 0;
+    for &connections in configs {
+        let row = run_config(connections, rounds);
         let p = (
             pct(&row.post_us, 0.50),
             pct(&row.post_us, 0.95),
@@ -228,8 +198,7 @@ fn main() {
             pct(&row.get_us, 0.99),
         );
         println!(
-            "{:<9} {:>6} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            row.backend.as_str(),
+            "{:>6} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
             row.connections,
             row.post_us.len() + row.get_us.len(),
             p.0,
@@ -239,9 +208,8 @@ fn main() {
             g.1,
             g.2,
         );
-        post_p95.insert((backend, connections), p.1);
+        post_p95_at_top = p.1; // the last row is the top count
         let mut doc = oak_json::Value::object();
-        doc.set("backend", row.backend.as_str());
         doc.set("connections", row.connections);
         doc.set("samples_post", row.post_us.len());
         doc.set("samples_get", row.get_us.len());
@@ -254,33 +222,12 @@ fn main() {
         rows.push(doc);
     }
 
-    // Gate 1: epoll POST p95 under target at the top connection count.
-    let epoll_top = post_p95
-        .get(&(Backend::Epoll, top_connections))
-        .copied()
-        .expect("epoll top row measured");
-    let slo_pass = epoll_top < POST_P95_TARGET_US;
-    // Gate 2: epoll not meaningfully slower than threads at 64.
-    let threads_64 = post_p95
-        .get(&(Backend::Threads, 64))
-        .copied()
-        .expect("threads 64 row measured");
-    let epoll_64 = post_p95
-        .get(&(Backend::Epoll, 64))
-        .copied()
-        .expect("epoll 64 row measured");
-    let parity_budget = (2 * threads_64).max(threads_64 + 2_000);
-    let parity_pass = epoll_64 <= parity_budget;
-
+    // The gate: POST p95 under target at the top connection count.
+    let slo_pass = post_p95_at_top < POST_P95_TARGET_US;
     println!(
-        "\nepoll POST p95 @ {top_connections} conns: {epoll_top} us \
+        "\nPOST p95 @ {top_connections} conns: {post_p95_at_top} us \
 (target < {POST_P95_TARGET_US} us) -> {}",
         if slo_pass { "pass" } else { "FAIL" }
-    );
-    println!(
-        "epoll vs threads POST p95 @ 64 conns: {epoll_64} vs {threads_64} us \
-(budget {parity_budget} us) -> {}",
-        if parity_pass { "pass" } else { "FAIL" }
     );
 
     let mut doc = oak_json::Value::object();
@@ -294,18 +241,14 @@ fn main() {
     let mut gates = oak_json::Value::object();
     gates.set("post_p95_target_us", POST_P95_TARGET_US);
     gates.set("top_connections", top_connections);
-    gates.set("epoll_post_p95_at_top_us", epoll_top);
+    gates.set("epoll_post_p95_at_top_us", post_p95_at_top);
     gates.set("slo_pass", slo_pass);
-    gates.set("threads_post_p95_at_64_us", threads_64);
-    gates.set("epoll_post_p95_at_64_us", epoll_64);
-    gates.set("parity_budget_us", parity_budget);
-    gates.set("parity_pass", parity_pass);
     doc.set("gates", gates);
     std::fs::write("BENCH_edge_latency.json", doc.to_string())
         .expect("write BENCH_edge_latency.json");
     println!("\nwrote BENCH_edge_latency.json");
 
-    if !slo_pass || !parity_pass {
+    if !slo_pass {
         eprintln!("edge latency gate failed");
         std::process::exit(1);
     }

@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 use oak_core::engine::{Oak, OakConfig};
 use oak_core::report::{ObjectTiming, PerfReport};
 use oak_core::rule::Rule;
-use oak_edge::{AnyServer, Backend, EdgeConfig};
+use oak_edge::{EdgeConfig, EdgeServer};
 use oak_http::fault::ChaosClient;
 use oak_http::{Method, Request, ServerLimits, TransportStats};
 use oak_net::{Quality, Region, Server as NetServer, ServerId, SimTime, StatelessRng};
@@ -161,7 +161,7 @@ const STORE_SNAPSHOT_EVERY: u64 = 20_000;
 fn start_server(
     store_dir: Option<&std::path::Path>,
 ) -> (
-    AnyServer,
+    EdgeServer,
     Arc<OakService>,
     std::net::SocketAddr,
     Option<Arc<OakStore>>,
@@ -219,8 +219,7 @@ fn start_server(
         queue_deadline: QUEUE_DEADLINE,
         ..ServerLimits::default()
     };
-    let server = AnyServer::start_with_config(
-        Backend::Epoll,
+    let server = EdgeServer::start_with_config(
         0,
         service.clone(),
         limits,
@@ -228,13 +227,10 @@ fn start_server(
         Some(Arc::clone(&obs.http)),
         EdgeConfig {
             workers: EDGE_WORKERS,
-            tick_ms: 5,
         },
     )
-    .expect("epoll edge failed to start");
-    if let Some(edge_stats) = server.edge_stats() {
-        service.set_edge_stats(edge_stats);
-    }
+    .expect("edge server failed to start");
+    service.set_edge_stats(server.edge_stats());
     let addr = server.addr();
     (server, service, addr, durable)
 }

@@ -4,9 +4,9 @@
 //!
 //! Three measurements:
 //!
-//! 1. **Guard tax**: requests/s through a [`TcpServer`] with production
+//! 1. **Guard tax**: requests/s through an [`EdgeServer`] with production
 //!    [`ServerLimits`] vs. effectively-unlimited ones — the price of the
-//!    permit gauge, deadline re-arming, and size checks on every request.
+//!    connection cap, deadline re-arming, and size checks on every request.
 //! 2. **Breaker savings**: report-ingest time against a hanging script
 //!    host, with the circuit breaker on vs. off — the naive edge pays
 //!    the fetch deadline on every report, the guarded edge only until
@@ -25,7 +25,8 @@ use oak_core::matching::ScriptFetcher;
 use oak_core::report::{ObjectTiming, PerfReport};
 use oak_core::rule::Rule;
 use oak_core::Instant;
-use oak_http::{fetch_tcp, Method, Request, ServerLimits, TcpServer};
+use oak_edge::EdgeServer;
+use oak_http::{fetch_tcp, Method, Request, ServerLimits};
 use oak_server::{OakService, SiteStore};
 
 const PAGE: &str = r#"<html><head><script src="http://cdn-a.example/jquery.js"></script></head><body>shop</body></html>"#;
@@ -44,7 +45,7 @@ fn service() -> OakService {
 }
 
 /// Limits so large nothing ever trips — the "guard off" baseline (the
-/// gauge and deadline machinery still runs; only the thresholds move).
+/// cap and deadline machinery still runs; only the thresholds move).
 pub fn permissive_limits() -> ServerLimits {
     ServerLimits {
         max_connections: 1 << 20,
@@ -61,7 +62,7 @@ pub fn permissive_limits() -> ServerLimits {
 /// returns the elapsed wall time.
 pub fn edge_duration(limits: ServerLimits, requests: u64) -> Duration {
     let mut server =
-        TcpServer::start_with_limits(0, service().into_shared(), limits).expect("bench server");
+        EdgeServer::start_with_limits(0, service().into_shared(), limits).expect("bench server");
     let addr = server.addr();
     let request = Request::new(Method::Get, "/index.html");
     let started = WallInstant::now();

@@ -3,9 +3,7 @@
 //! One connection is a small state machine driven entirely by readiness
 //! events and timer fires: reading a head, reading a body, waiting on a
 //! worker, writing a response, or draining before close. All framing
-//! decisions delegate to [`oak_http::framing`], the single source of
-//! truth shared with the blocking backend, so a client probing edge
-//! cases cannot tell the two servers apart.
+//! decisions delegate to [`oak_http::framing`].
 
 use std::net::TcpStream;
 
@@ -52,8 +50,7 @@ pub(crate) enum ParseStep {
     /// The head just completed: `in_buf[..head_len]` is the full header
     /// block, no body byte has been consumed. Reported exactly once per
     /// request so the reactor can consult [`oak_http::Handler::admit`]
-    /// before body framing begins — the same pre-body seam the blocking
-    /// backend hooks between its head and body reads.
+    /// before body framing begins.
     HeadReady { head_len: usize },
     /// `in_buf[..msg_end]` is one complete request message.
     Complete { msg_end: usize },
@@ -78,11 +75,10 @@ pub(crate) struct Conn {
     /// Half-close and drain after `out` is flushed (error verdicts).
     pub drain_after_write: bool,
     /// Whether `out` came from the handler (stage metrics record only
-    /// handler responses, matching the blocking backend).
+    /// handler responses).
     pub from_handler: bool,
     /// Whether this connection holds a slot against `max_connections`
-    /// (over-capacity rejects are served uncounted, like the blocking
-    /// backend answering without a permit).
+    /// (over-capacity rejects are served uncounted).
     pub counted: bool,
     /// Authoritative deadline, absolute reactor-ms; the wheel's entries
     /// are hints checked against this.
@@ -124,8 +120,7 @@ impl Conn {
 
     /// True once any byte of the *current* request has arrived: a
     /// deadline firing before that is an idle keep-alive connection
-    /// (silent close), after it a slow request (408) — the same
-    /// distinction the blocking backend's `ReadDeadline.started` draws.
+    /// (silent close), after it a slow request (408).
     pub fn request_started(&self) -> bool {
         !self.in_buf.is_empty()
     }
@@ -135,8 +130,7 @@ impl Conn {
     ///
     /// # Errors
     ///
-    /// The same errors, under the same conditions, as the blocking
-    /// reader: `HeadTooLarge` when the accumulated head exceeds its cap,
+    /// `HeadTooLarge` when the accumulated head exceeds its cap,
     /// `BodyTooLarge` when the *declared* length exceeds the body cap
     /// (before any body byte is buffered) or a chunked body's running
     /// total does, `Malformed` for unparseable framing headers.
@@ -147,11 +141,10 @@ impl Conn {
                     let (end, resume) = head_end(&self.in_buf, self.scan_from);
                     self.scan_from = resume;
                     let Some(head_len) = end else {
-                        // The blocking reader checks the cap after each
-                        // complete line; checking the raw buffer too
-                        // rejects a never-terminated line early instead
-                        // of buffering it until the deadline. Same final
-                        // verdict (431), strictly less memory held.
+                        // The cap counts complete lines; checking the
+                        // raw buffer too rejects a never-terminated
+                        // line as soon as it crosses the cap instead of
+                        // buffering it until the deadline.
                         if self.in_buf.len() > limits.max_head_bytes {
                             return Err(HttpError::HeadTooLarge {
                                 limit: limits.max_head_bytes,
@@ -160,8 +153,8 @@ impl Conn {
                         return Ok(ParseStep::NeedMore);
                     };
                     // `resume` is where the terminating blank line began:
-                    // exactly the bytes the blocking reader counts
-                    // against the cap (the blank line itself is free).
+                    // the bytes counted against the cap (the blank line
+                    // itself is free).
                     if resume > limits.max_head_bytes {
                         return Err(HttpError::HeadTooLarge {
                             limit: limits.max_head_bytes,

@@ -1,27 +1,24 @@
-//! Event-driven edge: a non-blocking reactor behind the `oak-http`
+//! The Oak HTTP server: a non-blocking reactor behind the `oak-http`
 //! transport seam.
 //!
-//! The blocking [`oak_http::TcpServer`] spends one OS thread per
-//! connection — fine for tens of connections, ruinous for thousands of
-//! mostly-idle keep-alive clients posting occasional Oak reports. This
-//! crate serves the same protocol with a fixed thread budget:
+//! The workload is thousands of mostly-idle keep-alive clients posting
+//! occasional Oak reports, so the server runs on a fixed thread budget
+//! instead of one OS thread per connection:
 //!
 //! - **one reactor thread** owning every socket, woken by edge-triggered
 //!   epoll (Linux, via four raw `extern "C"` declarations — no
 //!   dependencies) or level-triggered poll(2) (other unix),
-//! - **a hashed timer wheel** enforcing the same read/write deadlines
-//!   the blocking backend arms via socket timeouts (slowloris → 408,
-//!   idle keep-alive → silent close, stalled writer → disconnect),
+//! - **a hashed timer wheel** enforcing the read/write deadlines of
+//!   [`oak_http::ServerLimits`] (slowloris → 408, idle keep-alive →
+//!   silent close, stalled writer → disconnect),
 //! - **a small fixed worker pool** running [`oak_http::Handler`]s off
 //!   the loop, with `catch_unwind` panic isolation (panic → 500).
 //!
-//! Observable behavior is deliberately identical to the blocking
-//! backend — same statuses (400/408/413/431/500/503), same framing
-//! rules (shared [`oak_http::framing`]), same keep-alive, drain, and
-//! counter semantics — proven by running the torture gauntlet over both
-//! backends. [`EdgeServer::start_with_obs`] mirrors
-//! [`oak_http::TcpServer::start_with_obs`] exactly, and [`AnyServer`]
-//! lets embedders pick a [`Backend`] at runtime (`oak-serve --edge`).
+//! Every protocol guard (400/408/413/431/500/503, keep-alive, drain,
+//! the [`oak_http::TransportStats`] counters) is decided here, over the
+//! framing rules in [`oak_http::framing`]; `tests/torture_edge.rs` at
+//! the workspace root runs the abuse gauntlet against it. Unix only:
+//! elsewhere the crate compiles and [`EdgeServer`] refuses to start.
 //!
 //! # Example
 //!
@@ -41,11 +38,10 @@
 //! assert_eq!(resp.status, StatusCode::OK);
 //! ```
 
-use std::fmt;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-use oak_http::{Handler, HttpError, HttpMetrics, ServerLimits, TcpServer, TransportStats};
+use oak_http::{Handler, HttpError, HttpMetrics, ServerLimits, TransportStats};
 
 #[cfg(unix)]
 mod conn;
@@ -67,26 +63,13 @@ pub use sys::raise_fd_limit;
 #[cfg(unix)]
 pub use reactor::EdgeServer;
 
-/// Reactor tuning knobs, all defaultable.
-#[derive(Clone, Copy, Debug)]
+/// Reactor tuning, defaultable.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct EdgeConfig {
     /// Handler worker threads; `0` sizes from the host's available
     /// parallelism, clamped to `[2, 8]` (handlers are CPU-bound and
     /// short; more threads than cores just adds scheduling churn).
     pub workers: usize,
-    /// Timer-wheel granularity in milliseconds. Deadlines fire up to one
-    /// tick late, never early; the reactor's idle wakeup rate is bounded
-    /// by `1000 / tick_ms` per second while connections exist.
-    pub tick_ms: u64,
-}
-
-impl Default for EdgeConfig {
-    fn default() -> EdgeConfig {
-        EdgeConfig {
-            workers: 0,
-            tick_ms: 5,
-        }
-    }
 }
 
 impl EdgeConfig {
@@ -99,82 +82,83 @@ impl EdgeConfig {
     }
 }
 
-/// Which transport backend serves the edge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Backend {
-    /// Blocking thread-per-connection [`oak_http::TcpServer`].
-    Threads,
-    /// Non-blocking reactor ([`EdgeServer`]).
-    Epoll,
-}
-
-impl Backend {
-    /// Parses the `--edge` flag value.
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "threads" => Some(Backend::Threads),
-            "epoll" => Some(Backend::Epoll),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling (`threads` / `epoll`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Backend::Threads => "threads",
-            Backend::Epoll => "epoll",
-        }
-    }
-}
-
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// A running server of either backend, so call sites (daemon, tests,
-/// benches) select the backend at runtime and treat it uniformly.
-pub enum AnyServer {
-    /// Blocking backend.
-    Threads(TcpServer),
-    /// Reactor backend.
-    Epoll(EdgeServer),
-}
-
-impl AnyServer {
-    /// Starts `backend` with the shared `start_with_obs` signature.
+/// The shorthand constructors, over [`EdgeServer::start_with_config`].
+impl EdgeServer {
+    /// Binds to `127.0.0.1:port` (port 0 picks a free port) and starts
+    /// the reactor with [`ServerLimits::default`].
     ///
     /// # Errors
     ///
-    /// Propagates bind (and, for the reactor, poller-creation) errors.
-    pub fn start_with_obs(
-        backend: Backend,
+    /// Propagates bind and poller-creation errors.
+    pub fn start(port: u16, handler: Arc<dyn Handler>) -> Result<EdgeServer, HttpError> {
+        EdgeServer::start_with_limits(port, handler, ServerLimits::default())
+    }
+
+    /// As [`EdgeServer::start`] with explicit limits.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bind and poller-creation errors.
+    pub fn start_with_limits(
+        port: u16,
+        handler: Arc<dyn Handler>,
+        limits: ServerLimits,
+    ) -> Result<EdgeServer, HttpError> {
+        EdgeServer::start_with(port, handler, limits, Arc::new(TransportStats::default()))
+    }
+
+    /// As [`EdgeServer::start`] with explicit limits and a caller-owned
+    /// stats block (so a service can render transport counters alongside
+    /// its own).
+    ///
+    /// # Errors
+    ///
+    /// Propagates bind and poller-creation errors.
+    pub fn start_with(
         port: u16,
         handler: Arc<dyn Handler>,
         limits: ServerLimits,
         stats: Arc<TransportStats>,
-        obs: Option<Arc<HttpMetrics>>,
-    ) -> Result<AnyServer, HttpError> {
-        AnyServer::start_with_config(
-            backend,
-            port,
-            handler,
-            limits,
-            stats,
-            obs,
-            EdgeConfig::default(),
-        )
+    ) -> Result<EdgeServer, HttpError> {
+        EdgeServer::start_with_config(port, handler, limits, stats, None, EdgeConfig::default())
     }
+}
 
-    /// As [`AnyServer::start_with_obs`] with reactor tuning (ignored by
-    /// the threads backend, which has no equivalent knobs).
+// ---- compatibility for the frozen benchmark crate ---------------------
+//
+// `bench/` may not change in the PR that removed the second server, and
+// it boots the stack through `AnyServer::start_with_config(Backend::Epoll,
+// …)`. These two names exist for that one caller; the next
+// `benchmark`-archetype PR moves `bench/` onto `EdgeServer` and deletes
+// them. Nothing else in the repository may use them.
+
+/// The name the benchmark crate passes where a backend used to be
+/// chosen.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Backend {
+    /// The reactor ([`EdgeServer`]).
+    Epoll,
+}
+
+impl Backend {
+    /// `"epoll"`, as `/oak/health` and `/oak/stats` spell it.
+    pub fn as_str(self) -> &'static str {
+        "epoll"
+    }
+}
+
+/// [`EdgeServer`] under the name and signatures the benchmark crate
+/// calls.
+pub struct AnyServer(EdgeServer);
+
+impl AnyServer {
+    /// [`EdgeServer::start_with_config`].
     ///
     /// # Errors
     ///
-    /// Propagates bind (and, for the reactor, poller-creation) errors.
+    /// Propagates bind and poller-creation errors.
     pub fn start_with_config(
-        backend: Backend,
+        _backend: Backend,
         port: u16,
         handler: Arc<dyn Handler>,
         limits: ServerLimits,
@@ -182,68 +166,26 @@ impl AnyServer {
         obs: Option<Arc<HttpMetrics>>,
         config: EdgeConfig,
     ) -> Result<AnyServer, HttpError> {
-        match backend {
-            Backend::Threads => Ok(AnyServer::Threads(TcpServer::start_with_obs(
-                port, handler, limits, stats, obs,
-            )?)),
-            Backend::Epoll => Ok(AnyServer::Epoll(EdgeServer::start_with_config(
-                port, handler, limits, stats, obs, config,
-            )?)),
-        }
-    }
-
-    /// Which backend is serving.
-    pub fn backend(&self) -> Backend {
-        match self {
-            AnyServer::Threads(_) => Backend::Threads,
-            AnyServer::Epoll(_) => Backend::Epoll,
-        }
+        EdgeServer::start_with_config(port, handler, limits, stats, obs, config).map(AnyServer)
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        match self {
-            AnyServer::Threads(s) => s.addr(),
-            AnyServer::Epoll(s) => s.addr(),
-        }
+        self.0.addr()
     }
 
-    /// The transport counters.
-    pub fn stats(&self) -> Arc<TransportStats> {
-        match self {
-            AnyServer::Threads(s) => s.stats(),
-            AnyServer::Epoll(s) => s.stats(),
-        }
-    }
-
-    /// Connections currently counted against the cap.
-    pub fn active_connections(&self) -> usize {
-        match self {
-            AnyServer::Threads(s) => s.active_connections(),
-            AnyServer::Epoll(s) => s.active_connections(),
-        }
-    }
-
-    /// Reactor gauges — `None` on the threads backend, which has no
-    /// loop to instrument.
+    /// The reactor gauges; always `Some`.
     pub fn edge_stats(&self) -> Option<Arc<EdgeStats>> {
-        match self {
-            AnyServer::Threads(_) => None,
-            AnyServer::Epoll(s) => Some(s.edge_stats()),
-        }
+        Some(self.0.edge_stats())
     }
 
-    /// Stops accepting and drains (see each backend's `shutdown`).
+    /// [`EdgeServer::shutdown`].
     pub fn shutdown(&mut self) {
-        match self {
-            AnyServer::Threads(s) => s.shutdown(),
-            AnyServer::Epoll(s) => s.shutdown(),
-        }
+        self.0.shutdown();
     }
 }
 
-/// Off-unix stub: compiles, refuses to start. The threads backend
-/// remains fully available there.
+/// Off-unix stub: compiles, refuses to start.
 #[cfg(not(unix))]
 pub struct EdgeServer {
     never: std::convert::Infallible,
@@ -251,37 +193,6 @@ pub struct EdgeServer {
 
 #[cfg(not(unix))]
 impl EdgeServer {
-    fn unsupported() -> HttpError {
-        HttpError::Io(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "oak-edge reactor requires a unix target; use the threads backend",
-        ))
-    }
-
-    /// Always fails off-unix.
-    ///
-    /// # Errors
-    ///
-    /// `Unsupported`, unconditionally.
-    pub fn start(_port: u16, _handler: Arc<dyn Handler>) -> Result<EdgeServer, HttpError> {
-        Err(EdgeServer::unsupported())
-    }
-
-    /// Always fails off-unix.
-    ///
-    /// # Errors
-    ///
-    /// `Unsupported`, unconditionally.
-    pub fn start_with_obs(
-        _port: u16,
-        _handler: Arc<dyn Handler>,
-        _limits: ServerLimits,
-        _stats: Arc<TransportStats>,
-        _obs: Option<Arc<HttpMetrics>>,
-    ) -> Result<EdgeServer, HttpError> {
-        Err(EdgeServer::unsupported())
-    }
-
     /// Always fails off-unix.
     ///
     /// # Errors
@@ -295,7 +206,10 @@ impl EdgeServer {
         _obs: Option<Arc<HttpMetrics>>,
         _config: EdgeConfig,
     ) -> Result<EdgeServer, HttpError> {
-        Err(EdgeServer::unsupported())
+        Err(HttpError::Io(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "oak-edge reactor requires a unix target",
+        )))
     }
 
     /// Unreachable: the stub cannot be constructed.

@@ -2,11 +2,9 @@
 //!
 //! One reactor thread owns the listener, every connection, the timer
 //! wheel, and the poller. Workers (see [`crate::workers`]) run handlers
-//! and hand responses back through a completion list plus a wake pipe.
-//! The result is the same observable protocol as the blocking
-//! [`oak_http::TcpServer`] — same statuses, same timeouts, same
-//! keep-alive and drain behavior — at a cost of a handful of threads
-//! instead of one per connection.
+//! and hand responses back through a completion list plus a wake pipe,
+//! so the whole server costs a handful of threads however many
+//! connections are open.
 //!
 //! Edge-triggered discipline: every progress function drains its socket
 //! to `WouldBlock`, and every state re-entry re-kicks progress by hand
@@ -30,7 +28,7 @@ use oak_http::{
 use crate::conn::{Conn, ParseStep, State, NO_DEADLINE};
 use crate::stats::EdgeStats;
 use crate::sys::{Event, Interest, Poller};
-use crate::wheel::TimerWheel;
+use crate::wheel::{TimerWheel, TICK_MS};
 use crate::workers::{spawn_workers, Job, Pool, WorkerCtx};
 use crate::EdgeConfig;
 
@@ -55,6 +53,42 @@ fn gen_of(token: u64) -> u32 {
 
 fn millis(d: Duration) -> u64 {
     (d.as_millis() as u64).max(1)
+}
+
+/// Delay before the accept path is retried after `accept()` failed with
+/// something time alone fixes (EMFILE, ENFILE, ENOBUFS): 1 ms doubling
+/// to 100 ms, back to 1 ms on the next successful accept.
+#[derive(Debug)]
+struct AcceptBackoff {
+    next_ms: u64,
+    /// A retry sits in the timer wheel; the listener is not polled
+    /// until it fires.
+    pending: bool,
+}
+
+impl AcceptBackoff {
+    const FIRST_MS: u64 = 1;
+    const MAX_MS: u64 = 100;
+
+    /// The delay for this failure; the next one waits twice as long.
+    fn next_delay_ms(&mut self) -> u64 {
+        let delay = self.next_ms;
+        self.next_ms = (delay * 2).min(AcceptBackoff::MAX_MS);
+        delay
+    }
+
+    fn reset(&mut self) {
+        self.next_ms = AcceptBackoff::FIRST_MS;
+    }
+}
+
+impl Default for AcceptBackoff {
+    fn default() -> AcceptBackoff {
+        AcceptBackoff {
+            next_ms: AcceptBackoff::FIRST_MS,
+            pending: false,
+        }
+    }
 }
 
 /// Handle workers use to kick the reactor out of its wait.
@@ -86,67 +120,10 @@ pub struct EdgeServer {
 
 impl EdgeServer {
     /// Binds to `127.0.0.1:port` (port 0 picks a free port) and starts
-    /// the reactor with [`ServerLimits::default`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind and poller-creation errors.
-    pub fn start(port: u16, handler: Arc<dyn Handler>) -> Result<EdgeServer, HttpError> {
-        EdgeServer::start_with(
-            port,
-            handler,
-            ServerLimits::default(),
-            Arc::new(TransportStats::default()),
-        )
-    }
-
-    /// As [`EdgeServer::start`] with explicit limits.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind and poller-creation errors.
-    pub fn start_with_limits(
-        port: u16,
-        handler: Arc<dyn Handler>,
-        limits: ServerLimits,
-    ) -> Result<EdgeServer, HttpError> {
-        EdgeServer::start_with(port, handler, limits, Arc::new(TransportStats::default()))
-    }
-
-    /// As [`EdgeServer::start`] with explicit limits and a caller-owned
-    /// stats block.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind and poller-creation errors.
-    pub fn start_with(
-        port: u16,
-        handler: Arc<dyn Handler>,
-        limits: ServerLimits,
-        stats: Arc<TransportStats>,
-    ) -> Result<EdgeServer, HttpError> {
-        EdgeServer::start_with_obs(port, handler, limits, stats, None)
-    }
-
-    /// As [`EdgeServer::start_with`], additionally recording per-stage
-    /// latencies into `obs` — the exact signature of
-    /// [`oak_http::TcpServer::start_with_obs`], so embedders swap
-    /// backends without touching call sites.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind and poller-creation errors.
-    pub fn start_with_obs(
-        port: u16,
-        handler: Arc<dyn Handler>,
-        limits: ServerLimits,
-        stats: Arc<TransportStats>,
-        obs: Option<Arc<HttpMetrics>>,
-    ) -> Result<EdgeServer, HttpError> {
-        EdgeServer::start_with_config(port, handler, limits, stats, obs, EdgeConfig::default())
-    }
-
-    /// Full-control constructor: worker count and timer tick.
+    /// the reactor: explicit limits, a caller-owned stats block,
+    /// per-stage latencies recorded into `obs` when given, and the
+    /// worker count from `config`. [`EdgeServer::start`] and its
+    /// siblings fill in defaults.
     ///
     /// # Errors
     ///
@@ -160,6 +137,18 @@ impl EdgeServer {
         config: EdgeConfig,
     ) -> Result<EdgeServer, HttpError> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
+        EdgeServer::serve(listener, handler, limits, stats, obs, config)
+    }
+
+    /// Starts the reactor over an already-bound listener.
+    pub(crate) fn serve(
+        listener: TcpListener,
+        handler: Arc<dyn Handler>,
+        limits: ServerLimits,
+        stats: Arc<TransportStats>,
+        obs: Option<Arc<HttpMetrics>>,
+        config: EdgeConfig,
+    ) -> Result<EdgeServer, HttpError> {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let (wake_tx, wake_rx) = UnixStream::pair()?;
@@ -214,8 +203,8 @@ impl EdgeServer {
             free: Vec::new(),
             open_total: 0,
             open_counted: 0,
-            wheel: TimerWheel::new(config.tick_ms.max(1), 256),
-            tick_ms: config.tick_ms.max(1),
+            wheel: TimerWheel::new(TICK_MS, 256),
+            accept_backoff: AcceptBackoff::default(),
             epoch: Instant::now(),
             drain_until: None,
             stop: Arc::clone(&stop),
@@ -305,7 +294,7 @@ struct Reactor {
     /// Connections holding a slot against `max_connections`.
     open_counted: usize,
     wheel: TimerWheel,
-    tick_ms: u64,
+    accept_backoff: AcceptBackoff,
     epoch: Instant,
     /// Set when draining: absolute ms the drain gives up at.
     drain_until: Option<u64>,
@@ -383,7 +372,7 @@ impl Reactor {
     /// either way.
     fn wait_timeout_ms(&self) -> i32 {
         if self.open_total > 0 || !self.wheel.is_empty() {
-            self.tick_ms as i32
+            TICK_MS as i32
         } else {
             250
         }
@@ -393,21 +382,56 @@ impl Reactor {
 
     fn accept_ready(&mut self) {
         loop {
-            if self.drain_until.is_some() {
+            if self.drain_until.is_some() || self.accept_backoff.pending {
                 return;
             }
             let Some(listener) = &self.listener else {
                 return;
             };
             match listener.accept() {
-                Ok((stream, addr)) => self.admit(stream, addr),
+                Ok((stream, addr)) => {
+                    self.accept_backoff.reset();
+                    self.admit(stream, addr);
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     self.stats.record(TransportEvent::AcceptFailed);
+                    self.accept_retry_later();
                     return;
                 }
             }
+        }
+    }
+
+    /// `accept()` failed: look again after the backoff delay. Whatever
+    /// is already in the backlog raises no new edge, so without the
+    /// timer it would sit there until the next SYN; and a
+    /// level-triggered poller would report the listener on every wait,
+    /// so it is not polled in the meantime.
+    fn accept_retry_later(&mut self) {
+        let at = self.now_ms() + self.accept_backoff.next_delay_ms();
+        self.accept_backoff.pending = true;
+        self.wheel.schedule(LISTENER, at);
+        self.listen_for_connections(false);
+    }
+
+    fn accept_retry_fired(&mut self) {
+        self.accept_backoff.pending = false;
+        self.listen_for_connections(true);
+        self.accept_ready();
+    }
+
+    fn listen_for_connections(&mut self, readable: bool) {
+        if let Some(listener) = &self.listener {
+            let _ = self.poller.reregister(
+                listener.as_raw_fd(),
+                LISTENER,
+                Interest {
+                    readable,
+                    writable: false,
+                },
+            );
         }
     }
 
@@ -591,7 +615,7 @@ impl Reactor {
                 // EOF (or a broken socket). Before any request byte this
                 // is a clean keep-alive close; mid-request the peer
                 // vanished and there is nobody to answer. Silent close
-                // either way, exactly like the blocking backend.
+                // either way.
                 ReadStep::Eof | ReadStep::Broken => {
                     self.close(idx);
                     return;
@@ -621,8 +645,7 @@ impl Reactor {
             Ok(ParseStep::NeedMore) => false,
             Ok(ParseStep::HeadReady { head_len }) => {
                 if let Some(response) = self.admit_head(idx, head_len) {
-                    // Shed before the body: answer and close, exactly
-                    // like the blocking backend's pre-body gate (the
+                    // Shed before the body: answer and close (the
                     // unread body makes keep-alive unframeable).
                     self.stats.record(TransportEvent::RequestShed);
                     let mut response = response;
@@ -688,8 +711,8 @@ impl Reactor {
                 if let Some(obs) = &self.obs {
                     // Read covers socket entry → complete buffer
                     // (keep-alive idle wait included); parse covers
-                    // bytes → Request. Successful requests only, the
-                    // blocking backend's rule.
+                    // bytes → Request. Successful requests only:
+                    // rejects have no stage to attribute.
                     obs.record(Stage::Read, read_start, parse_start);
                     obs.record(Stage::Parse, parse_start, obs.now());
                 }
@@ -707,7 +730,7 @@ impl Reactor {
     }
 
     /// Maps a framing/parse error to its status + counter and queues the
-    /// error response — the same table as the blocking backend.
+    /// error response.
     fn reject(&mut self, idx: usize, err: &HttpError) {
         let (status, event) = match err {
             HttpError::TimedOut => (StatusCode::REQUEST_TIMEOUT, TransportEvent::Timeout),
@@ -784,8 +807,8 @@ impl Reactor {
                     if conn.out_pos >= conn.out.len() {
                         break;
                     }
-                    // Progress re-arms the write deadline, mirroring the
-                    // blocking backend's per-write socket timeout.
+                    // Progress re-arms the write deadline: it bounds
+                    // each write, not the whole response.
                     self.arm(idx, now + write_timeout);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -875,6 +898,10 @@ impl Reactor {
     // ---- timers ---------------------------------------------------------
 
     fn timer_fired(&mut self, token: u64, now: u64) {
+        if token == LISTENER {
+            self.accept_retry_fired();
+            return;
+        }
         let idx = index_of(token);
         if idx >= self.gens.len() || self.gens[idx] != gen_of(token) {
             return; // the connection this hint was for is gone
@@ -907,8 +934,8 @@ impl Reactor {
             // still dribbling into a drain-close: disconnect.
             self.close(idx);
         }
-        // Handlers have no deadline (blocking parity): State::Handling
-        // deliberately ignores a stale fire.
+        // Handlers have no deadline: State::Handling deliberately
+        // ignores a stale fire.
     }
 
     // ---- worker completions ---------------------------------------------
@@ -954,5 +981,19 @@ impl Reactor {
         for idx in 0..self.conns.len() {
             self.close(idx);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::AcceptBackoff;
+
+    #[test]
+    fn accept_backoff_doubles_to_the_ceiling_and_resets() {
+        let mut backoff = AcceptBackoff::default();
+        let delays: Vec<u64> = (0..10).map(|_| backoff.next_delay_ms()).collect();
+        assert_eq!(delays, [1, 2, 4, 8, 16, 32, 64, 100, 100, 100]);
+        backoff.reset();
+        assert_eq!(backoff.next_delay_ms(), 1);
     }
 }

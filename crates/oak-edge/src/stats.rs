@@ -5,8 +5,7 @@
 //! processing before it could wait for readiness again (loop lag), how
 //! many events the last wait delivered, how deep the worker-pool queue
 //! is, and how many connections and timers the reactor is tracking.
-//! `/oak/stats` and `/oak/health` render a snapshot when the epoll
-//! backend is serving.
+//! `/oak/stats` and `/oak/health` render a snapshot.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,13 +1,14 @@
-//! Reactor behavior tests over real sockets.
+//! Server behavior tests over real sockets.
 //!
-//! Protocol *parity* with the blocking backend is proven by the torture
-//! gauntlet running over both backends (`tests/torture_edge.rs` at the
-//! workspace root); these tests cover reactor-specific mechanics —
-//! keep-alive re-kicks, pipelining, chunked framing, timers, capacity,
-//! drain — close to the implementation.
+//! The abuse gauntlet lives in `tests/torture_edge.rs` at the workspace
+//! root; these tests cover the protocol guards one at a time and the
+//! reactor's mechanics — keep-alive re-kicks, pipelining, chunked
+//! framing, timers, capacity, accept backoff, drain — close to the
+//! implementation.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream, UdpSocket};
+use std::os::fd::OwnedFd;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -15,9 +16,10 @@ use oak_http::fault::ChaosClient;
 use oak_http::framing::content_length_of;
 use oak_http::{
     encode_chunked, fetch_tcp, Handler, Method, Request, Response, ServerLimits, StatusCode,
+    TransportStats,
 };
 
-use crate::{Backend, EdgeConfig, EdgeServer};
+use crate::{EdgeConfig, EdgeServer};
 
 fn echo() -> Arc<dyn Handler> {
     Arc::new(|req: &Request| {
@@ -65,11 +67,30 @@ fn read_one_response(reader: &mut BufReader<TcpStream>) -> Response {
 }
 
 #[test]
-fn serves_basic_get() {
-    let server = start_tight();
-    let resp = fetch_tcp(server.addr(), &Request::new(Method::Get, "/hello")).unwrap();
+fn serves_a_get_and_parallel_posts() {
+    let limits = ServerLimits {
+        max_connections: 16,
+        ..tight()
+    };
+    let server = EdgeServer::start_with_limits(0, echo(), limits).unwrap();
+    let addr = server.addr();
+    let resp = fetch_tcp(addr, &Request::new(Method::Get, "/hello")).unwrap();
     assert_eq!(resp.status, StatusCode::OK);
     assert_eq!(resp.body, b"path=/hello body=0");
+    let clients: Vec<_> = (0..8usize)
+        .map(|i| {
+            std::thread::spawn(move || {
+                let len = 1000 + i * 10;
+                let req = Request::new(Method::Post, format!("/echo{i}"))
+                    .with_body(vec![i as u8; len], "application/octet-stream");
+                let resp = fetch_tcp(addr, &req).unwrap();
+                assert_eq!(resp.body, format!("path=/echo{i} body={len}").into_bytes());
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().unwrap();
+    }
 }
 
 #[test]
@@ -193,31 +214,54 @@ fn handler_panic_costs_one_response_not_the_connection() {
 }
 
 #[test]
-fn connection_close_header_is_honored() {
+fn connection_close_header_is_honored_in_any_case() {
     let server = start_tight();
-    let stream = TcpStream::connect(server.addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    writer
-        .write_all(b"GET /bye HTTP/1.1\r\nConnection: close\r\n\r\n")
-        .unwrap();
-    let mut reader = BufReader::new(stream);
-    let resp = read_one_response(&mut reader);
-    assert_eq!(resp.status, StatusCode::OK);
-    let mut rest = Vec::new();
-    reader.read_to_end(&mut rest).unwrap();
-    assert!(rest.is_empty(), "server must close after Connection: close");
+    for variant in ["close", "Close", "CLOSE", "cLoSe"] {
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        writer
+            .write_all(format!("GET /bye HTTP/1.1\r\nConnection: {variant}\r\n\r\n").as_bytes())
+            .unwrap();
+        let mut reader = BufReader::new(stream);
+        let resp = read_one_response(&mut reader);
+        assert_eq!(resp.status, StatusCode::OK, "{variant}");
+        // The server closing (not the client) ends this read: a missed
+        // casing variant would hang to the timeout and fail the unwrap.
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).unwrap();
+        assert!(
+            rest.is_empty(),
+            "server must close after Connection: {variant}"
+        );
+    }
 }
 
 #[test]
-fn malformed_head_gets_400() {
+fn malformed_head_and_content_length_get_400() {
     let server = start_tight();
     let chaos = ChaosClient::new(server.addr());
-    let resp = chaos.send_raw(b"NOT A REQUEST\r\n\r\n").unwrap();
-    assert_eq!(resp.status, StatusCode::BAD_REQUEST);
-    assert_eq!(server.stats().snapshot().bad_requests, 1);
+    for raw in [
+        b"NOT A REQUEST\r\n\r\n".to_vec(),
+        // Signs and padding are not digits: `usize::from_str` would
+        // accept "+5", so strictness must be explicit.
+        b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello".to_vec(),
+        b"POST / HTTP/1.1\r\nContent-Length: 5x\r\n\r\nhello".to_vec(),
+        b"POST / HTTP/1.1\r\nContent-Length: \r\n\r\n".to_vec(),
+        // Conflicting duplicates smell like request smuggling.
+        b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello".to_vec(),
+    ] {
+        let resp = chaos.send_raw(&raw).unwrap();
+        assert_eq!(resp.status, StatusCode::BAD_REQUEST, "{raw:?}");
+    }
+    // Duplicate *identical* declarations are tolerated (RFC 9110 §8.6).
+    let resp = chaos
+        .send_raw(b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello")
+        .unwrap();
+    assert_eq!(resp.status, StatusCode::OK);
+    assert_eq!(server.stats().snapshot().bad_requests, 5);
 }
 
 #[test]
@@ -226,11 +270,17 @@ fn oversized_head_and_body_rejected() {
     let chaos = ChaosClient::new(server.addr());
     let head = chaos.oversized_head(4096).unwrap();
     assert_eq!(head.status, StatusCode::HEADERS_TOO_LARGE);
+    // The declared body is rejected from its declaration alone.
     let body = chaos.oversized_body("/up", 1 << 20).unwrap();
     assert_eq!(body.status, StatusCode::PAYLOAD_TOO_LARGE);
+    // Chunked bodies trip the same cap as they accumulate.
+    let mut raw = b"POST /up HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+    raw.extend_from_slice(&encode_chunked(&vec![b'z'; 20_000], 512));
+    let chunked = chaos.send_raw(&raw).unwrap();
+    assert_eq!(chunked.status, StatusCode::PAYLOAD_TOO_LARGE);
     let snap = server.stats().snapshot();
     assert_eq!(snap.heads_too_large, 1);
-    assert_eq!(snap.bodies_too_large, 1);
+    assert_eq!(snap.bodies_too_large, 2);
 }
 
 #[test]
@@ -264,34 +314,48 @@ fn shutdown_is_idempotent_and_quick_when_idle() {
         started.elapsed() < Duration::from_secs(1),
         "idle shutdown must not wait out the drain timeout"
     );
-    // A post-shutdown connect must fail outright or be met with
-    // silence (the kernel may still complete the handshake from the
-    // dead listener's backlog, but nothing serves it).
-    if let Ok(mut stream) = TcpStream::connect(addr) {
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-        let _ = stream.write_all(b"GET / HTTP/1.1\r\n\r\n");
-        let mut buf = Vec::new();
-        let _ = stream.read_to_end(&mut buf);
-        assert!(buf.is_empty(), "no responses may be served after shutdown");
-    }
+    // The listener closed with the reactor thread `shutdown` joined.
+    assert!(
+        TcpStream::connect(addr).is_err(),
+        "connect must be refused after shutdown"
+    );
 }
 
+/// A failing `accept()` must be retried off the timer wheel — under
+/// edge-triggered epoll nothing else would look at the backlog again —
+/// and on the backoff schedule, not in a spin. The "listener" is a UDP
+/// socket (`accept()` → `EOPNOTSUPP`) made readable by one datagram.
 #[test]
-fn backend_parse_round_trips() {
-    assert_eq!(Backend::parse("threads"), Some(Backend::Threads));
-    assert_eq!(Backend::parse("epoll"), Some(Backend::Epoll));
-    assert_eq!(Backend::parse("fibers"), None);
-    assert_eq!(Backend::Epoll.as_str(), "epoll");
-    assert_eq!(Backend::Threads.to_string(), "threads");
+fn failed_accept_leaves_a_retry_pending_and_backs_off() {
+    let udp = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let addr = udp.local_addr().unwrap();
+    let server = EdgeServer::serve(
+        TcpListener::from(OwnedFd::from(udp)),
+        echo(),
+        tight(),
+        Arc::new(TransportStats::default()),
+        None,
+        EdgeConfig::default(),
+    )
+    .unwrap();
+    UdpSocket::bind("127.0.0.1:0")
+        .unwrap()
+        .send_to(b"x", addr)
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(400));
+    let failed = server.stats().snapshot().accepts_failed;
+    // 1+2+4+…+64 ms, then every 100 ms: nine retries fit in 400 ms.
+    assert!(
+        (2..=12).contains(&failed),
+        "expected a handful of backed-off retries, saw {failed}"
+    );
+    assert!(server.edge_stats().snapshot().timers_pending >= 1);
 }
 
 #[test]
 fn worker_count_resolves_sanely() {
     let auto = EdgeConfig::default().resolved_workers();
     assert!((2..=8).contains(&auto));
-    let pinned = EdgeConfig {
-        workers: 3,
-        ..EdgeConfig::default()
-    };
+    let pinned = EdgeConfig { workers: 3 };
     assert_eq!(pinned.resolved_workers(), 3);
 }

@@ -11,8 +11,13 @@
 //!
 //! Deadlines fire at tick granularity: up to `granularity_ms` late,
 //! never early. The reactor's timeouts are hundreds of milliseconds, so
-//! a ~10 ms tick is invisible to clients and keeps the idle wakeup rate
-//! bounded.
+//! a [`TICK_MS`] tick is invisible to clients and keeps the idle wakeup
+//! rate bounded.
+
+/// The reactor's wheel granularity, and so its wait timeout while any
+/// connection or timer exists: at most `1000 / TICK_MS` idle wakeups a
+/// second.
+pub(crate) const TICK_MS: u64 = 5;
 
 /// The wheel. Slots hold `(token, deadline_ms)` pairs; a token's slot is
 /// `(deadline / granularity) % slots`.

@@ -3,9 +3,9 @@
 //! The reactor never calls a [`oak_http::Handler`] itself: a slow or
 //! panicking handler on the event loop would stall every connection.
 //! Instead, complete requests are queued here; a worker runs the handler
-//! under `catch_unwind` (panic → 500, same as the blocking backend's
-//! connection threads), pushes the response into the completion list,
-//! and kicks the reactor's wake pipe so it picks the response up.
+//! under `catch_unwind` (panic → 500), pushes the response into the
+//! completion list, and kicks the reactor's wake pipe so it picks the
+//! response up.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -127,8 +127,7 @@ fn worker_loop(ctx: &WorkerCtx) {
                 if let (Some(obs), Some(start)) = (ctx.obs.as_ref(), handle_start) {
                     obs.record(Stage::Handle, start, obs.now());
                 }
-                // Counted whether or not the write later succeeds — the
-                // blocking backend counts after the handler too.
+                // Counted whether or not the write later succeeds.
                 ctx.stats.record(TransportEvent::RequestServed);
                 ctx.completions.lock().unwrap().push((token, response));
                 ctx.wake.wake();

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the TCP edge.
 //!
 //! The torture suite (and any embedder's resilience tests) drives a live
-//! [`crate::TcpServer`] through the abuse patterns a public origin sees:
+//! server through the abuse patterns a public origin sees:
 //! byte-dribbling slowloris clients, connections dropped mid-body,
 //! oversized heads and bodies, and permit-hogging idle connections. Every
 //! helper is scripted — fixed byte schedules and delays, no randomness —

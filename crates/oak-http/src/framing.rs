@@ -1,20 +1,16 @@
-//! Request framing rules shared by every server backend.
-//!
-//! The blocking thread-per-connection server ([`crate::TcpServer`]) and
-//! the non-blocking reactor (`oak-edge`) must agree byte-for-byte on how
-//! a request head ends, how its body length is learned, and what counts
-//! as malformed — a client must not be able to tell the backends apart
-//! by probing framing edge cases. Both backends call these functions, so
-//! the rules live in exactly one place.
+//! Request framing rules: how a request head ends, how its body length
+//! is learned, and what counts as malformed. The `oak-edge` reactor and
+//! the [`crate::fault`] client both call these functions, so the rules
+//! live in exactly one place.
 
 use crate::error::HttpError;
 
 /// Finds the end of a request head inside `buf`, scanning line by line
 /// from `from` (a line-start offset from a previous partial scan).
 ///
-/// Mirrors the blocking reader's termination rule exactly: the head ends
-/// at the first *blank line*, where a line is everything up to and
-/// including a `\n` and blank means the line is `"\n"` or `"\r\n"`.
+/// The head ends at the first *blank line*, where a line is everything
+/// up to and including a `\n` and blank means the line is `"\n"` or
+/// `"\r\n"`.
 ///
 /// Returns `(Some(end), _)` with `end` one past the terminator when the
 /// head is complete, else `(None, resume)` where `resume` is the offset
@@ -95,8 +91,8 @@ pub fn content_length_of(head: &[u8]) -> Result<usize, HttpError> {
 /// Extracts `(method-token, target)` from the request line of a raw
 /// head block, without parsing the full message.
 ///
-/// Both server backends consult [`crate::Handler::admit`] between head
-/// completion and body read; this is the shared, minimal peek that makes
+/// The server consults [`crate::Handler::admit`] between head
+/// completion and body read; this is the minimal peek that makes
 /// the decision possible before any body byte is buffered. `None` for
 /// heads whose first line is not `token SP token …` — such requests fall
 /// through to the full parser and earn their 400 there.
@@ -119,8 +115,7 @@ pub fn request_line_of(head: &[u8]) -> Option<(&str, &str)> {
 /// Feed it the raw bytes after the head each time more arrive; it
 /// reports how many raw bytes the complete chunked body occupies once
 /// the terminating zero-size chunk and its trailer section have landed.
-/// The *decoded* running total is bounded by `max_body_bytes`, matching
-/// the blocking reader's accumulation cap.
+/// The *decoded* running total is bounded by `max_body_bytes`.
 #[derive(Clone, Copy, Debug)]
 pub struct ChunkedScan {
     /// Raw-byte offset (relative to the body start) scanning resumes at.
@@ -183,9 +178,7 @@ impl ChunkedScan {
                     };
                     let line = &body[self.line_start..=line_end];
                     // Only a literal `0` line ends the body — `0;ext`
-                    // falls through to the data path, exactly like the
-                    // blocking reader, so both backends reject the same
-                    // exotic inputs with the same status.
+                    // falls through to the data path.
                     let terminator = line == b"0\r\n" || line == b"0\n";
                     let text = String::from_utf8_lossy(line);
                     let size_text = text.trim_end().split(';').next().unwrap_or("").trim();

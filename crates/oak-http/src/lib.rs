@@ -8,18 +8,18 @@
 //! - [`Url`]: absolute/relative URL parsing and resolution,
 //! - [`Request`] / [`Response`] / [`Headers`]: message types with
 //!   case-insensitive headers,
-//! - wire codecs ([`Request::parse`], [`Response::write_to`], …) for
+//! - wire codecs ([`Request::parse`], [`Response::to_bytes`], …) for
 //!   `Content-Length`-framed HTTP/1.1,
 //! - [`cookie`]: the identifying-cookie plumbing Oak uses to tie reports
 //!   to users,
-//! - [`TcpServer`] / [`fetch_tcp`]: a threaded server and blocking client
-//!   over real `std::net` sockets (used by the live-proxy example and
-//!   integration tests) — bounded by [`ServerLimits`] (connection cap,
-//!   head/body byte ceilings, read/write deadlines) with handler-panic
-//!   isolation and [`TransportStats`] counters,
+//! - [`ServerLimits`] / [`TransportStats`] / [`fetch_tcp`]: the bounds
+//!   (connection cap, head/body byte ceilings, read/write deadlines) and
+//!   counters of the server that lives in `oak-edge`, and a blocking
+//!   client over real `std::net` sockets,
+//! - [`framing`]: how that server learns where a request ends,
 //! - [`fault`]: a scripted chaos client (slowloris, mid-body disconnects,
 //!   oversized heads/bodies) for deterministic resilience testing,
-//! - [`Handler`]: the request-handling trait shared by the TCP server and
+//! - [`Handler`]: the request-handling trait shared by the server and
 //!   the in-memory transport that experiments use for determinism.
 //!
 //! Scope: `Content-Length` and `Transfer-Encoding: chunked` bodies, no
@@ -55,8 +55,8 @@ pub use headers::Headers;
 pub use message::{encode_chunked, Method, Request, Response, StatusCode};
 pub use obs::{HttpMetrics, Stage};
 pub use tcp::{
-    fetch_tcp, over_capacity_response, queue_shed_response, Handler, ServerLimits, TcpServer,
-    TransportEvent, TransportSnapshot, TransportStats, PEER_ADDR_HEADER, SHED_RETRY_AFTER_SECS,
+    fetch_tcp, over_capacity_response, queue_shed_response, Handler, ServerLimits, TransportEvent,
+    TransportSnapshot, TransportStats, PEER_ADDR_HEADER, SHED_RETRY_AFTER_SECS,
 };
 pub use url::{host_of, Url};
 

@@ -280,16 +280,6 @@ impl Response {
         out
     }
 
-    /// Writes the wire form to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_to(&self, w: &mut impl std::io::Write) -> Result<(), HttpError> {
-        w.write_all(&self.to_bytes())?;
-        Ok(())
-    }
-
     /// Parses wire bytes into a response.
     ///
     /// # Errors

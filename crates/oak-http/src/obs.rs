@@ -36,16 +36,14 @@ impl HttpMetrics {
         Arc::new(HttpMetrics { clock, stages })
     }
 
-    /// The current clock reading, nanoseconds. Public so out-of-crate
-    /// server backends (`oak-edge`) can timestamp their stages against
-    /// the same clock.
+    /// The current clock reading, nanoseconds. Public so the server
+    /// (`oak-edge`) can timestamp its stages against the same clock.
     pub fn now(&self) -> u64 {
         (self.clock)()
     }
 
-    /// Records one stage duration. Every backend sharing this handle
-    /// lands in the same `oak_http_stage_duration_us` family, so the
-    /// operator's latency view is backend-agnostic.
+    /// Records one stage duration into the
+    /// `oak_http_stage_duration_us` family.
     pub fn record(&self, stage: Stage, start_ns: u64, end_ns: u64) {
         self.stages[stage as usize].record(elapsed_us(start_ns, end_ns));
     }

@@ -1,44 +1,38 @@
-//! Threaded TCP server and blocking client.
+//! The transport seam: what the server (`oak-edge`) and its handlers
+//! share, plus a blocking client.
 //!
-//! Mirrors the paper's deployment: "a multi-threaded server … which serves
-//! a dual purpose as both the web server and the Oak server platform" (§5).
 //! The [`Handler`] trait is the seam between transport and logic — the Oak
 //! proxy implements it once and runs identically over TCP (live example)
 //! and direct in-memory calls (deterministic experiments).
 //!
 //! The server is *bounded* ([`ServerLimits`]): concurrent connections are
-//! capped by a permit gauge (over → 503), the request head and body have
-//! byte ceilings (over → 431/413), reads and writes carry deadlines (a
-//! slowloris gets a 408, not a parked thread), and handler panics are
-//! caught and turned into 500s instead of silently killing the connection
-//! thread. Every limit trip lands in a [`TransportStats`] counter so the
-//! operator's `/oak/stats` view shows what the edge is absorbing.
+//! capped (over → 503), the request head and body have byte ceilings
+//! (over → 431/413), reads and writes carry deadlines (a slowloris gets a
+//! 408), and handler panics are caught and turned into 500s. Every limit
+//! trip lands in a [`TransportStats`] counter so the operator's
+//! `/oak/stats` view shows what the edge is absorbing.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use crate::error::HttpError;
-use crate::framing::{content_length_of, head_is_chunked, request_line_of};
 use crate::message::{Method, Request, Response, StatusCode};
-use crate::obs::{HttpMetrics, Stage};
 
-/// Header the TCP server sets on inbound requests with the connection's
+/// Header the server sets on inbound requests with the connection's
 /// observed peer IP, overriding any client-supplied value. Handlers that
 /// care about client addresses (Oak's subnet-scoped policies, §4.2.4 of
 /// the paper) read this.
 pub const PEER_ADDR_HEADER: &str = "X-Oak-Peer-Addr";
 
 /// Turns a request into a response. Implementations must be thread-safe:
-/// the TCP server invokes them from connection threads.
+/// the server invokes them from its worker threads.
 pub trait Handler: Send + Sync + 'static {
     /// Produces the response for `request`.
     fn handle(&self, request: &Request) -> Response;
 
-    /// Consulted by both server backends after the request head is
+    /// Consulted by the server after the request head is
     /// complete but *before* any body byte is read. Returning
     /// `Some(response)` sheds the request: the transport answers with it
     /// immediately (plus `Connection: close`, since the unread body makes
@@ -67,12 +61,11 @@ where
     }
 }
 
-/// Resource bounds for a [`TcpServer`].
+/// Resource bounds for the server.
 ///
-/// The defaults reproduce the crate's historical behavior (10 s socket
-/// timeouts, 64 KiB heads, 16 MiB bodies) with a generous connection cap;
-/// deployments facing the open Internet tighten them via `oak-serve`
-/// flags.
+/// The defaults are 10 s read/write deadlines, 64 KiB heads and 16 MiB
+/// bodies, with a generous connection cap; deployments facing the open
+/// Internet tighten them via `oak-serve` flags.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerLimits {
     /// Maximum concurrently served connections; one more gets a 503 and
@@ -85,14 +78,14 @@ pub struct ServerLimits {
     /// accumulated from chunks; over yields a 413 without reading the
     /// rest.
     pub max_body_bytes: usize,
-    /// Wall-clock budget for reading one complete request. Enforced both
-    /// per socket read and across reads, so byte-dribbling (slowloris)
-    /// cannot hold a thread past it; tripping mid-request yields a 408.
+    /// Wall-clock budget for reading one complete request. Enforced
+    /// across reads, so byte-dribbling (slowloris) cannot hold a
+    /// connection past it; tripping mid-request yields a 408.
     pub read_timeout: Duration,
-    /// Per-write socket deadline; a peer that stops draining its receive
+    /// Per-write deadline; a peer that stops draining its receive
     /// window gets disconnected.
     pub write_timeout: Duration,
-    /// How long [`TcpServer::shutdown`] waits for in-flight connections
+    /// How long the server's `shutdown` waits for in-flight connections
     /// to finish before giving up on the stragglers.
     pub drain_timeout: Duration,
     /// CoDel-style queue deadline: a request that waited longer than
@@ -101,9 +94,7 @@ pub struct ServerLimits {
     /// processed — under overload, stale queued work is the least
     /// valuable work in the building. Zero disables the check. Targets
     /// for which [`Handler::shed_exempt`] returns true are never
-    /// dropped. Only queued backends (the `oak-edge` reactor) have a
-    /// queue to age in; the thread-per-connection server runs the
-    /// handler synchronously after the read and so never trips this.
+    /// dropped.
     pub queue_deadline: Duration,
 }
 
@@ -142,14 +133,15 @@ pub struct TransportStats {
 /// A point-in-time copy of [`TransportStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportSnapshot {
-    /// Connections that got a permit and a serving thread.
+    /// Connections admitted under the connection cap.
     pub connections_accepted: u64,
     /// Connections turned away with a 503 at the connection cap.
     pub connections_rejected: u64,
     /// Accepted connections since closed; `accepted - closed` is the
     /// live permit occupancy the overload controller samples.
     pub connections_closed: u64,
-    /// `accept()` failures (the loop backs off instead of hot-spinning).
+    /// `accept()` failures (the accept path backs off instead of
+    /// hot-spinning).
     pub accepts_failed: u64,
     /// Requests that reached the handler and were answered.
     pub requests_served: u64,
@@ -169,10 +161,8 @@ pub struct TransportSnapshot {
     pub bad_requests: u64,
 }
 
-/// One transport-level occurrence worth counting, for backends that
-/// share a [`TransportStats`] block without living in this module (the
-/// `oak-edge` reactor records through this; the in-module threaded
-/// server touches the counters directly).
+/// One transport-level occurrence worth counting; the server records
+/// each through [`TransportStats::record`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TransportEvent {
     /// A connection got a permit and is being served.
@@ -201,9 +191,7 @@ pub enum TransportEvent {
 }
 
 impl TransportStats {
-    /// Counts one transport event. Every server backend sharing this
-    /// stats block reports through the same counters, so the operator's
-    /// `/oak/stats` view is backend-agnostic.
+    /// Counts one transport event.
     pub fn record(&self, event: TransportEvent) {
         let counter = match event {
             TransportEvent::ConnectionAccepted => &self.connections_accepted,
@@ -239,238 +227,11 @@ impl TransportStats {
     }
 }
 
-/// Counts live connections against [`ServerLimits::max_connections`].
-#[derive(Debug)]
-struct Gauge {
-    active: AtomicUsize,
-    limit: usize,
-}
-
-impl Gauge {
-    fn try_acquire(self: &Arc<Gauge>) -> Option<Permit> {
-        let mut current = self.active.load(Ordering::Relaxed);
-        loop {
-            if current >= self.limit {
-                return None;
-            }
-            match self.active.compare_exchange_weak(
-                current,
-                current + 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Some(Permit(Arc::clone(self))),
-                Err(now) => current = now,
-            }
-        }
-    }
-}
-
-/// RAII connection permit: returned to the gauge on drop, which runs even
-/// when the owning thread unwinds — permits cannot leak past a panic.
-struct Permit(Arc<Gauge>);
-
-impl Drop for Permit {
-    fn drop(&mut self) {
-        self.0.active.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// A running HTTP server; dropped or [`TcpServer::shutdown`] stops it.
-pub struct TcpServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    gauge: Arc<Gauge>,
-    stats: Arc<TransportStats>,
-    drain_timeout: Duration,
-}
-
-impl TcpServer {
-    /// Binds to `127.0.0.1:port` (port 0 picks a free port) and starts
-    /// accepting with [`ServerLimits::default`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind error.
-    pub fn start(port: u16, handler: Arc<dyn Handler>) -> Result<TcpServer, HttpError> {
-        TcpServer::start_with(
-            port,
-            handler,
-            ServerLimits::default(),
-            Arc::new(TransportStats::default()),
-        )
-    }
-
-    /// As [`TcpServer::start`] with explicit limits.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind error.
-    pub fn start_with_limits(
-        port: u16,
-        handler: Arc<dyn Handler>,
-        limits: ServerLimits,
-    ) -> Result<TcpServer, HttpError> {
-        TcpServer::start_with(port, handler, limits, Arc::new(TransportStats::default()))
-    }
-
-    /// As [`TcpServer::start`] with explicit limits and a caller-owned
-    /// stats block (so a service can render transport counters alongside
-    /// its own).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind error.
-    pub fn start_with(
-        port: u16,
-        handler: Arc<dyn Handler>,
-        limits: ServerLimits,
-        stats: Arc<TransportStats>,
-    ) -> Result<TcpServer, HttpError> {
-        TcpServer::start_with_obs(port, handler, limits, stats, None)
-    }
-
-    /// As [`TcpServer::start_with`], additionally recording per-stage
-    /// latencies (read/parse/handle/write) into `obs` when given.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind error.
-    pub fn start_with_obs(
-        port: u16,
-        handler: Arc<dyn Handler>,
-        limits: ServerLimits,
-        stats: Arc<TransportStats>,
-        obs: Option<Arc<HttpMetrics>>,
-    ) -> Result<TcpServer, HttpError> {
-        let listener = TcpListener::bind(("127.0.0.1", port))?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let gauge = Arc::new(Gauge {
-            active: AtomicUsize::new(0),
-            limit: limits.max_connections.max(1),
-        });
-        let stop_flag = Arc::clone(&stop);
-        let gauge_accept = Arc::clone(&gauge);
-        let stats_accept = Arc::clone(&stats);
-        let accept_thread = std::thread::spawn(move || {
-            accept_loop(
-                &listener,
-                &stop_flag,
-                &gauge_accept,
-                &stats_accept,
-                handler,
-                limits,
-                obs,
-            );
-        });
-        Ok(TcpServer {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-            gauge,
-            stats,
-            drain_timeout: limits.drain_timeout,
-        })
-    }
-
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The transport counters (shared with the accept loop).
-    pub fn stats(&self) -> Arc<TransportStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Connections currently holding a permit.
-    pub fn active_connections(&self) -> usize {
-        self.gauge.active.load(Ordering::Acquire)
-    }
-
-    /// Stops accepting, joins the accept thread, then drains: waits up to
-    /// [`ServerLimits::drain_timeout`] for in-flight connections to
-    /// return their permits before giving up on the stragglers.
-    pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Kick the accept loop out of `incoming()`.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        let deadline = Instant::now() + self.drain_timeout;
-        while self.active_connections() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-}
-
-impl Drop for TcpServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    stop: &AtomicBool,
-    gauge: &Arc<Gauge>,
-    stats: &Arc<TransportStats>,
-    handler: Arc<dyn Handler>,
-    limits: ServerLimits,
-    obs: Option<Arc<HttpMetrics>>,
-) {
-    // Consecutive accept failures back off up to this ceiling instead of
-    // hot-spinning on e.g. EMFILE, which only the passage of time fixes.
-    const MAX_BACKOFF: Duration = Duration::from_millis(100);
-    let mut backoff = Duration::from_millis(1);
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = match conn {
-            Ok(s) => {
-                backoff = Duration::from_millis(1);
-                s
-            }
-            Err(_) => {
-                stats.accepts_failed.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(MAX_BACKOFF);
-                continue;
-            }
-        };
-        let Some(permit) = gauge.try_acquire() else {
-            stats.connections_rejected.fetch_add(1, Ordering::Relaxed);
-            reject_over_capacity(stream, &limits);
-            continue;
-        };
-        stats.connections_accepted.fetch_add(1, Ordering::Relaxed);
-        let handler = Arc::clone(&handler);
-        let stats = Arc::clone(stats);
-        let obs = obs.clone();
-        std::thread::spawn(move || {
-            // The permit lives exactly as long as this thread's work and
-            // is returned even if `serve_connection` itself unwinds.
-            let _permit = permit;
-            let _ = serve_connection(stream, handler, &limits, &stats, obs.as_deref());
-            stats.connections_closed.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-}
-
 /// Seconds every transport-minted shed/throttle response suggests the
-/// client back off before retrying. Shared so the two backends advertise
-/// the same hint byte-for-byte.
+/// client back off before retrying.
 pub const SHED_RETRY_AFTER_SECS: u64 = 1;
 
-/// The terse 503 every backend answers with at the connection cap.
-/// Shared so a client cannot tell the serving backends apart by the
-/// rejection they receive.
+/// The terse 503 a connection over the cap is answered with.
 pub fn over_capacity_response() -> Response {
     Response::new(StatusCode::UNAVAILABLE)
         .with_body(b"connection limit reached".to_vec(), "text/plain")
@@ -485,377 +246,6 @@ pub fn queue_shed_response() -> Response {
     Response::new(StatusCode::UNAVAILABLE)
         .with_body(b"dropped from queue under overload".to_vec(), "text/plain")
         .with_header("Retry-After", &SHED_RETRY_AFTER_SECS.to_string())
-}
-
-/// Answers a connection that arrived over the cap: a terse 503, written
-/// under a short deadline so a non-draining peer cannot stall accepting.
-fn reject_over_capacity(stream: TcpStream, limits: &ServerLimits) {
-    let _ = stream.set_write_timeout(Some(limits.write_timeout.min(Duration::from_secs(1))));
-    let mut stream = stream;
-    let _ = over_capacity_response().write_to(&mut stream);
-    drain_then_close(&stream);
-}
-
-/// Closes after an error response without nuking it: a close with unread
-/// request bytes queued makes the kernel send RST, which discards the
-/// response from the peer's receive buffer. Half-close the write side,
-/// then briefly drain (bounded in time) so the FIN lands clean.
-fn drain_then_close(stream: &TcpStream) {
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let deadline = Instant::now() + Duration::from_millis(500);
-    let mut sink = [0u8; 8192];
-    let mut stream = stream;
-    while let Ok(n) = stream.read(&mut sink) {
-        if n == 0 || Instant::now() >= deadline {
-            break;
-        }
-    }
-}
-
-/// How one request read attempt ended, beyond a clean request.
-enum ReadOutcome {
-    /// A complete, parseable request.
-    Request(Box<Request>),
-    /// Clean EOF (or idle keep-alive timeout) between requests.
-    Closed,
-    /// The peer broke the connection mid-request; nothing to answer.
-    Lost,
-    /// The request was rejected; answer with this status and close.
-    Reject(StatusCode),
-    /// [`Handler::admit`] shed the request after its head: answer with
-    /// this response and close (the unread body makes keep-alive
-    /// unframeable).
-    Shed(Box<Response>),
-}
-
-/// Reads requests off one connection until EOF/error, handling keep-alive.
-/// Limit violations are answered with their status code before closing;
-/// handler panics become 500s and the connection survives to report it.
-fn serve_connection(
-    stream: TcpStream,
-    handler: Arc<dyn Handler>,
-    limits: &ServerLimits,
-    stats: &TransportStats,
-    obs: Option<&HttpMetrics>,
-) -> Result<(), HttpError> {
-    stream.set_write_timeout(Some(limits.write_timeout))?;
-    let peer_ip = stream.peer_addr().ok().map(|a| a.ip().to_string());
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    loop {
-        let mut request = match read_request_outcome(&mut reader, &*handler, limits, stats, obs) {
-            ReadOutcome::Request(r) => *r,
-            ReadOutcome::Closed | ReadOutcome::Lost => return Ok(()),
-            ReadOutcome::Reject(status) => {
-                let response = Response::new(status)
-                    .with_body(status.reason().as_bytes().to_vec(), "text/plain")
-                    .with_header("Connection", "close");
-                let _ = response.write_to(&mut writer);
-                let _ = writer.flush();
-                drain_then_close(&writer);
-                return Ok(());
-            }
-            ReadOutcome::Shed(shed) => {
-                let mut response = *shed;
-                response.headers.set("Connection", "close");
-                let _ = response.write_to(&mut writer);
-                let _ = writer.flush();
-                drain_then_close(&writer);
-                return Ok(());
-            }
-        };
-        // Surface the observed peer address to handlers (Oak's
-        // subnet-scoped rule policies key on it). Set last, so a spoofed
-        // header from the client cannot win.
-        if let Some(ip) = &peer_ip {
-            request.headers.set(PEER_ADDR_HEADER, ip.clone());
-        }
-        let close = request
-            .header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-        // A panicking handler must cost one response, not the thread: the
-        // permit and keep-alive loop survive, the client gets a 500, and
-        // the panic is visible in the stats instead of a dead silence.
-        let handle_start = obs.map(|o| o.now());
-        let response = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handler.handle(&request)
-        })) {
-            Ok(response) => response,
-            Err(_) => {
-                stats.panics.fetch_add(1, Ordering::Relaxed);
-                Response::new(StatusCode::INTERNAL_ERROR)
-                    .with_body(b"handler panicked".to_vec(), "text/plain")
-            }
-        };
-        if let (Some(obs), Some(start)) = (obs, handle_start) {
-            obs.record(Stage::Handle, start, obs.now());
-        }
-        stats.requests_served.fetch_add(1, Ordering::Relaxed);
-        let write_start = obs.map(|o| o.now());
-        response.write_to(&mut writer)?;
-        writer.flush()?;
-        if let (Some(obs), Some(start)) = (obs, write_start) {
-            obs.record(Stage::Write, start, obs.now());
-        }
-        if close {
-            return Ok(());
-        }
-    }
-}
-
-/// Classifies one [`read_request`] attempt into the connection's next
-/// action, bumping the matching counter.
-fn read_request_outcome(
-    reader: &mut BufReader<TcpStream>,
-    handler: &dyn Handler,
-    limits: &ServerLimits,
-    stats: &TransportStats,
-    obs: Option<&HttpMetrics>,
-) -> ReadOutcome {
-    match read_request(reader, handler, limits, obs) {
-        Ok(Some(ReadResult::Request(request))) => ReadOutcome::Request(request),
-        Ok(Some(ReadResult::Shed(response))) => {
-            stats.requests_shed.fetch_add(1, Ordering::Relaxed);
-            ReadOutcome::Shed(response)
-        }
-        Ok(None) => ReadOutcome::Closed,
-        Err(HttpError::TimedOut) => {
-            stats.timeouts.fetch_add(1, Ordering::Relaxed);
-            ReadOutcome::Reject(StatusCode::REQUEST_TIMEOUT)
-        }
-        Err(HttpError::HeadTooLarge { .. }) => {
-            stats.heads_too_large.fetch_add(1, Ordering::Relaxed);
-            ReadOutcome::Reject(StatusCode::HEADERS_TOO_LARGE)
-        }
-        Err(HttpError::BodyTooLarge { .. }) => {
-            stats.bodies_too_large.fetch_add(1, Ordering::Relaxed);
-            ReadOutcome::Reject(StatusCode::PAYLOAD_TOO_LARGE)
-        }
-        Err(HttpError::Malformed(_)) => {
-            stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-            ReadOutcome::Reject(StatusCode::BAD_REQUEST)
-        }
-        // The peer vanished mid-request (reset, or EOF inside a body);
-        // there is nobody left to answer.
-        Err(HttpError::Truncated | HttpError::Io(_)) => ReadOutcome::Lost,
-        Err(HttpError::BadUrl(_)) => {
-            stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-            ReadOutcome::Reject(StatusCode::BAD_REQUEST)
-        }
-    }
-}
-
-/// The wall-clock budget for reading one request: socket timeouts are
-/// re-armed with the *remaining* budget before every read, so a client
-/// dribbling one byte per second exhausts the deadline instead of
-/// resetting a per-read timer (the slowloris defense).
-struct ReadDeadline {
-    deadline: Instant,
-    /// True once any request byte arrived: a deadline before the first
-    /// byte is an idle keep-alive connection, not a slow request.
-    started: bool,
-}
-
-impl ReadDeadline {
-    fn new(budget: Duration) -> ReadDeadline {
-        ReadDeadline {
-            deadline: Instant::now() + budget,
-            started: false,
-        }
-    }
-
-    /// Arms the socket with the remaining budget; `TimedOut` when spent.
-    fn arm(&self, stream: &TcpStream) -> Result<(), HttpError> {
-        let remaining = self.deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(HttpError::TimedOut);
-        }
-        stream
-            .set_read_timeout(Some(remaining))
-            .map_err(HttpError::Io)?;
-        Ok(())
-    }
-
-    /// Maps a socket timeout (`WouldBlock`/`TimedOut`) to [`HttpError::TimedOut`].
-    fn classify(&self, e: std::io::Error) -> HttpError {
-        match e.kind() {
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => HttpError::TimedOut,
-            _ => HttpError::Io(e),
-        }
-    }
-}
-
-/// How [`read_request`] ended when it did produce something to act on.
-enum ReadResult {
-    /// A complete, parseable request.
-    Request(Box<Request>),
-    /// [`Handler::admit`] shed the request after its head; the body was
-    /// never read.
-    Shed(Box<Response>),
-}
-
-/// Reads one request; `None` on immediate EOF or an idle keep-alive
-/// timeout before any byte arrived.
-fn read_request(
-    reader: &mut BufReader<TcpStream>,
-    handler: &dyn Handler,
-    limits: &ServerLimits,
-    obs: Option<&HttpMetrics>,
-) -> Result<Option<ReadResult>, HttpError> {
-    // Read time covers socket entry to a complete byte buffer (including
-    // any keep-alive idle wait before the first byte); parse time covers
-    // turning those bytes into a Request. Only successful requests are
-    // recorded — rejects have no stage to attribute.
-    let read_start = obs.map(|o| o.now());
-    let mut deadline = ReadDeadline::new(limits.read_timeout);
-    let head = match read_head(reader, limits, &mut deadline) {
-        Ok(Some(h)) => h,
-        Ok(None) => return Ok(None),
-        Err(HttpError::TimedOut) if !deadline.started => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    // The overload gate runs on the bare request line, before the body
-    // is buffered — shedding that waits for the body has already paid
-    // the cost it was meant to avoid.
-    if let Some((token, target)) = request_line_of(&head) {
-        if let Some(method) = Method::parse(token) {
-            if let Some(response) = handler.admit(method, target) {
-                return Ok(Some(ReadResult::Shed(Box::new(response))));
-            }
-        }
-    }
-    let mut bytes = head;
-    if head_is_chunked(&bytes)? {
-        // Accumulate until the zero-size terminating chunk, bounding the
-        // running total by the body limit.
-        let mut body = Vec::new();
-        loop {
-            let mut line = Vec::new();
-            if read_until_lf(reader, &mut line, &mut deadline)? == 0 {
-                return Err(HttpError::Truncated);
-            }
-            body.extend_from_slice(&line);
-            if line == b"0\r\n" || line == b"0\n" {
-                // Trailer section ends at a blank line.
-                let mut blank = Vec::new();
-                loop {
-                    blank.clear();
-                    if read_until_lf(reader, &mut blank, &mut deadline)? == 0 {
-                        return Err(HttpError::Truncated);
-                    }
-                    body.extend_from_slice(&blank);
-                    if blank == b"\r\n" || blank == b"\n" {
-                        break;
-                    }
-                }
-                break;
-            }
-            // The line was a chunk-size header; read that many bytes + CRLF.
-            let text = String::from_utf8_lossy(&line);
-            let size_text = text.trim_end().split(';').next().unwrap_or("").trim();
-            let size = usize::from_str_radix(size_text, 16)
-                .map_err(|_| HttpError::Malformed(format!("bad chunk size {size_text:?}")))?;
-            if body.len().saturating_add(size) > limits.max_body_bytes {
-                return Err(HttpError::BodyTooLarge {
-                    limit: limits.max_body_bytes,
-                });
-            }
-            let mut chunk = vec![0u8; size + 2];
-            read_exact_deadlined(reader, &mut chunk, &deadline)?;
-            body.extend_from_slice(&chunk);
-        }
-        bytes.extend_from_slice(&body);
-    } else {
-        // Learn Content-Length, then complete the body. The declared
-        // length is checked against the limit *before* any body byte is
-        // read, so an attacker cannot make the server buffer it.
-        let needed = content_length_of(&bytes)?;
-        if needed > limits.max_body_bytes {
-            return Err(HttpError::BodyTooLarge {
-                limit: limits.max_body_bytes,
-            });
-        }
-        let mut body = vec![0u8; needed];
-        read_exact_deadlined(reader, &mut body, &deadline)?;
-        bytes.extend_from_slice(&body);
-    }
-    let parse_start = obs.map(|o| o.now());
-    let request = Request::parse(&bytes)?;
-    if let (Some(obs), Some(read_start), Some(parse_start)) = (obs, read_start, parse_start) {
-        obs.record(Stage::Read, read_start, parse_start);
-        obs.record(Stage::Parse, parse_start, obs.now());
-    }
-    Ok(Some(ReadResult::Request(Box::new(request))))
-}
-
-/// Reads up to and including the `\r\n\r\n` header terminator.
-fn read_head(
-    reader: &mut BufReader<TcpStream>,
-    limits: &ServerLimits,
-    deadline: &mut ReadDeadline,
-) -> Result<Option<Vec<u8>>, HttpError> {
-    let mut head = Vec::with_capacity(512);
-    loop {
-        let mut line = Vec::with_capacity(64);
-        let n = read_until_lf(reader, &mut line, deadline)?;
-        if n == 0 {
-            return if head.is_empty() {
-                Ok(None)
-            } else {
-                Err(HttpError::Truncated)
-            };
-        }
-        let blank = line == b"\r\n" || line == b"\n";
-        head.extend_from_slice(&line);
-        if blank {
-            return Ok(Some(head));
-        }
-        if head.len() > limits.max_head_bytes {
-            return Err(HttpError::HeadTooLarge {
-                limit: limits.max_head_bytes,
-            });
-        }
-    }
-}
-
-fn read_until_lf(
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut Vec<u8>,
-    deadline: &mut ReadDeadline,
-) -> Result<usize, HttpError> {
-    deadline.arm(reader.get_ref())?;
-    let before = buf.len();
-    let result = reader.read_until(b'\n', buf);
-    // Partial bytes before an error still mean a request is in flight —
-    // a stalled half-line is a slow request (408), not an idle close.
-    if buf.len() > before {
-        deadline.started = true;
-    }
-    result.map_err(|e| deadline.classify(e))
-}
-
-/// `read_exact` under the request deadline, in pieces so the remaining
-/// budget is re-armed as the body trickles in.
-fn read_exact_deadlined(
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut [u8],
-    deadline: &ReadDeadline,
-) -> Result<(), HttpError> {
-    const STRIDE: usize = 8 * 1024;
-    let mut filled = 0;
-    while filled < buf.len() {
-        deadline.arm(reader.get_ref())?;
-        let end = (filled + STRIDE).min(buf.len());
-        reader
-            .read_exact(&mut buf[filled..end])
-            .map_err(|e| match e.kind() {
-                std::io::ErrorKind::UnexpectedEof => HttpError::Truncated,
-                _ => deadline.classify(e),
-            })?;
-        filled = end;
-    }
-    Ok(())
 }
 
 /// Performs one blocking HTTP exchange over a fresh TCP connection.

@@ -1,11 +1,10 @@
-//! Unit, integration, and property tests for the HTTP substrate.
-
-use std::sync::Arc;
+//! Unit and property tests for the HTTP substrate (the server's own
+//! tests live with it in `oak-edge`).
 
 use crate::cookie::{
     format_cookie_header, format_set_cookie, get_cookie, parse_cookie_header, OAK_USER_COOKIE,
 };
-use crate::{fetch_tcp, Headers, HttpError, Method, Request, Response, StatusCode, TcpServer, Url};
+use crate::{Headers, HttpError, Method, Request, Response, StatusCode, Url};
 
 #[test]
 fn url_parses_components() {
@@ -259,323 +258,6 @@ fn chunked_roundtrip_various_chunk_sizes() {
             "chunk={chunk_size}"
         );
     }
-}
-
-#[test]
-fn tcp_server_accepts_chunked_requests() {
-    use crate::encode_chunked;
-    use std::io::{Read, Write};
-    let handler = Arc::new(|req: &Request| {
-        Response::new(StatusCode::OK).with_body(req.body.clone(), "application/octet-stream")
-    });
-    let mut server = TcpServer::start(0, handler).unwrap();
-    let payload = b"chunk me across the wire".to_vec();
-    let mut raw =
-        b"POST /echo HTTP/1.1\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n".to_vec();
-    raw.extend_from_slice(&encode_chunked(&payload, 5));
-
-    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-    stream.write_all(&raw).unwrap();
-    stream.shutdown(std::net::Shutdown::Write).unwrap();
-    let mut bytes = Vec::new();
-    stream.read_to_end(&mut bytes).unwrap();
-    let resp = Response::parse(&bytes).unwrap();
-    assert_eq!(resp.body, payload);
-    server.shutdown();
-}
-
-#[test]
-fn tcp_server_round_trips_requests() {
-    let handler = Arc::new(|req: &Request| {
-        Response::html(format!("you asked for {}", req.target))
-            .with_header("Set-Cookie", &format_set_cookie(OAK_USER_COOKIE, "u-9"))
-    });
-    let mut server = TcpServer::start(0, handler).unwrap();
-    let resp = fetch_tcp(server.addr(), &Request::new(Method::Get, "/page")).unwrap();
-    assert_eq!(resp.status, StatusCode::OK);
-    assert_eq!(resp.body_text(), "you asked for /page");
-    assert_eq!(
-        resp.header("set-cookie")
-            .and_then(|v| get_cookie(v, OAK_USER_COOKIE)),
-        Some("u-9")
-    );
-    server.shutdown();
-}
-
-#[test]
-fn tcp_server_handles_post_bodies_and_parallel_clients() {
-    let handler = Arc::new(|req: &Request| {
-        Response::new(StatusCode::OK).with_body(req.body.clone(), "application/octet-stream")
-    });
-    let mut server = TcpServer::start(0, handler).unwrap();
-    let addr = server.addr();
-    let threads: Vec<_> = (0..8)
-        .map(|i| {
-            std::thread::spawn(move || {
-                let body = vec![i as u8; 1000 + i * 10];
-                let req = Request::new(Method::Post, "/echo")
-                    .with_body(body.clone(), "application/octet-stream");
-                let resp = fetch_tcp(addr, &req).unwrap();
-                assert_eq!(resp.body, body);
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().unwrap();
-    }
-    server.shutdown();
-}
-
-#[test]
-fn tcp_server_shutdown_is_idempotent() {
-    let handler = Arc::new(|_: &Request| Response::not_found());
-    let mut server = TcpServer::start(0, handler).unwrap();
-    server.shutdown();
-    server.shutdown();
-    assert!(fetch_tcp(server.addr(), &Request::new(Method::Get, "/")).is_err());
-}
-
-/// A server whose handler echoes the request target, with tight limits
-/// for the edge-case tests.
-fn echo_server(limits: crate::ServerLimits) -> TcpServer {
-    let handler = Arc::new(|req: &Request| {
-        Response::new(StatusCode::OK).with_body(req.target.clone().into_bytes(), "text/plain")
-    });
-    TcpServer::start_with_limits(0, handler, limits).unwrap()
-}
-
-#[test]
-fn keep_alive_serves_pipelined_requests() {
-    use std::io::{Read, Write};
-    let mut server = echo_server(crate::ServerLimits::default());
-    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-    // Two requests in one burst; the second asks to close.
-    stream
-        .write_all(b"GET /first HTTP/1.1\r\n\r\nGET /second HTTP/1.1\r\nConnection: close\r\n\r\n")
-        .unwrap();
-    stream.shutdown(std::net::Shutdown::Write).unwrap();
-    let mut bytes = Vec::new();
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-        .unwrap();
-    stream.read_to_end(&mut bytes).unwrap();
-    let text = String::from_utf8_lossy(&bytes);
-    assert_eq!(text.matches("HTTP/1.1 200").count(), 2, "{text}");
-    assert!(
-        text.contains("/first") && text.contains("/second"),
-        "{text}"
-    );
-    server.shutdown();
-}
-
-#[test]
-fn connection_close_header_is_case_insensitive() {
-    use std::io::{Read, Write};
-    let mut server = echo_server(crate::ServerLimits::default());
-    for variant in ["close", "Close", "CLOSE", "cLoSe"] {
-        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-        stream
-            .write_all(format!("GET /x HTTP/1.1\r\nConnection: {variant}\r\n\r\n").as_bytes())
-            .unwrap();
-        stream
-            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-            .unwrap();
-        let mut bytes = Vec::new();
-        // The server closing (not the client) unblocks read_to_end: if
-        // the casing variant were missed, this would hang to the timeout.
-        stream.read_to_end(&mut bytes).unwrap();
-        assert!(
-            String::from_utf8_lossy(&bytes).starts_with("HTTP/1.1 200"),
-            "{variant}"
-        );
-    }
-    server.shutdown();
-}
-
-#[test]
-fn keep_alive_sequential_requests_share_a_connection() {
-    use std::io::{Read, Write};
-    let mut server = echo_server(crate::ServerLimits::default());
-    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-        .unwrap();
-    stream.write_all(b"GET /one HTTP/1.1\r\n\r\n").unwrap();
-    let mut seen = Vec::new();
-    let mut buf = [0u8; 256];
-    while !String::from_utf8_lossy(&seen).contains("/one") {
-        let n = stream.read(&mut buf).unwrap();
-        assert!(n > 0, "server closed a keep-alive connection early");
-        seen.extend_from_slice(&buf[..n]);
-    }
-    // Same socket, second exchange.
-    stream
-        .write_all(b"GET /two HTTP/1.1\r\nConnection: close\r\n\r\n")
-        .unwrap();
-    let mut rest = Vec::new();
-    stream.read_to_end(&mut rest).unwrap();
-    assert!(String::from_utf8_lossy(&rest).contains("/two"));
-    assert_eq!(
-        server.stats().snapshot().connections_accepted,
-        1,
-        "both requests must ride one connection"
-    );
-    server.shutdown();
-}
-
-#[test]
-fn client_disconnect_mid_body_leaves_server_serving() {
-    let mut server = echo_server(crate::ServerLimits::default());
-    let chaos = crate::fault::ChaosClient::new(server.addr());
-    for _ in 0..3 {
-        chaos
-            .disconnect_mid_body("/oak/report", 10_000, 37)
-            .unwrap();
-    }
-    // The permits all came back and a normal request still works.
-    let resp = fetch_tcp(server.addr(), &Request::new(Method::Get, "/alive")).unwrap();
-    assert_eq!(resp.status, StatusCode::OK);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while server.active_connections() > 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    assert_eq!(server.active_connections(), 0, "permits leaked");
-    server.shutdown();
-}
-
-#[test]
-fn malformed_and_conflicting_content_length_yield_400() {
-    let mut server = echo_server(crate::ServerLimits::default());
-    let chaos = crate::fault::ChaosClient::new(server.addr());
-    for raw in [
-        // Signs and padding are not digits: `usize::from_str` would have
-        // accepted "+5", so strictness must be explicit.
-        b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello".to_vec(),
-        b"POST / HTTP/1.1\r\nContent-Length: 5x\r\n\r\nhello".to_vec(),
-        b"POST / HTTP/1.1\r\nContent-Length: \r\n\r\n".to_vec(),
-        // Conflicting duplicates smell like request smuggling.
-        b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello".to_vec(),
-    ] {
-        let resp = chaos.send_raw(&raw).unwrap();
-        assert_eq!(resp.status, StatusCode::BAD_REQUEST, "{raw:?}");
-    }
-    // Duplicate *identical* declarations are tolerated (RFC 9110 §8.6).
-    let resp = chaos
-        .send_raw(b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello")
-        .unwrap();
-    assert_eq!(resp.status, StatusCode::OK);
-    assert_eq!(server.stats().snapshot().bad_requests, 4);
-    server.shutdown();
-}
-
-#[test]
-fn head_and_body_limits_return_431_and_413() {
-    let limits = crate::ServerLimits {
-        max_head_bytes: 1024,
-        max_body_bytes: 2048,
-        ..crate::ServerLimits::default()
-    };
-    let mut server = echo_server(limits);
-    let chaos = crate::fault::ChaosClient::new(server.addr());
-
-    let resp = chaos.oversized_head(10_000).unwrap();
-    assert_eq!(resp.status, StatusCode::HEADERS_TOO_LARGE);
-
-    // The body is rejected from its declaration alone — no bytes sent.
-    let resp = chaos.oversized_body("/x", 1_000_000).unwrap();
-    assert_eq!(resp.status, StatusCode::PAYLOAD_TOO_LARGE);
-
-    // Chunked bodies trip the same cap as they accumulate.
-    let mut raw = b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
-    raw.extend_from_slice(&crate::encode_chunked(&vec![b'z'; 10_000], 512));
-    let resp = chaos.send_raw(&raw).unwrap();
-    assert_eq!(resp.status, StatusCode::PAYLOAD_TOO_LARGE);
-
-    let snapshot = server.stats().snapshot();
-    assert_eq!(snapshot.heads_too_large, 1);
-    assert_eq!(snapshot.bodies_too_large, 2);
-    server.shutdown();
-}
-
-#[test]
-fn slowloris_gets_408_within_the_read_deadline() {
-    let limits = crate::ServerLimits {
-        read_timeout: std::time::Duration::from_millis(200),
-        ..crate::ServerLimits::default()
-    };
-    let mut server = echo_server(limits);
-    let chaos = crate::fault::ChaosClient::new(server.addr());
-    // One byte every 50 ms: each read succeeds, but the per-request
-    // budget runs out long before the head completes.
-    let resp = chaos
-        .dribble(
-            b"GET /never-finishes HTTP/1.1\r\nX-Slow: 1\r\n",
-            1,
-            std::time::Duration::from_millis(50),
-        )
-        .unwrap();
-    assert_eq!(resp.status, StatusCode::REQUEST_TIMEOUT);
-    assert_eq!(server.stats().snapshot().timeouts, 1);
-    // And the server still answers a well-behaved client.
-    let resp = fetch_tcp(server.addr(), &Request::new(Method::Get, "/ok")).unwrap();
-    assert_eq!(resp.status, StatusCode::OK);
-    server.shutdown();
-}
-
-#[test]
-fn connection_cap_rejects_with_503_and_recovers() {
-    let limits = crate::ServerLimits {
-        max_connections: 2,
-        ..crate::ServerLimits::default()
-    };
-    let mut server = echo_server(limits);
-    let chaos = crate::fault::ChaosClient::new(server.addr());
-    let hog1 = chaos.hold_open().unwrap();
-    let hog2 = chaos.hold_open().unwrap();
-    // Both permits are taken once the accept loop picks the hogs up.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while server.active_connections() < 2 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-    let resp = fetch_tcp(server.addr(), &Request::new(Method::Get, "/full")).unwrap();
-    assert_eq!(resp.status, StatusCode::UNAVAILABLE);
-    assert_eq!(server.stats().snapshot().connections_rejected, 1);
-    // Releasing the hogs returns the permits; service resumes.
-    drop(hog1);
-    drop(hog2);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while server.active_connections() > 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-    let resp = fetch_tcp(server.addr(), &Request::new(Method::Get, "/again")).unwrap();
-    assert_eq!(resp.status, StatusCode::OK);
-    server.shutdown();
-}
-
-#[test]
-fn handler_panic_becomes_500_and_connection_thread_survives() {
-    let handler = Arc::new(|req: &Request| {
-        if req.target == "/boom" {
-            panic!("handler exploded");
-        }
-        Response::new(StatusCode::OK).with_body(b"fine".to_vec(), "text/plain")
-    });
-    let mut server = TcpServer::start(0, handler).unwrap();
-    // Quiet the default panic hook for this deliberate explosion.
-    let prior = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let resp = fetch_tcp(server.addr(), &Request::new(Method::Get, "/boom")).unwrap();
-    std::panic::set_hook(prior);
-    assert_eq!(resp.status, StatusCode::INTERNAL_ERROR);
-    assert_eq!(server.stats().snapshot().panics, 1);
-    let resp = fetch_tcp(server.addr(), &Request::new(Method::Get, "/ok")).unwrap();
-    assert_eq!(resp.status, StatusCode::OK);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while server.active_connections() > 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    assert_eq!(server.active_connections(), 0, "panic leaked a permit");
-    server.shutdown();
 }
 
 mod properties {

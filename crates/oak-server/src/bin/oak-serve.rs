@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! oak-serve --root ./site --rules ./site.oakrules [--port 8080]
-//!           [--edge threads|epoll] [--edge-workers <n>]
+//!           [--edge-workers <n>]
 //!           [--detector global|cohort]
 //!           [--store ./oak-state] [--fsync always|never|<n>]
 //!           [--cluster --peers <a:p,b:p,c:p> --role <n>]
@@ -19,12 +19,10 @@
 //!           [--slow-ms <ms>] [--trace-ring <n>]
 //! ```
 //!
-//! `--edge` selects the transport backend: `epoll` (the default on
-//! unix) serves every connection from one non-blocking reactor thread
-//! plus a small worker pool (see `oak_edge`), the right choice for
-//! thousands of mostly-idle keep-alive clients; `--edge threads` is
-//! the escape hatch that spends one blocking OS thread per connection.
-//! Behavior over the wire is identical either way.
+//! Every connection is served from one non-blocking reactor thread
+//! plus `--edge-workers` handler threads (see `oak_edge`), sized for
+//! thousands of mostly-idle keep-alive clients. Unix only: elsewhere
+//! the binary builds and exits with an `Unsupported` error.
 //!
 //! `--cluster` replicates the engine across the `--peers` list (this
 //! node is entry `--role`): the primary journals every mutation and
@@ -60,7 +58,7 @@ use std::time::Duration;
 use oak_core::detect::DetectorPolicy;
 use oak_core::engine::OakConfig;
 use oak_core::Instant;
-use oak_edge::{AnyServer, Backend, EdgeConfig};
+use oak_edge::{EdgeConfig, EdgeServer};
 use oak_http::{ServerLimits, TransportStats};
 use oak_server::{
     load_root, load_rules_into, AdmissionPolicy, ClusterRuntime, HealthState, OakService,
@@ -79,7 +77,6 @@ struct Args {
     rules: Option<PathBuf>,
     port: u16,
     cluster: Option<ClusterConfig>,
-    backend: Backend,
     edge: EdgeConfig,
     store: Option<PathBuf>,
     store_options: StoreOptions,
@@ -94,7 +91,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: oak-serve --root <dir> [--rules <file>] [--port <n>] \
-[--edge threads|epoll] [--edge-workers <n>] [--detector global|cohort] \
+[--edge-workers <n>] [--detector global|cohort] \
 [--store <dir>] [--fsync always|never|<n>] [--snapshot-every <events>] \
 [--cluster --peers <a:p,b:p,...> --role <n>] \
 [--audit-retention <entries>] [--prune-idle-ms <ms>] [--prune-every <requests>] \
@@ -106,16 +103,10 @@ const USAGE: &str = "usage: oak-serve --root <dir> [--rules <file>] [--port <n>]
 [--brownout-occupancy <0..1>] [--shed-occupancy <0..1>] \
 [--overload-cooldown <samples>] [--slow-ms <ms>] [--trace-ring <n>]
 
-transport backend:
-  --edge threads|epoll     epoll = one non-blocking reactor thread + a
-                           small worker pool, for thousands of mostly-idle
-                           keep-alive connections (default on unix);
-                           threads = one blocking thread per connection
-                           (the escape hatch, and the default elsewhere).
-                           Protocol behavior is identical; /oak/stats and
-                           /oak/health grow reactor gauges under epoll.
-  --edge-workers <n>       handler threads for the epoll backend
-                           (default 0 = size from available cores)
+transport (one non-blocking reactor thread + a small worker pool; unix
+only; /oak/stats and /oak/health carry its gauges):
+  --edge-workers <n>       handler threads (default 0 = size from
+                           available cores)
 
 violator detection:
   --detector global|cohort global (the default) is the paper's per-report
@@ -142,7 +133,7 @@ transport limits (served with 503/431/413/408 when exceeded):
   --max-body-bytes <n>     request-body cap before 413 (default 16 MiB)
   --read-timeout-ms <ms>   per-request read budget before 408 (default 10000)
   --write-timeout-ms <ms>  socket write timeout (default 10000)
-  --queue-deadline-ms <ms> drop epoll-queued requests older than this with
+  --queue-deadline-ms <ms> drop worker-queued requests older than this with
                            503 + Retry-After (CoDel-at-dequeue; 0 = off,
                            the default; health probes are never dropped)
 
@@ -176,14 +167,6 @@ fn parse_args() -> Result<Args, String> {
     let mut root = None;
     let mut rules = None;
     let mut port = 8080u16;
-    // Epoll by default where it exists (ROADMAP item 1 follow-on; the
-    // nightly sweeps have been green); --edge threads is the escape
-    // hatch.
-    let mut backend = if cfg!(unix) {
-        Backend::Epoll
-    } else {
-        Backend::Threads
-    };
     let mut cluster = false;
     let mut peers: Vec<String> = Vec::new();
     let mut role = 0u32;
@@ -217,11 +200,6 @@ fn parse_args() -> Result<Args, String> {
                 port = value("--port")?
                     .parse()
                     .map_err(|_| "--port requires a number".to_owned())?;
-            }
-            "--edge" => {
-                let raw = value("--edge")?;
-                backend = Backend::parse(&raw)
-                    .ok_or_else(|| format!("--edge must be threads or epoll, got {raw:?}"))?;
             }
             "--edge-workers" => {
                 edge.workers = number("--edge-workers", value("--edge-workers")?)? as usize;
@@ -381,7 +359,6 @@ fn parse_args() -> Result<Args, String> {
         rules,
         port,
         cluster,
-        backend,
         edge,
         store,
         store_options,
@@ -544,7 +521,7 @@ fn main() -> ExitCode {
     let transport_stats = Arc::new(TransportStats::default());
     // One observability bundle spans the whole stack: the engine gets
     // its handles via with_obs, the WAL via set_obs, the transport via
-    // start_with_obs, and /oak/metrics scrapes them all.
+    // start_with_config, and /oak/metrics scrapes them all.
     let obs = ServiceObs::wall(args.trace_ring, args.slow_ms);
     // Health starts at Booting so a probe racing the listener bind gets
     // 503, not 200; the flip to Serving happens after the bind succeeds.
@@ -580,11 +557,9 @@ shedding at queue {} / lag {} us / occupancy {:.2} (cooldown {} samples)",
         service = service.with_overload(OverloadController::new(policy));
     }
     let service = service.into_shared();
-    service.set_edge_backend(args.backend);
 
     let handler: Arc<dyn oak_http::Handler> = service.clone();
-    let server = match AnyServer::start_with_config(
-        args.backend,
+    let server = match EdgeServer::start_with_config(
         args.port,
         handler,
         args.limits,
@@ -594,15 +569,13 @@ shedding at queue {} / lag {} us / occupancy {:.2} (cooldown {} samples)",
     ) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("failed to bind port {}: {e}", args.port);
+            eprintln!("failed to start the server on port {}: {e}", args.port);
             return ExitCode::FAILURE;
         }
     };
     // The reactor owns its gauges; hand them to the service so the
     // operator endpoints can render them.
-    if let Some(edge_stats) = server.edge_stats() {
-        service.set_edge_stats(edge_stats);
-    }
+    service.set_edge_stats(server.edge_stats());
     if let Some(runtime) = cluster_runtime {
         let cfg = args.cluster.as_ref().expect("runtime implies config");
         eprintln!(
@@ -616,10 +589,9 @@ non-primaries answer 503 + Retry-After)",
     }
     service.set_health(HealthState::Serving);
     eprintln!(
-        "oak-serve listening on http://{} ({} backend; reports at {REPORT_PATH}, \
+        "oak-serve listening on http://{} (reports at {REPORT_PATH}, \
 metrics at {METRICS_PATH}); ctrl-c to stop",
         server.addr(),
-        server.backend(),
     );
     // Serve until killed.
     loop {

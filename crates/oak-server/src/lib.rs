@@ -12,7 +12,7 @@
 //!   [`oak_core::engine::Oak::modify_page`], hands out identifying
 //!   cookies, ingests `POST /oak/report` bodies, and attaches the
 //!   `X-Oak-Alternate` cache hint,
-//! - over real TCP via [`oak_http::TcpServer`] (see
+//! - over real TCP via [`oak_edge::EdgeServer`] (see
 //!   `examples/live_proxy.rs`) or invoked directly in tests and
 //!   experiments.
 //!

@@ -5,7 +5,8 @@
 //! durability) behind a single attachment point. `oak-serve` builds one
 //! bundle at boot and threads its pieces to the right owner:
 //!
-//! - [`ServiceObs::http`] goes to [`oak_http::TcpServer::start_with_obs`],
+//! - [`ServiceObs::http`] goes to
+//!   [`oak_edge::EdgeServer::start_with_config`],
 //! - [`ServiceObs::core`] goes to [`oak_core::engine::Oak::set_obs`],
 //! - [`ServiceObs::store`] goes to [`oak_store::OakStore::set_obs`],
 //! - the bundle itself goes to [`crate::OakService::with_obs`], which
@@ -33,7 +34,8 @@ pub struct ServiceObs {
     pub clock: Clock,
     /// Request tracer backing `GET /oak/trace/recent`.
     pub tracer: Arc<Tracer>,
-    /// HTTP stage histograms, for [`oak_http::TcpServer::start_with_obs`].
+    /// HTTP stage histograms, for
+    /// [`oak_edge::EdgeServer::start_with_config`].
     pub http: Arc<HttpMetrics>,
     /// Engine stage histograms, for [`oak_core::engine::Oak::set_obs`].
     pub core: Arc<CoreMetrics>,

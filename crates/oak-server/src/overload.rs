@@ -299,9 +299,9 @@ pub struct OverloadController {
     pages_browned: AtomicU64,
     brownout_entries: AtomicU64,
     shedding_entries: AtomicU64,
-    /// Reactor gauges, when the epoll backend serves.
+    /// Reactor gauges, once a server fronts the service.
     edge: OnceLock<Arc<EdgeStats>>,
-    /// Transport counters (either backend): permit occupancy.
+    /// Transport counters: permit occupancy.
     transport: OnceLock<Arc<TransportStats>>,
     /// The engine's ingest-duration histogram, when observability is on.
     ingest: OnceLock<Arc<Histogram>>,
@@ -407,8 +407,8 @@ impl OverloadController {
 
     /// Builds the counted 503 + Retry-After for a shed request of
     /// `class`. Byte-identical wherever it is minted (service dispatch,
-    /// either transport backend's admission hook), so a client cannot
-    /// tell where in the stack it was refused.
+    /// the transport's admission hook), so a client cannot tell where
+    /// in the stack it was refused.
     pub fn shed_response(&self, class: RequestClass) -> Response {
         let counter = match class {
             RequestClass::Page => &self.shed_pages,

@@ -10,7 +10,7 @@ use oak_core::fetch::FetchStats;
 use oak_core::matching::{NoFetch, ScriptFetcher};
 use oak_core::report::PerfReport;
 use oak_core::Instant;
-use oak_edge::{Backend, EdgeStats};
+use oak_edge::EdgeStats;
 use oak_http::cookie::{format_set_cookie, get_cookie, OAK_USER_COOKIE};
 use oak_http::{
     Handler, Method, Request, Response, StatusCode, TransportStats, SHED_RETRY_AFTER_SECS,
@@ -162,6 +162,10 @@ struct Bucket {
 /// without tracking rather than evicting an active limiter.
 const BUCKET_CAPACITY: usize = 65_536;
 
+/// The `"backend"` value `/oak/health` and `/oak/stats` carry beside the
+/// reactor gauges; scrapers and the CI live-scrape step match on it.
+const EDGE_BACKEND: &str = "epoll";
+
 /// Where a node is in its lifecycle, as reported by `GET /oak/health`.
 ///
 /// A replaying node answers requests correctly but from *stale* state —
@@ -227,8 +231,8 @@ pub struct PrunePolicy {
 ///
 /// Thread-safe without an outer lock: the engine is internally sharded
 /// (see [`oak_core::engine::Oak`]'s concurrency docs) and the counters
-/// are atomics, so one service instance backs a multi-threaded
-/// [`oak_http::TcpServer`] directly and requests for different users
+/// are atomics, so one service instance backs every worker of an
+/// [`oak_edge::EdgeServer`] directly and requests for different users
 /// proceed in parallel.
 pub struct OakService {
     oak: Oak,
@@ -244,11 +248,7 @@ pub struct OakService {
     buckets: Mutex<HashMap<String, Bucket>>,
     transport: Option<Arc<TransportStats>>,
     fetch: Option<Arc<FetchStats>>,
-    /// Which transport backend fronts the service (named by `/oak/health`
-    /// and `/oak/stats` so an operator can tell an epoll node from a
-    /// threads node at a glance).
-    edge_backend: OnceLock<Backend>,
-    /// Reactor gauges, present only when the epoll backend serves. Set
+    /// Reactor gauges, present once a server fronts the service. Set
     /// after the server starts (the reactor owns its gauges), hence a
     /// `OnceLock` rather than a builder field.
     edge: OnceLock<Arc<EdgeStats>>,
@@ -288,7 +288,6 @@ impl OakService {
             buckets: Mutex::new(HashMap::new()),
             transport: None,
             fetch: None,
-            edge_backend: OnceLock::new(),
             edge: OnceLock::new(),
             cluster: OnceLock::new(),
             // Serving by default: a service constructed without a boot
@@ -335,10 +334,10 @@ impl OakService {
         self
     }
 
-    /// Attaches the transport counters of the [`oak_http::TcpServer`]
+    /// Attaches the transport counters of the [`oak_edge::EdgeServer`]
     /// fronting this service, so `/oak/stats` exports them under
     /// `"transport"`. Create the [`TransportStats`] first, hand one clone
-    /// here and one to [`oak_http::TcpServer::start_with`].
+    /// here and one to [`oak_edge::EdgeServer::start_with`].
     pub fn with_transport_stats(mut self, stats: Arc<TransportStats>) -> OakService {
         if let Some(overload) = &self.overload {
             overload.attach_transport(Arc::clone(&stats));
@@ -376,20 +375,21 @@ impl OakService {
         self.overload.as_ref()
     }
 
-    /// Names the transport backend fronting this service; `/oak/health`
-    /// and `/oak/stats` report it. First call wins (the backend cannot
-    /// change while the process lives).
-    pub fn set_edge_backend(&self, backend: Backend) {
-        let _ = self.edge_backend.set(backend);
-    }
+    /// Does nothing: `/oak/health` and `/oak/stats` name the backend
+    /// once [`OakService::set_edge_stats`] has attached the server's
+    /// gauges. Kept, with [`oak_edge::Backend`], for the frozen `bench/`
+    /// crate, which calls it; the next `benchmark`-archetype PR removes
+    /// both.
+    pub fn set_edge_backend(&self, _backend: oak_edge::Backend) {}
 
     /// Attaches the reactor gauges of the [`oak_edge::EdgeServer`]
     /// fronting this service, so `/oak/stats` exports them under
-    /// `"edge"`, `/oak/health` carries the load-bearing ones (loop lag,
-    /// ready batch, worker-queue depth), and `/oak/metrics` grows an
-    /// `oak_edge_gauge` family. The gauges belong to the server, which
-    /// starts *after* the service is built and shared — so this is a
-    /// post-start setter, not a builder: first call wins.
+    /// `"edge"` (and names the `"backend"`), `/oak/health` carries the
+    /// load-bearing ones (loop lag, ready batch, worker-queue depth),
+    /// and `/oak/metrics` grows an `oak_edge_gauge` family. The gauges
+    /// belong to the server, which starts *after* the service is built
+    /// and shared — so this is a post-start setter, not a builder:
+    /// first call wins.
     pub fn set_edge_stats(&self, stats: Arc<EdgeStats>) {
         if let Some(overload) = &self.overload {
             overload.attach_edge(Arc::clone(&stats));
@@ -425,7 +425,7 @@ impl OakService {
     /// `GET /oak/trace/recent` serves the trace ring as JSON. The
     /// engine's stage metrics ([`ServiceObs::core`]) are wired into the
     /// engine here; the HTTP and store handles must still be handed to
-    /// their owners ([`oak_http::TcpServer::start_with_obs`],
+    /// their owners ([`oak_edge::EdgeServer::start_with_config`],
     /// [`oak_store::OakStore::set_obs`]).
     pub fn with_obs(mut self, obs: Arc<ServiceObs>) -> OakService {
         self.oak.set_obs(Arc::clone(&obs.core));
@@ -484,7 +484,7 @@ impl OakService {
     }
 
     /// Wraps the service in an [`Arc`] ready for
-    /// [`oak_http::TcpServer::start`].
+    /// [`oak_edge::EdgeServer::start`].
     pub fn into_shared(self) -> Arc<OakService> {
         Arc::new(self)
     }
@@ -639,10 +639,8 @@ impl OakService {
             row.set("shedding_entries", o.shedding_entries);
             doc.set("overload", row);
         }
-        if let Some(backend) = self.edge_backend.get() {
-            doc.set("backend", backend.as_str());
-        }
         if let Some(edge) = self.edge.get() {
+            doc.set("backend", EDGE_BACKEND);
             let e = edge.snapshot();
             let mut row = oak_json::Value::object();
             row.set("loop_lag_us", e.loop_lag_us);
@@ -1019,13 +1017,11 @@ impl OakService {
             doc.set("degraded", overload.brownout_active());
             doc.set("overload", overload.state().as_str());
         }
-        if let Some(backend) = self.edge_backend.get() {
-            doc.set("backend", backend.as_str());
-        }
-        // A probe watching an epoll node gets the reactor vitals inline:
-        // a rising loop lag or worker-queue depth says the node is
-        // saturating before any request actually fails.
+        // A probe gets the reactor vitals inline: a rising loop lag or
+        // worker-queue depth says the node is saturating before any
+        // request actually fails.
         if let Some(edge) = self.edge.get() {
+            doc.set("backend", EDGE_BACKEND);
             let e = edge.snapshot();
             let mut row = oak_json::Value::object();
             row.set("loop_lag_us", e.loop_lag_us);
@@ -1289,8 +1285,8 @@ impl Handler for OakService {
         response
     }
 
-    /// Pre-body admission: consulted by both transport backends the
-    /// moment a request head is framed, before any body byte is read.
+    /// Pre-body admission: consulted by the server the moment a
+    /// request head is framed, before any body byte is read.
     /// Only report POSTs are refused here — their bodies are the
     /// expensive part, and an unread body forces a connection close
     /// anyway. Shed GETs wait for dispatch, where the 503 frames over

@@ -6,8 +6,9 @@ use oak_core::engine::{Oak, OakConfig};
 use oak_core::report::{ObjectTiming, PerfReport};
 use oak_core::rule::Rule;
 use oak_core::{Instant, OAK_ALTERNATE_HEADER};
+use oak_edge::EdgeServer;
 use oak_http::cookie::{get_cookie, OAK_USER_COOKIE};
-use oak_http::{fetch_tcp, Handler, Method, Request, Response, StatusCode, TcpServer};
+use oak_http::{fetch_tcp, Handler, Method, Request, Response, StatusCode};
 
 use crate::{OakService, SiteStore, REPORT_PATH};
 
@@ -189,7 +190,7 @@ fn clock_drives_ttl_expiry() {
 #[test]
 fn full_loop_over_real_tcp() {
     let service = service_with_rule().into_shared();
-    let mut server = TcpServer::start(0, service.clone()).unwrap();
+    let mut server = EdgeServer::start(0, service.clone()).unwrap();
     let addr = server.addr();
 
     // 1. First page fetch: default content + cookie.
@@ -311,7 +312,7 @@ fn subnet_scoped_rule_over_tcp_uses_peer_address() {
     let mut store = SiteStore::new();
     store.add_page("/index.html", PAGE);
     let service = OakService::new(oak, store).into_shared();
-    let mut server = TcpServer::start(0, service).unwrap();
+    let mut server = EdgeServer::start(0, service).unwrap();
     let addr = server.addr();
 
     let post = Request::new(Method::Post, REPORT_PATH)
@@ -528,7 +529,7 @@ fn stats_view_exports_admission_transport_and_fetch_counters() {
         .with_fetcher(fetcher)
         .into_shared();
 
-    let mut server = TcpServer::start_with(
+    let mut server = EdgeServer::start_with(
         0,
         service.clone(),
         oak_http::ServerLimits::default(),
@@ -670,9 +671,11 @@ fn edge_gauges_surface_only_when_attached() {
     let obs = crate::ServiceObs::wall(16, 500);
     let service = service_with_rule().with_obs(Arc::clone(&obs)).into_shared();
 
-    // Unattached (threads backend, or epoll before start): none of the
-    // operator surfaces mention the reactor, so exposition goldens and
-    // existing scrapers see byte-identical output.
+    // Unattached (handled in memory, or before the server starts):
+    // none of the operator surfaces mention the reactor, so exposition
+    // goldens see byte-identical output. The benchmark crate's
+    // compatibility setter changes nothing on its own.
+    service.set_edge_backend(oak_edge::Backend::Epoll);
     let doc = oak_json::parse(&get(&service, crate::STATS_PATH, None).body_text()).unwrap();
     assert!(doc.get("backend").is_none());
     assert!(doc.get("edge").is_none());
@@ -682,7 +685,6 @@ fn edge_gauges_surface_only_when_attached() {
     assert!(!metrics.contains("oak_edge_gauge"));
 
     // Attached: every surface names the backend and renders the gauges.
-    service.set_edge_backend(oak_edge::Backend::Epoll);
     let edge = Arc::new(oak_edge::EdgeStats::default());
     service.set_edge_stats(Arc::clone(&edge));
 
@@ -710,12 +712,6 @@ fn edge_gauges_surface_only_when_attached() {
     assert!(metrics.contains("# TYPE oak_edge_gauge gauge"));
     assert!(metrics.contains("oak_edge_gauge{gauge=\"loop_lag_us\"}"));
     assert!(metrics.contains("oak_edge_gauge{gauge=\"connections_open\"}"));
-
-    // First call wins: a second attach cannot swap the gauges out from
-    // under a scraper.
-    service.set_edge_backend(oak_edge::Backend::Threads);
-    let doc = oak_json::parse(&get(&service, crate::STATS_PATH, None).body_text()).unwrap();
-    assert_eq!(doc.get("backend").and_then(|v| v.as_str()), Some("epoll"));
 }
 
 /// A fixed two-partition replication view: primary of partition 0,

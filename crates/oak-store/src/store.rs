@@ -31,6 +31,29 @@ use oak_json::Value;
 use crate::backend::{RealFs, StorageBackend};
 use crate::segment::{decode_frame, encode_frame, read_segment_with, SegmentWriter};
 
+/// Hands the allocator's free pages back to the OS.
+///
+/// A snapshot builds the whole engine state as a JSON tree on the calling
+/// thread, and glibc keeps a thread's freed memory in that thread's own
+/// arena: it is resident but no other thread can reuse it. Snapshots are
+/// taken by whichever serving thread crosses the event threshold, so
+/// without this the process's resident set grows by one snapshot's worth
+/// per distinct thread that has ever taken one.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_freed_heap() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
+    }
+    // SAFETY: `malloc_trim` takes no pointers and is thread-safe; it only
+    // returns pages the allocator already holds free.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_freed_heap() {}
+
 /// Magic prefix of a snapshot file (the framed JSON document follows).
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"OAKSNAP1";
 
@@ -300,6 +323,13 @@ impl OakStore {
     /// `keep_snapshots: 1` that safety margin is waived and segments
     /// compact up to the newest watermark).
     pub fn snapshot(&self, oak: &Oak) -> io::Result<PathBuf> {
+        let path = self.write_snapshot(oak);
+        // The encoded state (JSON tree, payload, frame) is garbage now.
+        release_freed_heap();
+        path
+    }
+
+    fn write_snapshot(&self, oak: &Oak) -> io::Result<PathBuf> {
         let _span = oak_obs::span("snapshot");
         let snapshot_start = self.obs.get().map(|o| o.now());
         let _guard = self.snapshot_lock.lock().expect("snapshot lock");

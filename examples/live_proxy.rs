@@ -8,8 +8,9 @@
 //! Run with: `cargo run --example live_proxy`
 
 use oak::core::prelude::*;
+use oak::edge::EdgeServer;
 use oak::http::cookie::{get_cookie, OAK_USER_COOKIE};
-use oak::http::{fetch_tcp, Method, Request, TcpServer};
+use oak::http::{fetch_tcp, Method, Request};
 use oak::server::{OakService, SiteStore, REPORT_PATH};
 
 const PAGE: &str = r#"<html><head>
@@ -35,7 +36,7 @@ fn main() {
         .with_clock(move || Instant(t0.elapsed().as_millis() as u64))
         .into_shared();
 
-    let mut server = TcpServer::start(0, service).unwrap();
+    let mut server = EdgeServer::start(0, service).unwrap();
     let addr = server.addr();
     println!("oak proxy listening on http://{addr}/index.html");
 

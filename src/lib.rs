@@ -19,8 +19,8 @@
 //! | [`client`] | `oak-client` | simulated Oak-enabled browser (report generation) |
 //! | [`server`] | `oak-server` | Oak proxy daemon over HTTP |
 //! | [`net`] | `oak-net` | deterministic network/latency model with DNS and diurnal load |
-//! | [`http`] | `oak-http` | from-scratch HTTP/1.1 (TCP and in-memory transports) |
-//! | [`edge`] | `oak-edge` | non-blocking epoll/poll reactor backend for the HTTP edge |
+//! | [`http`] | `oak-http` | from-scratch HTTP/1.1: messages, framing, limits, blocking client |
+//! | [`edge`] | `oak-edge` | the HTTP server: non-blocking epoll/poll reactor + worker pool |
 //! | [`html`] | `oak-html` | HTML tokenizer and span rewriter |
 //! | [`webgen`] | `oak-webgen` | synthetic Alexa-like site corpus generator |
 //! | [`json`] | `oak-json` | from-scratch JSON used by the report wire format |

@@ -6,8 +6,9 @@ use std::sync::Arc;
 
 use oak::client::{rules, Universe};
 use oak::core::prelude::*;
+use oak::edge::EdgeServer;
 use oak::http::cookie::{get_cookie, OAK_USER_COOKIE};
-use oak::http::{fetch_tcp, Method, Request, TcpServer};
+use oak::http::{fetch_tcp, Method, Request};
 use oak::net::SimTime;
 use oak::server::{OakService, SiteStore, REPORT_PATH};
 use oak::webgen::{Corpus, CorpusConfig};
@@ -33,7 +34,7 @@ fn run_site(corpus: &Corpus, site_index: usize) -> (usize, bool) {
     let service = OakService::new(oak, store)
         .with_fetcher(move |url: &str| corpus_for_fetcher.script_body(url))
         .into_shared();
-    let mut server = TcpServer::start(0, Arc::clone(&service) as _).unwrap();
+    let mut server = EdgeServer::start(0, Arc::clone(&service) as _).unwrap();
     let addr = server.addr();
 
     // 1. Fetch the page over HTTP; get the cookie.

@@ -3,7 +3,8 @@
 //! shrug off garbage without panicking or corrupting engine state.
 
 use oak::core::prelude::*;
-use oak::http::{fetch_tcp, Method, Request, StatusCode, TcpServer};
+use oak::edge::EdgeServer;
+use oak::http::{fetch_tcp, Method, Request, StatusCode};
 use oak::server::{OakService, SiteStore, REPORT_PATH};
 
 fn service() -> OakService {
@@ -52,7 +53,7 @@ fn hostile_report_bodies_never_poison_the_engine() {
 #[test]
 fn raw_socket_garbage_does_not_kill_the_server() {
     use std::io::{Read, Write};
-    let mut server = TcpServer::start(0, service().into_shared()).unwrap();
+    let mut server = EdgeServer::start(0, service().into_shared()).unwrap();
     let addr = server.addr();
 
     // Assorted non-HTTP byte streams.

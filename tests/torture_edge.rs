@@ -1,5 +1,4 @@
-//! Torture: the hardened edge under deterministic abuse — over BOTH
-//! transport backends.
+//! Torture: the hardened edge under deterministic abuse.
 //!
 //! A live server fronting the full Oak service is driven through the
 //! `oak::http::fault` chaos clients — slowloris dribbles (single- and
@@ -8,18 +7,14 @@
 //! pattern the suite asserts the three invariants of a resilient edge:
 //! the right status code came back, no permit leaked
 //! (`active_connections` returns to zero), and a plain request still
-//! succeeds.
-//!
-//! Every scenario runs twice — once over the blocking
-//! thread-per-connection backend, once over the epoll reactor — proving
-//! the two backends are observably equivalent on every guard status
-//! (400/408/413/429/431/500/503) and every recovery path.
+//! succeeds — for every guard status (400/408/413/429/431/500/503) and
+//! every recovery path.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use oak::core::prelude::*;
-use oak::edge::{AnyServer, Backend};
+use oak::edge::EdgeServer;
 use oak::http::fault::ChaosClient;
 use oak::http::{
     fetch_tcp, Handler, Method, Request, Response, ServerLimits, StatusCode, TransportStats,
@@ -53,15 +48,14 @@ fn tight_limits() -> ServerLimits {
     }
 }
 
-/// Starts `handler` on the selected backend with shared stats.
+/// Starts `handler` with shared stats.
 fn start(
-    backend: Backend,
     handler: Arc<dyn Handler>,
     limits: ServerLimits,
     stats: Arc<TransportStats>,
-) -> AnyServer {
-    AnyServer::start_with_obs(backend, 0, handler, limits, stats, None)
-        .unwrap_or_else(|e| panic!("{backend} backend failed to start: {e}"))
+) -> EdgeServer {
+    EdgeServer::start_with(0, handler, limits, stats)
+        .unwrap_or_else(|e| panic!("server failed to start: {e}"))
 }
 
 /// The normal-service probe: a plain page fetch must succeed.
@@ -76,7 +70,7 @@ fn assert_still_serving(addr: std::net::SocketAddr, context: &str) {
 }
 
 /// Spin-waits (bounded) for permits to drain back to zero.
-fn assert_permits_recover(server: &AnyServer, context: &str) {
+fn assert_permits_recover(server: &EdgeServer, context: &str) {
     for _ in 0..100 {
         if server.active_connections() == 0 {
             return;
@@ -84,20 +78,15 @@ fn assert_permits_recover(server: &AnyServer, context: &str) {
         std::thread::sleep(Duration::from_millis(20));
     }
     panic!(
-        "{} connection permit(s) still held after {context} ({} backend)",
-        server.active_connections(),
-        server.backend()
+        "{} connection permit(s) still held after {context}",
+        server.active_connections()
     );
 }
 
-fn abuse_gauntlet(backend: Backend) {
+#[test]
+fn edge_survives_the_full_abuse_gauntlet_over_epoll() {
     let stats = Arc::new(TransportStats::default());
-    let mut server = start(
-        backend,
-        service().into_shared(),
-        tight_limits(),
-        Arc::clone(&stats),
-    );
+    let mut server = start(service().into_shared(), tight_limits(), Arc::clone(&stats));
     let addr = server.addr();
     let chaos = ChaosClient::new(addr);
 
@@ -192,27 +181,18 @@ fn abuse_gauntlet(backend: Backend) {
     server.shutdown();
 }
 
-#[test]
-fn edge_survives_the_full_abuse_gauntlet_over_threads() {
-    abuse_gauntlet(Backend::Threads);
-}
-
-#[test]
-fn edge_survives_the_full_abuse_gauntlet_over_epoll() {
-    abuse_gauntlet(Backend::Epoll);
-}
-
 /// Multi-connection slowloris: eight connections dribbling in lockstep.
 /// Each must be answered 408 *independently* — a reactor that serialized
 /// deadline handling behind a stalled read would fail several of them —
 /// and every permit must come back.
-fn concurrent_slowloris(backend: Backend) {
+#[test]
+fn concurrent_slowloris_each_answered_independently_over_epoll() {
     let limits = ServerLimits {
         max_connections: 16,
         ..tight_limits()
     };
     let stats = Arc::new(TransportStats::default());
-    let mut server = start(backend, service().into_shared(), limits, Arc::clone(&stats));
+    let mut server = start(service().into_shared(), limits, Arc::clone(&stats));
     let chaos = ChaosClient::new(server.addr());
 
     let mut pool = chaos.concurrent(8).expect("8 connections open");
@@ -237,16 +217,6 @@ fn concurrent_slowloris(backend: Backend) {
     server.shutdown();
 }
 
-#[test]
-fn concurrent_slowloris_each_answered_independently_over_threads() {
-    concurrent_slowloris(Backend::Threads);
-}
-
-#[test]
-fn concurrent_slowloris_each_answered_independently_over_epoll() {
-    concurrent_slowloris(Backend::Epoll);
-}
-
 /// A handler that panics on demand, proving panic isolation end to end
 /// over a real socket.
 struct Grenade;
@@ -260,18 +230,14 @@ impl Handler for Grenade {
     }
 }
 
-fn panics_become_500s(backend: Backend) {
+#[test]
+fn handler_panics_become_500s_and_service_continues_over_epoll() {
     // Silence the default panic backtrace spew for the intentional panics.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
 
     let stats = Arc::new(TransportStats::default());
-    let mut server = start(
-        backend,
-        Arc::new(Grenade),
-        tight_limits(),
-        Arc::clone(&stats),
-    );
+    let mut server = start(Arc::new(Grenade), tight_limits(), Arc::clone(&stats));
     let addr = server.addr();
 
     for _ in 0..3 {
@@ -289,16 +255,7 @@ fn panics_become_500s(backend: Backend) {
 }
 
 #[test]
-fn handler_panics_become_500s_and_service_continues_over_threads() {
-    panics_become_500s(Backend::Threads);
-}
-
-#[test]
-fn handler_panics_become_500s_and_service_continues_over_epoll() {
-    panics_become_500s(Backend::Epoll);
-}
-
-fn report_floods_throttled(backend: Backend) {
+fn report_floods_are_throttled_with_429_and_recover_over_epoll() {
     let service = service()
         .with_admission(AdmissionPolicy {
             report_rate: 1.0,
@@ -307,7 +264,7 @@ fn report_floods_throttled(backend: Backend) {
         })
         .into_shared();
     let stats = Arc::new(TransportStats::default());
-    let mut server = start(backend, service.clone(), tight_limits(), stats);
+    let mut server = start(service.clone(), tight_limits(), stats);
     let addr = server.addr();
 
     let mut report = PerfReport::new("u-flood", "/index.html");
@@ -336,19 +293,8 @@ fn report_floods_throttled(backend: Backend) {
 }
 
 #[test]
-fn report_floods_are_throttled_with_429_and_recover_over_threads() {
-    report_floods_throttled(Backend::Threads);
-}
-
-#[test]
-fn report_floods_are_throttled_with_429_and_recover_over_epoll() {
-    report_floods_throttled(Backend::Epoll);
-}
-
-#[test]
 fn hanging_script_host_cannot_stall_report_ingest() {
     use oak::core::fetch::{FetchPolicy, FetchStep, FlakyFetcher, ResilientFetcher};
-    use oak::http::TcpServer;
 
     // Every external-script fetch hangs for 30 s; the resilient fetcher
     // caps each attempt at 100 ms.
@@ -362,7 +308,7 @@ fn hanging_script_host_cannot_stall_report_ingest() {
     );
     let fetch_stats = fetcher.stats_handle();
     let service = service().with_fetcher(fetcher).into_shared();
-    let mut server = TcpServer::start_with_limits(0, service, tight_limits()).unwrap();
+    let mut server = EdgeServer::start_with_limits(0, service, tight_limits()).unwrap();
     let addr = server.addr();
 
     // A report whose violator only matches at level 3 forces a fetch.
@@ -400,16 +346,20 @@ fn hanging_script_host_cannot_stall_report_ingest() {
 /// Every turn-away on the shed and throttle paths — the admission 429,
 /// the overload controller's 503s (pre-body report shed at the admit
 /// hook, page and scrape sheds at dispatch), and the permit-exhaustion
-/// 503 — must be byte-identical across the two backends, and every one
-/// must carry `Retry-After` so a polite client knows when to come back.
+/// 503 — has its wire form pinned byte for byte, `Retry-After` included,
+/// so a polite client knows when to come back.
 #[test]
-fn shed_and_throttle_responses_are_byte_identical_across_backends() {
+fn shed_and_throttle_responses_match_their_pinned_bytes() {
     use oak::server::{OverloadController, OverloadPolicy, PressureSample};
     use std::io::{Read, Write};
 
+    /// What every 503 turn-away starts with (both bodies are 24 bytes).
+    const SHED_HEAD: &str = "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\n\
+         Content-Length: 24\r\nRetry-After: 1\r\n";
+
     /// One raw request on a fresh connection; returns every byte the
     /// server sent back (bounded by the read timeout on keep-alive).
-    fn raw_exchange(addr: std::net::SocketAddr, request: &[u8]) -> Vec<u8> {
+    fn raw_exchange(addr: std::net::SocketAddr, request: &[u8]) -> String {
         let stream = std::net::TcpStream::connect(addr).expect("connect");
         stream
             .set_read_timeout(Some(Duration::from_millis(300)))
@@ -424,96 +374,79 @@ fn shed_and_throttle_responses_are_byte_identical_across_backends() {
                 Ok(n) => out.extend_from_slice(&chunk[..n]),
             }
         }
-        out
+        String::from_utf8(out).expect("turn-aways are ASCII")
     }
 
-    fn capture(backend: Backend) -> Vec<(&'static str, Vec<u8>)> {
-        let controller = OverloadController::driven(OverloadPolicy::default());
-        let service = service()
-            .with_admission(AdmissionPolicy {
-                report_rate: 1.0,
-                report_burst: 1.0,
-                ..AdmissionPolicy::default()
-            })
-            .with_overload(Arc::clone(&controller))
-            .into_shared();
-        let stats = Arc::new(TransportStats::default());
-        let mut server = start(backend, service, tight_limits(), stats);
-        let addr = server.addr();
-        let chaos = ChaosClient::new(addr);
-        let mut transcripts = Vec::new();
+    let controller = OverloadController::driven(OverloadPolicy::default());
+    let service = service()
+        .with_admission(AdmissionPolicy {
+            report_rate: 1.0,
+            report_burst: 1.0,
+            ..AdmissionPolicy::default()
+        })
+        .with_overload(Arc::clone(&controller))
+        .into_shared();
+    let stats = Arc::new(TransportStats::default());
+    let mut server = start(service, tight_limits(), stats);
+    let addr = server.addr();
 
-        let body = r#"{"user":"u-parity","page":"/index.html","entries":[]}"#;
-        let post = format!(
-            "POST /oak/report HTTP/1.1\r\nCookie: oak_uid=u-parity\r\n\
-             Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        );
+    let body = r#"{"user":"u-parity","page":"/index.html","entries":[]}"#;
+    let post = format!(
+        "POST /oak/report HTTP/1.1\r\nCookie: oak_uid=u-parity\r\n\
+         Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
 
-        // Throttle: the burst of one is spent, the next report gets 429.
-        let first = raw_exchange(addr, post.as_bytes());
-        assert!(
-            first.starts_with(b"HTTP/1.1 204"),
-            "burst admits the first report on {backend}"
-        );
-        transcripts.push(("throttle-429", raw_exchange(addr, post.as_bytes())));
+    // Throttle: the burst of one is spent, the next report gets 429.
+    let first = raw_exchange(addr, post.as_bytes());
+    assert!(
+        first.starts_with("HTTP/1.1 204"),
+        "burst admits the first report: {first}"
+    );
+    assert_eq!(
+        raw_exchange(addr, post.as_bytes()),
+        "HTTP/1.1 429 Too Many Requests\r\nContent-Type: text/plain\r\nContent-Length: 26\r\n\
+         Retry-After: 1\r\n\r\nreport rate limit exceeded"
+    );
 
-        // Severity 3: everything but health sheds.
-        controller.observe(
-            &PressureSample {
-                queue_depth: 128,
-                ..PressureSample::default()
-            },
-            0,
-        );
-        transcripts.push(("report-admit-shed", raw_exchange(addr, post.as_bytes())));
-        transcripts.push((
-            "page-dispatch-shed",
-            raw_exchange(addr, b"GET /index.html HTTP/1.1\r\n\r\n"),
-        ));
-        transcripts.push((
-            "scrape-dispatch-shed",
-            raw_exchange(addr, b"GET /oak/stats HTTP/1.1\r\n\r\n"),
-        ));
-        let health = raw_exchange(addr, b"GET /oak/health HTTP/1.1\r\n\r\n");
-        assert!(
-            health.starts_with(b"HTTP/1.1 200"),
-            "health is never shed on {backend}"
-        );
+    // Severity 3: everything but health sheds.
+    controller.observe(
+        &PressureSample {
+            queue_depth: 128,
+            ..PressureSample::default()
+        },
+        0,
+    );
+    // Shed at the admit hook, before the body: the connection closes.
+    assert_eq!(
+        raw_exchange(addr, post.as_bytes()),
+        format!("{SHED_HEAD}Connection: close\r\n\r\noverloaded; request shed")
+    );
+    // Shed at dispatch: keep-alive survives.
+    assert_eq!(
+        raw_exchange(addr, b"GET /index.html HTTP/1.1\r\n\r\n"),
+        format!("{SHED_HEAD}\r\noverloaded; request shed")
+    );
+    assert_eq!(
+        raw_exchange(addr, b"GET /oak/stats HTTP/1.1\r\n\r\n"),
+        format!("{SHED_HEAD}\r\noverloaded; request shed")
+    );
+    let health = raw_exchange(addr, b"GET /oak/health HTTP/1.1\r\n\r\n");
+    assert!(
+        health.starts_with("HTTP/1.1 200"),
+        "health is never shed: {health}"
+    );
 
-        // Permit exhaustion: hog every permit, capture the 503.
-        let hogs: Vec<_> = (0..4).filter_map(|_| chaos.hold_open().ok()).collect();
-        assert_eq!(hogs.len(), 4, "hogs grabbed every permit on {backend}");
-        std::thread::sleep(Duration::from_millis(50));
-        transcripts.push((
-            "over-capacity",
-            raw_exchange(addr, b"GET /index.html HTTP/1.1\r\n\r\n"),
-        ));
-        drop(hogs);
+    // Permit exhaustion: hog every permit, capture the 503.
+    let chaos = ChaosClient::new(addr);
+    let hogs: Vec<_> = (0..4).filter_map(|_| chaos.hold_open().ok()).collect();
+    assert_eq!(hogs.len(), 4, "hogs grabbed every permit");
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(
+        raw_exchange(addr, b"GET /index.html HTTP/1.1\r\n\r\n"),
+        format!("{SHED_HEAD}Connection: close\r\n\r\nconnection limit reached")
+    );
+    drop(hogs);
 
-        server.shutdown();
-        transcripts
-    }
-
-    let threads = capture(Backend::Threads);
-    let epoll = capture(Backend::Epoll);
-    for ((label, from_threads), (label_e, from_epoll)) in threads.iter().zip(epoll.iter()) {
-        assert_eq!(label, label_e);
-        assert!(
-            !from_threads.is_empty(),
-            "{label}: no bytes from the threads backend"
-        );
-        assert_eq!(
-            from_threads,
-            from_epoll,
-            "{label}: backends disagree\n  threads: {:?}\n  epoll:   {:?}",
-            String::from_utf8_lossy(from_threads),
-            String::from_utf8_lossy(from_epoll)
-        );
-        let text = String::from_utf8_lossy(from_threads);
-        assert!(
-            text.contains("Retry-After: 1"),
-            "{label}: turn-away must hint a retry\n{text}"
-        );
-    }
+    server.shutdown();
 }
