@@ -2,19 +2,27 @@
 //! every partition the node hosts.
 //!
 //! [`ClusterNode`] is sans-io like everything else in this crate: the
-//! caller owns the clock and the wires. Two entry points drive it —
-//! [`ClusterNode::tick`] (time passed) and [`ClusterNode::handle`] (a
-//! message arrived) — and both return the envelopes to deliver. oak-sim
-//! pumps them through its simulated network; `oak-serve --cluster`
-//! pumps them through TCP. Identical bytes, identical decisions.
+//! caller owns the clock and the wires. Three entry points drive it —
+//! [`ClusterNode::tick`] (time passed), [`ClusterNode::handle`] (a
+//! message arrived) and [`ClusterNode::ship`] (the primary's engine
+//! journaled something) — and all return the envelopes to deliver.
+//! oak-sim pumps them through its simulated network; `oak-serve
+//! --cluster` pumps them through TCP. Identical bytes, identical
+//! decisions.
 //!
 //! # Replication protocol (per partition)
 //!
 //! - The primary stamps every emitted event with its lease epoch
-//!   ([`Oak::set_epoch`]) and ships its WAL tail to each follower from
-//!   that follower's acked head ([`OakStore::tail`]) — WAL shipping in
-//!   the literal sense: the frames a follower applies are decoded from
-//!   the same bytes recovery would replay.
+//!   ([`Oak::set_epoch`]) and ships its WAL tail to each follower
+//!   ([`OakStore::tail`]) — WAL shipping in the literal sense: the
+//!   frames a follower applies are decoded from the same bytes recovery
+//!   would replay. Shipping is event-driven: [`ClusterNode::ship`] sends
+//!   what was journaled since the follower's *sent* cursor, an
+//!   `AppendAck` or `SnapshotAck` from a follower still behind the head
+//!   is answered with its next batch, and the tick re-ships from the *acked* head only
+//!   when a follower made no progress since the last tick (a lost
+//!   `Append`, a gap, a regressed follower). No follower is ever owed
+//!   acks for more than one batch's worth of events.
 //! - A follower applies strictly in sequence (a gap ends the batch),
 //!   journals each event to its *own* WAL before applying it, and acks
 //!   its durable head.
@@ -109,6 +117,13 @@ pub struct PartitionStatus {
 struct Shipping {
     /// Follower → highest head acked under the current epoch.
     acked: BTreeMap<NodeId, u64>,
+    /// Follower → one past the last seq shipped under the current
+    /// epoch. Runs ahead of `acked` while an `Append` is in flight, so
+    /// nothing is shipped twice; the tick drops it for a follower that
+    /// stopped advancing, which re-ships from `acked`.
+    sent: BTreeMap<NodeId, u64>,
+    /// Followers whose acked head rose since the last tick.
+    progressed: BTreeSet<NodeId>,
     /// Followers still owed the epoch-start snapshot transfer.
     needs_snapshot: BTreeSet<NodeId>,
     /// When each pending snapshot was last sent.
@@ -237,8 +252,9 @@ impl ClusterNode {
     /// The engine for `partition` **iff this node currently holds its
     /// lease** — the only handle through which client traffic (reports,
     /// page serves, rule changes) may reach an engine. Everything
-    /// mutated through it is stamped with the lease epoch and ships to
-    /// followers on the next tick.
+    /// mutated through it is stamped with the lease epoch and reaches
+    /// the followers on the caller's next [`ClusterNode::ship`] (or, at
+    /// the latest, the next tick).
     pub fn primary_engine(&self, partition: u32) -> Result<Arc<Oak>, NotPrimary> {
         match self.partitions.get(&partition) {
             Some(p) if p.lease.is_primary() => Ok(p.oak.clone()),
@@ -309,9 +325,76 @@ impl ClusterNode {
             .collect()
     }
 
+    /// Ships what the primary engines journaled since each follower's
+    /// sent cursor, without waiting for the clock. Call it after
+    /// mutating a [`ClusterNode::primary_engine`] when the caller is
+    /// about to wait on [`ClusterNode::commit`].
+    pub fn ship(&mut self) -> Vec<Envelope> {
+        let mut out = Vec::new();
+        let me = self.id;
+        let append_batch = self.options.append_batch;
+        let ids: Vec<u32> = self.partitions.keys().copied().collect();
+        for partition in ids {
+            let followers = self.followers(partition);
+            let p = self.partitions.get_mut(&partition).expect("hosted");
+            for follower in followers {
+                Self::ship_to(p, me, follower, append_batch, &mut out);
+            }
+        }
+        out
+    }
+
+    /// The one shipping path: sends `follower` the next `Append` past
+    /// what it was already sent (or has acked, whichever is further).
+    fn ship_to(
+        p: &mut Partition,
+        me: NodeId,
+        follower: NodeId,
+        append_batch: usize,
+        out: &mut Vec<Envelope>,
+    ) {
+        if !p.lease.is_primary() || p.shipping.needs_snapshot.contains(&follower) {
+            return;
+        }
+        let acked = p.shipping.acked.get(&follower).copied().unwrap_or(0);
+        let sent = p.shipping.sent.get(&follower).copied().unwrap_or(0);
+        let from = sent.max(acked);
+        // At most one batch's worth unacked per follower. A follower
+        // that keeps up never has that much in flight and is sent every
+        // event as it happens; one that is behind is sent its next batch
+        // when it acks the last, so it is never buried under its own
+        // backlog and a retransmit repeats one batch, not a queue of them.
+        if from >= p.head() || from - acked >= append_batch as u64 {
+            return;
+        }
+        match p.store.tail(from, append_batch) {
+            Ok(Tail::Events(events)) => {
+                let Some(last) = events.last() else { return };
+                p.shipping.sent.insert(follower, last.seq + 1);
+                out.push(Envelope {
+                    from: me,
+                    to: follower,
+                    msg: Message::Append {
+                        partition: p.id,
+                        epoch: p.lease.epoch(),
+                        commit: p.commit,
+                        events,
+                    },
+                });
+            }
+            Ok(Tail::Compacted { .. }) => {
+                // The follower fell behind our own compaction
+                // horizon: back to snapshot transfer.
+                p.shipping.needs_snapshot.insert(follower);
+                p.shipping.snapshot_sent_ms.remove(&follower);
+            }
+            Err(_) => {}
+        }
+    }
+
     /// Advances time for every hosted partition: lease ticks (
-    /// elections, heartbeats, lease expiry) and, on primaries, WAL
-    /// shipping and snapshot transfer.
+    /// elections, heartbeats, lease expiry) and, on primaries, snapshot
+    /// transfer and the shipping retransmit.
     pub fn tick(&mut self, now_ms: u64) -> Vec<Envelope> {
         let mut out = Vec::new();
         let ids: Vec<u32> = self.partitions.keys().copied().collect();
@@ -382,41 +465,14 @@ impl ClusterNode {
                 },
             });
         }
-        // WAL shipping to caught-up followers.
-        let head = p.head();
+        // Shipping retransmit: a follower whose acked head did not move
+        // since the last tick lost an `Append` (or regressed), so what
+        // was sent past `acked` is written off and shipped again.
         for &follower in &followers {
-            if p.shipping.needs_snapshot.contains(&follower) {
-                continue;
+            if !p.shipping.progressed.remove(&follower) {
+                p.shipping.sent.remove(&follower);
             }
-            let acked = p.shipping.acked.get(&follower).copied().unwrap_or(0);
-            if acked >= head {
-                continue;
-            }
-            match p.store.tail(acked) {
-                Ok(Tail::Events(mut events)) => {
-                    if events.is_empty() {
-                        continue;
-                    }
-                    events.truncate(append_batch);
-                    out.push(Envelope {
-                        from: me,
-                        to: follower,
-                        msg: Message::Append {
-                            partition,
-                            epoch,
-                            commit: p.commit,
-                            events,
-                        },
-                    });
-                }
-                Ok(Tail::Compacted { .. }) => {
-                    // The follower fell behind our own compaction
-                    // horizon: back to snapshot transfer.
-                    p.shipping.needs_snapshot.insert(follower);
-                    p.shipping.snapshot_sent_ms.remove(&follower);
-                }
-                Err(_) => {}
-            }
+            Self::ship_to(p, me, follower, append_batch, out);
         }
         Self::recompute_commit(p, &followers);
     }
@@ -431,6 +487,8 @@ impl ClusterNode {
             // any divergence they carry is overwritten.
             p.oak.set_epoch(p.lease.epoch());
             p.shipping.acked.clear();
+            p.shipping.sent.clear();
+            p.shipping.progressed.clear();
             p.shipping.snapshot_sent_ms.clear();
             p.shipping.needs_snapshot = followers.iter().copied().collect();
         }
@@ -469,6 +527,7 @@ impl ClusterNode {
         let dir = self.partition_dir(partition);
         let backend = self.backend.clone();
         let oak_config = self.options.oak;
+        let append_batch = self.options.append_batch;
         let p = self.partitions.get_mut(&partition).expect("checked");
         let from = envelope.from;
 
@@ -547,9 +606,15 @@ impl ClusterNode {
                     // monotone in `recompute_commit`, and followers
                     // skip already-journaled seqs, so re-shipping an
                     // overlap is merely extra traffic.
-                    p.shipping.acked.insert(from, *acked);
+                    let before = p.shipping.acked.insert(from, *acked);
+                    if before.is_none_or(|b| b < *acked) {
+                        p.shipping.progressed.insert(from);
+                    }
                     p.lease.note_contact(now_ms, from);
                     Self::recompute_commit(p, &followers);
+                    // A follower still behind the head gets its next
+                    // batch in the reply, not a tick later.
+                    Self::ship_to(p, me, from, append_batch, &mut out);
                 }
             }
             Message::Snapshot {
@@ -607,8 +672,13 @@ impl ClusterNode {
                     // Assign for the same reason as AppendAck: the
                     // follower reports where it actually is.
                     p.shipping.acked.insert(from, *watermark);
+                    // Whatever was shipped before the transfer is moot;
+                    // what was journaled during it goes out now.
+                    p.shipping.sent.remove(&from);
+                    p.shipping.progressed.insert(from);
                     p.lease.note_contact(now_ms, from);
                     Self::recompute_commit(p, &followers);
+                    Self::ship_to(p, me, from, append_batch, &mut out);
                 }
             }
         }
@@ -767,6 +837,49 @@ mod tests {
             }
         }
 
+        /// Settles until partition 0 has a primary whose followers all
+        /// installed the epoch-start snapshot, then once more so no
+        /// follower counts as having progressed since the last tick.
+        /// Returns the primary and the clock.
+        fn elect(&mut self) -> (usize, u64) {
+            let mut now = 0;
+            loop {
+                now += 50;
+                assert!(now < 10_000, "no settled primary");
+                self.settle(now);
+                let Some(primary) = self.primary_of(0) else {
+                    continue;
+                };
+                if self.nodes[primary].partitions[&0]
+                    .shipping
+                    .needs_snapshot
+                    .is_empty()
+                {
+                    now += 50;
+                    self.settle(now);
+                    return (primary, now);
+                }
+            }
+        }
+
+        /// Delivers `inbox` and returns the replies — no clock involved.
+        fn deliver(&mut self, now_ms: u64, inbox: Vec<Envelope>) -> Vec<Envelope> {
+            let mut replies = Vec::new();
+            for envelope in &inbox {
+                let node = &mut self.nodes[envelope.to.0 as usize];
+                replies.extend(node.handle(now_ms, envelope));
+            }
+            replies
+        }
+
+        fn assert_replicated(&self, primary: usize, head: u64) {
+            assert_eq!(self.nodes[primary].commit(0), Some(head), "not committed");
+            for (i, node) in self.nodes.iter().enumerate() {
+                let replica = node.replica_engine(0).unwrap();
+                assert_eq!(replica.event_seq(), head, "node {i} lagging");
+            }
+        }
+
         fn primary_of(&self, partition: u32) -> Option<usize> {
             let mut found = None;
             for (i, node) in self.nodes.iter().enumerate() {
@@ -819,6 +932,168 @@ mod tests {
         let status = h.nodes[primary].status();
         assert_eq!(status[0].role, Role::Primary);
         assert!(status[0].epoch >= 1);
+    }
+
+    /// One journaled event per call, through the primary's engine.
+    fn activate(oak: &Oak, id: oak_core::rule::RuleId, user: usize) {
+        oak.force_activate(Instant::ZERO, &format!("u-{user}"), id);
+    }
+
+    fn appended_seqs(envelopes: &[Envelope], to: NodeId) -> Vec<u64> {
+        let mut seqs = Vec::new();
+        for envelope in envelopes.iter().filter(|e| e.to == to) {
+            if let Message::Append { events, .. } = &envelope.msg {
+                seqs.extend(events.iter().map(|e| e.seq));
+            }
+        }
+        seqs
+    }
+
+    #[test]
+    fn ship_commits_without_a_tick() {
+        let mut h = Harness::new("ship-now", 3, 1, 3);
+        let (primary, now) = h.elect();
+        let oak = h.nodes[primary].primary_engine(0).unwrap();
+        let id = oak
+            .add_rule(Rule::remove(r#"<script src="http://slow.example/t.js">"#))
+            .unwrap();
+        activate(&oak, id, 1);
+        let head = oak.event_seq();
+        assert!(h.nodes[primary].commit(0).unwrap() < head);
+
+        // Appends out, acks back: one round trip, no clock.
+        let appends = h.nodes[primary].ship();
+        assert_eq!(appends.len(), 2, "one Append per follower");
+        let acks = h.deliver(now, appends);
+        let replies = h.deliver(now, acks);
+        assert!(replies.is_empty(), "caught-up followers need no reply");
+        h.assert_replicated(primary, head);
+    }
+
+    #[test]
+    fn nothing_in_flight_is_shipped_twice() {
+        let mut h = Harness::new("ship-once", 3, 1, 3);
+        let (primary, _) = h.elect();
+        let oak = h.nodes[primary].primary_engine(0).unwrap();
+        let start = oak.event_seq();
+        let id = oak
+            .add_rule(Rule::remove(r#"<script src="http://slow.example/t.js">"#))
+            .unwrap();
+        let mut shipped = h.nodes[primary].ship();
+        activate(&oak, id, 1);
+        activate(&oak, id, 2);
+        shipped.extend(h.nodes[primary].ship());
+        // No ack was delivered in between, and nothing new happened
+        // before the third call.
+        assert!(h.nodes[primary].ship().is_empty());
+        let head = oak.event_seq();
+        for follower in h.nodes[primary].followers(0) {
+            assert_eq!(
+                appended_seqs(&shipped, follower),
+                (start..head).collect::<Vec<_>>(),
+                "follower {follower:?} must see every event exactly once"
+            );
+        }
+    }
+
+    #[test]
+    fn lagging_followers_catch_up_on_acks_alone() {
+        const BEHIND: usize = 5_000;
+        let mut h = Harness::new("ship-catchup", 3, 1, 3);
+        let (primary, now) = h.elect();
+        let oak = h.nodes[primary].primary_engine(0).unwrap();
+        let id = oak
+            .add_rule(Rule::remove(r#"<script src="http://slow.example/t.js">"#))
+            .unwrap();
+        for user in 1..BEHIND {
+            activate(&oak, id, user);
+        }
+        let head = oak.event_seq();
+        let batch = h.nodes[primary].options().append_batch;
+
+        // One ship starts it; from then on every ack is answered with
+        // the next batch, so a round trip moves a follower 64 events.
+        let mut appends = h.nodes[primary].ship();
+        let mut round_trips = 0;
+        while !appends.is_empty() {
+            round_trips += 1;
+            let acks = h.deliver(now, appends);
+            appends = h.deliver(now, acks);
+        }
+        assert!(
+            round_trips <= BEHIND.div_ceil(batch),
+            "{round_trips} round trips for {BEHIND} events in batches of {batch}"
+        );
+        h.assert_replicated(primary, head);
+    }
+
+    #[test]
+    fn a_snapshot_ack_is_answered_with_what_was_journaled_meanwhile() {
+        let mut h = Harness::new("ship-snapack", 3, 1, 3);
+        let mut now = 0;
+        while h.primary_of(0).is_none() {
+            now += 50;
+            assert!(now < 10_000, "no primary elected");
+            h.settle(now);
+        }
+        let primary = h.primary_of(0).unwrap();
+        now += 20;
+        let snapshots = h.nodes[primary].tick(now);
+        // Journaled after the snapshot was cut, before it is acked.
+        let oak = h.nodes[primary].primary_engine(0).unwrap();
+        let start = oak.event_seq();
+        let id = oak
+            .add_rule(Rule::remove(r#"<script src="http://slow.example/t.js">"#))
+            .unwrap();
+        activate(&oak, id, 1);
+        let head = oak.event_seq();
+
+        let acks = h.deliver(now, snapshots);
+        let appends = h.deliver(now, acks);
+        for follower in h.nodes[primary].followers(0) {
+            assert_eq!(
+                appended_seqs(&appends, follower),
+                (start..head).collect::<Vec<_>>(),
+                "follower {follower:?} is owed the events behind its snapshot"
+            );
+        }
+        let acks = h.deliver(now, appends);
+        assert!(h.deliver(now, acks).is_empty());
+        h.assert_replicated(primary, head);
+    }
+
+    #[test]
+    fn the_tick_repairs_a_lost_append_and_a_gap() {
+        let mut h = Harness::new("ship-repair", 3, 1, 3);
+        let (primary, mut now) = h.elect();
+        let oak = h.nodes[primary].primary_engine(0).unwrap();
+        let id = oak
+            .add_rule(Rule::remove(r#"<script src="http://slow.example/t.js">"#))
+            .unwrap();
+
+        // Lost outright: no ack comes, so nothing event-driven resends.
+        drop(h.nodes[primary].ship());
+        assert!(h.nodes[primary].ship().is_empty());
+        assert!(h.nodes[primary].commit(0).unwrap() < oak.event_seq());
+        now += 20;
+        h.settle(now);
+        h.assert_replicated(primary, oak.event_seq());
+
+        // A gap: the first Append is lost, the second arrives. The
+        // followers cannot apply it and ack their old head.
+        now += 20;
+        h.settle(now);
+        activate(&oak, id, 1);
+        drop(h.nodes[primary].ship());
+        activate(&oak, id, 2);
+        let appends = h.nodes[primary].ship();
+        let acks = h.deliver(now, appends);
+        assert!(h.deliver(now, acks).is_empty());
+        let head = oak.event_seq();
+        assert_eq!(h.nodes[primary].commit(0), Some(head - 2));
+        now += 20;
+        h.settle(now);
+        h.assert_replicated(primary, head);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! raw material for dashboards and for the §6 auditing workflow.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use oak_json::Value;
@@ -325,16 +326,41 @@ impl SiteAggregates {
     pub fn to_value(&self) -> Value {
         let mut doc = Value::object();
         doc.set("reports", self.reports);
-        let mut users = Value::array();
-        for (user, count) in &self.users {
+        doc.set("users", Value::Array(self.user_rows().collect()));
+        doc.set("domains", Value::Array(self.domain_rows().collect()));
+        doc.set("samples", Value::Array(self.sample_rows().collect()));
+        doc
+    }
+
+    /// [`SiteAggregates::to_value`] as text appended to `out`, byte for
+    /// byte, one row at a time — the sample pairs of a large site are
+    /// most of an engine snapshot, and never exist as a tree here.
+    pub(crate) fn write_text(&self, out: &mut String) {
+        out.push_str("{\"domains\":[");
+        push_rows(out, self.domain_rows());
+        let _ = write!(
+            out,
+            "],\"reports\":{},\"samples\":[",
+            Value::from(self.reports)
+        );
+        push_rows(out, self.sample_rows());
+        out.push_str("],\"users\":[");
+        push_rows(out, self.user_rows());
+        out.push_str("]}");
+    }
+
+    /// `[user, report count]` pairs, in user order.
+    fn user_rows(&self) -> impl Iterator<Item = Value> + '_ {
+        self.users.iter().map(|(user, count)| {
             let mut pair = Value::array();
             pair.push(user.as_str());
             pair.push(*count);
-            users.push(pair);
-        }
-        doc.set("users", users);
-        let mut domains = Value::array();
-        for (domain, agg) in &self.domains {
+            pair
+        })
+    }
+
+    fn domain_rows(&self) -> impl Iterator<Item = Value> + '_ {
+        self.domains.iter().map(|(domain, agg)| {
             let mut row = Value::object();
             row.set("domain", &**domain);
             row.set("objects", agg.objects);
@@ -343,23 +369,22 @@ impl SiteAggregates {
             row.set("users_seen", agg.users_seen);
             row.set("small", agg.small_time_ms.to_value());
             row.set("large", agg.large_tput_kbps.to_value());
-            domains.push(row);
-        }
-        doc.set("domains", domains);
-        // Flat `[domain, user]` pairs, exactly the order the old flat
-        // map produced (domain then user, both sorted) — the snapshot
-        // byte format is unchanged by the nested representation.
-        let mut samples = Value::array();
-        for (domain, users) in &self.user_samples {
-            for user in users {
+            row
+        })
+    }
+
+    /// Flat `[domain, user]` pairs, exactly the order the old flat map
+    /// produced (domain then user, both sorted) — the snapshot byte
+    /// format is unchanged by the nested representation.
+    fn sample_rows(&self) -> impl Iterator<Item = Value> + '_ {
+        self.user_samples.iter().flat_map(|(domain, users)| {
+            users.iter().map(move |user| {
                 let mut pair = Value::array();
                 pair.push(&**domain);
                 pair.push(user.as_str());
-                samples.push(pair);
-            }
-        }
-        doc.set("samples", samples);
-        doc
+                pair
+            })
+        })
     }
 
     /// Inverse of [`SiteAggregates::to_value`].
@@ -423,6 +448,17 @@ impl SiteAggregates {
             }
         }
         Ok(out)
+    }
+}
+
+/// Appends `rows` to `out` as the comma-separated body of a JSON array,
+/// dropping each row once its text is written.
+pub(crate) fn push_rows(out: &mut String, rows: impl Iterator<Item = Value>) {
+    for (i, row) in rows.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{row}");
     }
 }
 

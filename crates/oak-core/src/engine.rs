@@ -31,13 +31,14 @@
 //! deadlock against itself.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use oak_html::{Document, Rewriter};
 use oak_json::Value;
 
+use crate::aggregates::push_rows;
 use crate::cohort::{CohortBaselines, CohortConfig};
 use crate::detect::{detect_violators, DetectorConfig, DetectorPolicy, Violation};
 use crate::events::{EngineEvent, EventSink, IngestEffect, SequencedEvent};
@@ -1268,50 +1269,21 @@ impl Oak {
 
         let mut rules = Value::array();
         for (id, rule) in &table.rules {
-            let mut row = Value::object();
-            row.set("id", u64::from(id.0));
-            row.set("spec", crate::spec::format_rule(rule));
-            rules.push(row);
+            rules.push(rule_row(*id, rule));
         }
         doc.set("rules", rules);
 
         let mut shards = Value::array();
         for guard in &guards {
             let mut shard_doc = Value::object();
-            let mut users: Vec<(&String, &UserState)> = guard.users.iter().collect();
-            users.sort_by_key(|(name, _)| *name);
             let mut user_rows = Value::array();
-            for (name, state) in users {
-                let mut row = Value::object();
-                row.set("user", name.as_str());
-                row.set("last_seen", state.last_seen.as_millis());
-                let mut active = Value::array();
-                for (rule, a) in &state.active {
-                    let mut entry = Value::object();
-                    entry.set("rule", u64::from(rule.0));
-                    entry.set("alt", a.alternative_index as u64);
-                    entry.set("tried", a.alternatives_tried as u64);
-                    entry.set("at", a.activated_at.as_millis());
-                    entry.set("severity", crate::events::f64_to_value(a.default_severity));
-                    active.push(entry);
-                }
-                row.set("active", active);
-                let mut pending = Value::array();
-                for (rule, count) in &state.pending {
-                    let mut pair = Value::array();
-                    pair.push(u64::from(rule.0));
-                    pair.push(u64::from(*count));
-                    pending.push(pair);
-                }
-                row.set("pending", pending);
-                user_rows.push(row);
+            for (name, state) in sorted_users(guard) {
+                user_rows.push(user_row(name, state));
             }
             shard_doc.set("users", user_rows);
             let mut log_rows = Value::array();
             for (seq, entry) in &guard.log {
-                let mut row = entry.to_value();
-                row.set("seq", *seq);
-                log_rows.push(row);
+                log_rows.push(log_row(*seq, entry));
             }
             shard_doc.set("log", log_rows);
             shard_doc.set("aggregates", guard.aggregates.to_value());
@@ -1319,6 +1291,62 @@ impl Oak {
         }
         doc.set("shards", shards);
         doc
+    }
+
+    /// [`Oak::snapshot_json`] as text, with its `event_seq` watermark —
+    /// byte for byte `snapshot_json().to_string()`, under the same locks,
+    /// without ever holding the document tree: each user row, log row
+    /// and aggregate row is encoded, appended and dropped in turn, so
+    /// the peak is the text itself rather than tree + text. Keys are
+    /// written in the sorted order [`Value`] objects serialize in.
+    pub fn snapshot_text(&self) -> (u64, String) {
+        let table = self.rules.read().expect("rule table lock");
+        let guards: Vec<_> = self
+            .shards
+            .iter()
+            .map(|s| s.lock().expect("shard lock"))
+            .collect();
+
+        let event_seq = self.event_seq.load(Ordering::SeqCst);
+        let mut out = String::from("{");
+        let epoch = self.epoch.load(Ordering::Relaxed);
+        if epoch > 0 {
+            let _ = write!(out, "\"epoch\":{},", Value::from(epoch));
+        }
+        let _ = write!(
+            out,
+            "\"event_seq\":{},\"log_seq\":{},\"next_rule_id\":{},\"rules\":[",
+            Value::from(event_seq),
+            Value::from(self.log_seq.load(Ordering::SeqCst)),
+            Value::from(table.next_rule_id),
+        );
+        push_rows(
+            &mut out,
+            table.rules.iter().map(|(id, rule)| rule_row(*id, rule)),
+        );
+        let _ = write!(out, "],\"shard_count\":{SHARD_COUNT},\"shards\":[");
+        for (i, guard) in guards.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"aggregates\":");
+            guard.aggregates.write_text(&mut out);
+            out.push_str(",\"log\":[");
+            push_rows(
+                &mut out,
+                guard.log.iter().map(|(seq, entry)| log_row(*seq, entry)),
+            );
+            out.push_str("],\"users\":[");
+            push_rows(
+                &mut out,
+                sorted_users(guard)
+                    .into_iter()
+                    .map(|(name, state)| user_row(name, state)),
+            );
+            out.push_str("]}");
+        }
+        out.push_str("],\"version\":1}");
+        (event_seq, out)
     }
 
     /// Reconstructs an engine from a [`Oak::snapshot_json`] document.
@@ -1467,6 +1495,55 @@ impl Oak {
         }
         Ok(oak)
     }
+}
+
+/// One `rules` row of the snapshot document.
+fn rule_row(id: RuleId, rule: &Rule) -> Value {
+    let mut row = Value::object();
+    row.set("id", u64::from(id.0));
+    row.set("spec", crate::spec::format_rule(rule));
+    row
+}
+
+/// A shard's users in the order the snapshot document lists them.
+fn sorted_users(shard: &Shard) -> Vec<(&String, &UserState)> {
+    let mut users: Vec<(&String, &UserState)> = shard.users.iter().collect();
+    users.sort_by_key(|(name, _)| *name);
+    users
+}
+
+/// One `users` row of a snapshot shard record.
+fn user_row(name: &str, state: &UserState) -> Value {
+    let mut row = Value::object();
+    row.set("user", name);
+    row.set("last_seen", state.last_seen.as_millis());
+    let mut active = Value::array();
+    for (rule, a) in &state.active {
+        let mut entry = Value::object();
+        entry.set("rule", u64::from(rule.0));
+        entry.set("alt", a.alternative_index as u64);
+        entry.set("tried", a.alternatives_tried as u64);
+        entry.set("at", a.activated_at.as_millis());
+        entry.set("severity", crate::events::f64_to_value(a.default_severity));
+        active.push(entry);
+    }
+    row.set("active", active);
+    let mut pending = Value::array();
+    for (rule, count) in &state.pending {
+        let mut pair = Value::array();
+        pair.push(u64::from(rule.0));
+        pair.push(u64::from(*count));
+        pending.push(pair);
+    }
+    row.set("pending", pending);
+    row
+}
+
+/// One `log` row of a snapshot shard record.
+fn log_row(seq: u64, entry: &LogEvent) -> Value {
+    let mut row = entry.to_value();
+    row.set("seq", seq);
+    row
 }
 
 /// Monotonically raises an atomic counter to at least `target`.

@@ -15,8 +15,11 @@
 //! `oak-sim`, which runs this same [`ClusterNode`] state machine.
 //!
 //! Threads:
-//! - a **ticker** advances the lease/shipping state machine every
-//!   [`TICK_MS`],
+//! - a **ticker** advances the lease state machine every [`TICK_MS`] —
+//!   elections, heartbeats, snapshot transfer and the shipping
+//!   retransmit. It is *not* what ships a journaled report: the ingest
+//!   handler does that itself in [`ClusterRuntime::wait_for_commit`],
+//!   and a reader thread answers a follower's ack with its next batch,
 //! - an **acceptor** takes peer connections on this node's `--peers`
 //!   entry; each connection gets a reader thread that decodes frames
 //!   and feeds [`ClusterNode::handle`],
@@ -45,8 +48,8 @@ use oak_store::{OakStore, RealFs, StoreOptions};
 
 use crate::service::ClusterStatusSource;
 
-/// Wall-clock cadence of the lease/shipping tick, matching the sim's
-/// cluster world.
+/// Wall-clock cadence of the lease tick (and shipping retransmit),
+/// matching the sim's cluster world.
 const TICK_MS: u64 = 20;
 
 /// How long an outbound reconnect may block its peer's writer thread.
@@ -65,8 +68,9 @@ const OUTBOX_FRAMES: usize = 256;
 
 /// How long the ingest path may wait for the replication watermark to
 /// cover a report before giving up with 503 (the client retries).
-/// Generous against the commit cadence (one [`TICK_MS`] round trip in
-/// the healthy case) but far below a client timeout.
+/// Generous against the healthy case (one round trip to the nearest
+/// follower, or a few [`TICK_MS`] when an `Append` is lost and the tick
+/// retransmits) but far below a client timeout.
 const COMMIT_WAIT_MS: u64 = 1_000;
 
 /// The single replication group the live runtime hosts (see module
@@ -183,16 +187,15 @@ impl ClusterRuntime {
         loop {
             std::thread::sleep(Duration::from_millis(TICK_MS));
             let now = self.now_ms();
-            let out = {
+            {
                 let mut node = self.node.lock().expect("cluster node lock");
                 let out = node.tick(now);
                 self.maybe_seed_rules(&node);
-                out
-            };
+                self.send_all(out);
+            }
             // The tick may have advanced the commit watermark (acks
             // heard, leases moved); wake any ingest handler parked on it.
             self.commits.notify_all();
-            self.send_all(out);
         }
     }
 
@@ -257,14 +260,14 @@ impl ClusterRuntime {
                     DecodeStep::Frame(envelope, next) => {
                         offset = next;
                         let now = self.now_ms();
-                        let replies = {
+                        {
                             let mut node = self.node.lock().expect("cluster node lock");
-                            node.handle(now, &envelope)
-                        };
+                            let replies = node.handle(now, &envelope);
+                            self.send_all(replies);
+                        }
                         // A follower ack just handled may have advanced
                         // the watermark; wake parked ingest handlers.
                         self.commits.notify_all();
-                        self.send_all(replies);
                     }
                     // More bytes are coming: keep the partial frame.
                     DecodeStep::Incomplete => break,
@@ -287,7 +290,10 @@ impl ClusterRuntime {
     /// Queues envelopes onto their recipients' outbound queues. A full
     /// or dead queue drops the envelope — the protocol treats loss like
     /// a cut link, and blocking here would let one slow peer stall the
-    /// ticker or a reader thread.
+    /// ticker or a reader thread. Every caller holds the node lock:
+    /// `Append`s are cut by the ticker, by reader threads answering
+    /// acks and by ingest handlers, and a follower drops one that
+    /// overtakes its predecessor as a gap, to be repaired a tick later.
     fn send_all(&self, envelopes: Vec<Envelope>) {
         for envelope in envelopes {
             let to = envelope.to.0 as usize;
@@ -360,15 +366,21 @@ impl ClusterStatusSource for ClusterRuntime {
     }
 
     /// Blocks the ingest handler until the replication watermark covers
-    /// `seq`. The wait parks on a condvar the ticker and reader threads
-    /// signal after running the state machine — the check and the park
-    /// are atomic under the node lock, so an advance can never slip
-    /// between them. The healthy-path wait is one shipping round trip
-    /// (~one [`TICK_MS`]); a majority-less primary times out after
-    /// [`COMMIT_WAIT_MS`] and the 204 is withheld.
+    /// `seq`. An uncovered `seq` is shipped from here, before the first
+    /// park, so the healthy-path wait is one round trip to the nearest
+    /// follower rather than the rest of a [`TICK_MS`]. The wait parks on
+    /// a condvar the ticker and reader threads signal after running the
+    /// state machine — the check and the park are atomic under the node
+    /// lock, so an advance can never slip between them. A majority-less
+    /// primary times out after [`COMMIT_WAIT_MS`] and the 204 is
+    /// withheld.
     fn wait_for_commit(&self, user: &str, seq: u64) -> bool {
         let deadline = std::time::Instant::now() + Duration::from_millis(COMMIT_WAIT_MS);
         let mut node = self.node.lock().expect("cluster node lock");
+        if node.commit(node.partition_of(user)).unwrap_or(0) < seq {
+            let out = node.ship();
+            self.send_all(out);
+        }
         loop {
             let partition = node.partition_of(user);
             if node.commit(partition).unwrap_or(0) >= seq {

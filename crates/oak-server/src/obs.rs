@@ -17,11 +17,11 @@
 //! repeated simulator scenarios each observe only their own traffic.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use oak_core::obs::CoreMetrics;
 use oak_http::HttpMetrics;
-use oak_obs::{Clock, Counter, Registry, Tracer};
+use oak_obs::{elapsed_us, Clock, Counter, Histogram, Registry, Tracer, DURATION_BOUNDS_US};
 use oak_store::StoreMetrics;
 
 /// One observability bundle: registry, tracer, and every layer's
@@ -45,6 +45,10 @@ pub struct ServiceObs {
     /// (the status space is small, so the map stays tiny and hot
     /// requests hit the fast path after the first response per status).
     responses: Mutex<HashMap<u16, Arc<Counter>>>,
+    /// `oak_cluster_commit_wait_duration_us`, registered when a cluster
+    /// status source is attached: a single-node exposition never
+    /// carries the family.
+    commit_wait: OnceLock<Arc<Histogram>>,
 }
 
 impl ServiceObs {
@@ -65,6 +69,7 @@ impl ServiceObs {
             core,
             store,
             responses: Mutex::new(HashMap::new()),
+            commit_wait: OnceLock::new(),
         })
     }
 
@@ -92,6 +97,26 @@ impl ServiceObs {
             }
         };
         counter.inc();
+    }
+
+    /// The replication stage histogram: how long a report's `204` was
+    /// held for the commit watermark to cover it. Registers the family
+    /// on first use.
+    pub fn commit_wait(&self) -> &Histogram {
+        self.commit_wait.get_or_init(|| {
+            self.registry.histogram(
+                "oak_cluster_commit_wait_duration_us",
+                "Time a report's acknowledgement waited for the replication \
+                 watermark to cover its events.",
+                &[],
+                DURATION_BOUNDS_US,
+            )
+        })
+    }
+
+    /// Records `start_ns..now` as one commit wait.
+    pub fn record_commit_wait(&self, start_ns: u64) {
+        self.commit_wait().record(elapsed_us(start_ns, self.now()));
     }
 
     /// The current clock reading, nanoseconds.

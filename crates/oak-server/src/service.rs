@@ -400,7 +400,8 @@ impl OakService {
     /// Attaches the node's replication status source, so `/oak/stats`
     /// and `/oak/health` report per-partition role, epoch, and
     /// replication lag, `/oak/metrics` grows `oak_cluster_role` and
-    /// `oak_cluster_replication_lag` gauge families, and user-scoped
+    /// `oak_cluster_replication_lag` gauge families and the
+    /// `oak_cluster_commit_wait_duration_us` stage histogram, and user-scoped
     /// traffic (page serves, report ingest) for partitions this node
     /// does not lead is refused with 503 + `Retry-After`. The cluster
     /// runtime boots after the service is built and shared, so this is
@@ -408,6 +409,10 @@ impl OakService {
     /// call wins.
     pub fn set_cluster_status(&self, source: Arc<dyn ClusterStatusSource>) {
         let _ = self.cluster.set(source);
+        if let Some(obs) = &self.obs {
+            // Exported from the first scrape on, not the first report.
+            obs.commit_wait();
+        }
     }
 
     /// Attaches the fetch-outcome counters of a
@@ -1183,7 +1188,13 @@ impl OakService {
         // locally, so the client's retry is at-least-once, which beats
         // acking an event a failover would lose.
         if let Some(cluster) = self.cluster.get() {
-            if !cluster.wait_for_commit(&report.user, head) {
+            let _span = oak_obs::span("commit_wait");
+            let start = self.obs.as_ref().map(|o| o.now());
+            let committed = cluster.wait_for_commit(&report.user, head);
+            if let (Some(obs), Some(start)) = (&self.obs, start) {
+                obs.record_commit_wait(start);
+            }
+            if !committed {
                 return self.cluster_refusal(b"report not yet replicated to a majority; retry");
             }
         }

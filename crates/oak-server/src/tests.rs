@@ -857,6 +857,10 @@ fn cluster_surfaces_appear_only_when_attached_and_followers_refuse() {
     assert!(metrics.contains("# TYPE oak_cluster_replication_lag gauge"));
     assert!(metrics.contains("oak_cluster_replication_lag{partition=\"1\"} 3"));
     assert!(metrics.contains("oak_cluster_refused_total 2"));
+    // ...and the replication stage histogram: one report got past the
+    // gate and waited for its commit (the refused one never did).
+    assert!(metrics.contains("# TYPE oak_cluster_commit_wait_duration_us histogram"));
+    assert!(metrics.contains("oak_cluster_commit_wait_duration_us_count 1"));
 }
 
 // ---------------------------------------------------------------------------

@@ -30,11 +30,19 @@ pub const FRAME_OVERHEAD: usize = 8;
 /// Fixed segment header size: magic plus the shard field.
 pub const SEGMENT_HEADER: usize = SEGMENT_MAGIC.len() + 4;
 
+/// The `[len: u32 LE][crc32: u32 LE]` that precedes `payload` in its
+/// frame, for writers that would rather not copy a large payload.
+pub fn frame_header(payload: &[u8]) -> [u8; FRAME_OVERHEAD] {
+    let mut header = [0; FRAME_OVERHEAD];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    header
+}
+
 /// Frames `payload` as `[len: u32 LE][crc32: u32 LE][payload]`.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame.extend_from_slice(&frame_header(payload));
     frame.extend_from_slice(payload);
     frame
 }

@@ -29,16 +29,16 @@ use oak_core::events::{EventSink, SequencedEvent};
 use oak_json::Value;
 
 use crate::backend::{RealFs, StorageBackend};
-use crate::segment::{decode_frame, encode_frame, read_segment_with, SegmentWriter};
+use crate::segment::{decode_frame, frame_header, read_segment_with, SegmentWriter};
 
 /// Hands the allocator's free pages back to the OS.
 ///
-/// A snapshot builds the whole engine state as a JSON tree on the calling
-/// thread, and glibc keeps a thread's freed memory in that thread's own
-/// arena: it is resident but no other thread can reuse it. Snapshots are
-/// taken by whichever serving thread crosses the event threshold, so
-/// without this the process's resident set grows by one snapshot's worth
-/// per distinct thread that has ever taken one.
+/// A snapshot encodes the whole engine state as one JSON text on the
+/// calling thread, and glibc keeps a thread's freed memory in that
+/// thread's own arena: it is resident but no other thread can reuse it.
+/// Snapshots are taken by whichever serving thread crosses the event
+/// threshold, so without this the process's resident set grows by one
+/// snapshot's worth per distinct thread that has ever taken one.
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 fn release_freed_heap() {
     extern "C" {
@@ -58,8 +58,8 @@ fn release_freed_heap() {}
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"OAKSNAP1";
 
 /// Events kept in the in-memory recent ring that serves [`OakStore::tail`]
-/// without touching disk. WAL shipping polls `tail` once per follower
-/// per protocol tick; without the ring each poll decodes every live
+/// without touching disk. WAL shipping calls `tail` once per follower
+/// per shipped batch; without the ring each call decodes every live
 /// segment, which is quadratic while a follower catches up. A follower
 /// further behind than the ring reaches falls back to the full log scan
 /// (or snapshot transfer, past the compaction horizon).
@@ -122,6 +122,9 @@ pub struct OakStore {
     slots: Vec<Mutex<Option<SegmentWriter>>>,
     closed: Mutex<Vec<ClosedSegment>>,
     segment_ids: AtomicU64,
+    /// `segment_ids` at open: every segment file with a lower id was
+    /// left by an earlier run; every other one is in `slots` or `closed`.
+    first_segment_id: u64,
     events_recorded: AtomicU64,
     events_since_snapshot: AtomicU64,
     write_errors: AtomicU64,
@@ -170,6 +173,7 @@ impl OakStore {
             slots: (0..=SHARD_COUNT).map(|_| Mutex::new(None)).collect(),
             closed: Mutex::new(Vec::new()),
             segment_ids: AtomicU64::new(next_id),
+            first_segment_id: next_id,
             events_recorded: AtomicU64::new(0),
             events_since_snapshot: AtomicU64::new(0),
             write_errors: AtomicU64::new(0),
@@ -244,15 +248,20 @@ impl OakStore {
         self.write_errors.load(Ordering::Relaxed)
     }
 
-    /// Tails this store's WAL: every event with `seq >= from_seq` the
-    /// log contiguously covers, or [`crate::stream::Tail::Compacted`]
-    /// when that range was compacted into a snapshot. The read half of
-    /// WAL shipping — see [`crate::stream`].
-    pub fn tail(&self, from_seq: u64) -> io::Result<crate::stream::Tail> {
-        if let Some(events) = self.recent_tail(from_seq) {
+    /// Tails this store's WAL: the first `max` events with
+    /// `seq >= from_seq` the log contiguously covers, or
+    /// [`crate::stream::Tail::Compacted`] when that range was compacted
+    /// into a snapshot. The read half of WAL shipping — see
+    /// [`crate::stream`].
+    pub fn tail(&self, from_seq: u64, max: usize) -> io::Result<crate::stream::Tail> {
+        if let Some(events) = self.recent_tail(from_seq, max) {
             return Ok(crate::stream::Tail::Events(events));
         }
-        crate::stream::tail_wal(&*self.backend, &self.dir, from_seq)
+        let mut tail = crate::stream::tail_wal(&*self.backend, &self.dir, from_seq)?;
+        if let crate::stream::Tail::Events(events) = &mut tail {
+            events.truncate(max);
+        }
+        Ok(tail)
     }
 
     /// Serves [`OakStore::tail`] from the recent ring when it reaches
@@ -260,7 +269,7 @@ impl OakStore {
     /// Ring events below the compaction horizon are still served — they
     /// are correct copies, and shipping them spares the follower a
     /// snapshot transfer.
-    fn recent_tail(&self, from_seq: u64) -> Option<Vec<SequencedEvent>> {
+    fn recent_tail(&self, from_seq: u64, max: usize) -> Option<Vec<SequencedEvent>> {
         let recent = self.recent.lock().expect("recent ring lock");
         let first = recent.front()?.seq;
         if from_seq < first {
@@ -271,6 +280,9 @@ impl OakStore {
         for event in recent.iter() {
             if event.seq < expect {
                 continue;
+            }
+            if events.len() == max {
+                break;
             }
             if event.seq != expect {
                 // A lower seq is still mid-append in another shard;
@@ -324,7 +336,7 @@ impl OakStore {
     /// compact up to the newest watermark).
     pub fn snapshot(&self, oak: &Oak) -> io::Result<PathBuf> {
         let path = self.write_snapshot(oak);
-        // The encoded state (JSON tree, payload, frame) is garbage now.
+        // The encoded state is garbage now.
         release_freed_heap();
         path
     }
@@ -333,21 +345,17 @@ impl OakStore {
         let _span = oak_obs::span("snapshot");
         let snapshot_start = self.obs.get().map(|o| o.now());
         let _guard = self.snapshot_lock.lock().expect("snapshot lock");
-        let doc = oak.snapshot_json();
-        let watermark = doc
-            .get("event_seq")
-            .and_then(Value::as_u64)
-            .expect("snapshot carries event_seq");
-
-        let payload = doc.to_string();
+        let (watermark, payload) = oak.snapshot_text();
         let tmp = self.dir.join(format!("snap-{watermark:020}.tmp"));
         let path = self.dir.join(snapshot_name(watermark));
         {
             let mut file = self.backend.create(&tmp)?;
             file.write_all(SNAPSHOT_MAGIC)?;
-            file.write_all(&encode_frame(payload.as_bytes()))?;
+            file.write_all(&frame_header(payload.as_bytes()))?;
+            file.write_all(payload.as_bytes())?;
             file.sync_data()?;
         }
+        drop(payload);
         self.backend.rename(&tmp, &path)?;
         // The rename must be *directory-durable* before anything it
         // supersedes is deleted: without this fsync a crash can persist
@@ -401,17 +409,20 @@ impl OakStore {
                 let _ = self.backend.remove_file(&segment.path);
             }
         }
-        let known: Vec<PathBuf> = keep.iter().map(|s| s.path.clone()).collect();
         *closed = keep;
         drop(closed);
         // Segments this store didn't write (leftovers from the run the
         // engine recovered from) don't carry an in-memory max_seq; read
-        // it off the frames before deciding.
+        // it off the frames before deciding. Only those: a segment of
+        // this store that is in neither `slots` nor `closed` is one a
+        // concurrent `append_to_slot` created a moment ago — still
+        // empty, so it reads as 0, and unlinking it would lose every
+        // event appended to it from here on.
         for name in self.backend.list_dir(&self.dir)? {
-            let candidate = self.dir.join(&name);
-            if parse_segment_name(&name).is_none() || known.iter().any(|p| p == &candidate) {
+            if parse_segment_name(&name).is_none_or(|(_, id)| id >= self.first_segment_id) {
                 continue;
             }
+            let candidate = self.dir.join(&name);
             if segment_max_seq(&*self.backend, &candidate) < compact_below {
                 let _ = self.backend.remove_file(&candidate);
             }

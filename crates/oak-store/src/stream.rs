@@ -175,19 +175,19 @@ mod tests {
         let head = boot.oak.event_seq();
         assert_eq!(head, 6);
 
-        let all = events_of(boot.store.tail(0).unwrap());
+        let all = events_of(boot.store.tail(0, usize::MAX).unwrap());
         assert_eq!(all.len(), 6);
         assert_eq!(
             all.iter().map(|e| e.seq).collect::<Vec<_>>(),
             (0..6).collect::<Vec<_>>()
         );
 
-        let suffix = events_of(boot.store.tail(4).unwrap());
+        let suffix = events_of(boot.store.tail(4, usize::MAX).unwrap());
         assert_eq!(suffix.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![4, 5]);
 
         // At or past the head: caught up, nothing to ship.
-        assert!(events_of(boot.store.tail(head).unwrap()).is_empty());
-        assert!(events_of(boot.store.tail(head + 10).unwrap()).is_empty());
+        assert!(events_of(boot.store.tail(head, usize::MAX).unwrap()).is_empty());
+        assert!(events_of(boot.store.tail(head + 10, usize::MAX).unwrap()).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -200,7 +200,7 @@ mod tests {
         boot.oak
             .add_rule(Rule::remove(r#"<script src="http://a.example/x.js">"#))
             .unwrap();
-        let events = events_of(boot.store.tail(0).unwrap());
+        let events = events_of(boot.store.tail(0, usize::MAX).unwrap());
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].epoch, 7);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -222,22 +222,27 @@ mod tests {
         }
         let head = boot.oak.event_seq();
         assert_eq!(head as usize, total);
+        let same = |a: &[SequencedEvent], b: &[SequencedEvent]| {
+            assert_eq!(a.len(), b.len());
+            for (a, b) in a.iter().zip(b) {
+                assert_eq!(a.to_value().to_string(), b.to_value().to_string());
+            }
+        };
         // A follower further back than the ring reaches falls through to
-        // the disk scan and still gets the complete contiguous run.
-        let deep = events_of(boot.store.tail(0).unwrap());
+        // the disk scan and still gets the complete contiguous run; one
+        // batch of it is the first `max` events of that run.
+        let deep = events_of(boot.store.tail(0, usize::MAX).unwrap());
         assert_eq!(deep.len(), total);
+        same(&events_of(boot.store.tail(8, 64).unwrap()), &deep[8..72]);
         // A nearly-caught-up follower is served from memory; the two
         // paths must agree event for event.
         let from = head - 16;
-        let ring = events_of(boot.store.tail(from).unwrap());
+        let ring = events_of(boot.store.tail(from, usize::MAX).unwrap());
         let scan = events_of(tail_wal(&crate::RealFs, &dir, from).unwrap());
         assert_eq!(ring.len(), 16);
-        assert_eq!(ring.len(), scan.len());
-        for (a, b) in ring.iter().zip(&scan) {
-            assert_eq!(a.to_value().to_string(), b.to_value().to_string());
-        }
+        same(&ring, &scan);
         // Fully caught up: both paths ship nothing.
-        assert!(events_of(boot.store.tail(head).unwrap()).is_empty());
+        assert!(events_of(boot.store.tail(head, usize::MAX).unwrap()).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -262,18 +267,21 @@ mod tests {
         let head = boot.oak.event_seq();
         // The live store still covers the compacted prefix from its
         // recent ring: shipping beats forcing a snapshot transfer.
-        assert_eq!(events_of(boot.store.tail(0).unwrap()).len(), head as usize);
+        assert_eq!(
+            events_of(boot.store.tail(0, usize::MAX).unwrap()).len(),
+            head as usize
+        );
         // A rebooted store starts with an empty ring, so a follower
         // behind the on-disk compaction horizon is snapshot-transfer
         // territory.
         drop(boot);
         let reboot = OakStore::boot(&dir, OakConfig::default(), opts).unwrap();
-        match reboot.store.tail(0).unwrap() {
+        match reboot.store.tail(0, usize::MAX).unwrap() {
             Tail::Compacted { watermark } => assert_eq!(watermark, head),
             Tail::Events(events) => panic!("expected Compacted, got {} events", events.len()),
         }
         // From the watermark onward the (empty) tail is servable again.
-        assert!(events_of(reboot.store.tail(head).unwrap()).is_empty());
+        assert!(events_of(reboot.store.tail(head, usize::MAX).unwrap()).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
