@@ -16,12 +16,19 @@
 //!   before any grant is sent), and winning needs a majority of the
 //!   replica set — so two primaries can never share an epoch.
 //! - **Election safety = durability.** A voter only grants to a
-//!   candidate whose replication watermark is at least the voter's own.
-//!   Any client-acked event was durable on a majority (that is what the
+//!   candidate whose log is at least as up to date as the voter's own,
+//!   where a log is the pair `(branch epoch, head)` — the epoch of its
+//!   last event (or installed snapshot) and its head sequence number —
+//!   compared lexicographically. Head numbers alone do not compare
+//!   across branches: a deposed primary that kept journaling has the
+//!   longest log and none of what the majority committed since. Any
+//!   client-acked event was durable on a majority (that is what the
 //!   replication watermark *means*), any election quorum intersects that
-//!   majority, so the winner provably holds every acked event. Skipping
-//!   that check is exactly the `buggy_promotion` fault the sim harness
-//!   injects to prove the no-acked-loss invariant has teeth.
+//!   majority, and the voter in the intersection refuses every
+//!   candidate whose pair is below its own — so the winner provably
+//!   holds every acked event. Skipping that check is exactly the
+//!   `buggy_promotion` fault the sim harness injects to prove the
+//!   no-acked-loss invariant has teeth.
 //! - **Deterministic timeouts.** Election deadlines are jittered by the
 //!   node id, never by a random source, so elections converge without
 //!   ties and a seed replays bit-identically.
@@ -68,7 +75,7 @@ pub struct LeaseConfig {
     pub jitter_step_ms: u64,
     /// A primary unable to reach a majority for this long steps down.
     pub lease_ms: u64,
-    /// FAULT INJECTION: grant votes without the watermark check. This is
+    /// FAULT INJECTION: grant votes without the log comparison. This is
     /// the deliberately broken failover the sim self-check must catch —
     /// never enable it outside the harness.
     pub buggy_promotion: bool,
@@ -97,8 +104,13 @@ pub enum LeaseMsg {
     Heartbeat { epoch: u64, commit: u64 },
     /// Follower's response: proof of contact plus its durable watermark.
     HeartbeatAck { epoch: u64, acked: u64 },
-    /// Candidate solicits a vote; `watermark` is its durable head.
-    VoteRequest { epoch: u64, watermark: u64 },
+    /// Candidate solicits a vote for `epoch`; its log is `(branch_epoch,
+    /// watermark)` — the epoch of its last event and its durable head.
+    VoteRequest {
+        epoch: u64,
+        branch_epoch: u64,
+        watermark: u64,
+    },
     /// Voter granted `epoch` to the sender of the matching request.
     VoteRequestGranted { epoch: u64 },
 }
@@ -260,9 +272,15 @@ impl Lease {
 
     /// Advances time: primaries heartbeat (and step down on an expired
     /// lease), followers/candidates start elections past their deadline.
-    /// `my_watermark` is this node's durable applied head; `commit` is
-    /// the replication watermark to advertise (primaries only).
-    pub fn tick(&mut self, now_ms: u64, my_watermark: u64, commit: u64) -> Vec<(NodeId, LeaseMsg)> {
+    /// `my_log` is this node's `(branch epoch, durable applied head)`;
+    /// `commit` is the replication watermark to advertise (primaries
+    /// only).
+    pub fn tick(
+        &mut self,
+        now_ms: u64,
+        my_log: (u64, u64),
+        commit: u64,
+    ) -> Vec<(NodeId, LeaseMsg)> {
         let mut out = Vec::new();
         match self.role {
             Role::Primary => {
@@ -303,7 +321,8 @@ impl Lease {
                                 peer,
                                 LeaseMsg::VoteRequest {
                                     epoch: self.epoch,
-                                    watermark: my_watermark,
+                                    branch_epoch: my_log.0,
+                                    watermark: my_log.1,
                                 },
                             ));
                         }
@@ -323,14 +342,14 @@ impl Lease {
         self.deadline_ms = now_ms;
     }
 
-    /// Handles one lease message. `my_watermark` is this node's durable
-    /// applied head (the vote-grant comparison point).
+    /// Handles one lease message. `my_log` is this node's `(branch epoch,
+    /// durable applied head)` — the vote-grant comparison point.
     pub fn on_msg(
         &mut self,
         now_ms: u64,
         from: NodeId,
         msg: &LeaseMsg,
-        my_watermark: u64,
+        my_log: (u64, u64),
     ) -> Vec<(NodeId, LeaseMsg)> {
         let mut out = Vec::new();
         match *msg {
@@ -343,7 +362,7 @@ impl Lease {
                         from,
                         LeaseMsg::HeartbeatAck {
                             epoch: self.epoch,
-                            acked: my_watermark,
+                            acked: my_log.1,
                         },
                     ));
                     return out;
@@ -359,7 +378,7 @@ impl Lease {
                         from,
                         LeaseMsg::HeartbeatAck {
                             epoch,
-                            acked: my_watermark,
+                            acked: my_log.1,
                         },
                     ));
                 }
@@ -379,7 +398,11 @@ impl Lease {
                     self.note_contact(now_ms, from);
                 }
             }
-            LeaseMsg::VoteRequest { epoch, watermark } => {
+            LeaseMsg::VoteRequest {
+                epoch,
+                branch_epoch,
+                watermark,
+            } => {
                 if epoch > self.epoch {
                     // Adopt the epoch but keep our own election clock:
                     // if we refuse the vote below (the candidate's WAL
@@ -392,11 +415,12 @@ impl Lease {
                     Some((e, granted_to)) if e == self.epoch => granted_to == from,
                     _ => true,
                 };
-                // Election safety: the candidate must be at least as
-                // durable as this voter, or acked events could be
-                // elected away. `buggy_promotion` skips exactly this —
-                // the fault the sim self-check proves it can catch.
-                let durable_enough = self.config.buggy_promotion || watermark >= my_watermark;
+                // Election safety: the candidate's log must be at least
+                // as up to date as this voter's, or acked events could
+                // be elected away. `buggy_promotion` skips exactly this
+                // — the fault the sim self-check proves it can catch.
+                let durable_enough =
+                    self.config.buggy_promotion || (branch_epoch, watermark) >= my_log;
                 if epoch == self.epoch
                     && self.role != Role::Primary
                     && not_yet_voted
@@ -435,13 +459,13 @@ mod tests {
     fn pump(
         leases: &mut [Lease],
         now: u64,
-        watermarks: &[u64],
+        logs: &[(u64, u64)],
         mut inbox: Vec<(NodeId, NodeId, LeaseMsg)>,
     ) {
         // Deliver until quiescent (no partitions in these unit tests).
         while let Some((from, to, msg)) = inbox.pop() {
             let i = to.0 as usize;
-            for (peer, reply) in leases[i].on_msg(now, from, &msg, watermarks[i]) {
+            for (peer, reply) in leases[i].on_msg(now, from, &msg, logs[i]) {
                 inbox.push((to, peer, reply));
             }
         }
@@ -451,7 +475,7 @@ mod tests {
     fn single_replica_elects_itself() {
         let mut lease = Lease::new(NodeId(0), ids(1), LeaseConfig::default(), 0);
         assert_eq!(lease.role(), Role::Follower);
-        let out = lease.tick(1_000, 0, 0);
+        let out = lease.tick(1_000, (0, 0), 0);
         assert!(out.is_empty());
         assert!(lease.is_primary());
         assert_eq!(lease.epoch(), 1);
@@ -463,16 +487,16 @@ mod tests {
         let mut leases: Vec<Lease> = (0..3)
             .map(|i| Lease::new(NodeId(i), ids(3), config, 0))
             .collect();
-        let watermarks = [0, 0, 0];
+        let logs = [(0, 0); 3];
         for step in 1..=50 {
             let now = step * 20;
             let mut inbox = Vec::new();
             for (i, lease) in leases.iter_mut().enumerate() {
-                for (to, msg) in lease.tick(now, watermarks[i], 0) {
+                for (to, msg) in lease.tick(now, logs[i], 0) {
                     inbox.push((NodeId(i as u32), to, msg));
                 }
             }
-            pump(&mut leases, now, &watermarks, inbox);
+            pump(&mut leases, now, &logs, inbox);
         }
         let primaries: Vec<u64> = leases
             .iter()
@@ -492,11 +516,38 @@ mod tests {
             NodeId(0),
             &LeaseMsg::VoteRequest {
                 epoch: 1,
+                branch_epoch: 0,
                 watermark: 3,
             },
-            10,
+            (0, 10),
         );
         assert!(out.is_empty(), "must not grant to a less-durable candidate");
+        // A longer log on an older branch is no better: the voter's
+        // epoch-2 events are not in it, however far its head runs.
+        let out = voter.on_msg(
+            0,
+            NodeId(0),
+            &LeaseMsg::VoteRequest {
+                epoch: 3,
+                branch_epoch: 1,
+                watermark: 15,
+            },
+            (2, 10),
+        );
+        assert!(out.is_empty(), "must not grant to a dead branch");
+        // ...while a shorter log on a newer branch holds everything the
+        // voter's branch committed before it.
+        let out = voter.on_msg(
+            0,
+            NodeId(0),
+            &LeaseMsg::VoteRequest {
+                epoch: 3,
+                branch_epoch: 2,
+                watermark: 8,
+            },
+            (1, 10),
+        );
+        assert_eq!(out.len(), 1);
         // Same request with the buggy flag: the broken failover grants.
         let mut buggy = Lease::new(
             NodeId(1),
@@ -512,9 +563,10 @@ mod tests {
             NodeId(0),
             &LeaseMsg::VoteRequest {
                 epoch: 1,
+                branch_epoch: 0,
                 watermark: 3,
             },
-            10,
+            (0, 10),
         );
         assert_eq!(out.len(), 1);
     }
@@ -527,9 +579,10 @@ mod tests {
             NodeId(0),
             &LeaseMsg::VoteRequest {
                 epoch: 1,
+                branch_epoch: 0,
                 watermark: 0,
             },
-            0,
+            (0, 0),
         );
         assert_eq!(grant.len(), 1);
         assert_eq!(voter.durable().voted_for, Some(NodeId(0)));
@@ -539,9 +592,10 @@ mod tests {
             NodeId(1),
             &LeaseMsg::VoteRequest {
                 epoch: 1,
+                branch_epoch: 0,
                 watermark: 99,
             },
-            0,
+            (0, 0),
         );
         assert!(refuse.is_empty());
         // But re-requests from the *same* candidate are re-granted
@@ -551,9 +605,10 @@ mod tests {
             NodeId(0),
             &LeaseMsg::VoteRequest {
                 epoch: 1,
+                branch_epoch: 0,
                 watermark: 0,
             },
-            0,
+            (0, 0),
         );
         assert_eq!(regrant.len(), 1);
     }
@@ -561,14 +616,14 @@ mod tests {
     #[test]
     fn stale_primary_steps_down_on_higher_epoch() {
         let mut stale = Lease::new(NodeId(0), ids(1), LeaseConfig::default(), 0);
-        stale.tick(1_000, 0, 0);
+        stale.tick(1_000, (0, 0), 0);
         assert!(stale.is_primary());
         // Heal: a higher-epoch ack arrives from the other side.
         stale.on_msg(
             2_000,
             NodeId(1),
             &LeaseMsg::HeartbeatAck { epoch: 9, acked: 0 },
-            0,
+            (0, 0),
         );
         assert!(!stale.is_primary());
         assert_eq!(stale.epoch(), 9);
@@ -580,16 +635,16 @@ mod tests {
         let mut leases: Vec<Lease> = (0..3)
             .map(|i| Lease::new(NodeId(i), ids(3), config, 0))
             .collect();
-        let watermarks = [0, 0, 0];
+        let logs = [(0, 0); 3];
         for step in 1..=50 {
             let now = step * 20;
             let mut inbox = Vec::new();
             for (i, lease) in leases.iter_mut().enumerate() {
-                for (to, msg) in lease.tick(now, watermarks[i], 0) {
+                for (to, msg) in lease.tick(now, logs[i], 0) {
                     inbox.push((NodeId(i as u32), to, msg));
                 }
             }
-            pump(&mut leases, now, &watermarks, inbox);
+            pump(&mut leases, now, &logs, inbox);
         }
         let primary = leases.iter().position(|l| l.is_primary()).unwrap();
         // Total silence: every message dropped from now on. The primary
@@ -597,7 +652,7 @@ mod tests {
         let mut now = 2_000;
         for _ in 0..100 {
             now += 20;
-            let _ = leases[primary].tick(now, 0, 0);
+            let _ = leases[primary].tick(now, (0, 0), 0);
         }
         assert!(
             !leases[primary].is_primary(),
@@ -614,9 +669,10 @@ mod tests {
             NodeId(0),
             &LeaseMsg::VoteRequest {
                 epoch: 4,
+                branch_epoch: 0,
                 watermark: 0,
             },
-            0,
+            (0, 0),
         );
         let durable = voter.durable();
         assert_eq!(durable.epoch, 4);
@@ -629,9 +685,10 @@ mod tests {
             NodeId(2),
             &LeaseMsg::VoteRequest {
                 epoch: 4,
+                branch_epoch: 0,
                 watermark: 99,
             },
-            0,
+            (0, 0),
         );
         assert!(refuse.is_empty(), "restored vote record must hold");
     }

@@ -108,9 +108,14 @@ impl Message {
                     doc.set("epoch", epoch);
                     doc.set("acked", acked);
                 }
-                LeaseMsg::VoteRequest { epoch, watermark } => {
+                LeaseMsg::VoteRequest {
+                    epoch,
+                    branch_epoch,
+                    watermark,
+                } => {
                     doc.set("t", "vote_req");
                     doc.set("epoch", epoch);
+                    doc.set("branch", branch_epoch);
                     doc.set("watermark", watermark);
                 }
                 LeaseMsg::VoteRequestGranted { epoch } => {
@@ -182,6 +187,8 @@ impl Message {
                 partition,
                 msg: LeaseMsg::VoteRequest {
                     epoch: u64_field(v, "epoch")?,
+                    // Absent from a pre-branch-epoch peer: branch 0.
+                    branch_epoch: v.get("branch").and_then(Value::as_u64).unwrap_or(0),
                     watermark: u64_field(v, "watermark")?,
                 },
             },
@@ -334,6 +341,7 @@ mod tests {
             partition: 0,
             msg: LeaseMsg::VoteRequest {
                 epoch: 6,
+                branch_epoch: 5,
                 watermark: 41,
             },
         });

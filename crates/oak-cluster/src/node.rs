@@ -22,10 +22,16 @@
 //!   is answered with its next batch, and the tick re-ships from the *acked* head only
 //!   when a follower made no progress since the last tick (a lost
 //!   `Append`, a gap, a regressed follower). No follower is ever owed
-//!   acks for more than one batch's worth of events.
-//! - A follower applies strictly in sequence (a gap ends the batch),
-//!   journals each event to its *own* WAL before applying it, and acks
-//!   its durable head.
+//!   acks for more than one batch's worth of events. An `Append` carries
+//!   only events stamped with the primary's own lease epoch: what its
+//!   store still holds of a branch that died is not history.
+//! - A follower applies strictly in sequence (a gap, or an event not of
+//!   the `Append`'s epoch, ends the batch), journals each event to its
+//!   *own* WAL before applying it, and acks its durable head.
+//! - Elections compare logs as `(branch epoch, head)` — the epoch of the
+//!   replica's last event or installed snapshot ([`Oak::epoch`]) before
+//!   its head sequence number — because heads alone do not compare
+//!   across branches (see [`crate::lease`]).
 //! - The **replication watermark** (`commit`) is the highest sequence
 //!   number durable on a majority of replicas. Client acks release at
 //!   the watermark and never before — so "acked" *means* "survives any
@@ -66,11 +72,13 @@ pub struct NodeOptions {
     pub store: StoreOptions,
     /// Lease/heartbeat timing.
     pub lease: LeaseConfig,
-    /// Max events per `Append` message.
-    pub append_batch: usize,
-    /// Resend an unacked snapshot transfer after this long.
-    pub snapshot_resend_ms: u64,
 }
+
+/// Max events per `Append` message, and per follower in flight.
+const APPEND_BATCH: usize = 64;
+
+/// Resend an unacked snapshot transfer after this long.
+const SNAPSHOT_RESEND_MS: u64 = 200;
 
 impl Default for NodeOptions {
     fn default() -> Self {
@@ -81,8 +89,6 @@ impl Default for NodeOptions {
                 ..StoreOptions::default()
             },
             lease: LeaseConfig::default(),
-            append_batch: 64,
-            snapshot_resend_ms: 200,
         }
     }
 }
@@ -149,6 +155,13 @@ struct Partition {
 impl Partition {
     fn head(&self) -> u64 {
         self.oak.event_seq()
+    }
+
+    /// This replica's log as elections compare it: `(branch epoch,
+    /// head)`, lexicographically. Heads alone do not compare across
+    /// branches — a deposed primary's dead branch may be the longest.
+    fn log(&self) -> (u64, u64) {
+        (self.oak.epoch(), self.head())
     }
 }
 
@@ -332,13 +345,12 @@ impl ClusterNode {
     pub fn ship(&mut self) -> Vec<Envelope> {
         let mut out = Vec::new();
         let me = self.id;
-        let append_batch = self.options.append_batch;
         let ids: Vec<u32> = self.partitions.keys().copied().collect();
         for partition in ids {
             let followers = self.followers(partition);
             let p = self.partitions.get_mut(&partition).expect("hosted");
             for follower in followers {
-                Self::ship_to(p, me, follower, append_batch, &mut out);
+                Self::ship_to(p, me, follower, &mut out);
             }
         }
         out
@@ -346,13 +358,7 @@ impl ClusterNode {
 
     /// The one shipping path: sends `follower` the next `Append` past
     /// what it was already sent (or has acked, whichever is further).
-    fn ship_to(
-        p: &mut Partition,
-        me: NodeId,
-        follower: NodeId,
-        append_batch: usize,
-        out: &mut Vec<Envelope>,
-    ) {
+    fn ship_to(p: &mut Partition, me: NodeId, follower: NodeId, out: &mut Vec<Envelope>) {
         if !p.lease.is_primary() || p.shipping.needs_snapshot.contains(&follower) {
             return;
         }
@@ -364,11 +370,21 @@ impl ClusterNode {
         // event as it happens; one that is behind is sent its next batch
         // when it acks the last, so it is never buried under its own
         // backlog and a retransmit repeats one batch, not a queue of them.
-        if from >= p.head() || from - acked >= append_batch as u64 {
+        if from >= p.head() || from - acked >= APPEND_BATCH as u64 {
             return;
         }
-        match p.store.tail(from, append_batch) {
-            Ok(Tail::Events(events)) => {
+        let epoch = p.lease.epoch();
+        match p.store.tail(from, APPEND_BATCH) {
+            Ok(Tail::Events(mut events)) => {
+                // Only this epoch's events. Everything a follower is
+                // owed in an epoch was emitted in it — the epoch opened
+                // with a snapshot at the head — so a frame stamped with
+                // another epoch is not history: the store still holds
+                // what this replica journaled on a branch that died
+                // (it was deposed, then installed the winner's snapshot),
+                // under sequence numbers at and past the live head.
+                let own = events.iter().take_while(|e| e.epoch == epoch).count();
+                events.truncate(own);
                 let Some(last) = events.last() else { return };
                 p.shipping.sent.insert(follower, last.seq + 1);
                 out.push(Envelope {
@@ -376,7 +392,7 @@ impl ClusterNode {
                     to: follower,
                     msg: Message::Append {
                         partition: p.id,
-                        epoch: p.lease.epoch(),
+                        epoch,
                         commit: p.commit,
                         events,
                     },
@@ -409,15 +425,12 @@ impl ClusterNode {
         let me = self.id;
         let dir = self.partition_dir(partition);
         let backend = self.backend.clone();
-        let append_batch = self.options.append_batch;
-        let snapshot_resend_ms = self.options.snapshot_resend_ms;
         let Some(p) = self.partitions.get_mut(&partition) else {
             return;
         };
 
         let before = (p.lease.role(), p.lease.epoch(), p.lease.durable());
-        let head = p.head();
-        let lease_out = p.lease.tick(now_ms, head, p.commit);
+        let lease_out = p.lease.tick(now_ms, p.log(), p.commit);
         Self::apply_transition(p, &followers, before.0, before.1);
         if p.lease.durable() != before.2 {
             write_lease_file(&*backend, &dir, p.lease.durable());
@@ -440,7 +453,7 @@ impl ClusterNode {
         for follower in pending {
             let sent = p.shipping.snapshot_sent_ms.get(&follower).copied();
             if let Some(at) = sent {
-                if now_ms.saturating_sub(at) < snapshot_resend_ms {
+                if now_ms.saturating_sub(at) < SNAPSHOT_RESEND_MS {
                     continue;
                 }
             }
@@ -472,7 +485,7 @@ impl ClusterNode {
             if !p.shipping.progressed.remove(&follower) {
                 p.shipping.sent.remove(&follower);
             }
-            Self::ship_to(p, me, follower, append_batch, out);
+            Self::ship_to(p, me, follower, out);
         }
         Self::recompute_commit(p, &followers);
     }
@@ -527,15 +540,13 @@ impl ClusterNode {
         let dir = self.partition_dir(partition);
         let backend = self.backend.clone();
         let oak_config = self.options.oak;
-        let append_batch = self.options.append_batch;
         let p = self.partitions.get_mut(&partition).expect("checked");
         let from = envelope.from;
 
         let before = (p.lease.role(), p.lease.epoch(), p.lease.durable());
         match &envelope.msg {
             Message::Lease { msg, .. } => {
-                let head = p.head();
-                let replies = p.lease.on_msg(now_ms, from, msg, head);
+                let replies = p.lease.on_msg(now_ms, from, msg, p.log());
                 // Track the commit hint a heartbeat carries.
                 if let crate::lease::LeaseMsg::Heartbeat { commit, .. } = msg {
                     if !p.lease.is_primary() {
@@ -565,8 +576,11 @@ impl ClusterNode {
                         if event.seq < head {
                             continue;
                         }
-                        if event.seq > head {
-                            break; // gap: wait for backfill
+                        if event.seq > head || event.epoch != *epoch {
+                            // A gap (wait for backfill), or a frame this
+                            // primary's epoch never emitted: not ours to
+                            // apply under its authority.
+                            break;
                         }
                         // Journal to our own WAL *before* applying:
                         // what we ack must be what our recovery
@@ -614,7 +628,7 @@ impl ClusterNode {
                     Self::recompute_commit(p, &followers);
                     // A follower still behind the head gets its next
                     // batch in the reply, not a tick later.
-                    Self::ship_to(p, me, from, append_batch, &mut out);
+                    Self::ship_to(p, me, from, &mut out);
                 }
             }
             Message::Snapshot {
@@ -678,7 +692,7 @@ impl ClusterNode {
                     p.shipping.progressed.insert(from);
                     p.lease.note_contact(now_ms, from);
                     Self::recompute_commit(p, &followers);
-                    Self::ship_to(p, me, from, append_batch, &mut out);
+                    Self::ship_to(p, me, from, &mut out);
                 }
             }
         }
@@ -769,14 +783,6 @@ fn write_installed_epoch(backend: &dyn StorageBackend, dir: &std::path::Path, ep
     let _ = write();
 }
 
-// Keep the unused-field warning away until the TCP transport reads it.
-impl ClusterNode {
-    /// Node options in effect.
-    pub fn options(&self) -> &NodeOptions {
-        &self.options
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use oak_core::rule::Rule;
@@ -795,6 +801,10 @@ mod tests {
 
     struct Harness {
         nodes: Vec<ClusterNode>,
+        /// Nodes with every link down: still ticked, heard by nobody.
+        cut: Vec<usize>,
+        /// Stopped nodes: neither ticked nor delivered to.
+        down: Vec<usize>,
     }
 
     impl Harness {
@@ -815,25 +825,33 @@ mod tests {
                     .unwrap()
                 })
                 .collect();
-            Harness { nodes }
+            Harness {
+                nodes,
+                cut: Vec::new(),
+                down: Vec::new(),
+            }
         }
 
-        /// Ticks every node then delivers all traffic to quiescence.
+        /// Whether the harness's faults let `envelope` through.
+        fn reaches(&self, envelope: &Envelope) -> bool {
+            let (from, to) = (envelope.from.0 as usize, envelope.to.0 as usize);
+            !self.cut.contains(&from) && !self.cut.contains(&to) && !self.down.contains(&to)
+        }
+
+        /// Ticks every running node then delivers all traffic to
+        /// quiescence.
         fn settle(&mut self, now_ms: u64) {
             let mut inbox: Vec<Envelope> = Vec::new();
-            for node in &mut self.nodes {
-                inbox.extend(node.tick(now_ms));
+            for (i, node) in self.nodes.iter_mut().enumerate() {
+                if !self.down.contains(&i) {
+                    inbox.extend(node.tick(now_ms));
+                }
             }
             let mut rounds = 0;
             while !inbox.is_empty() {
                 rounds += 1;
                 assert!(rounds < 100, "cluster message storm");
-                let mut next = Vec::new();
-                for envelope in &inbox {
-                    let node = &mut self.nodes[envelope.to.0 as usize];
-                    next.extend(node.handle(now_ms, envelope));
-                }
-                inbox = next;
+                inbox = self.deliver(now_ms, inbox);
             }
         }
 
@@ -866,10 +884,45 @@ mod tests {
         fn deliver(&mut self, now_ms: u64, inbox: Vec<Envelope>) -> Vec<Envelope> {
             let mut replies = Vec::new();
             for envelope in &inbox {
-                let node = &mut self.nodes[envelope.to.0 as usize];
-                replies.extend(node.handle(now_ms, envelope));
+                if self.reaches(envelope) {
+                    let node = &mut self.nodes[envelope.to.0 as usize];
+                    replies.extend(node.handle(now_ms, envelope));
+                }
             }
             replies
+        }
+
+        /// Settles until the nodes in `among` agree on one primary whose
+        /// commit covers its head and whose head they all share; returns
+        /// it and the clock.
+        fn converge(&mut self, mut now: u64, among: &[usize]) -> (usize, u64) {
+            let deadline = now + 10_000;
+            loop {
+                now += 50;
+                assert!(now < deadline, "no convergence among {among:?}");
+                self.settle(now);
+                let primaries: Vec<usize> = among
+                    .iter()
+                    .copied()
+                    .filter(|&i| self.nodes[i].role(0) == Some(Role::Primary))
+                    .collect();
+                let [primary] = primaries[..] else { continue };
+                let head = self.head(primary);
+                if self.nodes[primary].commit(0) == Some(head)
+                    && among.iter().all(|&i| self.head(i) == head)
+                {
+                    return (primary, now);
+                }
+            }
+        }
+
+        fn head(&self, node: usize) -> u64 {
+            self.nodes[node].replica_engine(0).unwrap().event_seq()
+        }
+
+        fn state(&self, node: usize) -> String {
+            let replica = self.nodes[node].replica_engine(0).unwrap();
+            replica.snapshot_json().to_string()
         }
 
         fn assert_replicated(&self, primary: usize, head: u64) {
@@ -1009,7 +1062,7 @@ mod tests {
             activate(&oak, id, user);
         }
         let head = oak.event_seq();
-        let batch = h.nodes[primary].options().append_batch;
+        let batch = APPEND_BATCH;
 
         // One ship starts it; from then on every ack is answered with
         // the next batch, so a round trip moves a follower 64 events.
@@ -1094,6 +1147,105 @@ mod tests {
         now += 20;
         h.settle(now);
         h.assert_replicated(primary, head);
+    }
+
+    /// The three-node scenario behind both dead-branch defects. Elect P,
+    /// replicate to head X; cut P off and let it journal five more events
+    /// nobody hears of; the other two elect Q, journal two events and
+    /// commit them (a client holds a 204 for each); heal once P has
+    /// outrun Q's epoch, and wait for the group to agree. Returns
+    /// `(harness, P, Q, clock)`.
+    fn heal_after_a_longer_dead_branch(tag: &str) -> (Harness, usize, usize, u64) {
+        let mut h = Harness::new(tag, 3, 1, 3);
+        let (p, now) = h.elect();
+        let oak = h.nodes[p].primary_engine(0).unwrap();
+        let id = oak
+            .add_rule(Rule::remove(r#"<script src="http://slow.example/t.js">"#))
+            .unwrap();
+        activate(&oak, id, 1);
+        let (_, now) = h.converge(now, &[0, 1, 2]);
+        let x = oak.event_seq();
+
+        h.cut = vec![p];
+        for user in 10..15 {
+            activate(&oak, id, user);
+        }
+        assert_eq!(h.head(p), x + 5);
+        let others: Vec<usize> = (0..3).filter(|&i| i != p).collect();
+        let (q, now) = h.converge(now, &others);
+        let promoted = h.nodes[q].primary_engine(0).unwrap();
+        activate(&promoted, id, 20);
+        activate(&promoted, id, 21);
+        let (_, mut now) = h.converge(now, &others);
+        assert_eq!(h.nodes[q].commit(0), Some(x + 2), "two acked events");
+        // P's lease runs out and it starts calling elections nobody
+        // hears: it comes back a candidate at the group's highest epoch.
+        while h.nodes[p].status()[0].epoch <= h.nodes[q].status()[0].epoch {
+            now += 50;
+            h.settle(now);
+        }
+        assert_eq!(h.nodes[p].role(0), Some(Role::Candidate));
+
+        h.cut.clear();
+        let (_, now) = h.converge(now, &[0, 1, 2]);
+        (h, p, q, now)
+    }
+
+    #[test]
+    fn a_longer_dead_branch_does_not_win_the_election() {
+        let (h, p, _, _) = heal_after_a_longer_dead_branch("dead-branch-vote");
+        // P came back a candidate at the highest epoch with the longest
+        // log. Votes that compare heads alone elect it, and its
+        // epoch-start snapshot then erases the two acked events from
+        // every replica.
+        for node in 0..3 {
+            let replica = h.nodes[node].replica_engine(0).unwrap();
+            for user in [1, 20, 21] {
+                assert_eq!(
+                    replica.active_rules(&format!("u-{user}")).len(),
+                    1,
+                    "node {node} lost the committed activation of u-{user}"
+                );
+            }
+            assert!(
+                replica.active_rules("u-10").is_empty(),
+                "node {node} holds an event of P's dead branch"
+            );
+            assert_eq!(h.state(node), h.state(p), "node {node} diverged");
+        }
+    }
+
+    #[test]
+    fn a_primary_ships_none_of_its_dead_branch() {
+        let (mut h, p, q, now) = heal_after_a_longer_dead_branch("dead-branch-ship");
+        // P followed the winner to its head, but its store still holds
+        // the dead frames — in the recent ring and on disk — under
+        // sequence numbers at and past that head.
+        let x2 = h.head(p);
+        h.down = vec![q];
+        let rest: Vec<usize> = (0..3).filter(|&i| i != q).collect();
+        let (primary, mut now) = h.converge(now, &rest);
+        assert_eq!(primary, p, "P has the shorter election timeout");
+        // Past the epoch-start snapshot, so the next event travels as an
+        // `Append`.
+        while h.nodes[p].partitions[&0].shipping.needs_snapshot != [NodeId(q as u32)].into() {
+            now += 50;
+            h.settle(now);
+        }
+        let oak = h.nodes[p].primary_engine(0).unwrap();
+        let id = oak.rules().next().unwrap().0;
+        activate(&oak, id, 30);
+        for _ in 0..10 {
+            now += 50;
+            h.settle(now);
+        }
+        // One event journaled, one event shipped: a tail that runs on
+        // into the dead frames leaves the follower ahead of its primary,
+        // holding events the primary never had.
+        for &node in &rest {
+            assert_eq!(h.head(node), x2 + 1, "node {node}");
+            assert_eq!(h.state(node), h.state(p), "node {node} diverged");
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl Claims {
     }
 }
 
-fn run_interleaving(n: usize, watermarks: &[u64], steps: &[Step], config: LeaseConfig) {
+fn run_interleaving(n: usize, logs: &[(u64, u64)], steps: &[Step], config: LeaseConfig) {
     let replicas: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
     let mut clocks = vec![0u64; n];
     let mut leases: Vec<Lease> = replicas
@@ -72,7 +72,7 @@ fn run_interleaving(n: usize, watermarks: &[u64], steps: &[Step], config: LeaseC
                 // Clock skew: this node's clock advances while the
                 // others stand still.
                 clocks[i] += amount;
-                let out = leases[i].tick(clocks[i], watermarks[i], 0);
+                let out = leases[i].tick(clocks[i], logs[i], 0);
                 for (to, msg) in out {
                     bag.pending.push((replicas[i], to, msg));
                 }
@@ -81,7 +81,7 @@ fn run_interleaving(n: usize, watermarks: &[u64], steps: &[Step], config: LeaseC
             1 if !bag.pending.is_empty() => {
                 let (from, to, msg) = bag.pending.remove(selector % bag.pending.len());
                 let i = to.0 as usize;
-                let out = leases[i].on_msg(clocks[i], from, &msg, watermarks[i]);
+                let out = leases[i].on_msg(clocks[i], from, &msg, logs[i]);
                 for (peer, reply) in out {
                     bag.pending.push((to, peer, reply));
                 }
@@ -109,19 +109,19 @@ proptest! {
     #[test]
     fn at_most_one_leaseholder_per_epoch_3(
         steps in prop::collection::vec((0usize..4, 0usize..64, 0u64..150), 0..400),
-        w0 in 0u64..20, w1 in 0u64..20, w2 in 0u64..20,
+        l0 in (0u64..3, 0u64..20), l1 in (0u64..3, 0u64..20), l2 in (0u64..3, 0u64..20),
     ) {
-        run_interleaving(3, &[w0, w1, w2], &steps, LeaseConfig::default());
+        run_interleaving(3, &[l0, l1, l2], &steps, LeaseConfig::default());
     }
 
     /// Five replicas (two simultaneous failures tolerated), same law.
     #[test]
     fn at_most_one_leaseholder_per_epoch_5(
         steps in prop::collection::vec((0usize..4, 0usize..64, 0u64..150), 0..400),
-        w0 in 0u64..20, w1 in 0u64..20, w2 in 0u64..20,
-        w3 in 0u64..20, w4 in 0u64..20,
+        l0 in (0u64..3, 0u64..20), l1 in (0u64..3, 0u64..20), l2 in (0u64..3, 0u64..20),
+        l3 in (0u64..3, 0u64..20), l4 in (0u64..3, 0u64..20),
     ) {
-        run_interleaving(5, &[w0, w1, w2, w3, w4], &steps, LeaseConfig::default());
+        run_interleaving(5, &[l0, l1, l2, l3, l4], &steps, LeaseConfig::default());
     }
 
     /// The safety law must hold for any timing configuration, not just
@@ -140,6 +140,6 @@ proptest! {
             lease_ms: lease,
             buggy_promotion: false,
         };
-        run_interleaving(3, &[4, 9, 2], &steps, config);
+        run_interleaving(3, &[(1, 4), (0, 9), (1, 2)], &steps, config);
     }
 }

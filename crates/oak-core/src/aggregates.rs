@@ -296,6 +296,11 @@ impl SiteAggregates {
         self.reports
     }
 
+    /// Reports folded for one user.
+    pub fn reports_from(&self, user: &str) -> u64 {
+        self.users.get(user).copied().unwrap_or(0)
+    }
+
     /// Distinct users that have reported.
     pub fn user_count(&self) -> usize {
         self.users.len()

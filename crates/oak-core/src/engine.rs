@@ -29,6 +29,16 @@
 //! Lock order is rule table before shard, shards in ascending index;
 //! no method acquires them in any other order, so the engine cannot
 //! deadlock against itself.
+//!
+//! # One writer
+//!
+//! Every mutator is *decide → apply → emit*: under its locks it works
+//! out what will change from the state as it stands, applies that
+//! decision through a function that takes nothing else, and hands the
+//! same decision to the [`EventSink`] as an [`EngineEvent`].
+//! [`Oak::apply_event`] calls those same functions, so live ingest, WAL
+//! replay and a follower applying a shipped event are one code path —
+//! with or without a sink.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::{self, Write as _};
@@ -256,6 +266,33 @@ struct RuleTable {
     next_rule_id: u32,
 }
 
+impl RuleTable {
+    /// Registers `rule` under `id` — the one way a rule enters the table,
+    /// whether from [`Oak::add_rule`], a replayed `RuleAdded` or a
+    /// snapshot row. Keeps the id allocator ahead of every id present, so
+    /// additions after a recovery never reuse one.
+    fn insert(&mut self, id: RuleId, rule: Rule) {
+        let default_surface = RuleSurface::compile(&rule.default_text);
+        let alt_surfaces: Vec<RuleSurface> = rule
+            .alternatives
+            .iter()
+            .map(|a| RuleSurface::compile(a))
+            .collect();
+        self.index.insert(id, &default_surface, &alt_surfaces);
+        self.surfaces.insert(id, (default_surface, alt_surfaces));
+        self.rules.insert(id, rule);
+        self.next_rule_id = self.next_rule_id.max(id.0 + 1);
+    }
+
+    /// Drops a rule and its surfaces; the caller clears user state.
+    fn remove(&mut self, id: RuleId) -> Option<Rule> {
+        let rule = self.rules.remove(&id)?;
+        self.surfaces.remove(&id);
+        self.index = DomainIndex::rebuild(&self.surfaces);
+        Some(rule)
+    }
+}
+
 /// Maps violator domains to the rules whose surfaces could possibly match
 /// them, so a report consults only candidate rules instead of scanning
 /// the whole table.
@@ -348,6 +385,34 @@ struct Shard {
     aggregates: crate::aggregates::SiteAggregates,
 }
 
+impl Shard {
+    /// Forces `rule` active for `user` (operator action: no log entry).
+    fn force_activate(&mut self, time: Instant, user: &str, rule_id: RuleId, rule: &Rule) {
+        let forced = ActiveRule {
+            alternative_index: initial_alternative(rule, user),
+            alternatives_tried: 1,
+            activated_at: time,
+            default_severity: f64::INFINITY,
+        };
+        let state = self.users.entry(user.to_owned()).or_default();
+        state.active.insert(rule_id, forced);
+    }
+
+    /// Drops `user`'s activation of `rule`; whether there was one.
+    fn force_deactivate(&mut self, user: &str, rule: RuleId) -> bool {
+        self.users
+            .get_mut(user)
+            .is_some_and(|state| state.active.remove(&rule).is_some())
+    }
+
+    /// Forgets `users` (the activity log and aggregates keep theirs).
+    fn prune(&mut self, users: &[String]) {
+        for user in users {
+            self.users.remove(user);
+        }
+    }
+}
+
 /// The Oak server engine.
 ///
 /// Owns the operator's rules, every user's activation state, and the
@@ -438,22 +503,12 @@ impl Oak {
         self.sink = Some(sink);
     }
 
-    /// Detaches the event sink, if any.
-    pub fn clear_event_sink(&mut self) {
-        self.sink = None;
-    }
-
     /// Attaches stage-latency instrumentation. Like
     /// [`Oak::set_event_sink`], takes `&mut self` so it can only happen
     /// before the engine is shared. With no metrics attached the hot
     /// paths read no clock and record nothing.
     pub fn set_obs(&mut self, obs: Arc<crate::obs::CoreMetrics>) {
         self.obs = Some(obs);
-    }
-
-    /// Whether mutations are being recorded to a sink.
-    pub fn has_event_sink(&self) -> bool {
-        self.sink.is_some()
     }
 
     /// Emits one event to the sink, allocating its sequence number.
@@ -483,7 +538,12 @@ impl Oak {
         self.epoch.store(epoch, Ordering::Relaxed);
     }
 
-    /// The replication epoch currently stamped on emitted events.
+    /// The replication epoch of the branch this engine's history is on:
+    /// the epoch of the last event it emitted ([`Oak::set_epoch`]) or
+    /// applied ([`Oak::apply_event`]), or of the snapshot it was built
+    /// from — so recovery restores it. Two replicas' histories compare as
+    /// `(epoch, event_seq)`, lexicographically; sequence numbers alone do
+    /// not compare across branches.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Relaxed)
     }
@@ -520,16 +580,7 @@ impl Oak {
         rule.validate()?;
         let mut table = self.rules.write().expect("rule table lock");
         let id = RuleId(table.next_rule_id);
-        table.next_rule_id += 1;
-        let default_surface = RuleSurface::compile(&rule.default_text);
-        let alt_surfaces: Vec<RuleSurface> = rule
-            .alternatives
-            .iter()
-            .map(|a| RuleSurface::compile(a))
-            .collect();
-        table.index.insert(id, &default_surface, &alt_surfaces);
-        table.surfaces.insert(id, (default_surface, alt_surfaces));
-        table.rules.insert(id, rule);
+        table.insert(id, rule);
         // Emitted under the write lock: no ingest that can see this rule
         // sequences before it.
         self.emit_with(None, || EngineEvent::RuleAdded {
@@ -566,9 +617,14 @@ impl Oak {
     /// turnover); ids are never reused.
     pub fn remove_rule(&self, id: RuleId) -> Option<Rule> {
         let mut table = self.rules.write().expect("rule table lock");
-        let rule = table.rules.remove(&id)?;
-        table.surfaces.remove(&id);
-        table.index = DomainIndex::rebuild(&table.surfaces);
+        let rule = self.apply_rule_removed(&mut table, id)?;
+        self.emit_with(None, || EngineEvent::RuleRemoved { id });
+        Some(rule)
+    }
+
+    /// Drops rule `id` from the table and from every user's state.
+    fn apply_rule_removed(&self, table: &mut RuleTable, id: RuleId) -> Option<Rule> {
+        let rule = table.remove(id)?;
         for shard in &self.shards {
             let mut shard = shard.lock().expect("shard lock");
             for state in shard.users.values_mut() {
@@ -576,7 +632,6 @@ impl Oak {
                 state.pending.remove(&id);
             }
         }
-        self.emit_with(None, || EngineEvent::RuleRemoved { id });
         Some(rule)
     }
 
@@ -643,20 +698,19 @@ impl Oak {
         let mut pruned = 0;
         for (index, shard) in self.shards.iter().enumerate() {
             let mut shard = shard.lock().expect("shard lock");
-            let mut removed: Vec<String> = Vec::new();
-            shard.users.retain(|user, state| {
-                let keep = state.last_seen >= cutoff;
-                if !keep {
-                    removed.push(user.clone());
-                }
-                keep
-            });
-            pruned += removed.len();
-            if !removed.is_empty() {
+            let mut stale: Vec<String> = shard
+                .users
+                .iter()
+                .filter(|(_, state)| state.last_seen < cutoff)
+                .map(|(user, _)| user.clone())
+                .collect();
+            pruned += stale.len();
+            if !stale.is_empty() {
                 // Sorted so the durable event (and replay) is independent
                 // of HashMap iteration order.
-                removed.sort_unstable();
-                self.emit_with(Some(index), || EngineEvent::Pruned { users: removed });
+                stale.sort_unstable();
+                shard.prune(&stale);
+                self.emit_with(Some(index), || EngineEvent::Pruned { users: stale });
             }
         }
         pruned
@@ -716,10 +770,6 @@ impl Oak {
             .collect();
         drop(detect_span);
         let detect_end = self.obs.as_ref().map(|o| o.now());
-        let mut outcome = IngestOutcome {
-            violations: violations.clone(),
-            ..IngestOutcome::default()
-        };
 
         let _match_span = oak_obs::span("match");
         let max_level = self.config.max_match_level;
@@ -731,46 +781,35 @@ impl Oak {
 
         let shard_index = self.shard_index(&report.user);
         let mut shard = self.shards[shard_index].lock().expect("shard lock");
-        let shard = &mut *shard;
-        // Distilled once: the same per-server increments feed the live
-        // accumulator and (when a sink is attached) the durable event, so
-        // WAL replay folds bit-identical floats.
-        let folds = crate::aggregates::distill(&analysis, &violator_ips, &self.interner);
-        shard.aggregates.fold_distilled(&report.user, &folds);
-        let Shard { users, log, .. } = shard;
-        // The replayable effect of this ingest, assembled as decisions are
-        // made; only populated when a sink will consume it.
-        let collect = self.sink.is_some();
-        let mut records: Vec<(u64, LogEvent)> = Vec::new();
-        let mut pending_incr: Vec<RuleId> = Vec::new();
-        let expired_pairs =
-            expire_user_rules(&table.rules, users, log, &self.log_seq, now, &report.user);
-        outcome.expired = expired_pairs.iter().map(|(_, id)| *id).collect();
-        if collect {
-            for (seq, rule) in &expired_pairs {
-                records.push((
-                    *seq,
-                    LogEvent {
-                        time: now,
-                        user: report.user.clone(),
-                        rule: *rule,
-                        action: LogAction::Expired,
-                    },
-                ));
-            }
-        }
-        // One user-state resolution per report, not one per rule — and
-        // no key allocation for a returning user.
-        if !users.contains_key(&report.user) {
-            users.insert(report.user.clone(), UserState::default());
-        }
-        let user = users.get_mut(&report.user).expect("just inserted");
-        user.last_seen = now;
 
+        // Decide against the state as it stands; nothing is written until
+        // the whole effect is known.
+        let state = shard.users.get(&report.user);
+        let mut records: Vec<(u64, LogEvent)> = Vec::new();
+        let mut record = |rule: RuleId, action: LogAction| {
+            let entry = LogEvent {
+                time: now,
+                user: report.user.clone(),
+                rule,
+                action,
+            };
+            records.push((self.next_seq(), entry));
+        };
+        // TTL expiries come first, and the candidates below see the
+        // user's activations without them: a rule that just expired can
+        // be re-activated by this very report.
+        let expired = expired_rules(&table, state, now);
+        for rule_id in &expired {
+            record(*rule_id, LogAction::Expired);
+        }
+        let mut pending: Vec<RuleId> = Vec::new();
         for rule_id in candidate_ids {
             let rule = &table.rules[&rule_id];
+            let active = state
+                .and_then(|s| s.active.get(&rule_id))
+                .filter(|_| !expired.contains(&rule_id));
 
-            match user.active.get(&rule_id) {
+            match active {
                 None => {
                     // Subnet-scoped rules only consider admitted clients.
                     if !rule.policy.client_filter.admits(client_ip) {
@@ -784,37 +823,20 @@ impl Oak {
                             .is_some()
                     });
                     let Some((violation, _)) = hit else { continue };
-                    let pending = user.pending.entry(rule_id).or_insert(0);
-                    *pending += 1;
-                    if *pending < rule.policy.violations_required {
-                        pending_incr.push(rule_id);
+                    let seen = state
+                        .and_then(|s| s.pending.get(&rule_id))
+                        .map_or(0, |n| *n);
+                    if seen + 1 < rule.policy.violations_required {
+                        pending.push(rule_id);
                         continue;
                     }
-                    user.pending.remove(&rule_id);
-                    user.active.insert(
+                    record(
                         rule_id,
-                        ActiveRule {
-                            alternative_index: initial_alternative(rule, &report.user),
-                            alternatives_tried: 1,
-                            activated_at: now,
-                            default_severity: violation.kind.severity(),
-                        },
-                    );
-                    outcome.activated.push(rule_id);
-                    let seq = self.next_seq();
-                    let entry = LogEvent {
-                        time: now,
-                        user: report.user.clone(),
-                        rule: rule_id,
-                        action: LogAction::Activated {
+                        LogAction::Activated {
                             violator_ip: violation.ip.clone(),
                             severity: violation.kind.severity(),
                         },
-                    };
-                    if collect {
-                        records.push((seq, entry.clone()));
-                    }
-                    log.push((seq, entry));
+                    );
                 }
                 Some(active) => {
                     // Rule history (§4.2.3): has the *current alternate*
@@ -840,66 +862,51 @@ impl Oak {
                                 .is_none()
                     });
                     let Some((violation, _)) = hit else { continue };
-                    let alt_severity = violation.kind.severity();
-                    if alt_severity < active.default_severity {
+                    if violation.kind.severity() < active.default_severity {
                         // The alternate, though violating now, is still
                         // closer to the median than the default was:
                         // "chooses the action which minimizes this
                         // distance".
                         continue;
                     }
-                    let has_next = active.alternatives_tried < rule.alternatives.len();
-                    let user_active = user.active.get_mut(&rule_id).expect("just read");
-                    if has_next {
+                    if active.alternatives_tried < rule.alternatives.len() {
                         // Advance per the selection policy: linear walks
                         // increment; user-hash walks wrap so every
-                        // alternative is visited once.
-                        user_active.alternative_index =
-                            (user_active.alternative_index + 1) % rule.alternatives.len();
-                        user_active.alternatives_tried += 1;
-                        // The new alternate starts fresh against the
-                        // original default's recorded distance.
-                        outcome.advanced.push(rule_id);
-                        let to_index = user_active.alternative_index;
-                        let seq = self.next_seq();
-                        let entry = LogEvent {
-                            time: now,
-                            user: report.user.clone(),
-                            rule: rule_id,
-                            action: LogAction::Advanced { to_index },
-                        };
-                        if collect {
-                            records.push((seq, entry.clone()));
-                        }
-                        log.push((seq, entry));
+                        // alternative is visited once. The new alternate
+                        // starts fresh against the original default's
+                        // recorded distance.
+                        let to_index = (active.alternative_index + 1) % rule.alternatives.len();
+                        record(rule_id, LogAction::Advanced { to_index });
                     } else {
-                        user.active.remove(&rule_id);
-                        outcome.deactivated.push(rule_id);
-                        let seq = self.next_seq();
-                        let entry = LogEvent {
-                            time: now,
-                            user: report.user.clone(),
-                            rule: rule_id,
-                            action: LogAction::Deactivated,
-                        };
-                        if collect {
-                            records.push((seq, entry.clone()));
-                        }
-                        log.push((seq, entry));
+                        record(rule_id, LogAction::Deactivated);
                     }
                 }
             }
         }
-        trim_shard_log(log, self.config.log_retention);
-        self.emit_with(Some(shard_index), || {
-            EngineEvent::Ingest(IngestEffect {
-                time: now,
-                user: report.user.clone(),
-                folds,
-                pending: pending_incr,
-                records,
-            })
-        });
+        // Distilled once: live and replayed folds add bit-identical floats.
+        let effect = IngestEffect {
+            time: now,
+            user: report.user.clone(),
+            folds: crate::aggregates::distill(&analysis, &violator_ips, &self.interner),
+            pending,
+            records,
+        };
+
+        // Apply — through the function replay uses — then emit.
+        self.apply_ingest(&table, &mut shard, &effect);
+        let mut outcome = IngestOutcome {
+            violations,
+            ..IngestOutcome::default()
+        };
+        for (_, entry) in &effect.records {
+            match entry.action {
+                LogAction::Activated { .. } => outcome.activated.push(entry.rule),
+                LogAction::Advanced { .. } => outcome.advanced.push(entry.rule),
+                LogAction::Deactivated => outcome.deactivated.push(entry.rule),
+                LogAction::Expired => outcome.expired.push(entry.rule),
+            }
+        }
+        self.emit_with(Some(shard_index), || EngineEvent::Ingest(effect));
         if let Some(obs) = &self.obs {
             let end = obs.now();
             let start = ingest_start.unwrap_or(end);
@@ -942,20 +949,21 @@ impl Oak {
         let table = self.rules.read().expect("rule table lock");
         let shard_index = self.shard_index(user);
         let mut shard = self.shards[shard_index].lock().expect("shard lock");
-        let shard = &mut *shard;
-        let Shard { users, log, .. } = shard;
-        let expired_pairs = expire_user_rules(&table.rules, users, log, &self.log_seq, now, user);
-        if !expired_pairs.is_empty() {
+        let expired: Vec<(u64, RuleId)> = expired_rules(&table, shard.users.get(user), now)
+            .into_iter()
+            .map(|rule| (self.next_seq(), rule))
+            .collect();
+        if !expired.is_empty() {
             // Serving is otherwise read-only; TTL expiry is the one page
             // path that mutates durable state, so it gets its own event.
-            trim_shard_log(log, self.config.log_retention);
+            self.apply_serve_expiry(&table, &mut shard, now, user, &expired);
             self.emit_with(Some(shard_index), || EngineEvent::ServeExpiry {
                 time: now,
                 user: user.to_owned(),
-                expired: expired_pairs,
+                expired,
             });
         }
-        let Some(state) = users.get_mut(user) else {
+        let Some(state) = shard.users.get_mut(user) else {
             return unmodified(html);
         };
         state.last_seen = now;
@@ -1036,23 +1044,9 @@ impl Oak {
             .rules
             .get(&rule_id)
             .unwrap_or_else(|| panic!("unknown {rule_id}"));
-        let index = initial_alternative(rule, user);
         let shard_index = self.shard_index(user);
         let mut shard = self.shards[shard_index].lock().expect("shard lock");
-        shard
-            .users
-            .entry(user.to_owned())
-            .or_default()
-            .active
-            .insert(
-                rule_id,
-                ActiveRule {
-                    alternative_index: index,
-                    alternatives_tried: 1,
-                    activated_at: now,
-                    default_severity: f64::INFINITY,
-                },
-            );
+        shard.force_activate(now, user, rule_id, rule);
         self.emit_with(Some(shard_index), || EngineEvent::ForceActivate {
             time: now,
             user: user.to_owned(),
@@ -1064,11 +1058,7 @@ impl Oak {
     pub fn force_deactivate(&self, user: &str, rule_id: RuleId) {
         let shard_index = self.shard_index(user);
         let mut shard = self.shards[shard_index].lock().expect("shard lock");
-        let removed = shard
-            .users
-            .get_mut(user)
-            .is_some_and(|state| state.active.remove(&rule_id).is_some());
-        if removed {
+        if shard.force_deactivate(user, rule_id) {
             self.emit_with(Some(shard_index), || EngineEvent::ForceDeactivate {
                 user: user.to_owned(),
                 rule: rule_id,
@@ -1087,154 +1077,141 @@ impl Oak {
     /// event referencing a rule whose `RuleAdded` was lost to an unsynced
     /// WAL tail is applied as far as state allows and never panics.
     ///
+    /// Nothing here writes state itself: each arm takes the locks the
+    /// live mutator takes and calls the function that mutator applies
+    /// its own decision with.
+    ///
     /// Events are *not* re-emitted to an attached sink; recovery attaches
     /// the sink after replay.
     pub fn apply_event(&self, ev: &SequencedEvent) {
         bump_to(&self.event_seq, ev.seq + 1);
+        // Applying an event moves this history onto the event's branch.
+        bump_to(&self.epoch, ev.epoch);
         match &ev.event {
             EngineEvent::RuleAdded { id, rule } => {
                 let mut table = self.rules.write().expect("rule table lock");
-                let default_surface = RuleSurface::compile(&rule.default_text);
-                let alt_surfaces: Vec<RuleSurface> = rule
-                    .alternatives
-                    .iter()
-                    .map(|a| RuleSurface::compile(a))
-                    .collect();
-                table.index.insert(*id, &default_surface, &alt_surfaces);
-                table.surfaces.insert(*id, (default_surface, alt_surfaces));
-                table.rules.insert(*id, rule.clone());
-                // Ids are allocator-ordered; keep the allocator ahead so
-                // post-recovery additions never reuse an id.
-                table.next_rule_id = table.next_rule_id.max(id.0 + 1);
+                table.insert(*id, rule.clone());
             }
             EngineEvent::RuleRemoved { id } => {
                 let mut table = self.rules.write().expect("rule table lock");
-                if table.rules.remove(id).is_some() {
-                    table.surfaces.remove(id);
-                    table.index = DomainIndex::rebuild(&table.surfaces);
-                    for shard in &self.shards {
-                        let mut shard = shard.lock().expect("shard lock");
-                        for state in shard.users.values_mut() {
-                            state.active.remove(id);
-                            state.pending.remove(id);
-                        }
-                    }
-                }
+                self.apply_rule_removed(&mut table, *id);
             }
             EngineEvent::Ingest(effect) => {
                 let table = self.rules.read().expect("rule table lock");
                 let mut shard = self.shard(&effect.user).lock().expect("shard lock");
-                let shard = &mut *shard;
-                shard.aggregates.fold_distilled(&effect.user, &effect.folds);
-                let Shard { users, log, .. } = shard;
-                let user = users.entry(effect.user.clone()).or_default();
-                user.last_seen = effect.time;
-                for id in &effect.pending {
-                    *user.pending.entry(*id).or_insert(0) += 1;
-                }
-                for (seq, entry) in &effect.records {
-                    bump_to(&self.log_seq, seq + 1);
-                    match &entry.action {
-                        LogAction::Activated { severity, .. } => {
-                            user.pending.remove(&entry.rule);
-                            if let Some(rule) = table.rules.get(&entry.rule) {
-                                user.active.insert(
-                                    entry.rule,
-                                    ActiveRule {
-                                        alternative_index: initial_alternative(rule, &effect.user),
-                                        alternatives_tried: 1,
-                                        activated_at: entry.time,
-                                        default_severity: *severity,
-                                    },
-                                );
-                            }
-                        }
-                        LogAction::Advanced { to_index } => {
-                            if let Some(active) = user.active.get_mut(&entry.rule) {
-                                active.alternative_index = *to_index;
-                                active.alternatives_tried += 1;
-                            }
-                        }
-                        LogAction::Deactivated | LogAction::Expired => {
-                            user.active.remove(&entry.rule);
-                        }
-                    }
-                    log.push((*seq, entry.clone()));
-                }
-                trim_shard_log(log, self.config.log_retention);
+                self.apply_ingest(&table, &mut shard, effect);
             }
             EngineEvent::ForceActivate { time, user, rule } => {
                 let table = self.rules.read().expect("rule table lock");
-                let Some(r) = table.rules.get(rule) else {
-                    return;
-                };
-                let index = initial_alternative(r, user);
-                self.shard(user)
-                    .lock()
-                    .expect("shard lock")
-                    .users
-                    .entry(user.clone())
-                    .or_default()
-                    .active
-                    .insert(
-                        *rule,
-                        ActiveRule {
-                            alternative_index: index,
-                            alternatives_tried: 1,
-                            activated_at: *time,
-                            default_severity: f64::INFINITY,
-                        },
-                    );
+                if let Some(r) = table.rules.get(rule) {
+                    let mut shard = self.shard(user).lock().expect("shard lock");
+                    shard.force_activate(*time, user, *rule, r);
+                }
             }
             EngineEvent::ForceDeactivate { user, rule } => {
-                if let Some(state) = self
-                    .shard(user)
-                    .lock()
-                    .expect("shard lock")
-                    .users
-                    .get_mut(user)
-                {
-                    state.active.remove(rule);
-                }
+                let mut shard = self.shard(user).lock().expect("shard lock");
+                shard.force_deactivate(user, *rule);
             }
             EngineEvent::ServeExpiry {
                 time,
                 user,
                 expired,
             } => {
+                let table = self.rules.read().expect("rule table lock");
                 let mut shard = self.shard(user).lock().expect("shard lock");
-                let shard = &mut *shard;
-                let Shard { users, log, .. } = shard;
-                if let Some(state) = users.get_mut(user) {
-                    for (_, rule) in expired {
-                        state.active.remove(rule);
-                    }
-                    state.last_seen = *time;
-                }
-                for (seq, rule) in expired {
-                    bump_to(&self.log_seq, *seq + 1);
-                    log.push((
-                        *seq,
-                        LogEvent {
-                            time: *time,
-                            user: user.clone(),
-                            rule: *rule,
-                            action: LogAction::Expired,
-                        },
-                    ));
-                }
-                trim_shard_log(log, self.config.log_retention);
+                self.apply_serve_expiry(&table, &mut shard, *time, user, expired);
             }
             EngineEvent::Pruned { users } => {
                 for user in users {
-                    self.shard(user)
-                        .lock()
-                        .expect("shard lock")
-                        .users
-                        .remove(user);
+                    let mut shard = self.shard(user).lock().expect("shard lock");
+                    shard.prune(std::slice::from_ref(user));
                 }
             }
         }
+    }
+
+    /// Applies one ingest's effect to its user's shard: the aggregate
+    /// folds, the pending-violation counts, and every log record with
+    /// the state transition it implies. Live ingest calls this with the
+    /// effect it has just decided on; replay with the one it decoded.
+    fn apply_ingest(&self, table: &RuleTable, shard: &mut Shard, effect: &IngestEffect) {
+        shard.aggregates.fold_distilled(&effect.user, &effect.folds);
+        // No key allocation for a returning user.
+        if !shard.users.contains_key(&effect.user) {
+            shard
+                .users
+                .insert(effect.user.clone(), UserState::default());
+        }
+        let user = shard.users.get_mut(&effect.user).expect("just inserted");
+        user.last_seen = effect.time;
+        for id in &effect.pending {
+            *user.pending.entry(*id).or_insert(0) += 1;
+        }
+        for (seq, entry) in &effect.records {
+            self.apply_record(table, shard, *seq, entry.clone());
+        }
+        trim_shard_log(&mut shard.log, self.config.log_retention);
+    }
+
+    /// Applies the TTL expiries a page serve found (see
+    /// [`EngineEvent::ServeExpiry`]).
+    fn apply_serve_expiry(
+        &self,
+        table: &RuleTable,
+        shard: &mut Shard,
+        time: Instant,
+        user: &str,
+        expired: &[(u64, RuleId)],
+    ) {
+        if let Some(state) = shard.users.get_mut(user) {
+            state.last_seen = time;
+        }
+        for (seq, rule) in expired {
+            let entry = LogEvent {
+                time,
+                user: user.to_owned(),
+                rule: *rule,
+                action: LogAction::Expired,
+            };
+            self.apply_record(table, shard, *seq, entry);
+        }
+        trim_shard_log(&mut shard.log, self.config.log_retention);
+    }
+
+    /// The one place an activation, advance, deactivation or expiry
+    /// changes a user's state and enters the activity log: the change is
+    /// read off the record, so the two cannot disagree. A record for a
+    /// user the shard no longer holds is logged all the same.
+    fn apply_record(&self, table: &RuleTable, shard: &mut Shard, seq: u64, entry: LogEvent) {
+        bump_to(&self.log_seq, seq + 1);
+        if let Some(state) = shard.users.get_mut(&entry.user) {
+            match &entry.action {
+                LogAction::Activated { severity, .. } => {
+                    state.pending.remove(&entry.rule);
+                    if let Some(rule) = table.rules.get(&entry.rule) {
+                        state.active.insert(
+                            entry.rule,
+                            ActiveRule {
+                                alternative_index: initial_alternative(rule, &entry.user),
+                                alternatives_tried: 1,
+                                activated_at: entry.time,
+                                default_severity: *severity,
+                            },
+                        );
+                    }
+                }
+                LogAction::Advanced { to_index } => {
+                    if let Some(active) = state.active.get_mut(&entry.rule) {
+                        active.alternative_index = *to_index;
+                        active.alternatives_tried += 1;
+                    }
+                }
+                LogAction::Deactivated | LogAction::Expired => {
+                    state.active.remove(&entry.rule);
+                }
+            }
+        }
+        shard.log.push((seq, entry));
     }
 
     /// A consistent point-in-time snapshot of the full engine state as a
@@ -1392,15 +1369,7 @@ impl Oak {
                     .and_then(Value::as_str)
                     .ok_or("bad rule spec")?;
                 let rule = crate::spec::parse_rule(spec).map_err(|e| e.to_string())?;
-                let default_surface = RuleSurface::compile(&rule.default_text);
-                let alt_surfaces: Vec<RuleSurface> = rule
-                    .alternatives
-                    .iter()
-                    .map(|a| RuleSurface::compile(a))
-                    .collect();
-                table.index.insert(id, &default_surface, &alt_surfaces);
-                table.surfaces.insert(id, (default_surface, alt_surfaces));
-                table.rules.insert(id, rule);
+                table.insert(id, rule);
             }
             let next = field("next_rule_id")?;
             table.next_rule_id = u32::try_from(next).map_err(|_| "next_rule_id out of range")?;
@@ -1551,49 +1520,17 @@ fn bump_to(counter: &AtomicU64, target: u64) {
     counter.fetch_max(target, Ordering::Relaxed);
 }
 
-/// Expires TTL-bound activations for one user, appending the `Expired`
-/// events to the shard log; returns `(log sequence, rule)` per expiry so
-/// callers can record the durable event.
-fn expire_user_rules(
-    rules: &BTreeMap<RuleId, Rule>,
-    users: &mut HashMap<String, UserState>,
-    log: &mut Vec<(u64, LogEvent)>,
-    log_seq: &AtomicU64,
-    now: Instant,
-    user: &str,
-) -> Vec<(u64, RuleId)> {
-    let Some(state) = users.get_mut(user) else {
-        return Vec::new();
-    };
+/// The activations of `state` whose TTL has run out at `now`, in rule-id
+/// order. Read-only: the caller journals and applies the expiries.
+fn expired_rules(table: &RuleTable, state: Option<&UserState>, now: Instant) -> Vec<RuleId> {
     let mut expired = Vec::new();
-    state.active.retain(|rule_id, active| {
-        let ttl = match rules.get(rule_id).and_then(|r| r.ttl_ms) {
-            Some(ttl) => ttl,
-            None => return true,
-        };
-        if now.since(active.activated_at) >= ttl {
+    for (rule_id, active) in state.into_iter().flat_map(|s| &s.active) {
+        let ttl = table.rules.get(rule_id).and_then(|r| r.ttl_ms);
+        if ttl.is_some_and(|ttl| now.since(active.activated_at) >= ttl) {
             expired.push(*rule_id);
-            false
-        } else {
-            true
         }
-    });
+    }
     expired
-        .into_iter()
-        .map(|rule_id| {
-            let seq = log_seq.fetch_add(1, Ordering::Relaxed);
-            log.push((
-                seq,
-                LogEvent {
-                    time: now,
-                    user: user.to_owned(),
-                    rule: rule_id,
-                    action: LogAction::Expired,
-                },
-            ));
-            (seq, rule_id)
-        })
-        .collect()
 }
 
 /// Enforces [`OakConfig::log_retention`] on one shard's log slice:

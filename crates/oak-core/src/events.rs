@@ -23,6 +23,19 @@
 //! pure function of the rule's selection policy and the user id
 //! ([`crate::rule::SelectionPolicy`]).
 //!
+//! # One apply path
+//!
+//! An event is not a description written after the fact: it *is* the
+//! change. Every live mutator decides what will happen, builds the event,
+//! applies that event to its own state, and only then emits it — and the
+//! function it applies with is the one
+//! [`crate::engine::Oak::apply_event`] calls. So the engine a journal was
+//! recorded from, an engine rebuilt from that journal, and a replication
+//! follower fed the same frames are equal by construction rather than by
+//! two implementations being kept in step; what a log record says
+//! happened and what happened to the user's state are read off the same
+//! value.
+//!
 //! # Sequencing and shards
 //!
 //! Event sequence numbers are allocated while the emitting operation
@@ -72,7 +85,9 @@ pub struct SequencedEvent {
     /// [`crate::engine::Oak::set_epoch`]). Single-node deployments leave
     /// it 0; `oak-cluster` stamps the primary's lease epoch so a
     /// follower tailing the WAL stream can reject frames from a deposed
-    /// primary. Events journaled before the field existed decode as
+    /// primary, and applying an event raises the engine's own
+    /// [`crate::engine::Oak::epoch`] to it — the branch a replica's log
+    /// is on. Events journaled before the field existed decode as
     /// epoch 0.
     pub epoch: u64,
     /// What happened.

@@ -12,15 +12,22 @@
 //!
 //! Invariants, checked at every tick and at a forced end-of-run heal:
 //!
-//! 1. **Losslessness** — `committed_high[p]` records the highest
+//! 1. **Losslessness** — by content and by sequence number. By
+//!    content: every report ingest is tracked from the moment it runs
+//!    until the primary it ran on — still seated, in the same epoch —
+//!    reports a commit at or past the head the ingest produced, which is
+//!    when a client would get its 204; the end-of-run audit then
+//!    requires the converged engine to count at least that many reports
+//!    from each user (the site aggregates, which pruning never touches).
+//!    By sequence number: `committed_high[p]` records the highest
 //!    replication watermark any seated primary of partition `p` ever
-//!    reported; every event below it was durable on a majority, and a
-//!    client ack may be released exactly up to it. No node may ever sit
-//!    as primary with its WAL head below that watermark — that primary
-//!    would serve (and take writes over) a history missing acked
-//!    reports. Vote grants are watermark-gated precisely to make this
-//!    impossible; `--buggy-promotion` removes the gate to prove the
-//!    harness catches the loss.
+//!    reported, and no node may ever sit as primary with its WAL head
+//!    below it. The second check alone is blind to a *longer* history
+//!    that lacks the acked events — a deposed primary's dead branch
+//!    elected back in — which is why the first exists. Vote grants
+//!    compare `(branch epoch, head)` precisely to make both impossible;
+//!    `--buggy-promotion` removes the comparison to prove the harness
+//!    catches the loss.
 //! 2. **Election safety** — at most one node observed as primary per
 //!    `(partition, epoch)`, across the whole run.
 //! 3. **Step-down & convergence** — after partitions heal and every
@@ -36,7 +43,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use oak_cluster::{
-    ClusterNode, LeaseConfig, NodeId, NodeOptions, Role, RouteDecision, Router, Topology,
+    ClusterNode, LeaseConfig, NodeId, NodeOptions, PartitionStatus, Role, RouteDecision, Router,
+    Topology,
 };
 use oak_core::engine::{Oak, OakConfig};
 use oak_core::report::PerfReport;
@@ -75,6 +83,22 @@ const MAX_BOOT_ATTEMPTS: usize = 8;
 /// elect, drain replication, and converge before calling it a stall.
 const SETTLE_BUDGET_MS: u64 = 30_000;
 
+/// A report ingest the cluster has run but not yet acknowledged.
+struct UnackedReport {
+    user: String,
+    partition: u32,
+    /// The primary it ran on, and the epoch that primary was seated in.
+    node: usize,
+    epoch: u64,
+    /// That primary's head once the ingest was journaled.
+    head: u64,
+}
+
+fn status_of(node: &ClusterNode, partition: u32) -> Option<PartitionStatus> {
+    let mut hosted = node.status().into_iter();
+    hosted.find(|st| st.partition == partition)
+}
+
 struct ClusterWorld<'a> {
     scenario: &'a Scenario,
     spec: ClusterSpec,
@@ -90,6 +114,10 @@ struct ClusterWorld<'a> {
     /// Partition → highest replication watermark any seated primary
     /// ever reported. The supremum of releasable client acks.
     committed_high: BTreeMap<u32, u64>,
+    /// Report ingests awaiting their commit (see [`UnackedReport`]).
+    unacked: Vec<UnackedReport>,
+    /// User → report ingests a client was acked for.
+    acked_reports: BTreeMap<String, u64>,
     /// `(partition, epoch)` → the one node seen as its primary.
     claims: BTreeMap<(u32, u64), NodeId>,
     /// Partition → highest epoch with an observed primary (failover
@@ -200,6 +228,7 @@ impl ClusterWorld<'_> {
     /// feeds the router, and checks election safety + losslessness.
     fn audit(&mut self) -> Result<(), SimFailure> {
         let started = std::time::Instant::now();
+        self.release_acks();
         let mut failure = None;
         for idx in 0..self.node_count() {
             let Some(node) = self.nodes[idx].as_ref() else {
@@ -270,6 +299,29 @@ impl ClusterWorld<'_> {
         }
     }
 
+    /// Releases the ack of every ingest whose primary now reports a
+    /// commit covering it; an ingest whose primary died, stepped down or
+    /// moved to another epoch first is never acked (the client timed
+    /// out, and may find its report kept or not).
+    fn release_acks(&mut self) {
+        let nodes = &self.nodes;
+        let acked_reports = &mut self.acked_reports;
+        self.unacked.retain(|op| {
+            let seated = nodes[op.node]
+                .as_ref()
+                .and_then(|node| status_of(node, op.partition))
+                .filter(|st| st.role == Role::Primary && st.epoch == op.epoch);
+            match seated {
+                Some(st) if st.commit < op.head => true,
+                Some(_) => {
+                    *acked_reports.entry(op.user.clone()).or_insert(0) += 1;
+                    false
+                }
+                None => false,
+            }
+        });
+    }
+
     /// Resolves `partition` to its live, seated primary's node index,
     /// through the router (503-counting on the way).
     fn primary_for(&mut self, partition: u32) -> Option<usize> {
@@ -298,12 +350,13 @@ impl ClusterWorld<'_> {
     }
 
     /// Runs one client operation against `partition`'s primary engine,
-    /// then handles a disk crash that may have fired inside it.
+    /// then handles a disk crash that may have fired inside it. Returns
+    /// the node it ran on with the result, unless that node is gone.
     fn with_primary<R>(
         &mut self,
         partition: u32,
         op: impl FnOnce(&Oak, Instant) -> R,
-    ) -> Option<R> {
+    ) -> Option<(usize, R)> {
         let idx = self.primary_for(partition)?;
         let engine = match self.nodes[idx].as_ref()?.primary_engine(partition) {
             Ok(engine) => engine,
@@ -320,8 +373,9 @@ impl ClusterWorld<'_> {
             // and the client never got an ack. Replication (or its
             // absence) is what the invariants audit.
             self.kill(idx);
+            return None;
         }
-        Some(result)
+        Some((idx, result))
     }
 
     /// Client ops that address every partition (operator rule pushes).
@@ -375,9 +429,21 @@ impl ClusterWorld<'_> {
                     report
                 };
                 let partition = self.topology.partition_of(&report.user);
-                self.with_primary(partition, |oak, now| {
+                let ran = self.with_primary(partition, |oak, now| {
                     oak.ingest_report_from(now, &report, &fetcher, None);
+                    oak.event_seq()
                 });
+                if let Some((node, head)) = ran {
+                    let seated = self.nodes[node].as_ref().expect("ran on a live node");
+                    let st = status_of(seated, partition).expect("hosts what it serves");
+                    self.unacked.push(UnackedReport {
+                        user: report.user,
+                        partition,
+                        node,
+                        epoch: st.epoch,
+                        head,
+                    });
+                }
             }
             Step::Serve { user } => {
                 let name = user_name(*user);
@@ -569,6 +635,28 @@ impl ClusterWorld<'_> {
                     ));
                 }
             }
+            // Losslessness by content: the converged history counts every
+            // report a client was acked for.
+            let node = self.nodes[primaries[0].0 as usize].as_ref();
+            let engine = node.and_then(|n| n.replica_engine(partition));
+            let kept = engine.expect("seated primary is live").aggregates();
+            for (user, acked) in &self.acked_reports {
+                if self.topology.partition_of(user) != partition {
+                    continue;
+                }
+                self.stats.invariant_checks += 1;
+                let held = kept.reports_from(user);
+                if held < *acked {
+                    return Err(self.fail(
+                        "acked_loss",
+                        format!(
+                            "partition {partition} converged on a history holding {held} \
+                             report(s) from {user}, but clients were acked for {acked} — \
+                             reports acked durable on a majority are gone from every replica"
+                        ),
+                    ));
+                }
+            }
         }
         self.stats.invariant_ns += started.elapsed().as_nanos() as u64;
         Ok(())
@@ -672,7 +760,6 @@ pub fn run_cluster_scenario(
             buggy_promotion: options.buggy_promotion,
             ..LeaseConfig::default()
         },
-        ..NodeOptions::default()
     };
 
     let mut world = ClusterWorld {
@@ -697,6 +784,8 @@ pub fn run_cluster_scenario(
         node_options,
         router: Router::new(topology),
         committed_high: BTreeMap::new(),
+        unacked: Vec::new(),
+        acked_reports: BTreeMap::new(),
         claims: BTreeMap::new(),
         epoch_high: BTreeMap::new(),
         stats: RunStats::default(),

@@ -5,8 +5,8 @@
 //! proof the losslessness oracle has teeth.
 
 use oak_sim::{
-    minimize_with, run_any_scenario, run_cluster_scenario, ClusterSimOptions, Scenario,
-    SimFsOptions,
+    minimize_with, run_any_scenario, run_cluster_scenario, ClusterSimOptions, ClusterSpec,
+    Scenario, SimFsOptions, Step,
 };
 
 fn healthy() -> ClusterSimOptions {
@@ -99,6 +99,69 @@ fn checked_in_v1_artifact_still_decodes_and_replays() {
         "replay must reproduce the recorded invariant"
     );
     run_any_scenario(&scenario, healthy()).expect("fixed code passes the same schedule");
+}
+
+/// The three-node schedule the sequence-number oracle cannot see. Node
+/// 0 wins the first election and replicates one report; it is cut off
+/// while still seated and journals five more that nobody hears of; the
+/// other two elect a primary that journals two reports and commits them
+/// (a client holds a 204 for each); the links heal with node 0 back as a
+/// candidate at the group's highest epoch, holding the longest log.
+fn longer_dead_branch() -> Scenario {
+    let report = |user| Step::Ingest {
+        user,
+        host: 0,
+        violating: false,
+        binary: false,
+    };
+    let mut steps = vec![
+        Step::AdvanceClock { ms: 1_500 },
+        report(0),
+        Step::AdvanceClock { ms: 300 },
+        Step::PartitionLink { a: 0, b: 1 },
+        Step::PartitionLink { a: 0, b: 2 },
+    ];
+    steps.extend((0..5).map(|_| report(1)));
+    steps.extend([
+        Step::AdvanceClock { ms: 2_000 },
+        report(2),
+        report(2),
+        Step::AdvanceClock { ms: 300 },
+        Step::HealAll,
+        Step::AdvanceClock { ms: 3_000 },
+    ]);
+    Scenario {
+        seed: 1,
+        fsync: oak_store::FsyncPolicy::Always,
+        snapshot_every: 1_000,
+        cluster: Some(ClusterSpec {
+            nodes: 3,
+            partitions: 1,
+            replication: 3,
+        }),
+        steps,
+    }
+}
+
+/// Votes that compare head sequence numbers alone (what
+/// `buggy_promotion` degrades to here: node 0's head is the highest)
+/// elect the dead branch, and its epoch-start snapshot erases the two
+/// acked reports from every replica — while the seated primary's head
+/// stays above every commit ever reported, so only the count of acked
+/// reports per user can tell. Votes over `(branch epoch, head)` refuse
+/// node 0 and keep them.
+#[test]
+fn a_longer_dead_branch_is_caught_by_content() {
+    let scenario = longer_dead_branch();
+    let failure = run_cluster_scenario(&scenario, buggy_promotion())
+        .expect_err("the dead branch wins and the acked reports are gone");
+    assert_eq!(failure.invariant, "acked_loss");
+    assert!(
+        failure.detail.contains("0 report(s) from u-2") && failure.detail.contains("acked for 2"),
+        "expected the per-user report count to catch it, got: {}",
+        failure.detail
+    );
+    run_cluster_scenario(&scenario, healthy()).expect("branch-aware votes keep the acked reports");
 }
 
 fn find_promotion_failure() -> (u64, Scenario, oak_sim::SimFailure) {

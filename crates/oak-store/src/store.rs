@@ -26,10 +26,10 @@ use std::sync::{Arc, Mutex};
 
 use oak_core::engine::{Oak, OakConfig, SHARD_COUNT};
 use oak_core::events::{EventSink, SequencedEvent};
-use oak_json::Value;
 
 use crate::backend::{RealFs, StorageBackend};
-use crate::segment::{decode_frame, frame_header, read_segment_with, SegmentWriter};
+use crate::segment::{decode_frame, frame_header, SegmentWriter};
+use crate::stream::wal_events;
 
 /// Hands the allocator's free pages back to the OS.
 ///
@@ -103,7 +103,9 @@ impl Default for StoreOptions {
     }
 }
 
-/// A rotated-out segment we still know the max sequence number of.
+/// A segment nobody appends to any more — rotated out by this store, or
+/// left by the run the engine was recovered from — with the highest
+/// sequence number it holds: what compaction needs to know to retire it.
 #[derive(Debug)]
 struct ClosedSegment {
     path: PathBuf,
@@ -122,9 +124,6 @@ pub struct OakStore {
     slots: Vec<Mutex<Option<SegmentWriter>>>,
     closed: Mutex<Vec<ClosedSegment>>,
     segment_ids: AtomicU64,
-    /// `segment_ids` at open: every segment file with a lower id was
-    /// left by an earlier run; every other one is in `slots` or `closed`.
-    first_segment_id: u64,
     events_recorded: AtomicU64,
     events_since_snapshot: AtomicU64,
     write_errors: AtomicU64,
@@ -148,9 +147,10 @@ impl OakStore {
     /// Opens (creating if needed) a store over `dir` on `backend`.
     ///
     /// The store writes fresh segments; it never appends to files left by
-    /// an earlier process. Pair with [`recover_with`] — or use
-    /// [`OakStore::boot_with`], which sequences the two correctly. A
-    /// directory must be owned by at most one live store.
+    /// an earlier process, and it compacts such files only when opened
+    /// through [`OakStore::boot_with`], which learns from the recovery it
+    /// runs first how far each one reaches. A directory must be owned by
+    /// at most one live store.
     pub fn open_with(
         backend: Arc<dyn StorageBackend>,
         dir: impl Into<PathBuf>,
@@ -173,7 +173,6 @@ impl OakStore {
             slots: (0..=SHARD_COUNT).map(|_| Mutex::new(None)).collect(),
             closed: Mutex::new(Vec::new()),
             segment_ids: AtomicU64::new(next_id),
-            first_segment_id: next_id,
             events_recorded: AtomicU64::new(0),
             events_since_snapshot: AtomicU64::new(0),
             write_errors: AtomicU64::new(0),
@@ -213,6 +212,14 @@ impl OakStore {
         let dir = dir.into();
         let recovery = recover_with(backend.clone(), &dir, config)?;
         let store = Arc::new(OakStore::open_with(backend, &dir, options)?);
+        // The files the engine was just recovered from are this store's
+        // to compact, and recovery has read how far each one reaches.
+        let leftovers = recovery.segments.into_iter();
+        store
+            .closed
+            .lock()
+            .expect("closed list")
+            .extend(leftovers.map(|(path, max_seq)| ClosedSegment { path, max_seq }));
         store.snapshot(&recovery.oak)?;
         let mut oak = recovery.oak;
         oak.set_event_sink(store.clone());
@@ -411,22 +418,6 @@ impl OakStore {
         }
         *closed = keep;
         drop(closed);
-        // Segments this store didn't write (leftovers from the run the
-        // engine recovered from) don't carry an in-memory max_seq; read
-        // it off the frames before deciding. Only those: a segment of
-        // this store that is in neither `slots` nor `closed` is one a
-        // concurrent `append_to_slot` created a moment ago — still
-        // empty, so it reads as 0, and unlinking it would lose every
-        // event appended to it from here on.
-        for name in self.backend.list_dir(&self.dir)? {
-            if parse_segment_name(&name).is_none_or(|(_, id)| id >= self.first_segment_id) {
-                continue;
-            }
-            let candidate = self.dir.join(&name);
-            if segment_max_seq(&*self.backend, &candidate) < compact_below {
-                let _ = self.backend.remove_file(&candidate);
-            }
-        }
         if let (Some(obs), Some(start)) = (self.obs.get(), snapshot_start) {
             obs.snapshots.inc();
             crate::obs::StoreMetrics::record(&obs.snapshot, start, obs.now());
@@ -547,6 +538,10 @@ pub struct Recovery {
     /// set the recovered engine reflects — which is what lets an external
     /// oracle (oak-sim) rebuild the expected state and compare.
     pub replayed_seqs: Vec<u64>,
+    /// Every segment file read, with the highest sequence number it
+    /// yielded — what lets the store that takes over the directory
+    /// compact them without reading them again.
+    pub(crate) segments: Vec<(PathBuf, u64)>,
 }
 
 /// What [`OakStore::boot`] produced: a recovered engine already wired to
@@ -599,18 +594,14 @@ pub fn recover_with(
             torn_segments: 0,
             watermark: 0,
             replayed_seqs: Vec::new(),
+            segments: Vec::new(),
         });
     }
 
     let mut snapshots: Vec<(u64, PathBuf)> = Vec::new();
-    let mut segments: Vec<PathBuf> = Vec::new();
-    let mut names = backend.list_dir(dir)?;
-    names.sort();
-    for name in names {
+    for name in backend.list_dir(dir)? {
         if let Some(watermark) = parse_snapshot_name(&name) {
             snapshots.push((watermark, dir.join(name)));
-        } else if parse_segment_name(&name).is_some() {
-            segments.push(dir.join(name));
         }
     }
     snapshots.sort();
@@ -631,67 +622,22 @@ pub fn recover_with(
     }
     let oak = oak.unwrap_or_else(|| Oak::new(config));
 
-    let mut events: Vec<SequencedEvent> = Vec::new();
-    let mut torn_segments = 0;
-    for path in &segments {
-        let contents = read_segment_with(&*backend, path)?;
-        let mut clean = contents.clean;
-        for payload in &contents.payloads {
-            // A frame that passes its CRC but fails to decode is
-            // corruption the checksum missed; stop salvaging this
-            // segment there, like any other torn tail.
-            let Ok(text) = std::str::from_utf8(payload) else {
-                clean = false;
-                break;
-            };
-            let Ok(doc) = oak_json::parse(text) else {
-                clean = false;
-                break;
-            };
-            let Ok(event) = SequencedEvent::from_value(&doc) else {
-                clean = false;
-                break;
-            };
-            if event.seq >= watermark {
-                events.push(event);
-            }
-        }
-        if !clean {
-            torn_segments += 1;
-        }
-    }
-    // Raft-style log matching, enforced at recovery time: a replica
-    // that installed a newer primary's snapshot may still hold WAL
-    // frames journaled on a dead branch — events a deposed primary
-    // emitted past the snapshot watermark that never committed. Merging
-    // by sequence number alone would replay them over the installed
-    // state. Among duplicate seqs the highest epoch wins, and any frame
-    // whose epoch is below the highest epoch already on the branch
-    // (seeded by the snapshot's own epoch) is a conflicting suffix and
-    // is dropped. Single-node WALs are uniformly epoch 0, where this
-    // reduces to the plain seq merge.
-    events.sort_by(|a, b| a.seq.cmp(&b.seq).then(b.epoch.cmp(&a.epoch)));
-    events.dedup_by_key(|e| e.seq);
-    let mut branch_epoch = oak.epoch();
-    events.retain(|e| {
-        if e.epoch < branch_epoch {
-            return false;
-        }
-        branch_epoch = e.epoch;
-        true
-    });
-    let events_replayed = events.len() as u64;
-    let replayed_seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-    for event in &events {
+    // What to replay is the shared reader's call (log matching against
+    // the snapshot's branch included) — the same call `tail` ships by.
+    let wal = wal_events(&*backend, dir, watermark, oak.epoch())?;
+    let events_replayed = wal.events.len() as u64;
+    let replayed_seqs: Vec<u64> = wal.events.iter().map(|e| e.seq).collect();
+    for event in &wal.events {
         oak.apply_event(event);
     }
     Ok(Recovery {
         oak,
         snapshot_loaded,
         events_replayed,
-        torn_segments,
+        torn_segments: wal.torn_segments,
         watermark,
         replayed_seqs,
+        segments: wal.segments,
     })
 }
 
@@ -711,25 +657,6 @@ fn load_snapshot(backend: &dyn StorageBackend, path: &Path, config: OakConfig) -
     let text = std::str::from_utf8(payload).map_err(|_| bad("snapshot is not UTF-8"))?;
     let doc = oak_json::parse(text).map_err(|e| bad(&e.to_string()))?;
     Oak::from_snapshot_json(config, &doc).map_err(|e| bad(&e))
-}
-
-/// The highest event sequence number readable from a segment file; 0
-/// when nothing decodes (frames carry their seq in the JSON payload).
-fn segment_max_seq(backend: &dyn StorageBackend, path: &Path) -> u64 {
-    let Ok(contents) = read_segment_with(backend, path) else {
-        return 0;
-    };
-    let mut max_seq = 0;
-    for payload in &contents.payloads {
-        let seq = std::str::from_utf8(payload)
-            .ok()
-            .and_then(|text| oak_json::parse(text).ok())
-            .and_then(|doc| doc.get("seq").and_then(Value::as_u64));
-        if let Some(seq) = seq {
-            max_seq = max_seq.max(seq);
-        }
-    }
-    max_seq
 }
 
 fn segment_name(slot: usize, id: u64) -> String {

@@ -19,12 +19,18 @@
 //!   caller must fall back to snapshot transfer (ship the engine's
 //!   current snapshot, then resume tailing from its watermark).
 //!
-//! Tailing is read-only and crash-consistent: it decodes the same frame
-//! prefix recovery would, so anything it ships is state a post-crash
-//! replay would also reconstruct.
+//! # One reader
+//!
+//! Tailing is read-only and crash-consistent: what it ships is what a
+//! post-crash replay would reconstruct, because both get their events
+//! from [`wal_events`] — the one place that walks the segment files,
+//! decodes frames ([`decode_event`]), and decides which of two frames
+//! claiming the same sequence number is history and which is a dead
+//! branch. [`recover_with`](crate::recover_with) replays its result;
+//! [`tail_wal`] ships the contiguous run at its front.
 
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use oak_core::events::SequencedEvent;
 
@@ -49,12 +55,91 @@ pub enum Tail {
     },
 }
 
-/// Decodes one WAL frame payload back into its event. `None` marks
-/// corruption the CRC missed — callers treat it like a torn tail.
+/// Decodes one WAL frame payload back into its event — the crate's only
+/// frame→event decoder. `None` marks corruption the CRC missed; readers
+/// treat it like a torn tail.
 fn decode_event(payload: &[u8]) -> Option<SequencedEvent> {
     let text = std::str::from_utf8(payload).ok()?;
     let doc = oak_json::parse(text).ok()?;
     SequencedEvent::from_value(&doc).ok()
+}
+
+/// The events one segment file yields — its checksum-valid, decodable
+/// frame prefix — and whether that prefix was the whole file. A frame
+/// that passes its CRC but fails to decode ends the salvage there, like
+/// any other torn tail.
+fn segment_events(
+    backend: &dyn StorageBackend,
+    path: &Path,
+) -> io::Result<(Vec<SequencedEvent>, bool)> {
+    let contents = read_segment_with(backend, path)?;
+    let mut events = Vec::with_capacity(contents.payloads.len());
+    for payload in &contents.payloads {
+        let Some(event) = decode_event(payload) else {
+            return Ok((events, false));
+        };
+        events.push(event);
+    }
+    Ok((events, contents.clean))
+}
+
+/// What [`wal_events`] read out of a store directory.
+pub(crate) struct WalScan {
+    /// The events with `seq >= from_seq` on the live branch, ascending,
+    /// one per sequence number.
+    pub events: Vec<SequencedEvent>,
+    /// Every segment file read, with the highest sequence number it
+    /// yielded (0 when it yielded nothing).
+    pub segments: Vec<(PathBuf, u64)>,
+    /// How many of them ended in a torn or corrupt frame (their valid
+    /// prefix still counts).
+    pub torn_segments: usize,
+}
+
+/// Reads the WAL in `dir` — the only code that walks the segment files.
+///
+/// Raft-style log matching decides what "the live branch" is. A replica
+/// that installed a newer primary's snapshot may still hold frames
+/// journaled on a dead branch — events a deposed primary emitted that
+/// never committed — under sequence numbers the live branch reuses.
+/// Among frames with the same seq the highest epoch wins, and a frame
+/// whose epoch is below the highest already on the branch (seeded with
+/// `branch_epoch`: the loaded snapshot's epoch at recovery, 0 when only
+/// the frames themselves are to be judged) is a conflicting suffix and
+/// is dropped. Single-node WALs are uniformly epoch 0, where this
+/// reduces to the plain merge by sequence number.
+pub(crate) fn wal_events(
+    backend: &dyn StorageBackend,
+    dir: &Path,
+    from_seq: u64,
+    mut branch_epoch: u64,
+) -> io::Result<WalScan> {
+    let mut names = backend.list_dir(dir)?;
+    names.sort();
+    let mut events: Vec<SequencedEvent> = Vec::new();
+    let mut segments = Vec::new();
+    let mut torn_segments = 0;
+    for name in names.iter().filter(|n| parse_segment_name(n).is_some()) {
+        let path = dir.join(name);
+        let (segment, clean) = segment_events(backend, &path)?;
+        segments.push((path, segment.iter().map(|e| e.seq).max().unwrap_or(0)));
+        events.extend(segment.into_iter().filter(|e| e.seq >= from_seq));
+        torn_segments += usize::from(!clean);
+    }
+    events.sort_by(|a, b| a.seq.cmp(&b.seq).then(b.epoch.cmp(&a.epoch)));
+    events.dedup_by_key(|e| e.seq);
+    events.retain(|e| {
+        if e.epoch < branch_epoch {
+            return false;
+        }
+        branch_epoch = e.epoch;
+        true
+    });
+    Ok(WalScan {
+        events,
+        segments,
+        torn_segments,
+    })
 }
 
 /// Tails the WAL in `dir` through `backend`, returning every event with
@@ -64,39 +149,14 @@ pub fn tail_wal(backend: &dyn StorageBackend, dir: &Path, from_seq: u64) -> io::
     if !backend.dir_exists(dir) {
         return Ok(Tail::Events(Vec::new()));
     }
-    let mut watermark = 0u64;
-    let mut events: Vec<SequencedEvent> = Vec::new();
-    let mut names = backend.list_dir(dir)?;
-    names.sort();
-    for name in names {
-        if let Some(w) = parse_snapshot_name(&name) {
-            watermark = watermark.max(w);
-            continue;
-        }
-        if parse_segment_name(&name).is_none() {
-            continue;
-        }
-        let contents = read_segment_with(backend, &dir.join(&name))?;
-        for payload in &contents.payloads {
-            // Like recovery: a frame that passes its CRC but fails to
-            // decode truncates this segment's contribution.
-            let Some(event) = decode_event(payload) else {
-                break;
-            };
-            if event.seq >= from_seq {
-                events.push(event);
-            }
-        }
-    }
-    events.sort_by_key(|e| e.seq);
-    events.dedup_by_key(|e| e.seq);
-
+    let mut events = wal_events(backend, dir, from_seq, 0)?.events;
     if events.first().is_none_or(|e| e.seq != from_seq) {
         // The run does not start at `from_seq`. If the snapshot
         // watermark has moved past it, the missing prefix was (or may
         // have been) compacted — snapshot transfer territory. Otherwise
         // nothing at `from_seq` has reached the log yet (caught-up
         // follower, or a frame still mid-write): ship nothing.
+        let watermark = wal_watermark(backend, dir)?;
         return Ok(if from_seq < watermark {
             Tail::Compacted { watermark }
         } else {
@@ -106,14 +166,12 @@ pub fn tail_wal(backend: &dyn StorageBackend, dir: &Path, from_seq: u64) -> io::
     // Truncate at the first gap: a hole means a lower-seq frame is still
     // being written (or was torn) in another shard's segment, and
     // shipping past it would let a follower apply out of order.
-    let mut end = 0;
-    for (i, event) in events.iter().enumerate() {
-        if event.seq != from_seq + i as u64 {
-            break;
-        }
-        end = i + 1;
-    }
-    events.truncate(end);
+    let run = events
+        .iter()
+        .zip(from_seq..)
+        .take_while(|(event, seq)| event.seq == *seq)
+        .count();
+    events.truncate(run);
     Ok(Tail::Events(events))
 }
 
@@ -150,6 +208,25 @@ mod tests {
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("oak-stream-{tag}-{}", std::process::id()))
+    }
+
+    /// Hand-writes the global segment `name` in `dir`: one `RuleRemoved`
+    /// frame per seq, stamped with `epoch`.
+    fn write_segment(dir: &Path, name: &str, epoch: u64, seqs: impl IntoIterator<Item = u64>) {
+        let mut writer = crate::segment::SegmentWriter::create(dir.join(name), None).unwrap();
+        for seq in seqs {
+            let ev = SequencedEvent {
+                seq,
+                epoch,
+                event: oak_core::events::EngineEvent::RuleRemoved {
+                    id: oak_core::rule::RuleId(seq as u32),
+                },
+            };
+            writer
+                .append(seq, ev.to_value().to_string().as_bytes())
+                .unwrap();
+        }
+        writer.sync().unwrap();
     }
 
     fn events_of(tail: Tail) -> Vec<SequencedEvent> {
@@ -288,33 +365,47 @@ mod tests {
     #[test]
     fn truncates_at_sequence_gaps() {
         use crate::backend::RealFs;
-        use crate::segment::SegmentWriter;
 
         let dir = temp_dir("gap");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         // Hand-write a segment with seqs 0, 1, 3 — seq 2 is "mid-write
         // elsewhere". The tail must stop at the gap.
-        let mut writer = SegmentWriter::create(dir.join("seg-16-00000000.wal"), None).unwrap();
-        for seq in [0u64, 1, 3] {
-            let ev = SequencedEvent {
-                seq,
-                epoch: 0,
-                event: oak_core::events::EngineEvent::RuleRemoved {
-                    id: oak_core::rule::RuleId(seq as u32),
-                },
-            };
-            writer
-                .append(seq, ev.to_value().to_string().as_bytes())
-                .unwrap();
-        }
-        writer.sync().unwrap();
+        write_segment(&dir, "seg-16-00000000.wal", 0, [0, 1, 3]);
         let tail = tail_wal(&RealFs, &dir, 0).unwrap();
         let events = events_of(tail);
         assert_eq!(events.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1]);
         // Asking from past the gap works once the gap is behind us.
         let events = events_of(tail_wal(&RealFs, &dir, 3).unwrap());
         assert_eq!(events.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![3]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn ships_the_live_branch_where_two_epochs_claim_a_seq() {
+        use crate::backend::RealFs;
+
+        let dir = temp_dir("branches");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // A deposed primary's directory: it journaled seqs 0..5 in epoch
+        // 1, of which only 0 and 1 ever committed; then it installed the
+        // winner's snapshot at 2 and followed seqs 2 and 3 in epoch 3.
+        // The dead frames sit in the file that sorts first.
+        write_segment(&dir, "seg-16-00000000.wal", 1, 0..5);
+        write_segment(&dir, "seg-16-00000001.wal", 3, 2..4);
+
+        let shipped = |from| -> Vec<(u64, u64)> {
+            let events = events_of(tail_wal(&RealFs, &dir, from).unwrap());
+            events.iter().map(|e| (e.seq, e.epoch)).collect()
+        };
+        // Seq 4 exists only on the dead branch: nothing to ship there.
+        assert_eq!(shipped(0), vec![(0, 1), (1, 1), (2, 3), (3, 3)]);
+        assert_eq!(shipped(3), vec![(3, 3)]);
+        // And it is, seq for seq, what recovery replays.
+        let recovered = crate::recover(&dir, OakConfig::default()).unwrap();
+        assert_eq!(recovered.replayed_seqs, vec![0, 1, 2, 3]);
+        assert_eq!(recovered.oak.epoch(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -12,7 +12,7 @@ use common::{apply_op, fingerprint, scripted_ops, seed_rules, temp_dir};
 use oak_core::engine::{Oak, OakConfig};
 use oak_core::events::SequencedEvent;
 use oak_store::segment::read_segment;
-use oak_store::{recover, FsyncPolicy, OakStore, StoreOptions};
+use oak_store::{recover, tail_wal, FsyncPolicy, OakStore, RealFs, StoreOptions, Tail};
 
 fn always_fsync() -> StoreOptions {
     StoreOptions {
@@ -89,6 +89,23 @@ fn assert_valid_prefix_recovery(dir: &Path) {
         fingerprint(&recovered.oak),
         fingerprint(&reference),
         "recovered state must equal replay of the surviving frame prefix"
+    );
+    // One reader: what `tail` would ship from this directory is the
+    // gap-free front of what recovery just replayed.
+    let shipped = match tail_wal(&RealFs, dir, recovered.watermark).expect("tail damaged dir") {
+        Tail::Events(events) => events,
+        Tail::Compacted { .. } => panic!("nothing here was compacted"),
+    };
+    let front = recovered
+        .replayed_seqs
+        .iter()
+        .zip(recovered.watermark..)
+        .take_while(|(seq, want)| *seq == want)
+        .count();
+    assert_eq!(
+        shipped.iter().map(|e| e.seq).collect::<Vec<_>>(),
+        recovered.replayed_seqs[..front],
+        "tail and recovery must read the same events out of the same files"
     );
 }
 
