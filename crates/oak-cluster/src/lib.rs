@@ -13,8 +13,8 @@
 //!   is primary. At most one leaseholder per partition per epoch; a
 //!   vote is only granted to a candidate at least as durable as the
 //!   voter, which is the whole losslessness argument.
-//! - [`msg`] — the wire codec: CRC-framed JSON envelopes reusing the
-//!   WAL's own frame format over the transport seam.
+//! - [`msg`] — the wire codec: one flat binary envelope per message,
+//!   in the WAL's own CRC frame, over the transport seam.
 //! - [`node`] — [`node::ClusterNode`] glues an engine + store per
 //!   hosted partition to the lease machine and ships WAL frames
 //!   ([`oak_store::stream`]) to followers; client acks release at the

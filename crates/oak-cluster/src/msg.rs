@@ -1,24 +1,56 @@
 //! Cluster wire messages and their codec.
 //!
 //! Everything replicas say to each other — lease traffic, WAL shipping,
-//! snapshot transfer — is one [`Message`] inside one [`Envelope`].
-//! Envelopes encode as JSON framed by the *same* `[len][crc32][payload]`
-//! frame the WAL uses ([`oak_store::segment`]): frames are
-//! self-delimiting and checksummed, so the TCP transport can stream them
-//! back-to-back and a corrupt frame is detected, not applied. The sim
-//! transport skips the bytes and passes [`Envelope`] values directly —
-//! codec round-trip tests keep the two paths equivalent.
+//! snapshot transfer — is one [`Message`] inside one [`Envelope`], and
+//! every envelope is one `[len][crc32][payload]` frame, the *same* frame
+//! the WAL uses ([`oak_store::segment`]): self-delimiting and
+//! checksummed, so the TCP transport can stream them back-to-back and a
+//! corrupt frame is detected, not applied. The sim transport skips the
+//! bytes and passes [`Envelope`] values directly — codec round-trip
+//! tests keep the two paths equivalent.
 //!
-//! Sequence numbers, epochs, and watermarks all fit comfortably below
-//! 2^53, so they ride as native JSON numbers (the same choice the WAL
-//! codec makes for `seq`).
+//! # Byte layout
+//!
+//! The payload is one flat little-endian record with one header for
+//! every message kind (DESIGN.md §14 carries the same table):
+//!
+//! ```text
+//! offset  size  field
+//! 0       1     version    ENVELOPE_VERSION (0x01)
+//! 1       1     kind       0 heartbeat … 7 snapshot_ack
+//! 2       4     from       u32 node id
+//! 6       4     to         u32 node id
+//! 10      4     partition  u32
+//! 14      8     epoch      u64
+//! 22      …     body, by kind
+//!
+//! 0 heartbeat      commit:u64
+//! 1 heartbeat_ack  acked:u64
+//! 2 vote_request   branch_epoch:u64  watermark:u64
+//! 3 vote_granted   (nothing)
+//! 4 append         commit:u64  count:u32  count × (len:u32, event)
+//! 5 append_ack     acked:u64
+//! 6 snapshot       watermark:u64  len:u32, the snapshot document (JSON text)
+//! 7 snapshot_ack   watermark:u64
+//! ```
+//!
+//! An `event` is [`SequencedEvent::encode_into`]'s bytes — what the
+//! primary's WAL frame holds, and what the follower's will. All members
+//! of a replication group upgrade together: replicas do not negotiate a
+//! stream version, and an envelope with any other version byte poisons
+//! the link like any other undecodable frame.
 
-use oak_core::events::SequencedEvent;
+use oak_core::events::{
+    put_len, put_sized, put_str, put_u32, put_u64, Reader, SequencedEvent, EVENT_HEADER_LEN,
+};
 use oak_json::Value;
-use oak_store::segment::{decode_frame_step, encode_frame, FrameStep};
+use oak_store::segment::{build_frame, decode_frame_step, FrameStep};
 
 use crate::lease::LeaseMsg;
 use crate::NodeId;
+
+/// First payload byte of every envelope.
+pub const ENVELOPE_VERSION: u8 = 1;
 
 /// One cluster message, scoped to a partition.
 ///
@@ -79,49 +111,44 @@ pub struct Envelope {
     pub msg: Message,
 }
 
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-}
+/// Smallest `len:u32, event` element of an `Append`.
+const MIN_APPEND_ITEM_BYTES: usize = 4 + EVENT_HEADER_LEN;
 
-fn str_field<'v>(v: &'v Value, key: &str) -> Result<&'v str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing or non-string field {key:?}"))
-}
+impl Envelope {
+    /// Encodes the envelope as one CRC frame (the TCP unit of exchange).
+    pub fn encode(&self) -> Vec<u8> {
+        build_frame(|out| self.encode_payload(out))
+    }
 
-impl Message {
-    /// Encodes as a self-describing JSON object.
-    pub fn to_value(&self) -> Value {
-        let mut doc = Value::object();
-        doc.set("p", u64::from(self.partition()));
-        match self {
+    fn encode_payload(&self, out: &mut Vec<u8>) {
+        let header = |out: &mut Vec<u8>, kind: u8, epoch: u64| {
+            out.push(ENVELOPE_VERSION);
+            out.push(kind);
+            put_u32(out, self.from.0);
+            put_u32(out, self.to.0);
+            put_u32(out, self.msg.partition());
+            put_u64(out, epoch);
+        };
+        match &self.msg {
             Message::Lease { msg, .. } => match *msg {
                 LeaseMsg::Heartbeat { epoch, commit } => {
-                    doc.set("t", "hb");
-                    doc.set("epoch", epoch);
-                    doc.set("commit", commit);
+                    header(out, 0, epoch);
+                    put_u64(out, commit);
                 }
                 LeaseMsg::HeartbeatAck { epoch, acked } => {
-                    doc.set("t", "hb_ack");
-                    doc.set("epoch", epoch);
-                    doc.set("acked", acked);
+                    header(out, 1, epoch);
+                    put_u64(out, acked);
                 }
                 LeaseMsg::VoteRequest {
                     epoch,
                     branch_epoch,
                     watermark,
                 } => {
-                    doc.set("t", "vote_req");
-                    doc.set("epoch", epoch);
-                    doc.set("branch", branch_epoch);
-                    doc.set("watermark", watermark);
+                    header(out, 2, epoch);
+                    put_u64(out, branch_epoch);
+                    put_u64(out, watermark);
                 }
-                LeaseMsg::VoteRequestGranted { epoch } => {
-                    doc.set("t", "vote_grant");
-                    doc.set("epoch", epoch);
-                }
+                LeaseMsg::VoteRequestGranted { epoch } => header(out, 3, epoch),
             },
             Message::Append {
                 epoch,
@@ -129,19 +156,16 @@ impl Message {
                 events,
                 ..
             } => {
-                doc.set("t", "append");
-                doc.set("epoch", *epoch);
-                doc.set("commit", *commit);
-                let mut list = Value::array();
+                header(out, 4, *epoch);
+                put_u64(out, *commit);
+                put_len(out, events.len());
                 for event in events {
-                    list.push(event.to_value());
+                    put_sized(out, |out| event.encode_into(out));
                 }
-                doc.set("events", list);
             }
             Message::AppendAck { epoch, acked, .. } => {
-                doc.set("t", "append_ack");
-                doc.set("epoch", *epoch);
-                doc.set("acked", *acked);
+                header(out, 5, *epoch);
+                put_u64(out, *acked);
             }
             Message::Snapshot {
                 epoch,
@@ -149,101 +173,76 @@ impl Message {
                 state,
                 ..
             } => {
-                doc.set("t", "snapshot");
-                doc.set("epoch", *epoch);
-                doc.set("watermark", *watermark);
-                doc.set("state", state.clone());
+                header(out, 6, *epoch);
+                put_u64(out, *watermark);
+                put_str(out, &state.to_string());
             }
             Message::SnapshotAck {
                 epoch, watermark, ..
             } => {
-                doc.set("t", "snapshot_ack");
-                doc.set("epoch", *epoch);
-                doc.set("watermark", *watermark);
+                header(out, 7, *epoch);
+                put_u64(out, *watermark);
             }
         }
-        doc
     }
 
-    /// Decodes a message object.
-    pub fn from_value(v: &Value) -> Result<Message, String> {
-        let partition = u64_field(v, "p")? as u32;
-        let msg = match str_field(v, "t")? {
-            "hb" => Message::Lease {
+    fn decode_payload(payload: &[u8]) -> Result<Envelope, String> {
+        let mut r = Reader::new(payload);
+        let version = r.u8("envelope version")?;
+        if version != ENVELOPE_VERSION {
+            return Err(format!(
+                "unsupported envelope version 0x{version:02x} (expected 0x{ENVELOPE_VERSION:02x})"
+            ));
+        }
+        let kind = r.u8("message kind")?;
+        let from = NodeId(r.u32("sender")?);
+        let to = NodeId(r.u32("recipient")?);
+        let partition = r.u32("partition")?;
+        let epoch = r.u64("epoch")?;
+        let lease = |msg| Message::Lease { partition, msg };
+        let msg = match kind {
+            0 => lease(LeaseMsg::Heartbeat {
+                epoch,
+                commit: r.u64("commit")?,
+            }),
+            1 => lease(LeaseMsg::HeartbeatAck {
+                epoch,
+                acked: r.u64("acked head")?,
+            }),
+            2 => lease(LeaseMsg::VoteRequest {
+                epoch,
+                branch_epoch: r.u64("branch epoch")?,
+                watermark: r.u64("watermark")?,
+            }),
+            3 => lease(LeaseMsg::VoteRequestGranted { epoch }),
+            4 => Message::Append {
                 partition,
-                msg: LeaseMsg::Heartbeat {
-                    epoch: u64_field(v, "epoch")?,
-                    commit: u64_field(v, "commit")?,
-                },
+                epoch,
+                commit: r.u64("commit")?,
+                events: r.list(MIN_APPEND_ITEM_BYTES, "appended events", |r| {
+                    SequencedEvent::decode(r.bytes("appended event")?)
+                })?,
             },
-            "hb_ack" => Message::Lease {
+            5 => Message::AppendAck {
                 partition,
-                msg: LeaseMsg::HeartbeatAck {
-                    epoch: u64_field(v, "epoch")?,
-                    acked: u64_field(v, "acked")?,
-                },
+                epoch,
+                acked: r.u64("acked head")?,
             },
-            "vote_req" => Message::Lease {
+            6 => Message::Snapshot {
                 partition,
-                msg: LeaseMsg::VoteRequest {
-                    epoch: u64_field(v, "epoch")?,
-                    // Absent from a pre-branch-epoch peer: branch 0.
-                    branch_epoch: v.get("branch").and_then(Value::as_u64).unwrap_or(0),
-                    watermark: u64_field(v, "watermark")?,
-                },
+                epoch,
+                watermark: r.u64("watermark")?,
+                state: oak_json::parse(r.str("snapshot document")?).map_err(|e| e.to_string())?,
             },
-            "vote_grant" => Message::Lease {
+            7 => Message::SnapshotAck {
                 partition,
-                msg: LeaseMsg::VoteRequestGranted {
-                    epoch: u64_field(v, "epoch")?,
-                },
+                epoch,
+                watermark: r.u64("watermark")?,
             },
-            "append" => {
-                let mut events = Vec::new();
-                let list = v
-                    .get("events")
-                    .and_then(Value::as_array)
-                    .ok_or("append without events array")?;
-                for item in list {
-                    events.push(SequencedEvent::from_value(item)?);
-                }
-                Message::Append {
-                    partition,
-                    epoch: u64_field(v, "epoch")?,
-                    commit: u64_field(v, "commit")?,
-                    events,
-                }
-            }
-            "append_ack" => Message::AppendAck {
-                partition,
-                epoch: u64_field(v, "epoch")?,
-                acked: u64_field(v, "acked")?,
-            },
-            "snapshot" => Message::Snapshot {
-                partition,
-                epoch: u64_field(v, "epoch")?,
-                watermark: u64_field(v, "watermark")?,
-                state: v.get("state").ok_or("snapshot without state")?.clone(),
-            },
-            "snapshot_ack" => Message::SnapshotAck {
-                partition,
-                epoch: u64_field(v, "epoch")?,
-                watermark: u64_field(v, "watermark")?,
-            },
-            other => return Err(format!("unknown cluster message type {other:?}")),
+            other => return Err(format!("unknown message kind 0x{other:02x}")),
         };
-        Ok(msg)
-    }
-}
-
-impl Envelope {
-    /// Encodes the envelope as one CRC frame (the TCP unit of exchange).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut doc = Value::object();
-        doc.set("from", u64::from(self.from.0));
-        doc.set("to", u64::from(self.to.0));
-        doc.set("msg", self.msg.to_value());
-        encode_frame(doc.to_string().as_bytes())
+        r.finish("the message")?;
+        Ok(Envelope { from, to, msg })
     }
 
     /// Classifies the bytes at `offset` as an incomplete, whole, or
@@ -260,18 +259,11 @@ impl Envelope {
             FrameStep::Frame(payload, next) => (payload, next),
         };
         // The frame is whole and CRC-valid, so undecodable contents are
-        // corruption (a buggy or hostile peer), never a short read.
-        let parse = || -> Option<Envelope> {
-            let text = std::str::from_utf8(payload).ok()?;
-            let doc = oak_json::parse(text).ok()?;
-            let from = NodeId(doc.get("from").and_then(Value::as_u64)? as u32);
-            let to = NodeId(doc.get("to").and_then(Value::as_u64)? as u32);
-            let msg = Message::from_value(doc.get("msg")?).ok()?;
-            Some(Envelope { from, to, msg })
-        };
-        match parse() {
-            Some(envelope) => DecodeStep::Frame(envelope, next),
-            None => DecodeStep::Corrupt,
+        // corruption (a buggy, hostile or differently-versioned peer),
+        // never a short read.
+        match Envelope::decode_payload(payload) {
+            Ok(envelope) => DecodeStep::Frame(envelope, next),
+            Err(_) => DecodeStep::Corrupt,
         }
     }
 
@@ -296,100 +288,380 @@ pub enum DecodeStep {
     /// A whole envelope and the offset one past its frame.
     Frame(Envelope, usize),
     /// Bytes that can never decode (bad length, CRC mismatch, or a
-    /// valid frame around undecodable JSON): drop the connection.
+    /// valid frame around an undecodable payload): drop the connection.
     Corrupt,
 }
 
 #[cfg(test)]
 mod tests {
-    use oak_core::events::EngineEvent;
+    //! Regenerate the golden file after an intentional layout change with
+    //! `OAK_BLESS=1 cargo test -p oak-cluster golden`.
+
+    use std::path::PathBuf;
+
+    use oak_core::aggregates::ServerFold;
+    use oak_core::events::{EngineEvent, IngestEffect};
     use oak_core::rule::RuleId;
+    use oak_core::Instant;
+    use oak_store::segment::{encode_frame, FRAME_OVERHEAD};
+    use proptest::prelude::*;
 
     use super::*;
 
-    fn roundtrip(msg: Message) {
-        let envelope = Envelope {
-            from: NodeId(3),
-            to: NodeId(7),
-            msg,
+    fn removed(seq: u64, epoch: u64) -> SequencedEvent {
+        SequencedEvent {
+            seq,
+            epoch,
+            event: EngineEvent::RuleRemoved {
+                id: RuleId(seq as u32),
+            },
+        }
+    }
+
+    /// A report's worth of event: eight servers, a handful of samples each.
+    fn ingest(seq: u64, epoch: u64) -> SequencedEvent {
+        let fold = |server: u64| ServerFold {
+            domains: vec![format!("cdn{server}.example").into()],
+            objects: 3,
+            bytes: 90_000,
+            small_times_ms: vec![80.5 + server as f64, 95.25, 71.0],
+            large_tputs_kbps: vec![2_400.0],
+            violated: server == 0,
         };
-        let bytes = envelope.encode();
-        let (decoded, end) = Envelope::decode(&bytes, 0).expect("decodes");
-        assert_eq!(end, bytes.len());
-        // The codec is canonical (fixed field order), so re-encoding the
-        // decoded envelope must reproduce the original frame exactly.
-        assert_eq!(decoded.encode(), bytes);
+        SequencedEvent {
+            seq,
+            epoch,
+            event: EngineEvent::Ingest(IngestEffect {
+                time: Instant(seq * 10),
+                user: format!("u-{seq}"),
+                folds: (0..8).map(fold).collect(),
+                pending: vec![RuleId(2)],
+                records: Vec::new(),
+            }),
+        }
+    }
+
+    /// One envelope per message kind — the golden file's contents and
+    /// the hostile-payload suite's victims.
+    fn sample_envelopes() -> Vec<(&'static str, Envelope)> {
+        let lease = |msg| Message::Lease { partition: 2, msg };
+        let mut state = Value::object();
+        state.set("event_seq", 42u64);
+        let messages = vec![
+            (
+                "heartbeat",
+                lease(LeaseMsg::Heartbeat {
+                    epoch: 5,
+                    commit: 40,
+                }),
+            ),
+            (
+                "heartbeat_ack",
+                lease(LeaseMsg::HeartbeatAck {
+                    epoch: 5,
+                    acked: 39,
+                }),
+            ),
+            (
+                "vote_request",
+                lease(LeaseMsg::VoteRequest {
+                    epoch: 6,
+                    branch_epoch: 5,
+                    watermark: 41,
+                }),
+            ),
+            (
+                "vote_granted",
+                lease(LeaseMsg::VoteRequestGranted { epoch: 6 }),
+            ),
+            (
+                "append",
+                Message::Append {
+                    partition: 1,
+                    epoch: 6,
+                    commit: 40,
+                    events: vec![removed(41, 6), ingest(42, 6)],
+                },
+            ),
+            (
+                "append_ack",
+                Message::AppendAck {
+                    partition: 1,
+                    epoch: 6,
+                    acked: 43,
+                },
+            ),
+            (
+                "snapshot",
+                Message::Snapshot {
+                    partition: 3,
+                    epoch: 7,
+                    watermark: 42,
+                    state,
+                },
+            ),
+            (
+                "snapshot_ack",
+                Message::SnapshotAck {
+                    partition: 3,
+                    epoch: 7,
+                    watermark: 42,
+                },
+            ),
+        ];
+        let envelope = |(name, msg)| {
+            let (from, to) = (NodeId(3), NodeId(7));
+            (name, Envelope { from, to, msg })
+        };
+        messages.into_iter().map(envelope).collect()
+    }
+
+    fn payload_of(envelope: &Envelope) -> Vec<u8> {
+        envelope.encode()[FRAME_OVERHEAD..].to_vec()
+    }
+
+    /// Decodes a payload that may have been tampered with: an error or
+    /// an envelope whose encoding round-trips, never a panic.
+    fn decode_hostile(payload: &[u8]) {
+        if let Ok(envelope) = Envelope::decode_payload(payload) {
+            let again = Envelope::decode_payload(&payload_of(&envelope)).expect("re-decodes");
+            assert_eq!(again.encode(), envelope.encode());
+        }
+    }
+
+    fn message() -> impl Strategy<Value = Message> {
+        let ids = || (any::<u32>(), any::<u64>(), any::<u64>());
+        fn lease(partition: u32, msg: LeaseMsg) -> Message {
+            Message::Lease { partition, msg }
+        }
+        prop_oneof![
+            ids().prop_map(|(partition, epoch, commit)| {
+                lease(partition, LeaseMsg::Heartbeat { epoch, commit })
+            }),
+            ids().prop_map(|(partition, epoch, acked)| {
+                lease(partition, LeaseMsg::HeartbeatAck { epoch, acked })
+            }),
+            (ids(), any::<u64>()).prop_map(|((partition, epoch, watermark), branch_epoch)| {
+                lease(
+                    partition,
+                    LeaseMsg::VoteRequest {
+                        epoch,
+                        branch_epoch,
+                        watermark,
+                    },
+                )
+            }),
+            ids().prop_map(|(partition, epoch, _)| {
+                lease(partition, LeaseMsg::VoteRequestGranted { epoch })
+            }),
+            (ids(), prop::collection::vec(any::<bool>(), 0..5)).prop_map(
+                |((partition, epoch, commit), kinds)| Message::Append {
+                    partition,
+                    epoch,
+                    commit,
+                    events: kinds
+                        .into_iter()
+                        .zip(commit..)
+                        .map(|(full, seq)| if full {
+                            ingest(seq % 1_000, epoch)
+                        } else {
+                            removed(seq, epoch)
+                        })
+                        .collect(),
+                }
+            ),
+            ids().prop_map(|(partition, epoch, acked)| Message::AppendAck {
+                partition,
+                epoch,
+                acked,
+            }),
+            (ids(), "\\PC{0,24}").prop_map(|((partition, epoch, watermark), text)| {
+                let mut state = Value::object();
+                state.set("note", text.as_str());
+                state.set("event_seq", watermark % (1 << 53));
+                Message::Snapshot {
+                    partition,
+                    epoch,
+                    watermark,
+                    state,
+                }
+            }),
+            ids().prop_map(|(partition, epoch, watermark)| Message::SnapshotAck {
+                partition,
+                epoch,
+                watermark,
+            }),
+        ]
+    }
+
+    proptest! {
+        /// The codec is canonical: re-encoding a decoded envelope
+        /// reproduces the frame exactly, for every message kind.
+        #[test]
+        fn encode_decode_encode_is_the_identity(
+            from in any::<u32>(),
+            to in any::<u32>(),
+            msg in message(),
+        ) {
+            let envelope = Envelope { from: NodeId(from), to: NodeId(to), msg };
+            let bytes = envelope.encode();
+            let (decoded, end) = Envelope::decode(&bytes, 0).expect("decodes");
+            prop_assert_eq!(end, bytes.len());
+            prop_assert_eq!(decoded.from, envelope.from);
+            prop_assert_eq!(decoded.to, envelope.to);
+            prop_assert_eq!(decoded.encode(), bytes);
+        }
+
+        /// Arbitrary bytes behind a valid header never panic the decoder.
+        #[test]
+        fn arbitrary_bodies_never_panic(
+            kind in 0u8..9,
+            body in prop::collection::vec(any::<u8>(), 0..128),
+        ) {
+            let mut payload = vec![ENVELOPE_VERSION, kind];
+            payload.extend_from_slice(&[0; 20]);
+            payload.extend_from_slice(&body);
+            decode_hostile(&payload);
+        }
     }
 
     #[test]
-    fn all_variants_roundtrip() {
-        roundtrip(Message::Lease {
-            partition: 2,
-            msg: LeaseMsg::Heartbeat {
-                epoch: 5,
-                commit: 40,
+    fn every_truncation_of_a_payload_is_an_error() {
+        for (name, envelope) in sample_envelopes() {
+            let payload = payload_of(&envelope);
+            for cut in 0..payload.len() {
+                assert!(
+                    Envelope::decode_payload(&payload[..cut]).is_err(),
+                    "{name} cut at {cut} still decodes"
+                );
+            }
+        }
+    }
+
+    fn flip_every_bit(payload: &[u8]) {
+        for at in 0..payload.len() {
+            for bit in 0..8 {
+                let mut flipped = payload.to_vec();
+                flipped[at] ^= 1 << bit;
+                decode_hostile(&flipped);
+            }
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_payload_is_an_error_or_another_envelope() {
+        for (_, envelope) in sample_envelopes() {
+            flip_every_bit(&payload_of(&envelope));
+        }
+    }
+
+    /// The exhaustive form of the two tests above, over the largest
+    /// `Append` a primary ships. Minutes, not seconds: the nightly CI job
+    /// runs it (`cargo test --release -p oak-cluster -- --ignored`).
+    #[test]
+    #[ignore = "exhaustive sweep; run by the nightly CI job"]
+    fn exhaustive_mutation_sweep_of_a_full_append_batch() {
+        let batch = crate::node::APPEND_BATCH as u64;
+        let payload = payload_of(&Envelope {
+            from: NodeId(0),
+            to: NodeId(1),
+            msg: Message::Append {
+                partition: 0,
+                epoch: 9,
+                commit: 1_000,
+                events: (0..batch).map(|i| ingest(1_000 + i, 9)).collect(),
             },
         });
-        roundtrip(Message::Lease {
-            partition: 2,
-            msg: LeaseMsg::HeartbeatAck {
-                epoch: 5,
-                acked: 39,
-            },
-        });
-        roundtrip(Message::Lease {
-            partition: 0,
-            msg: LeaseMsg::VoteRequest {
-                epoch: 6,
-                branch_epoch: 5,
-                watermark: 41,
-            },
-        });
-        roundtrip(Message::Lease {
-            partition: 0,
-            msg: LeaseMsg::VoteRequestGranted { epoch: 6 },
-        });
-        roundtrip(Message::Append {
-            partition: 1,
-            epoch: 6,
-            commit: 40,
-            events: vec![SequencedEvent {
-                seq: 41,
-                epoch: 6,
-                event: EngineEvent::RuleRemoved { id: RuleId(9) },
-            }],
-        });
-        roundtrip(Message::AppendAck {
-            partition: 1,
-            epoch: 6,
-            acked: 42,
-        });
-        let mut state = Value::object();
-        state.set("event_seq", 42u64);
-        roundtrip(Message::Snapshot {
-            partition: 3,
-            epoch: 7,
-            watermark: 42,
-            state,
-        });
-        roundtrip(Message::SnapshotAck {
-            partition: 3,
-            epoch: 7,
-            watermark: 42,
-        });
+        for cut in 0..payload.len() {
+            assert!(Envelope::decode_payload(&payload[..cut]).is_err());
+        }
+        flip_every_bit(&payload);
+    }
+
+    #[test]
+    fn a_lying_event_count_fails_before_it_allocates() {
+        let mut payload = vec![ENVELOPE_VERSION, 4];
+        payload.extend_from_slice(&[0; 20 + 8]); // header, commit
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            Envelope::decode_payload(&payload).unwrap_err(),
+            "4294967295 appended events cannot fit in the 0 bytes that remain"
+        );
+    }
+
+    #[test]
+    fn rejects_what_is_not_this_layout() {
+        let good = payload_of(&sample_envelopes().remove(5).1);
+
+        let mut future = good.clone();
+        future[0] = 2;
+        assert_eq!(
+            Envelope::decode_payload(&future).unwrap_err(),
+            "unsupported envelope version 0x02 (expected 0x01)"
+        );
+        let mut kind = good.clone();
+        kind[1] = 8;
+        assert_eq!(
+            Envelope::decode_payload(&kind).unwrap_err(),
+            "unknown message kind 0x08"
+        );
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert_eq!(
+            Envelope::decode_payload(&trailing).unwrap_err(),
+            "1 trailing bytes after the message"
+        );
+        // An `Append` carries the byte layout only: replicas upgrade
+        // together, so a JSON event is not something a peer may send.
+        let mut legacy = vec![ENVELOPE_VERSION, 4];
+        legacy.extend_from_slice(&[0; 20 + 8]);
+        legacy.extend_from_slice(&1u32.to_le_bytes());
+        let json = br#"{"id":1,"seq":0,"t":"rule_removed"}"#;
+        legacy.extend_from_slice(&(json.len() as u32).to_le_bytes());
+        legacy.extend_from_slice(json);
+        assert_eq!(
+            Envelope::decode_payload(&legacy).unwrap_err(),
+            "unsupported event version 0x7b (expected 0x01)"
+        );
+    }
+
+    fn golden_path() -> PathBuf {
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/envelope_frames.hex")
+    }
+
+    /// One `name hex` line per message kind, frame header included. Every
+    /// member of a group must speak these bytes, so a change here is a
+    /// deliberate re-bless.
+    #[test]
+    fn golden_frames_are_unchanged() {
+        let mut text = String::from(
+            "# One framed Envelope per Message kind (crates/oak-cluster/src/msg.rs).\n\
+             # Re-bless on purpose: OAK_BLESS=1 cargo test -p oak-cluster golden\n",
+        );
+        for (name, envelope) in sample_envelopes() {
+            let hex: String = envelope
+                .encode()
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            text.push_str(&format!("{name} {hex}\n"));
+        }
+        if std::env::var_os("OAK_BLESS").is_some() {
+            std::fs::write(golden_path(), &text).unwrap();
+        }
+        let expected = std::fs::read_to_string(golden_path()).expect(
+            "golden file missing — regenerate with OAK_BLESS=1 cargo test -p oak-cluster golden",
+        );
+        assert_eq!(
+            text, expected,
+            "the envelope byte layout drifted from the golden file; if intentional, bump \
+             ENVELOPE_VERSION and regenerate with OAK_BLESS=1"
+        );
     }
 
     #[test]
     fn truncated_frames_do_not_decode() {
-        let envelope = Envelope {
-            from: NodeId(0),
-            to: NodeId(1),
-            msg: Message::AppendAck {
-                partition: 0,
-                epoch: 1,
-                acked: 2,
-            },
-        };
+        let (_, envelope) = sample_envelopes().remove(5);
         let bytes = envelope.encode();
         for cut in 0..bytes.len() {
             assert!(Envelope::decode(&bytes[..cut], 0).is_none());
@@ -403,15 +675,7 @@ mod tests {
 
     #[test]
     fn decode_step_separates_short_reads_from_corruption() {
-        let envelope = Envelope {
-            from: NodeId(0),
-            to: NodeId(1),
-            msg: Message::AppendAck {
-                partition: 0,
-                epoch: 1,
-                acked: 2,
-            },
-        };
+        let (_, envelope) = sample_envelopes().remove(5);
         let bytes = envelope.encode();
         // Every truncation could still complete: keep reading.
         for cut in 0..bytes.len() {
@@ -436,8 +700,8 @@ mod tests {
             Envelope::decode_step(&bad_len, 0),
             DecodeStep::Corrupt
         ));
-        // A CRC-valid frame around non-envelope JSON is corruption too,
-        // not a short read.
+        // A CRC-valid frame around something that is not an envelope is
+        // corruption too, not a short read.
         let junk = encode_frame(b"{\"not\":\"an envelope\"}");
         assert!(matches!(
             Envelope::decode_step(&junk, 0),
@@ -447,26 +711,9 @@ mod tests {
 
     #[test]
     fn frames_stream_back_to_back() {
-        let a = Envelope {
-            from: NodeId(0),
-            to: NodeId(1),
-            msg: Message::AppendAck {
-                partition: 0,
-                epoch: 1,
-                acked: 2,
-            },
-        };
-        let b = Envelope {
-            from: NodeId(1),
-            to: NodeId(0),
-            msg: Message::Lease {
-                partition: 0,
-                msg: LeaseMsg::Heartbeat {
-                    epoch: 1,
-                    commit: 2,
-                },
-            },
-        };
+        let mut envelopes = sample_envelopes();
+        let (_, a) = envelopes.remove(5);
+        let (_, b) = envelopes.remove(0);
         let mut stream = a.encode();
         stream.extend_from_slice(&b.encode());
         let (first, mid) = Envelope::decode(&stream, 0).unwrap();

@@ -75,7 +75,7 @@ pub struct NodeOptions {
 }
 
 /// Max events per `Append` message, and per follower in flight.
-const APPEND_BATCH: usize = 64;
+pub(crate) const APPEND_BATCH: usize = 64;
 
 /// Resend an unacked snapshot transfer after this long.
 const SNAPSHOT_RESEND_MS: u64 = 200;

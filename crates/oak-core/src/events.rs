@@ -45,13 +45,53 @@
 //! lets the WAL keep one segment per shard and merge by sequence number
 //! on recovery.
 //!
-//! # Float fidelity
+//! # Byte layout
 //!
-//! Recovery must be byte-identical, so `f64` fields (severities, timing
-//! samples, aggregate sums) are encoded as JSON *strings* via Rust's
-//! shortest-round-trip formatter rather than as JSON numbers: this
-//! preserves every finite value exactly and survives the non-finite
-//! severities that [`crate::engine::Oak::force_activate`] records.
+//! One event is one flat, little-endian record: the WAL frame payload
+//! (`oak-store`) and the element of a replication `Append`
+//! (`oak-cluster`). This module is the only place the layout is written
+//! ([`SequencedEvent::encode_into`], [`SequencedEvent::decode`]); DESIGN.md
+//! §8 carries the same table.
+//!
+//! ```text
+//! offset  size  field
+//! 0       1     version   EVENT_VERSION (0x01). Never `{` (0x7B): that byte
+//!                         opens a journal frame from before this layout,
+//!                         which `oak-store` still reads (and never writes)
+//!                         through SequencedEvent::from_value
+//! 1       8     seq       u64
+//! 9       8     epoch     u64
+//! 17      1     kind      0 rule_added … 6 pruned
+//! 18      …     body, by kind
+//!
+//! str  = len:u32, then len bytes of UTF-8
+//! n×T  = count:u32, then count × T
+//! f64  = the IEEE-754 bits as a u64
+//!
+//! 0 rule_added        id:u32  spec:str          (the §4.1 rule spec text)
+//! 1 rule_removed      id:u32
+//! 2 ingest            time:u64  user:str  n×fold  n×rule:u32  n×record
+//! 3 force_activate    time:u64  user:str  rule:u32
+//! 4 force_deactivate  user:str  rule:u32
+//! 5 serve_expiry      time:u64  user:str  n×(seq:u64 rule:u32)
+//! 6 pruned            n×str
+//!
+//! fold   = n×str (domains)  objects:u64  bytes:u64
+//!          n×f64 (small ms)  n×f64 (large kbit/s)  violated:u8 (0 | 1)
+//! record = seq:u64  time:u64  user:str  rule:u32  action
+//! action = 0 ip:str severity:f64 | 1 to_index:u64 | 2 | 3
+//!          (activated, advanced, deactivated, expired)
+//! ```
+//!
+//! Recovery must be byte-identical, so an `f64` (severities, timing
+//! samples) travels as its raw bits: every value is exact, and the
+//! non-finite severities [`crate::engine::Oak::force_activate`] records
+//! survive. The decoder checks every length and count against the bytes
+//! that remain *before* it allocates for them, validates UTF-8, accepts
+//! one encoding per value (so `encode(decode(b)) == b`) and rejects
+//! trailing bytes.
+
+use std::sync::Arc;
 
 use oak_json::Value;
 
@@ -76,7 +116,7 @@ pub trait EventSink: Send + Sync {
 /// An [`EngineEvent`] with its global sequence number.
 ///
 /// (No `PartialEq`: [`Rule`] scopes carry compiled patterns that do not
-/// compare; tests compare events through [`SequencedEvent::to_value`].)
+/// compare; tests compare events through [`SequencedEvent::encode`].)
 #[derive(Clone, Debug)]
 pub struct SequencedEvent {
     /// Global event order; replay applies events ascending.
@@ -167,8 +207,9 @@ pub struct IngestEffect {
     pub records: Vec<(u64, LogEvent)>,
 }
 
-/// Exact `f64` encoding: Rust's shortest-round-trip decimal, as a JSON
-/// string (survives `inf`; JSON numbers cannot).
+/// Exact `f64` encoding for the snapshot document: Rust's
+/// shortest-round-trip decimal, as a JSON string (survives `inf`; JSON
+/// numbers cannot).
 pub(crate) fn f64_to_value(v: f64) -> Value {
     Value::String(format!("{v}"))
 }
@@ -178,6 +219,399 @@ pub(crate) fn f64_from_value(v: &Value) -> Result<f64, String> {
     let s = v.as_str().ok_or("expected float string")?;
     s.parse::<f64>()
         .map_err(|e| format!("bad float {s:?}: {e}"))
+}
+
+/// First byte of every encoded event.
+pub const EVENT_VERSION: u8 = 1;
+
+/// Bytes before an encoded event's body: version, `seq`, `epoch`, kind.
+pub const EVENT_HEADER_LEN: usize = 18;
+
+/// Appends a little-endian `u32` — with [`put_u64`], [`put_len`],
+/// [`put_str`] and [`put_sized`] the write half of [`Reader`], shared with the
+/// `oak-cluster` envelope like it.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u64`.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a length or element count as the `u32` [`Reader::list`] and
+/// [`Reader::bytes`] read back.
+///
+/// # Panics
+///
+/// If `n` does not fit: nothing that is framed can be that long (a
+/// frame's own length field is a `u32`).
+pub fn put_len(out: &mut Vec<u8>, n: usize) {
+    put_u32(out, len_u32(n));
+}
+
+fn len_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("a framed list or string is far below 2^32 long")
+}
+
+/// Appends whatever `write` appends, behind its length in bytes — as
+/// [`Reader::bytes`] reads it back.
+pub fn put_sized(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    put_u32(out, 0);
+    write(out);
+    let len = len_u32(out.len() - at - 4);
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Appends `s` as [`Reader::str`] reads it: length, then the bytes.
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_len(out, s.len());
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
+    put_len(out, values.len());
+    for v in values {
+        put_u64(out, v.to_bits());
+    }
+}
+
+/// A bounds-checked cursor over little-endian fields: the read half of
+/// the event layout, and of the `oak-cluster` envelope around it. Every
+/// read names the field it was after, so an error says where a payload
+/// stopped making sense.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
+        Reader { bytes, pos: 0 }
+    }
+
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// The next `n` bytes.
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
+        if n > self.remaining() {
+            return Err(format!(
+                "{what} needs {n} bytes at offset {}, {} remain",
+                self.pos,
+                self.remaining()
+            ));
+        }
+        let slice = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(slice)
+    }
+
+    /// One byte.
+    pub fn u8(&mut self, what: &str) -> Result<u8, String> {
+        Ok(self.take(1, what)?[0])
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self, what: &str) -> Result<u32, String> {
+        let raw = self.take(4, what)?;
+        Ok(u32::from_le_bytes(raw.try_into().expect("4 bytes")))
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self, what: &str) -> Result<u64, String> {
+        let raw = self.take(8, what)?;
+        Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
+    }
+
+    /// A `u32`-length-prefixed run of bytes.
+    pub fn bytes(&mut self, what: &str) -> Result<&'a [u8], String> {
+        let len = self.u32(what)? as usize;
+        self.take(len, what)
+    }
+
+    /// A `u32`-length-prefixed UTF-8 string, borrowed from the payload.
+    pub fn str(&mut self, what: &str) -> Result<&'a str, String> {
+        std::str::from_utf8(self.bytes(what)?).map_err(|_| format!("{what} is not valid UTF-8"))
+    }
+
+    /// A `u32` element count, then that many elements, each read by
+    /// `item`. The count is refused unless the bytes that remain can hold
+    /// that many elements of at least `min_item_bytes` each — so a lying
+    /// count is an error before it sizes any allocation.
+    pub fn list<T>(
+        &mut self,
+        min_item_bytes: usize,
+        what: &str,
+        mut item: impl FnMut(&mut Reader<'a>) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let n = self.u32(what)? as usize;
+        if n > self.remaining() / min_item_bytes.max(1) {
+            return Err(format!(
+                "{n} {what} cannot fit in the {} bytes that remain",
+                self.remaining()
+            ));
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
+    /// Ends the read: bytes left over are an error.
+    pub fn finish(self, what: &str) -> Result<(), String> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(format!("{n} trailing bytes after {what}")),
+        }
+    }
+}
+
+fn read_rule_id(r: &mut Reader<'_>, what: &str) -> Result<RuleId, String> {
+    r.u32(what).map(RuleId)
+}
+
+fn read_f64s(r: &mut Reader<'_>, what: &str) -> Result<Vec<f64>, String> {
+    r.list(8, what, |r| r.u64(what).map(f64::from_bits))
+}
+
+/// Smallest encoded fold: three empty lists, two counters, the flag.
+const MIN_FOLD_BYTES: usize = 4 + 8 + 8 + 4 + 4 + 1;
+/// Smallest encoded log record: `seq`, time, an empty user, rule, tag.
+const MIN_RECORD_BYTES: usize = 8 + 8 + 4 + 4 + 1;
+
+impl ServerFold {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_len(out, self.domains.len());
+        for domain in &self.domains {
+            put_str(out, domain);
+        }
+        put_u64(out, self.objects);
+        put_u64(out, self.bytes);
+        put_f64s(out, &self.small_times_ms);
+        put_f64s(out, &self.large_tputs_kbps);
+        out.push(u8::from(self.violated));
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<ServerFold, String> {
+        Ok(ServerFold {
+            domains: r.list(4, "fold domains", |r| r.str("fold domain").map(Arc::from))?,
+            objects: r.u64("fold objects")?,
+            bytes: r.u64("fold bytes")?,
+            small_times_ms: read_f64s(r, "fold small times")?,
+            large_tputs_kbps: read_f64s(r, "fold large throughputs")?,
+            violated: match r.u8("fold violated flag")? {
+                0 => false,
+                1 => true,
+                other => return Err(format!("fold violated flag is 0x{other:02x}, not 0 or 1")),
+            },
+        })
+    }
+}
+
+impl LogEvent {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.time.as_millis());
+        put_str(out, &self.user);
+        put_u32(out, self.rule.0);
+        match &self.action {
+            LogAction::Activated {
+                violator_ip,
+                severity,
+            } => {
+                out.push(0);
+                put_str(out, violator_ip);
+                put_u64(out, severity.to_bits());
+            }
+            LogAction::Advanced { to_index } => {
+                out.push(1);
+                put_u64(out, *to_index as u64);
+            }
+            LogAction::Deactivated => out.push(2),
+            LogAction::Expired => out.push(3),
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<LogEvent, String> {
+        Ok(LogEvent {
+            time: Instant(r.u64("record time")?),
+            user: r.str("record user")?.to_owned(),
+            rule: read_rule_id(r, "record rule")?,
+            action: match r.u8("record action")? {
+                0 => LogAction::Activated {
+                    violator_ip: r.str("violator ip")?.to_owned(),
+                    severity: f64::from_bits(r.u64("severity")?),
+                },
+                1 => {
+                    let raw = r.u64("advanced index")?;
+                    LogAction::Advanced {
+                        to_index: usize::try_from(raw)
+                            .map_err(|_| format!("advanced index {raw} out of range"))?,
+                    }
+                }
+                2 => LogAction::Deactivated,
+                3 => LogAction::Expired,
+                other => return Err(format!("unknown log action 0x{other:02x}")),
+            },
+        })
+    }
+}
+
+impl SequencedEvent {
+    /// Appends the event's byte layout (see the module docs) to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(EVENT_VERSION);
+        put_u64(out, self.seq);
+        put_u64(out, self.epoch);
+        match &self.event {
+            EngineEvent::RuleAdded { id, rule } => {
+                out.push(0);
+                put_u32(out, id.0);
+                // Rules travel in the §4.1 spec format, which round-trips
+                // every field (alternatives, TTL, scope, policies,
+                // sub-rules) through an existing, tested codec.
+                put_str(out, &spec::format_rule(rule));
+            }
+            EngineEvent::RuleRemoved { id } => {
+                out.push(1);
+                put_u32(out, id.0);
+            }
+            EngineEvent::Ingest(effect) => {
+                out.push(2);
+                put_u64(out, effect.time.as_millis());
+                put_str(out, &effect.user);
+                put_len(out, effect.folds.len());
+                for fold in &effect.folds {
+                    fold.encode_into(out);
+                }
+                put_len(out, effect.pending.len());
+                for id in &effect.pending {
+                    put_u32(out, id.0);
+                }
+                put_len(out, effect.records.len());
+                for (seq, record) in &effect.records {
+                    put_u64(out, *seq);
+                    record.encode_into(out);
+                }
+            }
+            EngineEvent::ForceActivate { time, user, rule } => {
+                out.push(3);
+                put_u64(out, time.as_millis());
+                put_str(out, user);
+                put_u32(out, rule.0);
+            }
+            EngineEvent::ForceDeactivate { user, rule } => {
+                out.push(4);
+                put_str(out, user);
+                put_u32(out, rule.0);
+            }
+            EngineEvent::ServeExpiry {
+                time,
+                user,
+                expired,
+            } => {
+                out.push(5);
+                put_u64(out, time.as_millis());
+                put_str(out, user);
+                put_len(out, expired.len());
+                for (seq, rule) in expired {
+                    put_u64(out, *seq);
+                    put_u32(out, rule.0);
+                }
+            }
+            EngineEvent::Pruned { users } => {
+                out.push(6);
+                put_len(out, users.len());
+                for user in users {
+                    put_str(out, user);
+                }
+            }
+        }
+    }
+
+    /// The event's byte layout as a fresh buffer.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// The `seq` of an encoded event, read at its fixed offset without
+    /// decoding the body. `None` when `bytes` is not a whole
+    /// [`EVENT_VERSION`] header.
+    pub fn encoded_seq(bytes: &[u8]) -> Option<u64> {
+        if bytes.len() < EVENT_HEADER_LEN || bytes[0] != EVENT_VERSION {
+            return None;
+        }
+        Some(u64::from_le_bytes(bytes[1..9].try_into().expect("8 bytes")))
+    }
+
+    /// Inverse of [`SequencedEvent::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Names the first field that is cut short, out of range, not UTF-8
+    /// or followed by bytes it should not be — including a version byte
+    /// this build does not know and rule-spec parse failures. Never
+    /// panics, and never allocates for a count the payload cannot back.
+    pub fn decode(bytes: &[u8]) -> Result<SequencedEvent, String> {
+        let mut r = Reader::new(bytes);
+        let version = r.u8("event version")?;
+        if version != EVENT_VERSION {
+            return Err(format!(
+                "unsupported event version 0x{version:02x} (expected 0x{EVENT_VERSION:02x})"
+            ));
+        }
+        let seq = r.u64("event seq")?;
+        let epoch = r.u64("event epoch")?;
+        let event = match r.u8("event kind")? {
+            0 => EngineEvent::RuleAdded {
+                id: read_rule_id(&mut r, "rule id")?,
+                rule: spec::parse_rule(r.str("rule spec")?).map_err(|e| e.to_string())?,
+            },
+            1 => EngineEvent::RuleRemoved {
+                id: read_rule_id(&mut r, "rule id")?,
+            },
+            2 => EngineEvent::Ingest(IngestEffect {
+                time: Instant(r.u64("ingest time")?),
+                user: r.str("ingest user")?.to_owned(),
+                folds: r.list(MIN_FOLD_BYTES, "folds", ServerFold::decode)?,
+                pending: r.list(4, "pending rules", |r| read_rule_id(r, "pending rule"))?,
+                records: r.list(MIN_RECORD_BYTES, "records", |r| {
+                    Ok((r.u64("record seq")?, LogEvent::decode(r)?))
+                })?,
+            }),
+            3 => EngineEvent::ForceActivate {
+                time: Instant(r.u64("activation time")?),
+                user: r.str("activated user")?.to_owned(),
+                rule: read_rule_id(&mut r, "activated rule")?,
+            },
+            4 => EngineEvent::ForceDeactivate {
+                user: r.str("deactivated user")?.to_owned(),
+                rule: read_rule_id(&mut r, "deactivated rule")?,
+            },
+            5 => EngineEvent::ServeExpiry {
+                time: Instant(r.u64("serve time")?),
+                user: r.str("served user")?.to_owned(),
+                expired: r.list(12, "expiries", |r| {
+                    Ok((r.u64("expiry seq")?, read_rule_id(r, "expired rule")?))
+                })?,
+            },
+            6 => EngineEvent::Pruned {
+                users: r.list(4, "pruned users", |r| {
+                    r.str("pruned user").map(str::to_owned)
+                })?,
+            },
+            other => return Err(format!("unknown event kind 0x{other:02x}")),
+        };
+        r.finish("the event")?;
+        Ok(SequencedEvent { seq, epoch, event })
+    }
 }
 
 fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
@@ -262,31 +696,7 @@ impl LogEvent {
 }
 
 impl ServerFold {
-    /// Encodes one aggregate fold.
-    pub fn to_value(&self) -> Value {
-        let mut doc = Value::object();
-        let mut domains = Value::array();
-        for d in &self.domains {
-            domains.push(&**d);
-        }
-        doc.set("domains", domains);
-        doc.set("objects", self.objects);
-        doc.set("bytes", self.bytes);
-        let mut small = Value::array();
-        for &t in &self.small_times_ms {
-            small.push(f64_to_value(t));
-        }
-        doc.set("small", small);
-        let mut large = Value::array();
-        for &t in &self.large_tputs_kbps {
-            large.push(f64_to_value(t));
-        }
-        doc.set("large", large);
-        doc.set("violated", self.violated);
-        doc
-    }
-
-    /// Inverse of [`ServerFold::to_value`].
+    /// Reads one aggregate fold out of a legacy JSON journal frame.
     ///
     /// # Errors
     ///
@@ -305,7 +715,7 @@ impl ServerFold {
         };
         for d in array_field(v, "domains")? {
             fold.domains
-                .push(std::sync::Arc::from(d.as_str().ok_or("non-string domain")?));
+                .push(Arc::from(d.as_str().ok_or("non-string domain")?));
         }
         for t in array_field(v, "small")? {
             fold.small_times_ms.push(f64_from_value(t)?);
@@ -317,16 +727,6 @@ impl ServerFold {
     }
 }
 
-fn records_to_value(records: &[(u64, LogEvent)]) -> Value {
-    let mut out = Value::array();
-    for (seq, event) in records {
-        let mut rec = event.to_value();
-        rec.set("seq", *seq);
-        out.push(rec);
-    }
-    out
-}
-
 fn records_from_value(v: &Value, key: &str) -> Result<Vec<(u64, LogEvent)>, String> {
     let mut out = Vec::new();
     for rec in array_field(v, key)? {
@@ -336,84 +736,10 @@ fn records_from_value(v: &Value, key: &str) -> Result<Vec<(u64, LogEvent)>, Stri
 }
 
 impl SequencedEvent {
-    /// Encodes the event as a self-describing JSON object — the WAL frame
-    /// payload.
-    pub fn to_value(&self) -> Value {
-        let mut doc = Value::object();
-        doc.set("seq", self.seq);
-        if self.epoch > 0 {
-            doc.set("epoch", self.epoch);
-        }
-        match &self.event {
-            EngineEvent::RuleAdded { id, rule } => {
-                doc.set("t", "rule_added");
-                doc.set("id", u64::from(id.0));
-                // Rules travel in the §4.1 spec format, which round-trips
-                // every field (alternatives, TTL, scope, policies,
-                // sub-rules) through an existing, tested codec.
-                doc.set("spec", spec::format_rule(rule));
-            }
-            EngineEvent::RuleRemoved { id } => {
-                doc.set("t", "rule_removed");
-                doc.set("id", u64::from(id.0));
-            }
-            EngineEvent::Ingest(effect) => {
-                doc.set("t", "ingest");
-                doc.set("time", effect.time.as_millis());
-                doc.set("user", effect.user.as_str());
-                let mut folds = Value::array();
-                for fold in &effect.folds {
-                    folds.push(fold.to_value());
-                }
-                doc.set("folds", folds);
-                let mut pending = Value::array();
-                for id in &effect.pending {
-                    pending.push(u64::from(id.0));
-                }
-                doc.set("pending", pending);
-                doc.set("records", records_to_value(&effect.records));
-            }
-            EngineEvent::ForceActivate { time, user, rule } => {
-                doc.set("t", "force_activate");
-                doc.set("time", time.as_millis());
-                doc.set("user", user.as_str());
-                doc.set("rule", u64::from(rule.0));
-            }
-            EngineEvent::ForceDeactivate { user, rule } => {
-                doc.set("t", "force_deactivate");
-                doc.set("user", user.as_str());
-                doc.set("rule", u64::from(rule.0));
-            }
-            EngineEvent::ServeExpiry {
-                time,
-                user,
-                expired,
-            } => {
-                doc.set("t", "serve_expiry");
-                doc.set("time", time.as_millis());
-                doc.set("user", user.as_str());
-                let mut list = Value::array();
-                for (seq, rule) in expired {
-                    let mut pair = Value::array();
-                    pair.push(*seq);
-                    pair.push(u64::from(rule.0));
-                    list.push(pair);
-                }
-                doc.set("expired", list);
-            }
-            EngineEvent::Pruned { users } => {
-                doc.set("t", "pruned");
-                let mut list = Value::array();
-                for user in users {
-                    list.push(user.as_str());
-                }
-                doc.set("users", list);
-            }
-        }
-        doc
-    }
-
-    /// Inverse of [`SequencedEvent::to_value`].
+    /// Reads an event out of the JSON object journals carried before the
+    /// byte layout (see the module docs) — the legacy read path. Nothing
+    /// encodes this form any more; `oak-store` reaches it only for a
+    /// frame payload that opens with `{`.
     ///
     /// # Errors
     ///

@@ -3,7 +3,7 @@
 //! Wires one [`oak_cluster::ClusterNode`] to real sockets and the real
 //! filesystem: the same protocol the simulator proves lossless
 //! (`oak-sim --cluster`), with `SimNet` swapped for TCP and `SimFs` for
-//! [`oak_store::RealFs`]. Envelopes travel as the CRC-framed JSON of
+//! [`oak_store::RealFs`]. Envelopes travel as the CRC frames of
 //! [`oak_cluster::Envelope::encode`] — the exact frames the sim codec
 //! round-trips — so a corrupt or truncated frame drops the connection
 //! instead of being applied.

@@ -19,7 +19,9 @@
 //!    segments are deleted.
 //! 4. [`recover`] (or [`OakStore::boot`]) loads the newest valid
 //!    snapshot and replays the WAL tail in global sequence order,
-//!    truncating at the first torn or corrupt frame instead of failing.
+//!    truncating at the first torn or corrupt frame instead of failing —
+//!    and refusing, rather than truncating at, a frame whose checksum
+//!    holds but whose contents this build cannot read.
 //!
 //! # Examples
 //!
@@ -58,4 +60,4 @@ pub use obs::StoreMetrics;
 pub use store::{
     recover, recover_with, Boot, FsyncPolicy, OakStore, Recovery, StoreOptions, RECENT_TAIL_CAP,
 };
-pub use stream::{tail_wal, wal_watermark, Tail};
+pub use stream::{decode_event, tail_wal, wal_watermark, Tail};

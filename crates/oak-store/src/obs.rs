@@ -16,6 +16,10 @@ pub struct StoreMetrics {
     /// `oak_wal_append_count` — events handed to the WAL (attempted
     /// appends; failures are also counted in `wal_append_errors`).
     pub wal_appends: Arc<Counter>,
+    /// `oak_wal_append_bytes_total` — bytes those appends framed: event
+    /// payload plus the 8-byte frame header. Over `wal_appends`, the
+    /// journal's bytes per event.
+    pub wal_append_bytes: Arc<Counter>,
     /// `oak_wal_append_errors_total` — appends that failed with I/O
     /// errors (the sink swallows them; this is the operator's signal).
     pub wal_append_errors: Arc<Counter>,
@@ -39,6 +43,11 @@ impl StoreMetrics {
             wal_appends: registry.counter(
                 "oak_wal_append_count",
                 "Engine events handed to the write-ahead log.",
+                &[],
+            ),
+            wal_append_bytes: registry.counter(
+                "oak_wal_append_bytes_total",
+                "Bytes handed to the write-ahead log (event payloads plus frame headers).",
                 &[],
             ),
             wal_append_errors: registry.counter(

@@ -39,12 +39,19 @@ pub fn frame_header(payload: &[u8]) -> [u8; FRAME_OVERHEAD] {
     header
 }
 
+/// Builds a frame around a payload that `write` appends to the buffer it
+/// is handed — the writer encodes straight into the frame, no copy.
+pub fn build_frame(write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut frame = vec![0; FRAME_OVERHEAD];
+    write(&mut frame);
+    let header = frame_header(&frame[FRAME_OVERHEAD..]);
+    frame[..FRAME_OVERHEAD].copy_from_slice(&header);
+    frame
+}
+
 /// Frames `payload` as `[len: u32 LE][crc32: u32 LE][payload]`.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    frame.extend_from_slice(&frame_header(payload));
-    frame.extend_from_slice(payload);
-    frame
+    build_frame(|frame| frame.extend_from_slice(payload))
 }
 
 /// One step of decoding a frame off an in-progress byte stream.
@@ -103,43 +110,38 @@ pub fn decode_frame(buf: &[u8], offset: usize) -> Option<(&[u8], usize)> {
     }
 }
 
-/// Everything salvageable from one segment file.
+/// Everything salvageable from one segment file's bytes.
 #[derive(Debug)]
-pub struct SegmentContents {
+pub struct SegmentContents<'a> {
     /// The engine shard the segment belongs to; `None` for the global
     /// segment.
     pub shard: Option<usize>,
-    /// Valid frame payloads, in file order.
-    pub payloads: Vec<Vec<u8>>,
+    /// Valid frames in file order: the offset of the frame in the file,
+    /// and its payload.
+    pub frames: Vec<(usize, &'a [u8])>,
     /// `false` when reading stopped at a torn or corrupt frame (or the
     /// header itself was damaged) before the end of the file.
     pub clean: bool,
 }
 
-/// Reads a segment file from the real filesystem, salvaging the valid
-/// frame prefix. See [`read_segment_with`] for the backend-generic form.
-pub fn read_segment(path: &Path) -> io::Result<SegmentContents> {
-    read_segment_with(&RealFs, path)
-}
-
-/// Reads a segment file through `backend`, salvaging the valid frame
-/// prefix.
+/// Walks a segment file's bytes, salvaging the valid frame prefix.
 ///
 /// Corruption — a damaged header, a torn final frame, a bit-flip anywhere
 /// — is not an error: the contents up to the first bad frame come back
-/// with `clean == false`. Only real I/O failures surface as `Err`.
-pub fn read_segment_with(backend: &dyn StorageBackend, path: &Path) -> io::Result<SegmentContents> {
-    let buf = backend.read(path)?;
+/// with `clean == false`. An empty payload ends the salvage too: no
+/// writer produces one, and it is what a tail the filesystem extended
+/// but never filled (all zeroes, whose CRC is zero) reads as.
+pub fn parse_segment(buf: &[u8]) -> SegmentContents<'_> {
     let mut contents = SegmentContents {
         shard: None,
-        payloads: Vec::new(),
+        frames: Vec::new(),
         clean: false,
     };
     let Some(header) = buf.get(..SEGMENT_HEADER) else {
-        return Ok(contents);
+        return contents;
     };
     if &header[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
-        return Ok(contents);
+        return contents;
     }
     let shard = u32::from_le_bytes(header[SEGMENT_MAGIC.len()..].try_into().expect("4 bytes"));
     contents.shard = if shard == META_SHARD {
@@ -148,12 +150,15 @@ pub fn read_segment_with(backend: &dyn StorageBackend, path: &Path) -> io::Resul
         Some(shard as usize)
     };
     let mut offset = SEGMENT_HEADER;
-    while let Some((payload, next)) = decode_frame(&buf, offset) {
-        contents.payloads.push(payload.to_vec());
+    while let Some((payload, next)) = decode_frame(buf, offset) {
+        if payload.is_empty() {
+            break;
+        }
+        contents.frames.push((offset, payload));
         offset = next;
     }
     contents.clean = offset == buf.len();
-    Ok(contents)
+    contents
 }
 
 /// An open, append-only segment file.
@@ -199,8 +204,13 @@ impl SegmentWriter {
 
     /// Appends one framed record carrying the event with sequence `seq`.
     pub fn append(&mut self, seq: u64, payload: &[u8]) -> io::Result<()> {
-        let frame = encode_frame(payload);
-        self.file.write_all(&frame)?;
+        self.append_frame(seq, &encode_frame(payload))
+    }
+
+    /// Appends `frame` — a whole frame, as [`build_frame`] returns it —
+    /// carrying the event with sequence `seq`.
+    pub fn append_frame(&mut self, seq: u64, frame: &[u8]) -> io::Result<()> {
+        self.file.write_all(frame)?;
         self.bytes += frame.len() as u64;
         self.max_seq = self.max_seq.max(seq);
         self.appended_since_sync += 1;

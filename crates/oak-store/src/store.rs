@@ -28,7 +28,7 @@ use oak_core::engine::{Oak, OakConfig, SHARD_COUNT};
 use oak_core::events::{EventSink, SequencedEvent};
 
 use crate::backend::{RealFs, StorageBackend};
-use crate::segment::{decode_frame, frame_header, SegmentWriter};
+use crate::segment::{build_frame, decode_frame, frame_header, SegmentWriter};
 use crate::stream::wal_events;
 
 /// Hands the allocator's free pages back to the OS.
@@ -432,7 +432,7 @@ impl OakStore {
         slot.lock().expect("segment slot lock")
     }
 
-    fn append_to_slot(&self, index: usize, seq: u64, payload: &[u8]) -> io::Result<()> {
+    fn append_to_slot(&self, index: usize, seq: u64, frame: &[u8]) -> io::Result<()> {
         let slot = &self.slots[index];
         let mut guard = self.lock_slot(slot);
         if guard.is_none() {
@@ -450,7 +450,7 @@ impl OakStore {
             self.backend.sync_dir(&self.dir)?;
         }
         let writer = guard.as_mut().expect("just opened");
-        writer.append(seq, payload)?;
+        writer.append_frame(seq, frame)?;
         let fsync_timed = |writer: &mut SegmentWriter| -> io::Result<()> {
             let start = self.obs.get().map(|o| o.now());
             writer.sync()?;
@@ -486,12 +486,13 @@ impl OakStore {
 impl EventSink for OakStore {
     fn record(&self, shard: Option<usize>, event: &SequencedEvent) {
         let index = shard.unwrap_or(SHARD_COUNT).min(SHARD_COUNT);
-        let payload = event.to_value().to_string();
+        let frame = build_frame(|out| event.encode_into(out));
         let _span = oak_obs::span("wal_append");
         let start = self.obs.get().map(|o| o.now());
-        let result = self.append_to_slot(index, event.seq, payload.as_bytes());
+        let result = self.append_to_slot(index, event.seq, &frame);
         if let Some(obs) = self.obs.get() {
             obs.wal_appends.inc();
+            obs.wal_append_bytes.add(frame.len() as u64);
             if result.is_err() {
                 obs.wal_append_errors.inc();
             }
@@ -572,6 +573,14 @@ pub struct Boot {
 /// watermark are skipped; the rest are merged across all segments in
 /// global sequence order and applied. A torn or corrupt segment tail
 /// truncates that segment's contribution, never the recovery.
+///
+/// # Errors
+///
+/// Besides I/O failures: `InvalidData`, naming the segment, the offset
+/// and the first byte, for a frame at or past the watermark whose
+/// checksum holds but which this build cannot decode — a journal from a
+/// newer build, say. Recovering the prefix before it would let the next
+/// compaction delete the rest.
 ///
 /// Replay is deterministic: events carry resolved decisions, so the
 /// rebuilt engine's `rules()`, `active_rules()`, `aggregates()`, and

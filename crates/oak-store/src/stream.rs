@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 use oak_core::events::SequencedEvent;
 
 use crate::backend::StorageBackend;
-use crate::segment::read_segment_with;
+use crate::segment::parse_segment;
 use crate::store::{parse_segment_name, parse_snapshot_name};
 
 /// What tailing the WAL from a sequence number produced.
@@ -55,32 +55,67 @@ pub enum Tail {
     },
 }
 
-/// Decodes one WAL frame payload back into its event — the crate's only
-/// frame→event decoder. `None` marks corruption the CRC missed; readers
-/// treat it like a torn tail.
-fn decode_event(payload: &[u8]) -> Option<SequencedEvent> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let doc = oak_json::parse(text).ok()?;
-    SequencedEvent::from_value(&doc).ok()
+/// Decodes one WAL frame payload back into its event — the one decoder
+/// every reader of a journal calls.
+///
+/// A payload that opens with `{` is a frame from a journal written
+/// before the byte layout of [`SequencedEvent::encode_into`]: it is read
+/// through the JSON decoder kept for exactly that, and nothing writes
+/// one any more. Every other payload is the byte layout.
+///
+/// # Errors
+///
+/// Says why the payload is not an event this build can read.
+pub fn decode_event(payload: &[u8]) -> Result<SequencedEvent, String> {
+    if payload.first() != Some(&b'{') {
+        return SequencedEvent::decode(payload);
+    }
+    let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
+    let doc = oak_json::parse(text).map_err(|e| e.to_string())?;
+    SequencedEvent::from_value(&doc)
 }
 
-/// The events one segment file yields — its checksum-valid, decodable
-/// frame prefix — and whether that prefix was the whole file. A frame
-/// that passes its CRC but fails to decode ends the salvage there, like
-/// any other torn tail.
+/// What one segment file yields: the events with `seq >= from_seq` in
+/// its checksum-valid frame prefix, the highest sequence number in that
+/// prefix, and whether the prefix was the whole file.
+///
+/// A frame below `from_seq` is skipped on the `seq` in its fixed header,
+/// body unread. A frame that passes its CRC but cannot be decoded is not
+/// a torn tail — the bytes are what some writer meant — so it is an
+/// error, not the end of the salvage: a journal from a newer build (an
+/// unknown version byte after a downgrade) must not recover as a prefix
+/// that the next compaction then makes permanent.
 fn segment_events(
     backend: &dyn StorageBackend,
     path: &Path,
-) -> io::Result<(Vec<SequencedEvent>, bool)> {
-    let contents = read_segment_with(backend, path)?;
-    let mut events = Vec::with_capacity(contents.payloads.len());
-    for payload in &contents.payloads {
-        let Some(event) = decode_event(payload) else {
-            return Ok((events, false));
-        };
-        events.push(event);
+    from_seq: u64,
+) -> io::Result<(Vec<SequencedEvent>, u64, bool)> {
+    let buf = backend.read(path)?;
+    let contents = parse_segment(&buf);
+    let mut events = Vec::new();
+    let mut max_seq = 0;
+    for &(offset, payload) in &contents.frames {
+        if let Some(seq) = SequencedEvent::encoded_seq(payload).filter(|&seq| seq < from_seq) {
+            max_seq = max_seq.max(seq);
+            continue;
+        }
+        let event = decode_event(payload).map_err(|why| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{}: the frame at offset {offset} passes its CRC but this build cannot \
+                     read it (first byte 0x{:02x}): {why}",
+                    path.display(),
+                    payload[0] // `parse_segment` yields no empty payload
+                ),
+            )
+        })?;
+        max_seq = max_seq.max(event.seq);
+        if event.seq >= from_seq {
+            events.push(event);
+        }
     }
-    Ok((events, contents.clean))
+    Ok((events, max_seq, contents.clean))
 }
 
 /// What [`wal_events`] read out of a store directory.
@@ -121,9 +156,9 @@ pub(crate) fn wal_events(
     let mut torn_segments = 0;
     for name in names.iter().filter(|n| parse_segment_name(n).is_some()) {
         let path = dir.join(name);
-        let (segment, clean) = segment_events(backend, &path)?;
-        segments.push((path, segment.iter().map(|e| e.seq).max().unwrap_or(0)));
-        events.extend(segment.into_iter().filter(|e| e.seq >= from_seq));
+        let (segment, max_seq, clean) = segment_events(backend, &path, from_seq)?;
+        segments.push((path, max_seq));
+        events.extend(segment);
         torn_segments += usize::from(!clean);
     }
     events.sort_by(|a, b| a.seq.cmp(&b.seq).then(b.epoch.cmp(&a.epoch)));
@@ -222,9 +257,7 @@ mod tests {
                     id: oak_core::rule::RuleId(seq as u32),
                 },
             };
-            writer
-                .append(seq, ev.to_value().to_string().as_bytes())
-                .unwrap();
+            writer.append(seq, &ev.encode()).unwrap();
         }
         writer.sync().unwrap();
     }
@@ -302,7 +335,7 @@ mod tests {
         let same = |a: &[SequencedEvent], b: &[SequencedEvent]| {
             assert_eq!(a.len(), b.len());
             for (a, b) in a.iter().zip(b) {
-                assert_eq!(a.to_value().to_string(), b.to_value().to_string());
+                assert_eq!(a.encode(), b.encode());
             }
         };
         // A follower further back than the ring reaches falls through to

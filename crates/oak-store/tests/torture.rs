@@ -11,8 +11,10 @@ use std::sync::Arc;
 use common::{apply_op, fingerprint, scripted_ops, seed_rules, temp_dir};
 use oak_core::engine::{Oak, OakConfig};
 use oak_core::events::SequencedEvent;
-use oak_store::segment::read_segment;
-use oak_store::{recover, tail_wal, FsyncPolicy, OakStore, RealFs, StoreOptions, Tail};
+use oak_store::segment::parse_segment;
+use oak_store::{
+    decode_event, recover, tail_wal, FsyncPolicy, OakStore, RealFs, StoreOptions, Tail,
+};
 
 fn always_fsync() -> StoreOptions {
     StoreOptions {
@@ -58,18 +60,9 @@ fn copy_dir(from: &Path, tag: &str) -> PathBuf {
 fn salvageable_events(dir: &Path) -> Vec<SequencedEvent> {
     let mut events = Vec::new();
     for path in wal_files(dir) {
-        let contents = read_segment(&path).expect("read segment");
-        for payload in &contents.payloads {
-            let Ok(text) = std::str::from_utf8(payload) else {
-                break;
-            };
-            let Ok(doc) = oak_json::parse(text) else {
-                break;
-            };
-            let Ok(event) = SequencedEvent::from_value(&doc) else {
-                break;
-            };
-            events.push(event);
+        let buf = fs::read(&path).expect("read segment");
+        for (_, payload) in parse_segment(&buf).frames {
+            events.push(decode_event(payload).expect("a CRC-valid frame decodes"));
         }
     }
     events.sort_by_key(|e| e.seq);
