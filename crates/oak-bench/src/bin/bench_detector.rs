@@ -176,12 +176,12 @@ fn run_mix(
             }
             let analysis = PageAnalysis::from_report(&load.report);
             for server in analysis.iter() {
-                let bad = truly_bad(&server.ip, browser.client, t);
+                let bad = truly_bad(server.ip, browser.client, t);
                 for (score, flags) in [
                     (&mut result.global, &global_flags),
                     (&mut result.cohort, &cohort_flags),
                 ] {
-                    match (flags.contains(&server.ip), bad) {
+                    match (flags.iter().any(|ip| ip == server.ip), bad) {
                         (true, true) => score.tp += 1,
                         (true, false) => score.fp += 1,
                         (false, true) => score.fn_ += 1,

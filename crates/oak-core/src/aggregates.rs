@@ -7,16 +7,16 @@
 //! aggregates over every ingested report, independent of any rule — the
 //! raw material for dashboards and for the §6 auditing workflow.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use oak_json::Value;
 
 use crate::analysis::PageAnalysis;
+use crate::detect::Violation;
 use crate::events::{f64_from_value, f64_to_value};
 use crate::intern::Interner;
-use crate::report::PerfReport;
 
 /// Streaming mean/min/max without storing samples.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -120,16 +120,19 @@ pub struct ServerFold {
     pub violated: bool,
 }
 
-/// Distills a report's per-server analysis into replayable folds.
-/// Domain names go through `interner`, so steady-state traffic naming
-/// known domains allocates nothing here.
+/// Distills a report's per-server analysis into replayable folds, in
+/// the analysis's server and domain order. The analysis is consumed: its
+/// sample vectors move into the folds, and its domain names — the only
+/// thing still borrowed from the report — go through `interner`, so
+/// steady-state traffic naming known domains copies no string here.
 pub fn distill(
-    analysis: &PageAnalysis,
-    violator_ips: &[String],
+    analysis: PageAnalysis<'_>,
+    violations: &[Violation],
     interner: &Interner,
 ) -> Vec<ServerFold> {
     analysis
-        .iter()
+        .servers
+        .into_iter()
         .map(|server| ServerFold {
             domains: server
                 .domains
@@ -138,9 +141,9 @@ pub fn distill(
                 .collect(),
             objects: server.object_count as u64,
             bytes: server.total_bytes,
-            small_times_ms: server.small_times_ms.clone(),
-            large_tputs_kbps: server.large_tputs_kbps.clone(),
-            violated: violator_ips.contains(&server.ip),
+            small_times_ms: server.small_times_ms,
+            large_tputs_kbps: server.large_tputs_kbps,
+            violated: violations.iter().any(|v| v.ip == server.ip),
         })
         .collect()
 }
@@ -187,19 +190,26 @@ impl SiteOverview {
     }
 }
 
+/// What the aggregates keep per reporting user.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct UserEntry {
+    /// Reports folded for the user.
+    reports: u64,
+    /// The domains whose `users_seen` this user is counted in, ascending
+    /// by name, each once — a page's worth, so membership is a binary
+    /// search in a short list the report-count lookup already reached.
+    sampled: Vec<Arc<str>>,
+}
+
 /// Whole-site aggregates, updated per report.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SiteAggregates {
     domains: BTreeMap<Arc<str>, DomainAggregate>,
-    users: BTreeMap<String, u64>,
+    users: BTreeMap<String, UserEntry>,
     reports: u64,
-    /// Distinct users sampled per domain, capped in total by
-    /// [`SiteAggregates::USER_SAMPLE_CAP`] (bounded memory under
-    /// adversarial user churn). Nested rather than keyed by
-    /// `(domain, user)` pairs so the membership probe on the hot fold
-    /// path needs no key allocation.
-    user_samples: BTreeMap<Arc<str>, BTreeSet<String>>,
-    /// Total `(domain, user)` pairs across `user_samples`.
+    /// Total `(domain, user)` pairs across every [`UserEntry::sampled`],
+    /// capped by [`SiteAggregates::USER_SAMPLE_CAP`] (bounded memory
+    /// under adversarial user churn).
     sample_count: usize,
 }
 
@@ -213,32 +223,32 @@ impl SiteAggregates {
         SiteAggregates::default()
     }
 
-    /// Folds one report (and the violations its analysis produced).
-    /// Convenience wrapper over [`distill`] + [`SiteAggregates::fold_distilled`].
-    pub fn fold(&mut self, report: &PerfReport, violator_ips: &[String]) {
-        let analysis = PageAnalysis::from_report(report);
-        let interner = Interner::new();
-        self.fold_distilled(&report.user, &distill(&analysis, violator_ips, &interner));
-    }
-
     /// Folds pre-distilled per-server increments. This is the canonical
     /// fold path: the live engine and WAL replay both call it with the
     /// same [`ServerFold`] values, so the floating-point accumulation
     /// order — and therefore every recovered sum — is bit-identical.
     pub fn fold_distilled(&mut self, user: &str, folds: &[ServerFold]) {
+        self.fold_capped(user, folds, Self::USER_SAMPLE_CAP);
+    }
+
+    /// [`SiteAggregates::fold_distilled`] under an explicit pair cap
+    /// (tests lower it to reach the capped regime).
+    pub(crate) fn fold_capped(&mut self, user: &str, folds: &[ServerFold], cap: usize) {
         self.reports += 1;
-        // A returning user (the steady state) costs a lookup, not a key
-        // allocation.
-        match self.users.get_mut(user) {
-            Some(count) => *count += 1,
-            None => {
-                self.users.insert(user.to_owned(), 1);
-            }
-        }
+        // One lookup per report reaches everything kept per user; a
+        // returning user (the steady state) costs no key allocation.
+        let entry = match self.users.get_mut(user) {
+            Some(entry) => entry,
+            None => self.users.entry(user.to_owned()).or_default(),
+        };
+        entry.reports += 1;
 
         for server in folds {
             for domain in &server.domains {
-                let agg = self.domains.entry(Arc::clone(domain)).or_default();
+                let agg = match self.domains.get_mut(&**domain) {
+                    Some(agg) => agg,
+                    None => self.domains.entry(Arc::clone(domain)).or_default(),
+                };
                 agg.objects += server.objects;
                 agg.bytes += server.bytes;
                 // Per-sample push order is load-bearing: WAL replay must
@@ -252,12 +262,17 @@ impl SiteAggregates {
                 if server.violated {
                     agg.violations += 1;
                 }
-                if self.sample_count < Self::USER_SAMPLE_CAP {
-                    let sampled = self.user_samples.entry(Arc::clone(domain)).or_default();
-                    if !sampled.contains(user) {
-                        sampled.insert(user.to_owned());
-                        self.sample_count += 1;
+                if self.sample_count < cap {
+                    if let Err(at) = entry.sampled.binary_search(domain) {
                         agg.users_seen += 1;
+                        self.sample_count += 1;
+                        // The map's own key, not the fold's handle: a
+                        // replayed fold carries a fresh `Arc` per name.
+                        let (name, _) = self
+                            .domains
+                            .get_key_value(&**domain)
+                            .expect("folded into just above");
+                        entry.sampled.insert(at, Arc::clone(name));
                     }
                 }
             }
@@ -272,22 +287,21 @@ impl SiteAggregates {
     /// per shard rather than globally.)
     pub fn merge(&mut self, other: &SiteAggregates) {
         self.reports += other.reports;
-        for (user, count) in &other.users {
-            *self.users.entry(user.clone()).or_insert(0) += count;
+        for (user, theirs) in &other.users {
+            let ours = self.users.entry(user.clone()).or_default();
+            ours.reports += theirs.reports;
+            for domain in &theirs.sampled {
+                if let Err(at) = ours.sampled.binary_search(domain) {
+                    ours.sampled.insert(at, Arc::clone(domain));
+                    self.sample_count += 1;
+                }
+            }
         }
         for (domain, agg) in &other.domains {
             self.domains
                 .entry(Arc::clone(domain))
                 .or_default()
                 .merge(agg);
-        }
-        for (domain, users) in &other.user_samples {
-            let sampled = self.user_samples.entry(Arc::clone(domain)).or_default();
-            for user in users {
-                if sampled.insert(user.clone()) {
-                    self.sample_count += 1;
-                }
-            }
         }
     }
 
@@ -298,7 +312,7 @@ impl SiteAggregates {
 
     /// Reports folded for one user.
     pub fn reports_from(&self, user: &str) -> u64 {
-        self.users.get(user).copied().unwrap_or(0)
+        self.users.get(user).map_or(0, |entry| entry.reports)
     }
 
     /// Distinct users that have reported.
@@ -356,10 +370,10 @@ impl SiteAggregates {
 
     /// `[user, report count]` pairs, in user order.
     fn user_rows(&self) -> impl Iterator<Item = Value> + '_ {
-        self.users.iter().map(|(user, count)| {
+        self.users.iter().map(|(user, entry)| {
             let mut pair = Value::array();
             pair.push(user.as_str());
-            pair.push(*count);
+            pair.push(entry.reports);
             pair
         })
     }
@@ -378,15 +392,22 @@ impl SiteAggregates {
         })
     }
 
-    /// Flat `[domain, user]` pairs, exactly the order the old flat map
-    /// produced (domain then user, both sorted) — the snapshot byte
-    /// format is unchanged by the nested representation.
+    /// Flat `[domain, user]` pairs, domain then user, both ascending —
+    /// the `samples` rows of the snapshot document, derived from the
+    /// per-user lists: walking `users` in order appends to each domain's
+    /// list in user order, so nothing is sorted.
     fn sample_rows(&self) -> impl Iterator<Item = Value> + '_ {
-        self.user_samples.iter().flat_map(|(domain, users)| {
-            users.iter().map(move |user| {
+        let mut by_domain: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+        for (user, entry) in &self.users {
+            for domain in &entry.sampled {
+                by_domain.entry(domain).or_default().push(user);
+            }
+        }
+        by_domain.into_iter().flat_map(|(domain, users)| {
+            users.into_iter().map(move |user| {
                 let mut pair = Value::array();
-                pair.push(&**domain);
-                pair.push(user.as_str());
+                pair.push(domain);
+                pair.push(user);
                 pair
             })
         })
@@ -412,7 +433,11 @@ impl SiteAggregates {
         {
             let user = pair.at(0).and_then(Value::as_str).ok_or("bad user entry")?;
             let count = pair.at(1).and_then(Value::as_u64).ok_or("bad user count")?;
-            out.users.insert(user.to_owned(), count);
+            let entry = UserEntry {
+                reports: count,
+                sampled: Vec::new(),
+            };
+            out.users.insert(user.to_owned(), entry);
         }
         for row in v
             .get("domains")
@@ -447,8 +472,19 @@ impl SiteAggregates {
         {
             let domain = pair.at(0).and_then(Value::as_str).ok_or("bad sample")?;
             let user = pair.at(1).and_then(Value::as_str).ok_or("bad sample")?;
-            let sampled = out.user_samples.entry(Arc::from(domain)).or_default();
-            if sampled.insert(user.to_owned()) {
+            // Every snapshot this code writes lists a sampled user under
+            // `users` too; a zero-count user made up here would change
+            // the bytes the document re-serialises to.
+            let entry = out
+                .users
+                .get_mut(user)
+                .ok_or("sample for a user with no report count")?;
+            if let Err(at) = entry.sampled.binary_search_by(|d| (**d).cmp(domain)) {
+                let name = match out.domains.get_key_value(domain) {
+                    Some((name, _)) => Arc::clone(name),
+                    None => Arc::from(domain),
+                };
+                entry.sampled.insert(at, name);
                 out.sample_count += 1;
             }
         }
@@ -493,5 +529,123 @@ impl RunningStat {
             min: f64_from_value(v.get("min").ok_or("missing \"min\"")?)?,
             max: f64_from_value(v.get("max").ok_or("missing \"max\"")?)?,
         })
+    }
+}
+
+/// The accumulator as it was when each domain kept a set of its users
+/// (`user_samples`) beside a bare report count per user — the model the
+/// per-user layout is tested against, since snapshots written by either
+/// must be the same bytes.
+#[cfg(test)]
+pub(crate) mod model {
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::sync::Arc;
+
+    use oak_json::Value;
+
+    use super::{DomainAggregate, ServerFold};
+
+    #[derive(Clone, Debug, Default)]
+    pub(crate) struct ModelAggregates {
+        pub domains: BTreeMap<Arc<str>, DomainAggregate>,
+        users: BTreeMap<String, u64>,
+        reports: u64,
+        user_samples: BTreeMap<Arc<str>, BTreeSet<String>>,
+        sample_count: usize,
+    }
+
+    impl ModelAggregates {
+        pub(crate) fn fold_capped(&mut self, user: &str, folds: &[ServerFold], cap: usize) {
+            self.reports += 1;
+            *self.users.entry(user.to_owned()).or_insert(0) += 1;
+            for server in folds {
+                for domain in &server.domains {
+                    let agg = self.domains.entry(Arc::clone(domain)).or_default();
+                    agg.objects += server.objects;
+                    agg.bytes += server.bytes;
+                    for &t in &server.small_times_ms {
+                        agg.small_time_ms.push(t);
+                    }
+                    for &t in &server.large_tputs_kbps {
+                        agg.large_tput_kbps.push(t);
+                    }
+                    if server.violated {
+                        agg.violations += 1;
+                    }
+                    if self.sample_count < cap {
+                        let sampled = self.user_samples.entry(Arc::clone(domain)).or_default();
+                        if !sampled.contains(user) {
+                            sampled.insert(user.to_owned());
+                            self.sample_count += 1;
+                            agg.users_seen += 1;
+                        }
+                    }
+                }
+            }
+        }
+
+        pub(crate) fn merge(&mut self, other: &ModelAggregates) {
+            self.reports += other.reports;
+            for (user, count) in &other.users {
+                *self.users.entry(user.clone()).or_insert(0) += count;
+            }
+            for (domain, agg) in &other.domains {
+                self.domains
+                    .entry(Arc::clone(domain))
+                    .or_default()
+                    .merge(agg);
+            }
+            for (domain, users) in &other.user_samples {
+                let sampled = self.user_samples.entry(Arc::clone(domain)).or_default();
+                for user in users {
+                    if sampled.insert(user.clone()) {
+                        self.sample_count += 1;
+                    }
+                }
+            }
+        }
+
+        /// `(domain, user)` in the order the `samples` rows list them.
+        pub(crate) fn sample_pairs(&self) -> Vec<(String, String)> {
+            self.user_samples
+                .iter()
+                .flat_map(|(domain, users)| {
+                    users
+                        .iter()
+                        .map(move |user| (domain.to_string(), user.clone()))
+                })
+                .collect()
+        }
+
+        pub(crate) fn to_value(&self) -> Value {
+            let pair = |a: &str, b: Value| {
+                let mut pair = Value::array();
+                pair.push(a);
+                pair.push(b);
+                pair
+            };
+            let mut doc = Value::object();
+            doc.set("reports", self.reports);
+            let users = self.users.iter().map(|(u, n)| pair(u, Value::from(*n)));
+            doc.set("users", Value::Array(users.collect()));
+            let domains = self.domains.iter().map(|(domain, agg)| {
+                let mut row = Value::object();
+                row.set("domain", &**domain);
+                row.set("objects", agg.objects);
+                row.set("bytes", agg.bytes);
+                row.set("violations", agg.violations);
+                row.set("users_seen", agg.users_seen);
+                row.set("small", agg.small_time_ms.to_value());
+                row.set("large", agg.large_tput_kbps.to_value());
+                row
+            });
+            doc.set("domains", Value::Array(domains.collect()));
+            let samples = self.sample_pairs();
+            let samples = samples
+                .iter()
+                .map(|(d, u)| pair(d, Value::from(u.as_str())));
+            doc.set("samples", Value::Array(samples.collect()));
+            doc
+        }
     }
 }

@@ -143,7 +143,7 @@ impl CohortBaselines {
     /// its own baseline.
     pub fn detect_and_update(
         &mut self,
-        analysis: &PageAnalysis,
+        analysis: &PageAnalysis<'_>,
         device: DeviceClass,
         detector: &DetectorConfig,
     ) -> Vec<Violation> {
@@ -183,9 +183,9 @@ impl CohortBaselines {
     }
 
     /// Folds one report's per-server averages into `device`'s rings.
-    fn update(&mut self, analysis: &PageAnalysis, device: DeviceClass) {
+    fn update(&mut self, analysis: &PageAnalysis<'_>, device: DeviceClass) {
         for server in analysis.iter() {
-            let key = (device, server.ip.clone());
+            let key = (device, server.ip.to_owned());
             // At capacity, untracked servers stay cold (and thus
             // unflaggable by this policy) rather than unbounded.
             if !self.per.contains_key(&key) && self.per.len() >= self.config.max_keys {

@@ -5,7 +5,7 @@
 //! being potential violators." (§4.2.1) Both tests run when a server has
 //! both small and large objects; either suffices to label it.
 
-use crate::analysis::PageAnalysis;
+use crate::analysis::{PageAnalysis, ServerStats};
 use crate::stats::{mean, median_and_mad, stddev};
 
 /// Which criterion anchors the outlier test.
@@ -150,12 +150,25 @@ pub struct Violation {
     pub kind: ViolationKind,
 }
 
+impl Violation {
+    /// Flags `server`. The analysis borrows its strings from the report;
+    /// a violation outlives both, so this is where — for the zero or one
+    /// violators of a typical report — they are copied.
+    fn of(server: &ServerStats<'_>, kind: ViolationKind) -> Violation {
+        Violation {
+            ip: server.ip.to_owned(),
+            domains: server.domains.iter().map(|d| d.to_string()).collect(),
+            kind,
+        }
+    }
+}
+
 /// Runs violator detection over an analyzed page.
 ///
 /// Returns violations in IP order. Servers lacking the relevant object
 /// class are simply not tested on that axis; "a violation of either type
 /// will result in the server being labeled as a violator".
-pub fn detect_violators(analysis: &PageAnalysis, config: &DetectorConfig) -> Vec<Violation> {
+pub fn detect_violators(analysis: &PageAnalysis<'_>, config: &DetectorConfig) -> Vec<Violation> {
     if analysis.server_count() < config.min_servers {
         return Vec::new();
     }
@@ -167,15 +180,12 @@ pub fn detect_violators(analysis: &PageAnalysis, config: &DetectorConfig) -> Vec
         return detect_absolute(analysis, max_small_ms, min_large_kbps);
     }
 
-    // Population statistics over per-server averages.
-    let small_avgs: Vec<f64> = analysis
-        .iter()
-        .filter_map(|s| s.avg_small_time_ms())
-        .collect();
-    let large_avgs: Vec<f64> = analysis
-        .iter()
-        .filter_map(|s| s.avg_large_tput_kbps())
-        .collect();
+    // Population statistics over per-server averages (at most one per
+    // server: sized once, not grown).
+    let mut small_avgs = Vec::with_capacity(analysis.server_count());
+    small_avgs.extend(analysis.iter().filter_map(|s| s.avg_small_time_ms()));
+    let mut large_avgs = Vec::with_capacity(analysis.server_count());
+    large_avgs.extend(analysis.iter().filter_map(|s| s.avg_large_tput_kbps()));
 
     let small_stats = center_and_deviation(&small_avgs, config.method);
     let large_stats = center_and_deviation(&large_avgs, config.method);
@@ -203,11 +213,7 @@ pub fn detect_violators(analysis: &PageAnalysis, config: &DetectorConfig) -> Vec
             _ => None,
         };
         if let Some(kind) = small_violation.or(large_violation) {
-            violations.push(Violation {
-                ip: server.ip.clone(),
-                domains: server.domains.iter().cloned().collect(),
-                kind,
-            });
+            violations.push(Violation::of(server, kind));
         }
     }
     violations
@@ -226,7 +232,7 @@ fn center_and_deviation(values: &[f64], method: OutlierMethod) -> Option<(f64, f
 /// half the bound the deviation, so severities stay comparable-ish across
 /// methods.
 fn detect_absolute(
-    analysis: &PageAnalysis,
+    analysis: &PageAnalysis<'_>,
     max_small_ms: f64,
     min_large_kbps: f64,
 ) -> Vec<Violation> {
@@ -249,11 +255,7 @@ fn detect_absolute(
                 deviation_kbps: min_large_kbps / 2.0,
             });
         if let Some(kind) = small.or(large) {
-            violations.push(Violation {
-                ip: server.ip.clone(),
-                domains: server.domains.iter().cloned().collect(),
-                kind,
-            });
+            violations.push(Violation::of(server, kind));
         }
     }
     violations

@@ -754,7 +754,6 @@ impl Oak {
                 .expect("cohort baselines lock")
                 .detect_and_update(&analysis, report.device, &self.config.detector),
         };
-        let violator_ips: Vec<String> = violations.iter().map(|v| v.ip.clone()).collect();
         // Violator domains are lowercased once per report via the
         // interner; for already-seen domains (the steady state) this is
         // allocation-free, and every surface comparison below reuses the
@@ -884,10 +883,11 @@ impl Oak {
             }
         }
         // Distilled once: live and replayed folds add bit-identical floats.
+        // Detection was the analysis's last reader; its samples move on.
         let effect = IngestEffect {
             time: now,
             user: report.user.clone(),
-            folds: crate::aggregates::distill(&analysis, &violator_ips, &self.interner),
+            folds: crate::aggregates::distill(analysis, &violations, &self.interner),
             pending,
             records,
         };

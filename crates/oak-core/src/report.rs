@@ -222,10 +222,10 @@ impl PerfReport {
     /// Decodes the JSON wire format.
     ///
     /// Implemented over the streaming [`Scanner`] rather than a
-    /// [`Value`] tree: escape-free strings are borrowed from the input
-    /// and only the four fields a report actually carries are ever
-    /// materialized, so a well-formed report costs one allocation per
-    /// kept string instead of one per JSON token.
+    /// [`Value`] tree: keys and escape-free strings are borrowed from
+    /// the input and compared where they lie, so a well-formed report
+    /// allocates its `user` and `page`, the entry vector, and the `url`
+    /// and `ip` of each entry — nothing per key, nothing per number.
     ///
     /// # Errors
     ///
@@ -435,9 +435,10 @@ fn scan_entry(scanner: &mut Scanner<'_>, i: usize) -> Result<ObjectTiming, Repor
         match next(scanner)?.ok_or_else(|| ReportDecodeError("truncated report".into()))? {
             Event::ObjectEnd => break,
             Event::Key(key) => {
-                let name = key.into_owned();
+                // The key borrows the request body, not the scanner: it
+                // is compared where it lies, once its value is read.
                 let value = next_value(scanner)?;
-                match name.as_str() {
+                match key.as_ref() {
                     "url" => {
                         url = match value {
                             Event::Str(s) => (Some(s), false),

@@ -24,17 +24,21 @@ thread_local! {
     /// The largest single allocation request this thread has made since
     /// [`peak_alloc_during`] last reset it.
     static PEAK_ALLOC: Cell<usize> = const { Cell::new(0) };
+    /// Allocation requests (`realloc` included) this thread has made.
+    static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
 }
 
 /// [`System`], remembering per thread the largest request it was asked
 /// for — how the decoder suites check that a hostile length prefix never
-/// sizes an allocation.
+/// sizes an allocation — and how many requests there were, which is what
+/// the report path's allocation budget is written in.
 struct PeakAlloc;
 
 fn note_alloc(size: usize) {
     // `try_with`: the allocator still runs while a thread's locals are
     // being torn down.
     let _ = PEAK_ALLOC.try_with(|peak| peak.set(peak.get().max(size)));
+    let _ = ALLOC_COUNT.try_with(|count| count.set(count.get() + 1));
 }
 
 // SAFETY: every method hands its arguments unchanged to `System`, which
@@ -71,4 +75,12 @@ fn peak_alloc_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
     PEAK_ALLOC.with(|peak| peak.set(0));
     let out = f();
     (out, PEAK_ALLOC.with(Cell::get))
+}
+
+/// Runs `f`; returns its result and how many allocation requests it made
+/// on this thread.
+fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOC_COUNT.with(Cell::get);
+    let out = f();
+    (out, ALLOC_COUNT.with(Cell::get) - before)
 }

@@ -615,3 +615,64 @@ fn snapshot_text_is_the_snapshot_document_byte_for_byte() {
     let empty = Oak::new(OakConfig::default());
     assert_eq!(empty.snapshot_text().1, empty.snapshot_json().to_string());
 }
+
+/// The report path's allocation budget, for the shape of a median page:
+/// 40 objects from 12 servers under 13 names (one server answers to
+/// two), objects of one server scattered through the report, one server
+/// slow enough to be flagged — sent by a user the engine already knows,
+/// whose rule is already active (the steady state).
+#[test]
+fn report_path_stays_within_its_allocation_budget() {
+    use super::allocs_during;
+
+    const ENTRIES: u64 = 40;
+    const SERVERS: u64 = 12;
+    let mut report = PerfReport::new("u-budget", "/index.html");
+    for i in 0..ENTRIES {
+        let server = i % SERVERS;
+        let host = match (server, i / SERVERS) {
+            (0, _) => "cdn-a.example".to_owned(),
+            (1, 1) => "alias.host1.example".to_owned(),
+            _ => format!("host{server}.example"),
+        };
+        let time = if server == 0 {
+            900.0
+        } else {
+            80.0 + server as f64
+        };
+        report.push(ObjectTiming::new(
+            format!("http://{host}/object-{i}.js"),
+            format!("10.0.0.{server}"),
+            if i % 7 == 3 { 120_000 } else { 30_000 },
+            time,
+        ));
+    }
+    let body = report.to_json();
+
+    let (decoded, decode_allocs) = allocs_during(|| PerfReport::from_json(&body));
+    let decoded = decoded.expect("own encoding decodes");
+    assert_eq!(decoded, report);
+    // The `url` and the `ip` of each entry; the slack is `user`, `page`
+    // and the entry vector growing.
+    assert!(
+        decode_allocs <= 2 * ENTRIES + 8,
+        "from_json made {decode_allocs} allocations"
+    );
+
+    let (oak, id) = engine_with_jq_rule(&[JQ_ALT_B]);
+    let first = oak.ingest_report(Instant::ZERO, &decoded, &NoFetch);
+    assert_eq!(first.activated, [id]);
+    let (outcome, ingest_allocs) =
+        allocs_during(|| oak.ingest_report(Instant(1), &decoded, &NoFetch));
+    assert_eq!(outcome.violations.len(), 1);
+    assert_eq!(
+        outcome.violations[0].domains,
+        ["cdn-a.example"],
+        "{outcome:?}"
+    );
+    let violators = outcome.violations.len() as u64;
+    assert!(
+        ingest_allocs <= 4 * SERVERS + 4 * violators + 8,
+        "ingest_report made {ingest_allocs} allocations"
+    );
+}

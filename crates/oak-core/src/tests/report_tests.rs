@@ -95,6 +95,25 @@ fn host_agrees_with_url_parse() {
         "nocolon.example/x",
         "://empty.scheme/",
         "http://sp ace.example/",
+        "http://host:+80/",
+        "http://host:65536/",
+        "http://host:/",
+        "http://host: 80/",
+        "http://a:b:80/x",
+        "http://host/pa th@x:y",
+        "http://host?q=a@b:c",
+        "http://host#f:rag@",
+        "http://host:80?q#f",
+        "a:b://c",
+        "http:://x",
+        "http//x://y",
+        "x://y://z",
+        "http://",
+        "http:/x",
+        "héllo://x",
+        "http://hé.example/é",
+        "HTTP://UP.Example:00080",
+        "a+b-c.d://x/",
     ] {
         let timing = ObjectTiming::new(url, "1.1.1.1", 1, 1.0);
         let parsed = oak_http::Url::parse(url).ok();

@@ -328,4 +328,27 @@ mod properties {
             }
         }
     }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// `host_of` reads a URL in one pass where `Url::parse` splits it
+        /// clause by clause: over an alphabet dense in the bytes either
+        /// one branches on, with and without a well-formed `://`, they
+        /// accept the same texts and name the same host.
+        #[test]
+        fn host_of_agrees_with_url_parse(
+            scheme in "[a-zA-Z+.-]{0,4}",
+            separator in 0usize..6,
+            rest in "[a-zA-Z0-9.:@/?# +é-]{0,12}",
+        ) {
+            let separator = ["://", "://", ":/", "//", ":", ""][separator];
+            let text = format!("{scheme}{separator}{rest}");
+            prop_assert_eq!(
+                crate::host_of(&text).map(str::to_ascii_lowercase),
+                Url::parse(&text).ok().map(|u| u.host().to_owned()),
+                "{:?}", text
+            );
+        }
+    }
 }

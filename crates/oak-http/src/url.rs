@@ -159,38 +159,49 @@ impl Url {
 /// its original case, or `None` exactly when [`Url::parse`] would fail.
 ///
 /// This is the allocation-free companion to `Url::parse(..).map(Url::host)`
-/// for the report-ingest hot path, which only needs the host. The two
-/// must accept and reject identical inputs; the structural checks below
-/// deliberately mirror [`Url::parse`] clause for clause.
+/// for the report-ingest hot path, which only needs the host and calls
+/// this once per reported object. The two must accept and reject
+/// identical inputs. [`Url::parse`] splits the text clause by clause;
+/// this reads it once, left to right, and each step below names the
+/// clause it stands for.
 pub fn host_of(text: &str) -> Option<&str> {
-    let (scheme, rest) = text.split_once("://")?;
-    if scheme.is_empty()
-        || !scheme
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '+' || c == '-' || c == '.')
-    {
+    let bytes = text.as_bytes();
+    // The scheme is what precedes the first "://" and holds only scheme
+    // characters, neither ':' nor '/' among them: so the first byte that
+    // is not one must open that "://", and not at offset zero.
+    let colon = bytes
+        .iter()
+        .position(|b| !(b.is_ascii_alphanumeric() || matches!(b, b'+' | b'-' | b'.')))?;
+    if colon == 0 || !bytes[colon..].starts_with(b"://") {
         return None;
     }
-    let rest = rest.split('#').next().unwrap_or(rest);
-    let authority_path = rest.split('?').next().unwrap_or(rest);
-    let authority = match authority_path.find('/') {
-        Some(i) => &authority_path[..i],
-        None => authority_path,
-    };
-    if authority.contains('@') {
-        return None;
-    }
-    let host = match authority.rsplit_once(':') {
-        Some((h, p)) => {
-            p.parse::<u16>().ok()?;
-            h
+    // The authority runs to the first '#', '?' or '/' (fragment, query
+    // and path are cut in that order, so whichever comes first ends it).
+    let start = colon + 3;
+    let mut end = bytes.len();
+    let mut last_colon = None;
+    for (i, &b) in bytes.iter().enumerate().skip(start) {
+        match b {
+            b'#' | b'?' | b'/' => {
+                end = i;
+                break;
+            }
+            // No userinfo; and the authority holds no '/', '?' or '#' by
+            // construction, so a space is all that can spoil the host.
+            b'@' | b' ' => return None,
+            b':' => last_colon = Some(i),
+            _ => {}
         }
-        None => authority,
-    };
-    if host.is_empty() || host.contains(['/', '?', '#', ' ']) {
-        return None;
     }
-    Some(host)
+    // What follows the last colon is a port, and must parse as one.
+    let host_end = match last_colon {
+        Some(i) => {
+            text[i + 1..end].parse::<u16>().ok()?;
+            i
+        }
+        None => end,
+    };
+    (host_end > start).then(|| &text[start..host_end])
 }
 
 /// Last-two-labels site key (see [`Url::site`]).

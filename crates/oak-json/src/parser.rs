@@ -40,14 +40,14 @@ impl Error for ParseError {}
 /// input.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(value)
@@ -56,7 +56,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 use crate::scan::MAX_DEPTH;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     depth: usize,
 }
@@ -70,7 +70,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -98,7 +98,7 @@ impl<'a> Parser<'a> {
     }
 
     fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
             Ok(())
         } else {
@@ -197,10 +197,10 @@ impl<'a> Parser<'a> {
         }
         // Shared lexer with the streaming scanner: escape-free strings come
         // back borrowed, so the `into_owned` below is the only copy.
-        crate::scan::scan_string(self.bytes, &mut self.pos).map(std::borrow::Cow::into_owned)
+        crate::scan::scan_string(self.text, &mut self.pos).map(std::borrow::Cow::into_owned)
     }
 
     fn number(&mut self) -> Result<Value, ParseError> {
-        crate::scan::scan_number(self.bytes, &mut self.pos).map(Value::Number)
+        crate::scan::scan_number(self.text.as_bytes(), &mut self.pos).map(Value::Number)
     }
 }

@@ -64,7 +64,9 @@ enum State {
 
 /// A pull parser over one JSON document.
 pub struct Scanner<'a> {
-    bytes: &'a [u8],
+    /// The document, kept as the `str` it arrived as: borrowed strings
+    /// are slices of it, never bytes validated a second time.
+    text: &'a str,
     pos: usize,
     /// One byte per open container: `b'{'` or `b'['`.
     stack: Vec<u8>,
@@ -75,7 +77,7 @@ impl<'a> Scanner<'a> {
     /// Starts scanning `input` from the first byte.
     pub fn new(input: &'a str) -> Scanner<'a> {
         Scanner {
-            bytes: input.as_bytes(),
+            text: input,
             pos: 0,
             stack: Vec::new(),
             state: State::Value,
@@ -92,7 +94,7 @@ impl<'a> Scanner<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -105,7 +107,7 @@ impl<'a> Scanner<'a> {
     }
 
     fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
             Ok(())
         } else {
@@ -134,7 +136,7 @@ impl<'a> Scanner<'a> {
             self.skip_ws();
             match self.state {
                 State::Done => {
-                    if self.pos != self.bytes.len() {
+                    if self.pos != self.text.len() {
                         return Err(self.err("trailing characters after document"));
                     }
                     return Ok(None);
@@ -158,7 +160,7 @@ impl<'a> Scanner<'a> {
                     if self.peek() != Some(b'"') {
                         return Err(self.err("expected object key"));
                     }
-                    let key = scan_string(self.bytes, &mut self.pos)?;
+                    let key = scan_string(self.text, &mut self.pos)?;
                     self.skip_ws();
                     if self.peek() != Some(b':') {
                         return Err(self.err("expected ':'"));
@@ -222,7 +224,7 @@ impl<'a> Scanner<'a> {
                 Ok(Event::ArrayStart)
             }
             Some(b'"') => {
-                let s = scan_string(self.bytes, &mut self.pos)?;
+                let s = scan_string(self.text, &mut self.pos)?;
                 self.state = self.after_value();
                 Ok(Event::Str(s))
             }
@@ -242,7 +244,7 @@ impl<'a> Scanner<'a> {
                 Ok(Event::Null)
             }
             Some(b'-' | b'0'..=b'9') => {
-                let n = scan_number(self.bytes, &mut self.pos)?;
+                let n = scan_number(self.text.as_bytes(), &mut self.pos)?;
                 self.state = self.after_value();
                 Ok(Event::Number(n))
             }
@@ -292,19 +294,17 @@ fn err_at(offset: usize, message: impl Into<String>) -> ParseError {
 /// opening quote), advancing `pos` past the closing quote.
 ///
 /// Escape-free strings are returned as a borrowed slice of the input —
-/// no allocation, no copy. Strings with escapes are decoded into an
-/// owned buffer. `bytes` must be valid UTF-8 (both front ends start from
-/// `&str`); the borrowed slice stays on char boundaries because lexing
-/// only stops on ASCII bytes.
+/// no allocation, no copy, no second UTF-8 validation: lexing only stops
+/// on ASCII bytes, so every slice taken below starts and ends on a char
+/// boundary of `text`. Strings with escapes are decoded into an owned
+/// buffer.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] on raw control characters, bad escapes,
 /// broken surrogate pairs, or an unterminated string.
-pub(crate) fn scan_string<'a>(
-    bytes: &'a [u8],
-    pos: &mut usize,
-) -> Result<Cow<'a, str>, ParseError> {
+pub(crate) fn scan_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, ParseError> {
+    let bytes = text.as_bytes();
     debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
     *pos += 1;
     let start = *pos;
@@ -312,11 +312,9 @@ pub(crate) fn scan_string<'a>(
     while let Some(&b) = bytes.get(*pos) {
         match b {
             b'"' => {
-                let slice = &bytes[start..*pos];
+                let slice = &text[start..*pos];
                 *pos += 1;
-                return Ok(Cow::Borrowed(
-                    std::str::from_utf8(slice).expect("input is str"),
-                ));
+                return Ok(Cow::Borrowed(slice));
             }
             b'\\' => break,
             _ if b < 0x20 => return Err(err_at(*pos, "raw control character in string")),
@@ -329,7 +327,7 @@ pub(crate) fn scan_string<'a>(
     // Slow path: an escape appeared; decode into an owned buffer,
     // seeding it with the escape-free prefix.
     let mut out = String::with_capacity(*pos - start + 16);
-    out.push_str(std::str::from_utf8(&bytes[start..*pos]).expect("input is str"));
+    out.push_str(&text[start..*pos]);
     loop {
         match bytes.get(*pos).copied() {
             Some(b'"') => {
@@ -349,7 +347,7 @@ pub(crate) fn scan_string<'a>(
                     }
                     *pos += 1;
                 }
-                out.push_str(std::str::from_utf8(&bytes[run..*pos]).expect("input is str"));
+                out.push_str(&text[run..*pos]);
             }
             None => return Err(err_at(*pos, "unterminated string")),
         }

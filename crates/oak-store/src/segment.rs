@@ -23,7 +23,9 @@ use crate::crc32::crc32;
 pub const SEGMENT_MAGIC: &[u8; 8] = b"OAKSEG01";
 /// Shard field value naming the global (rule-table) segment.
 pub const META_SHARD: u32 = u32::MAX;
-/// Upper bound on one frame's payload; a larger length is corruption.
+/// Upper bound on one WAL or stream frame's payload: a reader that has
+/// not seen the whole frame yet takes a larger length for corruption
+/// rather than buffer towards it, so no writer may produce one.
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 /// Fixed per-frame overhead: `[len: u32][crc: u32]`.
 pub const FRAME_OVERHEAD: usize = 8;
@@ -32,19 +34,36 @@ pub const SEGMENT_HEADER: usize = SEGMENT_MAGIC.len() + 4;
 
 /// The `[len: u32 LE][crc32: u32 LE]` that precedes `payload` in its
 /// frame, for writers that would rather not copy a large payload.
-pub fn frame_header(payload: &[u8]) -> [u8; FRAME_OVERHEAD] {
+///
+/// # Errors
+///
+/// `InvalidInput` for a payload whose length the header cannot hold.
+pub fn frame_header(payload: &[u8]) -> io::Result<[u8; FRAME_OVERHEAD]> {
+    let len = u32::try_from(payload.len()).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "a payload of {} bytes does not fit a frame header",
+                payload.len()
+            ),
+        )
+    })?;
     let mut header = [0; FRAME_OVERHEAD];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[..4].copy_from_slice(&len.to_le_bytes());
     header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    header
+    Ok(header)
 }
 
 /// Builds a frame around a payload that `write` appends to the buffer it
 /// is handed — the writer encodes straight into the frame, no copy.
+///
+/// A payload no header can describe is given the all-ones header: a
+/// length every reader refuses (`u32::MAX > MAX_FRAME`), never a wrapped
+/// one that could pass for a shorter frame.
 pub fn build_frame(write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut frame = vec![0; FRAME_OVERHEAD];
     write(&mut frame);
-    let header = frame_header(&frame[FRAME_OVERHEAD..]);
+    let header = frame_header(&frame[FRAME_OVERHEAD..]).unwrap_or([0xFF; FRAME_OVERHEAD]);
     frame[..FRAME_OVERHEAD].copy_from_slice(&header);
     frame
 }
@@ -75,14 +94,31 @@ pub enum FrameStep<'a> {
     Corrupt,
 }
 
+impl<'a> FrameStep<'a> {
+    /// The payload and the offset one past it, for readers to whom an
+    /// incomplete frame and a corrupt one are the same: no frame.
+    fn whole(self) -> Option<(&'a [u8], usize)> {
+        match self {
+            FrameStep::Frame(payload, next) => Some((payload, next)),
+            FrameStep::Incomplete | FrameStep::Corrupt => None,
+        }
+    }
+}
+
 /// Classifies the bytes at `offset` as an incomplete, whole, or corrupt
 /// frame. See [`FrameStep`].
 pub fn decode_frame_step(buf: &[u8], offset: usize) -> FrameStep<'_> {
+    frame_at(buf, offset, MAX_FRAME)
+}
+
+/// [`decode_frame_step`] with the longest payload the reader will wait
+/// for as a parameter.
+fn frame_at(buf: &[u8], offset: usize, max_len: u32) -> FrameStep<'_> {
     let Some(header) = buf.get(offset..offset + FRAME_OVERHEAD) else {
         return FrameStep::Incomplete;
     };
     let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-    if len > MAX_FRAME {
+    if len > max_len {
         return FrameStep::Corrupt;
     }
     let expected = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
@@ -104,10 +140,15 @@ pub fn decode_frame_step(buf: &[u8], offset: usize) -> FrameStep<'_> {
 /// that care compare `offset` against `buf.len()`. Stream readers that
 /// must tell the two apart use [`decode_frame_step`].
 pub fn decode_frame(buf: &[u8], offset: usize) -> Option<(&[u8], usize)> {
-    match decode_frame_step(buf, offset) {
-        FrameStep::Frame(payload, next) => Some((payload, next)),
-        FrameStep::Incomplete | FrameStep::Corrupt => None,
-    }
+    decode_frame_step(buf, offset).whole()
+}
+
+/// [`decode_frame`] for a file that was read whole, a snapshot: the
+/// bytes present bound the length, [`MAX_FRAME`] does not — there is
+/// nothing left to buffer, and a state of 100,000 users is a larger
+/// document than any WAL frame.
+pub fn decode_file_frame(buf: &[u8], offset: usize) -> Option<(&[u8], usize)> {
+    frame_at(buf, offset, u32::MAX).whole()
 }
 
 /// Everything salvageable from one segment file's bytes.
@@ -209,7 +250,23 @@ impl SegmentWriter {
 
     /// Appends `frame` — a whole frame, as [`build_frame`] returns it —
     /// carrying the event with sequence `seq`.
+    ///
+    /// # Errors
+    ///
+    /// Besides I/O failures: `InvalidInput`, nothing written, for a
+    /// payload longer than [`MAX_FRAME`] — every segment reader stops at
+    /// such a frame, so it would take the rest of the segment with it.
     pub fn append_frame(&mut self, seq: u64, frame: &[u8]) -> io::Result<()> {
+        let payload_len = frame.len().saturating_sub(FRAME_OVERHEAD);
+        if payload_len > MAX_FRAME as usize {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "event {seq} encodes to {payload_len} bytes, over the {MAX_FRAME}-byte \
+                     frame limit"
+                ),
+            ));
+        }
         self.file.write_all(frame)?;
         self.bytes += frame.len() as u64;
         self.max_seq = self.max_seq.max(seq);

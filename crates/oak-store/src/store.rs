@@ -28,7 +28,7 @@ use oak_core::engine::{Oak, OakConfig, SHARD_COUNT};
 use oak_core::events::{EventSink, SequencedEvent};
 
 use crate::backend::{RealFs, StorageBackend};
-use crate::segment::{build_frame, decode_frame, frame_header, SegmentWriter};
+use crate::segment::{build_frame, decode_file_frame, frame_header, SegmentWriter};
 use crate::stream::wal_events;
 
 /// Hands the allocator's free pages back to the OS.
@@ -249,8 +249,9 @@ impl OakStore {
         self.events_since_snapshot.load(Ordering::Relaxed)
     }
 
-    /// WAL append failures. The sink swallows I/O errors (the engine's
-    /// hot path cannot surface them); operators watch this counter.
+    /// WAL appends and snapshots that failed. The sink swallows I/O
+    /// errors (the engine's hot path cannot surface them) and the serving
+    /// path drops a failed compaction's; operators watch this counter.
     pub fn write_errors(&self) -> u64 {
         self.write_errors.load(Ordering::Relaxed)
     }
@@ -343,6 +344,9 @@ impl OakStore {
     /// compact up to the newest watermark).
     pub fn snapshot(&self, oak: &Oak) -> io::Result<PathBuf> {
         let path = self.write_snapshot(oak);
+        if path.is_err() {
+            self.write_errors.fetch_add(1, Ordering::Relaxed);
+        }
         // The encoded state is garbage now.
         release_freed_heap();
         path
@@ -353,12 +357,15 @@ impl OakStore {
         let snapshot_start = self.obs.get().map(|o| o.now());
         let _guard = self.snapshot_lock.lock().expect("snapshot lock");
         let (watermark, payload) = oak.snapshot_text();
+        // Before any file exists: a state the header cannot describe
+        // leaves the directory, and what recovery reads from it, as is.
+        let header = frame_header(payload.as_bytes())?;
         let tmp = self.dir.join(format!("snap-{watermark:020}.tmp"));
         let path = self.dir.join(snapshot_name(watermark));
         {
             let mut file = self.backend.create(&tmp)?;
             file.write_all(SNAPSHOT_MAGIC)?;
-            file.write_all(&frame_header(payload.as_bytes()))?;
+            file.write_all(&header)?;
             file.write_all(payload.as_bytes())?;
             file.sync_data()?;
         }
@@ -657,7 +664,7 @@ fn load_snapshot(backend: &dyn StorageBackend, path: &Path, config: OakConfig) -
     if buf.get(..SNAPSHOT_MAGIC.len()) != Some(&SNAPSHOT_MAGIC[..]) {
         return Err(bad("snapshot magic mismatch"));
     }
-    let Some((payload, end)) = decode_frame(&buf, SNAPSHOT_MAGIC.len()) else {
+    let Some((payload, end)) = decode_file_frame(&buf, SNAPSHOT_MAGIC.len()) else {
         return Err(bad("snapshot frame torn or corrupt"));
     };
     if end != buf.len() {
