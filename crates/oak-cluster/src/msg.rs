@@ -30,20 +30,26 @@
 //! 3 vote_granted   (nothing)
 //! 4 append         commit:u64  count:u32  count × (len:u32, event)
 //! 5 append_ack     acked:u64
-//! 6 snapshot       watermark:u64  len:u32, the snapshot document (JSON text)
+//! 6 snapshot       watermark:u64  len:u32, the state image
 //! 7 snapshot_ack   watermark:u64
 //! ```
 //!
 //! An `event` is [`SequencedEvent::encode_into`]'s bytes — what the
-//! primary's WAL frame holds, and what the follower's will. All members
-//! of a replication group upgrade together: replicas do not negotiate a
-//! stream version, and an envelope with any other version byte poisons
-//! the link like any other undecodable frame.
+//! primary's WAL frame holds, and what the follower's will. The state
+//! image is [`oak_core::engine::Oak::state_image`]'s — what the primary's
+//! snapshot file holds, and what the follower's will; the envelope decoder
+//! reads its version byte and no further, the install decodes the rest,
+//! and an image the install refuses installs nothing. All members of a
+//! replication group upgrade together: replicas do not negotiate a stream
+//! version, and an envelope with any other version byte poisons the link
+//! like any other undecodable frame.
 
+use std::sync::Arc;
+
+use oak_core::engine::STATE_IMAGE_VERSION;
 use oak_core::events::{
-    put_len, put_sized, put_str, put_u32, put_u64, Reader, SequencedEvent, EVENT_HEADER_LEN,
+    put_len, put_sized, put_u32, put_u64, Reader, SequencedEvent, EVENT_HEADER_LEN,
 };
-use oak_json::Value;
 use oak_store::segment::{build_frame, decode_frame_step, FrameStep};
 
 use crate::lease::LeaseMsg;
@@ -74,13 +80,14 @@ pub enum Message {
         epoch: u64,
         acked: u64,
     },
-    /// Primary → follower: full state transfer. `state` is the engine
-    /// snapshot document; `watermark` its event-seq head.
+    /// Primary → follower: full state transfer. `state` is the engine's
+    /// state image ([`oak_core::engine::Oak::state_image`]), one buffer
+    /// shared by every follower owed it; `watermark` its event-seq head.
     Snapshot {
         partition: u32,
         epoch: u64,
         watermark: u64,
-        state: Value,
+        state: Arc<[u8]>,
     },
     /// Follower → primary: snapshot installed up to `watermark`.
     SnapshotAck {
@@ -175,7 +182,7 @@ impl Envelope {
             } => {
                 header(out, 6, *epoch);
                 put_u64(out, *watermark);
-                put_str(out, &state.to_string());
+                put_sized(out, |out| out.extend_from_slice(state));
             }
             Message::SnapshotAck {
                 epoch, watermark, ..
@@ -228,12 +235,21 @@ impl Envelope {
                 epoch,
                 acked: r.u64("acked head")?,
             },
-            6 => Message::Snapshot {
-                partition,
-                epoch,
-                watermark: r.u64("watermark")?,
-                state: oak_json::parse(r.str("snapshot document")?).map_err(|e| e.to_string())?,
-            },
+            6 => {
+                let watermark = r.u64("watermark")?;
+                let state = r.bytes("state image")?;
+                // Anything else — the `{` of the snapshot document a
+                // build before the image sent — is not a peer of this one.
+                if state.first() != Some(&STATE_IMAGE_VERSION) {
+                    return Err("the snapshot is not a state image of this version".to_owned());
+                }
+                Message::Snapshot {
+                    partition,
+                    epoch,
+                    watermark,
+                    state: Arc::from(state),
+                }
+            }
             7 => Message::SnapshotAck {
                 partition,
                 epoch,
@@ -300,6 +316,7 @@ mod tests {
     use std::path::PathBuf;
 
     use oak_core::aggregates::ServerFold;
+    use oak_core::engine::{Oak, OakConfig};
     use oak_core::events::{EngineEvent, IngestEffect};
     use oak_core::rule::RuleId;
     use oak_core::Instant;
@@ -345,8 +362,7 @@ mod tests {
     /// the hostile-payload suite's victims.
     fn sample_envelopes() -> Vec<(&'static str, Envelope)> {
         let lease = |msg| Message::Lease { partition: 2, msg };
-        let mut state = Value::object();
-        state.set("event_seq", 42u64);
+        let state: Arc<[u8]> = Oak::new(OakConfig::default()).state_image().1.into();
         let messages = vec![
             (
                 "heartbeat",
@@ -475,17 +491,20 @@ mod tests {
                 epoch,
                 acked,
             }),
-            (ids(), "\\PC{0,24}").prop_map(|((partition, epoch, watermark), text)| {
-                let mut state = Value::object();
-                state.set("note", text.as_str());
-                state.set("event_seq", watermark % (1 << 53));
-                Message::Snapshot {
-                    partition,
-                    epoch,
-                    watermark,
-                    state,
+            (ids(), prop::collection::vec(any::<u8>(), 0..24)).prop_map(
+                |((partition, epoch, watermark), body)| {
+                    // Whatever follows the version byte is the install's
+                    // to judge, not the envelope's.
+                    let mut state = vec![STATE_IMAGE_VERSION];
+                    state.extend_from_slice(&body);
+                    Message::Snapshot {
+                        partition,
+                        epoch,
+                        watermark,
+                        state: state.into(),
+                    }
                 }
-            }),
+            ),
             ids().prop_map(|(partition, epoch, watermark)| Message::SnapshotAck {
                 partition,
                 epoch,
@@ -623,6 +642,25 @@ mod tests {
             Envelope::decode_payload(&legacy).unwrap_err(),
             "unsupported event version 0x7b (expected 0x01)"
         );
+        // Nor is a snapshot document: this is the frame the golden file
+        // held for `snapshot` while a transfer carried JSON text. The
+        // link is dropped; nothing reaches the install.
+        let hex = "32000000669daa98010603000000070000000300000007000000000000002a00000000000000\
+                   100000007b226576656e745f736571223a34327d";
+        let frame: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+            .collect();
+        assert_eq!(
+            Envelope::decode_payload(&frame[FRAME_OVERHEAD..]).unwrap_err(),
+            "the snapshot is not a state image of this version"
+        );
+        assert!(matches!(
+            Envelope::decode_step(&frame, 0),
+            DecodeStep::Corrupt
+        ));
+        let empty = [&frame[FRAME_OVERHEAD..][..30], &[0; 4][..]].concat();
+        assert!(Envelope::decode_payload(&empty).is_err(), "no image at all");
     }
 
     fn golden_path() -> PathBuf {

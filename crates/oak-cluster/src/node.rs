@@ -449,7 +449,7 @@ impl ClusterNode {
         let epoch = p.lease.epoch();
         // Snapshot transfers owed (epoch start, or a compacted tail).
         let pending: Vec<NodeId> = p.shipping.needs_snapshot.iter().copied().collect();
-        let mut snapshot_doc: Option<(u64, Value)> = None;
+        let mut image: Option<(u64, Arc<[u8]>)> = None;
         for follower in pending {
             let sent = p.shipping.snapshot_sent_ms.get(&follower).copied();
             if let Some(at) = sent {
@@ -457,15 +457,13 @@ impl ClusterNode {
                     continue;
                 }
             }
-            let (watermark, state) = match &snapshot_doc {
-                Some((w, doc)) => (*w, doc.clone()),
-                None => {
-                    let doc = p.oak.snapshot_json();
-                    let w = p.head();
-                    snapshot_doc = Some((w, doc.clone()));
-                    (w, doc)
-                }
-            };
+            // One image, shared by every follower owed one this tick.
+            let (watermark, state) = image
+                .get_or_insert_with(|| {
+                    let (watermark, image) = p.oak.state_image();
+                    (watermark, image.into())
+                })
+                .clone();
             p.shipping.snapshot_sent_ms.insert(follower, now_ms);
             out.push(Envelope {
                 from: me,
@@ -644,7 +642,7 @@ impl ClusterNode {
                         // Install: replace the engine wholesale. Any
                         // divergence this replica carried (it may be a
                         // deposed primary) is discarded here.
-                        if let Ok(mut fresh) = Oak::from_snapshot_json(oak_config, state) {
+                        if let Ok(mut fresh) = Oak::from_state_image(oak_config, state) {
                             fresh.set_event_sink(p.store.clone());
                             let fresh = Arc::new(fresh);
                             if p.store.snapshot(&fresh).is_ok() {
@@ -1358,7 +1356,7 @@ mod tests {
             assert!(now < 20_000, "first write never replicated");
             h.settle(now);
         }
-        let stale_state = h.nodes[fol].replica_engine(0).unwrap().snapshot_json();
+        let stale_state = h.nodes[fol].replica_engine(0).unwrap().state_image().1;
 
         // Second write, also journaled and acked by the follower.
         let id2 = oak
@@ -1401,7 +1399,7 @@ mod tests {
                 partition: 0,
                 epoch,
                 watermark: head1,
-                state: stale_state,
+                state: stale_state.into(),
             },
         };
         let replies = h.nodes[fol].handle(now, &stale);

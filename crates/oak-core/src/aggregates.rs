@@ -8,14 +8,15 @@
 //! raw material for dashboards and for the §6 auditing workflow.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use oak_json::Value;
 
 use crate::analysis::PageAnalysis;
 use crate::detect::Violation;
-use crate::events::{f64_from_value, f64_to_value};
+use crate::events::{
+    ascending, f64_from_value, f64_to_value, put_f64, put_len, put_str, put_u32, put_u64, Reader,
+};
 use crate::intern::Interner;
 
 /// Streaming mean/min/max without storing samples.
@@ -351,23 +352,6 @@ impl SiteAggregates {
         doc
     }
 
-    /// [`SiteAggregates::to_value`] as text appended to `out`, byte for
-    /// byte, one row at a time — the sample pairs of a large site are
-    /// most of an engine snapshot, and never exist as a tree here.
-    pub(crate) fn write_text(&self, out: &mut String) {
-        out.push_str("{\"domains\":[");
-        push_rows(out, self.domain_rows());
-        let _ = write!(
-            out,
-            "],\"reports\":{},\"samples\":[",
-            Value::from(self.reports)
-        );
-        push_rows(out, self.sample_rows());
-        out.push_str("],\"users\":[");
-        push_rows(out, self.user_rows());
-        out.push_str("]}");
-    }
-
     /// `[user, report count]` pairs, in user order.
     fn user_rows(&self) -> impl Iterator<Item = Value> + '_ {
         self.users.iter().map(|(user, entry)| {
@@ -492,14 +476,136 @@ impl SiteAggregates {
     }
 }
 
-/// Appends `rows` to `out` as the comma-separated body of a JSON array,
-/// dropping each row once its text is written.
-pub(crate) fn push_rows(out: &mut String, rows: impl Iterator<Item = Value>) {
-    for (i, row) in rows.enumerate() {
-        if i > 0 {
-            out.push(',');
+/// One [`RunningStat`] in a state image: the count and three floats.
+const STAT_BYTES: usize = 4 * 8;
+/// One per-domain row of a state image: the index, four counters, two
+/// stats.
+const DOMAIN_ROW_BYTES: usize = 4 + 4 * 8 + 2 * STAT_BYTES;
+/// Smallest per-user row of a state image: an empty name, the report
+/// count, no sampled domains.
+const MIN_USER_ROW_BYTES: usize = 4 + 8 + 4;
+
+/// Reads an index into the state image's domain table and marks the
+/// entry used.
+fn read_domain(
+    r: &mut Reader<'_>,
+    table: &[Arc<str>],
+    used: &mut [bool],
+    what: &str,
+) -> Result<usize, String> {
+    let index = r.u32(what)? as usize;
+    if index >= table.len() {
+        return Err(format!(
+            "{what} {index} is past the {}-entry domain table",
+            table.len()
+        ));
+    }
+    used[index] = true;
+    Ok(index)
+}
+
+impl SiteAggregates {
+    /// Every domain this accumulator keeps an aggregate for, ascending.
+    pub(crate) fn domain_names(&self) -> impl Iterator<Item = &Arc<str>> {
+        self.domains.keys()
+    }
+
+    /// Appends the accumulator's part of a state image
+    /// ([`crate::engine::Oak::state_image`]; DESIGN.md §8 tables the
+    /// layout): domains travel as what `index_of` says their index in the
+    /// image's domain table is.
+    pub(crate) fn write_image<'a>(
+        &'a self,
+        out: &mut Vec<u8>,
+        index_of: &mut impl FnMut(&'a Arc<str>) -> u32,
+    ) {
+        put_u64(out, self.reports);
+        put_len(out, self.domains.len());
+        for (domain, agg) in &self.domains {
+            put_u32(out, index_of(domain));
+            put_u64(out, agg.objects);
+            put_u64(out, agg.bytes);
+            put_u64(out, agg.violations);
+            put_u64(out, agg.users_seen);
+            agg.small_time_ms.write_image(out);
+            agg.large_tput_kbps.write_image(out);
         }
-        let _ = write!(out, "{row}");
+        put_len(out, self.users.len());
+        for (user, entry) in &self.users {
+            put_str(out, user);
+            put_u64(out, entry.reports);
+            put_len(out, entry.sampled.len());
+            for domain in &entry.sampled {
+                put_u32(out, index_of(domain));
+            }
+        }
+    }
+
+    /// Inverse of [`SiteAggregates::write_image`]: `table` is the image's
+    /// domain table, `used` gets a mark for every entry referred to.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field that is cut short, out of range or out of
+    /// order.
+    pub(crate) fn read_image(
+        r: &mut Reader<'_>,
+        table: &[Arc<str>],
+        used: &mut [bool],
+    ) -> Result<SiteAggregates, String> {
+        let mut out = SiteAggregates {
+            reports: r.u64("aggregate reports")?,
+            ..SiteAggregates::default()
+        };
+        let mut prev = None;
+        for _ in 0..r.count(DOMAIN_ROW_BYTES, "aggregate domains")? {
+            let index = read_domain(r, table, used, "aggregate domain index")?;
+            ascending(&mut prev, index, "aggregate domain indexes")?;
+            let agg = DomainAggregate {
+                objects: r.u64("domain objects")?,
+                bytes: r.u64("domain bytes")?,
+                violations: r.u64("domain violations")?,
+                users_seen: r.u64("domain users seen")?,
+                small_time_ms: RunningStat::read_image(r, "small-object stat")?,
+                large_tput_kbps: RunningStat::read_image(r, "large-object stat")?,
+            };
+            out.domains.insert(Arc::clone(&table[index]), agg);
+        }
+        let mut prev = None;
+        for _ in 0..r.count(MIN_USER_ROW_BYTES, "aggregate users")? {
+            let user = r.str("aggregate user")?;
+            ascending(&mut prev, user, "aggregate users")?;
+            let reports = r.u64("user reports")?;
+            let mut prev = None;
+            // Ascending indexes into an ascending table: ascending names.
+            let sampled = r.list(4, "sampled domains", |r| {
+                let index = read_domain(r, table, used, "sampled domain index")?;
+                ascending(&mut prev, index, "sampled domain indexes")?;
+                Ok(Arc::clone(&table[index]))
+            })?;
+            out.sample_count += sampled.len();
+            out.users
+                .insert(user.to_owned(), UserEntry { reports, sampled });
+        }
+        Ok(out)
+    }
+}
+
+impl RunningStat {
+    fn write_image(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.count);
+        put_f64(out, self.sum);
+        put_f64(out, self.min);
+        put_f64(out, self.max);
+    }
+
+    fn read_image(r: &mut Reader<'_>, what: &str) -> Result<RunningStat, String> {
+        Ok(RunningStat {
+            count: r.u64(what)?,
+            sum: r.f64(what)?,
+            min: r.f64(what)?,
+            max: r.f64(what)?,
+        })
     }
 }
 

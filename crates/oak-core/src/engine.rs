@@ -41,14 +41,13 @@
 //! with or without a sink.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use oak_html::{Document, Rewriter};
 use oak_json::Value;
 
-use crate::aggregates::push_rows;
 use crate::cohort::{CohortBaselines, CohortConfig};
 use crate::detect::{detect_violators, DetectorConfig, DetectorPolicy, Violation};
 use crate::events::{EngineEvent, EventSink, IngestEffect, SequencedEvent};
@@ -57,6 +56,10 @@ use crate::report::PerfReport;
 use crate::rule::{Rule, RuleId, RuleType};
 use crate::time::Instant;
 use crate::{analysis::PageAnalysis, OAK_ALTERNATE_HEADER};
+
+mod image;
+
+pub use image::STATE_IMAGE_VERSION;
 
 /// How many user-state stripes the engine keeps. Requests for users on
 /// different stripes proceed in parallel; 16 is comfortably above the
@@ -1215,7 +1218,10 @@ impl Oak {
     }
 
     /// A consistent point-in-time snapshot of the full engine state as a
-    /// JSON document, ready for compaction storage.
+    /// JSON document: the readable form, which oracles and tests compare
+    /// engines through, and what a snapshot file held before the state
+    /// image ([`Oak::state_image`]) — which carries the same fields and
+    /// is what gets stored and shipped.
     ///
     /// Takes the rule-table read lock and then every shard lock in
     /// ascending order (the engine's lock order), so mutations are
@@ -1270,63 +1276,8 @@ impl Oak {
         doc
     }
 
-    /// [`Oak::snapshot_json`] as text, with its `event_seq` watermark —
-    /// byte for byte `snapshot_json().to_string()`, under the same locks,
-    /// without ever holding the document tree: each user row, log row
-    /// and aggregate row is encoded, appended and dropped in turn, so
-    /// the peak is the text itself rather than tree + text. Keys are
-    /// written in the sorted order [`Value`] objects serialize in.
-    pub fn snapshot_text(&self) -> (u64, String) {
-        let table = self.rules.read().expect("rule table lock");
-        let guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("shard lock"))
-            .collect();
-
-        let event_seq = self.event_seq.load(Ordering::SeqCst);
-        let mut out = String::from("{");
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        if epoch > 0 {
-            let _ = write!(out, "\"epoch\":{},", Value::from(epoch));
-        }
-        let _ = write!(
-            out,
-            "\"event_seq\":{},\"log_seq\":{},\"next_rule_id\":{},\"rules\":[",
-            Value::from(event_seq),
-            Value::from(self.log_seq.load(Ordering::SeqCst)),
-            Value::from(table.next_rule_id),
-        );
-        push_rows(
-            &mut out,
-            table.rules.iter().map(|(id, rule)| rule_row(*id, rule)),
-        );
-        let _ = write!(out, "],\"shard_count\":{SHARD_COUNT},\"shards\":[");
-        for (i, guard) in guards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"aggregates\":");
-            guard.aggregates.write_text(&mut out);
-            out.push_str(",\"log\":[");
-            push_rows(
-                &mut out,
-                guard.log.iter().map(|(seq, entry)| log_row(*seq, entry)),
-            );
-            out.push_str("],\"users\":[");
-            push_rows(
-                &mut out,
-                sorted_users(guard)
-                    .into_iter()
-                    .map(|(name, state)| user_row(name, state)),
-            );
-            out.push_str("]}");
-        }
-        out.push_str("],\"version\":1}");
-        (event_seq, out)
-    }
-
-    /// Reconstructs an engine from a [`Oak::snapshot_json`] document.
+    /// Reconstructs an engine from a [`Oak::snapshot_json`] document —
+    /// how a snapshot file from before the state image is read.
     ///
     /// # Errors
     ///

@@ -270,15 +270,21 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Appends an `f64` as its IEEE-754 bits, as [`Reader::f64`] reads it.
+pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
+    put_u64(out, v.to_bits());
+}
+
 fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
     put_len(out, values.len());
     for v in values {
-        put_u64(out, v.to_bits());
+        put_f64(out, *v);
     }
 }
 
 /// A bounds-checked cursor over little-endian fields: the read half of
-/// the event layout, and of the `oak-cluster` envelope around it. Every
+/// the event layout, of the `oak-cluster` envelope around it and of the
+/// state image ([`crate::engine::Oak::from_state_image`]). Every
 /// read names the field it was after, so an error says where a payload
 /// stopped making sense.
 #[derive(Debug)]
@@ -328,6 +334,11 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
     }
 
+    /// An `f64`, from its IEEE-754 bits.
+    pub(crate) fn f64(&mut self, what: &str) -> Result<f64, String> {
+        self.u64(what).map(f64::from_bits)
+    }
+
     /// A `u32`-length-prefixed run of bytes.
     pub fn bytes(&mut self, what: &str) -> Result<&'a [u8], String> {
         let len = self.u32(what)? as usize;
@@ -339,16 +350,10 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.bytes(what)?).map_err(|_| format!("{what} is not valid UTF-8"))
     }
 
-    /// A `u32` element count, then that many elements, each read by
-    /// `item`. The count is refused unless the bytes that remain can hold
-    /// that many elements of at least `min_item_bytes` each — so a lying
-    /// count is an error before it sizes any allocation.
-    pub fn list<T>(
-        &mut self,
-        min_item_bytes: usize,
-        what: &str,
-        mut item: impl FnMut(&mut Reader<'a>) -> Result<T, String>,
-    ) -> Result<Vec<T>, String> {
+    /// A `u32` element count, refused unless the bytes that remain can
+    /// hold that many elements of at least `min_item_bytes` each — so a
+    /// lying count is an error before it sizes any allocation.
+    pub(crate) fn count(&mut self, min_item_bytes: usize, what: &str) -> Result<usize, String> {
         let n = self.u32(what)? as usize;
         if n > self.remaining() / min_item_bytes.max(1) {
             return Err(format!(
@@ -356,6 +361,19 @@ impl<'a> Reader<'a> {
                 self.remaining()
             ));
         }
+        Ok(n)
+    }
+
+    /// A `u32` element count, then that many elements, each read by
+    /// `item` — the count checked first, against `min_item_bytes` each of
+    /// the bytes that remain, so a lying one sizes no allocation.
+    pub fn list<T>(
+        &mut self,
+        min_item_bytes: usize,
+        what: &str,
+        mut item: impl FnMut(&mut Reader<'a>) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let n = self.count(min_item_bytes, what)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(item(self)?);
@@ -372,18 +390,34 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn read_rule_id(r: &mut Reader<'_>, what: &str) -> Result<RuleId, String> {
+/// Refuses `next` unless it sorts after `prev`, then remembers it: a
+/// state image ([`crate::engine::Oak::state_image`]) lists every keyed
+/// collection strictly ascending, so one state has one encoding and a
+/// key cannot appear twice.
+pub(crate) fn ascending<T: PartialOrd + Copy>(
+    prev: &mut Option<T>,
+    next: T,
+    what: &str,
+) -> Result<(), String> {
+    if prev.is_some_and(|prev| prev >= next) {
+        return Err(format!("{what} are not strictly ascending"));
+    }
+    *prev = Some(next);
+    Ok(())
+}
+
+pub(crate) fn read_rule_id(r: &mut Reader<'_>, what: &str) -> Result<RuleId, String> {
     r.u32(what).map(RuleId)
 }
 
 fn read_f64s(r: &mut Reader<'_>, what: &str) -> Result<Vec<f64>, String> {
-    r.list(8, what, |r| r.u64(what).map(f64::from_bits))
+    r.list(8, what, |r| r.f64(what))
 }
 
 /// Smallest encoded fold: three empty lists, two counters, the flag.
 const MIN_FOLD_BYTES: usize = 4 + 8 + 8 + 4 + 4 + 1;
 /// Smallest encoded log record: `seq`, time, an empty user, rule, tag.
-const MIN_RECORD_BYTES: usize = 8 + 8 + 4 + 4 + 1;
+pub(crate) const MIN_RECORD_BYTES: usize = 8 + 8 + 4 + 4 + 1;
 
 impl ServerFold {
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -415,7 +449,11 @@ impl ServerFold {
 }
 
 impl LogEvent {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    /// Appends the `record` layout: the log sequence number, then the
+    /// entry — one element of an ingest's `records` and of a state
+    /// image's shard log ([`crate::engine::Oak::state_image`]).
+    pub(crate) fn encode_record(&self, seq: u64, out: &mut Vec<u8>) {
+        put_u64(out, seq);
         put_u64(out, self.time.as_millis());
         put_str(out, &self.user);
         put_u32(out, self.rule.0);
@@ -426,7 +464,7 @@ impl LogEvent {
             } => {
                 out.push(0);
                 put_str(out, violator_ip);
-                put_u64(out, severity.to_bits());
+                put_f64(out, *severity);
             }
             LogAction::Advanced { to_index } => {
                 out.push(1);
@@ -437,15 +475,17 @@ impl LogEvent {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<LogEvent, String> {
-        Ok(LogEvent {
+    /// Inverse of [`LogEvent::encode_record`].
+    pub(crate) fn decode_record(r: &mut Reader<'_>) -> Result<(u64, LogEvent), String> {
+        let seq = r.u64("record seq")?;
+        let entry = LogEvent {
             time: Instant(r.u64("record time")?),
             user: r.str("record user")?.to_owned(),
             rule: read_rule_id(r, "record rule")?,
             action: match r.u8("record action")? {
                 0 => LogAction::Activated {
                     violator_ip: r.str("violator ip")?.to_owned(),
-                    severity: f64::from_bits(r.u64("severity")?),
+                    severity: r.f64("severity")?,
                 },
                 1 => {
                     let raw = r.u64("advanced index")?;
@@ -458,7 +498,8 @@ impl LogEvent {
                 3 => LogAction::Expired,
                 other => return Err(format!("unknown log action 0x{other:02x}")),
             },
-        })
+        };
+        Ok((seq, entry))
     }
 }
 
@@ -495,8 +536,7 @@ impl SequencedEvent {
                 }
                 put_len(out, effect.records.len());
                 for (seq, record) in &effect.records {
-                    put_u64(out, *seq);
-                    record.encode_into(out);
+                    record.encode_record(*seq, out);
                 }
             }
             EngineEvent::ForceActivate { time, user, rule } => {
@@ -582,9 +622,7 @@ impl SequencedEvent {
                 user: r.str("ingest user")?.to_owned(),
                 folds: r.list(MIN_FOLD_BYTES, "folds", ServerFold::decode)?,
                 pending: r.list(4, "pending rules", |r| read_rule_id(r, "pending rule"))?,
-                records: r.list(MIN_RECORD_BYTES, "records", |r| {
-                    Ok((r.u64("record seq")?, LogEvent::decode(r)?))
-                })?,
+                records: r.list(MIN_RECORD_BYTES, "records", LogEvent::decode_record)?,
             }),
             3 => EngineEvent::ForceActivate {
                 time: Instant(r.u64("activation time")?),

@@ -14,6 +14,7 @@ mod matching_tests;
 mod policy_tests;
 mod report_tests;
 mod spec_tests;
+mod state_image_tests;
 mod stats_tests;
 mod wire_tests;
 

@@ -52,7 +52,7 @@ fn engine_with_rules() -> Oak {
 /// One step of a random engine history. Indices are taken modulo what
 /// exists when the step runs.
 #[derive(Clone, Debug)]
-enum Op {
+pub(super) enum Op {
     AddRule {
         host: usize,
         ttl_ms: Option<u64>,
@@ -94,7 +94,7 @@ enum Op {
 const OP_HOSTS: usize = 2;
 const OP_USERS: usize = 3;
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+pub(super) fn op_strategy() -> impl Strategy<Value = Op> {
     let rule = (
         0..OP_HOSTS,
         prop::option::of(1u64..60),
@@ -128,7 +128,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Runs `ops` against `oak` from time zero.
-fn run_ops(oak: &Oak, ops: &[Op]) {
+pub(super) fn run_ops(oak: &Oak, ops: &[Op]) {
     let user_name = |user: usize| format!("u-{user}");
     let nth_rule = |nth: usize| {
         let ids: Vec<_> = oak.rules().map(|(id, _)| id).collect();
@@ -212,7 +212,7 @@ fn run_ops(oak: &Oak, ops: &[Op]) {
 
 /// The snapshot text with every value under a key in `masked` zeroed.
 fn snapshot_without(oak: &Oak, masked: &[&str]) -> String {
-    let mut text = oak.snapshot_text().1;
+    let mut text = oak.snapshot_json().to_string();
     for key in masked {
         let needle = format!("\"{key}\":");
         let mut from = 0;
@@ -227,7 +227,7 @@ fn snapshot_without(oak: &Oak, masked: &[&str]) -> String {
 }
 
 #[derive(Default)]
-struct Journal(Mutex<Vec<SequencedEvent>>);
+pub(super) struct Journal(Mutex<Vec<SequencedEvent>>);
 
 impl EventSink for Journal {
     fn record(&self, _shard: Option<usize>, event: &SequencedEvent) {

@@ -580,42 +580,6 @@ fn aggregates_merge_is_exact_across_shards() {
     assert_eq!(img.small_time_ms.count, 80);
 }
 
-#[test]
-fn snapshot_text_is_the_snapshot_document_byte_for_byte() {
-    // Every row kind populated: an immediate rule and a three-strike
-    // one (pending counts), activations and log entries spread over the
-    // shards, an idle shard or two, quotes and backslashes in a name.
-    let (oak, _) = engine_with_jq_rule(&[JQ_ALT_B, JQ_ALT_C]);
-    let strikes = Rule::remove(r#"<script src="http://api.example/d.js">"#);
-    oak.add_rule(strikes.with_violations_required(3)).unwrap();
-    for t in 0..40 {
-        let user = format!("snap-\"u\\{t}");
-        let slow = if t % 2 == 0 {
-            "cdn-a.example"
-        } else {
-            "api.example"
-        };
-        let report = report_with_slow(&user, slow, "10.0.0.9", 900.0 + t as f64 / 3.0);
-        oak.ingest_report(Instant(t), &report, &NoFetch);
-    }
-    assert!(!oak.log().is_empty());
-
-    let (watermark, text) = oak.snapshot_text();
-    assert_eq!(text, oak.snapshot_json().to_string());
-    assert_eq!(watermark, oak.event_seq());
-    assert!(text.contains(r#""pending":[["#) && text.contains(r#""active":[{"#));
-
-    // Under replication the document gains its first key.
-    oak.set_epoch(7);
-    let (_, text) = oak.snapshot_text();
-    assert!(text.starts_with(r#"{"epoch":7,"event_seq":"#));
-    assert_eq!(text, oak.snapshot_json().to_string());
-
-    // An empty engine is all empty arrays.
-    let empty = Oak::new(OakConfig::default());
-    assert_eq!(empty.snapshot_text().1, empty.snapshot_json().to_string());
-}
-
 /// The report path's allocation budget, for the shape of a median page:
 /// 40 objects from 12 servers under 13 names (one server answers to
 /// two), objects of one server scattered through the report, one server

@@ -14,14 +14,15 @@
 //! 2. [`OakStore`] is an [`oak_core::events::EventSink`] that journals
 //!    those events into CRC-framed, per-shard WAL segments
 //!    ([`segment`]), fsyncing on a configurable policy.
-//! 3. [`OakStore::snapshot`] compacts history into one JSON document
-//!    (encoded with the in-tree `oak-json`), after which superseded
+//! 3. [`OakStore::snapshot`] compacts history into one state image
+//!    ([`oak_core::engine::Oak::state_image`]), after which superseded
 //!    segments are deleted.
 //! 4. [`recover`] (or [`OakStore::boot`]) loads the newest valid
 //!    snapshot and replays the WAL tail in global sequence order,
 //!    truncating at the first torn or corrupt frame instead of failing —
 //!    and refusing, rather than truncating at, a frame whose checksum
-//!    holds but whose contents this build cannot read.
+//!    holds but whose contents this build cannot read, or a journal
+//!    compacted against a snapshot it cannot read.
 //!
 //! # Examples
 //!

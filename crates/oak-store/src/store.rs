@@ -28,12 +28,12 @@ use oak_core::engine::{Oak, OakConfig, SHARD_COUNT};
 use oak_core::events::{EventSink, SequencedEvent};
 
 use crate::backend::{RealFs, StorageBackend};
-use crate::segment::{build_frame, decode_file_frame, frame_header, SegmentWriter};
+use crate::segment::{build_frame, decode_file_frame, frame_header, SegmentWriter, FRAME_OVERHEAD};
 use crate::stream::wal_events;
 
 /// Hands the allocator's free pages back to the OS.
 ///
-/// A snapshot encodes the whole engine state as one JSON text on the
+/// A snapshot copies the whole engine state into one buffer on the
 /// calling thread, and glibc keeps a thread's freed memory in that
 /// thread's own arena: it is resident but no other thread can reuse it.
 /// Snapshots are taken by whichever serving thread crosses the event
@@ -54,8 +54,14 @@ fn release_freed_heap() {
 #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
 fn release_freed_heap() {}
 
-/// Magic prefix of a snapshot file (the framed JSON document follows).
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"OAKSNAP1";
+/// Magic prefix of a snapshot file: one frame follows, holding the
+/// engine's state image ([`Oak::state_image`]).
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"OAKSNAP2";
+
+/// Magic prefix of a snapshot file from before the state image: its frame
+/// holds the snapshot document ([`Oak::snapshot_json`]) as text. Still
+/// read, never written.
+const LEGACY_SNAPSHOT_MAGIC: &[u8; 8] = b"OAKSNAP1";
 
 /// Events kept in the in-memory recent ring that serves [`OakStore::tail`]
 /// without touching disk. WAL shipping calls `tail` once per follower
@@ -131,10 +137,12 @@ pub struct OakStore {
     /// WAL/snapshot instrumentation, set at most once per store instance
     /// ([`OakStore::set_obs`]); empty costs one atomic read per append.
     obs: std::sync::OnceLock<Arc<crate::obs::StoreMetrics>>,
-    /// Journaled events in seq order, at most [`RECENT_TAIL_CAP`] of
-    /// them, so `tail` can ship the common case from memory. Starts
-    /// empty on every boot — the first poll after recovery scans disk.
-    recent: Mutex<VecDeque<SequencedEvent>>,
+    /// The frames of journaled events, each under its `seq`, in seq
+    /// order, at most [`RECENT_TAIL_CAP`] of them, so `tail` can ship the
+    /// common case from memory. A frame moves in once it is on disk —
+    /// nothing is copied for a store nobody tails. Starts empty on every
+    /// boot — the first poll after recovery scans disk.
+    recent: Mutex<VecDeque<(u64, Vec<u8>)>>,
 }
 
 impl OakStore {
@@ -279,26 +287,27 @@ impl OakStore {
     /// snapshot transfer.
     fn recent_tail(&self, from_seq: u64, max: usize) -> Option<Vec<SequencedEvent>> {
         let recent = self.recent.lock().expect("recent ring lock");
-        let first = recent.front()?.seq;
+        let first = recent.front()?.0;
         if from_seq < first {
             return None;
         }
         let mut events = Vec::new();
         let mut expect = from_seq;
-        for event in recent.iter() {
-            if event.seq < expect {
+        for (seq, frame) in recent.iter() {
+            if *seq < expect {
                 continue;
             }
             if events.len() == max {
                 break;
             }
-            if event.seq != expect {
+            if *seq != expect {
                 // A lower seq is still mid-append in another shard;
                 // shipping past the hole would let a follower apply out
                 // of order.
                 break;
             }
-            events.push(event.clone());
+            // What the scan would decode from the same bytes on disk.
+            events.push(SequencedEvent::decode(&frame[FRAME_OVERHEAD..]).ok()?);
             expect += 1;
         }
         Some(events)
@@ -356,17 +365,17 @@ impl OakStore {
         let _span = oak_obs::span("snapshot");
         let snapshot_start = self.obs.get().map(|o| o.now());
         let _guard = self.snapshot_lock.lock().expect("snapshot lock");
-        let (watermark, payload) = oak.snapshot_text();
+        let (watermark, payload) = oak.state_image();
         // Before any file exists: a state the header cannot describe
         // leaves the directory, and what recovery reads from it, as is.
-        let header = frame_header(payload.as_bytes())?;
+        let header = frame_header(&payload)?;
         let tmp = self.dir.join(format!("snap-{watermark:020}.tmp"));
         let path = self.dir.join(snapshot_name(watermark));
         {
             let mut file = self.backend.create(&tmp)?;
             file.write_all(SNAPSHOT_MAGIC)?;
             file.write_all(&header)?;
-            file.write_all(payload.as_bytes())?;
+            file.write_all(&payload)?;
             file.sync_data()?;
         }
         drop(payload);
@@ -514,8 +523,8 @@ impl EventSink for OakStore {
             // what is on (or queued for) disk, never more.
             let mut recent = self.recent.lock().expect("recent ring lock");
             // Concurrent shard appends can land slightly out of order.
-            let at = recent.partition_point(|e| e.seq < event.seq);
-            recent.insert(at, event.clone());
+            let at = recent.partition_point(|(seq, _)| *seq < event.seq);
+            recent.insert(at, (event.seq, frame));
             while recent.len() > RECENT_TAIL_CAP {
                 recent.pop_front();
             }
@@ -575,19 +584,27 @@ pub struct Boot {
 /// Rebuilds an engine from the newest valid snapshot plus the WAL tail.
 ///
 /// Snapshots are tried newest-first; one that fails its CRC or decode is
-/// skipped (recovery falls back to the next, or to replaying the full
-/// WAL from an empty engine). Segment events below the snapshot's
+/// refused, and recovery falls back to the next, or to replaying the full
+/// WAL from an empty engine. Segment events below the snapshot's
 /// watermark are skipped; the rest are merged across all segments in
 /// global sequence order and applied. A torn or corrupt segment tail
 /// truncates that segment's contribution, never the recovery.
 ///
 /// # Errors
 ///
-/// Besides I/O failures: `InvalidData`, naming the segment, the offset
-/// and the first byte, for a frame at or past the watermark whose
-/// checksum holds but which this build cannot decode — a journal from a
-/// newer build, say. Recovering the prefix before it would let the next
-/// compaction delete the rest.
+/// Besides I/O failures, `InvalidData` for a directory that would
+/// recover as less than it held, before anything in it is written or
+/// compacted:
+///
+/// - naming the segment, the offset and the first byte, for a frame at or
+///   past the watermark whose checksum holds but which this build cannot
+///   decode — a journal from a newer build, say. Recovering the prefix
+///   before it would let the next compaction delete the rest;
+/// - naming each snapshot that was refused and why, when the WAL that is
+///   left starts above the state they fell back to. The WAL is compacted
+///   against the snapshots that are kept, so a snapshot this build cannot
+///   read — damaged, or a state image from a newer build — may be all
+///   that held the events below the first surviving segment.
 ///
 /// Replay is deterministic: events carry resolved decisions, so the
 /// rebuilt engine's `rules()`, `active_rules()`, `aggregates()`, and
@@ -625,6 +642,7 @@ pub fn recover_with(
     let mut oak = None;
     let mut watermark = 0;
     let mut snapshot_loaded = false;
+    let mut refused: Vec<String> = Vec::new();
     for (snap_watermark, path) in snapshots.iter().rev() {
         match load_snapshot(&*backend, path, config) {
             Ok(recovered) => {
@@ -633,7 +651,8 @@ pub fn recover_with(
                 snapshot_loaded = true;
                 break;
             }
-            Err(_) => continue, // corrupt snapshot: fall back to an older one
+            // Unreadable snapshot: fall back to an older one.
+            Err(why) => refused.push(format!("{}: {why}", path.display())),
         }
     }
     let oak = oak.unwrap_or_else(|| Oak::new(config));
@@ -641,6 +660,22 @@ pub fn recover_with(
     // What to replay is the shared reader's call (log matching against
     // the snapshot's branch included) — the same call `tail` ships by.
     let wal = wal_events(&*backend, dir, watermark, oak.epoch())?;
+    // Falling back is sound only while the WAL still reaches back to
+    // where the fallback stands; compaction kept it that far for the
+    // snapshots it kept, not for one that cannot be read.
+    let resumes_at = wal.events.first().map(|e| e.seq);
+    if let Some(seq) = resumes_at.filter(|seq| *seq > watermark && !refused.is_empty()) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "{}: the journal resumes at event {seq} but the newest readable state ends at \
+                 {watermark}; what lies between was compacted into a snapshot this build \
+                 refused ({})",
+                dir.display(),
+                refused.join("; ")
+            ),
+        ));
+    }
     let events_replayed = wal.events.len() as u64;
     let replayed_seqs: Vec<u64> = wal.events.iter().map(|e| e.seq).collect();
     for event in &wal.events {
@@ -657,11 +692,14 @@ pub fn recover_with(
     })
 }
 
-/// Loads and validates one snapshot file.
+/// Loads and validates one snapshot file: a state image, or the snapshot
+/// document a build before it wrote.
 fn load_snapshot(backend: &dyn StorageBackend, path: &Path, config: OakConfig) -> io::Result<Oak> {
     let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_owned());
     let buf = backend.read(path)?;
-    if buf.get(..SNAPSHOT_MAGIC.len()) != Some(&SNAPSHOT_MAGIC[..]) {
+    let magic = buf.get(..SNAPSHOT_MAGIC.len());
+    let legacy = magic == Some(&LEGACY_SNAPSHOT_MAGIC[..]);
+    if !legacy && magic != Some(&SNAPSHOT_MAGIC[..]) {
         return Err(bad("snapshot magic mismatch"));
     }
     let Some((payload, end)) = decode_file_frame(&buf, SNAPSHOT_MAGIC.len()) else {
@@ -669,6 +707,9 @@ fn load_snapshot(backend: &dyn StorageBackend, path: &Path, config: OakConfig) -
     };
     if end != buf.len() {
         return Err(bad("trailing bytes after snapshot frame"));
+    }
+    if !legacy {
+        return Oak::from_state_image(config, payload).map_err(|e| bad(&e));
     }
     let text = std::str::from_utf8(payload).map_err(|_| bad("snapshot is not UTF-8"))?;
     let doc = oak_json::parse(text).map_err(|e| bad(&e.to_string()))?;
