@@ -146,9 +146,9 @@ struct Partition {
     /// Replication watermark (monotone). On a follower this is the
     /// highest commit heard from a live primary.
     commit: u64,
-    /// Highest epoch whose snapshot transfer this replica installed —
-    /// install at most once per epoch, or a duplicated transfer could
-    /// regress an already-advanced follower.
+    /// Highest epoch whose snapshot transfer this replica installed. A
+    /// later transfer of that epoch installs only past the head, or a
+    /// duplicated one could regress an already-advanced follower.
     installed_epoch: u64,
 }
 
@@ -286,6 +286,23 @@ impl ClusterNode {
     /// ([`oak_store::OakStore::maybe_snapshot`]) from its ingest path.
     pub fn partition_store(&self, partition: u32) -> Option<Arc<OakStore>> {
         self.partitions.get(&partition).map(|p| p.store.clone())
+    }
+
+    /// The follower replicas whose journal has grown past
+    /// `snapshot_every_events` since their last snapshot, as the store to
+    /// compact and the engine to snapshot into it
+    /// ([`OakStore::maybe_snapshot`]). A primary compacts from its ingest
+    /// path; a follower ingests nothing, so whoever drives the node calls
+    /// this after a tick — and runs the snapshots outside any lock it
+    /// holds around the node, since a snapshot fsyncs. A snapshot of an
+    /// engine an install has replaced meanwhile is not written (the
+    /// store's snapshots only go forward).
+    pub fn compactions_due(&self) -> Vec<(Arc<OakStore>, Arc<Oak>)> {
+        self.partitions
+            .values()
+            .filter(|p| !p.lease.is_primary() && p.store.snapshot_due())
+            .map(|p| (p.store.clone(), p.oak.clone()))
+            .collect()
     }
 
     /// Current role for a hosted partition.
@@ -638,7 +655,16 @@ impl ClusterNode {
                 p.lease.observe_primary(now_ms, *epoch);
                 if *epoch >= p.lease.epoch() && !p.lease.is_primary() {
                     let mut acked = None;
-                    if *epoch > p.installed_epoch {
+                    // Install each epoch's opening transfer once, and a
+                    // later one of the same epoch that reaches past our
+                    // head: the primary sends that when we fell behind
+                    // its compaction horizon, and with one primary per
+                    // epoch it fast-forwards our own history. Declining
+                    // it would be answered with the same transfer every
+                    // tick until the lease moved.
+                    let install = *epoch > p.installed_epoch
+                        || (*epoch == p.installed_epoch && *watermark > p.head());
+                    if install {
                         // Install: replace the engine wholesale. Any
                         // divergence this replica carried (it may be a
                         // deposed primary) is discarded here.
@@ -656,8 +682,8 @@ impl ClusterNode {
                             }
                         }
                     } else {
-                        // Duplicate transfer for an epoch we already
-                        // installed: just re-ack our head.
+                        // A duplicate of a transfer we already installed,
+                        // or one our head has passed: just re-ack it.
                         acked = Some(p.head());
                     }
                     if let Some(watermark) = acked {
@@ -783,6 +809,8 @@ fn write_installed_epoch(backend: &dyn StorageBackend, dir: &std::path::Path, ep
 
 #[cfg(test)]
 mod tests {
+    use oak_core::matching::NoFetch;
+    use oak_core::report::{ObjectTiming, PerfReport};
     use oak_core::rule::Rule;
     use oak_core::Instant;
     use oak_store::RealFs;
@@ -807,6 +835,16 @@ mod tests {
 
     impl Harness {
         fn new(tag: &str, n: u32, partitions: u32, replication: usize) -> Harness {
+            Harness::with_options(tag, n, partitions, replication, NodeOptions::default())
+        }
+
+        fn with_options(
+            tag: &str,
+            n: u32,
+            partitions: u32,
+            replication: usize,
+            options: NodeOptions,
+        ) -> Harness {
             let root = temp_root(tag);
             let _ = std::fs::remove_dir_all(&root);
             let topo = topology(n, partitions, replication);
@@ -817,7 +855,7 @@ mod tests {
                         topo.clone(),
                         Arc::new(RealFs),
                         root.join(format!("node-{i}")),
-                        NodeOptions::default(),
+                        options.clone(),
                         0,
                     )
                     .unwrap()
@@ -836,13 +874,17 @@ mod tests {
             !self.cut.contains(&from) && !self.cut.contains(&to) && !self.down.contains(&to)
         }
 
-        /// Ticks every running node then delivers all traffic to
+        /// Ticks every running node, compacts its followers as the live
+        /// runtime's ticker does, then delivers all traffic to
         /// quiescence.
         fn settle(&mut self, now_ms: u64) {
             let mut inbox: Vec<Envelope> = Vec::new();
             for (i, node) in self.nodes.iter_mut().enumerate() {
                 if !self.down.contains(&i) {
                     inbox.extend(node.tick(now_ms));
+                    for (store, oak) in node.compactions_due() {
+                        store.maybe_snapshot(&oak).unwrap();
+                    }
                 }
             }
             let mut rounds = 0;
@@ -1076,6 +1118,152 @@ mod tests {
             "{round_trips} round trips for {BEHIND} events in batches of {batch}"
         );
         h.assert_replicated(primary, head);
+    }
+
+    /// The shipped store options: every 64th append fsyncs, snapshots
+    /// every 10,000 events.
+    fn shipped_store() -> NodeOptions {
+        NodeOptions {
+            store: StoreOptions::default(),
+            ..NodeOptions::default()
+        }
+    }
+
+    /// A report from one of forty users in which one of five hosts is slow.
+    fn report(i: u64) -> PerfReport {
+        let mut report = PerfReport::new(format!("user-{}", i % 40), "/index.html");
+        for host in 0..5 {
+            let slow = if host == i % 5 { 800.0 } else { 0.0 };
+            report.push(ObjectTiming::new(
+                format!("http://cdn{host}.example/lib.js"),
+                format!("10.0.{host}.1"),
+                30_000,
+                80.0 + host as f64 + slow,
+            ));
+        }
+        report
+    }
+
+    /// Node `node`'s partition 0 directory under the harness root `tag`.
+    fn partition_dir(tag: &str, node: usize) -> PathBuf {
+        temp_root(tag).join(format!("node-{node}")).join("part-00")
+    }
+
+    /// The bytes of every file in `dir`, and the watermarks of its
+    /// snapshots.
+    fn disk_usage(dir: &std::path::Path) -> (u64, Vec<u64>) {
+        let mut bytes = 0;
+        let mut snapshots = Vec::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let entry = entry.unwrap();
+            bytes += entry.metadata().unwrap().len();
+            let name = entry.file_name().into_string().unwrap();
+            if let Some(watermark) = name
+                .strip_prefix("snap-")
+                .and_then(|rest| rest.strip_suffix(".snap"))
+            {
+                snapshots.push(watermark.parse().unwrap());
+            }
+        }
+        snapshots.sort_unstable();
+        (bytes, snapshots)
+    }
+
+    #[test]
+    fn followers_compact_and_reboot_to_the_same_state() {
+        const TAG: &str = "follower-compaction";
+        const EVENTS: u64 = 25_000;
+        let mut h = Harness::with_options(TAG, 3, 1, 3, shipped_store());
+        let (primary, mut now) = h.elect();
+        let oak = h.nodes[primary].primary_engine(0).unwrap();
+        let store = h.nodes[primary].partition_store(0).unwrap();
+        let start = oak.event_seq();
+        let mut i = 0;
+        while oak.event_seq() < start + EVENTS {
+            oak.ingest_report(Instant(i), &report(i), &NoFetch);
+            // What the serving path does after every report.
+            store.maybe_snapshot(&oak).unwrap();
+            i += 1;
+            if i % 500 == 0 {
+                now += 20;
+                h.settle(now);
+            }
+        }
+        let (_, now) = h.converge(now, &[0, 1, 2]);
+
+        let (primary_bytes, _) = disk_usage(&partition_dir(TAG, primary));
+        for follower in (0..3).filter(|&n| n != primary) {
+            let (bytes, snapshots) = disk_usage(&partition_dir(TAG, follower));
+            assert!(
+                bytes <= 2 * primary_bytes,
+                "follower {follower} holds {bytes} bytes, the primary {primary_bytes}"
+            );
+            // Its own compactions, not the epoch's opening transfer, hold
+            // the two kept snapshots.
+            assert!(
+                snapshots.first().is_some_and(|&w| w >= start + EVENTS / 3),
+                "follower {follower} kept snapshots at {snapshots:?}"
+            );
+
+            let image = h.nodes[follower].replica_engine(0).unwrap().state_image();
+            h.nodes[follower] = ClusterNode::new(
+                NodeId(follower as u32),
+                topology(3, 1, 3),
+                Arc::new(RealFs),
+                temp_root(TAG).join(format!("node-{follower}")),
+                shipped_store(),
+                now,
+            )
+            .unwrap();
+            let rebooted = h.nodes[follower].replica_engine(0).unwrap().state_image();
+            assert!(
+                rebooted == image,
+                "follower {follower} rebooted to another state"
+            );
+        }
+        std::fs::remove_dir_all(temp_root(TAG)).unwrap();
+    }
+
+    #[test]
+    fn a_follower_behind_the_compaction_horizon_is_fast_forwarded_in_its_epoch() {
+        const TAG: &str = "same-epoch-snapshot";
+        let mut h = Harness::with_options(TAG, 3, 1, 3, shipped_store());
+        let (p, mut now) = h.elect();
+        let f = (p + 1) % 3;
+        let epoch = h.nodes[p].status()[0].epoch;
+        let oak = h.nodes[p].primary_engine(0).unwrap();
+        let store = h.nodes[p].partition_store(0).unwrap();
+        let id = oak
+            .add_rule(Rule::remove(r#"<script src="http://slow.example/t.js">"#))
+            .unwrap();
+        now += 20;
+        h.settle(now);
+
+        // Cut for less than an election timeout, so `f` stays a follower
+        // of this epoch, whose opening snapshot it installed. The primary
+        // journals past its recent ring and compacts twice: the second
+        // snapshot deletes the segments that held what `f` lacks.
+        h.cut = vec![f];
+        let users = oak_store::RECENT_TAIL_CAP + 100;
+        for user in 0..users {
+            activate(&oak, id, user);
+        }
+        now += 20;
+        h.settle(now);
+        store.snapshot(&oak).unwrap();
+        activate(&oak, id, users);
+        store.snapshot(&oak).unwrap();
+        h.cut.clear();
+
+        for _ in 0..5 {
+            now += 20;
+            h.settle(now);
+        }
+        assert_eq!(h.primary_of(0), Some(p));
+        assert_eq!(h.nodes[p].status()[0].epoch, epoch, "the lease moved");
+        assert_eq!(h.head(f), h.head(p), "the follower never caught up");
+        assert_eq!(h.state(f), h.state(p));
+        std::fs::remove_dir_all(temp_root(TAG)).unwrap();
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! Threads:
 //! - a **ticker** advances the lease state machine every [`TICK_MS`] —
 //!   elections, heartbeats, snapshot transfer and the shipping
-//!   retransmit. It is *not* what ships a journaled report: the ingest
+//!   retransmit — and, with the node lock released, compacts a follower
+//!   replica's journal ([`ClusterNode::compactions_due`]). It is *not*
+//!   what ships a journaled report: the ingest
 //!   handler does that itself in [`ClusterRuntime::wait_for_commit`],
 //!   and a reader thread answers a follower's ack with its next batch,
 //! - an **acceptor** takes peer connections on this node's `--peers`
@@ -187,15 +189,23 @@ impl ClusterRuntime {
         loop {
             std::thread::sleep(Duration::from_millis(TICK_MS));
             let now = self.now_ms();
-            {
+            let compactions = {
                 let mut node = self.node.lock().expect("cluster node lock");
                 let out = node.tick(now);
                 self.maybe_seed_rules(&node);
                 self.send_all(out);
-            }
+                node.compactions_due()
+            };
             // The tick may have advanced the commit watermark (acks
             // heard, leases moved); wake any ingest handler parked on it.
             self.commits.notify_all();
+            // A follower's snapshot runs with the node lock released, so
+            // its fsync stalls no ack, no ship and no commit — only the
+            // next tick, by the few milliseconds it takes. Errors land in
+            // the store's `write_errors`.
+            for (store, oak) in compactions {
+                let _ = store.maybe_snapshot(&oak);
+            }
         }
     }
 

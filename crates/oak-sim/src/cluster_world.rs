@@ -193,7 +193,15 @@ impl ClusterWorld<'_> {
             let now = self.clock.now().as_millis();
             for idx in 0..self.node_count() {
                 let out = match self.nodes[idx].as_mut() {
-                    Some(node) => node.tick(now),
+                    Some(node) => {
+                        let out = node.tick(now);
+                        // Follower compaction, as the live ticker runs it
+                        // after a tick: the disk may die inside it.
+                        for (store, oak) in node.compactions_due() {
+                            let _ = store.maybe_snapshot(&oak);
+                        }
+                        out
+                    }
                     None => continue,
                 };
                 if self.fses[idx].crashed() {
@@ -368,6 +376,11 @@ impl ClusterWorld<'_> {
         };
         self.stats.requests += 1;
         let result = op(&engine, self.clock.now());
+        // The serving path compacts the primary after every request that
+        // journals (`OakService::with_durability`).
+        if let Some(store) = self.nodes[idx].as_ref()?.partition_store(partition) {
+            let _ = store.maybe_snapshot(&engine);
+        }
         if self.fses[idx].crashed() {
             // The write may have been half-journaled; the node is gone
             // and the client never got an ack. Replication (or its

@@ -12,7 +12,9 @@
 //!   namespace change survives *independently* with probability ½ — so a
 //!   rename can vanish while the deletions that followed it persist,
 //!   which is precisely the orphaned-rename schedule that loses
-//!   acknowledged data when the store forgets the directory fsync.
+//!   acknowledged data when the store forgets the directory fsync. A
+//!   rename itself is one change: a file leaves a crash under its old
+//!   name or its new one, never both and never neither.
 //! - **Crash points everywhere.** An operation-counter trigger
 //!   ([`SimFs::schedule_crash`]) fails the Nth mutating operation and
 //!   every one after it, so a seed range sweeps the crash point across
@@ -190,7 +192,22 @@ impl SimFs {
         // Namespace: start from the durable view, then flip a coin per
         // pending difference. Each change survives or not independently —
         // the kernel wrote back directory blocks in whatever order it
-        // pleased.
+        // pleased — except that a rename is one change, not a removal and
+        // a creation: the durable name of an inode that now lives under
+        // another goes exactly when the new one comes, as `rename(2)` is
+        // atomic (the contract `StorageBackend::rename` states).
+        let renamed_from: BTreeMap<PathBuf, PathBuf> = state
+            .volatile
+            .iter()
+            .filter(|(path, ino)| state.durable.get(*path) != Some(ino))
+            .filter_map(|(path, ino)| {
+                let (old, _) = state
+                    .durable
+                    .iter()
+                    .find(|(old, i)| *i == ino && !state.volatile.contains_key(*old))?;
+                Some((path.clone(), old.clone()))
+            })
+            .collect();
         let mut survived = state.durable.clone();
         let mut paths: Vec<PathBuf> = state.volatile.keys().cloned().collect();
         for path in state.durable.keys() {
@@ -202,12 +219,15 @@ impl SimFs {
         paths.dedup();
         for path in paths {
             let wanted = state.volatile.get(&path);
-            if state.durable.get(&path) == wanted {
+            if state.durable.get(&path) == wanted || renamed_from.values().any(|old| *old == path) {
                 continue;
             }
             if rng.chance(1, 2) {
                 match wanted {
                     Some(ino) => {
+                        if let Some(old) = renamed_from.get(&path) {
+                            survived.remove(old);
+                        }
                         survived.insert(path, *ino);
                     }
                     None => {
@@ -506,6 +526,30 @@ mod tests {
             }
         }
         assert!(orphaned, "some seed must orphan the rename");
+    }
+
+    #[test]
+    fn an_unsynced_rename_of_a_durable_file_keeps_exactly_one_name() {
+        let mut seen = (false, false);
+        for seed in 0..40 {
+            let fs = SimFs::new(seed, SimFsOptions::default());
+            fs.create_dir_all(&dir()).unwrap();
+            write_file(&fs, &dir().join("seg"), b"frames", true);
+            fs.sync_dir(&dir()).unwrap();
+            fs.rename(&dir().join("seg"), &dir().join("seg-sealed"))
+                .unwrap();
+            fs.crash_now();
+            fs.restart();
+            let names = fs.list_dir(&dir()).unwrap();
+            assert_eq!(names.len(), 1, "seed {seed}: {names:?}");
+            assert_eq!(fs.read(&dir().join(&names[0])).unwrap(), b"frames");
+            if names[0] == "seg" {
+                seen.0 = true;
+            } else {
+                seen.1 = true;
+            }
+        }
+        assert_eq!(seen, (true, true), "both outcomes must occur");
     }
 
     #[test]

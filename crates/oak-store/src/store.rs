@@ -8,6 +8,10 @@
 //!   `NNNNNNNN` = allocation counter). Events land in the segment of the
 //!   shard they mutate, so shard-parallel ingest never contends on one
 //!   file; recovery merges segments by global sequence number.
+//! - `seg-SS-NNNNNNNN-MMMMMMMMMMMMMMMMMMMM.wal` — a *sealed* segment: one
+//!   nobody appends to any more, renamed to carry `M`, the highest
+//!   sequence number in it, so a reader whose range starts past `M` can
+//!   pass the file by without opening it.
 //! - `snap-WWWWWWWWWWWWWWWWWWWW.snap` — compacted snapshots, named by
 //!   their event-sequence watermark `W`: every event with `seq < W` is
 //!   reflected in the snapshot, every event with `seq >= W` is replayed
@@ -133,7 +137,10 @@ pub struct OakStore {
     events_recorded: AtomicU64,
     events_since_snapshot: AtomicU64,
     write_errors: AtomicU64,
-    snapshot_lock: Mutex<()>,
+    /// Serializes snapshots, and holds the `(branch epoch, watermark)` of
+    /// the last one this store wrote: a snapshot of an engine behind it is
+    /// not written (see [`OakStore::snapshot`]).
+    snapshot_lock: Mutex<(u64, u64)>,
     /// WAL/snapshot instrumentation, set at most once per store instance
     /// ([`OakStore::set_obs`]); empty costs one atomic read per append.
     obs: std::sync::OnceLock<Arc<crate::obs::StoreMetrics>>,
@@ -170,8 +177,8 @@ impl OakStore {
         // collide with (not-yet-compacted) files from an earlier run.
         let mut next_id = 0;
         for name in backend.list_dir(&dir)? {
-            if let Some(id) = parse_segment_name(&name).map(|(_, id)| id) {
-                next_id = next_id.max(id + 1);
+            if let Some(segment) = parse_segment_name(&name) {
+                next_id = next_id.max(segment.id + 1);
             }
         }
         Ok(OakStore {
@@ -184,7 +191,7 @@ impl OakStore {
             events_recorded: AtomicU64::new(0),
             events_since_snapshot: AtomicU64::new(0),
             write_errors: AtomicU64::new(0),
-            snapshot_lock: Mutex::new(()),
+            snapshot_lock: Mutex::new((0, 0)),
             obs: std::sync::OnceLock::new(),
             recent: Mutex::new(VecDeque::new()),
         })
@@ -229,6 +236,15 @@ impl OakStore {
             .expect("closed list")
             .extend(leftovers.map(|(path, max_seq)| ClosedSegment { path, max_seq }));
         store.snapshot(&recovery.oak)?;
+        // What the boot snapshot did not compact away, recovery has read
+        // to the end: seal it, so the next boot passes over whatever of it
+        // a later snapshot covers.
+        let mut closed = store.closed.lock().expect("closed list");
+        *closed = std::mem::take(&mut *closed)
+            .into_iter()
+            .map(|segment| store.seal(segment))
+            .collect();
+        drop(closed);
         let mut oak = recovery.oak;
         oak.set_event_sink(store.clone());
         Ok(Boot {
@@ -273,11 +289,7 @@ impl OakStore {
         if let Some(events) = self.recent_tail(from_seq, max) {
             return Ok(crate::stream::Tail::Events(events));
         }
-        let mut tail = crate::stream::tail_wal(&*self.backend, &self.dir, from_seq)?;
-        if let crate::stream::Tail::Events(events) = &mut tail {
-            events.truncate(max);
-        }
-        Ok(tail)
+        crate::stream::tail_batch(&*self.backend, &self.dir, from_seq, max)
     }
 
     /// Serves [`OakStore::tail`] from the recent ring when it reaches
@@ -324,34 +336,53 @@ impl OakStore {
         Ok(())
     }
 
+    /// Whether `snapshot_every_events` have accumulated since the last
+    /// snapshot: what [`OakStore::maybe_snapshot`] checks first.
+    pub fn snapshot_due(&self) -> bool {
+        self.events_since_snapshot.load(Ordering::Relaxed) >= self.options.snapshot_every_events
+    }
+
     /// Takes a snapshot if `snapshot_every_events` have accumulated.
     ///
     /// Cheap when under threshold or when another thread is already
     /// snapshotting; call freely from the serving path. Returns whether a
     /// snapshot was written.
     pub fn maybe_snapshot(&self, oak: &Oak) -> io::Result<bool> {
-        if self.events_since_snapshot.load(Ordering::Relaxed) < self.options.snapshot_every_events {
+        if !self.snapshot_due() || self.snapshot_lock.try_lock().is_err() {
             return Ok(false);
         }
-        if self.snapshot_lock.try_lock().is_err() {
-            return Ok(false);
-        }
-        self.snapshot(oak)?;
-        Ok(true)
+        Ok(self.counted_snapshot(oak)?.is_some())
     }
 
     /// Writes a compacted snapshot of `oak` and retires superseded files.
     ///
     /// The engine quiesces (all shard locks) only while the state is
     /// encoded; the write, fsync, and atomic rename happen outside the
-    /// locks. Afterwards every live segment is rotated, snapshots beyond
-    /// `keep_snapshots` are pruned, and every segment whose events all
-    /// predate the *oldest kept* snapshot's watermark is deleted — so if
-    /// the newest snapshot ever fails its checksum, the previous one
-    /// plus the retained segments still recover the full state (with
-    /// `keep_snapshots: 1` that safety margin is waived and segments
-    /// compact up to the newest watermark).
+    /// locks. Afterwards every live segment is rotated out and sealed,
+    /// snapshots beyond `keep_snapshots` are pruned, and every segment
+    /// whose events all predate the *oldest kept* snapshot's watermark is
+    /// deleted — so if the newest snapshot ever fails its checksum, the
+    /// previous one plus the retained segments still recover the full
+    /// state (with `keep_snapshots: 1` that safety margin is waived and
+    /// segments compact up to the newest watermark).
+    ///
+    /// Snapshots go forward in `(branch epoch, watermark)`, the order
+    /// elections compare logs in. One below a snapshot already on disk
+    /// means the engine's history was replaced — a follower installed a
+    /// primary's image below a head it had journaled on a branch that
+    /// died — so the snapshots above it are deleted with the pruning,
+    /// lest recovery load the dead branch. An engine behind the last
+    /// snapshot this store wrote is one such install replaced (a
+    /// compaction that raced it): nothing is written, and the call fails
+    /// with `ErrorKind::Other` without counting a write error.
     pub fn snapshot(&self, oak: &Oak) -> io::Result<PathBuf> {
+        self.counted_snapshot(oak)?
+            .ok_or_else(|| io::Error::other("a later state was snapshotted"))
+    }
+
+    /// [`OakStore::snapshot`], `None` for an engine behind the last
+    /// snapshot.
+    fn counted_snapshot(&self, oak: &Oak) -> io::Result<Option<PathBuf>> {
         let path = self.write_snapshot(oak);
         if path.is_err() {
             self.write_errors.fetch_add(1, Ordering::Relaxed);
@@ -361,11 +392,16 @@ impl OakStore {
         path
     }
 
-    fn write_snapshot(&self, oak: &Oak) -> io::Result<PathBuf> {
+    fn write_snapshot(&self, oak: &Oak) -> io::Result<Option<PathBuf>> {
         let _span = oak_obs::span("snapshot");
         let snapshot_start = self.obs.get().map(|o| o.now());
-        let _guard = self.snapshot_lock.lock().expect("snapshot lock");
+        let mut last = self.snapshot_lock.lock().expect("snapshot lock");
         let (watermark, payload) = oak.state_image();
+        // Read after the image: an engine's epoch only rises.
+        let at = (oak.epoch(), watermark);
+        if at < *last {
+            return Ok(None);
+        }
         // Before any file exists: a state the header cannot describe
         // leaves the directory, and what recovery reads from it, as is.
         let header = frame_header(&payload)?;
@@ -386,29 +422,30 @@ impl OakStore {
         // losing acknowledged events. (The oak-sim SimFs regression suite
         // exercises exactly that schedule.)
         self.backend.sync_dir(&self.dir)?;
+        *last = at;
         self.events_since_snapshot.store(0, Ordering::Relaxed);
 
         // Rotate every live segment out; new ones open lazily.
         for slot in &self.slots {
-            let mut slot = self.lock_slot(slot);
-            if let Some(mut writer) = slot.take() {
-                writer.sync()?;
-                self.closed
-                    .lock()
-                    .expect("closed list")
-                    .push(ClosedSegment {
-                        path: writer.path().to_path_buf(),
-                        max_seq: writer.max_seq(),
-                    });
+            let writer = self.lock_slot(slot).take();
+            if let Some(writer) = writer {
+                self.retire(writer)?;
             }
         }
 
-        // Prune snapshots beyond the retention count (names sort by
-        // watermark), then compact segments up to the oldest survivor.
+        // Delete the snapshots of a branch the engine left (see
+        // `snapshot`), prune the rest beyond the retention count (names
+        // sort by watermark), then compact segments up to the oldest
+        // survivor.
         let mut snaps: Vec<(u64, PathBuf)> = Vec::new();
         for name in self.backend.list_dir(&self.dir)? {
             if let Some(w) = parse_snapshot_name(&name) {
-                snaps.push((w, self.dir.join(name)));
+                let path = self.dir.join(name);
+                if w > watermark {
+                    let _ = self.backend.remove_file(&path);
+                } else {
+                    snaps.push((w, path));
+                }
             }
         }
         snaps.sort();
@@ -438,7 +475,43 @@ impl OakStore {
             obs.snapshots.inc();
             crate::obs::StoreMetrics::record(&obs.snapshot, start, obs.now());
         }
-        Ok(path)
+        Ok(Some(path))
+    }
+
+    /// Takes a segment out of service: syncs it, seals it, and puts it on
+    /// the list compaction retires files from.
+    fn retire(&self, mut writer: SegmentWriter) -> io::Result<()> {
+        writer.sync()?;
+        let segment = ClosedSegment {
+            path: writer.path().to_path_buf(),
+            max_seq: writer.max_seq(),
+        };
+        drop(writer);
+        let segment = self.seal(segment);
+        self.closed.lock().expect("closed list").push(segment);
+        Ok(())
+    }
+
+    /// Renames a segment nobody appends to any more to its sealed name,
+    /// which carries `max_seq`, so [`wal_events`] passes over the file
+    /// once a reader's range starts past it. A sealed name bounds every
+    /// seq a reader can find in the file, and a crash that loses the
+    /// rename leaves the unsealed name, which is read in full: either
+    /// name is true, so the rename waits for whichever directory sync
+    /// comes next instead of paying its own. A file already sealed, or
+    /// one the rename fails for, keeps the name it has.
+    fn seal(&self, segment: ClosedSegment) -> ClosedSegment {
+        let ClosedSegment { path, max_seq } = segment;
+        let sealed = path
+            .file_name()
+            .and_then(|name| parse_segment_name(name.to_str()?))
+            .filter(|name| name.sealed.is_none())
+            .map(|name| path.with_file_name(sealed_segment_name(name.slot, name.id, max_seq)));
+        let path = match sealed {
+            Some(sealed) if self.backend.rename(&path, &sealed).is_ok() => sealed,
+            _ => path,
+        };
+        ClosedSegment { path, max_seq }
     }
 
     fn lock_slot<'a>(
@@ -485,15 +558,7 @@ impl OakStore {
             FsyncPolicy::Never => {}
         }
         if writer.bytes() >= self.options.rotate_segment_bytes {
-            let mut writer = guard.take().expect("just used");
-            writer.sync()?;
-            self.closed
-                .lock()
-                .expect("closed list")
-                .push(ClosedSegment {
-                    path: writer.path().to_path_buf(),
-                    max_seq: writer.max_seq(),
-                });
+            self.retire(guard.take().expect("just used"))?;
         }
         Ok(())
     }
@@ -555,9 +620,9 @@ pub struct Recovery {
     /// set the recovered engine reflects — which is what lets an external
     /// oracle (oak-sim) rebuild the expected state and compare.
     pub replayed_seqs: Vec<u64>,
-    /// Every segment file read, with the highest sequence number it
-    /// yielded — what lets the store that takes over the directory
-    /// compact them without reading them again.
+    /// Every segment file, with the highest sequence number it holds —
+    /// what lets the store that takes over the directory compact (and
+    /// seal) them without reading them again.
     pub(crate) segments: Vec<(PathBuf, u64)>,
 }
 
@@ -659,7 +724,7 @@ pub fn recover_with(
 
     // What to replay is the shared reader's call (log matching against
     // the snapshot's branch included) — the same call `tail` ships by.
-    let wal = wal_events(&*backend, dir, watermark, oak.epoch())?;
+    let wal = wal_events(&*backend, dir, watermark..u64::MAX, oak.epoch())?;
     // Falling back is sound only while the WAL still reaches back to
     // where the fallback stands; compaction kept it that far for the
     // snapshots it kept, not for one that cannot be read.
@@ -716,19 +781,41 @@ fn load_snapshot(backend: &dyn StorageBackend, path: &Path, config: OakConfig) -
     Oak::from_snapshot_json(config, &doc).map_err(|e| bad(&e))
 }
 
-fn segment_name(slot: usize, id: u64) -> String {
+pub(crate) fn segment_name(slot: usize, id: u64) -> String {
     format!("seg-{slot:02}-{id:08}.wal")
+}
+
+fn sealed_segment_name(slot: usize, id: u64, max_seq: u64) -> String {
+    format!("seg-{slot:02}-{id:08}-{max_seq:020}.wal")
 }
 
 fn snapshot_name(watermark: u64) -> String {
     format!("snap-{watermark:020}.snap")
 }
 
-/// Parses `seg-SS-NNNNNNNN.wal` into `(slot, id)`.
-pub(crate) fn parse_segment_name(name: &str) -> Option<(usize, u64)> {
+/// What a segment file's name says about it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct SegmentName {
+    pub slot: usize,
+    pub id: u64,
+    /// The highest seq in the file, for a sealed segment.
+    pub sealed: Option<u64>,
+}
+
+/// Parses `seg-SS-NNNNNNNN.wal`, or a sealed
+/// `seg-SS-NNNNNNNN-MMMMMMMMMMMMMMMMMMMM.wal`.
+pub(crate) fn parse_segment_name(name: &str) -> Option<SegmentName> {
     let rest = name.strip_prefix("seg-")?.strip_suffix(".wal")?;
-    let (slot, id) = rest.split_once('-')?;
-    Some((slot.parse().ok()?, id.parse().ok()?))
+    let (slot, rest) = rest.split_once('-')?;
+    let (id, sealed) = match rest.split_once('-') {
+        Some((id, max_seq)) => (id, Some(max_seq.parse().ok()?)),
+        None => (rest, None),
+    };
+    Some(SegmentName {
+        slot: slot.parse().ok()?,
+        id: id.parse().ok()?,
+        sealed,
+    })
 }
 
 /// Parses `snap-W...W.snap` into the watermark.

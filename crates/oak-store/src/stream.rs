@@ -30,6 +30,7 @@
 //! [`tail_wal`] ships the contiguous run at its front.
 
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use oak_core::events::SequencedEvent;
@@ -75,27 +76,27 @@ pub fn decode_event(payload: &[u8]) -> Result<SequencedEvent, String> {
     SequencedEvent::from_value(&doc)
 }
 
-/// What one segment file yields: the events with `seq >= from_seq` in
-/// its checksum-valid frame prefix, the highest sequence number in that
+/// What one segment file yields: the events with a seq in `seqs` in its
+/// checksum-valid frame prefix, the highest sequence number in that
 /// prefix, and whether the prefix was the whole file.
 ///
-/// A frame below `from_seq` is skipped on the `seq` in its fixed header,
-/// body unread. A frame that passes its CRC but cannot be decoded is not
-/// a torn tail — the bytes are what some writer meant — so it is an
-/// error, not the end of the salvage: a journal from a newer build (an
-/// unknown version byte after a downgrade) must not recover as a prefix
-/// that the next compaction then makes permanent.
+/// A frame outside `seqs` is skipped on the `seq` in its fixed header,
+/// body unread ([`skipped_seq`]). A frame that passes its CRC but cannot
+/// be decoded is not a torn tail — the bytes are what some writer meant —
+/// so it is an error, not the end of the salvage: a journal from a newer
+/// build (an unknown version byte after a downgrade) must not recover as
+/// a prefix that the next compaction then makes permanent.
 fn segment_events(
     backend: &dyn StorageBackend,
     path: &Path,
-    from_seq: u64,
+    seqs: &Range<u64>,
 ) -> io::Result<(Vec<SequencedEvent>, u64, bool)> {
     let buf = backend.read(path)?;
     let contents = parse_segment(&buf);
     let mut events = Vec::new();
     let mut max_seq = 0;
     for &(offset, payload) in &contents.frames {
-        if let Some(seq) = SequencedEvent::encoded_seq(payload).filter(|&seq| seq < from_seq) {
+        if let Some(seq) = skipped_seq(payload, seqs) {
             max_seq = max_seq.max(seq);
             continue;
         }
@@ -111,27 +112,59 @@ fn segment_events(
             )
         })?;
         max_seq = max_seq.max(event.seq);
-        if event.seq >= from_seq {
+        if seqs.contains(&event.seq) {
             events.push(event);
         }
     }
     Ok((events, max_seq, contents.clean))
 }
 
+/// The `seq` of a frame the walk passes over body unread, because it
+/// lies outside `seqs`; `None` for a frame to decode.
+///
+/// Below the range the skip is final — no later read of this reader
+/// starts lower — so only a version byte this build knows vouches for
+/// the `seq` behind it, and any other frame is decoded (and refused, if
+/// it cannot be). Past the range the skip only defers: the call whose
+/// range reaches the frame reads it in full, and recovery's range has
+/// no end. There the `seq` at offset 1 is taken whatever the version
+/// byte says, so one batch of a follower's catch-up is not refused for
+/// a frame far ahead of it.
+fn skipped_seq(payload: &[u8], seqs: &Range<u64>) -> Option<u64> {
+    if let Some(seq) = SequencedEvent::encoded_seq(payload) {
+        return (!seqs.contains(&seq)).then_some(seq);
+    }
+    let seq = payload
+        .get(1..9)
+        .filter(|_| payload[0] != b'{')
+        .map(|bytes| u64::from_le_bytes(bytes.try_into().expect("8 bytes")))?;
+    (seq >= seqs.end).then_some(seq)
+}
+
 /// What [`wal_events`] read out of a store directory.
 pub(crate) struct WalScan {
-    /// The events with `seq >= from_seq` on the live branch, ascending,
-    /// one per sequence number.
+    /// The events with a seq in the range asked for on the live branch,
+    /// ascending, one per sequence number.
     pub events: Vec<SequencedEvent>,
-    /// Every segment file read, with the highest sequence number it
-    /// yielded (0 when it yielded nothing).
+    /// Every segment file, with the highest sequence number it holds (0
+    /// when it yielded nothing): the one its sealed name carries, or the
+    /// highest its frames yielded.
     pub segments: Vec<(PathBuf, u64)>,
-    /// How many of them ended in a torn or corrupt frame (their valid
-    /// prefix still counts).
+    /// How many of the files read ended in a torn or corrupt frame (their
+    /// valid prefix still counts).
     pub torn_segments: usize,
 }
 
-/// Reads the WAL in `dir` — the only code that walks the segment files.
+/// Reads the frames with a seq in `seqs` out of the WAL in `dir` — the
+/// only code that walks the segment files.
+///
+/// A sealed segment (`store.rs`: one renamed, once nothing appended to it
+/// any more, to carry the highest seq in it) whose highest seq lies below
+/// the range is not opened: every frame in it would be skipped on its
+/// header anyway, so the events returned are the same, and it is reported
+/// with the highest seq its name carries, as if it had been read. A
+/// build from before sealed names does not list them, so the upgrade is
+/// one-way.
 ///
 /// Raft-style log matching decides what "the live branch" is. A replica
 /// that installed a newer primary's snapshot may still hold frames
@@ -142,11 +175,13 @@ pub(crate) struct WalScan {
 /// `branch_epoch`: the loaded snapshot's epoch at recovery, 0 when only
 /// the frames themselves are to be judged) is a conflicting suffix and
 /// is dropped. Single-node WALs are uniformly epoch 0, where this
-/// reduces to the plain merge by sequence number.
+/// reduces to the plain merge by sequence number. Cutting the range at
+/// its end changes nothing below it: the sort, the per-seq choice and
+/// the branch filter each decide a seq from the frames at or below it.
 pub(crate) fn wal_events(
     backend: &dyn StorageBackend,
     dir: &Path,
-    from_seq: u64,
+    seqs: Range<u64>,
     mut branch_epoch: u64,
 ) -> io::Result<WalScan> {
     let mut names = backend.list_dir(dir)?;
@@ -154,9 +189,16 @@ pub(crate) fn wal_events(
     let mut events: Vec<SequencedEvent> = Vec::new();
     let mut segments = Vec::new();
     let mut torn_segments = 0;
-    for name in names.iter().filter(|n| parse_segment_name(n).is_some()) {
+    for name in &names {
+        let Some(segment) = parse_segment_name(name) else {
+            continue;
+        };
         let path = dir.join(name);
-        let (segment, max_seq, clean) = segment_events(backend, &path, from_seq)?;
+        if let Some(max_seq) = segment.sealed.filter(|&max_seq| max_seq < seqs.start) {
+            segments.push((path, max_seq));
+            continue;
+        }
+        let (segment, max_seq, clean) = segment_events(backend, &path, &seqs)?;
         segments.push((path, max_seq));
         events.extend(segment);
         torn_segments += usize::from(!clean);
@@ -181,10 +223,25 @@ pub(crate) fn wal_events(
 /// `seq >= from_seq` that the log contiguously covers. See the module
 /// docs for the `Events` / `Compacted` split.
 pub fn tail_wal(backend: &dyn StorageBackend, dir: &Path, from_seq: u64) -> io::Result<Tail> {
+    tail_batch(backend, dir, from_seq, usize::MAX)
+}
+
+/// [`tail_wal`], the run cut at `max` events — one batch of shipping.
+/// Frames at or past `from_seq + max` are skipped on their header like
+/// those below `from_seq`, so a batch decodes what it ships and no more.
+pub(crate) fn tail_batch(
+    backend: &dyn StorageBackend,
+    dir: &Path,
+    from_seq: u64,
+    max: usize,
+) -> io::Result<Tail> {
     if !backend.dir_exists(dir) {
         return Ok(Tail::Events(Vec::new()));
     }
-    let mut events = wal_events(backend, dir, from_seq, 0)?.events;
+    // At least one seq: whether the log covers `from_seq` decides between
+    // an empty batch and `Compacted`.
+    let until = from_seq.saturating_add(max.max(1) as u64);
+    let mut events = wal_events(backend, dir, from_seq..until, 0)?.events;
     if events.first().is_none_or(|e| e.seq != from_seq) {
         // The run does not start at `from_seq`. If the snapshot
         // watermark has moved past it, the missing prefix was (or may
@@ -206,7 +263,7 @@ pub fn tail_wal(backend: &dyn StorageBackend, dir: &Path, from_seq: u64) -> io::
         .zip(from_seq..)
         .take_while(|(event, seq)| event.seq == *seq)
         .count();
-    events.truncate(run);
+    events.truncate(run.min(max));
     Ok(Tail::Events(events))
 }
 
@@ -449,5 +506,207 @@ mod tests {
         let backend: Arc<dyn StorageBackend> = Arc::new(crate::backend::RealFs);
         assert!(events_of(tail_wal(&*backend, &dir, 0).unwrap()).is_empty());
         assert_eq!(wal_watermark(&*backend, &dir).unwrap(), 0);
+    }
+
+    fn removed(seq: u64) -> Vec<u8> {
+        SequencedEvent {
+            seq,
+            epoch: 0,
+            event: oak_core::events::EngineEvent::RuleRemoved {
+                id: oak_core::rule::RuleId(9),
+            },
+        }
+        .encode()
+    }
+
+    #[test]
+    fn a_batch_is_not_refused_for_a_frame_past_it() {
+        let dir = temp_dir("past-batch");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let from = 100;
+        let ahead = from + 100;
+        let mut writer =
+            crate::segment::SegmentWriter::create(dir.join("seg-16-00000000.wal"), None).unwrap();
+        for seq in 0..ahead {
+            writer.append(seq, &removed(seq)).unwrap();
+        }
+        // What a downgrade finds: a version byte this build has never
+        // heard of, its checksum intact.
+        let mut newer = removed(ahead);
+        newer[0] = oak_core::events::EVENT_VERSION + 1;
+        writer.append(ahead, &newer).unwrap();
+        writer.append(ahead + 1, &removed(ahead + 1)).unwrap();
+        writer.sync().unwrap();
+
+        // A store opened bare has an empty ring: the batch comes off disk.
+        let store = OakStore::open(&dir, options()).unwrap();
+        let batch = events_of(store.tail(from, 64).unwrap());
+        assert_eq!(
+            batch.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            (from..from + 64).collect::<Vec<_>>()
+        );
+        // The batch that reaches the frame is refused, and so is a boot.
+        let refused = |result: io::Result<()>| {
+            assert_eq!(result.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        };
+        refused(store.tail(from + 64, 64).map(drop));
+        refused(crate::recover(&dir, OakConfig::default()).map(drop));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One step of the exactness workload: `(kind, user, host)`.
+    type Op = (u8, u8, u8);
+
+    fn report(user: u8, host: u8, violating: bool) -> PerfReport {
+        let mut report = PerfReport::new(format!("u-{user}"), "/p");
+        for h in 0..4 {
+            let slow = if violating && h == host { 900.0 } else { 0.0 };
+            report.push(ObjectTiming::new(
+                format!("http://cdn{h}.example/lib.js"),
+                format!("10.0.{h}.1"),
+                30_000,
+                80.0 + f64::from(h) * 5.0 + slow,
+            ));
+        }
+        report
+    }
+
+    fn apply(oak: &Oak, store: &OakStore, step: usize, (kind, user, host): Op) {
+        let now = Instant(step as u64 * 10);
+        let rule = || Rule::remove(format!(r#"<script src="http://cdn{host}.example/lib.js">"#));
+        match kind % 6 {
+            0 | 1 => drop(oak.ingest_report(now, &report(user, host, kind == 0), &NoFetch)),
+            2 => {
+                // Rule churn: retire one, add a replacement.
+                if let Some((id, _)) = oak.rules().nth(usize::from(host)) {
+                    oak.remove_rule(id);
+                }
+                oak.add_rule(rule()).unwrap();
+            }
+            3 => {
+                if let Some((id, _)) = oak.rules().nth(usize::from(host)) {
+                    oak.force_activate(now, &format!("u-{user}"), id);
+                }
+            }
+            4 => {
+                if let Some((id, _)) = oak.rules().nth(usize::from(host)) {
+                    oak.force_deactivate(&format!("u-{user}"), id);
+                }
+            }
+            _ => drop(store.snapshot(oak)),
+        }
+        store.maybe_snapshot(oak).unwrap();
+    }
+
+    /// Copies `from` into `to`, every segment under its unsealed name.
+    fn unsealed_copy(from: &Path, to: &Path) {
+        std::fs::create_dir_all(to).unwrap();
+        for entry in std::fs::read_dir(from).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            let target = match parse_segment_name(&name) {
+                Some(segment) => crate::store::segment_name(segment.slot, segment.id),
+                None => name.clone(),
+            };
+            assert!(!to.join(&target).exists(), "{name} twice");
+            std::fs::copy(from.join(&name), to.join(target)).unwrap();
+        }
+    }
+
+    /// What a scan returned: each event as `(seq, epoch, bytes)`, and each
+    /// file's highest seq under its unsealed name.
+    type Read = (Vec<(u64, u64, Vec<u8>)>, Vec<(String, u64)>);
+
+    fn read(dir: &Path, seqs: Range<u64>) -> Read {
+        let scan = wal_events(&crate::RealFs, dir, seqs, 0).unwrap();
+        let events = scan
+            .events
+            .iter()
+            .map(|e| (e.seq, e.epoch, e.encode()))
+            .collect();
+        let mut highs: Vec<(String, u64)> = scan
+            .segments
+            .iter()
+            .map(|(path, high)| {
+                let name = path.file_name().unwrap().to_str().unwrap();
+                let segment = parse_segment_name(name).unwrap();
+                (crate::store::segment_name(segment.slot, segment.id), *high)
+            })
+            .collect();
+        highs.sort();
+        (events, highs)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// A sealed name changes nothing any read returns. Random ingest,
+        /// rule churn, snapshots and rotations, through a replica deposed
+        /// at `dead_at` — it installs the winner's image, taken at half
+        /// that point, under a higher epoch and reuses the seqs its dead
+        /// branch journaled — then a reboot (which seals what it keeps)
+        /// and more of the workload: for every `from_seq`, the sealed
+        /// directory and a copy with every name unsealed yield the same
+        /// events and the same per-file highest seqs.
+        #[test]
+        fn sealed_names_change_nothing_a_read_returns(
+            ops in proptest::collection::vec((0u8..6, 0u8..5, 0u8..4), 20..90),
+            dead_at in 4usize..60,
+        ) {
+            let dir = temp_dir(&format!("sealed-{}", ops.len()));
+            let copy = dir.with_extension("unsealed");
+            let _ = std::fs::remove_dir_all(&dir);
+            let _ = std::fs::remove_dir_all(&copy);
+            let options = StoreOptions {
+                fsync: FsyncPolicy::Never,
+                snapshot_every_events: 9,
+                rotate_segment_bytes: 900,
+                keep_snapshots: 2,
+            };
+            let (first, rest) = ops.split_at(ops.len() * 2 / 3);
+            {
+                let store = Arc::new(OakStore::open(&dir, options).unwrap());
+                let mut oak = Oak::new(OakConfig::default());
+                oak.set_event_sink(store.clone());
+                oak.set_epoch(1);
+                let mut winner = None;
+                for (step, op) in first.iter().enumerate() {
+                    if step == dead_at / 2 {
+                        winner = Some(oak.state_image().1);
+                    }
+                    if step == dead_at {
+                        let image = winner.take().unwrap();
+                        let mut fresh = Oak::from_state_image(OakConfig::default(), &image).unwrap();
+                        fresh.set_epoch(2);
+                        fresh.set_event_sink(store.clone());
+                        store.snapshot(&fresh).unwrap();
+                        oak = fresh;
+                    }
+                    apply(&oak, &store, step, *op);
+                }
+            }
+            let boot = OakStore::boot(&dir, OakConfig::default(), options).unwrap();
+            for (step, op) in rest.iter().enumerate() {
+                apply(&boot.oak, &boot.store, first.len() + step, *op);
+            }
+            let head = boot.oak.event_seq();
+            drop(boot);
+
+            unsealed_copy(&dir, &copy);
+            let sealed = std::fs::read_dir(&dir)
+                .unwrap()
+                .filter(|e| {
+                    let name = e.as_ref().unwrap().file_name().into_string().unwrap();
+                    parse_segment_name(&name).is_some_and(|s| s.sealed.is_some())
+                })
+                .count();
+            proptest::prop_assert!(sealed > 0);
+            for from in 0..=head + 1 {
+                proptest::prop_assert_eq!(read(&dir, from..u64::MAX), read(&copy, from..u64::MAX));
+                proptest::prop_assert_eq!(read(&dir, from..from + 5), read(&copy, from..from + 5));
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+            std::fs::remove_dir_all(&copy).unwrap();
+        }
     }
 }
