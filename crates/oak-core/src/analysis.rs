@@ -68,16 +68,27 @@ pub struct PageAnalysis<'r> {
 impl<'r> PageAnalysis<'r> {
     /// Groups a report's entries by server IP using the paper's 50 KB
     /// size split.
-    pub fn from_report(report: &'r PerfReport) -> PageAnalysis<'r> {
+    pub fn from_report(report: &'r PerfReport<impl AsRef<str>>) -> PageAnalysis<'r> {
         PageAnalysis::from_report_with_split(report, DEFAULT_SIZE_SPLIT)
     }
 
     /// As [`PageAnalysis::from_report`] with an explicit small/large split.
-    pub fn from_report_with_split(report: &'r PerfReport, size_split: u64) -> PageAnalysis<'r> {
-        let mut servers: Vec<ServerStats<'r>> = Vec::new();
+    pub fn from_report_with_split(
+        report: &'r PerfReport<impl AsRef<str>>,
+        size_split: u64,
+    ) -> PageAnalysis<'r> {
+        let mut servers: Vec<ServerStats<'r>> = Vec::with_capacity(report.entries.len().min(16));
+        // The server of the previous entry: objects of one server tend to
+        // arrive together, and IPs are unique in `servers`, so a hit here
+        // is the index the search would return.
+        let mut last = 0;
         for entry in &report.entries {
-            let ip = entry.ip.as_str();
-            let at = match servers.binary_search_by(|s| s.ip.cmp(ip)) {
+            let ip = entry.ip.as_ref();
+            let found = match servers.get(last) {
+                Some(s) if s.ip == ip => Ok(last),
+                _ => servers.binary_search_by(|s| s.ip.cmp(ip)),
+            };
+            let at = match found {
                 Ok(at) => at,
                 Err(at) => {
                     servers.insert(
@@ -94,6 +105,7 @@ impl<'r> PageAnalysis<'r> {
                     at
                 }
             };
+            last = at;
             let stats = &mut servers[at];
             if let Some(host) = entry.host() {
                 // Domains are tracked lowercase (URL hosts are

@@ -727,7 +727,7 @@ impl Oak {
     pub fn ingest_report(
         &self,
         now: Instant,
-        report: &PerfReport,
+        report: &PerfReport<impl AsRef<str>>,
         fetcher: &dyn ScriptFetcher,
     ) -> IngestOutcome {
         self.ingest_report_from(now, report, fetcher, None)
@@ -736,13 +736,16 @@ impl Oak {
     /// As [`Oak::ingest_report`], with the reporting client's IP (dotted
     /// quad) as observed by the transport. Rules carrying a
     /// [`crate::rule::ClientFilter`] only activate when the IP passes.
+    /// The report may borrow its strings, as one decoded from a request
+    /// body does: nothing here copies an entry's.
     pub fn ingest_report_from(
         &self,
         now: Instant,
-        report: &PerfReport,
+        report: &PerfReport<impl AsRef<str>>,
         fetcher: &dyn ScriptFetcher,
         client_ip: Option<&str>,
     ) -> IngestOutcome {
+        let user = report.user.as_ref();
         let _ingest_span = oak_obs::span("ingest");
         let ingest_start = self.obs.as_ref().map(|o| o.now());
         let detect_span = oak_obs::span("detect");
@@ -781,17 +784,17 @@ impl Oak {
             Candidates::Subset(set) => set.into_iter().collect(),
         };
 
-        let shard_index = self.shard_index(&report.user);
+        let shard_index = self.shard_index(user);
         let mut shard = self.shards[shard_index].lock().expect("shard lock");
 
         // Decide against the state as it stands; nothing is written until
         // the whole effect is known.
-        let state = shard.users.get(&report.user);
+        let state = shard.users.get(user);
         let mut records: Vec<(u64, LogEvent)> = Vec::new();
         let mut record = |rule: RuleId, action: LogAction| {
             let entry = LogEvent {
                 time: now,
-                user: report.user.clone(),
+                user: user.to_owned(),
                 rule,
                 action,
             };
@@ -889,7 +892,7 @@ impl Oak {
         // Detection was the analysis's last reader; its samples move on.
         let effect = IngestEffect {
             time: now,
-            user: report.user.clone(),
+            user: user.to_owned(),
             folds: crate::aggregates::distill(analysis, &violations, &self.interner),
             pending,
             records,

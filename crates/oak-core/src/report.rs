@@ -7,12 +7,16 @@
 //! but carry "only a limited set of fields: the loaded URL, the size of
 //! the loaded object, and the timing information of that object" (§5) —
 //! deliberately small, since Fig. 15 sizes the median report under 10 KB.
+//!
+//! A report's strings are stored as `S`: `String` for a report built or
+//! kept ([`PerfReport`] names that one), `Cow<'b, str>` for one decoded
+//! where it lies in a request body, which is what the serving path reads.
 
 use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
-use oak_json::{Event, ParseError, Scanner, Value};
+use oak_json::{Cursor, ParseError, Value};
 
 /// The reporting client's device cohort.
 ///
@@ -79,12 +83,12 @@ impl DeviceClass {
 
 /// One fetched object, as measured by the client.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ObjectTiming {
+pub struct ObjectTiming<S = String> {
     /// The loaded URL.
-    pub url: String,
+    pub url: S,
     /// The server IP the client ultimately connected to (dotted quad).
     /// This is the grouping key for analysis (§4.2).
-    pub ip: String,
+    pub ip: S,
     /// Object size in bytes.
     pub bytes: u64,
     /// Download time in milliseconds.
@@ -101,7 +105,9 @@ impl ObjectTiming {
             time_ms,
         }
     }
+}
 
+impl<S: AsRef<str>> ObjectTiming<S> {
     /// Achieved throughput in kbit/s (bits per millisecond).
     pub fn throughput_kbps(&self) -> f64 {
         self.bytes as f64 * 8.0 / self.time_ms.max(1e-9)
@@ -113,23 +119,35 @@ impl ObjectTiming {
     /// layer does so without allocating when the host is already
     /// lowercase, the overwhelmingly common case).
     pub fn host(&self) -> Option<&str> {
-        oak_http::host_of(&self.url)
+        oak_http::host_of(self.url.as_ref())
+    }
+}
+
+impl ObjectTiming<Cow<'_, str>> {
+    /// Copies whatever the entry still borrows.
+    pub fn into_owned(self) -> ObjectTiming {
+        ObjectTiming {
+            url: self.url.into_owned(),
+            ip: self.ip.into_owned(),
+            bytes: self.bytes,
+            time_ms: self.time_ms,
+        }
     }
 }
 
 /// A complete report for one page load by one user.
 #[derive(Clone, Debug, PartialEq)]
-pub struct PerfReport {
+pub struct PerfReport<S = String> {
     /// The reporting user's Oak cookie value.
-    pub user: String,
+    pub user: S,
     /// The page path the report describes.
-    pub page: String,
+    pub page: S,
     /// The reporting device's cohort hint. [`DeviceClass::Unknown`] for
     /// encodings that predate the field; serialization omits it in that
     /// case, so device-free reports are byte-identical to the old format.
     pub device: DeviceClass,
     /// Per-object measurements.
-    pub entries: Vec<ObjectTiming>,
+    pub entries: Vec<ObjectTiming<S>>,
 }
 
 /// A report that failed to decode.
@@ -146,6 +164,12 @@ impl ReportDecodeError {
     /// Prefixes the message with the entry index it occurred in.
     pub(crate) fn in_entry(self, i: usize) -> ReportDecodeError {
         ReportDecodeError(format!("entry {i}: {}", self.0))
+    }
+}
+
+impl From<ParseError> for ReportDecodeError {
+    fn from(e: ParseError) -> ReportDecodeError {
+        ReportDecodeError(e.to_string())
     }
 }
 
@@ -185,22 +209,57 @@ impl PerfReport {
         }
     }
 
+    /// Decodes the JSON wire format into an owned report:
+    /// [`PerfReport::decode_json`], then a copy of each string.
+    ///
+    /// # Errors
+    ///
+    /// As [`PerfReport::decode_json`], less the UTF-8 check `text` has
+    /// already passed.
+    pub fn from_json(text: &str) -> Result<PerfReport, ReportDecodeError> {
+        decode_json_text(text).map(PerfReport::into_owned)
+    }
+
+    /// Decodes a JSON report from request-body bytes into an owned report.
+    ///
+    /// # Errors
+    ///
+    /// As [`PerfReport::decode_json`].
+    pub fn from_json_bytes(body: &[u8]) -> Result<PerfReport, ReportDecodeError> {
+        PerfReport::decode_json(body).map(PerfReport::into_owned)
+    }
+
+    /// Decodes the binary wire format into an owned report; see
+    /// [`crate::wire::decode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReportDecodeError`] on malformed frames or any value
+    /// [`PerfReport::decode_json`] would reject.
+    pub fn from_binary(bytes: &[u8]) -> Result<PerfReport, ReportDecodeError> {
+        crate::wire::decode(bytes).map(PerfReport::into_owned)
+    }
+}
+
+impl<S> PerfReport<S> {
     /// Sets the device-cohort hint, builder style.
-    pub fn with_device(mut self, device: DeviceClass) -> PerfReport {
+    pub fn with_device(mut self, device: DeviceClass) -> PerfReport<S> {
         self.device = device;
         self
     }
 
     /// Appends a measurement.
-    pub fn push(&mut self, entry: ObjectTiming) {
+    pub fn push(&mut self, entry: ObjectTiming<S>) {
         self.entries.push(entry);
     }
+}
 
+impl<S: AsRef<str>> PerfReport<S> {
     /// Serializes to the JSON wire format clients POST.
     pub fn to_json(&self) -> String {
         let mut doc = Value::object();
-        doc.set("user", self.user.as_str());
-        doc.set("page", self.page.as_str());
+        doc.set("user", self.user.as_ref());
+        doc.set("page", self.page.as_ref());
         // Omitted for Unknown: a device-free report serializes exactly as
         // it did before the field existed.
         if self.device != DeviceClass::Unknown {
@@ -209,8 +268,8 @@ impl PerfReport {
         let mut entries = Value::array();
         for e in &self.entries {
             let mut obj = Value::object();
-            obj.set("url", e.url.as_str());
-            obj.set("ip", e.ip.as_str());
+            obj.set("url", e.url.as_ref());
+            obj.set("ip", e.ip.as_ref());
             obj.set("bytes", e.bytes);
             obj.set("time_ms", e.time_ms);
             entries.push(obj);
@@ -219,100 +278,9 @@ impl PerfReport {
         doc.to_string()
     }
 
-    /// Decodes the JSON wire format.
-    ///
-    /// Implemented over the streaming [`Scanner`] rather than a
-    /// [`Value`] tree: keys and escape-free strings are borrowed from
-    /// the input and compared where they lie, so a well-formed report
-    /// allocates its `user` and `page`, the entry vector, and the `url`
-    /// and `ip` of each entry — nothing per key, nothing per number.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReportDecodeError`] on JSON errors, missing fields,
-    /// non-finite/negative numbers (a hostile client must not be able to
-    /// poison the MAD statistics with NaN), values beyond
-    /// [`PerfReport::MAX_BYTES`]/[`PerfReport::MAX_TIME_MS`], or more
-    /// than [`PerfReport::MAX_ENTRIES`] entries.
-    pub fn from_json(text: &str) -> Result<PerfReport, ReportDecodeError> {
-        let mut scanner = Scanner::new(text);
-        let mut user: Option<String> = None;
-        let mut page: Option<String> = None;
-        // `Some(None)` marks a `device` key whose value was not a string
-        // — distinct from an absent key, which is simply Unknown.
-        let mut device: Option<Option<String>> = None;
-        let mut entries: Option<Vec<ObjectTiming>> = None;
-        match next(&mut scanner)? {
-            Some(Event::ObjectStart) => {}
-            // Any other well-formed document has no fields at all.
-            Some(_) => {
-                scanner.skip_value().ok();
-                return Err(ReportDecodeError("missing user".into()));
-            }
-            None => return Err(ReportDecodeError("empty report".into())),
-        }
-        loop {
-            match next(&mut scanner)? {
-                Some(Event::Key(key)) => match key.as_ref() {
-                    // Duplicate keys behave like the old tree parser:
-                    // the last occurrence wins, whatever its type.
-                    "user" => user = scan_string_value(&mut scanner)?,
-                    "page" => page = scan_string_value(&mut scanner)?,
-                    "device" => device = Some(scan_string_value(&mut scanner)?),
-                    "entries" => entries = scan_entries(&mut scanner)?,
-                    _ => scanner
-                        .skip_value()
-                        .map_err(|e| ReportDecodeError(e.to_string()))?,
-                },
-                Some(Event::ObjectEnd) => break,
-                _ => return Err(ReportDecodeError("malformed report object".into())),
-            }
-        }
-        // Rejects trailing garbage, exactly as the tree parser does.
-        next(&mut scanner)?;
-        let user = user.ok_or_else(|| ReportDecodeError("missing user".into()))?;
-        let page = page.ok_or_else(|| ReportDecodeError("missing page".into()))?;
-        let entries = entries.ok_or_else(|| ReportDecodeError("missing entries".into()))?;
-        let device = match device {
-            None => DeviceClass::Unknown,
-            Some(Some(name)) => DeviceClass::parse(&name)
-                .ok_or_else(|| ReportDecodeError(format!("unknown device class {name:?}")))?,
-            Some(None) => return Err(ReportDecodeError("device not a string".into())),
-        };
-        Ok(PerfReport {
-            user,
-            page,
-            device,
-            entries,
-        })
-    }
-
-    /// Decodes a JSON report straight from request-body bytes, without
-    /// the lossy UTF-8 copy the server used to make.
-    ///
-    /// # Errors
-    ///
-    /// As [`PerfReport::from_json`], plus invalid UTF-8 is rejected
-    /// outright (previously it was silently replaced with U+FFFD).
-    pub fn from_json_bytes(body: &[u8]) -> Result<PerfReport, ReportDecodeError> {
-        let text = std::str::from_utf8(body)
-            .map_err(|_| ReportDecodeError("report body is not valid UTF-8".into()))?;
-        PerfReport::from_json(text)
-    }
-
     /// Encodes into the binary wire format (`application/x-oak-report`).
     pub fn to_binary(&self) -> Vec<u8> {
         crate::wire::encode(self)
-    }
-
-    /// Decodes the binary wire format; see [`crate::wire`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReportDecodeError`] on malformed frames or any value
-    /// [`PerfReport::from_json`] would reject.
-    pub fn from_binary(bytes: &[u8]) -> Result<PerfReport, ReportDecodeError> {
-        crate::wire::decode(bytes)
     }
 
     /// Serialized size in bytes — the quantity Fig. 15 distributes.
@@ -321,195 +289,201 @@ impl PerfReport {
     }
 }
 
-/// Pulls one event, converting parse errors.
-fn next<'a>(scanner: &mut Scanner<'a>) -> Result<Option<Event<'a>>, ReportDecodeError> {
-    scanner
-        .next_event()
-        .map_err(|e: ParseError| ReportDecodeError(e.to_string()))
-}
-
-/// Reads one value in value position; container values are consumed to
-/// their matching end so the scanner stays aligned.
-fn next_value<'a>(scanner: &mut Scanner<'a>) -> Result<Event<'a>, ReportDecodeError> {
-    let event = next(scanner)?.ok_or_else(|| ReportDecodeError("truncated report".into()))?;
-    if matches!(event, Event::ObjectStart | Event::ArrayStart) {
-        skip_open_container(scanner)?;
+impl<'b> PerfReport<Cow<'b, str>> {
+    /// Decodes the JSON wire format where it lies in `body`: `user`,
+    /// `page`, and each entry's `url` and `ip` borrow from it unless they
+    /// hold an escape, so a report allocates its entry vector and nothing
+    /// else. Keys are compared where they lie, and unknown keys are
+    /// skipped with their whole grammar checked.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReportDecodeError`] on a body that is not UTF-8 or not
+    /// JSON, missing fields, non-finite/negative numbers (a hostile client
+    /// must not be able to poison the MAD statistics with NaN), values
+    /// beyond [`PerfReport::MAX_BYTES`]/[`PerfReport::MAX_TIME_MS`], or
+    /// more than [`PerfReport::MAX_ENTRIES`] entries.
+    pub fn decode_json(body: &'b [u8]) -> Result<PerfReport<Cow<'b, str>>, ReportDecodeError> {
+        let text = std::str::from_utf8(body)
+            .map_err(|_| ReportDecodeError::new("report body is not valid UTF-8"))?;
+        decode_json_text(text)
     }
-    Ok(event)
-}
 
-/// Consumes a container whose opening bracket was already read.
-fn skip_open_container(scanner: &mut Scanner<'_>) -> Result<(), ReportDecodeError> {
-    let mut depth = 1usize;
-    loop {
-        match next(scanner)? {
-            Some(Event::ObjectStart | Event::ArrayStart) => depth += 1,
-            Some(Event::ObjectEnd | Event::ArrayEnd) => {
-                depth -= 1;
-                if depth == 0 {
-                    return Ok(());
-                }
-            }
-            Some(_) => {}
-            None => return Err(ReportDecodeError("truncated report".into())),
+    /// Copies whatever the report still borrows.
+    pub fn into_owned(self) -> PerfReport {
+        PerfReport {
+            user: self.user.into_owned(),
+            page: self.page.into_owned(),
+            device: self.device,
+            entries: self
+                .entries
+                .into_iter()
+                .map(ObjectTiming::into_owned)
+                .collect(),
         }
     }
 }
 
-/// A string field value, or `None` if the value has another type (which
-/// surfaces later as the field's "missing" error, like the tree parser).
-fn scan_string_value(scanner: &mut Scanner<'_>) -> Result<Option<String>, ReportDecodeError> {
-    match next_value(scanner)? {
-        Event::Str(s) => Ok(Some(s.into_owned())),
-        _ => Ok(None),
-    }
-}
+/// Fewest bytes a valid JSON entry and its separating comma can take —
+/// `{"url":"","ip":"","bytes":0,"time_ms":0},` — so the bytes left at the
+/// `entries` array bound how many it can hold.
+const MIN_JSON_ENTRY_BYTES: usize = 41;
 
-/// The `entries` array, or `None` when the value is not an array.
-fn scan_entries(scanner: &mut Scanner<'_>) -> Result<Option<Vec<ObjectTiming>>, ReportDecodeError> {
-    match next(scanner)?.ok_or_else(|| ReportDecodeError("truncated report".into()))? {
-        Event::ArrayStart => {}
-        Event::ObjectStart => {
-            skip_open_container(scanner)?;
-            return Ok(None);
-        }
-        _ => return Ok(None),
+/// One descent over the document. Errors surface in document order: an
+/// entry's at its closing brace, a missing top-level field once the whole
+/// document has parsed.
+fn decode_json_text(text: &str) -> Result<PerfReport<Cow<'_, str>>, ReportDecodeError> {
+    let mut cur = Cursor::new(text);
+    let mut user = None;
+    let mut page = None;
+    // `Some(None)` marks a `device` key whose value was not a string —
+    // distinct from an absent key, which is simply Unknown.
+    let mut device = None;
+    let mut entries = None;
+    if cur.peek() != Some(b'{') {
+        // Any other document has no fields at all.
+        cur.skip_value()?;
+        cur.finish()?;
+        return Err(ReportDecodeError::new("missing user"));
     }
-    let mut entries = Vec::new();
-    loop {
-        match next(scanner)?.ok_or_else(|| ReportDecodeError("truncated report".into()))? {
-            Event::ArrayEnd => return Ok(Some(entries)),
-            Event::ObjectStart => {
-                let i = entries.len();
-                if i >= PerfReport::MAX_ENTRIES {
-                    // Count the rest so the error names the real total.
-                    skip_open_container(scanner)?;
-                    let mut total = i + 1;
-                    loop {
-                        match next(scanner)?
-                            .ok_or_else(|| ReportDecodeError("truncated report".into()))?
-                        {
-                            Event::ArrayEnd => break,
-                            Event::ObjectStart | Event::ArrayStart => {
-                                skip_open_container(scanner)?;
-                                total += 1;
-                            }
-                            _ => total += 1,
-                        }
-                    }
-                    return Err(ReportDecodeError(format!(
-                        "{total} entries exceed the {} limit",
-                        PerfReport::MAX_ENTRIES
-                    )));
-                }
-                entries.push(scan_entry(scanner, i)?);
-            }
-            Event::ArrayStart => {
-                // A non-object entry has no fields at all.
-                skip_open_container(scanner)?;
-                return Err(ReportDecodeError(format!(
-                    "entry {}: missing url",
-                    entries.len()
-                )));
-            }
-            _ => {
-                return Err(ReportDecodeError(format!(
-                    "entry {}: missing url",
-                    entries.len()
-                )))
-            }
+    cur.object(|cur, key| {
+        // Duplicate keys: the last occurrence wins, whatever its type.
+        match key.as_ref() {
+            // A mistyped `user` or `page` reads as missing.
+            "user" => user = string_or_skip(cur)?,
+            "page" => page = string_or_skip(cur)?,
+            "device" => device = Some(string_or_skip(cur)?),
+            "entries" => entries = decode_entries(cur, text.len())?,
+            _ => cur.skip_value()?,
         }
-    }
-}
-
-/// One entry object (its `{` already consumed), validated field-by-field
-/// with the same bounds and error text as the binary decoder.
-fn scan_entry(scanner: &mut Scanner<'_>, i: usize) -> Result<ObjectTiming, ReportDecodeError> {
-    // `Some(value)` once seen with the right type; `bad` marks a field
-    // present with the wrong type (distinct error from "missing").
-    let mut url: (Option<Cow<'_, str>>, bool) = (None, false);
-    let mut ip: (Option<Cow<'_, str>>, bool) = (None, false);
-    let mut bytes: (Option<f64>, bool) = (None, false);
-    let mut time_ms: (Option<f64>, bool) = (None, false);
-    loop {
-        match next(scanner)?.ok_or_else(|| ReportDecodeError("truncated report".into()))? {
-            Event::ObjectEnd => break,
-            Event::Key(key) => {
-                // The key borrows the request body, not the scanner: it
-                // is compared where it lies, once its value is read.
-                let value = next_value(scanner)?;
-                match key.as_ref() {
-                    "url" => {
-                        url = match value {
-                            Event::Str(s) => (Some(s), false),
-                            _ => (None, true),
-                        }
-                    }
-                    "ip" => {
-                        ip = match value {
-                            Event::Str(s) => (Some(s), false),
-                            _ => (None, true),
-                        }
-                    }
-                    "bytes" => {
-                        bytes = match value {
-                            Event::Number(n) => (Some(n), false),
-                            _ => (None, true),
-                        }
-                    }
-                    "time_ms" => {
-                        time_ms = match value {
-                            Event::Number(n) => (Some(n), false),
-                            _ => (None, true),
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            _ => return Err(ReportDecodeError("malformed entry object".into())),
-        }
-    }
-    let require = |field: &str, pair: &(Option<Cow<'_, str>>, bool)| match pair {
-        (Some(_), _) => Ok(()),
-        (None, true) => Err(ReportDecodeError(format!(
-            "entry {i}: {field} not a string"
-        ))),
-        (None, false) => Err(ReportDecodeError(format!("entry {i}: missing {field}"))),
+        Ok::<_, ReportDecodeError>(())
+    })?;
+    cur.finish()?;
+    let missing = |field: &str| ReportDecodeError::new(format!("missing {field}"));
+    let user = user.ok_or_else(|| missing("user"))?;
+    let page = page.ok_or_else(|| missing("page"))?;
+    let entries = entries.ok_or_else(|| missing("entries"))?;
+    let device = match device {
+        None => DeviceClass::Unknown,
+        Some(Some(name)) => DeviceClass::parse(&name)
+            .ok_or_else(|| ReportDecodeError::new(format!("unknown device class {name:?}")))?,
+        Some(None) => return Err(ReportDecodeError::new("device not a string")),
     };
-    require("url", &url)?;
-    require("ip", &ip)?;
-    // Mirrors `Value::as_u64`: a non-negative integer representable
-    // exactly in an f64, then the report's own cap.
-    let object_bytes = match bytes {
-        (Some(n), _) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => {
-            let b = n as u64;
-            if b > PerfReport::MAX_BYTES {
-                return Err(ReportDecodeError(format!(
-                    "entry {i}: bytes not a non-negative integer within 2^53"
-                )));
-            }
-            b
+    Ok(PerfReport {
+        user,
+        page,
+        device,
+        entries,
+    })
+}
+
+/// A string value, or `None` (the value skipped) when it has another type.
+fn string_or_skip<'b>(cur: &mut Cursor<'b>) -> Result<Option<Cow<'b, str>>, ParseError> {
+    if cur.peek() == Some(b'"') {
+        cur.str().map(Some)
+    } else {
+        cur.skip_value().map(|()| None)
+    }
+}
+
+/// A number value, or `None` (the value skipped) when it has another type.
+fn number_or_skip(cur: &mut Cursor<'_>) -> Result<Option<f64>, ParseError> {
+    if matches!(cur.peek(), Some(b'-' | b'0'..=b'9')) {
+        cur.number().map(Some)
+    } else {
+        cur.skip_value().map(|()| None)
+    }
+}
+
+/// The `entries` array, or `None` when the value is not an array. `end`
+/// is the document's length.
+fn decode_entries<'b>(
+    cur: &mut Cursor<'b>,
+    end: usize,
+) -> Result<Option<Vec<ObjectTiming<Cow<'b, str>>>>, ReportDecodeError> {
+    if cur.peek() != Some(b'[') {
+        cur.skip_value()?;
+        return Ok(None);
+    }
+    // Sized once from the bytes left: the entry vector is the decode's
+    // one allocation.
+    let room = (end - cur.offset()) / MIN_JSON_ENTRY_BYTES;
+    let mut entries = Vec::with_capacity(room.min(PerfReport::MAX_ENTRIES));
+    let mut count = 0;
+    cur.array(|cur| {
+        let i = count;
+        count += 1;
+        let object = cur.peek() == Some(b'{');
+        if i > PerfReport::MAX_ENTRIES || (i == PerfReport::MAX_ENTRIES && object) {
+            // Past the limit: only counted, so the error names the total.
+            return Ok(cur.skip_value()?);
         }
-        (None, false) => return Err(ReportDecodeError(format!("entry {i}: missing bytes"))),
+        if !object {
+            // A non-object entry has no fields at all.
+            cur.skip_value()?;
+            return Err(ReportDecodeError::new(format!("entry {i}: missing url")));
+        }
+        entries.push(decode_entry(cur, i)?);
+        Ok(())
+    })?;
+    if count > PerfReport::MAX_ENTRIES {
+        return Err(ReportDecodeError::new(format!(
+            "{count} entries exceed the {} limit",
+            PerfReport::MAX_ENTRIES
+        )));
+    }
+    Ok(Some(entries))
+}
+
+/// Entry `i`, validated field by field with the same bounds and error
+/// text as the binary decoder.
+fn decode_entry<'b>(
+    cur: &mut Cursor<'b>,
+    i: usize,
+) -> Result<ObjectTiming<Cow<'b, str>>, ReportDecodeError> {
+    // `Some(None)` marks a field present with the wrong type, a distinct
+    // error from a missing one.
+    let (mut url, mut ip, mut bytes, mut time_ms) = (None, None, None, None);
+    cur.object(|cur, key| {
+        match key.as_ref() {
+            "url" => url = Some(string_or_skip(cur)?),
+            "ip" => ip = Some(string_or_skip(cur)?),
+            "bytes" => bytes = Some(number_or_skip(cur)?),
+            "time_ms" => time_ms = Some(number_or_skip(cur)?),
+            _ => cur.skip_value()?,
+        }
+        Ok::<_, ParseError>(())
+    })?;
+    let fail = |message: &str| ReportDecodeError::new(format!("entry {i}: {message}"));
+    let string = |field: &str, value: Option<Option<Cow<'b, str>>>| match value {
+        Some(Some(s)) => Ok(s),
+        Some(None) => Err(fail(&format!("{field} not a string"))),
+        None => Err(fail(&format!("missing {field}"))),
+    };
+    let url = string("url", url)?;
+    let ip = string("ip", ip)?;
+    // As `Value::as_u64`, then the report's own cap: a non-negative
+    // integer no larger than 2^53.
+    let bytes = match bytes {
+        Some(Some(n)) if n >= 0.0 && n.fract() == 0.0 && n <= PerfReport::MAX_BYTES as f64 => {
+            n as u64
+        }
+        None => return Err(fail("missing bytes")),
+        _ => return Err(fail("bytes not a non-negative integer within 2^53")),
+    };
+    let time_ms = match time_ms {
+        Some(Some(t)) if (0.0..=PerfReport::MAX_TIME_MS).contains(&t) => t,
+        None => return Err(fail("missing time_ms")),
         _ => {
-            return Err(ReportDecodeError(format!(
-                "entry {i}: bytes not a non-negative integer within 2^53"
-            )))
+            return Err(fail(
+                "time_ms not a finite non-negative number within bounds",
+            ))
         }
     };
-    let time = match time_ms {
-        (Some(t), _) if t.is_finite() && (0.0..=PerfReport::MAX_TIME_MS).contains(&t) => t,
-        (None, false) => return Err(ReportDecodeError(format!("entry {i}: missing time_ms"))),
-        _ => {
-            return Err(ReportDecodeError(format!(
-                "entry {i}: time_ms not a finite non-negative number within bounds"
-            )))
-        }
-    };
-    Ok(ObjectTiming::new(
-        url.0.expect("validated above").into_owned(),
-        ip.0.expect("validated above").into_owned(),
-        object_bytes,
-        time,
-    ))
+    Ok(ObjectTiming {
+        url,
+        ip,
+        bytes,
+        time_ms,
+    })
 }

@@ -622,12 +622,27 @@ fn report_path_stays_within_its_allocation_budget() {
         decode_allocs <= 2 * ENTRIES + 8,
         "from_json made {decode_allocs} allocations"
     );
+    // Decoded where it lies, either format allocates the entry vector
+    // and nothing else.
+    let (borrowed, json_allocs) = allocs_during(|| PerfReport::decode_json(body.as_bytes()));
+    let frame = report.to_binary();
+    let (from_frame, binary_allocs) = allocs_during(|| crate::wire::decode(&frame));
+    assert_eq!(
+        (json_allocs, binary_allocs),
+        (1, 1),
+        "decode_json and wire::decode allocations"
+    );
+    let borrowed = borrowed.expect("own encoding decodes");
+    assert_eq!(borrowed.clone().into_owned(), report);
+    assert_eq!(from_frame.expect("own frame decodes"), borrowed);
 
     let (oak, id) = engine_with_jq_rule(&[JQ_ALT_B]);
     let first = oak.ingest_report(Instant::ZERO, &decoded, &NoFetch);
     assert_eq!(first.activated, [id]);
     let (outcome, ingest_allocs) =
         allocs_during(|| oak.ingest_report(Instant(1), &decoded, &NoFetch));
+    let (_, borrowed_ingest_allocs) =
+        allocs_during(|| oak.ingest_report(Instant(2), &borrowed, &NoFetch));
     assert_eq!(outcome.violations.len(), 1);
     assert_eq!(
         outcome.violations[0].domains,
@@ -635,8 +650,10 @@ fn report_path_stays_within_its_allocation_budget() {
         "{outcome:?}"
     );
     let violators = outcome.violations.len() as u64;
-    assert!(
-        ingest_allocs <= 4 * SERVERS + 4 * violators + 8,
-        "ingest_report made {ingest_allocs} allocations"
-    );
+    for allocs in [ingest_allocs, borrowed_ingest_allocs] {
+        assert!(
+            allocs <= 4 * SERVERS + 4 * violators + 8,
+            "ingest_report made {allocs} allocations"
+        );
+    }
 }

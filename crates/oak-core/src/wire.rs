@@ -4,8 +4,8 @@
 //! path gets a length-prefixed binary encoding that both ends handle
 //! cheaply: the client writes length-prefixed raw bytes (no escaping
 //! pass), and the decoder *slices* the request body — url/ip/user/page
-//! bytes are borrowed from the buffer and only copied into the
-//! [`PerfReport`] after every bound check has passed.
+//! are borrowed from the buffer, so a decoded report allocates its entry
+//! vector and nothing else.
 //!
 //! Layout (all multi-byte integers are LEB128 varints unless noted;
 //! DESIGN.md §12 is the normative spec):
@@ -33,11 +33,13 @@
 //! device-free client sends. Only a report that actually carries a
 //! cohort hint pays the v2 byte — and only v2-aware decoders see those.
 //!
-//! Decoding enforces exactly the bounds [`PerfReport::from_json`]
+//! Decoding enforces exactly the bounds [`PerfReport::decode_json`]
 //! enforces, with the same error text, so the two encodings accept the
 //! same set of reports. Every length is validated against the bytes
 //! actually remaining before any allocation is sized from it — a lying
 //! prefix or an entry-count bomb costs the attacker nothing but an error.
+
+use std::borrow::Cow;
 
 use crate::report::{DeviceClass, ObjectTiming, PerfReport, ReportDecodeError};
 
@@ -57,17 +59,18 @@ pub const WIRE_VERSION_V1: u8 = 0x01;
 const MIN_ENTRY_BYTES: usize = 11;
 
 /// Encodes `report` into the binary wire format.
-pub fn encode(report: &PerfReport) -> Vec<u8> {
+pub fn encode(report: &PerfReport<impl AsRef<str>>) -> Vec<u8> {
+    let (user, page) = (report.user.as_ref(), report.page.as_ref());
     // Exact-ish preallocation: strings + worst-case varints + fixed parts.
     let mut out = Vec::with_capacity(
         2 + 10
-            + report.user.len()
-            + report.page.len()
+            + user.len()
+            + page.len()
             + 20
             + report
                 .entries
                 .iter()
-                .map(|e| e.url.len() + e.ip.len() + 20 + 8)
+                .map(|e| e.url.as_ref().len() + e.ip.as_ref().len() + 20 + 8)
                 .sum::<usize>(),
     );
     if report.device == DeviceClass::Unknown {
@@ -78,20 +81,21 @@ pub fn encode(report: &PerfReport) -> Vec<u8> {
         out.push(WIRE_VERSION);
         out.push(report.device.wire_byte());
     }
-    put_bytes(&mut out, report.user.as_bytes());
-    put_bytes(&mut out, report.page.as_bytes());
+    put_bytes(&mut out, user.as_bytes());
+    put_bytes(&mut out, page.as_bytes());
     put_varint(&mut out, report.entries.len() as u64);
     for e in &report.entries {
-        put_bytes(&mut out, e.url.as_bytes());
-        put_bytes(&mut out, e.ip.as_bytes());
+        put_bytes(&mut out, e.url.as_ref().as_bytes());
+        put_bytes(&mut out, e.ip.as_ref().as_bytes());
         put_varint(&mut out, e.bytes);
         out.extend_from_slice(&e.time_ms.to_le_bytes());
     }
     out
 }
 
-/// Decodes a binary report, enforcing the same bounds as
-/// [`PerfReport::from_json`].
+/// Decodes a binary report where it lies in `bytes`, enforcing the same
+/// bounds as [`PerfReport::decode_json`]; every string borrows from the
+/// frame.
 ///
 /// # Errors
 ///
@@ -99,7 +103,7 @@ pub fn encode(report: &PerfReport) -> Vec<u8> {
 /// trailing bytes, lengths exceeding the buffer, invalid UTF-8, or any
 /// out-of-bounds field value. Never panics, and never allocates more
 /// than the input could legitimately describe.
-pub fn decode(bytes: &[u8]) -> Result<PerfReport, ReportDecodeError> {
+pub fn decode(bytes: &[u8]) -> Result<PerfReport<Cow<'_, str>>, ReportDecodeError> {
     let mut r = Reader { bytes, pos: 0 };
     let version = r.u8("version")?;
     let device = match version {
@@ -117,8 +121,6 @@ pub fn decode(bytes: &[u8]) -> Result<PerfReport, ReportDecodeError> {
             )))
         }
     };
-    // Borrowed slices only — nothing is copied until the whole frame
-    // has validated.
     let user = r.str("user")?;
     let page = r.str("page")?;
     let count = r.varint("entry count")? as usize;
@@ -147,7 +149,12 @@ pub fn decode(bytes: &[u8]) -> Result<PerfReport, ReportDecodeError> {
                 "entry {i}: time_ms not a finite non-negative number within bounds"
             )));
         }
-        entries.push(ObjectTiming::new(url, ip, object_bytes, time_ms));
+        entries.push(ObjectTiming {
+            url: Cow::Borrowed(url),
+            ip: Cow::Borrowed(ip),
+            bytes: object_bytes,
+            time_ms,
+        });
     }
     if r.remaining() != 0 {
         return Err(ReportDecodeError::new(format!(
@@ -156,8 +163,8 @@ pub fn decode(bytes: &[u8]) -> Result<PerfReport, ReportDecodeError> {
         )));
     }
     Ok(PerfReport {
-        user: user.to_owned(),
-        page: page.to_owned(),
+        user: Cow::Borrowed(user),
+        page: Cow::Borrowed(page),
         device,
         entries,
     })

@@ -5,14 +5,18 @@
 //! serialization framework, this crate implements the subset of JSON that the
 //! wire format needs, from scratch:
 //!
-//! - [`Value`]: an owned JSON document tree,
-//! - [`parse`]: a recursive-descent parser with byte-offset error positions,
+//! - [`Cursor`]: the one grammar walker, a recursive-descent reader that
+//!   hands a decoder one value at a time and borrows escape-free strings
+//!   from the input; the report decoder in `oak-core` descends it
+//!   directly, so a report is never built as a tree first,
+//! - [`Value`] and [`parse`]: an owned document tree built on the cursor,
+//!   with byte-offset error positions,
 //! - `Value::to_string` (via [`std::fmt::Display`]) / [`Value::to_pretty_string`]: writers,
-//! - convenience accessors ([`Value::get`], [`Value::as_f64`], ...) used by
-//!   the report codec in `oak-core`.
+//! - convenience accessors ([`Value::get`], [`Value::as_f64`], ...).
 //!
 //! The implementation accepts exactly RFC 8259 JSON: no comments, no trailing
-//! commas, no `NaN`/`Infinity` literals.
+//! commas, no `NaN`/`Infinity` literals, containers nested at most
+//! [`MAX_DEPTH`] deep.
 //!
 //! # Examples
 //!
@@ -26,13 +30,12 @@
 //! assert_eq!(doc, round);
 //! ```
 
-mod parser;
-pub mod scan;
+mod cursor;
+mod lex;
 mod value;
 mod writer;
 
-pub use parser::{parse, ParseError};
-pub use scan::{Event, Scanner};
+pub use cursor::{parse, Cursor, ParseError, MAX_DEPTH};
 pub use value::Value;
 
 #[cfg(test)]

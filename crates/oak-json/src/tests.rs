@@ -1,6 +1,9 @@
 //! Unit tests for the JSON substrate.
 
-use crate::{parse, Value};
+use std::borrow::Cow;
+
+use crate::lex::{scan_number, scan_string};
+use crate::{parse, Cursor, ParseError, Value};
 
 #[test]
 fn parses_literals() {
@@ -114,6 +117,297 @@ fn error_reports_offset() {
     let err = parse(r#"{"a": @}"#).unwrap_err();
     assert_eq!(err.offset, 6);
     assert!(err.to_string().contains("byte 6"));
+}
+
+/// A document cut short fails where the input ends, not one byte before.
+#[test]
+fn truncated_documents_fail_at_their_end() {
+    for (doc, message) in [
+        (r#"{"a":1"#, "expected ',' or '}' in object"),
+        ("[1", "expected ',' or ']' in array"),
+        ("[1, 2 ", "expected ',' or ']' in array"),
+        (r#"{"a"#, "unterminated string"),
+        (r#"{"a""#, "expected ':'"),
+        (r#"{"a":"#, "unexpected end of input"),
+        (r#""abc"#, "unterminated string"),
+    ] {
+        let err = parse(doc).unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (doc.len(), message),
+            "{doc:?}"
+        );
+    }
+}
+
+#[test]
+fn cursor_borrows_escape_free_strings() {
+    let mut cur = Cursor::new(r#" {"plain": "x", "esc\/aped": "a\nb"} "#);
+    let mut seen = Vec::new();
+    cur.object(|cur, key| {
+        seen.push((key, cur.str()?));
+        Ok::<_, ParseError>(())
+    })
+    .unwrap();
+    cur.finish().unwrap();
+    assert!(matches!(
+        seen[0],
+        (Cow::Borrowed("plain"), Cow::Borrowed("x"))
+    ));
+    assert!(matches!(&seen[1], (Cow::Owned(k), Cow::Owned(v)) if k == "esc/aped" && v == "a\nb"));
+}
+
+/// Nesting is refused at the first container past [`crate::MAX_DEPTH`],
+/// however deep the input goes, before the recursion could exhaust the
+/// stack.
+#[test]
+fn skipping_refuses_runaway_nesting() {
+    let text = "[".repeat(100_000);
+    let err = Cursor::new(&text).skip_value().unwrap_err();
+    assert_eq!(err.message, "document nested too deeply");
+    assert_eq!(err.offset, crate::MAX_DEPTH);
+    let nested = "[".repeat(crate::MAX_DEPTH) + &"]".repeat(crate::MAX_DEPTH);
+    assert!(parse(&nested).is_ok());
+}
+
+/// The bytewise lexers the eight-byte and fast-path ones replaced, kept
+/// as the reference they must agree with.
+mod reference {
+    use std::borrow::Cow;
+
+    use crate::lex::{err_at, unescape};
+    use crate::ParseError;
+
+    /// Escape decoding is shared: the eight-byte scan changed how plain
+    /// runs are found, not what an escape means.
+    pub(super) fn scan_string<'a>(
+        text: &'a str,
+        pos: &mut usize,
+    ) -> Result<Cow<'a, str>, ParseError> {
+        let bytes = text.as_bytes();
+        *pos += 1;
+        let start = *pos;
+        while let Some(&b) = bytes.get(*pos) {
+            match b {
+                b'"' => {
+                    let slice = &text[start..*pos];
+                    *pos += 1;
+                    return Ok(Cow::Borrowed(slice));
+                }
+                b'\\' => break,
+                _ if b < 0x20 => return Err(err_at(*pos, "raw control character in string")),
+                _ => *pos += 1,
+            }
+        }
+        let mut out = text[start..*pos].to_owned();
+        loop {
+            match bytes.get(*pos).copied() {
+                Some(b'"') => {
+                    *pos += 1;
+                    return Ok(Cow::Owned(out));
+                }
+                Some(b'\\') => {
+                    *pos += 1;
+                    unescape(bytes, pos, &mut out)?;
+                }
+                Some(b) if b < 0x20 => return Err(err_at(*pos, "raw control character in string")),
+                Some(_) => {
+                    let c = text[*pos..].chars().next().expect("a char boundary");
+                    out.push(c);
+                    *pos += c.len_utf8();
+                }
+                None => return Err(err_at(*pos, "unterminated string")),
+            }
+        }
+    }
+
+    pub(super) fn scan_number(bytes: &[u8], pos: &mut usize) -> Result<f64, ParseError> {
+        let start = *pos;
+        let digits = |pos: &mut usize| {
+            let from = *pos;
+            while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
+                *pos += 1;
+            }
+            *pos - from
+        };
+        if bytes.get(*pos) == Some(&b'-') {
+            *pos += 1;
+        }
+        match bytes.get(*pos) {
+            Some(b'0') => *pos += 1,
+            Some(b'1'..=b'9') => {
+                digits(pos);
+            }
+            _ => return Err(err_at(*pos, "expected digit")),
+        }
+        if bytes.get(*pos) == Some(&b'.') {
+            *pos += 1;
+            if digits(pos) == 0 {
+                return Err(err_at(*pos, "expected digit after decimal point"));
+            }
+        }
+        if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+            *pos += 1;
+            if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+                *pos += 1;
+            }
+            if digits(pos) == 0 {
+                return Err(err_at(*pos, "expected digit in exponent"));
+            }
+        }
+        let text = std::str::from_utf8(&bytes[start..*pos]).expect("digits are ASCII");
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(n),
+            _ => Err(err_at(*pos, "number out of range")),
+        }
+    }
+}
+
+/// Runs both string lexers from `start`; they must agree on the result,
+/// on borrowing, and on where they stopped.
+fn strings_agree(text: &str, start: usize) {
+    let (mut fast_end, mut slow_end) = (start, start);
+    let fast = scan_string(text, &mut fast_end);
+    let slow = reference::scan_string(text, &mut slow_end);
+    match (&fast, &slow) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a, b, "{text:?}");
+            assert_eq!(
+                matches!(a, Cow::Borrowed(_)),
+                matches!(b, Cow::Borrowed(_)),
+                "{text:?}"
+            );
+            assert_eq!(fast_end, slow_end, "{text:?}");
+        }
+        _ => assert_eq!(fast, slow, "{text:?}"),
+    }
+}
+
+/// Pieces a string body is built from: each byte the eight-byte scan
+/// must stop on, multibyte characters it must step over, and escapes.
+const PIECES: [&str; 12] = [
+    "a",
+    "é",
+    "中",
+    "🦀",
+    "\"",
+    "\\",
+    "\\n",
+    "\\u00e9",
+    "\\ud83d\\ude00",
+    "\\x",
+    "\u{1}",
+    "\u{1f}",
+];
+
+/// Every piece at every offset mod 8 from the opening quote (and from
+/// the start of the input), in bodies of 0–40 bytes.
+#[test]
+fn string_lexer_agrees_with_the_bytewise_reference_at_every_offset() {
+    for lead in 0..8 {
+        for before in 0..=32 {
+            for piece in PIECES {
+                for after in [0, 1, 7, 8] {
+                    let text = format!(
+                        "{}\"{}{piece}{}\"",
+                        " ".repeat(lead),
+                        "a".repeat(before),
+                        "b".repeat(after)
+                    );
+                    strings_agree(&text, lead);
+                    // Unterminated: the input ends inside the string.
+                    strings_agree(&text[..text.len() - 1], lead);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn number_lexer_matches_str_parse() {
+    for text in [
+        "0",
+        "-0",
+        "-0.0",
+        "7",
+        "-7",
+        "0.1",
+        "0.000000000000001",
+        "0.0000000000000001",
+        "123456789012345",
+        "1234567890123456",
+        "12345678901234567890",
+        "99999999999999.9",
+        "999999999999999.9",
+        "9007199254740993",
+        "1.7976931348623157",
+        "3.141592653589793",
+        "-140.25",
+        "4.35",
+        "1e3",
+        "1E-3",
+        "2.5e+2",
+        "-0e0",
+        "1e308",
+        "1e-400",
+    ] {
+        let mut end = 0;
+        let n = scan_number(text.as_bytes(), &mut end).expect(text);
+        let want: f64 = text.parse().expect(text);
+        assert_eq!(n.to_bits(), want.to_bits(), "{text}");
+        assert_eq!(end, text.len(), "{text}");
+    }
+    for (text, stop) in [("01", 1), ("-01", 2), ("00.5", 1), ("1.5.2", 3)] {
+        let mut end = 0;
+        scan_number(text.as_bytes(), &mut end).expect(text);
+        assert_eq!(end, stop, "{text}");
+        assert!(parse(text).is_err(), "{text}");
+    }
+}
+
+mod lexer_properties {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn piece() -> impl Strategy<Value = &'static str> {
+        (0..PIECES.len()).prop_map(|i| PIECES[i])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Mixed bodies: the string lexer agrees with the reference.
+        #[test]
+        fn string_lexer_agrees_with_the_reference(
+            lead in 0usize..8,
+            pieces in prop::collection::vec(piece(), 0..16),
+            terminated in any::<bool>(),
+        ) {
+            let mut text = " ".repeat(lead) + "\"" + &pieces.concat();
+            if terminated {
+                text.push('"');
+            }
+            strings_agree(&text, lead);
+        }
+
+        /// Number-shaped text, valid or not: the same value to the bit,
+        /// the same end, or the same error.
+        #[test]
+        fn number_lexer_agrees_with_the_reference(
+            text in "-?[0-9]{0,20}(\\.[0-9]{0,20})?([eE][-+]?[0-9]{0,3})?[x,]?",
+        ) {
+            let (mut fast_end, mut slow_end) = (0, 0);
+            let fast = scan_number(text.as_bytes(), &mut fast_end);
+            let slow = reference::scan_number(text.as_bytes(), &mut slow_end);
+            match (fast, slow) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "{}", text);
+                    prop_assert_eq!(fast_end, slow_end, "{}", text);
+                }
+                (a, b) => prop_assert_eq!(a, b, "{}", text),
+            }
+        }
+    }
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! The HTTP-facing Oak service.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -1097,11 +1098,12 @@ impl OakService {
                 "text/plain",
             );
         }
+        let cookie_user = request
+            .header("cookie")
+            .and_then(|v| get_cookie(v, OAK_USER_COOKIE));
         // Rate-limit on the transport-observed identity (cookie, else
         // peer address) before spending any parsing work on the body.
-        let throttle_key = request
-            .header("cookie")
-            .and_then(|v| get_cookie(v, OAK_USER_COOKIE))
+        let throttle_key = cookie_user
             .or_else(|| request.header(oak_http::PEER_ADDR_HEADER))
             .unwrap_or("-");
         if !self.admit_report(throttle_key, now) {
@@ -1114,7 +1116,8 @@ impl OakService {
         }
         // Wire-format negotiation: the media type (parameters stripped)
         // selects the decoder; everything else — bounds, error surface,
-        // admission — is identical across encodings.
+        // admission — is identical across encodings. Either decoder
+        // borrows the report's strings from the body.
         let binary = request
             .header("content-type")
             .and_then(|ct| ct.split(';').next())
@@ -1127,9 +1130,9 @@ impl OakService {
         let parse_start = self.obs.as_ref().map(|o| o.now());
         let parse_span = oak_obs::span("parse_report");
         let parsed = if binary {
-            PerfReport::from_binary(&request.body)
+            oak_core::wire::decode(&request.body)
         } else {
-            PerfReport::from_json_bytes(&request.body)
+            PerfReport::decode_json(&request.body)
         };
         drop(parse_span);
         if let (Some(obs), Some(start)) = (&self.obs, parse_start) {
@@ -1154,11 +1157,8 @@ impl OakService {
         };
         // The identifying cookie is authoritative for the user id (§4:
         // the cookie lets the server connect performance to the client).
-        if let Some(user) = request
-            .header("cookie")
-            .and_then(|v| get_cookie(v, OAK_USER_COOKIE))
-        {
-            report.user = user.to_owned();
+        if let Some(user) = cookie_user {
+            report.user = Cow::Borrowed(user);
         }
         // Gate on the resolved identity — the partition key — after
         // parsing: only now is the user this report would mutate known.
