@@ -59,13 +59,9 @@ pub struct ConditionData {
     pub object_ratios: Vec<f64>,
 }
 
-/// Everything the replicated-sites binaries read.
+/// Everything the replicated-sites rows read.
 #[derive(Clone, Debug, Default)]
 pub struct ReplicatedResults {
-    /// H1 site indices.
-    pub h1: Vec<usize>,
-    /// H2 site indices.
-    pub h2: Vec<usize>,
     /// Keys: `"H1-Close"`, `"H1-Far"`, `"H2-Close"`, `"H2-Far"`.
     pub conditions: BTreeMap<&'static str, ConditionData>,
     /// Activation counts per (site index, rule domain), across clients.
@@ -74,15 +70,12 @@ pub struct ReplicatedResults {
     pub site_activations: BTreeMap<usize, usize>,
 }
 
-/// Runs the full experiment over the selected sites.
-pub fn run(corpus: &Corpus) -> ReplicatedResults {
+/// Runs the full experiment over the selected sites, every engine on
+/// `config`.
+pub fn run(corpus: &Corpus, config: OakConfig) -> ReplicatedResults {
     let (h1, h2) = select_sites(corpus);
     let universe = Universe::new(corpus);
-    let mut results = ReplicatedResults {
-        h1: h1.clone(),
-        h2: h2.clone(),
-        ..ReplicatedResults::default()
-    };
+    let mut results = ReplicatedResults::default();
     for key in ["H1-Close", "H1-Far", "H2-Close", "H2-Far"] {
         results.conditions.insert(key, ConditionData::default());
     }
@@ -93,7 +86,8 @@ pub fn run(corpus: &Corpus) -> ReplicatedResults {
         .chain(h2.iter().map(|s| (s, false)))
     {
         for &client in &corpus.clients {
-            let (run, activated_domains) = run_site_client(corpus, &universe, site_index, client);
+            let (run, activated_domains) =
+                run_site_client(corpus, config, &universe, site_index, client);
             let close = corpus.world.client(client).region
                 == corpus.world.server(corpus.sites[site_index].origin).region;
             let key = match (is_h1, close) {
@@ -143,6 +137,7 @@ fn windowed_median(times: &DomainTimes, domain: &str, from_load: usize) -> Optio
 /// per-object ratio samples.
 fn run_site_client(
     corpus: &Corpus,
+    config: OakConfig,
     universe: &Universe<'_>,
     site_index: usize,
     client: ClientId,
@@ -156,7 +151,7 @@ fn run_site_client(
     let default_times = run_arm(universe, site_index, client, |_| None);
 
     // Arm 2: every rule forced on, no report ingestion.
-    let forced_oak = Oak::new(OakConfig::default());
+    let forced_oak = Oak::new(config);
     let mut rule_ids: Vec<(RuleId, String)> = Vec::new();
     for (domain, rule) in &rules {
         if let Ok(id) = forced_oak.add_rule(rule.clone()) {
@@ -172,7 +167,7 @@ fn run_site_client(
     });
 
     // Arm 3: normal Oak — serve, load, report, ingest, repeat.
-    let oak = Oak::new(OakConfig::default());
+    let oak = Oak::new(config);
     let mut id_to_domain: BTreeMap<RuleId, String> = BTreeMap::new();
     for (domain, rule) in &rules {
         if let Ok(id) = oak.add_rule(rule.clone()) {

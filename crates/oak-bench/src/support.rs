@@ -1,25 +1,4 @@
-//! Output formatting shared by every experiment binary.
-
-use oak_core::stats::percentile;
-
-/// Prints a CDF as fixed-quantile rows: p10 p25 p50 p75 p90 p99 max.
-pub fn print_cdf(label: &str, values: &[f64]) {
-    if values.is_empty() {
-        println!("{label:<28} (no samples)");
-        return;
-    }
-    let q = |p: f64| percentile(values, p).unwrap();
-    println!(
-        "{label:<28} n={:<5} p10={:<9.3} p25={:<9.3} p50={:<9.3} p75={:<9.3} p90={:<9.3} max={:<9.3}",
-        values.len(),
-        q(10.0),
-        q(25.0),
-        q(50.0),
-        q(75.0),
-        q(90.0),
-        q(100.0),
-    );
-}
+//! CDF and fraction helpers shared by the paper's rows.
 
 /// Fraction of samples at or above `threshold`.
 pub fn fraction_at_least(values: &[f64], threshold: f64) -> f64 {
@@ -45,68 +24,7 @@ pub fn cdf_grid(values: &[f64], grid: &[f64]) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Prints `(x, F(x))` rows, one per line, with a header.
-pub fn print_cdf_grid(label: &str, values: &[f64], grid: &[f64]) {
-    println!("# CDF: {label}");
-    println!("# x\tF(x)");
-    for (x, f) in cdf_grid(values, grid) {
-        println!("{x:.3}\t{f:.3}");
-    }
-}
-
 /// The sample median (convenience over `oak_core::stats`).
 pub fn median(values: &[f64]) -> f64 {
     oak_core::stats::median(values).unwrap_or(f64::NAN)
-}
-
-/// Renders one or more empirical CDFs as an ASCII plot, x on the given
-/// grid, F(x) on a 0–1 vertical axis — a rough visual check against the
-/// paper's figures without leaving the terminal.
-///
-/// Each series is drawn with its own glyph (`*`, `o`, `+`, `x`, …).
-pub fn ascii_cdf_plot(title: &str, series: &[(&str, &[f64])], grid: &[f64]) -> String {
-    const HEIGHT: usize = 12;
-    const GLYPHS: [char; 6] = ['*', 'o', '+', 'x', '#', '@'];
-
-    let mut canvas = vec![vec![' '; grid.len()]; HEIGHT + 1];
-    for (si, (_, values)) in series.iter().enumerate() {
-        let glyph = GLYPHS[si % GLYPHS.len()];
-        for (col, &x) in grid.iter().enumerate() {
-            let f = fraction_at_most(values, x);
-            let row = HEIGHT - (f * HEIGHT as f64).round() as usize;
-            canvas[row][col] = glyph;
-        }
-    }
-
-    let mut out = String::new();
-    out.push_str(&format!("{title}\n"));
-    for (row, line) in canvas.iter().enumerate() {
-        let f = 1.0 - row as f64 / HEIGHT as f64;
-        out.push_str(&format!("{f:>5.2} |"));
-        out.extend(line.iter());
-        out.push('\n');
-    }
-    out.push_str("      +");
-    out.push_str(&"-".repeat(grid.len()));
-    out.push('\n');
-    out.push_str(&format!(
-        "       x: {:.2} … {:.2}   ",
-        grid.first().copied().unwrap_or(0.0),
-        grid.last().copied().unwrap_or(0.0)
-    ));
-    for (si, (name, _)) in series.iter().enumerate() {
-        out.push_str(&format!("[{}] {}  ", GLYPHS[si % GLYPHS.len()], name));
-    }
-    out.push('\n');
-    out
-}
-
-/// Prints a two-column table with a title.
-pub fn print_table(title: &str, header: (&str, &str), rows: &[(String, String)]) {
-    println!("\n## {title}");
-    println!("{:<42} {}", header.0, header.1);
-    println!("{:-<42} {:-<30}", "", "");
-    for (a, b) in rows {
-        println!("{a:<42} {b}");
-    }
 }

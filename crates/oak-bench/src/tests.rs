@@ -5,6 +5,7 @@ use crate::benchworld::{
     alternate_of, benchmark_rules, benchmark_world, sensitivity_rules, sensitivity_world,
 };
 use crate::matchrate::site_match_rates;
+use crate::paper::{Paper, ROWS};
 use crate::replicated::select_sites;
 use crate::support::*;
 
@@ -28,20 +29,6 @@ fn fractions_and_grid() {
     );
     assert!(median(&xs) == 2.5);
     assert!(median(&[]).is_nan());
-}
-
-#[test]
-fn ascii_plot_is_monotone_and_labelled() {
-    let grid: Vec<f64> = (0..=10).map(|i| i as f64).collect();
-    let values: Vec<f64> = (0..100).map(|i| i as f64 / 10.0).collect();
-    let plot = ascii_cdf_plot("test plot", &[("series-a", &values)], &grid);
-    assert!(plot.contains("test plot"));
-    assert!(plot.contains("[*] series-a"));
-    assert!(plot.contains(" 1.00 |"));
-    assert!(plot.contains(" 0.00 |"));
-    // Top row carries the glyph at the right edge (CDF reaches 1).
-    let top_row = plot.lines().find(|l| l.starts_with(" 1.00")).unwrap();
-    assert!(top_row.ends_with('*'));
 }
 
 // ---------------------------------------------------------------------
@@ -146,6 +133,28 @@ fn site_selection_respects_host_bounds() {
     for i in &h1 {
         assert!(!h2.contains(i));
     }
+}
+
+// ---------------------------------------------------------------------
+// paper rows
+// ---------------------------------------------------------------------
+
+/// The table has teeth: halving the paper's 2·MAD multiplier floods the
+/// census with marginal outliers, and Fig. 2's band catches it.
+#[test]
+fn halving_the_mad_multiplier_fails_a_paper_row() {
+    let fig02 = ROWS
+        .iter()
+        .find(|row| row.id == "fig02")
+        .expect("fig02 row");
+
+    let mut halved = Paper::default();
+    halved.oak.detector.threshold = 1.0;
+    let measured = (fig02.run)(&halved);
+    assert!(!measured.pass, "k = 1 still passes: {}", measured.value);
+
+    let measured = (fig02.run)(&Paper::default());
+    assert!(measured.pass, "k = 2 fails: {}", measured.value);
 }
 
 #[test]

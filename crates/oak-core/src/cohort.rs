@@ -28,8 +28,8 @@
 //!   since before its baseline warmed — or one whose impairment
 //!   persists long enough to *become* the baseline — stops being
 //!   flagged. That is a real false-negative cost, paid knowingly and
-//!   measured honestly by `bench_detector` (BENCH_detector.json carries
-//!   both FP and FN rates for both policies).
+//!   measured honestly by the `detector` row of oak-bench's `repro`
+//!   (BENCH_paper.json carries both FP and FN rates for both policies).
 //!
 //! Baselines are bounded (ring buffers per key, a hard cap on tracked
 //! keys) and deliberately *not* durable: they are advisory statistics,

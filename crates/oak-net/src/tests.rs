@@ -386,6 +386,43 @@ fn affinity_neutral_servers_skip_the_pair_factor() {
 }
 
 #[test]
+fn troubled_names_each_cause_and_nothing_else() {
+    let mut b = WorldBuilder::new(48);
+    let healthy = b.distributed_server("ok.example", Region::Asia, Quality::Good);
+    let local = b.server("local.example", Region::Europe, Quality::Good);
+    let impaired = b.distributed_server("busy.example", Region::Europe, Quality::Good);
+    let distant = b.server("far.example", Region::Asia, Quality::Good);
+    let poor = b.distributed_server("poor.example", Region::Europe, Quality::Poor);
+    let client = b.client(Region::Europe);
+    let mut world = b.build();
+    world.add_impairment(Impairment {
+        server: impaired,
+        kind: ImpairmentKind::TransientCongestion { severity: 4.0 },
+        window: Some((SimTime::from_hours(10), SimTime::from_hours(12))),
+    });
+    let during = SimTime::from_hours(11);
+    let troubled = |id, t| world.troubled(&world.ip_of(id).to_string(), client, t);
+
+    assert!(!troubled(healthy, during));
+    assert!(
+        !troubled(local, during),
+        "single-homed in the client's region"
+    );
+    assert!(troubled(impaired, during));
+    assert!(
+        !troubled(impaired, SimTime::from_hours(13)),
+        "window closed"
+    );
+    assert!(troubled(distant, during));
+    assert!(troubled(poor, during));
+    assert!(
+        !world.troubled("192.0.2.1", client, during),
+        "no server there"
+    );
+    assert!(!world.troubled("not-an-ip", client, during));
+}
+
+#[test]
 #[should_panic(expected = "fetch from unknown ip")]
 fn fetch_from_unknown_ip_panics() {
     let (world, client, _, _) = small_world(91);

@@ -161,6 +161,24 @@ impl World {
         self.servers.iter().find(|s| s.ip == ip)
     }
 
+    /// The ground truth experiments score detectors against: whether the
+    /// server at `ip` is troubled for `client` at `t` — impaired for the
+    /// client's region, single-homed in another region, or Poor quality.
+    /// An address no server holds is not troubled.
+    pub fn troubled(&self, ip: &str, client: ClientId, t: SimTime) -> bool {
+        let Some(server) = IpAddr::parse(ip).and_then(|addr| self.server_at(addr)) else {
+            return false;
+        };
+        let region = self.client(client).region;
+        let impaired = self.impairments.get(&server.id).is_some_and(|list| {
+            list.iter()
+                .any(|impairment| impairment.latency_factor(t, region) > 1.0)
+        });
+        impaired
+            || (!server.distributed && server.region != region)
+            || server.quality == Quality::Poor
+    }
+
     /// Resolves a domain for a client (see [`Dns::resolve`]).
     pub fn resolve(&self, domain: &str, client: ClientId) -> Option<IpAddr> {
         self.dns.resolve(self.seed, domain, client)

@@ -91,7 +91,9 @@ pub fn run_device_invariant(seed: u64) -> Result<DeviceRunStats, String> {
             let outcome = oak.ingest_report(Instant(t.as_millis()), &load.report, &universe);
             for violation in &outcome.violations {
                 stats.checks += 1;
-                if healthy_for(&corpus, &violation.ip, browser.client) {
+                // With no impairments in this world, "not troubled" is
+                // exactly "healthy": neither Poor nor single-homed afar.
+                if !corpus.world.troubled(&violation.ip, browser.client, t) {
                     let device =
                         DeviceProfile::ALL[(ci + seed as usize) % DeviceProfile::ALL.len()];
                     return Err(format!(
@@ -106,20 +108,6 @@ pub fn run_device_invariant(seed: u64) -> Result<DeviceRunStats, String> {
         }
     }
     Ok(stats)
-}
-
-/// Whether `ip` is a healthy serving path for `client` in a world with
-/// no impairments: not Poor quality, and not single-homed in a distant
-/// region. Mirrors the ground truth `bench_detector` scores against.
-fn healthy_for(corpus: &Corpus, ip: &str, client: oak_net::ClientId) -> bool {
-    let Some(addr) = oak_net::IpAddr::parse(ip) else {
-        return true;
-    };
-    let Some(server) = corpus.world.server_at(addr) else {
-        return true;
-    };
-    let distant = !server.distributed && server.region != corpus.world.client(client).region;
-    server.quality != oak_net::Quality::Poor && !distant
 }
 
 #[cfg(test)]
