@@ -7,9 +7,8 @@
 //! engine in one big `Mutex`, reproducing the pre-striping design where
 //! every request serialized on a single lock.
 //!
-//! Used by the `engine_contended` criterion group in
-//! `benches/hot_paths.rs` and by the `bench_throughput` binary, which
-//! records the scaling table in `BENCH_throughput.json`.
+//! Used by the `bench_throughput` binary, which records the scaling table
+//! in `BENCH_throughput.json`.
 
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
@@ -21,8 +20,7 @@ use oak_core::report::{ObjectTiming, PerfReport};
 use oak_core::rule::Rule;
 use oak_core::Instant;
 
-/// Rules registered on the engine under test (mirrors the single-threaded
-/// `engine/*` benches, so contended and uncontended numbers compare).
+/// Rules registered on the engine under test.
 pub const RULE_COUNT: usize = 40;
 
 /// Servers per synthetic report; the last object of one server is always

@@ -14,9 +14,7 @@ use oak_json::Value;
 
 use crate::analysis::PageAnalysis;
 use crate::detect::Violation;
-use crate::events::{
-    ascending, f64_from_value, f64_to_value, put_f64, put_len, put_str, put_u32, put_u64, Reader,
-};
+use crate::events::{ascending, f64_to_value, put_f64, put_len, put_str, put_u32, put_u64, Reader};
 use crate::intern::Interner;
 
 /// Streaming mean/min/max without storing samples.
@@ -396,84 +394,6 @@ impl SiteAggregates {
             })
         })
     }
-
-    /// Inverse of [`SiteAggregates::to_value`].
-    ///
-    /// # Errors
-    ///
-    /// Describes the first malformed field.
-    pub fn from_value(v: &Value) -> Result<SiteAggregates, String> {
-        let mut out = SiteAggregates {
-            reports: v
-                .get("reports")
-                .and_then(Value::as_u64)
-                .ok_or("missing \"reports\"")?,
-            ..SiteAggregates::default()
-        };
-        for pair in v
-            .get("users")
-            .and_then(Value::as_array)
-            .ok_or("missing \"users\"")?
-        {
-            let user = pair.at(0).and_then(Value::as_str).ok_or("bad user entry")?;
-            let count = pair.at(1).and_then(Value::as_u64).ok_or("bad user count")?;
-            let entry = UserEntry {
-                reports: count,
-                sampled: Vec::new(),
-            };
-            out.users.insert(user.to_owned(), entry);
-        }
-        for row in v
-            .get("domains")
-            .and_then(Value::as_array)
-            .ok_or("missing \"domains\"")?
-        {
-            let domain = row
-                .get("domain")
-                .and_then(Value::as_str)
-                .ok_or("bad domain row")?;
-            let field = |key: &str| row.get(key).and_then(Value::as_u64).ok_or("bad domain row");
-            out.domains.insert(
-                Arc::from(domain),
-                DomainAggregate {
-                    objects: field("objects")?,
-                    bytes: field("bytes")?,
-                    violations: field("violations")?,
-                    users_seen: field("users_seen")?,
-                    small_time_ms: RunningStat::from_value(
-                        row.get("small").ok_or("missing \"small\"")?,
-                    )?,
-                    large_tput_kbps: RunningStat::from_value(
-                        row.get("large").ok_or("missing \"large\"")?,
-                    )?,
-                },
-            );
-        }
-        for pair in v
-            .get("samples")
-            .and_then(Value::as_array)
-            .ok_or("missing \"samples\"")?
-        {
-            let domain = pair.at(0).and_then(Value::as_str).ok_or("bad sample")?;
-            let user = pair.at(1).and_then(Value::as_str).ok_or("bad sample")?;
-            // Every snapshot this code writes lists a sampled user under
-            // `users` too; a zero-count user made up here would change
-            // the bytes the document re-serialises to.
-            let entry = out
-                .users
-                .get_mut(user)
-                .ok_or("sample for a user with no report count")?;
-            if let Err(at) = entry.sampled.binary_search_by(|d| (**d).cmp(domain)) {
-                let name = match out.domains.get_key_value(domain) {
-                    Some((name, _)) => Arc::clone(name),
-                    None => Arc::from(domain),
-                };
-                entry.sampled.insert(at, name);
-                out.sample_count += 1;
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// One [`RunningStat`] in a state image: the count and three floats.
@@ -485,14 +405,8 @@ const DOMAIN_ROW_BYTES: usize = 4 + 4 * 8 + 2 * STAT_BYTES;
 /// count, no sampled domains.
 const MIN_USER_ROW_BYTES: usize = 4 + 8 + 4;
 
-/// Reads an index into the state image's domain table and marks the
-/// entry used.
-fn read_domain(
-    r: &mut Reader<'_>,
-    table: &[Arc<str>],
-    used: &mut [bool],
-    what: &str,
-) -> Result<usize, String> {
+/// Reads an index into the state image's domain table.
+fn read_domain(r: &mut Reader<'_>, table: &[Arc<str>], what: &str) -> Result<usize, String> {
     let index = r.u32(what)? as usize;
     if index >= table.len() {
         return Err(format!(
@@ -500,7 +414,6 @@ fn read_domain(
             table.len()
         ));
     }
-    used[index] = true;
     Ok(index)
 }
 
@@ -547,7 +460,9 @@ impl SiteAggregates {
     /// # Errors
     ///
     /// Names the first field that is cut short, out of range or out of
-    /// order.
+    /// order, and a sampled domain the accumulator keeps no aggregate for
+    /// — a state [`SiteAggregates::fold_distilled`] never reaches, since
+    /// it samples a domain only as the key it just folded into.
     pub(crate) fn read_image(
         r: &mut Reader<'_>,
         table: &[Arc<str>],
@@ -557,10 +472,15 @@ impl SiteAggregates {
             reports: r.u64("aggregate reports")?,
             ..SiteAggregates::default()
         };
+        // The table entries this accumulator aggregates: one mark per
+        // entry, so each of a large site's ~100k samples checks in O(1).
+        let mut listed = vec![false; table.len()];
         let mut prev = None;
         for _ in 0..r.count(DOMAIN_ROW_BYTES, "aggregate domains")? {
-            let index = read_domain(r, table, used, "aggregate domain index")?;
+            let index = read_domain(r, table, "aggregate domain index")?;
             ascending(&mut prev, index, "aggregate domain indexes")?;
+            used[index] = true;
+            listed[index] = true;
             let agg = DomainAggregate {
                 objects: r.u64("domain objects")?,
                 bytes: r.u64("domain bytes")?,
@@ -579,8 +499,14 @@ impl SiteAggregates {
             let mut prev = None;
             // Ascending indexes into an ascending table: ascending names.
             let sampled = r.list(4, "sampled domains", |r| {
-                let index = read_domain(r, table, used, "sampled domain index")?;
+                let index = read_domain(r, table, "sampled domain index")?;
                 ascending(&mut prev, index, "sampled domain indexes")?;
+                if !listed[index] {
+                    return Err(format!(
+                        "sampled domain {index} ({:?}) has no aggregate row in its shard",
+                        table[index]
+                    ));
+                }
                 Ok(Arc::clone(&table[index]))
             })?;
             out.sample_count += sampled.len();
@@ -618,23 +544,6 @@ impl RunningStat {
         doc.set("min", f64_to_value(self.min));
         doc.set("max", f64_to_value(self.max));
         doc
-    }
-
-    /// Inverse of [`RunningStat::to_value`].
-    ///
-    /// # Errors
-    ///
-    /// Describes the first malformed field.
-    pub fn from_value(v: &Value) -> Result<RunningStat, String> {
-        Ok(RunningStat {
-            count: v
-                .get("count")
-                .and_then(Value::as_u64)
-                .ok_or("missing \"count\"")?,
-            sum: f64_from_value(v.get("sum").ok_or("missing \"sum\"")?)?,
-            min: f64_from_value(v.get("min").ok_or("missing \"min\"")?)?,
-            max: f64_from_value(v.get("max").ok_or("missing \"max\"")?)?,
-        })
     }
 }
 

@@ -1220,18 +1220,17 @@ impl Oak {
         shard.log.push((seq, entry));
     }
 
-    /// A consistent point-in-time snapshot of the full engine state as a
-    /// JSON document: the readable form, which oracles and tests compare
-    /// engines through, and what a snapshot file held before the state
-    /// image ([`Oak::state_image`]) — which carries the same fields and
-    /// is what gets stored and shipped.
+    /// A consistent point-in-time dump of the full engine state as a JSON
+    /// document: the one human-readable form, which oracles and tests
+    /// compare engines through. Nothing parses it back — what is stored
+    /// and shipped is the state image ([`Oak::state_image`]), which
+    /// carries the same fields.
     ///
     /// Takes the rule-table read lock and then every shard lock in
     /// ascending order (the engine's lock order), so mutations are
     /// quiesced for the duration and the cut is exact: every event with a
     /// sequence number below the recorded `event_seq` watermark is
-    /// reflected, every later one is not. [`Oak::from_snapshot_json`]
-    /// inverts it byte-identically.
+    /// reflected, every later one is not.
     pub fn snapshot_json(&self) -> Value {
         let table = self.rules.read().expect("rule table lock");
         let guards: Vec<_> = self
@@ -1277,146 +1276,6 @@ impl Oak {
         }
         doc.set("shards", shards);
         doc
-    }
-
-    /// Reconstructs an engine from a [`Oak::snapshot_json`] document —
-    /// how a snapshot file from before the state image is read.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first malformed field; also rejects snapshots from
-    /// an engine with a different [`SHARD_COUNT`] (user→shard placement
-    /// would not line up).
-    pub fn from_snapshot_json(config: OakConfig, doc: &Value) -> Result<Oak, String> {
-        let field = |key: &str| {
-            doc.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("missing or non-integer {key:?}"))
-        };
-        let version = field("version")?;
-        if version != 1 {
-            return Err(format!("unsupported snapshot version {version}"));
-        }
-        let shard_count = field("shard_count")?;
-        if shard_count != SHARD_COUNT as u64 {
-            return Err(format!(
-                "snapshot has {shard_count} shards, engine has {SHARD_COUNT}"
-            ));
-        }
-
-        let oak = Oak::new(config);
-        oak.log_seq.store(field("log_seq")?, Ordering::SeqCst);
-        oak.event_seq.store(field("event_seq")?, Ordering::SeqCst);
-        let epoch = doc.get("epoch").and_then(Value::as_u64).unwrap_or(0);
-        oak.epoch.store(epoch, Ordering::Relaxed);
-        {
-            let mut table = oak.rules.write().expect("rule table lock");
-            for row in doc
-                .get("rules")
-                .and_then(Value::as_array)
-                .ok_or("missing \"rules\"")?
-            {
-                let raw = row.get("id").and_then(Value::as_u64).ok_or("bad rule id")?;
-                let id = RuleId(u32::try_from(raw).map_err(|_| "rule id out of range")?);
-                let spec = row
-                    .get("spec")
-                    .and_then(Value::as_str)
-                    .ok_or("bad rule spec")?;
-                let rule = crate::spec::parse_rule(spec).map_err(|e| e.to_string())?;
-                table.insert(id, rule);
-            }
-            let next = field("next_rule_id")?;
-            table.next_rule_id = u32::try_from(next).map_err(|_| "next_rule_id out of range")?;
-        }
-
-        let shard_docs = doc
-            .get("shards")
-            .and_then(Value::as_array)
-            .ok_or("missing \"shards\"")?;
-        if shard_docs.len() != SHARD_COUNT {
-            return Err(format!(
-                "snapshot carries {} shard records, expected {SHARD_COUNT}",
-                shard_docs.len()
-            ));
-        }
-        for (index, shard_doc) in shard_docs.iter().enumerate() {
-            let mut shard = oak.shards[index].lock().expect("shard lock");
-            for row in shard_doc
-                .get("users")
-                .and_then(Value::as_array)
-                .ok_or("missing shard \"users\"")?
-            {
-                let name = row
-                    .get("user")
-                    .and_then(Value::as_str)
-                    .ok_or("bad user row")?;
-                let mut state = UserState {
-                    last_seen: Instant(
-                        row.get("last_seen")
-                            .and_then(Value::as_u64)
-                            .ok_or("bad last_seen")?,
-                    ),
-                    ..UserState::default()
-                };
-                for entry in row
-                    .get("active")
-                    .and_then(Value::as_array)
-                    .ok_or("missing \"active\"")?
-                {
-                    let rule_raw = entry
-                        .get("rule")
-                        .and_then(Value::as_u64)
-                        .ok_or("bad active rule")?;
-                    let int = |key: &str| {
-                        entry
-                            .get(key)
-                            .and_then(Value::as_u64)
-                            .ok_or("bad active entry")
-                    };
-                    state.active.insert(
-                        RuleId(u32::try_from(rule_raw).map_err(|_| "active rule out of range")?),
-                        ActiveRule {
-                            alternative_index: int("alt")? as usize,
-                            alternatives_tried: int("tried")? as usize,
-                            activated_at: Instant(int("at")?),
-                            default_severity: crate::events::f64_from_value(
-                                entry.get("severity").ok_or("missing severity")?,
-                            )?,
-                        },
-                    );
-                }
-                for pair in row
-                    .get("pending")
-                    .and_then(Value::as_array)
-                    .ok_or("missing \"pending\"")?
-                {
-                    let rule_raw = pair.at(0).and_then(Value::as_u64).ok_or("bad pending")?;
-                    let count = pair.at(1).and_then(Value::as_u64).ok_or("bad pending")?;
-                    state.pending.insert(
-                        RuleId(u32::try_from(rule_raw).map_err(|_| "pending rule out of range")?),
-                        u32::try_from(count).map_err(|_| "pending count out of range")?,
-                    );
-                }
-                shard.users.insert(name.to_owned(), state);
-            }
-            for row in shard_doc
-                .get("log")
-                .and_then(Value::as_array)
-                .ok_or("missing shard \"log\"")?
-            {
-                let seq = row
-                    .get("seq")
-                    .and_then(Value::as_u64)
-                    .ok_or("bad log seq")?;
-                shard.log.push((seq, LogEvent::from_value(row)?));
-            }
-            shard.aggregates = crate::aggregates::SiteAggregates::from_value(
-                shard_doc
-                    .get("aggregates")
-                    .ok_or("missing \"aggregates\"")?,
-            )?;
-        }
-        Ok(oak)
     }
 }
 

@@ -32,15 +32,19 @@
 //! domain = an index into the domain table
 //! ```
 //!
-//! `str`, `n×T`, `f64` and `record` are the event layout's. Every domain
-//! name any shard's aggregates mention is in the table once — a site's
-//! few hundred names, where the document spelled one out per `(domain,
-//! user)` sample. One state has one encoding: the table, the rules, and
-//! every user, per-domain and per-rule list are strictly ascending, a
-//! table entry nothing refers to is an error, and so are trailing bytes —
-//! so `state_image(from_state_image(b)) == b`, up to the spelling of a
-//! rule's spec text, which is the spec codec's to keep. The reader checks
-//! every count against the bytes that remain before it allocates for it.
+//! `str`, `n×T`, `f64` and `record` are the event layout's. The table
+//! holds every shard's aggregate keys, each once — a site's few hundred
+//! names, where the readable dump spells one out per `(domain, user)`
+//! sample. A user's sampled domain must be one its own shard aggregates,
+//! as every fold leaves it; the table is built from those keys alone. One
+//! state has one encoding: the table, the rules, and every user,
+//! per-domain and per-rule list are strictly ascending, a table entry
+//! nothing refers to is an error, and so are trailing bytes — so
+//! `state_image(from_state_image(b)) == b`, up to the spelling of a rule's
+//! spec text, which is the spec codec's to keep. The reader checks every
+//! count against the bytes that remain before it allocates for it. This
+//! build reads version 0x01 alone, the one layout it writes (DESIGN.md
+//! §8, "Upgrades").
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -77,11 +81,10 @@ struct DomainTable<'a> {
 }
 
 impl<'a> DomainTable<'a> {
-    /// The table over every aggregate key of `shards`, plus `unlisted`.
-    fn build(shards: &'a [MutexGuard<'_, Shard>], unlisted: &[&'a str]) -> DomainTable<'a> {
+    /// The table over every aggregate key of `shards`.
+    fn build(shards: &'a [MutexGuard<'_, Shard>]) -> DomainTable<'a> {
         let keys = || shards.iter().flat_map(|s| s.aggregates.domain_names());
         let mut names: Vec<&str> = keys().map(|name| &**name).collect();
-        names.extend_from_slice(unlisted);
         names.sort_unstable();
         names.dedup();
         let mut table = DomainTable {
@@ -89,20 +92,23 @@ impl<'a> DomainTable<'a> {
             by_handle: HashMap::new(),
         };
         for key in keys() {
-            let index = table.by_name(key).expect("every key is in the table");
+            let index = table.by_name(key);
             table.by_handle.insert(key.as_ptr(), index);
         }
         table
     }
 
-    fn by_name(&self, name: &str) -> Option<u32> {
-        let index = self.names.binary_search(&name).ok()?;
-        Some(u32::try_from(index).expect("a framed list is far below 2^32 long"))
+    fn by_name(&self, name: &str) -> u32 {
+        let index = self
+            .names
+            .binary_search(&name)
+            .expect("a sampled domain is an aggregate key of its shard");
+        u32::try_from(index).expect("a framed list is far below 2^32 long")
     }
 
-    fn index_of(&self, name: &Arc<str>) -> Option<u32> {
+    fn index_of(&self, name: &Arc<str>) -> u32 {
         match self.by_handle.get(&name.as_ptr()) {
-            Some(index) => Some(*index),
+            Some(index) => *index,
             None => self.by_name(name),
         }
     }
@@ -128,52 +134,37 @@ impl Oak {
             .collect();
         let event_seq = self.event_seq.load(Ordering::SeqCst);
 
-        // A sampled domain is a domain its shard keeps an aggregate for
-        // in every state this engine reaches by itself; a snapshot
-        // document may list a sample without one, and an engine loaded
-        // from such a document takes a second pass, with the names the
-        // first pass could not place added to the table.
-        let mut unlisted: Vec<&str> = Vec::new();
-        loop {
-            let domains = DomainTable::build(&guards, &unlisted);
-            let mut missing: Vec<&str> = Vec::new();
-            let mut out = vec![STATE_IMAGE_VERSION];
-            put_len(&mut out, SHARD_COUNT);
-            put_u64(&mut out, event_seq);
-            put_u64(&mut out, self.log_seq.load(Ordering::SeqCst));
-            put_u64(&mut out, self.epoch.load(Ordering::Relaxed));
-            put_u32(&mut out, table.next_rule_id);
-            put_len(&mut out, table.rules.len());
-            for (id, rule) in &table.rules {
-                put_u32(&mut out, id.0);
-                put_str(&mut out, &crate::spec::format_rule(rule));
-            }
-            put_len(&mut out, domains.names.len());
-            for name in &domains.names {
-                put_str(&mut out, name);
-            }
-            for guard in &guards {
-                guard.aggregates.write_image(&mut out, &mut |name| {
-                    domains.index_of(name).unwrap_or_else(|| {
-                        missing.push(&**name);
-                        0
-                    })
-                });
-                put_len(&mut out, guard.log.len());
-                for (seq, entry) in &guard.log {
-                    entry.encode_record(*seq, &mut out);
-                }
-                put_len(&mut out, guard.users.len());
-                for (name, state) in super::sorted_users(guard) {
-                    put_str(&mut out, name);
-                    state.write_image(&mut out);
-                }
-            }
-            if missing.is_empty() {
-                return (event_seq, out);
-            }
-            unlisted = missing;
+        let domains = DomainTable::build(&guards);
+        let mut out = vec![STATE_IMAGE_VERSION];
+        put_len(&mut out, SHARD_COUNT);
+        put_u64(&mut out, event_seq);
+        put_u64(&mut out, self.log_seq.load(Ordering::SeqCst));
+        put_u64(&mut out, self.epoch.load(Ordering::Relaxed));
+        put_u32(&mut out, table.next_rule_id);
+        put_len(&mut out, table.rules.len());
+        for (id, rule) in &table.rules {
+            put_u32(&mut out, id.0);
+            put_str(&mut out, &crate::spec::format_rule(rule));
         }
+        put_len(&mut out, domains.names.len());
+        for name in &domains.names {
+            put_str(&mut out, name);
+        }
+        for guard in &guards {
+            guard
+                .aggregates
+                .write_image(&mut out, &mut |name| domains.index_of(name));
+            put_len(&mut out, guard.log.len());
+            for (seq, entry) in &guard.log {
+                entry.encode_record(*seq, &mut out);
+            }
+            put_len(&mut out, guard.users.len());
+            for (name, state) in super::sorted_users(guard) {
+                put_str(&mut out, name);
+                state.write_image(&mut out);
+            }
+        }
+        (event_seq, out)
     }
 
     /// Reconstructs an engine from a [`Oak::state_image`].

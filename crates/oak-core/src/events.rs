@@ -55,10 +55,7 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       1     version   EVENT_VERSION (0x01). Never `{` (0x7B): that byte
-//!                         opens a journal frame from before this layout,
-//!                         which `oak-store` still reads (and never writes)
-//!                         through SequencedEvent::from_value
+//! 0       1     version   EVENT_VERSION (0x01); a decoder refuses any other
 //! 1       8     seq       u64
 //! 9       8     epoch     u64
 //! 17      1     kind      0 rule_added … 6 pruned
@@ -127,8 +124,7 @@ pub struct SequencedEvent {
     /// follower tailing the WAL stream can reject frames from a deposed
     /// primary, and applying an event raises the engine's own
     /// [`crate::engine::Oak::epoch`] to it — the branch a replica's log
-    /// is on. Events journaled before the field existed decode as
-    /// epoch 0.
+    /// is on.
     pub epoch: u64,
     /// What happened.
     pub event: EngineEvent,
@@ -212,13 +208,6 @@ pub struct IngestEffect {
 /// numbers cannot).
 pub(crate) fn f64_to_value(v: f64) -> Value {
     Value::String(format!("{v}"))
-}
-
-/// Inverse of [`f64_to_value`].
-pub(crate) fn f64_from_value(v: &Value) -> Result<f64, String> {
-    let s = v.as_str().ok_or("expected float string")?;
-    s.parse::<f64>()
-        .map_err(|e| format!("bad float {s:?}: {e}"))
 }
 
 /// First byte of every encoded event.
@@ -652,31 +641,6 @@ impl SequencedEvent {
     }
 }
 
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer {key:?}"))
-}
-
-fn str_field<'v>(v: &'v Value, key: &str) -> Result<&'v str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing or non-string {key:?}"))
-}
-
-fn rule_id_field(v: &Value, key: &str) -> Result<RuleId, String> {
-    let raw = u64_field(v, key)?;
-    u32::try_from(raw)
-        .map(RuleId)
-        .map_err(|_| format!("rule id {raw} out of range"))
-}
-
-fn array_field<'v>(v: &'v Value, key: &str) -> Result<&'v [Value], String> {
-    v.get(key)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("missing or non-array {key:?}"))
-}
-
 impl LogEvent {
     /// Encodes one activity-log record (without its sequence number).
     pub fn to_value(&self) -> Value {
@@ -703,155 +667,5 @@ impl LogEvent {
         }
         doc.set("action", action);
         doc
-    }
-
-    /// Inverse of [`LogEvent::to_value`].
-    ///
-    /// # Errors
-    ///
-    /// Describes the first malformed field.
-    pub fn from_value(v: &Value) -> Result<LogEvent, String> {
-        let action_value = v.get("action").ok_or("missing \"action\"")?;
-        let action = match str_field(action_value, "k")? {
-            "activated" => LogAction::Activated {
-                violator_ip: str_field(action_value, "ip")?.to_owned(),
-                severity: f64_from_value(action_value.get("severity").ok_or("missing severity")?)?,
-            },
-            "advanced" => LogAction::Advanced {
-                to_index: u64_field(action_value, "to")? as usize,
-            },
-            "deactivated" => LogAction::Deactivated,
-            "expired" => LogAction::Expired,
-            other => return Err(format!("unknown log action {other:?}")),
-        };
-        Ok(LogEvent {
-            time: Instant(u64_field(v, "time")?),
-            user: str_field(v, "user")?.to_owned(),
-            rule: rule_id_field(v, "rule")?,
-            action,
-        })
-    }
-}
-
-impl ServerFold {
-    /// Reads one aggregate fold out of a legacy JSON journal frame.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first malformed field.
-    pub fn from_value(v: &Value) -> Result<ServerFold, String> {
-        let mut fold = ServerFold {
-            domains: Vec::new(),
-            objects: u64_field(v, "objects")?,
-            bytes: u64_field(v, "bytes")?,
-            small_times_ms: Vec::new(),
-            large_tputs_kbps: Vec::new(),
-            violated: v
-                .get("violated")
-                .and_then(Value::as_bool)
-                .ok_or("missing \"violated\"")?,
-        };
-        for d in array_field(v, "domains")? {
-            fold.domains
-                .push(Arc::from(d.as_str().ok_or("non-string domain")?));
-        }
-        for t in array_field(v, "small")? {
-            fold.small_times_ms.push(f64_from_value(t)?);
-        }
-        for t in array_field(v, "large")? {
-            fold.large_tputs_kbps.push(f64_from_value(t)?);
-        }
-        Ok(fold)
-    }
-}
-
-fn records_from_value(v: &Value, key: &str) -> Result<Vec<(u64, LogEvent)>, String> {
-    let mut out = Vec::new();
-    for rec in array_field(v, key)? {
-        out.push((u64_field(rec, "seq")?, LogEvent::from_value(rec)?));
-    }
-    Ok(out)
-}
-
-impl SequencedEvent {
-    /// Reads an event out of the JSON object journals carried before the
-    /// byte layout (see the module docs) — the legacy read path. Nothing
-    /// encodes this form any more; `oak-store` reaches it only for a
-    /// frame payload that opens with `{`.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first malformed field, including rule-spec parse
-    /// failures.
-    pub fn from_value(v: &Value) -> Result<SequencedEvent, String> {
-        let seq = u64_field(v, "seq")?;
-        // Absent on events journaled before replication existed (and on
-        // every single-node WAL): those are epoch 0 by definition.
-        let epoch = v.get("epoch").and_then(Value::as_u64).unwrap_or(0);
-        let event = match str_field(v, "t")? {
-            "rule_added" => EngineEvent::RuleAdded {
-                id: rule_id_field(v, "id")?,
-                rule: spec::parse_rule(str_field(v, "spec")?).map_err(|e| e.to_string())?,
-            },
-            "rule_removed" => EngineEvent::RuleRemoved {
-                id: rule_id_field(v, "id")?,
-            },
-            "ingest" => {
-                let mut effect = IngestEffect {
-                    time: Instant(u64_field(v, "time")?),
-                    user: str_field(v, "user")?.to_owned(),
-                    folds: Vec::new(),
-                    pending: Vec::new(),
-                    records: records_from_value(v, "records")?,
-                };
-                for fold in array_field(v, "folds")? {
-                    effect.folds.push(ServerFold::from_value(fold)?);
-                }
-                for id in array_field(v, "pending")? {
-                    let raw = id.as_u64().ok_or("non-integer pending rule id")?;
-                    effect.pending.push(RuleId(
-                        u32::try_from(raw).map_err(|_| "pending rule id out of range")?,
-                    ));
-                }
-                EngineEvent::Ingest(effect)
-            }
-            "force_activate" => EngineEvent::ForceActivate {
-                time: Instant(u64_field(v, "time")?),
-                user: str_field(v, "user")?.to_owned(),
-                rule: rule_id_field(v, "rule")?,
-            },
-            "force_deactivate" => EngineEvent::ForceDeactivate {
-                user: str_field(v, "user")?.to_owned(),
-                rule: rule_id_field(v, "rule")?,
-            },
-            "serve_expiry" => {
-                let mut expired = Vec::new();
-                for pair in array_field(v, "expired")? {
-                    let seq = pair.at(0).and_then(Value::as_u64).ok_or("bad expiry seq")?;
-                    let raw = pair
-                        .at(1)
-                        .and_then(Value::as_u64)
-                        .ok_or("bad expiry rule")?;
-                    expired.push((
-                        seq,
-                        RuleId(u32::try_from(raw).map_err(|_| "expiry rule id out of range")?),
-                    ));
-                }
-                EngineEvent::ServeExpiry {
-                    time: Instant(u64_field(v, "time")?),
-                    user: str_field(v, "user")?.to_owned(),
-                    expired,
-                }
-            }
-            "pruned" => {
-                let mut users = Vec::new();
-                for user in array_field(v, "users")? {
-                    users.push(user.as_str().ok_or("non-string pruned user")?.to_owned());
-                }
-                EngineEvent::Pruned { users }
-            }
-            other => return Err(format!("unknown event type {other:?}")),
-        };
-        Ok(SequencedEvent { seq, epoch, event })
     }
 }

@@ -100,9 +100,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Whatever a history leaves behind, the image carries what the
-    /// snapshot document carries: an engine loaded from either says the
-    /// same document and images to the same bytes, on the single-node
-    /// branch (epoch 0, journaled or not) and on a replicated one.
+    /// snapshot document carries, `last_seen` included: an engine loaded
+    /// from it says the same document and images to the same bytes, on
+    /// the single-node branch (epoch 0, journaled or not) and on a
+    /// replicated one.
     #[test]
     fn the_image_is_the_snapshot_document(
         ops in prop::collection::vec(op_strategy(), 1..120),
@@ -124,29 +125,7 @@ proptest! {
         prop_assert_eq!(loaded.epoch(), epoch);
         prop_assert_eq!(loaded.event_seq(), watermark);
         prop_assert_eq!(&loaded.state_image().1, &image);
-
-        let doc = oak_json::parse(&document(&oak)).expect("the document parses");
-        let from_doc = Oak::from_snapshot_json(OakConfig::default(), &doc).expect("and loads");
-        prop_assert_eq!(&from_doc.state_image().1, &image);
     }
-}
-
-/// The document may list a sample for a domain it has no aggregate row
-/// for; no engine writes one, but the image of an engine loaded from one
-/// must still say what the document said.
-#[test]
-fn a_sample_without_an_aggregate_row_survives_the_image() {
-    let oak = golden_engine();
-    let text = document(&oak);
-    assert!(text.contains(r#"["api.example","u-1"]"#));
-    let unlisted = text.replace(r#"["api.example","u-1"]"#, r#"["aaa.example","u-1"]"#);
-    let doc = oak_json::parse(&unlisted).unwrap();
-    let from_doc = Oak::from_snapshot_json(OakConfig::default(), &doc).expect("loads");
-    assert_eq!(document(&from_doc), unlisted);
-    let image = from_doc.state_image().1;
-    let loaded = load(&image).expect("its image loads");
-    assert_eq!(document(&loaded), unlisted);
-    assert_eq!(loaded.state_image().1, image);
 }
 
 /// The fattest thing four image bytes can stand for is an empty `String`
@@ -270,6 +249,32 @@ fn hand_built_images_are_the_layout() {
     assert_eq!(aggregates.report_count(), 1);
     assert_eq!(aggregates.reports_from("u-1"), 1);
     assert!(aggregates.domain("b.example").is_some());
+}
+
+/// A user's sampled domain is one its own shard aggregates: a fold
+/// samples a domain only as the key it just folded into. An image whose
+/// sample names a domain that only another shard aggregates, or that no
+/// shard does, is refused.
+#[test]
+fn an_image_whose_sample_names_a_domain_its_shard_does_not_aggregate_is_refused() {
+    let two = ["a.example", "b.example"];
+    let refusal = "sampled domain 1 (\"b.example\") has no aggregate row in its shard";
+    let mut elsewhere = image_with(&two, |out| {
+        shard_with(&[0], &[1])(out);
+        shard_with(&[1], &[1])(out);
+    });
+    // Shard 1 is written above, so one empty shard too many follows.
+    elsewhere.truncate(elsewhere.len() - (8 + 4 * 4));
+    assert_eq!(load_hostile(&elsewhere).unwrap_err(), refusal);
+    let nowhere = image_with(&two, shard_with(&[0], &[1]));
+    assert_eq!(load_hostile(&nowhere).unwrap_err(), refusal);
+    // The same users sampled where they are aggregated load.
+    let mut listed = image_with(&two, |out| {
+        shard_with(&[0], &[0])(out);
+        shard_with(&[1], &[1])(out);
+    });
+    listed.truncate(listed.len() - (8 + 4 * 4));
+    assert!(load_hostile(&listed).is_ok());
 }
 
 #[test]

@@ -61,4 +61,4 @@ pub use obs::StoreMetrics;
 pub use store::{
     recover, recover_with, Boot, FsyncPolicy, OakStore, Recovery, StoreOptions, RECENT_TAIL_CAP,
 };
-pub use stream::{decode_event, tail_wal, wal_watermark, Tail};
+pub use stream::{tail_wal, wal_watermark, Tail};

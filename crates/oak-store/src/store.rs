@@ -62,11 +62,6 @@ fn release_freed_heap() {}
 /// engine's state image ([`Oak::state_image`]).
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"OAKSNAP2";
 
-/// Magic prefix of a snapshot file from before the state image: its frame
-/// holds the snapshot document ([`Oak::snapshot_json`]) as text. Still
-/// read, never written.
-const LEGACY_SNAPSHOT_MAGIC: &[u8; 8] = b"OAKSNAP1";
-
 /// Events kept in the in-memory recent ring that serves [`OakStore::tail`]
 /// without touching disk. WAL shipping calls `tail` once per follower
 /// per shipped batch; without the ring each call decodes every live
@@ -665,11 +660,14 @@ pub struct Boot {
 ///   past the watermark whose checksum holds but which this build cannot
 ///   decode — a journal from a newer build, say. Recovering the prefix
 ///   before it would let the next compaction delete the rest;
-/// - naming each snapshot that was refused and why, when the WAL that is
-///   left starts above the state they fell back to. The WAL is compacted
-///   against the snapshots that are kept, so a snapshot this build cannot
-///   read — damaged, or a state image from a newer build — may be all
-///   that held the events below the first surviving segment.
+/// - naming each snapshot that was refused and why, when the state they
+///   fell back to plus the WAL that is left lacks an event below the
+///   newest one's watermark — the WAL starts above the fallback, or ends
+///   (an empty WAL included) below that watermark. The WAL is compacted
+///   against the snapshots that are kept, and a follower's installed
+///   state is a snapshot with no journal beneath it, so a snapshot this
+///   build cannot read — damaged, or a state image from another build —
+///   may be all that held the events it covers.
 ///
 /// Replay is deterministic: events carry resolved decisions, so the
 /// rebuilt engine's `rules()`, `active_rules()`, `aggregates()`, and
@@ -725,21 +723,30 @@ pub fn recover_with(
     // What to replay is the shared reader's call (log matching against
     // the snapshot's branch included) — the same call `tail` ships by.
     let wal = wal_events(&*backend, dir, watermark..u64::MAX, oak.epoch())?;
-    // Falling back is sound only while the WAL still reaches back to
-    // where the fallback stands; compaction kept it that far for the
-    // snapshots it kept, not for one that cannot be read.
-    let resumes_at = wal.events.first().map(|e| e.seq);
-    if let Some(seq) = resumes_at.filter(|seq| *seq > watermark && !refused.is_empty()) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "{}: the journal resumes at event {seq} but the newest readable state ends at \
-                 {watermark}; what lies between was compacted into a snapshot this build \
-                 refused ({})",
-                dir.display(),
-                refused.join("; ")
-            ),
-        ));
+    // Falling back is sound only while the fallback plus the WAL still
+    // hold every event a refused snapshot did: compaction kept the WAL
+    // that far for the snapshots it kept, not for one that cannot be read,
+    // and an installed snapshot has no WAL beneath it at all.
+    if let Some((refused_at, _)) = snapshots.last().filter(|_| !refused.is_empty()) {
+        // The events are ascending, one per seq, none below `watermark`.
+        let first_missing = wal
+            .events
+            .iter()
+            .zip(watermark..)
+            .find(|(event, seq)| event.seq != *seq)
+            .map_or(watermark + wal.events.len() as u64, |(_, seq)| seq);
+        if first_missing < *refused_at {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{}: event {first_missing} is in neither the newest readable state (which \
+                     ends at {watermark}) nor the journal, but a snapshot this build refused \
+                     holds every event below {refused_at} ({})",
+                    dir.display(),
+                    refused.join("; ")
+                ),
+            ));
+        }
     }
     let events_replayed = wal.events.len() as u64;
     let replayed_seqs: Vec<u64> = wal.events.iter().map(|e| e.seq).collect();
@@ -757,14 +764,13 @@ pub fn recover_with(
     })
 }
 
-/// Loads and validates one snapshot file: a state image, or the snapshot
-/// document a build before it wrote.
+/// Loads and validates one snapshot file: an `OAKSNAP2` frame holding a
+/// state image. Anything else — a snapshot document from before the
+/// image, say — is refused (DESIGN.md §8, "Upgrades").
 fn load_snapshot(backend: &dyn StorageBackend, path: &Path, config: OakConfig) -> io::Result<Oak> {
     let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_owned());
     let buf = backend.read(path)?;
-    let magic = buf.get(..SNAPSHOT_MAGIC.len());
-    let legacy = magic == Some(&LEGACY_SNAPSHOT_MAGIC[..]);
-    if !legacy && magic != Some(&SNAPSHOT_MAGIC[..]) {
+    if buf.get(..SNAPSHOT_MAGIC.len()) != Some(&SNAPSHOT_MAGIC[..]) {
         return Err(bad("snapshot magic mismatch"));
     }
     let Some((payload, end)) = decode_file_frame(&buf, SNAPSHOT_MAGIC.len()) else {
@@ -773,12 +779,7 @@ fn load_snapshot(backend: &dyn StorageBackend, path: &Path, config: OakConfig) -
     if end != buf.len() {
         return Err(bad("trailing bytes after snapshot frame"));
     }
-    if !legacy {
-        return Oak::from_state_image(config, payload).map_err(|e| bad(&e));
-    }
-    let text = std::str::from_utf8(payload).map_err(|_| bad("snapshot is not UTF-8"))?;
-    let doc = oak_json::parse(text).map_err(|e| bad(&e.to_string()))?;
-    Oak::from_snapshot_json(config, &doc).map_err(|e| bad(&e))
+    Oak::from_state_image(config, payload).map_err(|e| bad(&e))
 }
 
 pub(crate) fn segment_name(slot: usize, id: u64) -> String {

@@ -24,9 +24,9 @@
 //! Tailing is read-only and crash-consistent: what it ships is what a
 //! post-crash replay would reconstruct, because both get their events
 //! from [`wal_events`] — the one place that walks the segment files,
-//! decodes frames ([`decode_event`]), and decides which of two frames
-//! claiming the same sequence number is history and which is a dead
-//! branch. [`recover_with`](crate::recover_with) replays its result;
+//! decodes frames ([`SequencedEvent::decode`]), and decides which of two
+//! frames claiming the same sequence number is history and which is a
+//! dead branch. [`recover_with`](crate::recover_with) replays its result;
 //! [`tail_wal`] ships the contiguous run at its front.
 
 use std::io;
@@ -56,26 +56,6 @@ pub enum Tail {
     },
 }
 
-/// Decodes one WAL frame payload back into its event — the one decoder
-/// every reader of a journal calls.
-///
-/// A payload that opens with `{` is a frame from a journal written
-/// before the byte layout of [`SequencedEvent::encode_into`]: it is read
-/// through the JSON decoder kept for exactly that, and nothing writes
-/// one any more. Every other payload is the byte layout.
-///
-/// # Errors
-///
-/// Says why the payload is not an event this build can read.
-pub fn decode_event(payload: &[u8]) -> Result<SequencedEvent, String> {
-    if payload.first() != Some(&b'{') {
-        return SequencedEvent::decode(payload);
-    }
-    let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
-    let doc = oak_json::parse(text).map_err(|e| e.to_string())?;
-    SequencedEvent::from_value(&doc)
-}
-
 /// What one segment file yields: the events with a seq in `seqs` in its
 /// checksum-valid frame prefix, the highest sequence number in that
 /// prefix, and whether the prefix was the whole file.
@@ -100,7 +80,7 @@ fn segment_events(
             max_seq = max_seq.max(seq);
             continue;
         }
-        let event = decode_event(payload).map_err(|why| {
+        let event = SequencedEvent::decode(payload).map_err(|why| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
@@ -136,7 +116,6 @@ fn skipped_seq(payload: &[u8], seqs: &Range<u64>) -> Option<u64> {
     }
     let seq = payload
         .get(1..9)
-        .filter(|_| payload[0] != b'{')
         .map(|bytes| u64::from_le_bytes(bytes.try_into().expect("8 bytes")))?;
     (seq >= seqs.end).then_some(seq)
 }

@@ -1,113 +1,26 @@
-//! What a reader makes of frames this build did not write: journals from
-//! before the event byte layout still recover (legacy read, no legacy
-//! write), and a checksum-valid frame this build cannot read is refused
-//! rather than treated as the end of the log.
+//! What a reader makes of frames this build did not write: a
+//! checksum-valid frame this build cannot read — from a newer build, or a
+//! JSON frame from before the event byte layout — is refused rather than
+//! treated as the end of the log.
 
 mod common;
 
 use std::fs;
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
-use common::{apply_op, fingerprint, seed_rules, temp_dir, Op};
-use oak_core::engine::{Oak, OakConfig};
+use common::temp_dir;
+use oak_core::engine::OakConfig;
 use oak_core::events::{EngineEvent, SequencedEvent, EVENT_VERSION};
 use oak_core::rule::RuleId;
 use oak_store::segment::SegmentWriter;
-use oak_store::{recover, tail_wal, FsyncPolicy, OakStore, RealFs, StoreOptions, Tail};
-
-/// `tests/golden/legacy_journal.jsonl`: the frame payloads the last
-/// JSON-writing build journaled for `seed_rules` plus the first eight of
-/// [`OPS`] (epoch raised to 2 before the sixth) — every `EngineEvent`
-/// variant at least once, text captured from that build's encoder.
-const LEGACY_JOURNAL: &str = include_str!("golden/legacy_journal.jsonl");
-
-const OPS: [Op; 11] = [
-    (0, 1, 0),
-    (1, 2, 1),
-    (4, 3, 1),
-    (5, 3, 1),
-    (3, 1, 0),
-    (7, 0, 3),
-    (2, 4, 0),
-    (6, 0, 0),
-    // Past the legacy journal's end:
-    (0, 5, 2),
-    (4, 2, 3),
-    (3, 5, 2),
-];
-
-/// Journals the workload through a store into `dir`, as this build
-/// writes it; returns the live engine's fingerprint.
-fn journal_workload(dir: &Path) -> String {
-    let options = StoreOptions {
-        fsync: FsyncPolicy::Always,
-        ..StoreOptions::default()
-    };
-    let store = Arc::new(OakStore::open(dir, options).expect("open store"));
-    let mut oak = Oak::new(OakConfig::default());
-    oak.set_event_sink(store);
-    seed_rules(&oak);
-    for (step, op) in OPS.into_iter().enumerate() {
-        if step == 5 {
-            oak.set_epoch(2);
-        }
-        apply_op(&oak, step, op);
-    }
-    fingerprint(&oak)
-}
+use oak_store::{recover, tail_wal, OakStore, RealFs, StoreOptions, Tail};
 
 fn shipped(dir: &Path, from_seq: u64) -> Vec<SequencedEvent> {
     match tail_wal(&RealFs, dir, from_seq).expect("tail") {
         Tail::Events(events) => events,
         Tail::Compacted { watermark } => panic!("unexpected Compacted {{ {watermark} }}"),
     }
-}
-
-#[test]
-fn a_legacy_journal_recovers_and_ships_like_its_binary_twin() {
-    let binary = temp_dir("formats-binary");
-    let live = journal_workload(&binary);
-    let events = shipped(&binary, 0);
-    let legacy_frames: Vec<&str> = LEGACY_JOURNAL.lines().collect();
-    assert!(events.len() > legacy_frames.len());
-
-    // The same history as an upgraded node holds it: JSON frames from
-    // the old build, then this build's frames after them.
-    let mixed = temp_dir("formats-mixed");
-    fs::create_dir_all(&mixed).expect("create dir");
-    let mut writer =
-        SegmentWriter::create(mixed.join("seg-16-00000000.wal"), None).expect("create segment");
-    for (seq, json) in legacy_frames.iter().enumerate() {
-        assert!(json.starts_with('{'));
-        writer.append(seq as u64, json.as_bytes()).expect("append");
-    }
-    for event in &events[legacy_frames.len()..] {
-        let payload = event.encode();
-        assert_eq!(payload[0], EVENT_VERSION);
-        writer.append(event.seq, &payload).expect("append");
-    }
-    writer.sync().expect("sync");
-    drop(writer);
-
-    let recovered = recover(&mixed, OakConfig::default()).expect("recover mixed journal");
-    assert_eq!(recovered.torn_segments, 0);
-    assert_eq!(recovered.events_replayed, events.len() as u64);
-    assert_eq!(fingerprint(&recovered.oak), live);
-    let twin = recover(&binary, OakConfig::default()).expect("recover binary journal");
-    assert_eq!(fingerprint(&twin.oak), live);
-
-    // And `tail_wal` ships the same run from either, byte for byte once
-    // encoded — from the start, and from inside the legacy part.
-    for from in [0, 7] {
-        let (a, b) = (shipped(&mixed, from), shipped(&binary, from));
-        assert_eq!(a.len(), events.len() - from as usize);
-        let encoded = |run: &[SequencedEvent]| run.iter().map(|e| e.encode()).collect::<Vec<_>>();
-        assert_eq!(encoded(&a), encoded(&b));
-    }
-    fs::remove_dir_all(&binary).ok();
-    fs::remove_dir_all(&mixed).ok();
 }
 
 /// A good 22-byte payload: `RuleRemoved` at `seq`.
@@ -198,9 +111,10 @@ fn a_frame_whose_body_fails_its_bounds_checks_is_refused_not_truncated() {
     assert_refused(&dir, EVENT_VERSION, "1000 pruned users cannot fit");
     fs::remove_dir_all(&dir).ok();
 
-    // Legacy frames get the same treatment: JSON that is not an event.
-    let dir = journal_around("formats-json", br#"{"seq":2,"t":"no_such_event"}"#);
-    assert_refused(&dir, b'{', "unknown event type");
+    // So does a frame from before the byte layout: its JSON opens with a
+    // byte that is no event version.
+    let dir = journal_around("formats-json", br#"{"seq":2,"t":"rule_removed","id":9}"#);
+    assert_refused(&dir, b'{', "unsupported event version 0x7b");
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,7 +1,7 @@
-//! What recovery makes of the snapshot files it finds: a file from before
-//! the state image still boots (legacy read, no legacy write), and a
-//! snapshot this build cannot read is never quietly replaced by less
-//! state than the directory held.
+//! What recovery makes of the snapshot files it finds: a snapshot this
+//! build cannot read — damaged, from a newer build, or a file from before
+//! the state image — is never quietly replaced by less state than the
+//! directory held.
 
 mod common;
 
@@ -11,8 +11,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use common::{apply_op, fingerprint, scripted_ops, seed_rules, temp_dir};
+use common::{apply_op, fingerprint, scripted_ops, seed_rules, temp_dir, Op};
 use oak_core::engine::{Oak, OakConfig};
+use oak_core::events::{EventSink, SequencedEvent};
 use oak_core::matching::NoFetch;
 use oak_core::report::{ObjectTiming, PerfReport};
 use oak_core::Instant;
@@ -20,27 +21,21 @@ use oak_store::segment::{frame_header, FRAME_OVERHEAD};
 use oak_store::store::SNAPSHOT_MAGIC;
 use oak_store::{recover, FsyncPolicy, OakStore, StoreOptions};
 
-/// `tests/golden/legacy_snapshot.snap`: the `OAKSNAP1` file the last
-/// build that wrote the snapshot document left for [`legacy_workload`] —
-/// every row kind of the document, the `epoch` key included.
-const LEGACY_SNAPSHOT: &[u8] = include_bytes!("golden/legacy_snapshot.snap");
+/// A sink that keeps nothing: with it attached, an engine allocates
+/// event sequence numbers as a journaling one does.
+struct Discard;
 
-/// Journals `seed_rules` and sixty scripted operations (epoch raised to 2
-/// before the thirtieth) into `dir`; returns the live engine.
-fn legacy_workload(dir: &Path) -> Oak {
-    let options = StoreOptions {
-        fsync: FsyncPolicy::Never,
-        ..StoreOptions::default()
-    };
-    let store = Arc::new(OakStore::open(dir, options).expect("open store"));
+impl EventSink for Discard {
+    fn record(&self, _: Option<usize>, _: &SequencedEvent) {}
+}
+
+/// `seed_rules` then `ops`, on an engine that allocates sequence numbers.
+fn primary(ops: &[Op]) -> Oak {
     let mut oak = Oak::new(OakConfig::default());
-    oak.set_event_sink(store);
+    oak.set_event_sink(Arc::new(Discard));
     seed_rules(&oak);
-    for (step, op) in scripted_ops(7, 60).into_iter().enumerate() {
-        if step == 30 {
-            oak.set_epoch(2);
-        }
-        apply_op(&oak, step, op);
+    for (step, op) in ops.iter().enumerate() {
+        apply_op(&oak, step, *op);
     }
     oak
 }
@@ -57,45 +52,6 @@ fn snapshot_files(dir: &Path) -> Vec<PathBuf> {
 
 fn document(oak: &Oak) -> String {
     oak.snapshot_json().to_string()
-}
-
-#[test]
-fn a_legacy_snapshot_file_boots_to_the_same_state() {
-    let live_dir = temp_dir("snapshots-legacy-live");
-    let live = legacy_workload(&live_dir);
-    assert_eq!(&LEGACY_SNAPSHOT[..8], b"OAKSNAP1");
-    assert_eq!(
-        LEGACY_SNAPSHOT[16], b'{',
-        "the framed payload is the document"
-    );
-
-    // The file alone, under the name its watermark gives it.
-    let dir = temp_dir("snapshots-legacy");
-    fs::create_dir_all(&dir).expect("create dir");
-    let name = format!("snap-{:020}.snap", live.event_seq());
-    fs::write(dir.join(&name), LEGACY_SNAPSHOT).expect("write golden");
-    let recovered = recover(&dir, OakConfig::default()).expect("recover");
-    assert!(recovered.snapshot_loaded);
-    assert_eq!(recovered.events_replayed, 0);
-    assert_eq!(recovered.oak.epoch(), 2);
-    assert_eq!(document(&recovered.oak), document(&live));
-
-    // Legacy read, no legacy write: the boot snapshot that supersedes it
-    // is a state image, and says the same.
-    let boot = OakStore::boot(&dir, OakConfig::default(), StoreOptions::default()).expect("boot");
-    assert!(boot.snapshot_loaded);
-    drop(boot);
-    // Same watermark, same name: the image took the document's place.
-    assert_eq!(snapshot_files(&dir), [dir.join(&name)]);
-    let bytes = fs::read(dir.join(&name)).expect("read boot snapshot");
-    assert_eq!(&bytes[..8], SNAPSHOT_MAGIC);
-    assert_eq!(&bytes[..8], b"OAKSNAP2");
-    let again = recover(&dir, OakConfig::default()).expect("recover from the image");
-    assert!(again.snapshot_loaded);
-    assert_eq!(document(&again.oak), document(&live));
-
-    fs::remove_dir_all(&dir).ok();
-    fs::remove_dir_all(&live_dir).ok();
 }
 
 const USERS: u64 = 40;
@@ -259,4 +215,75 @@ fn an_unreadable_snapshot_over_a_whole_journal_is_replayed_around() {
     assert_eq!(recovered.replayed_seqs.first(), Some(&0));
     assert_eq!(fingerprint(&recovered.oak), live);
     fs::remove_dir_all(&dir).ok();
+}
+
+/// A snapshot file from before the state image (`OAKSNAP1`, the snapshot
+/// document as text) is refused like any file this build cannot read,
+/// and named.
+#[test]
+fn a_snapshot_file_from_before_the_state_image_is_refused() {
+    let live = primary(&scripted_ops(7, 60));
+    let doc = document(&live);
+    let mut file = b"OAKSNAP1".to_vec();
+    file.extend_from_slice(&frame_header(doc.as_bytes()).expect("header"));
+    file.extend_from_slice(doc.as_bytes());
+    let dir = temp_dir("snapshots-document");
+    fs::create_dir_all(&dir).expect("create dir");
+    let name = format!("snap-{:020}.snap", live.event_seq());
+    fs::write(dir.join(&name), file).expect("write snapshot");
+    let message = refused(&dir);
+    assert!(message.contains(&name), "{message} does not name {name}");
+    assert!(message.contains("snapshot magic mismatch"), "{message}");
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A follower that installs a primary's state image: its boot snapshot at
+/// watermark 0, the first `journaled` operations of the primary's history
+/// in its WAL, and the install's snapshot above them with nothing
+/// journaled at or past it. Returns the install's snapshot file.
+fn installed(dir: &Path, journaled: usize) -> PathBuf {
+    let ops = scripted_ops(11, 40);
+    let live = primary(&ops);
+    let boot = OakStore::boot(dir, OakConfig::default(), StoreOptions::default()).expect("boot");
+    if journaled > 0 {
+        seed_rules(&boot.oak);
+        for (step, op) in ops[..journaled].iter().enumerate() {
+            apply_op(&boot.oak, step, *op);
+        }
+    }
+    let (watermark, image) = live.state_image();
+    assert!(boot.oak.event_seq() < watermark);
+    let mut fresh = Oak::from_state_image(OakConfig::default(), &image).expect("image loads");
+    fresh.set_event_sink(boot.store.clone());
+    let install = boot.store.snapshot(&fresh).expect("install");
+    boot.store.sync_all().expect("sync");
+    assert_eq!(
+        snapshot_files(dir).len(),
+        2,
+        "the boot snapshot and the install"
+    );
+    let recovered = recover(dir, OakConfig::default()).expect("recover");
+    assert_eq!(recovered.watermark, watermark);
+    assert_eq!(document(&recovered.oak), document(&live));
+    install
+}
+
+/// An installed snapshot has no journal beneath it. If it cannot be read,
+/// the boot snapshot and the WAL would boot an engine that lacks what the
+/// install held — an empty one when nothing was journaled before it, a
+/// prefix when some was — so the boot is refused instead, naming it.
+#[test]
+fn an_unreadable_install_over_an_empty_or_short_journal_is_refused() {
+    let damages: [fn(&Path); 2] = [flip_a_byte, stamp_a_newer_version];
+    for journaled in [0, 20] {
+        for damage in damages {
+            let dir = temp_dir("snapshots-install");
+            let install = installed(&dir, journaled);
+            damage(&install);
+            let message = refused(&dir);
+            let name = install.file_name().unwrap().to_string_lossy().into_owned();
+            assert!(message.contains(&name), "{message} does not name {name}");
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
 }

@@ -12,9 +12,7 @@ use common::{apply_op, fingerprint, scripted_ops, seed_rules, temp_dir};
 use oak_core::engine::{Oak, OakConfig};
 use oak_core::events::SequencedEvent;
 use oak_store::segment::parse_segment;
-use oak_store::{
-    decode_event, recover, tail_wal, FsyncPolicy, OakStore, RealFs, StoreOptions, Tail,
-};
+use oak_store::{recover, tail_wal, FsyncPolicy, OakStore, RealFs, StoreOptions, Tail};
 
 fn always_fsync() -> StoreOptions {
     StoreOptions {
@@ -62,7 +60,7 @@ fn salvageable_events(dir: &Path) -> Vec<SequencedEvent> {
     for path in wal_files(dir) {
         let buf = fs::read(&path).expect("read segment");
         for (_, payload) in parse_segment(&buf).frames {
-            events.push(decode_event(payload).expect("a CRC-valid frame decodes"));
+            events.push(SequencedEvent::decode(payload).expect("a CRC-valid frame decodes"));
         }
     }
     events.sort_by_key(|e| e.seq);
@@ -211,12 +209,14 @@ fn empty_and_garbage_directories_recover_empty() {
     assert!(!recovered.snapshot_loaded);
     assert_eq!(recovered.events_replayed, 0);
 
-    // A directory holding a file that is pure garbage under WAL names.
+    // A directory holding a file that is pure garbage under WAL names, and
+    // one under the name of a snapshot at watermark 0 — which claims no
+    // event the empty journal lacks.
     let dir = temp_dir("garbage");
     fs::create_dir_all(&dir).expect("create dir");
     fs::write(dir.join("seg-00-00000000.wal"), b"not a segment at all").expect("write garbage");
     fs::write(
-        dir.join("snap-00000000000000000001.snap"),
+        dir.join("snap-00000000000000000000.snap"),
         b"nor a snapshot",
     )
     .expect("write");
@@ -224,5 +224,16 @@ fn empty_and_garbage_directories_recover_empty() {
     assert!(!recovered.snapshot_loaded);
     assert_eq!(recovered.events_replayed, 0);
     assert_eq!(recovered.torn_segments, 1);
+
+    // Under a later watermark it claims events the journal does not hold:
+    // a refusal naming it, not an empty engine.
+    let later = dir.join("snap-00000000000000000001.snap");
+    fs::rename(dir.join("snap-00000000000000000000.snap"), &later).expect("rename");
+    let err = recover(&dir, OakConfig::default()).expect_err("a claimed event is missing");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(
+        err.to_string().contains("snap-00000000000000000001.snap"),
+        "{err}"
+    );
     fs::remove_dir_all(&dir).ok();
 }
