@@ -15,15 +15,12 @@ use std::sync::OnceLock;
 
 use oak_client::{Browser, BrowserConfig, ReportingMode, SimSession, Universe};
 use oak_core::analysis::PageAnalysis;
-use oak_core::detect::{
-    detect_violators, DetectorConfig, DetectorPolicy, OutlierMethod, Violation, ViolationKind,
-};
+use oak_core::detect::{detect_violators, DetectorConfig, OutlierMethod, Violation, ViolationKind};
 use oak_core::engine::{LogAction, Oak, OakConfig};
 use oak_core::matching::MatchLevel;
 use oak_core::report::{ObjectTiming, PerfReport};
 use oak_core::rule::Rule;
 use oak_core::stats;
-use oak_core::Instant;
 use oak_net::{ClientId, DeviceProfile, Quality, Region, SimTime, WorldBuilder};
 use oak_webgen::{Category, Corpus, CorpusConfig, Inclusion, Site};
 
@@ -296,7 +293,7 @@ pub const ROWS: [Row; 21] = [
     Row {
         id: "detector",
         section: "beyond the paper",
-        claim: "cohort ⊆ global on every report; mobile-heavy global FP > 0; cohort FP rate < global",
+        claim: "mobile-heavy FP > desktop FP > 0 (the device confound is exercised); FP ≤ 7 % and FN ≤ 10 % on both mixes",
         run: detector,
     },
 ];
@@ -1117,21 +1114,13 @@ impl Score {
     }
 }
 
-struct Mix {
-    global: Score,
-    cohort: Score,
-    /// Reports where the cohort policy flagged a server the global policy
-    /// did not — zero by construction.
-    subset_violations: u64,
-}
-
-/// The paper's global MAD test against the per-device-cohort detector.
-/// The paper measured from uniform PlanetLab hardware, so its test never
-/// met clients whose own device inflates every ad-chain object. The same
-/// reports feed one engine per policy, scored against the simulator's
-/// ground truth on two mixes: the plain corpus on desktops, and an
-/// ad-chain-heavy corpus (60 % of sites, 4-hop chains) on a 20/45/35
-/// desktop/mid/low-end split.
+/// The paper's global MAD test under the device confound. The paper
+/// measured from uniform PlanetLab hardware, so its test never met
+/// clients whose own device inflates every ad-chain object. The test is
+/// scored against the simulator's ground truth on two mixes: the plain
+/// corpus on desktops, and an ad-chain-heavy corpus (60 % of sites,
+/// 4-hop chains) on a 20/45/35 desktop/mid/low-end split. The band is
+/// today's frontier; a device-aware detector has to lower both rates.
 fn detector(paper: &Paper) -> Measured {
     let plain = CorpusConfig {
         sites: 150,
@@ -1150,46 +1139,34 @@ fn detector(paper: &Paper) -> Measured {
         4..=12 => DeviceProfile::MID_MOBILE,
         _ => DeviceProfile::LOW_END_MOBILE,
     });
-    let rates = |mix: &Mix| {
+    let rates = |score: &Score| {
         format!(
-            "{:.3} / {:.1} % vs {:.3} / {:.1} %",
-            mix.global.fp_rate() * 100.0,
-            mix.global.fn_rate() * 100.0,
-            mix.cohort.fp_rate() * 100.0,
-            mix.cohort.fn_rate() * 100.0
+            "{:.3} / {:.1} %",
+            score.fp_rate() * 100.0,
+            score.fn_rate() * 100.0
         )
     };
-
+    let within = |score: &Score| score.fp_rate() <= 0.07 && score.fn_rate() <= 0.10;
     Measured {
         value: format!(
-            "cohort ⊄ global on {} reports; FP / FN rate, global vs cohort: desktop {}, mobile-heavy {}",
-            desktop.subset_violations + mobile.subset_violations,
+            "FP / FN rate: desktop {}, mobile-heavy {}",
             rates(&desktop),
             rates(&mobile)
         ),
-        pass: desktop.subset_violations == 0
-            && mobile.subset_violations == 0
-            && mobile.global.fp > 0
-            && mobile.cohort.fp_rate() < mobile.global.fp_rate(),
+        pass: mobile.fp_rate() > desktop.fp_rate()
+            && desktop.fp > 0
+            && within(&desktop)
+            && within(&mobile),
         series: Vec::new(),
     }
 }
 
-/// Drives 24 rounds of the 25 clients through one engine per policy. The
-/// corpus draws its transient congestion windows over two weeks (about
-/// 4 h each); spacing the rounds across them is what lets a warm baseline
-/// watch a server *become* slow.
-fn run_mix(paper: &Paper, corpus: &Corpus, device_for: impl Fn(usize) -> DeviceProfile) -> Mix {
+/// Drives 24 rounds of the 25 clients and scores every (report, server)
+/// observation. The corpus draws its transient congestion windows over
+/// two weeks (about 4 h each), so the rounds are spaced across them.
+fn run_mix(paper: &Paper, corpus: &Corpus, device_for: impl Fn(usize) -> DeviceProfile) -> Score {
     const ROUNDS: u64 = 24;
     let universe = Universe::new(corpus);
-    let global = Oak::new(OakConfig {
-        detector_policy: DetectorPolicy::Global,
-        ..paper.oak
-    });
-    let cohort = Oak::new(OakConfig {
-        detector_policy: DetectorPolicy::Cohort,
-        ..paper.oak
-    });
     let mut browsers: Vec<Browser> = corpus
         .clients
         .iter()
@@ -1203,11 +1180,7 @@ fn run_mix(paper: &Paper, corpus: &Corpus, device_for: impl Fn(usize) -> DeviceP
         })
         .collect();
 
-    let mut mix = Mix {
-        global: Score::default(),
-        cohort: Score::default(),
-        subset_violations: 0,
-    };
+    let mut score = Score::default();
     let round_spacing_min = 14 * 24 * 60 / ROUNDS;
     for round in 0..ROUNDS {
         for (ci, browser) in browsers.iter_mut().enumerate() {
@@ -1217,31 +1190,18 @@ fn run_mix(paper: &Paper, corpus: &Corpus, device_for: impl Fn(usize) -> DeviceP
             if load.report.entries.is_empty() {
                 continue;
             }
-            let now = Instant(t.as_millis());
-            let flags = |oak: &Oak| -> Vec<String> {
-                let outcome = oak.ingest_report(now, &load.report, &universe);
-                outcome.violations.into_iter().map(|v| v.ip).collect()
-            };
-            let global_flags = flags(&global);
-            let cohort_flags = flags(&cohort);
-            if cohort_flags.iter().any(|ip| !global_flags.contains(ip)) {
-                mix.subset_violations += 1;
-            }
-            for server in PageAnalysis::from_report(&load.report).iter() {
-                let bad = corpus.world.troubled(server.ip, browser.client, t);
-                for (score, flags) in [
-                    (&mut mix.global, &global_flags),
-                    (&mut mix.cohort, &cohort_flags),
-                ] {
-                    match (flags.iter().any(|ip| ip == server.ip), bad) {
-                        (true, true) => score.tp += 1,
-                        (true, false) => score.fp += 1,
-                        (false, true) => score.fn_ += 1,
-                        (false, false) => score.tn += 1,
-                    }
+            let analysis = PageAnalysis::from_report(&load.report);
+            let flags = detect_violators(&analysis, &paper.oak.detector);
+            for server in analysis.iter() {
+                let flagged = flags.iter().any(|v| v.ip == server.ip);
+                match (flagged, corpus.world.troubled(server.ip, browser.client, t)) {
+                    (true, true) => score.tp += 1,
+                    (true, false) => score.fp += 1,
+                    (false, true) => score.fn_ += 1,
+                    (false, false) => score.tn += 1,
                 }
             }
         }
     }
-    mix
+    score
 }

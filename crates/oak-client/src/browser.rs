@@ -42,7 +42,7 @@ pub struct BrowserConfig {
     pub keep_alive: bool,
     /// The hardware class this browser runs on. `None` (the default)
     /// is the testbed baseline: no device-side costs, and reports carry
-    /// no cohort hint — timings and wire bytes are identical to the
+    /// no device class — timings and wire bytes are identical to the
     /// pre-device client. `Some(profile)` adds the profile's radio
     /// latency to every network fetch and its CPU cost to every script,
     /// and stamps reports with the matching [`DeviceClass`].
@@ -188,8 +188,8 @@ impl Browser {
         self.cache.len()
     }
 
-    /// The cohort hint this browser stamps on its reports: the device
-    /// profile's class, or `Unknown` (no hint, v1 wire frames) when no
+    /// The device class this browser stamps on its reports: the device
+    /// profile's class, or `Unknown` (no class, v1 wire frames) when no
     /// profile is configured.
     fn device_class(&self) -> DeviceClass {
         self.config
@@ -368,8 +368,8 @@ impl Browser {
             // Device-side cost rides on the object's measured time: the
             // client's timer spans request-to-executed, so the report
             // attributes the device's own radio and CPU to whatever
-            // server the object came from — exactly the confound the
-            // cohort detector has to see to be worth testing.
+            // server the object came from — exactly the confound a
+            // within-report detector cannot cancel.
             time_ms += device.object_cost_ms(bytes, is_script_url(url));
         }
         if self.config.caching {

@@ -439,7 +439,7 @@ fn device_profile_inflates_script_cost_and_stamps_reports() {
         }
     }
 
-    // The cohort hint rides the report; the default config stays unknown.
+    // The device class rides the report; the default config stays unknown.
     assert_eq!(slow.report.device, DeviceClass::LowEndMobile);
     assert_eq!(fast.report.device, DeviceClass::Unknown);
 }

@@ -31,46 +31,6 @@ pub enum OutlierMethod {
     },
 }
 
-/// Which detection policy the engine runs on each ingested report.
-///
-/// The policy is a seam, not a parameter tweak: [`DetectorPolicy::Global`]
-/// is the paper's within-report test, stateless across reports;
-/// [`DetectorPolicy::Cohort`] layers per-(device-class, server) historical
-/// baselines on top (see [`crate::cohort`]) so that slowness every report
-/// from a cohort exhibits — mobile CPUs paying for ad-chain script, not a
-/// failing server — stops being flagged. Selected by `oak-serve
-/// --detector`; the default is the paper's detector, and with the default
-/// every operator surface is byte-identical to the pre-seam engine.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DetectorPolicy {
-    /// The paper's §4.2.1 test: per-report medians over all servers.
-    #[default]
-    Global,
-    /// Global test gated by per-cohort baselines: a server is only
-    /// blamed when it is an outlier within the report *and* it deviates
-    /// from what this device cohort has historically seen from it.
-    Cohort,
-}
-
-impl DetectorPolicy {
-    /// The CLI spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DetectorPolicy::Global => "global",
-            DetectorPolicy::Cohort => "cohort",
-        }
-    }
-
-    /// Parses the CLI spelling; `None` for anything else.
-    pub fn parse(text: &str) -> Option<DetectorPolicy> {
-        match text {
-            "global" => Some(DetectorPolicy::Global),
-            "cohort" => Some(DetectorPolicy::Cohort),
-            _ => None,
-        }
-    }
-}
-
 /// Detection parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DetectorConfig {

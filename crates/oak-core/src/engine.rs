@@ -48,8 +48,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use oak_html::{Document, Rewriter};
 use oak_json::Value;
 
-use crate::cohort::{CohortBaselines, CohortConfig};
-use crate::detect::{detect_violators, DetectorConfig, DetectorPolicy, Violation};
+use crate::detect::{detect_violators, DetectorConfig, Violation};
 use crate::events::{EngineEvent, EventSink, IngestEffect, SequencedEvent};
 use crate::matching::{url_host, MatchLevel, RuleSurface, ScriptFetcher};
 use crate::report::PerfReport;
@@ -71,12 +70,6 @@ pub const SHARD_COUNT: usize = 16;
 pub struct OakConfig {
     /// Violator-detection parameters (§4.2.1).
     pub detector: DetectorConfig,
-    /// Which detection policy runs over each report: the paper's global
-    /// within-report test (the default), or the device-cohort-gated
-    /// variant (see [`crate::cohort`]). With the default, every
-    /// operator-visible surface is byte-identical to the pre-seam
-    /// engine.
-    pub detector_policy: DetectorPolicy,
     /// How deep connection-dependency matching may look (§4.2.2).
     /// [`MatchLevel::ExternalJs`] — the full mechanism — by default;
     /// lower settings exist for the Fig. 8 ablation.
@@ -93,7 +86,6 @@ impl Default for OakConfig {
     fn default() -> OakConfig {
         OakConfig {
             detector: DetectorConfig::default(),
-            detector_policy: DetectorPolicy::default(),
             max_match_level: MatchLevel::ExternalJs,
             log_retention: None,
         }
@@ -441,12 +433,6 @@ pub struct Oak {
     /// [`Oak::set_epoch`]); 0 outside a cluster.
     epoch: AtomicU64,
     sink: Option<Arc<dyn EventSink>>,
-    /// Per-(device cohort, server) baselines backing the
-    /// [`DetectorPolicy::Cohort`] policy. Bounded, advisory, and
-    /// deliberately excluded from snapshots and the WAL (see
-    /// [`crate::cohort`]); untouched — never even locked — under the
-    /// default global policy.
-    cohorts: Mutex<CohortBaselines>,
     /// Stage-latency instrumentation; `None` costs nothing on hot paths.
     obs: Option<Arc<crate::obs::CoreMetrics>>,
     /// Shared lowercase domain/host handles: the per-report violator
@@ -487,7 +473,6 @@ impl Oak {
             event_seq: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             sink: None,
-            cohorts: Mutex::new(CohortBaselines::new(CohortConfig::default())),
             obs: None,
             interner: crate::intern::Interner::new(),
         }
@@ -750,16 +735,7 @@ impl Oak {
         let ingest_start = self.obs.as_ref().map(|o| o.now());
         let detect_span = oak_obs::span("detect");
         let analysis = PageAnalysis::from_report(report);
-        let violations = match self.config.detector_policy {
-            DetectorPolicy::Global => detect_violators(&analysis, &self.config.detector),
-            // The cohort lock is taken and released before any rule-table
-            // or shard lock below — no ordering cycle is possible.
-            DetectorPolicy::Cohort => self
-                .cohorts
-                .lock()
-                .expect("cohort baselines lock")
-                .detect_and_update(&analysis, report.device, &self.config.detector),
-        };
+        let violations = detect_violators(&analysis, &self.config.detector);
         // Violator domains are lowercased once per report via the
         // interner; for already-seen domains (the steady state) this is
         // allocation-free, and every surface comparison below reuses the

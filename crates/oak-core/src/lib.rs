@@ -63,7 +63,6 @@
 pub mod aggregates;
 pub mod analysis;
 pub mod audit;
-pub mod cohort;
 pub mod detect;
 pub mod engine;
 pub mod events;
@@ -89,10 +88,7 @@ pub const OAK_ALTERNATE_HEADER: &str = "X-Oak-Alternate";
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use crate::analysis::{PageAnalysis, ServerStats};
-    pub use crate::cohort::{CohortBaselines, CohortConfig};
-    pub use crate::detect::{
-        DetectorConfig, DetectorPolicy, OutlierMethod, Violation, ViolationKind,
-    };
+    pub use crate::detect::{DetectorConfig, OutlierMethod, Violation, ViolationKind};
     pub use crate::engine::{IngestOutcome, ModifiedPage, Oak, OakConfig};
     pub use crate::fetch::{FetchPolicy, FetchSnapshot, FetchStats, ResilientFetcher};
     pub use crate::matching::{MatchLevel, NoFetch, ScriptFetcher};

@@ -18,16 +18,16 @@ use std::fmt;
 
 use oak_json::{Cursor, ParseError, Value};
 
-/// The reporting client's device cohort.
+/// The reporting client's device class.
 ///
 /// Mobile CPUs execute script an order of magnitude slower than desktop
 /// parts ("What slows you down? Your network or your device?"), so the
 /// same healthy ad server produces very different object timings across
-/// device classes. Reports carry the class as a hint; the
-/// [`crate::detect::DetectorPolicy::Cohort`] detector keys its baselines
-/// on it. Reports from clients that predate the field — or that choose
-/// not to disclose — decode as [`DeviceClass::Unknown`], which behaves
-/// as its own cohort.
+/// device classes. Reports carry the class in both encodings, and the
+/// decoders keep accepting it; the engine does not read it yet, so
+/// detection is the paper's within-report test whatever the class.
+/// Reports from clients that predate the field — or that choose not to
+/// disclose it — decode as [`DeviceClass::Unknown`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DeviceClass {
     /// No hint: pre-field encodings and privacy-conscious clients.
@@ -142,9 +142,10 @@ pub struct PerfReport<S = String> {
     pub user: S,
     /// The page path the report describes.
     pub page: S,
-    /// The reporting device's cohort hint. [`DeviceClass::Unknown`] for
-    /// encodings that predate the field; serialization omits it in that
-    /// case, so device-free reports are byte-identical to the old format.
+    /// The reporting device's class: carried, not yet read by the
+    /// engine. [`DeviceClass::Unknown`] for encodings that predate the
+    /// field; serialization omits it in that case, so device-free reports
+    /// are byte-identical to the old format.
     pub device: DeviceClass,
     /// Per-object measurements.
     pub entries: Vec<ObjectTiming<S>>,
@@ -242,7 +243,7 @@ impl PerfReport {
 }
 
 impl<S> PerfReport<S> {
-    /// Sets the device-cohort hint, builder style.
+    /// Sets the device class, builder style.
     pub fn with_device(mut self, device: DeviceClass) -> PerfReport<S> {
         self.device = device;
         self

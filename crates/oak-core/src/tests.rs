@@ -3,7 +3,6 @@
 mod aggregates_tests;
 mod analysis_tests;
 mod audit_tests;
-mod cohort_tests;
 mod detect_tests;
 mod engine_props;
 mod engine_tests;

@@ -227,7 +227,7 @@ fn snapshot_without(oak: &Oak, masked: &[&str]) -> String {
 }
 
 #[derive(Default)]
-pub(super) struct Journal(Mutex<Vec<SequencedEvent>>);
+pub(super) struct Journal(pub(super) Mutex<Vec<SequencedEvent>>);
 
 impl EventSink for Journal {
     fn record(&self, _shard: Option<usize>, event: &SequencedEvent) {

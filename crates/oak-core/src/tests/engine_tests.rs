@@ -1,8 +1,12 @@
+use std::sync::Arc;
+
 use oak_pattern::Scope;
 
+use super::engine_props::Journal;
 use crate::engine::{LogAction, ModifiedPage, Oak, OakConfig};
+use crate::events::SequencedEvent;
 use crate::matching::NoFetch;
-use crate::report::{ObjectTiming, PerfReport};
+use crate::report::{DeviceClass, ObjectTiming, PerfReport};
 use crate::rule::{Rule, RuleId};
 use crate::time::Instant;
 
@@ -66,6 +70,38 @@ fn violation_activates_matching_rule() {
         oak.log().last().unwrap().action,
         LogAction::Activated { .. }
     ));
+}
+
+/// The device class is carried, not read: the same violating report
+/// under every class, each into a fresh engine journaling to one shared
+/// sink, makes the same decision and emits the same events — a
+/// `MidMobile` report activates its rule on the first report like any.
+#[test]
+fn device_class_never_changes_a_decision() {
+    let journal = Arc::new(Journal::default());
+    let runs: Vec<_> = DeviceClass::ALL
+        .into_iter()
+        .map(|device| {
+            let mut oak = Oak::new(OakConfig::default());
+            oak.set_event_sink(journal.clone());
+            let id = oak
+                .add_rule(Rule::replace_identical(JQ_DEFAULT, [JQ_ALT_B]))
+                .unwrap();
+            let report =
+                report_with_slow("u-1", "cdn-a.example", "10.0.0.1", 900.0).with_device(device);
+            let outcome = oak.ingest_report(Instant::ZERO, &report, &NoFetch);
+            assert_eq!(outcome.activated, vec![id], "{device:?}");
+            let events: Vec<Vec<u8>> = std::mem::take(&mut *journal.0.lock().unwrap())
+                .iter()
+                .map(SequencedEvent::encode)
+                .collect();
+            assert_eq!(events.len(), 2, "{device:?}: rule added, then ingest");
+            (outcome, events)
+        })
+        .collect();
+    for run in &runs[1..] {
+        assert_eq!(run, &runs[0]);
+    }
 }
 
 #[test]

@@ -31,7 +31,7 @@
 //! `unknown` is emitted as a v1 frame, byte-identical to what pre-device
 //! encoders produced, so old decoders keep accepting everything a
 //! device-free client sends. Only a report that actually carries a
-//! cohort hint pays the v2 byte — and only v2-aware decoders see those.
+//! device class pays the v2 byte — and only v2-aware decoders see those.
 //!
 //! Decoding enforces exactly the bounds [`PerfReport::decode_json`]
 //! enforces, with the same error text, so the two encodings accept the

@@ -13,9 +13,9 @@
 //! on exactly the fetches whose URLs name script, which is what makes
 //! ad chains — long dependent sequences of small `.js` objects — the
 //! worst case on mobile even though they are nearly free on desktop.
-//! That asymmetry is the whole reason the cohort detector exists (see
-//! `oak-core`'s `cohort` module): without it, a phone's report makes
-//! every healthy ad server look like a violator.
+//! That asymmetry is the device confound: a within-report test cannot
+//! cancel it, so a phone's report makes healthy ad servers look like
+//! violators.
 
 /// Baseline (desktop) cost to parse + execute one script, ms.
 const SCRIPT_BASE_MS: f64 = 8.0;
@@ -29,7 +29,7 @@ const SCRIPT_PER_KB_MS: f64 = 0.35;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DeviceProfile {
     /// The class name — matches the report wire spelling, so a profile
-    /// maps onto the cohort hint without a lookup table.
+    /// maps onto the report's device class without a lookup table.
     pub label: &'static str,
     /// Multiplier on script parse/execute CPU cost (desktop = 1).
     pub cpu_multiplier: f64,
@@ -62,14 +62,6 @@ impl DeviceProfile {
         cpu_multiplier: 9.0,
         radio_rtt_ms: 60.0,
     };
-
-    /// All profiles, desktop first.
-    pub const ALL: [DeviceProfile; 3] = [Self::DESKTOP, Self::MID_MOBILE, Self::LOW_END_MOBILE];
-
-    /// Parses a class label; `None` for anything else.
-    pub fn parse(text: &str) -> Option<DeviceProfile> {
-        Self::ALL.into_iter().find(|p| p.label == text)
-    }
 
     /// CPU time to parse + execute one script of `bytes`, ms. Scripts
     /// carry a base cost (JIT warm-up, global execution) plus a per-KiB

@@ -20,8 +20,8 @@
 //!   rest persist).
 //! - **Device classes** ([`DeviceProfile`]): client-side CPU and radio
 //!   cost classes (desktop / mid-mobile / low-end-mobile), so the same
-//!   page load prices differently on different silicon — the population
-//!   structure the cohort detector in `oak-core` exists for.
+//!   page load prices differently on different silicon — the device
+//!   confound the `detector` row of oak-bench's `repro` measures.
 //! - **Transfer pricing** ([`World::fetch`]): DNS + connect + request +
 //!   processing + bandwidth/latency-capped transfer, with multiplicative
 //!   log-normal noise derived *statelessly* from the tuple

@@ -7,7 +7,6 @@
 //! ```text
 //! oak-serve --root ./site --rules ./site.oakrules [--port 8080]
 //!           [--edge-workers <n>]
-//!           [--detector global|cohort]
 //!           [--store ./oak-state] [--fsync always|never|<n>]
 //!           [--cluster --peers <a:p,b:p,c:p> --role <n>]
 //!           [--snapshot-every <events>] [--audit-retention <entries>]
@@ -55,7 +54,6 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use oak_core::detect::DetectorPolicy;
 use oak_core::engine::OakConfig;
 use oak_core::Instant;
 use oak_edge::{EdgeConfig, EdgeServer};
@@ -80,7 +78,6 @@ struct Args {
     edge: EdgeConfig,
     store: Option<PathBuf>,
     store_options: StoreOptions,
-    detector: DetectorPolicy,
     audit_retention: Option<usize>,
     prune: Option<PrunePolicy>,
     limits: ServerLimits,
@@ -91,7 +88,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: oak-serve --root <dir> [--rules <file>] [--port <n>] \
-[--edge-workers <n>] [--detector global|cohort] \
+[--edge-workers <n>] \
 [--store <dir>] [--fsync always|never|<n>] [--snapshot-every <events>] \
 [--cluster --peers <a:p,b:p,...> --role <n>] \
 [--audit-retention <entries>] [--prune-idle-ms <ms>] [--prune-every <requests>] \
@@ -103,21 +100,38 @@ const USAGE: &str = "usage: oak-serve --root <dir> [--rules <file>] [--port <n>]
 [--brownout-occupancy <0..1>] [--shed-occupancy <0..1>] \
 [--overload-cooldown <samples>] [--slow-ms <ms>] [--trace-ring <n>]
 
+site:
+  --root <dir>             document root served through the engine (required)
+  --rules <file>           rules in the §4.1 spec format, loaded at boot;
+                           skipped when a recovered --store already holds
+                           rules (the journal is authoritative)
+  --port <n>               port to listen on (default 8080)
+
 transport (one non-blocking reactor thread + a small worker pool; unix
 only; /oak/stats and /oak/health carry its gauges):
   --edge-workers <n>       handler threads (default 0 = size from
                            available cores)
 
-violator detection:
-  --detector global|cohort global (the default) is the paper's per-report
-                           MAD test; cohort additionally requires a
-                           flagged server to deviate from what the
-                           reporting client's device class historically
-                           saw from it, so device-induced slowness (ad
-                           chains on mobile CPUs) stops being blamed on
-                           healthy servers. With the default, every
-                           operator surface is byte-identical to builds
-                           without the flag.
+durability (see DESIGN.md §8):
+  --store <dir>            journal every engine mutation to a write-ahead
+                           log in <dir> and recover from it at boot
+                           (default: engine state lives in memory only)
+  --fsync always|never|<n> fsync the log after every append, never, or
+                           every <n> appends (default 64)
+  --snapshot-every <events>
+                           compact the log into a snapshot every this many
+                           events (default 10000)
+
+engine state:
+  --audit-retention <entries>
+                           activity-log entries kept in memory PER SHARD;
+                           the engine has 16 shards, so /oak/audit can hold
+                           up to 16x this many. Older entries stay only in
+                           the --store log (default: keep every entry)
+  --prune-idle-ms <ms>     evict per-user state idle for longer than this
+                           (default: never)
+  --prune-every <requests> run the idle sweep once every this many
+                           requests (default 1024; needs --prune-idle-ms)
 
 replication (requires --store; see the README cluster quickstart):
   --cluster                replicate the engine across --peers: WAL
@@ -163,17 +177,16 @@ observability (scrape /oak/metrics, traces at /oak/trace/recent):
   --slow-ms <ms>           log traces slower than this (default 500)
   --trace-ring <n>         completed traces kept for /oak/trace/recent (default 256)";
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut root = None;
     let mut rules = None;
     let mut port = 8080u16;
     let mut cluster = false;
     let mut peers: Vec<String> = Vec::new();
-    let mut role = 0u32;
+    let mut role = None;
     let mut edge = EdgeConfig::default();
     let mut store = None;
     let mut store_options = StoreOptions::default();
-    let mut detector = DetectorPolicy::default();
     let mut audit_retention = None;
     let mut prune_idle_ms = None;
     let mut prune_every = 1024u64;
@@ -183,7 +196,6 @@ fn parse_args() -> Result<Args, String> {
     let mut overload_policy = OverloadPolicy::default();
     let mut slow_ms = 500u64;
     let mut trace_ring = 256usize;
-    let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
         let mut value = |name: &str| {
             argv.next()
@@ -212,12 +224,7 @@ fn parse_args() -> Result<Args, String> {
                     .filter(|s| !s.is_empty())
                     .collect();
             }
-            "--role" => role = number("--role", value("--role")?)? as u32,
-            "--detector" => {
-                let raw = value("--detector")?;
-                detector = DetectorPolicy::parse(&raw)
-                    .ok_or_else(|| format!("--detector must be global or cohort, got {raw:?}"))?;
-            }
+            "--role" => role = Some(number("--role", value("--role")?)? as u32),
             "--store" => store = Some(PathBuf::from(value("--store")?)),
             "--fsync" => {
                 store_options.fsync = match value("--fsync")?.as_str() {
@@ -335,6 +342,7 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     let cluster = if cluster {
+        let role = role.unwrap_or(0);
         if peers.len() < 2 {
             return Err("--cluster requires --peers with at least two addresses".into());
         }
@@ -352,6 +360,9 @@ fn parse_args() -> Result<Args, String> {
         if !peers.is_empty() {
             return Err("--peers requires --cluster".into());
         }
+        if role.is_some() {
+            return Err("--role requires --cluster".into());
+        }
         None
     };
     Ok(Args {
@@ -362,7 +373,6 @@ fn parse_args() -> Result<Args, String> {
         edge,
         store,
         store_options,
-        detector,
         audit_retention,
         prune: prune_idle_ms.map(|idle_ms| PrunePolicy {
             idle_ms,
@@ -382,7 +392,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(message) => {
             eprintln!("{message}");
@@ -405,12 +415,8 @@ fn main() -> ExitCode {
 
     let config = OakConfig {
         log_retention: args.audit_retention,
-        detector_policy: args.detector,
         ..OakConfig::default()
     };
-    if args.detector != DetectorPolicy::default() {
-        eprintln!("violator detection policy: {}", args.detector.as_str());
-    }
 
     // --cluster: the replication runtime owns the store directory and
     // the engine; the service resolves the live replica per request via
@@ -596,5 +602,63 @@ metrics at {METRICS_PATH}); ctrl-c to stop",
     // Serve until killed.
     loop {
         std::thread::park();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{parse_args, USAGE};
+
+    fn parse(argv: &[&str]) -> Result<(), String> {
+        parse_args(argv.iter().map(|arg| arg.to_string())).map(|_| ())
+    }
+
+    #[test]
+    fn peers_and_role_are_refused_without_cluster() {
+        assert_eq!(
+            parse(&["--root", "site", "--peers", "a:1,b:2"]),
+            Err("--peers requires --cluster".into())
+        );
+        assert_eq!(
+            parse(&["--root", "site", "--role", "1", "--store", "d"]),
+            Err("--role requires --cluster".into())
+        );
+        assert_eq!(
+            parse(&[
+                "--root",
+                "site",
+                "--cluster",
+                "--peers",
+                "a:1,b:2",
+                "--role",
+                "1",
+                "--store",
+                "d",
+            ]),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn detector_is_an_unknown_flag() {
+        assert_eq!(
+            parse(&["--root", "site", "--detector", "global"]),
+            Err("unknown flag \"--detector\" (try --help)".into())
+        );
+    }
+
+    /// Every flag the usage line names has a line of its own below it.
+    #[test]
+    fn help_describes_every_flag_in_the_usage_line() {
+        let (usage, sections) = USAGE.split_once("\n\n").expect("usage line, then sections");
+        let flags = usage
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|word| word.starts_with("--"));
+        for flag in flags {
+            assert!(
+                sections.contains(&format!("\n  {flag} ")),
+                "--help does not describe {flag}"
+            );
+        }
     }
 }

@@ -32,7 +32,6 @@ struct Args {
     buggy_promotion: bool,
     cluster: bool,
     mixed: bool,
-    device_invariant: bool,
     out: String,
 }
 
@@ -46,7 +45,6 @@ fn parse_args() -> Result<Args, String> {
         buggy_promotion: false,
         cluster: false,
         mixed: false,
-        device_invariant: false,
         out: "SIM_FAILURE.json".to_owned(),
     };
     let mut it = std::env::args().skip(1);
@@ -62,7 +60,6 @@ fn parse_args() -> Result<Args, String> {
             "--buggy-promotion" => args.buggy_promotion = true,
             "--cluster" => args.cluster = true,
             "--mixed" => args.mixed = true,
-            "--device-invariant" => args.device_invariant = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -73,14 +70,11 @@ fn parse_args() -> Result<Args, String> {
     if args.cluster && args.mixed {
         return Err("--cluster and --mixed are mutually exclusive".to_owned());
     }
-    if args.device_invariant && (args.cluster || args.mixed || args.replay.is_some()) {
-        return Err("--device-invariant only combines with --seeds/--start/--seed".to_owned());
-    }
     Ok(args)
 }
 
 const USAGE: &str = "usage: oak-sim [--seeds N] [--start S] [--seed X] [--replay FILE]\n\
-                \x20              [--cluster | --mixed | --device-invariant]\n\
+                \x20              [--cluster | --mixed]\n\
                 \x20              [--buggy-dirsync] [--buggy-promotion] [--out FILE]\n\
     --seeds N           sweep N consecutive seeds (default 200)\n\
     --start S           first seed of the sweep (default 0)\n\
@@ -88,9 +82,6 @@ const USAGE: &str = "usage: oak-sim [--seeds N] [--start S] [--seed X] [--replay
     --replay FILE       run a scenario JSON written by a previous failure\n\
     --cluster           generate replicated-cluster scenarios\n\
     --mixed             alternate single-node and cluster scenarios\n\
-    --device-invariant  sweep the cohort-detector device confound check:\n\
-                        in an impairment-free world with mixed devices and\n\
-                        heavy ad chains, no healthy server is ever flagged\n\
     --buggy-dirsync     simulate a disk that drops directory fsyncs\n\
     --buggy-promotion   grant election votes without the watermark check\n\
     --out FILE          failure artifact path (default SIM_FAILURE.json)";
@@ -108,9 +99,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if args.device_invariant {
-        return run_device_sweep(&args);
-    }
     let options = ClusterSimOptions {
         fs: SimFsOptions {
             ignore_dir_sync: args.buggy_dirsync,
@@ -199,44 +187,6 @@ fn main() -> ExitCode {
     println!(
         "  fetch: {} served, {} failed, {} hung",
         totals.fetch.served, totals.fetch.failed, totals.fetch.hung,
-    );
-    ExitCode::SUCCESS
-}
-
-/// Sweeps the device-confound invariant: every seed builds an
-/// impairment-free, ad-chain-heavy world with mixed devices and fails
-/// if the cohort detector ever flags a healthy server.
-fn run_device_sweep(args: &Args) -> ExitCode {
-    let seeds: Vec<u64> = match args.seed {
-        Some(seed) => vec![seed],
-        None => (args.start..args.start.saturating_add(args.seeds)).collect(),
-    };
-    let started = std::time::Instant::now();
-    let mut loads = 0u64;
-    let mut checks = 0u64;
-    let mut flags_on_bad = 0u64;
-    for &seed in &seeds {
-        match oak_sim::run_device_invariant(seed) {
-            Ok(stats) => {
-                loads += stats.loads;
-                checks += stats.checks;
-                flags_on_bad += stats.flags_on_bad;
-            }
-            Err(detail) => {
-                eprintln!("oak-sim: FAILURE: device invariant: {detail}");
-                eprintln!("oak-sim: replay with `oak-sim --device-invariant --seed {seed}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    println!(
-        "oak-sim: device invariant clean over {} seed(s) in {:.2}s",
-        seeds.len(),
-        started.elapsed().as_secs_f64(),
-    );
-    println!(
-        "  loads {loads}  flag checks {checks}  flags on truly-bad servers {flags_on_bad}  \
-         flags on healthy servers 0",
     );
     ExitCode::SUCCESS
 }

@@ -68,7 +68,6 @@
 
 pub mod clock;
 pub mod cluster_world;
-pub mod device;
 pub mod fetch;
 pub mod fs;
 pub mod minimize;
@@ -80,7 +79,6 @@ pub mod world;
 
 pub use clock::SimClock;
 pub use cluster_world::{run_any_scenario, run_cluster_scenario, ClusterSimOptions};
-pub use device::{run_device_invariant, DeviceRunStats};
 pub use fetch::{FetchFaults, HostMode, SimFetcher};
 pub use fs::{FaultCounters, SimFs, SimFsOptions};
 pub use minimize::{minimize, minimize_with, Minimized};

@@ -361,7 +361,7 @@ impl<'c> Generator<'c> {
     /// hop is a small script hosted on the ad provider's own domain — on
     /// a desktop the chain is almost free, on a phone each hop pays the
     /// per-script CPU cost, which is exactly the device-induced slowness
-    /// the cohort detector must not blame on the provider.
+    /// a detector must not blame on the provider.
     fn add_ad_chains(
         &mut self,
         site_index: usize,
