@@ -315,9 +315,8 @@ mod tests {
 
     use std::path::PathBuf;
 
-    use oak_core::aggregates::ServerFold;
     use oak_core::engine::{Oak, OakConfig};
-    use oak_core::events::{EngineEvent, IngestEffect};
+    use oak_core::events::{EngineEvent, Fold, IngestEffect};
     use oak_core::rule::RuleId;
     use oak_core::Instant;
     use oak_store::segment::{encode_frame, FRAME_OVERHEAD};
@@ -337,24 +336,27 @@ mod tests {
 
     /// A report's worth of event: eight servers, a handful of samples each.
     fn ingest(seq: u64, epoch: u64) -> SequencedEvent {
-        let fold = |server: u64| ServerFold {
-            domains: vec![format!("cdn{server}.example").into()],
+        let domains: Vec<[String; 1]> = (0..8).map(|s| [format!("cdn{s}.example")]).collect();
+        let small: Vec<[f64; 3]> = (0..8).map(|s| [80.5 + s as f64, 95.25, 71.0]).collect();
+        let folds = (0..8).map(|server| Fold {
+            domains: &domains[server],
             objects: 3,
             bytes: 90_000,
-            small_times_ms: vec![80.5 + server as f64, 95.25, 71.0],
-            large_tputs_kbps: vec![2_400.0],
+            small_times_ms: &small[server],
+            large_tputs_kbps: &[2_400.0],
             violated: server == 0,
-        };
+        });
+        let effect = IngestEffect::from_parts(
+            Instant(seq * 10),
+            &format!("u-{seq}"),
+            folds,
+            &[RuleId(2)],
+            &[],
+        );
         SequencedEvent {
             seq,
             epoch,
-            event: EngineEvent::Ingest(IngestEffect {
-                time: Instant(seq * 10),
-                user: format!("u-{seq}"),
-                folds: (0..8).map(fold).collect(),
-                pending: vec![RuleId(2)],
-                records: Vec::new(),
-            }),
+            event: EngineEvent::Ingest(effect),
         }
     }
 

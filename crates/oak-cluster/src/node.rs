@@ -1224,6 +1224,67 @@ mod tests {
         std::fs::remove_dir_all(temp_root(TAG)).unwrap();
     }
 
+    /// Every WAL frame payload in `dir`, by the `seq` it carries.
+    fn journaled_frames(dir: &std::path::Path) -> BTreeMap<u64, Vec<u8>> {
+        let mut frames = BTreeMap::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|ext| ext == "wal") {
+                let bytes = std::fs::read(&path).unwrap();
+                for (_, payload) in oak_store::segment::parse_segment(&bytes).frames {
+                    let seq = oak_core::events::SequencedEvent::encoded_seq(payload).unwrap();
+                    frames.insert(seq, payload.to_vec());
+                }
+            }
+        }
+        frames
+    }
+
+    /// WAL shipping in the literal sense: what a follower journals for a
+    /// shipped event is the frame payload the primary journaled, byte for
+    /// byte — the encoder and the decoder cannot drift apart unseen.
+    #[test]
+    fn a_follower_journals_the_primarys_frames_byte_for_byte() {
+        const TAG: &str = "shipped-bytes";
+        const REPORTS: u64 = 250;
+        let mut h = Harness::with_options(TAG, 3, 1, 3, shipped_store());
+        let (primary, mut now) = h.elect();
+        let oak = h.nodes[primary].primary_engine(0).unwrap();
+        let rule = Rule::replace_identical(
+            r#"<script src="http://cdn0.example/lib.js">"#,
+            [r#"<script src="http://mirror.example/lib.js">"#],
+        );
+        oak.add_rule(rule).unwrap();
+        for i in 0..REPORTS {
+            oak.ingest_report(Instant(i), &report(i), &NoFetch);
+            if i % 50 == 0 {
+                now += 20;
+                h.settle(now);
+            }
+        }
+        let (primary, _) = h.converge(now, &[0, 1, 2]);
+        for node in &mut h.nodes {
+            node.partition_store(0).unwrap().sync_all().unwrap();
+        }
+
+        let journaled = journaled_frames(&partition_dir(TAG, primary));
+        for follower in (0..3).filter(|&n| n != primary) {
+            let shipped = journaled_frames(&partition_dir(TAG, follower));
+            assert!(
+                shipped.len() as u64 > REPORTS,
+                "follower {follower} journaled only {} events",
+                shipped.len()
+            );
+            for (seq, payload) in &shipped {
+                assert!(
+                    journaled.get(seq) == Some(payload),
+                    "follower {follower} journaled event {seq} as other bytes"
+                );
+            }
+        }
+        std::fs::remove_dir_all(temp_root(TAG)).unwrap();
+    }
+
     #[test]
     fn a_follower_behind_the_compaction_horizon_is_fast_forwarded_in_its_epoch() {
         const TAG: &str = "same-epoch-snapshot";

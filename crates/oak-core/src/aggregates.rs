@@ -12,9 +12,9 @@ use std::sync::Arc;
 
 use oak_json::Value;
 
-use crate::analysis::PageAnalysis;
-use crate::detect::Violation;
-use crate::events::{ascending, f64_to_value, put_f64, put_len, put_str, put_u32, put_u64, Reader};
+use crate::events::{
+    ascending, f64_to_value, put_f64, put_len, put_str, put_u32, put_u64, FoldView, Reader,
+};
 use crate::intern::Interner;
 
 /// Streaming mean/min/max without storing samples.
@@ -96,55 +96,16 @@ impl DomainAggregate {
     }
 }
 
-/// One server's contribution to the aggregates from a single report —
-/// the distilled, replayable form of a fold. The engine derives these
-/// from the report's [`PageAnalysis`] once per ingest; the same values
-/// feed the live accumulator and the durable
-/// [`crate::events::IngestEffect`], so replay folds the exact float
-/// sequence the live engine folded.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ServerFold {
-    /// Domain names resolving to the server (analysis order), as shared
-    /// interned handles — folding a report clones refcounts, not bytes.
-    pub domains: Vec<Arc<str>>,
-    /// Objects fetched from it in this report.
-    pub objects: u64,
-    /// Bytes fetched from it in this report.
-    pub bytes: u64,
-    /// Small-object download times, ms (report order).
-    pub small_times_ms: Vec<f64>,
-    /// Large-object throughputs, kbit/s (report order).
-    pub large_tputs_kbps: Vec<f64>,
-    /// Whether the detector flagged the server as a violator.
-    pub violated: bool,
-}
-
-/// Distills a report's per-server analysis into replayable folds, in
-/// the analysis's server and domain order. The analysis is consumed: its
-/// sample vectors move into the folds, and its domain names — the only
-/// thing still borrowed from the report — go through `interner`, so
-/// steady-state traffic naming known domains copies no string here.
-pub fn distill(
-    analysis: PageAnalysis<'_>,
-    violations: &[Violation],
-    interner: &Interner,
-) -> Vec<ServerFold> {
-    analysis
-        .servers
-        .into_iter()
-        .map(|server| ServerFold {
-            domains: server
-                .domains
-                .iter()
-                .map(|d| interner.intern_lower(d))
-                .collect(),
-            objects: server.object_count as u64,
-            bytes: server.total_bytes,
-            small_times_ms: server.small_times_ms,
-            large_tputs_kbps: server.large_tputs_kbps,
-            violated: violations.iter().any(|v| v.ip == server.ip),
-        })
-        .collect()
+/// The key a domain new to an accumulator is filed under: the engine's
+/// shared handle, since every live fold's domains are lowercase already;
+/// a name spelled otherwise (only a hand-built body holds one) gets a
+/// handle of its own, so the key is always the name as folded.
+fn key_for(domain: &str, interner: &Interner) -> Arc<str> {
+    if domain.bytes().any(|b| b.is_ascii_uppercase()) {
+        Arc::from(domain)
+    } else {
+        interner.intern_lower(domain)
+    }
 }
 
 /// A scrape-cost-bounded view of the site aggregates: report and
@@ -222,17 +183,29 @@ impl SiteAggregates {
         SiteAggregates::default()
     }
 
-    /// Folds pre-distilled per-server increments. This is the canonical
-    /// fold path: the live engine and WAL replay both call it with the
-    /// same [`ServerFold`] values, so the floating-point accumulation
-    /// order — and therefore every recovered sum — is bit-identical.
-    pub fn fold_distilled(&mut self, user: &str, folds: &[ServerFold]) {
-        self.fold_capped(user, folds, Self::USER_SAMPLE_CAP);
+    /// Folds one ingest's per-server increments, read in place from its
+    /// [`crate::events::IngestEffect`]. The live engine and WAL replay
+    /// both fold the same bytes, so the floating-point accumulation order
+    /// — and therefore every recovered sum — is bit-identical. A domain
+    /// new to this accumulator is keyed by `interner`'s handle.
+    pub fn fold<'a>(
+        &mut self,
+        user: &str,
+        folds: impl IntoIterator<Item = FoldView<'a>>,
+        interner: &Interner,
+    ) {
+        self.fold_capped(user, folds, interner, Self::USER_SAMPLE_CAP);
     }
 
-    /// [`SiteAggregates::fold_distilled`] under an explicit pair cap
-    /// (tests lower it to reach the capped regime).
-    pub(crate) fn fold_capped(&mut self, user: &str, folds: &[ServerFold], cap: usize) {
+    /// [`SiteAggregates::fold`] under an explicit pair cap (tests lower
+    /// it to reach the capped regime).
+    pub(crate) fn fold_capped<'a>(
+        &mut self,
+        user: &str,
+        folds: impl IntoIterator<Item = FoldView<'a>>,
+        interner: &Interner,
+        cap: usize,
+    ) {
         self.reports += 1;
         // One lookup per report reaches everything kept per user; a
         // returning user (the steady state) costs no key allocation.
@@ -243,33 +216,31 @@ impl SiteAggregates {
         entry.reports += 1;
 
         for server in folds {
-            for domain in &server.domains {
-                let agg = match self.domains.get_mut(&**domain) {
+            for domain in server.domains() {
+                let agg = match self.domains.get_mut(domain) {
                     Some(agg) => agg,
-                    None => self.domains.entry(Arc::clone(domain)).or_default(),
+                    None => self.domains.entry(key_for(domain, interner)).or_default(),
                 };
-                agg.objects += server.objects;
-                agg.bytes += server.bytes;
+                agg.objects += server.objects();
+                agg.bytes += server.bytes();
                 // Per-sample push order is load-bearing: WAL replay must
                 // reproduce bit-identical float sums.
-                for &t in &server.small_times_ms {
+                for t in server.small_times_ms() {
                     agg.small_time_ms.push(t);
                 }
-                for &t in &server.large_tputs_kbps {
+                for t in server.large_tputs_kbps() {
                     agg.large_tput_kbps.push(t);
                 }
-                if server.violated {
+                if server.violated() {
                     agg.violations += 1;
                 }
                 if self.sample_count < cap {
-                    if let Err(at) = entry.sampled.binary_search(domain) {
+                    if let Err(at) = entry.sampled.binary_search_by(|d| (**d).cmp(domain)) {
                         agg.users_seen += 1;
                         self.sample_count += 1;
-                        // The map's own key, not the fold's handle: a
-                        // replayed fold carries a fresh `Arc` per name.
                         let (name, _) = self
                             .domains
-                            .get_key_value(&**domain)
+                            .get_key_value(domain)
                             .expect("folded into just above");
                         entry.sampled.insert(at, Arc::clone(name));
                     }
@@ -461,7 +432,7 @@ impl SiteAggregates {
     ///
     /// Names the first field that is cut short, out of range or out of
     /// order, and a sampled domain the accumulator keeps no aggregate for
-    /// — a state [`SiteAggregates::fold_distilled`] never reaches, since
+    /// — a state [`SiteAggregates::fold`] never reaches, since
     /// it samples a domain only as the key it just folded into.
     pub(crate) fn read_image(
         r: &mut Reader<'_>,
@@ -558,7 +529,8 @@ pub(crate) mod model {
 
     use oak_json::Value;
 
-    use super::{DomainAggregate, ServerFold};
+    use super::DomainAggregate;
+    use crate::events::FoldView;
 
     #[derive(Clone, Debug, Default)]
     pub(crate) struct ModelAggregates {
@@ -570,25 +542,30 @@ pub(crate) mod model {
     }
 
     impl ModelAggregates {
-        pub(crate) fn fold_capped(&mut self, user: &str, folds: &[ServerFold], cap: usize) {
+        pub(crate) fn fold_capped<'a>(
+            &mut self,
+            user: &str,
+            folds: impl IntoIterator<Item = FoldView<'a>>,
+            cap: usize,
+        ) {
             self.reports += 1;
             *self.users.entry(user.to_owned()).or_insert(0) += 1;
             for server in folds {
-                for domain in &server.domains {
-                    let agg = self.domains.entry(Arc::clone(domain)).or_default();
-                    agg.objects += server.objects;
-                    agg.bytes += server.bytes;
-                    for &t in &server.small_times_ms {
+                for domain in server.domains() {
+                    let agg = self.domains.entry(Arc::from(domain)).or_default();
+                    agg.objects += server.objects();
+                    agg.bytes += server.bytes();
+                    for t in server.small_times_ms() {
                         agg.small_time_ms.push(t);
                     }
-                    for &t in &server.large_tputs_kbps {
+                    for t in server.large_tputs_kbps() {
                         agg.large_tput_kbps.push(t);
                     }
-                    if server.violated {
+                    if server.violated() {
                         agg.violations += 1;
                     }
                     if self.sample_count < cap {
-                        let sampled = self.user_samples.entry(Arc::clone(domain)).or_default();
+                        let sampled = self.user_samples.entry(Arc::from(domain)).or_default();
                         if !sampled.contains(user) {
                             sampled.insert(user.to_owned());
                             self.sample_count += 1;

@@ -9,7 +9,7 @@
 //! The analysis borrows from the report it regroups: a server's IP and
 //! its domain names are slices of the report's own strings, so grouping
 //! allocates the per-server vectors and nothing per entry. Two orders
-//! here reach the journal through [`crate::aggregates::distill`] and are
+//! here reach the journal through [`crate::events::IngestEffect`] and are
 //! kept by hand, not by a tree: servers ascend by the bytes of their IP,
 //! and each server's domains ascend, lowercase, without repeats.
 

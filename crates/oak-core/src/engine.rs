@@ -49,7 +49,7 @@ use oak_html::{Document, Rewriter};
 use oak_json::Value;
 
 use crate::detect::{detect_violators, DetectorConfig, Violation};
-use crate::events::{EngineEvent, EventSink, IngestEffect, SequencedEvent};
+use crate::events::{EngineEvent, EventSink, IngestEffect, IngestParts, SequencedEvent};
 use crate::matching::{url_host, MatchLevel, RuleSurface, ScriptFetcher};
 use crate::report::PerfReport;
 use crate::rule::{Rule, RuleId, RuleType};
@@ -864,23 +864,18 @@ impl Oak {
                 }
             }
         }
-        // Distilled once: live and replayed folds add bit-identical floats.
-        // Detection was the analysis's last reader; its samples move on.
-        let effect = IngestEffect {
-            time: now,
-            user: user.to_owned(),
-            folds: crate::aggregates::distill(analysis, &violations, &self.interner),
-            pending,
-            records,
-        };
+        // Written once, straight from the analysis: live and replayed
+        // folds read the same bytes, so they add bit-identical floats.
+        let effect =
+            IngestEffect::from_analysis(now, user, &analysis, &violations, &pending, &records);
 
         // Apply — through the function replay uses — then emit.
-        self.apply_ingest(&table, &mut shard, &effect);
+        self.apply_ingest(&table, &mut shard, effect.parts());
         let mut outcome = IngestOutcome {
             violations,
             ..IngestOutcome::default()
         };
-        for (_, entry) in &effect.records {
+        for (_, entry) in &records {
             match entry.action {
                 LogAction::Activated { .. } => outcome.activated.push(entry.rule),
                 LogAction::Advanced { .. } => outcome.advanced.push(entry.rule),
@@ -1079,9 +1074,10 @@ impl Oak {
                 self.apply_rule_removed(&mut table, *id);
             }
             EngineEvent::Ingest(effect) => {
+                let parts = effect.parts();
                 let table = self.rules.read().expect("rule table lock");
-                let mut shard = self.shard(&effect.user).lock().expect("shard lock");
-                self.apply_ingest(&table, &mut shard, effect);
+                let mut shard = self.shard(parts.user).lock().expect("shard lock");
+                self.apply_ingest(&table, &mut shard, parts);
             }
             EngineEvent::ForceActivate { time, user, rule } => {
                 let table = self.rules.read().expect("rule table lock");
@@ -1114,23 +1110,27 @@ impl Oak {
 
     /// Applies one ingest's effect to its user's shard: the aggregate
     /// folds, the pending-violation counts, and every log record with
-    /// the state transition it implies. Live ingest calls this with the
-    /// effect it has just decided on; replay with the one it decoded.
-    fn apply_ingest(&self, table: &RuleTable, shard: &mut Shard, effect: &IngestEffect) {
-        shard.aggregates.fold_distilled(&effect.user, &effect.folds);
+    /// the state transition it implies — read in place from the effect's
+    /// bytes. Live ingest calls this with the effect it has just decided
+    /// on; replay with the one it decoded.
+    fn apply_ingest(&self, table: &RuleTable, shard: &mut Shard, mut parts: IngestParts<'_>) {
+        shard
+            .aggregates
+            .fold(parts.user, &mut parts.folds, &self.interner);
+        let (pending, records) = parts.folds.rest();
         // No key allocation for a returning user.
-        if !shard.users.contains_key(&effect.user) {
+        if !shard.users.contains_key(parts.user) {
             shard
                 .users
-                .insert(effect.user.clone(), UserState::default());
+                .insert(parts.user.to_owned(), UserState::default());
         }
-        let user = shard.users.get_mut(&effect.user).expect("just inserted");
-        user.last_seen = effect.time;
-        for id in &effect.pending {
-            *user.pending.entry(*id).or_insert(0) += 1;
+        let user = shard.users.get_mut(parts.user).expect("just inserted");
+        user.last_seen = parts.time;
+        for id in pending {
+            *user.pending.entry(id).or_insert(0) += 1;
         }
-        for (seq, entry) in &effect.records {
-            self.apply_record(table, shard, *seq, entry.clone());
+        for (seq, entry) in records {
+            self.apply_record(table, shard, seq, entry);
         }
         trim_shard_log(&mut shard.log, self.config.log_retention);
     }

@@ -10,13 +10,13 @@
 //! onto a fresh engine — [`crate::engine::Oak::apply_event`] — rebuilds
 //! the exact pre-crash observables.
 //!
-//! # Distilled effects, not raw inputs
+//! # Decided effects, not raw inputs
 //!
 //! Events record *decisions*, not inputs. An ingest's outcome depends on
 //! the external-script fetcher ([`crate::matching::ScriptFetcher`]),
 //! which is not available (and not deterministic) at recovery time, so
 //! [`IngestEffect`] carries the resolved per-rule transitions and the
-//! distilled aggregate folds instead of the client report. Replay then
+//! per-server aggregate folds instead of the client report. Replay then
 //! needs no detector, no matcher, and no fetcher — it is a pure state
 //! application, deterministic by construction. The only re-derived
 //! quantity is an activation's starting alternative index, which is a
@@ -87,12 +87,21 @@
 //! that remain *before* it allocates for them, validates UTF-8, accepts
 //! one encoding per value (so `encode(decode(b)) == b`) and rejects
 //! trailing bytes.
-
-use std::sync::Arc;
+//!
+//! # An ingest is its frame
+//!
+//! Ingests dominate every journal, so an [`IngestEffect`] has no tree:
+//! it *is* its encoded body (the `2 ingest` row above), and it is read
+//! through borrowed views. Live ingest writes the body once, from the
+//! analysis it holds ([`IngestEffect::from_parts`]); decoding one walks
+//! it once, checking every field, and then copies it whole — one
+//! allocation; encoding one copies it back. Applying it
+//! ([`crate::engine::Oak::apply_event`]) reads the bytes in place.
 
 use oak_json::Value;
 
-use crate::aggregates::ServerFold;
+use crate::analysis::PageAnalysis;
+use crate::detect::Violation;
 use crate::engine::{LogAction, LogEvent};
 use crate::rule::{Rule, RuleId};
 use crate::spec;
@@ -183,24 +192,372 @@ pub enum EngineEvent {
     },
 }
 
-/// The distilled, replayable effect of one [`crate::engine::Oak::ingest_report`].
-#[derive(Clone, Debug, Default, PartialEq)]
+/// The replayable effect of one [`crate::engine::Oak::ingest_report`]:
+/// the user's aggregate folds, the pending-violation counts and the
+/// activity-log records the ingest decided on, held as the encoded
+/// `ingest` body of the event layout (see the module docs) — the bytes a
+/// journal, a replication `Append` and a replay carry, and the only form
+/// the effect has in memory.
+///
+/// Built by [`IngestEffect::from_parts`] or by [`SequencedEvent::decode`],
+/// so the body is always one the decoder accepts; [`IngestEffect::parts`]
+/// reads it back.
+#[derive(Clone, Debug, PartialEq)]
 pub struct IngestEffect {
+    /// `time user n×fold n×rule n×record`, checked.
+    body: Box<[u8]>,
+}
+
+/// One server's share of an ingest, borrowed from wherever it lies — what
+/// [`IngestEffect::from_parts`] writes as one `fold`.
+#[derive(Clone, Copy, Debug)]
+pub struct Fold<'a, D> {
+    /// Domain names resolving to the server, lowercase, in analysis
+    /// order.
+    pub domains: &'a [D],
+    /// Objects fetched from it in this report.
+    pub objects: u64,
+    /// Bytes fetched from it in this report.
+    pub bytes: u64,
+    /// Small-object download times, ms (report order).
+    pub small_times_ms: &'a [f64],
+    /// Large-object throughputs, kbit/s (report order).
+    pub large_tputs_kbps: &'a [f64],
+    /// Whether the detector flagged the server as a violator.
+    pub violated: bool,
+}
+
+impl<D: AsRef<str>> Fold<'_, D> {
+    fn encoded_len(&self) -> usize {
+        let domains: usize = self.domains.iter().map(|d| 4 + d.as_ref().len()).sum();
+        let samples = self.small_times_ms.len() + self.large_tputs_kbps.len();
+        MIN_FOLD_BYTES + domains + 8 * samples
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_len(out, self.domains.len());
+        for domain in self.domains {
+            put_str(out, domain.as_ref());
+        }
+        put_u64(out, self.objects);
+        put_u64(out, self.bytes);
+        put_f64s(out, self.small_times_ms);
+        put_f64s(out, self.large_tputs_kbps);
+        out.push(u8::from(self.violated));
+    }
+}
+
+impl IngestEffect {
+    /// Writes an ingest body from its parts, sized exactly first, so the
+    /// body is one allocation. `folds` is walked twice (size, then
+    /// write).
+    pub fn from_parts<'f, D: AsRef<str> + 'f>(
+        time: Instant,
+        user: &str,
+        folds: impl Iterator<Item = Fold<'f, D>> + Clone,
+        pending: &[RuleId],
+        records: &[(u64, LogEvent)],
+    ) -> IngestEffect {
+        let (fold_count, fold_bytes) = folds
+            .clone()
+            .fold((0, 0), |(n, len), fold| (n + 1, len + fold.encoded_len()));
+        let record_bytes: usize = records.iter().map(|(_, entry)| entry.record_len()).sum();
+        let len = 8 + 4 + user.len() + 4 + fold_bytes + 4 + 4 * pending.len() + 4 + record_bytes;
+        let mut body = Vec::with_capacity(len);
+        put_u64(&mut body, time.as_millis());
+        put_str(&mut body, user);
+        put_len(&mut body, fold_count);
+        for fold in folds {
+            fold.encode_into(&mut body);
+        }
+        put_len(&mut body, pending.len());
+        for id in pending {
+            put_u32(&mut body, id.0);
+        }
+        put_len(&mut body, records.len());
+        for (seq, record) in records {
+            record.encode_record(*seq, &mut body);
+        }
+        debug_assert_eq!(body.len(), len, "an ingest body is sized exactly");
+        IngestEffect {
+            body: body.into_boxed_slice(),
+        }
+    }
+
+    /// The effect of ingesting the report `analysis` was made from: one
+    /// fold per analysed server, in analysis order, flagged when
+    /// `violations` names its IP.
+    pub(crate) fn from_analysis(
+        time: Instant,
+        user: &str,
+        analysis: &PageAnalysis<'_>,
+        violations: &[Violation],
+        pending: &[RuleId],
+        records: &[(u64, LogEvent)],
+    ) -> IngestEffect {
+        let folds = analysis.servers.iter().map(|server| Fold {
+            domains: &server.domains,
+            objects: server.object_count as u64,
+            bytes: server.total_bytes,
+            small_times_ms: &server.small_times_ms,
+            large_tputs_kbps: &server.large_tputs_kbps,
+            violated: violations.iter().any(|v| v.ip == server.ip),
+        });
+        IngestEffect::from_parts(time, user, folds, pending, records)
+    }
+
+    /// The body, read in place from the front: the scalars, then the
+    /// folds — and, past them, the pending rules and the records
+    /// ([`Folds::rest`]).
+    pub fn parts(&self) -> IngestParts<'_> {
+        let mut c = Cursor(&self.body);
+        let time = Instant(c.u64());
+        let user = c.str();
+        let left = c.len();
+        IngestParts {
+            time,
+            user,
+            folds: Folds { c, left },
+        }
+    }
+
+    /// Ingest time (becomes the user's `last_seen`).
+    pub fn time(&self) -> Instant {
+        self.parts().time
+    }
+
+    /// The reporting user.
+    pub fn user(&self) -> &str {
+        self.parts().user
+    }
+
+    /// Per-server aggregate increments, in encoded order.
+    pub fn folds(&self) -> Folds<'_> {
+        self.parts().folds
+    }
+
+    /// Rules whose pending-violation counter incremented without
+    /// reaching the activation quota.
+    pub fn pending(&self) -> Pending<'_> {
+        self.folds().rest().0
+    }
+
+    /// `(log sequence, event)` for every activity-log record the ingest
+    /// appended — activations, advances, deactivations, TTL expiries —
+    /// in append order, each decoded to an owned [`LogEvent`].
+    pub fn records(&self) -> Records<'_> {
+        self.folds().rest().1
+    }
+}
+
+/// Walks one ingest body as [`IngestEffect::from_parts`] lays it out,
+/// checking every count and length against the bytes that remain, every
+/// string's UTF-8 and every flag and tag — what makes the views of the
+/// body that [`SequencedEvent::decode`] keeps infallible. Allocates
+/// nothing but an error message.
+fn check_ingest(r: &mut Reader<'_>) -> Result<(), String> {
+    r.u64("ingest time")?;
+    r.str("ingest user")?;
+    for _ in 0..r.count(MIN_FOLD_BYTES, "folds")? {
+        for _ in 0..r.count(4, "fold domains")? {
+            r.str("fold domain")?;
+        }
+        r.u64("fold objects")?;
+        r.u64("fold bytes")?;
+        read_f64_run(r, "fold small times")?;
+        read_f64_run(r, "fold large throughputs")?;
+        match r.u8("fold violated flag")? {
+            0 | 1 => {}
+            other => return Err(format!("fold violated flag is 0x{other:02x}, not 0 or 1")),
+        }
+    }
+    for _ in 0..r.count(4, "pending rules")? {
+        read_rule_id(r, "pending rule")?;
+    }
+    for _ in 0..r.count(MIN_RECORD_BYTES, "records")? {
+        read_record(r)?;
+    }
+    Ok(())
+}
+
+/// A cursor over an ingest body that [`check_ingest`] accepted or
+/// [`IngestEffect::from_parts`] wrote: every read is known to fit, so
+/// none returns a `Result`.
+#[derive(Clone, Debug)]
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> &'a [u8] {
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        head
+    }
+
+    fn u32(&mut self) -> u32 {
+        u32::from_le_bytes(self.take(4).try_into().expect("4 bytes"))
+    }
+
+    fn u64(&mut self) -> u64 {
+        u64::from_le_bytes(self.take(8).try_into().expect("8 bytes"))
+    }
+
+    /// A length or element count.
+    fn len(&mut self) -> usize {
+        self.u32() as usize
+    }
+
+    fn str(&mut self) -> &'a str {
+        let n = self.len();
+        std::str::from_utf8(self.take(n)).expect("an ingest body was checked")
+    }
+}
+
+/// An ingest body, read in place: the scalars, and the folds.
+#[derive(Clone, Debug)]
+pub struct IngestParts<'a> {
     /// Ingest time (becomes the user's `last_seen`).
     pub time: Instant,
     /// The reporting user.
-    pub user: String,
-    /// Per-server aggregate increments (see
-    /// [`crate::aggregates::SiteAggregates::fold_distilled`]).
-    pub folds: Vec<ServerFold>,
-    /// Rules whose pending-violation counter incremented without
-    /// reaching the activation quota.
-    pub pending: Vec<RuleId>,
-    /// `(log sequence, event)` for every activity-log record this ingest
-    /// appended — activations, advances, deactivations, TTL expiries —
-    /// in append order. Replay applies both the log append and the
-    /// user-state transition each record implies.
-    pub records: Vec<(u64, LogEvent)>,
+    pub user: &'a str,
+    /// The per-server folds, then ([`Folds::rest`]) the rest of the body.
+    pub folds: Folds<'a>,
+}
+
+/// The folds of an ingest body, in encoded order.
+#[derive(Clone, Debug)]
+pub struct Folds<'a> {
+    c: Cursor<'a>,
+    left: usize,
+}
+
+impl<'a> Folds<'a> {
+    /// Steps over the folds not read yet, and reads on: the rules whose
+    /// pending count incremented, and the activity-log records.
+    pub fn rest(mut self) -> (Pending<'a>, Records<'a>) {
+        while self.next().is_some() {}
+        let n = self.c.len();
+        let pending = Pending(self.c.take(4 * n).chunks_exact(4));
+        let left = self.c.len();
+        let records = Records {
+            r: Reader::new(self.c.0),
+            left,
+        };
+        (pending, records)
+    }
+}
+
+impl<'a> Iterator for Folds<'a> {
+    type Item = FoldView<'a>;
+
+    fn next(&mut self) -> Option<FoldView<'a>> {
+        self.left = self.left.checked_sub(1)?;
+        let c = &mut self.c;
+        let domain_count = c.len();
+        let start = c.0;
+        for _ in 0..domain_count {
+            let n = c.len();
+            c.take(n);
+        }
+        let domains = &start[..start.len() - c.0.len()];
+        let objects = c.u64();
+        let bytes = c.u64();
+        let n = c.len();
+        let small = c.take(8 * n);
+        let n = c.len();
+        let large = c.take(8 * n);
+        let violated = c.take(1)[0] == 1;
+        Some(FoldView {
+            domain_count,
+            domains,
+            objects,
+            bytes,
+            small,
+            large,
+            violated,
+        })
+    }
+}
+
+/// One fold of an ingest body, read in place.
+#[derive(Clone, Copy, Debug)]
+pub struct FoldView<'a> {
+    domain_count: usize,
+    /// The encoded domain names, each behind its length.
+    domains: &'a [u8],
+    objects: u64,
+    bytes: u64,
+    /// The raw bits of the small-object times.
+    small: &'a [u8],
+    /// The raw bits of the large-object throughputs.
+    large: &'a [u8],
+    violated: bool,
+}
+
+impl<'a> FoldView<'a> {
+    /// Domain names resolving to the server, in encoded order.
+    pub fn domains(&self) -> impl Iterator<Item = &'a str> {
+        let mut c = Cursor(self.domains);
+        (0..self.domain_count).map(move |_| c.str())
+    }
+
+    /// Objects fetched from the server.
+    pub fn objects(&self) -> u64 {
+        self.objects
+    }
+
+    /// Bytes fetched from the server.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Small-object download times, ms, in report order.
+    pub fn small_times_ms(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
+        f64s(self.small)
+    }
+
+    /// Large-object throughputs, kbit/s, in report order.
+    pub fn large_tputs_kbps(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
+        f64s(self.large)
+    }
+
+    /// Whether the detector flagged the server.
+    pub fn violated(&self) -> bool {
+        self.violated
+    }
+}
+
+/// The pending rules of an ingest body.
+#[derive(Clone, Debug)]
+pub struct Pending<'a>(std::slice::ChunksExact<'a, u8>);
+
+impl Iterator for Pending<'_> {
+    type Item = RuleId;
+
+    fn next(&mut self) -> Option<RuleId> {
+        let raw = self.0.next()?;
+        Some(RuleId(u32::from_le_bytes(raw.try_into().expect("4 bytes"))))
+    }
+}
+
+/// The activity-log records of an ingest body, each decoded to an owned
+/// `(log sequence, event)`.
+#[derive(Debug)]
+pub struct Records<'a> {
+    r: Reader<'a>,
+    left: usize,
+}
+
+impl Iterator for Records<'_> {
+    type Item = (u64, LogEvent);
+
+    fn next(&mut self) -> Option<(u64, LogEvent)> {
+        self.left = self.left.checked_sub(1)?;
+        Some(
+            read_record(&mut self.r)
+                .expect("an ingest body was checked")
+                .into_owned(),
+        )
+    }
 }
 
 /// Exact `f64` encoding for the snapshot document: Rust's
@@ -290,6 +647,11 @@ impl<'a> Reader<'a> {
 
     fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
+    }
+
+    /// Every byte not read yet.
+    fn rest(&self) -> &'a [u8] {
+        &self.bytes[self.pos..]
     }
 
     /// The next `n` bytes.
@@ -399,43 +761,22 @@ pub(crate) fn read_rule_id(r: &mut Reader<'_>, what: &str) -> Result<RuleId, Str
     r.u32(what).map(RuleId)
 }
 
-fn read_f64s(r: &mut Reader<'_>, what: &str) -> Result<Vec<f64>, String> {
-    r.list(8, what, |r| r.f64(what))
+/// A `u32` count of `f64`s, then their bits, left encoded.
+fn read_f64_run<'a>(r: &mut Reader<'a>, what: &str) -> Result<&'a [u8], String> {
+    let n = r.count(8, what)?;
+    r.take(8 * n, what)
+}
+
+/// The `f64`s of a run [`read_f64_run`] returned.
+fn f64s(run: &[u8]) -> impl ExactSizeIterator<Item = f64> + '_ {
+    run.chunks_exact(8)
+        .map(|raw| f64::from_bits(u64::from_le_bytes(raw.try_into().expect("8 bytes"))))
 }
 
 /// Smallest encoded fold: three empty lists, two counters, the flag.
 const MIN_FOLD_BYTES: usize = 4 + 8 + 8 + 4 + 4 + 1;
 /// Smallest encoded log record: `seq`, time, an empty user, rule, tag.
 pub(crate) const MIN_RECORD_BYTES: usize = 8 + 8 + 4 + 4 + 1;
-
-impl ServerFold {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        put_len(out, self.domains.len());
-        for domain in &self.domains {
-            put_str(out, domain);
-        }
-        put_u64(out, self.objects);
-        put_u64(out, self.bytes);
-        put_f64s(out, &self.small_times_ms);
-        put_f64s(out, &self.large_tputs_kbps);
-        out.push(u8::from(self.violated));
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<ServerFold, String> {
-        Ok(ServerFold {
-            domains: r.list(4, "fold domains", |r| r.str("fold domain").map(Arc::from))?,
-            objects: r.u64("fold objects")?,
-            bytes: r.u64("fold bytes")?,
-            small_times_ms: read_f64s(r, "fold small times")?,
-            large_tputs_kbps: read_f64s(r, "fold large throughputs")?,
-            violated: match r.u8("fold violated flag")? {
-                0 => false,
-                1 => true,
-                other => return Err(format!("fold violated flag is 0x{other:02x}, not 0 or 1")),
-            },
-        })
-    }
-}
 
 impl LogEvent {
     /// Appends the `record` layout: the log sequence number, then the
@@ -464,32 +805,84 @@ impl LogEvent {
         }
     }
 
+    /// Bytes [`LogEvent::encode_record`] appends.
+    fn record_len(&self) -> usize {
+        MIN_RECORD_BYTES
+            + self.user.len()
+            + match &self.action {
+                LogAction::Activated { violator_ip, .. } => 4 + violator_ip.len() + 8,
+                LogAction::Advanced { .. } => 8,
+                LogAction::Deactivated | LogAction::Expired => 0,
+            }
+    }
+
     /// Inverse of [`LogEvent::encode_record`].
     pub(crate) fn decode_record(r: &mut Reader<'_>) -> Result<(u64, LogEvent), String> {
-        let seq = r.u64("record seq")?;
-        let entry = LogEvent {
-            time: Instant(r.u64("record time")?),
-            user: r.str("record user")?.to_owned(),
-            rule: read_rule_id(r, "record rule")?,
-            action: match r.u8("record action")? {
-                0 => LogAction::Activated {
-                    violator_ip: r.str("violator ip")?.to_owned(),
-                    severity: r.f64("severity")?,
-                },
-                1 => {
-                    let raw = r.u64("advanced index")?;
-                    LogAction::Advanced {
-                        to_index: usize::try_from(raw)
-                            .map_err(|_| format!("advanced index {raw} out of range"))?,
-                    }
-                }
-                2 => LogAction::Deactivated,
-                3 => LogAction::Expired,
-                other => return Err(format!("unknown log action 0x{other:02x}")),
-            },
-        };
-        Ok((seq, entry))
+        read_record(r).map(RecordRef::into_owned)
     }
+}
+
+/// One `record`, its strings borrowed from the bytes it was read from.
+struct RecordRef<'a> {
+    seq: u64,
+    time: Instant,
+    user: &'a str,
+    rule: RuleId,
+    action: ActionRef<'a>,
+}
+
+/// A [`LogAction`], its violator IP borrowed.
+enum ActionRef<'a> {
+    Activated { violator_ip: &'a str, severity: f64 },
+    Owned(LogAction),
+}
+
+impl RecordRef<'_> {
+    fn into_owned(self) -> (u64, LogEvent) {
+        let action = match self.action {
+            ActionRef::Activated {
+                violator_ip,
+                severity,
+            } => LogAction::Activated {
+                violator_ip: violator_ip.to_owned(),
+                severity,
+            },
+            ActionRef::Owned(action) => action,
+        };
+        let entry = LogEvent {
+            time: self.time,
+            user: self.user.to_owned(),
+            rule: self.rule,
+            action,
+        };
+        (self.seq, entry)
+    }
+}
+
+/// Reads one `record`, allocating nothing.
+fn read_record<'a>(r: &mut Reader<'a>) -> Result<RecordRef<'a>, String> {
+    Ok(RecordRef {
+        seq: r.u64("record seq")?,
+        time: Instant(r.u64("record time")?),
+        user: r.str("record user")?,
+        rule: read_rule_id(r, "record rule")?,
+        action: match r.u8("record action")? {
+            0 => ActionRef::Activated {
+                violator_ip: r.str("violator ip")?,
+                severity: r.f64("severity")?,
+            },
+            1 => {
+                let raw = r.u64("advanced index")?;
+                ActionRef::Owned(LogAction::Advanced {
+                    to_index: usize::try_from(raw)
+                        .map_err(|_| format!("advanced index {raw} out of range"))?,
+                })
+            }
+            2 => ActionRef::Owned(LogAction::Deactivated),
+            3 => ActionRef::Owned(LogAction::Expired),
+            other => return Err(format!("unknown log action 0x{other:02x}")),
+        },
+    })
 }
 
 impl SequencedEvent {
@@ -513,20 +906,7 @@ impl SequencedEvent {
             }
             EngineEvent::Ingest(effect) => {
                 out.push(2);
-                put_u64(out, effect.time.as_millis());
-                put_str(out, &effect.user);
-                put_len(out, effect.folds.len());
-                for fold in &effect.folds {
-                    fold.encode_into(out);
-                }
-                put_len(out, effect.pending.len());
-                for id in &effect.pending {
-                    put_u32(out, id.0);
-                }
-                put_len(out, effect.records.len());
-                for (seq, record) in &effect.records {
-                    record.encode_record(*seq, out);
-                }
+                out.extend_from_slice(&effect.body);
             }
             EngineEvent::ForceActivate { time, user, rule } => {
                 out.push(3);
@@ -606,13 +986,14 @@ impl SequencedEvent {
             1 => EngineEvent::RuleRemoved {
                 id: read_rule_id(&mut r, "rule id")?,
             },
-            2 => EngineEvent::Ingest(IngestEffect {
-                time: Instant(r.u64("ingest time")?),
-                user: r.str("ingest user")?.to_owned(),
-                folds: r.list(MIN_FOLD_BYTES, "folds", ServerFold::decode)?,
-                pending: r.list(4, "pending rules", |r| read_rule_id(r, "pending rule"))?,
-                records: r.list(MIN_RECORD_BYTES, "records", LogEvent::decode_record)?,
-            }),
+            2 => {
+                let body = r.rest();
+                check_ingest(&mut r)?;
+                r.finish("the event")?;
+                // Checked whole before the one allocation: a copy.
+                let event = EngineEvent::Ingest(IngestEffect { body: body.into() });
+                return Ok(SequencedEvent { seq, epoch, event });
+            }
             3 => EngineEvent::ForceActivate {
                 time: Instant(r.u64("activation time")?),
                 user: r.str("activated user")?.to_owned(),

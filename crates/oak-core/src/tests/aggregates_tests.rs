@@ -1,6 +1,7 @@
-use crate::aggregates::{distill, RunningStat, SiteAggregates};
+use crate::aggregates::{RunningStat, SiteAggregates};
 use crate::analysis::PageAnalysis;
 use crate::detect::{Violation, ViolationKind};
+use crate::events::IngestEffect;
 use crate::intern::Interner;
 use crate::report::{ObjectTiming, PerfReport};
 
@@ -43,10 +44,15 @@ fn report(user: &str, slow: bool) -> PerfReport {
 /// Folds one report the way the engine does, `violators` flagged.
 fn fold(agg: &mut SiteAggregates, report: &PerfReport, violators: &[Violation]) {
     let analysis = PageAnalysis::from_report(report);
-    agg.fold_distilled(
+    let effect = IngestEffect::from_analysis(
+        crate::Instant::ZERO,
         &report.user,
-        &distill(analysis, violators, &Interner::new()),
+        &analysis,
+        violators,
+        &[],
+        &[],
     );
+    agg.fold(effect.user(), effect.folds(), &Interner::new());
 }
 
 #[test]
@@ -85,6 +91,33 @@ fn violations_attribute_to_the_flagged_ip() {
     assert_eq!(agg.domain("img.example").unwrap().violations, 0);
     let worst = agg.worst_domains();
     assert_eq!(worst[0].0, "cdn.example");
+}
+
+/// A body decoded from a journal may spell a domain in any case — the
+/// engine's own are lowercase — and folding it files the domain under
+/// that spelling, without touching the lowercase one or failing.
+#[test]
+fn a_domain_is_filed_under_its_spelling() {
+    use crate::events::Fold;
+
+    let interner = Interner::new();
+    let mut agg = SiteAggregates::new();
+    for domain in ["cdn.example", "CDN.Example", "cdn.example"] {
+        let fold = Fold {
+            domains: &[domain],
+            objects: 1,
+            bytes: 10_000,
+            small_times_ms: &[80.0],
+            large_tputs_kbps: &[],
+            violated: false,
+        };
+        let effect =
+            IngestEffect::from_parts(crate::Instant::ZERO, "u-1", std::iter::once(fold), &[], &[]);
+        agg.fold(effect.user(), effect.folds(), &interner);
+    }
+    assert_eq!(agg.domain("cdn.example").unwrap().objects, 2);
+    assert_eq!(agg.domain("CDN.Example").unwrap().objects, 1);
+    assert_eq!(agg.domain("CDN.Example").unwrap().users_seen, 1);
 }
 
 #[test]
@@ -253,7 +286,9 @@ mod against_the_model {
     use proptest::prelude::*;
 
     use crate::aggregates::model::ModelAggregates;
-    use crate::aggregates::{ServerFold, SiteAggregates};
+    use crate::aggregates::SiteAggregates;
+    use crate::events::{Fold, IngestEffect};
+    use crate::intern::Interner;
 
     const SHARDS: usize = 3;
     const USERS: usize = 6;
@@ -292,24 +327,31 @@ mod against_the_model {
         prop_oneof![fold.clone(), fold.clone(), fold.clone(), fold, merge]
     }
 
-    fn folds_of(servers: &[(u8, Vec<f64>, Vec<f64>, bool)]) -> Vec<ServerFold> {
-        servers
+    /// One report's effect, written through the engine's encoder.
+    fn effect_of(user: &str, servers: &[(u8, Vec<f64>, Vec<f64>, bool)]) -> IngestEffect {
+        let domains: Vec<Vec<&str>> = servers
             .iter()
-            .map(|(mask, small, large, violated)| ServerFold {
-                // A fresh handle per name, as a replayed event carries.
-                domains: DOMAINS
+            .map(|(mask, ..)| {
+                DOMAINS
                     .iter()
                     .enumerate()
                     .filter(|(i, _)| mask & (1 << i) != 0)
-                    .map(|(_, d)| Arc::from(*d))
-                    .collect(),
+                    .map(|(_, d)| *d)
+                    .collect()
+            })
+            .collect();
+        let folds = servers
+            .iter()
+            .zip(&domains)
+            .map(|((_, small, large, violated), domains)| Fold {
+                domains,
                 objects: (small.len() + large.len()) as u64,
                 bytes: 1_000 * small.len() as u64 + 100_000 * large.len() as u64,
-                small_times_ms: small.clone(),
-                large_tputs_kbps: large.clone(),
+                small_times_ms: small,
+                large_tputs_kbps: large,
                 violated: *violated,
-            })
-            .collect()
+            });
+        IngestEffect::from_parts(crate::Instant::ZERO, user, folds, &[], &[])
     }
 
     proptest! {
@@ -328,12 +370,14 @@ mod against_the_model {
         ) {
             let mut shards = vec![SiteAggregates::new(); SHARDS];
             let mut models = vec![ModelAggregates::default(); SHARDS];
+            let interner = Interner::new();
             for op in &ops {
                 match op {
                     Op::Fold { shard, user, servers } => {
-                        let (user, folds) = (format!("u-{user}"), folds_of(servers));
-                        shards[*shard].fold_capped(&user, &folds, cap);
-                        models[*shard].fold_capped(&user, &folds, cap);
+                        let user = format!("u-{user}");
+                        let effect = effect_of(&user, servers);
+                        shards[*shard].fold_capped(&user, effect.folds(), &interner, cap);
+                        models[*shard].fold_capped(&user, effect.folds(), cap);
                     }
                     Op::Merge { from, into } => {
                         let (other, model) = (shards[*from].clone(), models[*from].clone());

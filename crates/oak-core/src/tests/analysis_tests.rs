@@ -131,11 +131,9 @@ mod against_the_reference {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::aggregates::{distill, ServerFold};
     use crate::analysis::reference;
     use crate::detect::{detect_violators, DetectorConfig, OutlierMethod};
-    use crate::events::{EngineEvent, IngestEffect, SequencedEvent};
-    use crate::intern::Interner;
+    use crate::events::{Fold, IngestEffect};
     use crate::Instant;
 
     /// IPs whose byte order is not their numeric order, one that is a
@@ -185,28 +183,13 @@ mod against_the_reference {
         })
     }
 
-    fn encode(folds: Vec<ServerFold>) -> Vec<u8> {
-        SequencedEvent {
-            seq: 7,
-            epoch: 0,
-            event: EngineEvent::Ingest(IngestEffect {
-                time: Instant(3),
-                user: "u-1".to_owned(),
-                folds,
-                pending: Vec::new(),
-                records: Vec::new(),
-            }),
-        }
-        .encode()
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// The borrowed analysis lists the servers, domains and samples
         /// the owned, tree-ordered one listed, in its order, bit for bit
-        /// — and what `distill` makes of it is journaled as the same
-        /// bytes.
+        /// — and the ingest body written from it is the one written from
+        /// the owned analysis's parts.
         #[test]
         fn borrowed_analysis_is_the_owned_one(
             report in report_strategy(),
@@ -251,21 +234,23 @@ mod against_the_reference {
                 );
             }
 
-            // `distill` as it read the owned analysis.
-            let interner = Interner::new();
-            let expected_folds: Vec<ServerFold> = owned
+            // The encoder as it would read the owned analysis.
+            let domains: Vec<Vec<&str>> = owned
                 .values()
-                .map(|server| ServerFold {
-                    domains: server.domains.iter().map(|d| interner.intern_lower(d)).collect(),
-                    objects: server.object_count as u64,
-                    bytes: server.total_bytes,
-                    small_times_ms: server.small_times_ms.clone(),
-                    large_tputs_kbps: server.large_tputs_kbps.clone(),
-                    violated: violator_ips.contains(&server.ip.as_str()),
-                })
+                .map(|server| server.domains.iter().map(String::as_str).collect())
                 .collect();
-            let folds = distill(analysis, &violations, &interner);
-            prop_assert_eq!(encode(folds), encode(expected_folds));
+            let expected_folds = owned.values().zip(&domains).map(|(server, domains)| Fold {
+                domains,
+                objects: server.object_count as u64,
+                bytes: server.total_bytes,
+                small_times_ms: &server.small_times_ms,
+                large_tputs_kbps: &server.large_tputs_kbps,
+                violated: violator_ips.contains(&server.ip.as_str()),
+            });
+            let expected = IngestEffect::from_parts(Instant(3), "u-1", expected_folds, &[], &[]);
+            let effect =
+                IngestEffect::from_analysis(Instant(3), "u-1", &analysis, &violations, &[], &[]);
+            prop_assert_eq!(effect, expected);
         }
     }
 }

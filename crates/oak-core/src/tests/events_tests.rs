@@ -7,14 +7,14 @@
 //! `OAK_BLESS=1 cargo test -p oak-core golden`.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use super::peak_alloc_during;
-use crate::aggregates::ServerFold;
+use super::{allocs_during, peak_alloc_during};
 use crate::engine::{LogAction, LogEvent};
-use crate::events::{EngineEvent, IngestEffect, SequencedEvent, EVENT_HEADER_LEN, EVENT_VERSION};
+use crate::events::{
+    EngineEvent, Fold, IngestEffect, SequencedEvent, EVENT_HEADER_LEN, EVENT_VERSION,
+};
 use crate::rule::{Rule, RuleId, SelectionPolicy};
 use crate::time::Instant;
 
@@ -42,7 +42,32 @@ fn name() -> impl Strategy<Value = String> {
     prop_oneof![Just(String::new()), "\\PC{0,12}", "u-[0-9]{1,5}"]
 }
 
-fn fold() -> impl Strategy<Value = ServerFold> {
+/// A fold's parts, owned: domains, `(objects, bytes, violated)`, small
+/// times, large throughputs.
+type FoldParts = (Vec<String>, (u64, u64, bool), Vec<f64>, Vec<f64>);
+
+/// The effect [`IngestEffect::from_parts`] writes from owned parts.
+fn ingest_effect(
+    time: u64,
+    user: &str,
+    folds: &[FoldParts],
+    pending: &[RuleId],
+    records: &[(u64, LogEvent)],
+) -> IngestEffect {
+    let folds = folds
+        .iter()
+        .map(|(domains, (objects, bytes, violated), small, large)| Fold {
+            domains,
+            objects: *objects,
+            bytes: *bytes,
+            small_times_ms: small,
+            large_tputs_kbps: large,
+            violated: *violated,
+        });
+    IngestEffect::from_parts(Instant(time), user, folds, pending, records)
+}
+
+fn fold() -> impl Strategy<Value = FoldParts> {
     // Mostly a handful of samples; sometimes the 1,000 a large page has.
     let samples = || {
         prop_oneof![
@@ -56,16 +81,6 @@ fn fold() -> impl Strategy<Value = ServerFold> {
         samples(),
         samples(),
     )
-        .prop_map(
-            |(domains, (objects, bytes, violated), small_times_ms, large_tputs_kbps)| ServerFold {
-                domains: domains.into_iter().map(Arc::from).collect(),
-                objects,
-                bytes,
-                small_times_ms,
-                large_tputs_kbps,
-                violated,
-            },
-        )
 }
 
 fn log_event() -> impl Strategy<Value = LogEvent> {
@@ -119,37 +134,42 @@ fn rule() -> impl Strategy<Value = Rule> {
         )
 }
 
-/// Strategy: all seven variants, equally likely.
-fn engine_event() -> impl Strategy<Value = EngineEvent> {
-    let ingest = (
+/// An ingest's parts, owned: time, user, folds, pending rules, records.
+type OwnedIngest = (
+    u64,
+    String,
+    Vec<FoldParts>,
+    Vec<RuleId>,
+    Vec<(u64, LogEvent)>,
+);
+
+fn ingest_parts() -> impl Strategy<Value = OwnedIngest> {
+    (
         (any::<u64>(), name()),
         // Empty, a page's worth, or 1,000 folds.
         prop_oneof![
             prop::collection::vec(fold(), 0..4),
             prop::collection::vec(
-                Just(ServerFold {
-                    domains: vec![Arc::from("cdn.example")],
-                    objects: 1,
-                    bytes: 30_000,
-                    small_times_ms: vec![81.5],
-                    large_tputs_kbps: Vec::new(),
-                    violated: false,
-                }),
+                Just((
+                    vec!["cdn.example".to_owned()],
+                    (1, 30_000, false),
+                    vec![81.5],
+                    Vec::new(),
+                )),
                 1_000..1_001,
             ),
         ],
         prop::collection::vec(any::<u32>().prop_map(RuleId), 0..4),
         prop::collection::vec((any::<u64>(), log_event()), 0..4),
     )
-        .prop_map(|((time, user), folds, pending, records)| {
-            EngineEvent::Ingest(IngestEffect {
-                time: Instant(time),
-                user,
-                folds,
-                pending,
-                records,
-            })
-        });
+        .prop_map(|((time, user), folds, pending, records)| (time, user, folds, pending, records))
+}
+
+/// Strategy: all seven variants, equally likely.
+fn engine_event() -> impl Strategy<Value = EngineEvent> {
+    let ingest = ingest_parts().prop_map(|(time, user, folds, pending, records)| {
+        EngineEvent::Ingest(ingest_effect(time, &user, &folds, &pending, &records))
+    });
     prop_oneof![
         (any::<u32>(), rule()).prop_map(|(id, rule)| EngineEvent::RuleAdded {
             id: RuleId(id),
@@ -228,29 +248,25 @@ fn sample_events() -> Vec<(&'static str, SequencedEvent)> {
             "ingest",
             at(
                 2,
-                EngineEvent::Ingest(IngestEffect {
-                    time: Instant(1_500),
-                    user: "u-1".to_owned(),
-                    folds: vec![
-                        ServerFold {
-                            domains: vec![Arc::from("cdn.example"), Arc::from("alias.example")],
-                            objects: 2,
-                            bytes: 60_000,
-                            small_times_ms: vec![900.25, 0.1],
-                            large_tputs_kbps: vec![1234.5],
-                            violated: true,
-                        },
-                        ServerFold {
-                            domains: vec![Arc::from("good.example")],
-                            objects: 1,
-                            bytes: 30_000,
-                            small_times_ms: vec![80.0],
-                            large_tputs_kbps: Vec::new(),
-                            violated: false,
-                        },
+                EngineEvent::Ingest(ingest_effect(
+                    1_500,
+                    "u-1",
+                    &[
+                        (
+                            vec!["cdn.example".to_owned(), "alias.example".to_owned()],
+                            (2, 60_000, true),
+                            vec![900.25, 0.1],
+                            vec![1234.5],
+                        ),
+                        (
+                            vec!["good.example".to_owned()],
+                            (1, 30_000, false),
+                            vec![80.0],
+                            Vec::new(),
+                        ),
                     ],
-                    pending: vec![RuleId(4), RuleId(9)],
-                    records: vec![
+                    &[RuleId(4), RuleId(9)],
+                    &[
                         (
                             10,
                             LogEvent {
@@ -291,7 +307,7 @@ fn sample_events() -> Vec<(&'static str, SequencedEvent)> {
                             },
                         ),
                     ],
-                }),
+                )),
             ),
         ),
         (
@@ -385,6 +401,47 @@ proptest! {
         prop_assert_eq!(decoded.encode(), bytes);
     }
 
+    /// An ingest's views read back the parts it was written from: the
+    /// scalars, every fold's domains, counters, sample bits and flag, the
+    /// pending rules and the records, in order — before and after a
+    /// round trip through the decoder.
+    #[test]
+    fn ingest_views_read_back_their_parts(parts in ingest_parts()) {
+        let (time, user, folds, pending, records) = parts;
+        let written = ingest_effect(time, &user, &folds, &pending, &records);
+        let event = SequencedEvent { seq: 1, epoch: 0, event: EngineEvent::Ingest(written.clone()) };
+        let EngineEvent::Ingest(decoded) = SequencedEvent::decode(&event.encode()).unwrap().event
+        else {
+            panic!("an ingest decodes to an ingest");
+        };
+        prop_assert_eq!(&decoded, &written);
+        let bits = |xs: &mut dyn Iterator<Item = f64>| xs.map(f64::to_bits).collect::<Vec<_>>();
+        let record_bytes = |records: &mut dyn Iterator<Item = (u64, LogEvent)>| {
+            let mut out = Vec::new();
+            records.for_each(|(seq, entry)| entry.encode_record(seq, &mut out));
+            out
+        };
+        for effect in [written, decoded] {
+            prop_assert_eq!(effect.time(), Instant(time));
+            prop_assert_eq!(effect.user(), user.as_str());
+            prop_assert_eq!(effect.folds().count(), folds.len());
+            for (view, (domains, (objects, bytes, violated), small, large)) in
+                effect.folds().zip(&folds)
+            {
+                prop_assert!(view.domains().eq(domains.iter().map(String::as_str)));
+                prop_assert_eq!((view.objects(), view.bytes()), (*objects, *bytes));
+                prop_assert_eq!(bits(&mut view.small_times_ms()), bits(&mut small.iter().copied()));
+                prop_assert_eq!(bits(&mut view.large_tputs_kbps()), bits(&mut large.iter().copied()));
+                prop_assert_eq!(view.violated(), *violated);
+            }
+            prop_assert!(effect.pending().eq(pending.iter().copied()));
+            prop_assert_eq!(
+                record_bytes(&mut effect.records()),
+                record_bytes(&mut records.iter().cloned())
+            );
+        }
+    }
+
     /// Arbitrary bytes behind a valid header decode to an error or an
     /// event, never a panic.
     #[test]
@@ -451,6 +508,50 @@ fn lying_counts_fail_before_they_allocate() {
         err,
         "1000 pruned users cannot fit in the 400 bytes that remain"
     );
+}
+
+/// An ingest decode checks the whole body before it sizes anything: a
+/// frame it accepts costs one allocation, the copy of its body, and a
+/// frame it refuses — every cut of the golden one, every four bytes of
+/// it overwritten with a four-billion count, the lying fold count above —
+/// allocates nothing but the error message it returns.
+#[test]
+fn an_ingest_decode_allocates_once_and_a_refused_one_only_its_message() {
+    let golden = sample_events().remove(2).1.encode();
+    let decode = |bytes: &[u8]| {
+        let ((decoded, allocs), peak) =
+            peak_alloc_during(|| allocs_during(|| SequencedEvent::decode(bytes)));
+        match decoded {
+            Ok(_) => {
+                assert_eq!(allocs, 1, "an accepted ingest");
+                assert_eq!(peak, bytes.len() - EVENT_HEADER_LEN, "the body, copied");
+            }
+            Err(message) => {
+                // `format!` sizes the message once and may grow it once.
+                assert!(allocs <= 2, "{allocs} allocations for {message:?}");
+                assert!(
+                    peak <= message.capacity(),
+                    "{peak} bytes at once for {message:?}"
+                );
+            }
+        }
+    };
+    assert!(SequencedEvent::decode(&golden).is_ok());
+    decode(&golden);
+    for cut in EVENT_HEADER_LEN..golden.len() {
+        assert!(SequencedEvent::decode(&golden[..cut]).is_err());
+        decode(&golden[..cut]);
+    }
+    for at in EVENT_HEADER_LEN..=golden.len() - 4 {
+        let mut lying = golden.clone();
+        lying[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        decode(&lying);
+    }
+    let mut lying = header(2);
+    lying.extend_from_slice(&[0; 8]); // time
+    lying.extend_from_slice(&0u32.to_le_bytes()); // user ""
+    lying.extend_from_slice(&u32::MAX.to_le_bytes());
+    decode(&lying);
 }
 
 #[test]

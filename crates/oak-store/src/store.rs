@@ -293,31 +293,11 @@ impl OakStore {
     /// are correct copies, and shipping them spares the follower a
     /// snapshot transfer.
     fn recent_tail(&self, from_seq: u64, max: usize) -> Option<Vec<SequencedEvent>> {
-        let recent = self.recent.lock().expect("recent ring lock");
-        let first = recent.front()?.0;
-        if from_seq < first {
-            return None;
-        }
-        let mut events = Vec::new();
-        let mut expect = from_seq;
-        for (seq, frame) in recent.iter() {
-            if *seq < expect {
-                continue;
-            }
-            if events.len() == max {
-                break;
-            }
-            if *seq != expect {
-                // A lower seq is still mid-append in another shard;
-                // shipping past the hole would let a follower apply out
-                // of order.
-                break;
-            }
-            // What the scan would decode from the same bytes on disk.
-            events.push(SequencedEvent::decode(&frame[FRAME_OVERHEAD..]).ok()?);
-            expect += 1;
-        }
-        Some(events)
+        ring_tail(
+            &self.recent.lock().expect("recent ring lock"),
+            from_seq,
+            max,
+        )
     }
 
     /// Flushes every open segment to stable storage regardless of the
@@ -581,17 +561,62 @@ impl EventSink for OakStore {
         } else {
             // Only journaled events enter the ring: `tail` asserts
             // what is on (or queued for) disk, never more.
-            let mut recent = self.recent.lock().expect("recent ring lock");
-            // Concurrent shard appends can land slightly out of order.
-            let at = recent.partition_point(|(seq, _)| *seq < event.seq);
-            recent.insert(at, (event.seq, frame));
-            while recent.len() > RECENT_TAIL_CAP {
-                recent.pop_front();
-            }
+            ring_insert(
+                &mut self.recent.lock().expect("recent ring lock"),
+                event.seq,
+                frame,
+            );
         }
         self.events_recorded.fetch_add(1, Ordering::Relaxed);
         self.events_since_snapshot.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+/// Files a journaled frame in the recent ring under its `seq`, keeping
+/// the ring seq-sorted and at most [`RECENT_TAIL_CAP`] long.
+fn ring_insert(recent: &mut VecDeque<(u64, Vec<u8>)>, seq: u64, frame: Vec<u8>) {
+    // Concurrent shard appends can land slightly out of order.
+    let at = recent.partition_point(|(s, _)| *s < seq);
+    recent.insert(at, (seq, frame));
+    while recent.len() > RECENT_TAIL_CAP {
+        recent.pop_front();
+    }
+}
+
+/// The first `max` events of the recent ring from `from_seq` on, up to
+/// the first hole; `None` when the ring starts past `from_seq`.
+fn ring_tail(
+    recent: &VecDeque<(u64, Vec<u8>)>,
+    from_seq: u64,
+    max: usize,
+) -> Option<Vec<SequencedEvent>> {
+    let first = recent.front()?.0;
+    if from_seq < first {
+        return None;
+    }
+    // The ring is seq-sorted ([`ring_insert`]): start at `from_seq`
+    // rather than walk up to it.
+    let start = recent.partition_point(|(seq, _)| *seq < from_seq);
+    let mut events = Vec::new();
+    let mut expect = from_seq;
+    for (seq, frame) in recent.range(start..) {
+        if *seq < expect {
+            continue;
+        }
+        if events.len() == max {
+            break;
+        }
+        if *seq != expect {
+            // A lower seq is still mid-append in another shard;
+            // shipping past the hole would let a follower apply out
+            // of order.
+            break;
+        }
+        // What the scan would decode from the same bytes on disk.
+        events.push(SequencedEvent::decode(&frame[FRAME_OVERHEAD..]).ok()?);
+        expect += 1;
+    }
+    Some(events)
 }
 
 /// What [`recover`] rebuilt.
@@ -825,4 +850,90 @@ pub(crate) fn parse_snapshot_name(name: &str) -> Option<u64> {
         .strip_suffix(".snap")?
         .parse()
         .ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+
+    use oak_core::events::{EngineEvent, SequencedEvent};
+    use oak_core::rule::RuleId;
+
+    use super::{ring_insert, ring_tail, RECENT_TAIL_CAP};
+    use crate::segment::{build_frame, FRAME_OVERHEAD};
+
+    /// The ring walk as it was: from the front, skipping below `from_seq`.
+    fn linear_tail(
+        recent: &VecDeque<(u64, Vec<u8>)>,
+        from_seq: u64,
+        max: usize,
+    ) -> Option<Vec<SequencedEvent>> {
+        let first = recent.front()?.0;
+        if from_seq < first {
+            return None;
+        }
+        let mut events = Vec::new();
+        let mut expect = from_seq;
+        for (seq, frame) in recent {
+            if *seq < expect {
+                continue;
+            }
+            if events.len() == max || *seq != expect {
+                break;
+            }
+            events.push(SequencedEvent::decode(&frame[FRAME_OVERHEAD..]).ok()?);
+            expect += 1;
+        }
+        Some(events)
+    }
+
+    fn seqs(events: Option<Vec<SequencedEvent>>) -> Option<Vec<u64>> {
+        events.map(|events| events.iter().map(|e| e.seq).collect())
+    }
+
+    /// Out-of-order shard appends, a hole and an overflowing ring: for
+    /// every `from_seq` the ring can answer, the jump to it returns what
+    /// walking from the front returned.
+    #[test]
+    fn the_ring_jump_is_the_linear_walk() {
+        const HOLE: u64 = 1_100;
+        let total = RECENT_TAIL_CAP as u64 + 200;
+        let mut recent = VecDeque::new();
+        // Shards land in runs of eight, each run reversed: every append
+        // but the first of a run is behind one already filed.
+        for run in (0..total).step_by(8) {
+            for seq in (run..(run + 8).min(total)).rev().filter(|&seq| seq != HOLE) {
+                let event = SequencedEvent {
+                    seq,
+                    epoch: 1,
+                    event: EngineEvent::RuleRemoved {
+                        id: RuleId(seq as u32),
+                    },
+                };
+                ring_insert(&mut recent, seq, build_frame(|out| event.encode_into(out)));
+            }
+        }
+        assert_eq!(recent.len(), RECENT_TAIL_CAP);
+        let first = recent.front().unwrap().0;
+        assert!(recent
+            .iter()
+            .zip(recent.iter().skip(1))
+            .all(|(a, b)| a.0 < b.0));
+        for from in first.saturating_sub(2)..total + 2 {
+            for max in [0, 1, 64, usize::MAX] {
+                assert_eq!(
+                    seqs(ring_tail(&recent, from, max)),
+                    seqs(linear_tail(&recent, from, max)),
+                    "from {from}, max {max}"
+                );
+            }
+        }
+        assert_eq!(seqs(ring_tail(&recent, first - 1, 64)), None);
+        assert_eq!(
+            seqs(ring_tail(&recent, HOLE - 3, 64)),
+            Some(vec![HOLE - 3, HOLE - 2, HOLE - 1]),
+            "stops at the hole"
+        );
+        assert_eq!(seqs(ring_tail(&recent, HOLE, 64)), Some(Vec::new()));
+    }
 }
