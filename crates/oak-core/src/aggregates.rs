@@ -6,14 +6,20 @@
 //! performance" (§5). This module is that third piece: streaming
 //! aggregates over every ingested report, independent of any rule — the
 //! raw material for dashboards and for the §6 auditing workflow.
+//!
+//! Reports are unauthenticated, so what one can add is bounded: a shard
+//! keeps at most [`SiteAggregates::MAX_ROWS`] domain rows, every other
+//! name folds into one `other` aggregate, and a row counts its distinct
+//! users in a fixed-size [`UserSketch`] rather than a set of them.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use oak_json::Value;
 
+use crate::engine::SHARD_COUNT;
 use crate::events::{
-    ascending, f64_to_value, put_f64, put_len, put_str, put_u32, put_u64, FoldView, Reader,
+    ascending, f64_to_value, put_f64, put_len, put_str, put_u64, FoldView, Reader,
 };
 use crate::intern::Interner;
 
@@ -66,6 +72,86 @@ impl RunningStat {
     }
 }
 
+/// Registers in a [`UserSketch`], one byte each.
+const REGISTERS: usize = 64;
+
+/// A HyperLogLog sketch of distinct users (Flajolet et al., 2007): 64
+/// one-byte registers, whatever the count. Its standard error is
+/// 1.04 / √64 ≈ 13 %, and the bound it is held to is three of them,
+/// 39 %; below 2.5 × 64 users it counts by the empty registers instead
+/// (linear counting, 64 · ln(64 / empty)), an estimate too: 20 users in
+/// 20 distinct registers read as 24, and whether a small count reads
+/// exactly depends on where its users hash. It is a pure function of
+/// the set of users folded in, so a
+/// replayed fold rebuilds it byte for byte, and a merge is a
+/// register-wise max: shards partition users, so the merge of theirs is
+/// the sketch of the union.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UserSketch([u8; REGISTERS]);
+
+impl Default for UserSketch {
+    fn default() -> UserSketch {
+        UserSketch([0; REGISTERS])
+    }
+}
+
+impl UserSketch {
+    /// What the sketch hashes `user` to: its FNV-1a — the hash that
+    /// places it on a shard — through MurmurHash3's 64-bit finaliser.
+    /// The finaliser matters: FNV-1a modulo the shard count picks the
+    /// shard, so every user one shard sketches shares those low bits.
+    pub fn key(user: &str) -> u64 {
+        let mut h = crate::engine::shard_key(user);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+
+    /// Counts the user whose [`UserSketch::key`] is `key`: the top six
+    /// bits pick a register, which keeps the largest rank — the position
+    /// of the first set bit in the other 58, from 1, and 59 when none is.
+    pub fn insert(&mut self, key: u64) {
+        let register = &mut self.0[(key >> 58) as usize];
+        let rank = ((key << 6) | 1 << 5).leading_zeros() as u8 + 1;
+        *register = (*register).max(rank);
+    }
+
+    /// Folds another sketch in: the sketch of the union of the two sets.
+    pub fn merge(&mut self, other: &UserSketch) {
+        for (ours, theirs) in self.0.iter_mut().zip(&other.0) {
+            *ours = (*ours).max(*theirs);
+        }
+    }
+
+    /// The distinct users counted, estimated and rounded.
+    pub fn estimate(&self) -> u64 {
+        let m = REGISTERS as f64;
+        let empty = self.0.iter().filter(|r| **r == 0).count();
+        let harmonic: f64 = self.0.iter().map(|r| 0.5f64.powi(i32::from(*r))).sum();
+        // α₆₄ · m² / Σ 2^−register, α₆₄ = 0.709 (Flajolet et al.).
+        let raw = 0.709 * m * m / harmonic;
+        let estimate = if raw <= 2.5 * m && empty > 0 {
+            m * (m / empty as f64).ln()
+        } else {
+            raw
+        };
+        estimate.round() as u64
+    }
+
+    /// The registers, as lowercase hex — how the snapshot document spells
+    /// the sketch.
+    fn to_hex(self) -> String {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let hex = self
+            .0
+            .iter()
+            .flat_map(|r| [DIGITS[usize::from(r >> 4)], DIGITS[usize::from(r & 15)]]);
+        hex.map(char::from).collect()
+    }
+}
+
 /// Aggregates for one external domain across all users and reports.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DomainAggregate {
@@ -79,20 +165,25 @@ pub struct DomainAggregate {
     pub large_tput_kbps: RunningStat,
     /// How many times the domain was flagged as a violator.
     pub violations: u64,
-    /// Distinct reporting users seen (approximate: counts unique users
-    /// while the set is small; see [`SiteAggregates::USER_SAMPLE_CAP`]).
-    pub users_seen: u64,
+    /// The distinct reporting users, sketched.
+    pub users: UserSketch,
 }
 
 impl DomainAggregate {
+    /// Distinct reporting users seen, as [`UserSketch::estimate`] gives
+    /// it.
+    pub fn users_seen(&self) -> u64 {
+        self.users.estimate()
+    }
+
     /// Folds another domain's accumulator in (shard merge).
     fn merge(&mut self, other: &DomainAggregate) {
-        self.objects += other.objects;
-        self.bytes += other.bytes;
+        self.objects = self.objects.saturating_add(other.objects);
+        self.bytes = self.bytes.saturating_add(other.bytes);
         self.small_time_ms.merge(&other.small_time_ms);
         self.large_tput_kbps.merge(&other.large_tput_kbps);
         self.violations += other.violations;
-        self.users_seen += other.users_seen;
+        self.users.merge(&other.users);
     }
 }
 
@@ -111,11 +202,11 @@ fn key_for(domain: &str, interner: &Interner) -> Arc<str> {
 /// A scrape-cost-bounded view of the site aggregates: report and
 /// distinct-user totals plus the merged per-domain records, without the
 /// per-user report counts. Merging full [`SiteAggregates`] clones one
-/// map entry per distinct user ever seen — exact, and required for
-/// snapshots, but O(lifetime users) per call. A stats endpoint hit
-/// while the engine holds millions of user records must not pay that,
-/// so the serving path folds shards into this instead: cost is bounded
-/// by the (small, site-shaped) domain set.
+/// map entry per distinct user ever seen — O(lifetime users) per call. A
+/// stats endpoint hit while the engine holds millions of user records
+/// must not pay that, so the serving path folds shards into this
+/// instead: cost is bounded by the domain rows, at most
+/// [`SiteAggregates::MAX_ROWS`] a shard.
 #[derive(Clone, Debug, Default)]
 pub struct SiteOverview {
     /// Reports folded across every shard.
@@ -124,105 +215,115 @@ pub struct SiteOverview {
     /// users, so per-shard counts sum exactly.
     pub users: u64,
     domains: BTreeMap<Arc<str>, DomainAggregate>,
+    other: DomainAggregate,
 }
 
 impl SiteOverview {
-    /// Folds one shard's accumulator in. Only the domain table is
+    /// Folds one shard's accumulator in. Only the domain rows are
     /// deep-merged; the per-user map contributes its length.
     pub fn fold(&mut self, shard: &SiteAggregates) {
         self.reports += shard.reports;
         self.users += shard.users.len() as u64;
-        for (domain, agg) in &shard.domains {
-            self.domains
-                .entry(Arc::clone(domain))
-                .or_default()
-                .merge(agg);
-        }
+        merge_rows(&mut self.domains, &shard.domains);
+        self.other.merge(&shard.other);
     }
 
     /// Domains ordered by violation count, worst first — same ordering
     /// as [`SiteAggregates::worst_domains`].
     pub fn worst_domains(&self) -> Vec<(&str, &DomainAggregate)> {
-        let mut rows: Vec<(&str, &DomainAggregate)> =
-            self.domains.iter().map(|(d, a)| (&**d, a)).collect();
-        rows.sort_by(|a, b| b.1.violations.cmp(&a.1.violations).then(a.0.cmp(b.0)));
-        rows
+        worst(&self.domains)
+    }
+
+    /// Everything the domain rows do not hold (see
+    /// [`SiteAggregates::other`]).
+    pub fn other(&self) -> &DomainAggregate {
+        &self.other
     }
 }
 
-/// What the aggregates keep per reporting user.
-#[derive(Clone, Debug, Default, PartialEq)]
-struct UserEntry {
-    /// Reports folded for the user.
-    reports: u64,
-    /// The domains whose `users_seen` this user is counted in, ascending
-    /// by name, each once — a page's worth, so membership is a binary
-    /// search in a short list the report-count lookup already reached.
-    sampled: Vec<Arc<str>>,
+fn merge_rows(
+    into: &mut BTreeMap<Arc<str>, DomainAggregate>,
+    rows: &BTreeMap<Arc<str>, DomainAggregate>,
+) {
+    for (domain, agg) in rows {
+        into.entry(Arc::clone(domain)).or_default().merge(agg);
+    }
+}
+
+/// Rows by violation count, worst first, ties by name.
+fn worst(rows: &BTreeMap<Arc<str>, DomainAggregate>) -> Vec<(&str, &DomainAggregate)> {
+    let mut rows: Vec<(&str, &DomainAggregate)> = rows.iter().map(|(d, a)| (&**d, a)).collect();
+    rows.sort_by(|a, b| b.1.violations.cmp(&a.1.violations).then(a.0.cmp(b.0)));
+    rows
 }
 
 /// Whole-site aggregates, updated per report.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SiteAggregates {
+    /// At most [`SiteAggregates::MAX_ROWS`] in an engine shard.
     domains: BTreeMap<Arc<str>, DomainAggregate>,
-    users: BTreeMap<String, UserEntry>,
+    /// Every fold whose domain has no row: one new to a full shard, or a
+    /// name no DNS host can have. A field rather than a key, so no host
+    /// can collide with it.
+    other: DomainAggregate,
+    /// Reports folded per user.
+    users: BTreeMap<String, u64>,
     reports: u64,
-    /// Total `(domain, user)` pairs across every [`UserEntry::sampled`],
-    /// capped by [`SiteAggregates::USER_SAMPLE_CAP`] (bounded memory
-    /// under adversarial user churn).
-    sample_count: usize,
 }
 
 impl SiteAggregates {
-    /// Per-domain distinct-user tracking caps at this many (domain, user)
-    /// pairs overall; beyond it, `users_seen` stops increasing.
-    pub const USER_SAMPLE_CAP: usize = 100_000;
+    /// Most domain rows an engine shard keeps: the interner's capacity
+    /// over the shards, so the aggregates never name more domains than
+    /// the interner retains.
+    pub const MAX_ROWS: usize = Interner::CAPACITY / SHARD_COUNT;
 
     /// An empty accumulator.
     pub fn new() -> SiteAggregates {
         SiteAggregates::default()
     }
 
+    /// Whether a domain without a row gets one, rather than folding into
+    /// `other`.
+    fn admits(&self, domain: &str) -> bool {
+        domain.len() <= Interner::MAX_NAME && self.domains.len() < Self::MAX_ROWS
+    }
+
     /// Folds one ingest's per-server increments, read in place from its
     /// [`crate::events::IngestEffect`]. The live engine and WAL replay
-    /// both fold the same bytes, so the floating-point accumulation order
-    /// — and therefore every recovered sum — is bit-identical. A domain
-    /// new to this accumulator is keyed by `interner`'s handle.
+    /// both fold the same bytes in the shard's log order, so the
+    /// floating-point accumulation order, which domains get rows, and
+    /// therefore every recovered byte are identical. A domain new to this
+    /// accumulator is keyed by `interner`'s handle.
     pub fn fold<'a>(
         &mut self,
         user: &str,
         folds: impl IntoIterator<Item = FoldView<'a>>,
         interner: &Interner,
     ) {
-        self.fold_capped(user, folds, interner, Self::USER_SAMPLE_CAP);
-    }
-
-    /// [`SiteAggregates::fold`] under an explicit pair cap (tests lower
-    /// it to reach the capped regime).
-    pub(crate) fn fold_capped<'a>(
-        &mut self,
-        user: &str,
-        folds: impl IntoIterator<Item = FoldView<'a>>,
-        interner: &Interner,
-        cap: usize,
-    ) {
         self.reports += 1;
-        // One lookup per report reaches everything kept per user; a
-        // returning user (the steady state) costs no key allocation.
-        let entry = match self.users.get_mut(user) {
-            Some(entry) => entry,
-            None => self.users.entry(user.to_owned()).or_default(),
-        };
-        entry.reports += 1;
-
+        // A returning user (the steady state) costs no key allocation.
+        match self.users.get_mut(user) {
+            Some(reports) => *reports += 1,
+            None => {
+                self.users.insert(user.to_owned(), 1);
+            }
+        }
+        let key = UserSketch::key(user);
         for server in folds {
             for domain in server.domains() {
                 let agg = match self.domains.get_mut(domain) {
                     Some(agg) => agg,
-                    None => self.domains.entry(key_for(domain, interner)).or_default(),
+                    None => {
+                        if self.admits(domain) {
+                            self.domains.entry(key_for(domain, interner)).or_default()
+                        } else {
+                            &mut self.other
+                        }
+                    }
                 };
-                agg.objects += server.objects();
-                agg.bytes += server.bytes();
+                // Sizes saturate: a report may claim 2^53 bytes an object.
+                agg.objects = agg.objects.saturating_add(server.objects());
+                agg.bytes = agg.bytes.saturating_add(server.bytes());
                 // Per-sample push order is load-bearing: WAL replay must
                 // reproduce bit-identical float sums.
                 for t in server.small_times_ms() {
@@ -234,45 +335,24 @@ impl SiteAggregates {
                 if server.violated() {
                     agg.violations += 1;
                 }
-                if self.sample_count < cap {
-                    if let Err(at) = entry.sampled.binary_search_by(|d| (**d).cmp(domain)) {
-                        agg.users_seen += 1;
-                        self.sample_count += 1;
-                        let (name, _) = self
-                            .domains
-                            .get_key_value(domain)
-                            .expect("folded into just above");
-                        entry.sampled.insert(at, Arc::clone(name));
-                    }
-                }
+                agg.users.insert(key);
             }
         }
     }
 
     /// Folds a whole other accumulator in. The engine stripes aggregates
-    /// per user-state shard and merges on read; because each user maps to
-    /// exactly one shard, the per-user report counts and `(domain, user)`
-    /// sample sets of different shards are disjoint, and adding them is
-    /// exact. (The [`SiteAggregates::USER_SAMPLE_CAP`] bound then applies
-    /// per shard rather than globally.)
+    /// per user-state shard and merges on read; each user maps to exactly
+    /// one shard, so the per-user report counts add exactly, and a row's
+    /// sketch is the sketch of the union. The merge is a read-side view:
+    /// it keeps every shard's rows, so it may hold more than
+    /// [`SiteAggregates::MAX_ROWS`].
     pub fn merge(&mut self, other: &SiteAggregates) {
         self.reports += other.reports;
-        for (user, theirs) in &other.users {
-            let ours = self.users.entry(user.clone()).or_default();
-            ours.reports += theirs.reports;
-            for domain in &theirs.sampled {
-                if let Err(at) = ours.sampled.binary_search(domain) {
-                    ours.sampled.insert(at, Arc::clone(domain));
-                    self.sample_count += 1;
-                }
-            }
+        for (user, reports) in &other.users {
+            *self.users.entry(user.clone()).or_default() += reports;
         }
-        for (domain, agg) in &other.domains {
-            self.domains
-                .entry(Arc::clone(domain))
-                .or_default()
-                .merge(agg);
-        }
+        merge_rows(&mut self.domains, &other.domains);
+        self.other.merge(&other.other);
     }
 
     /// Reports folded so far.
@@ -282,7 +362,7 @@ impl SiteAggregates {
 
     /// Reports folded for one user.
     pub fn reports_from(&self, user: &str) -> u64 {
-        self.users.get(user).map_or(0, |entry| entry.reports)
+        self.users.get(user).copied().unwrap_or(0)
     }
 
     /// Distinct users that have reported.
@@ -290,9 +370,17 @@ impl SiteAggregates {
         self.users.len()
     }
 
-    /// The aggregate for one domain, if seen.
+    /// The aggregate for one domain, if it has a row.
     pub fn domain(&self, domain: &str) -> Option<&DomainAggregate> {
         self.domains.get(domain)
+    }
+
+    /// Every fold whose domain has no row of its own: one new to a shard
+    /// already holding [`SiteAggregates::MAX_ROWS`] rows, or longer than
+    /// [`Interner::MAX_NAME`]. Never listed by
+    /// [`SiteAggregates::worst_domains`].
+    pub fn other(&self) -> &DomainAggregate {
+        &self.other
     }
 
     /// Iterates over `(domain, aggregate)` in domain order.
@@ -304,77 +392,57 @@ impl SiteAggregates {
     /// components of their sites are performing poorly" view, without
     /// requiring any rules to be configured.
     pub fn worst_domains(&self) -> Vec<(&str, &DomainAggregate)> {
-        let mut rows: Vec<(&str, &DomainAggregate)> = self.iter().collect();
-        rows.sort_by(|a, b| b.1.violations.cmp(&a.1.violations).then(a.0.cmp(b.0)));
-        rows
+        worst(&self.domains)
     }
 
-    /// Encodes the accumulator for an engine snapshot. All maps are
+    /// Encodes the accumulator for the readable dump. All maps are
     /// ordered, so equal accumulators encode byte-identically; float
-    /// fields use the exact string codec (see [`crate::events`]).
+    /// fields use the exact string codec (see [`crate::events`]), and a
+    /// sketch is spelled out register by register beside its estimate,
+    /// so the dump holds every byte of the state.
     pub fn to_value(&self) -> Value {
         let mut doc = Value::object();
         doc.set("reports", self.reports);
-        doc.set("users", Value::Array(self.user_rows().collect()));
-        doc.set("domains", Value::Array(self.domain_rows().collect()));
-        doc.set("samples", Value::Array(self.sample_rows().collect()));
-        doc
-    }
-
-    /// `[user, report count]` pairs, in user order.
-    fn user_rows(&self) -> impl Iterator<Item = Value> + '_ {
-        self.users.iter().map(|(user, entry)| {
+        let users = self.users.iter().map(|(user, reports)| {
             let mut pair = Value::array();
             pair.push(user.as_str());
-            pair.push(entry.reports);
+            pair.push(*reports);
             pair
-        })
-    }
-
-    fn domain_rows(&self) -> impl Iterator<Item = Value> + '_ {
-        self.domains.iter().map(|(domain, agg)| {
-            let mut row = Value::object();
+        });
+        doc.set("users", Value::Array(users.collect()));
+        let domains = self.domains.iter().map(|(domain, agg)| {
+            let mut row = agg.to_value();
             row.set("domain", &**domain);
-            row.set("objects", agg.objects);
-            row.set("bytes", agg.bytes);
-            row.set("violations", agg.violations);
-            row.set("users_seen", agg.users_seen);
-            row.set("small", agg.small_time_ms.to_value());
-            row.set("large", agg.large_tput_kbps.to_value());
             row
-        })
+        });
+        doc.set("domains", Value::Array(domains.collect()));
+        doc.set("other", self.other.to_value());
+        doc
     }
+}
 
-    /// Flat `[domain, user]` pairs, domain then user, both ascending —
-    /// the `samples` rows of the snapshot document, derived from the
-    /// per-user lists: walking `users` in order appends to each domain's
-    /// list in user order, so nothing is sorted.
-    fn sample_rows(&self) -> impl Iterator<Item = Value> + '_ {
-        let mut by_domain: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-        for (user, entry) in &self.users {
-            for domain in &entry.sampled {
-                by_domain.entry(domain).or_default().push(user);
-            }
-        }
-        by_domain.into_iter().flat_map(|(domain, users)| {
-            users.into_iter().map(move |user| {
-                let mut pair = Value::array();
-                pair.push(domain);
-                pair.push(user);
-                pair
-            })
-        })
+impl DomainAggregate {
+    fn to_value(&self) -> Value {
+        let mut row = Value::object();
+        row.set("objects", self.objects);
+        row.set("bytes", self.bytes);
+        row.set("violations", self.violations);
+        row.set("users_seen", self.users_seen());
+        row.set("users", self.users.to_hex());
+        row.set("small", self.small_time_ms.to_value());
+        row.set("large", self.large_tput_kbps.to_value());
+        row
     }
 }
 
 /// One [`RunningStat`] in a state image: the count and three floats.
 const STAT_BYTES: usize = 4 * 8;
-/// One per-domain row of a state image: the index, four counters, two
-/// stats.
-const DOMAIN_ROW_BYTES: usize = 4 + 4 * 8 + 2 * STAT_BYTES;
+/// One [`DomainAggregate`] in a state image: three counters, two stats,
+/// the sketch's registers.
+const AGGREGATE_BYTES: usize = 3 * 8 + 2 * STAT_BYTES + REGISTERS;
 /// Smallest per-user row of a state image: an empty name, the report
-/// count, no sampled domains.
-const MIN_USER_ROW_BYTES: usize = 4 + 8 + 4;
+/// count.
+const MIN_USER_ROW_BYTES: usize = 4 + 8;
 
 /// Reads an index into the state image's domain table.
 fn read_domain(r: &mut Reader<'_>, table: &[Arc<str>], what: &str) -> Result<usize, String> {
@@ -389,39 +457,30 @@ fn read_domain(r: &mut Reader<'_>, table: &[Arc<str>], what: &str) -> Result<usi
 }
 
 impl SiteAggregates {
-    /// Every domain this accumulator keeps an aggregate for, ascending.
-    pub(crate) fn domain_names(&self) -> impl Iterator<Item = &Arc<str>> {
-        self.domains.keys()
+    /// Every domain this accumulator keeps a row for, ascending.
+    pub(crate) fn domain_names(&self) -> impl Iterator<Item = &str> {
+        self.domains.keys().map(|name| &**name)
     }
 
     /// Appends the accumulator's part of a state image
     /// ([`crate::engine::Oak::state_image`]; DESIGN.md §8 tables the
-    /// layout): domains travel as what `index_of` says their index in the
-    /// image's domain table is.
-    pub(crate) fn write_image<'a>(
-        &'a self,
-        out: &mut Vec<u8>,
-        index_of: &mut impl FnMut(&'a Arc<str>) -> u32,
-    ) {
+    /// layout): a row's domain travels as its index in `table`, the
+    /// image's ascending domain table.
+    pub(crate) fn write_image(&self, out: &mut Vec<u8>, table: &[&str]) {
         put_u64(out, self.reports);
         put_len(out, self.domains.len());
         for (domain, agg) in &self.domains {
-            put_u32(out, index_of(domain));
-            put_u64(out, agg.objects);
-            put_u64(out, agg.bytes);
-            put_u64(out, agg.violations);
-            put_u64(out, agg.users_seen);
-            agg.small_time_ms.write_image(out);
-            agg.large_tput_kbps.write_image(out);
+            let index = table
+                .binary_search(&&**domain)
+                .expect("the table holds every row's domain");
+            put_len(out, index);
+            agg.write_image(out);
         }
+        self.other.write_image(out);
         put_len(out, self.users.len());
-        for (user, entry) in &self.users {
+        for (user, reports) in &self.users {
             put_str(out, user);
-            put_u64(out, entry.reports);
-            put_len(out, entry.sampled.len());
-            for domain in &entry.sampled {
-                put_u32(out, index_of(domain));
-            }
+            put_u64(out, *reports);
         }
     }
 
@@ -431,9 +490,8 @@ impl SiteAggregates {
     /// # Errors
     ///
     /// Names the first field that is cut short, out of range or out of
-    /// order, and a sampled domain the accumulator keeps no aggregate for
-    /// — a state [`SiteAggregates::fold`] never reaches, since
-    /// it samples a domain only as the key it just folded into.
+    /// order, and a shard holding more rows than
+    /// [`SiteAggregates::MAX_ROWS`].
     pub(crate) fn read_image(
         r: &mut Reader<'_>,
         table: &[Arc<str>],
@@ -443,48 +501,112 @@ impl SiteAggregates {
             reports: r.u64("aggregate reports")?,
             ..SiteAggregates::default()
         };
-        // The table entries this accumulator aggregates: one mark per
-        // entry, so each of a large site's ~100k samples checks in O(1).
-        let mut listed = vec![false; table.len()];
+        let rows = r.count(4 + AGGREGATE_BYTES, "aggregate domains")?;
+        if rows > Self::MAX_ROWS {
+            return Err(format!(
+                "{rows} aggregate domains in a shard, which keeps at most {}",
+                Self::MAX_ROWS
+            ));
+        }
         let mut prev = None;
-        for _ in 0..r.count(DOMAIN_ROW_BYTES, "aggregate domains")? {
+        for _ in 0..rows {
             let index = read_domain(r, table, "aggregate domain index")?;
             ascending(&mut prev, index, "aggregate domain indexes")?;
             used[index] = true;
-            listed[index] = true;
-            let agg = DomainAggregate {
-                objects: r.u64("domain objects")?,
-                bytes: r.u64("domain bytes")?,
-                violations: r.u64("domain violations")?,
-                users_seen: r.u64("domain users seen")?,
-                small_time_ms: RunningStat::read_image(r, "small-object stat")?,
-                large_tput_kbps: RunningStat::read_image(r, "large-object stat")?,
-            };
+            let agg = DomainAggregate::read_image(r)?;
             out.domains.insert(Arc::clone(&table[index]), agg);
         }
+        out.other = DomainAggregate::read_image(r)?;
         let mut prev = None;
         for _ in 0..r.count(MIN_USER_ROW_BYTES, "aggregate users")? {
             let user = r.str("aggregate user")?;
             ascending(&mut prev, user, "aggregate users")?;
-            let reports = r.u64("user reports")?;
-            let mut prev = None;
-            // Ascending indexes into an ascending table: ascending names.
-            let sampled = r.list(4, "sampled domains", |r| {
-                let index = read_domain(r, table, "sampled domain index")?;
-                ascending(&mut prev, index, "sampled domain indexes")?;
-                if !listed[index] {
-                    return Err(format!(
-                        "sampled domain {index} ({:?}) has no aggregate row in its shard",
-                        table[index]
-                    ));
-                }
-                Ok(Arc::clone(&table[index]))
-            })?;
-            out.sample_count += sampled.len();
-            out.users
-                .insert(user.to_owned(), UserEntry { reports, sampled });
+            out.users.insert(user.to_owned(), r.u64("user reports")?);
         }
         Ok(out)
+    }
+
+    /// [`SiteAggregates::read_image`] for a version 0x01 image, read
+    /// until the reader is deleted (DESIGN.md §8, "Upgrades"). There a
+    /// row carried an exact `users_seen`, and each user row listed the
+    /// domains it was counted under: those lists become the sketches,
+    /// and the rows past [`SiteAggregates::MAX_ROWS`], in image order,
+    /// fold into `other`.
+    pub(crate) fn read_image_v1(
+        r: &mut Reader<'_>,
+        table: &[Arc<str>],
+        used: &mut [bool],
+    ) -> Result<SiteAggregates, String> {
+        let mut out = SiteAggregates {
+            reports: r.u64("aggregate reports")?,
+            ..SiteAggregates::default()
+        };
+        // Every row the image lists, by table index: sketched first, then
+        // admitted in image order.
+        let mut rows = BTreeMap::new();
+        let mut prev = None;
+        for _ in 0..r.count(4 + 4 * 8 + 2 * STAT_BYTES, "aggregate domains")? {
+            let index = read_domain(r, table, "aggregate domain index")?;
+            ascending(&mut prev, index, "aggregate domain indexes")?;
+            used[index] = true;
+            let mut agg = DomainAggregate {
+                objects: r.u64("domain objects")?,
+                bytes: r.u64("domain bytes")?,
+                violations: r.u64("domain violations")?,
+                ..DomainAggregate::default()
+            };
+            r.u64("domain users seen")?;
+            agg.small_time_ms = RunningStat::read_image(r, "small-object stat")?;
+            agg.large_tput_kbps = RunningStat::read_image(r, "large-object stat")?;
+            rows.insert(index, agg);
+        }
+        let mut prev = None;
+        for _ in 0..r.count(4 + 8 + 4, "aggregate users")? {
+            let user = r.str("aggregate user")?;
+            ascending(&mut prev, user, "aggregate users")?;
+            out.users.insert(user.to_owned(), r.u64("user reports")?);
+            let key = UserSketch::key(user);
+            let mut prev = None;
+            for _ in 0..r.count(4, "counted domains")? {
+                let index = read_domain(r, table, "counted domain index")?;
+                ascending(&mut prev, index, "counted domain indexes")?;
+                let row = rows.get_mut(&index).ok_or_else(|| {
+                    let name = &table[index];
+                    format!("counted domain {index} ({name:?}) has no aggregate row in its shard")
+                })?;
+                row.users.insert(key);
+            }
+        }
+        for (index, agg) in rows {
+            if out.admits(&table[index]) {
+                out.domains.insert(Arc::clone(&table[index]), agg);
+            } else {
+                out.other.merge(&agg);
+            }
+        }
+        Ok(out)
+    }
+}
+
+impl DomainAggregate {
+    fn write_image(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.objects);
+        put_u64(out, self.bytes);
+        put_u64(out, self.violations);
+        self.small_time_ms.write_image(out);
+        self.large_tput_kbps.write_image(out);
+        out.extend_from_slice(&self.users.0);
+    }
+
+    fn read_image(r: &mut Reader<'_>) -> Result<DomainAggregate, String> {
+        Ok(DomainAggregate {
+            objects: r.u64("domain objects")?,
+            bytes: r.u64("domain bytes")?,
+            violations: r.u64("domain violations")?,
+            small_time_ms: RunningStat::read_image(r, "small-object stat")?,
+            large_tput_kbps: RunningStat::read_image(r, "large-object stat")?,
+            users: UserSketch(r.array("user sketch")?),
+        })
     }
 }
 
@@ -515,129 +637,5 @@ impl RunningStat {
         doc.set("min", f64_to_value(self.min));
         doc.set("max", f64_to_value(self.max));
         doc
-    }
-}
-
-/// The accumulator as it was when each domain kept a set of its users
-/// (`user_samples`) beside a bare report count per user — the model the
-/// per-user layout is tested against, since snapshots written by either
-/// must be the same bytes.
-#[cfg(test)]
-pub(crate) mod model {
-    use std::collections::{BTreeMap, BTreeSet};
-    use std::sync::Arc;
-
-    use oak_json::Value;
-
-    use super::DomainAggregate;
-    use crate::events::FoldView;
-
-    #[derive(Clone, Debug, Default)]
-    pub(crate) struct ModelAggregates {
-        pub domains: BTreeMap<Arc<str>, DomainAggregate>,
-        users: BTreeMap<String, u64>,
-        reports: u64,
-        user_samples: BTreeMap<Arc<str>, BTreeSet<String>>,
-        sample_count: usize,
-    }
-
-    impl ModelAggregates {
-        pub(crate) fn fold_capped<'a>(
-            &mut self,
-            user: &str,
-            folds: impl IntoIterator<Item = FoldView<'a>>,
-            cap: usize,
-        ) {
-            self.reports += 1;
-            *self.users.entry(user.to_owned()).or_insert(0) += 1;
-            for server in folds {
-                for domain in server.domains() {
-                    let agg = self.domains.entry(Arc::from(domain)).or_default();
-                    agg.objects += server.objects();
-                    agg.bytes += server.bytes();
-                    for t in server.small_times_ms() {
-                        agg.small_time_ms.push(t);
-                    }
-                    for t in server.large_tputs_kbps() {
-                        agg.large_tput_kbps.push(t);
-                    }
-                    if server.violated() {
-                        agg.violations += 1;
-                    }
-                    if self.sample_count < cap {
-                        let sampled = self.user_samples.entry(Arc::from(domain)).or_default();
-                        if !sampled.contains(user) {
-                            sampled.insert(user.to_owned());
-                            self.sample_count += 1;
-                            agg.users_seen += 1;
-                        }
-                    }
-                }
-            }
-        }
-
-        pub(crate) fn merge(&mut self, other: &ModelAggregates) {
-            self.reports += other.reports;
-            for (user, count) in &other.users {
-                *self.users.entry(user.clone()).or_insert(0) += count;
-            }
-            for (domain, agg) in &other.domains {
-                self.domains
-                    .entry(Arc::clone(domain))
-                    .or_default()
-                    .merge(agg);
-            }
-            for (domain, users) in &other.user_samples {
-                let sampled = self.user_samples.entry(Arc::clone(domain)).or_default();
-                for user in users {
-                    if sampled.insert(user.clone()) {
-                        self.sample_count += 1;
-                    }
-                }
-            }
-        }
-
-        /// `(domain, user)` in the order the `samples` rows list them.
-        pub(crate) fn sample_pairs(&self) -> Vec<(String, String)> {
-            self.user_samples
-                .iter()
-                .flat_map(|(domain, users)| {
-                    users
-                        .iter()
-                        .map(move |user| (domain.to_string(), user.clone()))
-                })
-                .collect()
-        }
-
-        pub(crate) fn to_value(&self) -> Value {
-            let pair = |a: &str, b: Value| {
-                let mut pair = Value::array();
-                pair.push(a);
-                pair.push(b);
-                pair
-            };
-            let mut doc = Value::object();
-            doc.set("reports", self.reports);
-            let users = self.users.iter().map(|(u, n)| pair(u, Value::from(*n)));
-            doc.set("users", Value::Array(users.collect()));
-            let domains = self.domains.iter().map(|(domain, agg)| {
-                let mut row = Value::object();
-                row.set("domain", &**domain);
-                row.set("objects", agg.objects);
-                row.set("bytes", agg.bytes);
-                row.set("violations", agg.violations);
-                row.set("users_seen", agg.users_seen);
-                row.set("small", agg.small_time_ms.to_value());
-                row.set("large", agg.large_tput_kbps.to_value());
-                row
-            });
-            doc.set("domains", Value::Array(domains.collect()));
-            let samples = self.sample_pairs();
-            let samples = samples
-                .iter()
-                .map(|(d, u)| pair(d, Value::from(u.as_str())));
-            doc.set("samples", Value::Array(samples.collect()));
-            doc
-        }
     }
 }

@@ -125,7 +125,7 @@ impl<'r> PageAnalysis<'r> {
             } else {
                 stats.large_tputs_kbps.push(entry.throughput_kbps());
             }
-            stats.total_bytes += entry.bytes;
+            stats.total_bytes = stats.total_bytes.saturating_add(entry.bytes);
             stats.object_count += 1;
         }
         PageAnalysis { servers }
@@ -197,7 +197,7 @@ pub(crate) mod reference {
             } else {
                 stats.large_tputs_kbps.push(entry.throughput_kbps());
             }
-            stats.total_bytes += entry.bytes;
+            stats.total_bytes = stats.total_bytes.saturating_add(entry.bytes);
             stats.object_count += 1;
         }
         servers

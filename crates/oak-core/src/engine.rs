@@ -58,7 +58,7 @@ use crate::{analysis::PageAnalysis, OAK_ALTERNATE_HEADER};
 
 mod image;
 
-pub use image::STATE_IMAGE_VERSION;
+pub use image::{STATE_IMAGE_V1, STATE_IMAGE_VERSION};
 
 /// How many user-state stripes the engine keeps. Requests for users on
 /// different stripes proceed in parallel; 16 is comfortably above the
@@ -662,6 +662,13 @@ impl Oak {
             merged.merge(&shard.lock().expect("shard lock").aggregates);
         }
         merged
+    }
+
+    /// Reports folded into the aggregates: [`Oak::aggregates`]'s
+    /// `report_count`, without merging a row.
+    pub fn report_count(&self) -> u64 {
+        let shards = self.shards.iter().map(|s| s.lock().expect("shard lock"));
+        shards.map(|shard| shard.aggregates.report_count()).sum()
     }
 
     /// As [`Oak::aggregates`], but folding into a

@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       1     version       STATE_IMAGE_VERSION (0x01)
+//! 0       1     version       STATE_IMAGE_VERSION (0x02)
 //! 1       4     shard_count   u32, SHARD_COUNT or the image is refused
 //! 5       8     event_seq     u64, the watermark
 //! 13      8     log_seq       u64
@@ -21,32 +21,30 @@
 //!               shard_count × shard
 //!
 //! shard  = reports:u64
-//!          n×(domain:u32 objects:u64 bytes:u64 violations:u64
-//!             users_seen:u64 small:stat large:stat)
-//!          n×(user:str reports:u64 n×domain:u32)
+//!          n×(domain:u32 agg)             at most 4,096 rows
+//!          agg                            `other`
+//!          n×(user:str reports:u64)
 //!          n×record                       the shard's activity log
 //!          n×(user:str last_seen:u64
 //!             n×(rule:u32 alt:u64 tried:u64 at:u64 severity:f64)
 //!             n×(rule:u32 count:u32))
+//! agg    = objects:u64 bytes:u64 violations:u64 small:stat large:stat
+//!          users:64×u8                    the sketch's registers
 //! stat   = count:u64 sum:f64 min:f64 max:f64
 //! domain = an index into the domain table
 //! ```
 //!
 //! `str`, `n×T`, `f64` and `record` are the event layout's. The table
-//! holds every shard's aggregate keys, each once — a site's few hundred
-//! names, where the readable dump spells one out per `(domain, user)`
-//! sample. A user's sampled domain must be one its own shard aggregates,
-//! as every fold leaves it; the table is built from those keys alone. One
-//! state has one encoding: the table, the rules, and every user,
-//! per-domain and per-rule list are strictly ascending, a table entry
-//! nothing refers to is an error, and so are trailing bytes — so
-//! `state_image(from_state_image(b)) == b`, up to the spelling of a rule's
-//! spec text, which is the spec codec's to keep. The reader checks every
-//! count against the bytes that remain before it allocates for it. This
-//! build reads version 0x01 alone, the one layout it writes (DESIGN.md
-//! §8, "Upgrades").
+//! holds every shard's row keys, each once. One state has one encoding:
+//! the table, the rules, and every user, per-domain and per-rule list are
+//! strictly ascending, a table entry nothing refers to is an error, and
+//! so are trailing bytes — so `state_image(from_state_image(b)) == b`, up
+//! to the spelling of a rule's spec text, which is the spec codec's to
+//! keep. The reader checks every count against the bytes that remain
+//! before it allocates for it. This build also reads version 0x01, whose
+//! shards listed per user the domains it was counted under
+//! ([`SiteAggregates::read_image_v1`]; DESIGN.md §8, "Upgrades").
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, MutexGuard};
 
@@ -57,8 +55,11 @@ use crate::events::{
 };
 use crate::time::Instant;
 
-/// First byte of every state image.
-pub const STATE_IMAGE_VERSION: u8 = 1;
+/// First byte of every state image this build writes.
+pub const STATE_IMAGE_VERSION: u8 = 2;
+
+/// The version before it, which this build still reads.
+pub const STATE_IMAGE_V1: u8 = 1;
 
 /// Smallest `rules` row: the id and an empty spec.
 const MIN_RULE_ROW_BYTES: usize = 4 + 4;
@@ -69,49 +70,16 @@ const ACTIVE_BYTES: usize = 4 + 4 * 8;
 /// One `pending` entry: the rule and its count.
 const PENDING_BYTES: usize = 4 + 4;
 
-/// The image's domain table over a quiesced engine: the names, and where
-/// each shard's own handle for a name points in them.
-struct DomainTable<'a> {
-    /// Ascending, each once.
-    names: Vec<&'a str>,
-    /// Index by the address of a name's bytes: a user's sampled domains
-    /// are clones of its shard's aggregate keys, so the 100,000 samples
-    /// of a large site resolve without comparing a string.
-    by_handle: HashMap<*const u8, u32>,
-}
-
-impl<'a> DomainTable<'a> {
-    /// The table over every aggregate key of `shards`.
-    fn build(shards: &'a [MutexGuard<'_, Shard>]) -> DomainTable<'a> {
-        let keys = || shards.iter().flat_map(|s| s.aggregates.domain_names());
-        let mut names: Vec<&str> = keys().map(|name| &**name).collect();
-        names.sort_unstable();
-        names.dedup();
-        let mut table = DomainTable {
-            names,
-            by_handle: HashMap::new(),
-        };
-        for key in keys() {
-            let index = table.by_name(key);
-            table.by_handle.insert(key.as_ptr(), index);
-        }
-        table
-    }
-
-    fn by_name(&self, name: &str) -> u32 {
-        let index = self
-            .names
-            .binary_search(&name)
-            .expect("a sampled domain is an aggregate key of its shard");
-        u32::try_from(index).expect("a framed list is far below 2^32 long")
-    }
-
-    fn index_of(&self, name: &Arc<str>) -> u32 {
-        match self.by_handle.get(&name.as_ptr()) {
-            Some(index) => *index,
-            None => self.by_name(name),
-        }
-    }
+/// The image's domain table over a quiesced engine: every shard's row
+/// keys, ascending, each once.
+fn domain_table<'a>(shards: &'a [MutexGuard<'_, Shard>]) -> Vec<&'a str> {
+    let mut names: Vec<&str> = shards
+        .iter()
+        .flat_map(|s| s.aggregates.domain_names())
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    names
 }
 
 impl Oak {
@@ -134,7 +102,7 @@ impl Oak {
             .collect();
         let event_seq = self.event_seq.load(Ordering::SeqCst);
 
-        let domains = DomainTable::build(&guards);
+        let domains = domain_table(&guards);
         let mut out = vec![STATE_IMAGE_VERSION];
         put_len(&mut out, SHARD_COUNT);
         put_u64(&mut out, event_seq);
@@ -146,14 +114,12 @@ impl Oak {
             put_u32(&mut out, id.0);
             put_str(&mut out, &crate::spec::format_rule(rule));
         }
-        put_len(&mut out, domains.names.len());
-        for name in &domains.names {
+        put_len(&mut out, domains.len());
+        for name in &domains {
             put_str(&mut out, name);
         }
         for guard in &guards {
-            guard
-                .aggregates
-                .write_image(&mut out, &mut |name| domains.index_of(name));
+            guard.aggregates.write_image(&mut out, &domains);
             put_len(&mut out, guard.log.len());
             for (seq, entry) in &guard.log {
                 entry.encode_record(*seq, &mut out);
@@ -179,13 +145,16 @@ impl Oak {
     /// count the image cannot back.
     pub fn from_state_image(config: OakConfig, image: &[u8]) -> Result<Oak, String> {
         let mut r = Reader::new(image);
-        let version = r.u8("state image version")?;
-        if version != STATE_IMAGE_VERSION {
-            return Err(format!(
-                "unsupported state image version 0x{version:02x} \
-                 (expected 0x{STATE_IMAGE_VERSION:02x})"
-            ));
-        }
+        let read_aggregates = match r.u8("state image version")? {
+            STATE_IMAGE_VERSION => SiteAggregates::read_image,
+            STATE_IMAGE_V1 => SiteAggregates::read_image_v1,
+            version => {
+                return Err(format!(
+                    "unsupported state image version 0x{version:02x} \
+                     (expected 0x{STATE_IMAGE_V1:02x} or 0x{STATE_IMAGE_VERSION:02x})"
+                ))
+            }
+        };
         let shard_count = r.u32("shard count")?;
         if shard_count as usize != SHARD_COUNT {
             return Err(format!(
@@ -217,7 +186,7 @@ impl Oak {
         let mut used = vec![false; domains.len()];
         for shard in &mut oak.shards {
             let shard = shard.get_mut().expect("shard lock");
-            shard.aggregates = SiteAggregates::read_image(&mut r, &domains, &mut used)?;
+            shard.aggregates = read_aggregates(&mut r, &domains, &mut used)?;
             shard.log = r.list(MIN_RECORD_BYTES, "log records", LogEvent::decode_record)?;
             let mut prev = None;
             let users = r.count(MIN_USER_STATE_BYTES, "users")?;

@@ -690,6 +690,11 @@ impl<'a> Reader<'a> {
         self.u64(what).map(f64::from_bits)
     }
 
+    /// The next `N` bytes, as an array.
+    pub(crate) fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], String> {
+        Ok(self.take(N, what)?.try_into().expect("N bytes"))
+    }
+
     /// A `u32`-length-prefixed run of bytes.
     pub fn bytes(&mut self, what: &str) -> Result<&'a [u8], String> {
         let len = self.u32(what)? as usize;

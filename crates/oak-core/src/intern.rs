@@ -12,10 +12,13 @@
 //! - [`Interner::intern_lower`] hashes and compares *as if lowercased*
 //!   without allocating, so the per-report cost for an already-known
 //!   domain is zero allocations regardless of the case the client sent.
-//! - The table is capacity-capped: past [`Interner::CAPACITY`] distinct
-//!   strings, new names are still returned as fresh `Arc`s but are not
-//!   retained, so a client spraying unique domains cannot grow the
-//!   coordinator's memory without bound.
+//! - The table is bounded in names and in bytes: past
+//!   [`Interner::CAPACITY`] distinct strings, and for any name longer
+//!   than [`Interner::MAX_NAME`], a name is still returned as a fresh
+//!   `Arc` but not retained, so the table never holds more than
+//!   `CAPACITY × MAX_NAME` bytes of names, whatever clients send. (The
+//!   site aggregates, which key their rows by these handles, are bounded
+//!   to match: see [`crate::aggregates::SiteAggregates::MAX_ROWS`].)
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,6 +47,9 @@ impl Interner {
     /// (beyond it, interning degrades to plain allocation, never errors).
     pub const CAPACITY: usize = 65_536;
 
+    /// Longest name retained, in bytes: the longest a DNS name can be.
+    pub const MAX_NAME: usize = 253;
+
     /// An empty interner.
     pub fn new() -> Interner {
         Interner {
@@ -53,7 +59,8 @@ impl Interner {
     }
 
     /// Returns the shared lowercase form of `s`, allocating only the
-    /// first time this name (compared ASCII-case-insensitively) is seen.
+    /// first time this name (compared ASCII-case-insensitively) is seen —
+    /// or every time, for a name over [`Interner::MAX_NAME`] bytes.
     pub fn intern_lower(&self, s: &str) -> Arc<str> {
         let hash = fnv1a_lower(s);
         let stripe = &self.stripes[(hash as usize) & (STRIPES - 1)];
@@ -68,7 +75,9 @@ impl Interner {
         } else {
             Arc::from(s)
         };
-        if self.interned.load(Ordering::Relaxed) < Interner::CAPACITY {
+        if s.len() <= Interner::MAX_NAME
+            && self.interned.load(Ordering::Relaxed) < Interner::CAPACITY
+        {
             self.interned.fetch_add(1, Ordering::Relaxed);
             table.entry(hash).or_default().push(Arc::clone(&fresh));
         }

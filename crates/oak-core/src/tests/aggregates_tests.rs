@@ -1,4 +1,6 @@
-use crate::aggregates::{RunningStat, SiteAggregates};
+use std::collections::{BTreeMap, BTreeSet};
+
+use crate::aggregates::{RunningStat, SiteAggregates, UserSketch};
 use crate::analysis::PageAnalysis;
 use crate::detect::{Violation, ViolationKind};
 use crate::events::IngestEffect;
@@ -68,7 +70,7 @@ fn fold_accumulates_per_domain() {
     assert_eq!(cdn.bytes, 2 * 210_000);
     assert_eq!(cdn.small_time_ms.count, 2);
     assert_eq!(cdn.large_tput_kbps.count, 2);
-    assert_eq!(cdn.users_seen, 2);
+    assert_eq!(cdn.users_seen(), 2);
     assert_eq!(cdn.violations, 0);
     assert!(agg.domain("img.example").is_some());
     assert!(agg.domain("missing.example").is_none());
@@ -117,7 +119,7 @@ fn a_domain_is_filed_under_its_spelling() {
     }
     assert_eq!(agg.domain("cdn.example").unwrap().objects, 2);
     assert_eq!(agg.domain("CDN.Example").unwrap().objects, 1);
-    assert_eq!(agg.domain("CDN.Example").unwrap().users_seen, 1);
+    assert_eq!(agg.domain("CDN.Example").unwrap().users_seen(), 1);
 }
 
 #[test]
@@ -127,7 +129,7 @@ fn repeat_users_counted_once_per_domain() {
         fold(&mut agg, &report("u-same", false), &[]);
     }
     assert_eq!(agg.user_count(), 1);
-    assert_eq!(agg.domain("cdn.example").unwrap().users_seen, 1);
+    assert_eq!(agg.domain("cdn.example").unwrap().users_seen(), 1);
 }
 
 #[test]
@@ -177,6 +179,7 @@ fn overview_matches_the_full_merge() {
     let full = oak.aggregates();
     let overview = oak.aggregates_overview();
     assert_eq!(overview.reports, full.report_count());
+    assert_eq!(oak.report_count(), full.report_count());
     assert_eq!(overview.users, full.user_count() as u64);
     let full_worst: Vec<&str> = full.worst_domains().iter().map(|(d, _)| *d).collect();
     let overview_worst: Vec<&str> = overview.worst_domains().iter().map(|(d, _)| *d).collect();
@@ -200,11 +203,60 @@ fn overview_matches_the_full_merge() {
     }
 }
 
-/// The engine behind `tests/golden/aggregates_snapshot.json`: 24 users
+/// The history behind `tests/golden/aggregates_snapshot.json`: 24 users
 /// over the 16 shards (so some shards hold several users, some none),
 /// every user on the two shared hosts, thirds of them on hosts the
 /// others never touch, one host spelled in mixed case, one host on two
-/// IPs, returning users, and a violator with a rule to activate.
+/// IPs, returning users, and a violator.
+fn golden_reports() -> Vec<PerfReport> {
+    (0..36u64)
+        .map(|t| {
+            let mut r = PerfReport::new(format!("g-{}", t % 24), "/");
+            r.push(ObjectTiming::new(
+                "http://shared.example/a.js",
+                "10.0.0.1",
+                10_000,
+                90.0 + t as f64 / 7.0,
+            ));
+            r.push(ObjectTiming::new(
+                "http://Shared.Example/big.bin",
+                "10.0.0.2",
+                200_000,
+                400.0 + t as f64,
+            ));
+            r.push(ObjectTiming::new(
+                "http://img.example/b.png",
+                "10.0.0.2",
+                10_000,
+                80.0,
+            ));
+            r.push(ObjectTiming::new(
+                format!("http://only-{}.example/c.css", t % 3),
+                format!("10.0.1.{}", t % 3),
+                20_000,
+                70.0 + (t % 5) as f64,
+            ));
+            r.push(ObjectTiming::new(
+                "http://fonts.example/f.woff",
+                "10.0.0.4",
+                30_000,
+                85.0,
+            ));
+            if t % 4 == 0 {
+                r.push(ObjectTiming::new(
+                    "http://slow.example/x.js",
+                    "10.0.0.9",
+                    10_000,
+                    900.0 + t as f64 / 3.0,
+                ));
+            }
+            r
+        })
+        .collect()
+}
+
+/// [`golden_reports`] ingested, with a rule for the violator to
+/// activate.
 fn golden_engine() -> crate::engine::Oak {
     use crate::engine::{Oak, OakConfig};
     use crate::matching::NoFetch;
@@ -214,55 +266,15 @@ fn golden_engine() -> crate::engine::Oak {
     let oak = Oak::new(OakConfig::default());
     oak.add_rule(Rule::remove(r#"<script src="http://slow.example/x.js">"#))
         .unwrap();
-    for t in 0..36u64 {
-        let user = format!("g-{}", t % 24);
-        let mut r = PerfReport::new(&user, "/");
-        r.push(ObjectTiming::new(
-            "http://shared.example/a.js",
-            "10.0.0.1",
-            10_000,
-            90.0 + t as f64 / 7.0,
-        ));
-        r.push(ObjectTiming::new(
-            "http://Shared.Example/big.bin",
-            "10.0.0.2",
-            200_000,
-            400.0 + t as f64,
-        ));
-        r.push(ObjectTiming::new(
-            "http://img.example/b.png",
-            "10.0.0.2",
-            10_000,
-            80.0,
-        ));
-        r.push(ObjectTiming::new(
-            format!("http://only-{}.example/c.css", t % 3),
-            format!("10.0.1.{}", t % 3),
-            20_000,
-            70.0 + (t % 5) as f64,
-        ));
-        r.push(ObjectTiming::new(
-            "http://fonts.example/f.woff",
-            "10.0.0.4",
-            30_000,
-            85.0,
-        ));
-        if t % 4 == 0 {
-            r.push(ObjectTiming::new(
-                "http://slow.example/x.js",
-                "10.0.0.9",
-                10_000,
-                900.0 + t as f64 / 3.0,
-            ));
-        }
-        oak.ingest_report(Instant(t), &r, &NoFetch);
+    for (t, r) in golden_reports().iter().enumerate() {
+        oak.ingest_report(Instant(t as u64), r, &NoFetch);
     }
     oak
 }
 
-/// A snapshot document written before per-user aggregate state moved
-/// into one map: this build writes the same bytes from the same history.
-/// Re-bless on purpose only: `OAK_BLESS=1 cargo test -p oak-core golden`.
+/// The snapshot document of [`golden_engine`]: a change to what the
+/// aggregates keep, or to how the dump spells it, is a deliberate
+/// re-bless: `OAK_BLESS=1 cargo test -p oak-core golden`.
 #[test]
 fn golden_aggregates_snapshot_is_written_byte_for_byte() {
     let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -273,22 +285,164 @@ fn golden_aggregates_snapshot_is_written_byte_for_byte() {
     }
     let golden = std::fs::read_to_string(&path).expect("golden file present");
     let golden = golden.trim_end();
-    assert!(golden.contains(r#"["only-1.example","g-1"]"#) && golden.contains(r#""violations":1"#));
+    assert!(
+        golden.contains(r#""domain":"only-1.example""#) && golden.contains(r#""violations":1"#)
+    );
     assert_eq!(
         written, golden,
         "the same history no longer writes the same snapshot"
     );
 }
 
+/// Whether `estimate` is within the sketch's stated bound of `exact`:
+/// three standard errors, 3 × 1.04 / √64.
+fn within_bound(estimate: u64, exact: usize) -> bool {
+    (estimate as f64 - exact as f64).abs() <= 3.0 * 1.04 / 8.0 * exact as f64
+}
+
+/// `users_seen` against the exact count: on every row of the golden
+/// history, and on one domain with 100,000 users.
+#[test]
+fn users_seen_is_within_the_sketch_bound() {
+    let mut exact: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for r in golden_reports() {
+        for entry in &r.entries {
+            let host = oak_http::host_of(&entry.url).unwrap().to_ascii_lowercase();
+            exact.entry(host).or_default().insert(r.user.clone());
+        }
+    }
+    let agg = golden_engine().aggregates();
+    let rows: Vec<(&str, u64)> = agg.iter().map(|(d, a)| (d, a.users_seen())).collect();
+    assert_eq!(rows.len(), exact.len());
+    for ((domain, estimate), (host, users)) in rows.into_iter().zip(&exact) {
+        assert_eq!(domain, host);
+        assert!(
+            within_bound(estimate, users.len()),
+            "{domain}: {estimate} for {}",
+            users.len()
+        );
+    }
+
+    let mut sketch = UserSketch::default();
+    for i in 0..100_000 {
+        sketch.insert(UserSketch::key(&format!("user-{i}")));
+    }
+    assert!(
+        within_bound(sketch.estimate(), 100_000),
+        "{}",
+        sketch.estimate()
+    );
+    assert_eq!(UserSketch::default().estimate(), 0);
+}
+
+/// One user sends `n` reports of 1,000 hosts no report names twice (the
+/// measurement that found a reporter growing the image without bound):
+/// the rows stop at the shard's bound, the rest folds into `other`
+/// without losing a count, and the image stops growing.
+#[test]
+fn one_reporter_cannot_grow_the_aggregates() {
+    use crate::engine::{Oak, OakConfig};
+    use crate::matching::NoFetch;
+    use crate::Instant;
+
+    let oak = Oak::new(OakConfig::default());
+    let (mut host, mut images) = (0u32, Vec::new());
+    for n in 1..=400u64 {
+        let mut r = PerfReport::new("hostile", "/");
+        for _ in 0..1_000 {
+            let [_, a, b, c] = host.to_be_bytes();
+            let ip = format!("10.{a}.{b}.{c}");
+            r.push(ObjectTiming::new(
+                format!("http://h{host}.example/x"),
+                ip,
+                1_000,
+                50.0,
+            ));
+            host += 1;
+        }
+        oak.ingest_report(Instant(n), &r, &NoFetch);
+        if n == 200 || n == 400 {
+            let agg = oak.aggregates();
+            assert_eq!(agg.iter().count(), SiteAggregates::MAX_ROWS);
+            let rows = agg.iter().map(|(_, a)| a).chain([agg.other()]);
+            let (objects, bytes) = rows.fold((0, 0), |(o, b), a| (o + a.objects, b + a.bytes));
+            assert_eq!((objects, bytes), (n * 1_000, n * 1_000 * 1_000));
+            assert_eq!(agg.other().users_seen(), 1);
+            images.push(oak.state_image().1.len());
+        }
+    }
+    // Every row full: the image is the same size at 200 reports and at
+    // 400, and under what a shard's rows can take up.
+    assert_eq!(images[0], images[1]);
+    assert!(images[1] < SiteAggregates::MAX_ROWS * 256, "{}", images[1]);
+
+    // A name no DNS host can have never gets a row, in a shard with room.
+    let long = format!("{}.example", "x".repeat(292));
+    assert_eq!(long.len(), 300);
+    let mut agg = SiteAggregates::new();
+    let mut r = report("u-1", false);
+    r.push(ObjectTiming::new(
+        format!("http://{long}/a.js"),
+        "10.0.0.7",
+        5_000,
+        60.0,
+    ));
+    fold(&mut agg, &r, &[]);
+    assert!(agg.domain(&long).is_none());
+    assert_eq!((agg.other().objects, agg.other().bytes), (1, 5_000));
+    assert_eq!(agg.iter().count(), 2);
+}
+
 mod against_the_model {
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
 
     use proptest::prelude::*;
 
-    use crate::aggregates::model::ModelAggregates;
-    use crate::aggregates::SiteAggregates;
+    use super::within_bound;
+    use crate::aggregates::{RunningStat, SiteAggregates, UserSketch};
     use crate::events::{Fold, IngestEffect};
     use crate::intern::Interner;
+
+    /// One domain's row in the reference fold, which bounds no rows and
+    /// keeps an exact set of users per domain.
+    #[derive(Clone, Debug, Default)]
+    struct Row {
+        objects: u64,
+        bytes: u64,
+        violations: u64,
+        small: RunningStat,
+        large: RunningStat,
+        users: BTreeSet<String>,
+    }
+
+    type Model = BTreeMap<String, Row>;
+
+    fn model_fold(model: &mut Model, user: &str, effect: &IngestEffect) {
+        for server in effect.folds() {
+            for domain in server.domains() {
+                let row = model.entry(domain.to_owned()).or_default();
+                row.objects += server.objects();
+                row.bytes += server.bytes();
+                row.violations += u64::from(server.violated());
+                server.small_times_ms().for_each(|t| row.small.push(t));
+                server.large_tputs_kbps().for_each(|t| row.large.push(t));
+                row.users.insert(user.to_owned());
+            }
+        }
+    }
+
+    fn model_merge(into: &mut Model, from: &Model) {
+        for (domain, theirs) in from {
+            let ours = into.entry(domain.clone()).or_default();
+            ours.objects += theirs.objects;
+            ours.bytes += theirs.bytes;
+            ours.violations += theirs.violations;
+            ours.small.merge(&theirs.small);
+            ours.large.merge(&theirs.large);
+            ours.users.extend(theirs.users.iter().cloned());
+        }
+    }
 
     const SHARDS: usize = 3;
     const USERS: usize = 6;
@@ -358,58 +512,51 @@ mod against_the_model {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Any history of folds and merges — users confined to a shard
-        /// or not, under a pair cap low enough to bite or not — leaves
-        /// the per-user layout and the per-domain-set model with the
-        /// same `users_seen`, the same `samples` rows and the same
-        /// document text, and its part of a state image reads back into
-        /// an equal accumulator.
+        /// or not — leaves every row with the reference fold's objects,
+        /// bytes, violations and stats exactly, and with the sketch of
+        /// the reference's exact user set, whose estimate is within the
+        /// stated bound of that set's size; and its part of a state image
+        /// reads back into an equal accumulator.
         #[test]
-        fn per_user_lists_are_the_per_domain_sets(
-            ops in prop::collection::vec(op_strategy(), 0..40),
-            cap in prop_oneof![0usize..24, Just(SiteAggregates::USER_SAMPLE_CAP)],
-        ) {
+        fn rows_are_the_reference_fold(ops in prop::collection::vec(op_strategy(), 0..40)) {
             let mut shards = vec![SiteAggregates::new(); SHARDS];
-            let mut models = vec![ModelAggregates::default(); SHARDS];
+            let mut models = vec![Model::new(); SHARDS];
             let interner = Interner::new();
             for op in &ops {
                 match op {
                     Op::Fold { shard, user, servers } => {
                         let user = format!("u-{user}");
                         let effect = effect_of(&user, servers);
-                        shards[*shard].fold_capped(&user, effect.folds(), &interner, cap);
-                        models[*shard].fold_capped(&user, effect.folds(), cap);
+                        shards[*shard].fold(&user, effect.folds(), &interner);
+                        model_fold(&mut models[*shard], &user, &effect);
                     }
                     Op::Merge { from, into } => {
                         let (other, model) = (shards[*from].clone(), models[*from].clone());
                         shards[*into].merge(&other);
-                        models[*into].merge(&model);
+                        model_merge(&mut models[*into], &model);
                     }
                 }
             }
             for (shard, model) in shards.iter().zip(&models) {
-                for (domain, agg) in shard.iter() {
-                    prop_assert_eq!(agg.users_seen, model.domains[domain].users_seen, "{}", domain);
+                prop_assert_eq!(shard.iter().count(), model.len());
+                prop_assert_eq!(shard.other(), &Default::default());
+                for ((domain, agg), (name, row)) in shard.iter().zip(model) {
+                    prop_assert_eq!(domain, name.as_str());
+                    prop_assert_eq!(
+                        (agg.objects, agg.bytes, agg.violations),
+                        (row.objects, row.bytes, row.violations)
+                    );
+                    prop_assert_eq!(agg.small_time_ms, row.small);
+                    prop_assert_eq!(agg.large_tput_kbps, row.large);
+                    let mut exact = UserSketch::default();
+                    row.users.iter().for_each(|u| exact.insert(UserSketch::key(u)));
+                    prop_assert_eq!(agg.users, exact);
+                    prop_assert!(within_bound(agg.users_seen(), row.users.len()));
                 }
-                let doc = shard.to_value();
-                let rows: Vec<(String, String)> = doc
-                    .get("samples")
-                    .and_then(oak_json::Value::as_array)
-                    .unwrap()
-                    .iter()
-                    .map(|row| {
-                        let field = |i| row.at(i).and_then(oak_json::Value::as_str).unwrap();
-                        (field(0).to_owned(), field(1).to_owned())
-                    })
-                    .collect();
-                prop_assert_eq!(rows, model.sample_pairs());
-                prop_assert_eq!(doc.to_string(), model.to_value().to_string());
-                // Through its part of a state image, `sample_count` (which
-                // neither encoding spells out) included.
-                let table: Vec<Arc<str>> = shard.domain_names().cloned().collect();
+                let table: Vec<&str> = shard.domain_names().collect();
                 let mut image = Vec::new();
-                shard.write_image(&mut image, &mut |name| {
-                    table.binary_search(name).expect("a sampled domain is a key") as u32
-                });
+                shard.write_image(&mut image, &table);
+                let table: Vec<Arc<str>> = table.into_iter().map(Arc::from).collect();
                 let mut reader = crate::events::Reader::new(&image);
                 let mut used = vec![false; table.len()];
                 let read = SiteAggregates::read_image(&mut reader, &table, &mut used);

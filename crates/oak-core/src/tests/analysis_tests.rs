@@ -27,6 +27,23 @@ fn groups_by_ip_not_domain() {
     assert_eq!(s.total_bytes, 20_000);
 }
 
+/// A decoder admits `MAX_BYTES` an object and `MAX_ENTRIES` objects, so
+/// one server's total can pass `u64::MAX`: it saturates.
+#[test]
+fn a_servers_total_bytes_saturate() {
+    let mut r = PerfReport::new("u", "/");
+    for i in 0..2_048 {
+        r.push(ObjectTiming::new(
+            format!("http://h.example/{i}"),
+            "10.0.0.1",
+            PerfReport::MAX_BYTES,
+            1.0,
+        ));
+    }
+    let a = PageAnalysis::from_report(&r);
+    assert_eq!(a.server("10.0.0.1").unwrap().total_bytes, u64::MAX);
+}
+
 #[test]
 fn splits_small_and_large_at_50kb() {
     let r = report_with(&[

@@ -86,7 +86,19 @@ pub(super) enum Op {
     Prune {
         idle_ms: u64,
     },
+    /// A report from [`HOSTILE`]: per entry a host (the first eight are
+    /// the ones honest reports name, the rest fresh), a false size and a
+    /// false time, each within what a decoder admits — and, with `flood`,
+    /// [`PerfReport::MAX_ENTRIES`] more entries of the largest size, on
+    /// as many servers no other report names.
+    Hostile {
+        entries: Vec<(usize, u64, f64)>,
+        flood: bool,
+    },
 }
+
+/// The user behind every [`Op::Hostile`] report, and no other op.
+const HOSTILE: &str = "hostile";
 
 /// Few hosts and few users, so that histories revisit the same (user,
 /// rule) pair often enough to walk it through pending → active →
@@ -127,8 +139,20 @@ pub(super) fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Runs `ops` against `oak` from time zero.
-pub(super) fn run_ops(oak: &Oak, ops: &[Op]) {
+/// [`op_strategy`], with reports from [`HOSTILE`] between the steps.
+fn hostile_strategy() -> impl Strategy<Value = Op> {
+    let bytes = prop_oneof![0..PerfReport::MAX_BYTES, Just(PerfReport::MAX_BYTES)];
+    let entry = (0usize..64, bytes, 0.0f64..PerfReport::MAX_TIME_MS);
+    let hostile =
+        (prop::collection::vec(entry, 0..40), 0u8..24).prop_map(|(entries, flood)| Op::Hostile {
+            entries,
+            flood: flood == 0,
+        });
+    prop_oneof![op_strategy(), op_strategy(), hostile]
+}
+
+/// Runs `ops` against `oak` from time zero; returns the time it ends at.
+pub(super) fn run_ops(oak: &Oak, ops: &[Op]) -> Instant {
     let user_name = |user: usize| format!("u-{user}");
     let nth_rule = |nth: usize| {
         let ids: Vec<_> = oak.rules().map(|(id, _)| id).collect();
@@ -206,8 +230,33 @@ pub(super) fn run_ops(oak: &Oak, ops: &[Op]) {
             Op::Prune { idle_ms } => {
                 oak.prune_inactive_users(Instant(now.as_millis().saturating_sub(idle_ms)));
             }
+            Op::Hostile { ref entries, flood } => {
+                let honest = [
+                    "cdn0", "cdn1", "m1", "m2", "good0", "good1", "good2", "good3",
+                ];
+                let mut report = PerfReport::new(HOSTILE, "/p");
+                for (i, &(host, bytes, time)) in entries.iter().enumerate() {
+                    let host = match honest.get(host) {
+                        Some(name) => format!("{name}.example"),
+                        None => format!("x{host}-{}.example", now.as_millis()),
+                    };
+                    let url = format!("http://{host}/o{i}");
+                    report.push(ObjectTiming::new(url, format!("10.0.0.{i}"), bytes, time));
+                }
+                if flood {
+                    for i in 0..PerfReport::MAX_ENTRIES as u32 {
+                        let [_, a, b, c] = i.to_be_bytes();
+                        let url = format!("http://f{i}-{}.example/o", now.as_millis());
+                        let time = f64::from(i % 997);
+                        let ip = format!("10.{a}.{b}.{c}");
+                        report.push(ObjectTiming::new(url, ip, PerfReport::MAX_BYTES, time));
+                    }
+                }
+                oak.ingest_report(now, &report, &NoFetch);
+            }
         }
     }
+    now
 }
 
 /// The snapshot text with every value under a key in `masked` zeroed.
@@ -342,6 +391,36 @@ proptest! {
         }
         for id in &outcome.deactivated {
             prop_assert!(!active.contains(id));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A report moves only its own user: whatever [`HOSTILE`] sends —
+    /// honest users' hosts, false sizes and times, maximum-size reports
+    /// of fresh servers — every honest user's active rules and rewritten
+    /// page are those of the same history without it.
+    #[test]
+    fn a_hostile_reporter_moves_no_honest_user(
+        ops in prop::collection::vec(hostile_strategy(), 1..60),
+    ) {
+        let honest_ops: Vec<Op> = ops
+            .iter()
+            .filter(|op| !matches!(op, Op::Hostile { .. }))
+            .cloned()
+            .collect();
+        let (honest, mixed) = (Oak::new(OakConfig::default()), Oak::new(OakConfig::default()));
+        let end = run_ops(&honest, &honest_ops);
+        prop_assert_eq!(run_ops(&mixed, &ops), end);
+        let page: String = (0..OP_HOSTS)
+            .map(|h| format!(r#"<script src="http://cdn{h}.example/lib.js"></script>"#))
+            .collect();
+        for user in (0..OP_USERS).map(|u| format!("u-{u}")) {
+            prop_assert_eq!(mixed.active_rules(&user), honest.active_rules(&user));
+            let served = |oak: &Oak| oak.modify_page(end, &user, "/p", &page).html;
+            prop_assert_eq!(served(&mixed), served(&honest));
         }
     }
 }

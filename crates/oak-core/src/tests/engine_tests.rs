@@ -611,7 +611,14 @@ fn aggregates_merge_is_exact_across_shards() {
     assert_eq!(agg.report_count(), 40);
     assert_eq!(agg.user_count(), 20);
     let img = agg.domain("img.example").expect("seen in every report");
-    assert_eq!(img.users_seen, 20, "per-shard user sets are disjoint");
+    // 20 is the sketch's estimate for these twenty names, which happens
+    // to be exact: they fill 17 registers, and 64 · ln(64 / 47) rounds
+    // to 20. A change to `UserSketch::key` may move it within its bound.
+    assert_eq!(
+        img.users_seen(),
+        20,
+        "per-shard sketches merge to the union's"
+    );
     // 2 png objects x 2 reports x 20 users.
     assert_eq!(img.small_time_ms.count, 80);
 }

@@ -63,3 +63,21 @@ fn capacity_caps_retention() {
     let over = interner.intern_lower("OVERFLOW.example");
     assert_eq!(&*over, "overflow.example");
 }
+
+/// A name longer than any DNS name is returned, lowercased, but never
+/// retained: [`Interner::CAPACITY`] names of at most
+/// [`Interner::MAX_NAME`] bytes bound the table's memory.
+#[test]
+fn names_past_the_dns_limit_are_not_retained() {
+    let interner = Interner::new();
+    let long = "x".repeat(Interner::MAX_NAME + 1);
+    let first = interner.intern_lower(&long);
+    let again = interner.intern_lower(&long.to_ascii_uppercase());
+    assert_eq!((&*first, &*again), (long.as_str(), long.as_str()));
+    assert!(!Arc::ptr_eq(&first, &again));
+    assert_eq!(interner.len(), 0);
+    let longest = "y".repeat(Interner::MAX_NAME);
+    let shared = interner.intern_lower(&longest);
+    assert!(Arc::ptr_eq(&shared, &interner.intern_lower(&longest)));
+    assert_eq!(interner.len(), 1);
+}

@@ -1,7 +1,8 @@
 //! The state image: equivalence with the snapshot document over random
 //! engine histories, the hostile-image suite (truncation, bit flips,
-//! counts and indexes that lie — error, never panic, never over-allocate)
-//! and a golden file that makes a layout change a deliberate re-bless.
+//! counts and indexes that lie — error, never panic, never over-allocate),
+//! a golden file that makes a layout change a deliberate re-bless, and
+//! the version 0x01 golden, which this build still reads.
 //!
 //! Regenerate the golden file after an intentional layout change with
 //! `OAK_BLESS=1 cargo test -p oak-core golden`.
@@ -13,7 +14,8 @@ use proptest::prelude::*;
 
 use super::engine_props::{op_strategy, run_ops, Journal};
 use super::peak_alloc_during;
-use crate::engine::{Oak, OakConfig, SHARD_COUNT, STATE_IMAGE_VERSION};
+use crate::aggregates::SiteAggregates;
+use crate::engine::{Oak, OakConfig, SHARD_COUNT, STATE_IMAGE_V1, STATE_IMAGE_VERSION};
 use crate::events::{put_len, put_str, put_u32, put_u64};
 use crate::matching::NoFetch;
 use crate::report::{ObjectTiming, PerfReport};
@@ -180,17 +182,35 @@ fn every_single_bit_flip_is_an_error_or_another_engine() {
     }
 }
 
+/// One `agg` of a state image, all zeroes: three counters, two stats,
+/// the sketch.
+const ZERO_AGGREGATE: [u8; 3 * 8 + 2 * 32 + 64] = [0; 3 * 8 + 2 * 32 + 64];
+
 fn empty_shard(out: &mut Vec<u8>) {
+    put_u64(out, 0); // reports
+    put_len(out, 0); // domains
+    out.extend_from_slice(&ZERO_AGGREGATE); // other
+    for _ in 0..3 {
+        put_len(out, 0); // aggregate users, log, users
+    }
+}
+
+fn empty_v1_shard(out: &mut Vec<u8>) {
     put_u64(out, 0); // reports
     for _ in 0..4 {
         put_len(out, 0); // domains, aggregate users, log, users
     }
 }
 
-/// A hand-built image: no rules, `table`, shard 0 as `shard` writes it,
-/// fifteen empty shards.
-fn image_with(table: &[&str], shard: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut out = vec![STATE_IMAGE_VERSION];
+/// A hand-built image of `version`: no rules, `table`, shard 0 as
+/// `shard` writes it, fifteen more as `empty` does.
+fn image_of(
+    version: u8,
+    table: &[&str],
+    shard: impl FnOnce(&mut Vec<u8>),
+    empty: fn(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut out = vec![version];
     put_len(&mut out, SHARD_COUNT);
     for _ in 0..3 {
         put_u64(&mut out, 0); // event_seq, log_seq, epoch
@@ -203,32 +223,57 @@ fn image_with(table: &[&str], shard: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     }
     shard(&mut out);
     for _ in 1..SHARD_COUNT {
-        empty_shard(&mut out);
+        empty(&mut out);
     }
     out
 }
 
-/// One aggregate domain row for table entry `index`, all zeroes.
-fn domain_row(out: &mut Vec<u8>, index: u32) {
-    put_u32(out, index);
-    out.extend_from_slice(&[0; 4 * 8 + 2 * 32]);
+fn image_with(table: &[&str], shard: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    image_of(STATE_IMAGE_VERSION, table, shard, empty_shard)
 }
 
-/// Shard 0 with `domains` aggregate rows and one aggregate user sampled
-/// in `sampled`.
-fn shard_with(domains: &[u32], sampled: &[u32]) -> impl FnOnce(&mut Vec<u8>) {
-    let (domains, sampled) = (domains.to_vec(), sampled.to_vec());
+fn v1_image_with(table: &[&str], shard: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    image_of(STATE_IMAGE_V1, table, shard, empty_v1_shard)
+}
+
+/// Shard 0 with an all-zero row for each of `domains` and one aggregate
+/// user.
+fn shard_with(domains: &[u32]) -> impl FnOnce(&mut Vec<u8>) {
+    let domains = domains.to_vec();
     move |out| {
         put_u64(out, 1);
         put_len(out, domains.len());
         for index in domains {
-            domain_row(out, index);
+            put_u32(out, index);
+            out.extend_from_slice(&ZERO_AGGREGATE);
+        }
+        out.extend_from_slice(&ZERO_AGGREGATE);
+        put_len(out, 1);
+        put_str(out, "u-1");
+        put_u64(out, 1);
+        put_len(out, 0); // log
+        put_len(out, 0); // users
+    }
+}
+
+/// Shard 0 of a version 0x01 image with `domains` aggregate rows, each
+/// of its index + 1 objects, and one aggregate user, counted under
+/// `counted`.
+fn v1_shard_with(domains: &[u32], counted: &[u32]) -> impl FnOnce(&mut Vec<u8>) {
+    let (domains, counted) = (domains.to_vec(), counted.to_vec());
+    move |out| {
+        put_u64(out, 1);
+        put_len(out, domains.len());
+        for index in domains {
+            put_u32(out, index);
+            put_u64(out, u64::from(index) + 1);
+            out.extend_from_slice(&[0; 3 * 8 + 2 * 32]);
         }
         put_len(out, 1);
         put_str(out, "u-1");
         put_u64(out, 1);
-        put_len(out, sampled.len());
-        for index in sampled {
+        put_len(out, counted.len());
+        for index in counted {
             put_u32(out, index);
         }
         put_len(out, 0); // log
@@ -240,41 +285,84 @@ fn shard_with(domains: &[u32], sampled: &[u32]) -> impl FnOnce(&mut Vec<u8>) {
 fn hand_built_images_are_the_layout() {
     let empty = Oak::new(OakConfig::default());
     assert_eq!(image_with(&[], empty_shard), empty.state_image().1);
-    let loaded = load(&image_with(
-        &["a.example", "b.example"],
-        shard_with(&[0, 1], &[1]),
-    ))
-    .expect("loads");
+    let two = ["a.example", "b.example"];
+    let loaded = load(&image_with(&two, shard_with(&[0, 1]))).expect("loads");
     let aggregates = loaded.aggregates();
     assert_eq!(aggregates.report_count(), 1);
     assert_eq!(aggregates.reports_from("u-1"), 1);
     assert!(aggregates.domain("b.example").is_some());
 }
 
-/// A user's sampled domain is one its own shard aggregates: a fold
-/// samples a domain only as the key it just folded into. An image whose
-/// sample names a domain that only another shard aggregates, or that no
-/// shard does, is refused.
+/// A version 0x01 user row counted the user only under domains its own
+/// shard aggregates: a fold counted it only under the key it just folded
+/// into. An image whose user names a domain that only another shard
+/// aggregates, or that no shard does, is refused.
 #[test]
-fn an_image_whose_sample_names_a_domain_its_shard_does_not_aggregate_is_refused() {
+fn a_v1_image_whose_user_counts_a_domain_its_shard_does_not_aggregate_is_refused() {
     let two = ["a.example", "b.example"];
-    let refusal = "sampled domain 1 (\"b.example\") has no aggregate row in its shard";
-    let mut elsewhere = image_with(&two, |out| {
-        shard_with(&[0], &[1])(out);
-        shard_with(&[1], &[1])(out);
+    let refusal = "counted domain 1 (\"b.example\") has no aggregate row in its shard";
+    let mut elsewhere = v1_image_with(&two, |out| {
+        v1_shard_with(&[0], &[1])(out);
+        v1_shard_with(&[1], &[1])(out);
     });
     // Shard 1 is written above, so one empty shard too many follows.
     elsewhere.truncate(elsewhere.len() - (8 + 4 * 4));
     assert_eq!(load_hostile(&elsewhere).unwrap_err(), refusal);
-    let nowhere = image_with(&two, shard_with(&[0], &[1]));
+    let nowhere = v1_image_with(&two, v1_shard_with(&[0], &[1]));
     assert_eq!(load_hostile(&nowhere).unwrap_err(), refusal);
-    // The same users sampled where they are aggregated load.
-    let mut listed = image_with(&two, |out| {
-        shard_with(&[0], &[0])(out);
-        shard_with(&[1], &[1])(out);
+    // The same user counted where it is aggregated loads.
+    let mut listed = v1_image_with(&two, |out| {
+        v1_shard_with(&[0], &[0])(out);
+        v1_shard_with(&[1], &[1])(out);
     });
     listed.truncate(listed.len() - (8 + 4 * 4));
     assert!(load_hostile(&listed).is_ok());
+}
+
+/// A shard keeps at most [`SiteAggregates::MAX_ROWS`] rows: this build
+/// writes no more, and reads no more. A version 0x01 shard's lists of
+/// domains per user become sketches, and past the bound it keeps its
+/// first rows in image order — its table's, not the log's, so two
+/// replicas that boot one v1 history from snapshots at different
+/// watermarks may keep different rows — and folds the rest into
+/// `other`: counts, stats and users.
+#[test]
+fn a_shard_holds_at_most_its_bound_of_rows() {
+    let names: Vec<String> = (0..=SiteAggregates::MAX_ROWS)
+        .map(|i| format!("d{i:05}.example"))
+        .collect();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let indexes: Vec<u32> = (0..names.len() as u32).collect();
+    let (bound, over) = (&indexes[..SiteAggregates::MAX_ROWS], &indexes[..]);
+
+    assert!(load(&image_with(&names[..bound.len()], shard_with(bound))).is_ok());
+    assert_eq!(
+        load(&image_with(&names, shard_with(over))).unwrap_err(),
+        format!(
+            "{} aggregate domains in a shard, which keeps at most {}",
+            over.len(),
+            bound.len()
+        )
+    );
+
+    let last = *over.last().unwrap();
+    let v1 = load(&v1_image_with(&names, v1_shard_with(over, &[0, last]))).expect("loads");
+    let aggregates = v1.aggregates();
+    let kept: Vec<(&str, u64)> = aggregates
+        .iter()
+        .map(|(name, agg)| (name, agg.objects))
+        .collect();
+    let first: Vec<(&str, u64)> = names[..SiteAggregates::MAX_ROWS]
+        .iter()
+        .zip(1..)
+        .map(|(&name, objects)| (name, objects))
+        .collect();
+    assert_eq!(kept, first);
+    assert_eq!(aggregates.other().objects, u64::from(last) + 1);
+    assert_eq!(aggregates.other().users_seen(), 1);
+    assert_eq!(aggregates.domain(names[0]).unwrap().users_seen(), 1);
+    let again = load(&v1.state_image().1).expect("its image loads");
+    assert_eq!(document(&again), document(&v1));
 }
 
 #[test]
@@ -312,8 +400,11 @@ fn lying_counts_fail_before_they_allocate() {
     for (nth, what) in counts.iter().enumerate() {
         let image = image_with(&[], |out| {
             put_u64(out, 0);
-            for _ in 0..nth {
+            for before in 0..nth {
                 put_len(out, 0);
+                if before == 0 {
+                    out.extend_from_slice(&ZERO_AGGREGATE); // other
+                }
             }
             put_len(out, 1_000);
             out.extend_from_slice(&[0; 1_000]);
@@ -324,7 +415,7 @@ fn lying_counts_fail_before_they_allocate() {
             "{what}: {err}"
         );
     }
-    let sampled = image_with(&[], |out| {
+    let counted = v1_image_with(&[], |out| {
         put_u64(out, 0);
         put_len(out, 0);
         put_len(out, 1);
@@ -332,9 +423,9 @@ fn lying_counts_fail_before_they_allocate() {
         put_u64(out, 1);
         put_len(out, 100_000);
     });
-    assert!(load_hostile(&sampled)
+    assert!(load_hostile(&counted)
         .unwrap_err()
-        .starts_with("100000 sampled domains cannot fit in the "));
+        .starts_with("100000 counted domains cannot fit in the "));
 }
 
 #[test]
@@ -344,10 +435,10 @@ fn rejects_what_is_not_this_layout() {
     let err = |image: &[u8]| load_hostile(image).unwrap_err();
 
     let mut future = good.clone();
-    future[0] = 2;
+    future[0] = 3;
     assert_eq!(
         err(&future),
-        "unsupported state image version 0x02 (expected 0x01)"
+        "unsupported state image version 0x03 (expected 0x01 or 0x02)"
     );
     // The byte that opens a snapshot document is not a version.
     assert!(err(br#"{"version":1}"#).starts_with("unsupported state image version 0x7b"));
@@ -362,40 +453,41 @@ fn rejects_what_is_not_this_layout() {
 
     // Domain indexes that lie: past the table, out of order, twice.
     assert_eq!(
-        err(&image_with(&["a.example"], shard_with(&[5], &[]))),
+        err(&image_with(&["a.example"], shard_with(&[5]))),
         "aggregate domain index 5 is past the 1-entry domain table"
     );
     assert_eq!(
-        err(&image_with(&["a.example"], shard_with(&[0], &[1]))),
-        "sampled domain index 1 is past the 1-entry domain table"
+        err(&v1_image_with(&["a.example"], v1_shard_with(&[0], &[1]))),
+        "counted domain index 1 is past the 1-entry domain table"
     );
     let two = ["a.example", "b.example"];
     assert_eq!(
-        err(&image_with(&two, shard_with(&[1, 0], &[]))),
+        err(&image_with(&two, shard_with(&[1, 0]))),
         "aggregate domain indexes are not strictly ascending"
     );
     assert_eq!(
-        err(&image_with(&two, shard_with(&[0, 1], &[1, 1]))),
-        "sampled domain indexes are not strictly ascending"
+        err(&v1_image_with(&two, v1_shard_with(&[0, 1], &[1, 1]))),
+        "counted domain indexes are not strictly ascending"
     );
     // One encoding per state: a table out of order, a name nothing uses.
     assert_eq!(
         err(&image_with(
             &["b.example", "a.example"],
-            shard_with(&[0, 1], &[])
+            shard_with(&[0, 1])
         )),
         "domain names are not strictly ascending"
     );
     assert_eq!(
-        err(&image_with(&two, shard_with(&[0], &[0]))),
+        err(&image_with(&two, shard_with(&[0]))),
         "domain table entry 1 (\"b.example\") is not referred to"
     );
     // A user listed twice.
     let twice = image_with(&[], |out| {
         put_u64(out, 0);
-        for _ in 0..3 {
-            put_len(out, 0);
-        }
+        put_len(out, 0);
+        out.extend_from_slice(&ZERO_AGGREGATE);
+        put_len(out, 0);
+        put_len(out, 0);
         put_len(out, 2);
         for _ in 0..2 {
             put_str(out, "u-1");
@@ -406,15 +498,26 @@ fn rejects_what_is_not_this_layout() {
     });
     assert_eq!(err(&twice), "users are not strictly ascending");
 
-    let mut not_utf8 = image_with(&["a.example"], shard_with(&[0], &[]));
+    let mut not_utf8 = image_with(&["a.example"], shard_with(&[0]));
     let name = 1 + 4 + 3 * 8 + 4 + 4 + 4 + 4;
     assert_eq!(&not_utf8[name..name + 2], b"a.");
     not_utf8[name] = 0xFF;
     assert_eq!(err(&not_utf8), "domain name is not valid UTF-8");
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/state_image.hex")
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(name)
+}
+
+/// The bytes of a golden hex file: two comment lines, then hex.
+fn golden_bytes(text: &str) -> Vec<u8> {
+    let hex: String = text.lines().skip(2).collect();
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+        .collect()
 }
 
 /// The image of [`golden_engine`], 32 bytes a line. A layout change shows
@@ -424,7 +527,7 @@ fn golden_path() -> PathBuf {
 fn golden_image_is_unchanged() {
     let oak = golden_engine();
     let mut text = String::from(
-        "# Oak::state_image of a populated three-user engine \
+        "# Oak::state_image of a populated three-user engine, version 0x02 \
          (crates/oak-core/src/engine/image.rs).\n\
          # Re-bless on purpose: OAK_BLESS=1 cargo test -p oak-core golden\n",
     );
@@ -432,10 +535,11 @@ fn golden_image_is_unchanged() {
         text.extend(line.iter().map(|b| format!("{b:02x}")));
         text.push('\n');
     }
+    let path = golden_path("state_image_v2.hex");
     if std::env::var_os("OAK_BLESS").is_some() {
-        std::fs::write(golden_path(), &text).unwrap();
+        std::fs::write(&path, &text).unwrap();
     }
-    let expected = std::fs::read_to_string(golden_path())
+    let expected = std::fs::read_to_string(&path)
         .expect("golden file missing — regenerate with OAK_BLESS=1 cargo test -p oak-core golden");
     assert_eq!(
         text, expected,
@@ -443,13 +547,24 @@ fn golden_image_is_unchanged() {
          bytes — if intentional, bump STATE_IMAGE_VERSION and regenerate with OAK_BLESS=1"
     );
     // And the checked-in bytes still load to the same engine.
-    let hex: String = expected.lines().skip(2).collect();
-    let bytes: Vec<u8> = (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
-        .collect();
-    let loaded = load(&bytes).expect("golden image loads");
+    let loaded = load(&golden_bytes(&expected)).expect("golden image loads");
     assert_eq!(document(&loaded), document(&oak));
     assert_eq!(loaded.active_rules("u-1"), oak.active_rules("u-1"));
     assert_eq!(loaded.log(), oak.log());
+}
+
+/// The same engine as version 0x01 wrote it — read-only, never
+/// re-blessed: it loads to the engine the history builds, and re-images
+/// as this version writes it.
+#[test]
+fn the_v1_golden_image_still_loads() {
+    let text = std::fs::read_to_string(golden_path("state_image.hex")).expect("v1 golden present");
+    let bytes = golden_bytes(&text);
+    assert_eq!(bytes[0], STATE_IMAGE_V1);
+    let oak = golden_engine();
+    let loaded = load(&bytes).expect("the v1 golden image loads");
+    assert_eq!(document(&loaded), document(&oak));
+    assert_eq!(loaded.active_rules("u-1"), oak.active_rules("u-1"));
+    assert_eq!(loaded.log(), oak.log());
+    assert_eq!(loaded.state_image(), oak.state_image());
 }

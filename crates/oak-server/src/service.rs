@@ -263,12 +263,6 @@ pub struct OakService {
     /// admission hook and the operator surfaces.
     overload: Option<Arc<OverloadController>>,
     obs: Option<Arc<ServiceObs>>,
-    /// One aggregates pass shared by `/oak/stats` and `/oak/metrics`:
-    /// the folded [`oak_core::aggregates::SiteOverview`] is cached
-    /// against the ingest generation (reports accepted + users pruned),
-    /// so back-to-back scrapes reuse the same snapshot instead of
-    /// re-folding every engine shard per endpoint.
-    aggregates_cache: Mutex<Option<(u64, Arc<oak_core::aggregates::SiteOverview>)>>,
 }
 
 impl OakService {
@@ -296,7 +290,6 @@ impl OakService {
             health: AtomicU8::new(HealthState::Serving.as_u8()),
             overload: None,
             obs: None,
-            aggregates_cache: Mutex::new(None),
         }
     }
 
@@ -689,69 +682,35 @@ impl OakService {
             doc.set("fetch", row);
         }
 
-        let agg = self.aggregates_snapshot();
+        // A fold of every shard's rows: bounded by the rows a shard keeps,
+        // not by the users the engine has seen.
+        let live = self.live_engine();
+        let agg = live.as_deref().unwrap_or(&self.oak).aggregates_overview();
         doc.set("reports", agg.reports);
         doc.set("users", agg.users);
-        let mut domains = oak_json::Value::array();
-        for (domain, entry) in agg.worst_domains().into_iter().take(50) {
+        let row = |entry: &oak_core::aggregates::DomainAggregate| {
+            let mean = |stat: &oak_core::aggregates::RunningStat| {
+                stat.mean().map(|m| (m * 100.0).round() / 100.0)
+            };
             let mut row = oak_json::Value::object();
-            row.set("domain", domain);
             row.set("objects", entry.objects);
             row.set("bytes", entry.bytes);
             row.set("violations", entry.violations);
-            row.set("users_seen", entry.users_seen);
-            row.set(
-                "avg_small_time_ms",
-                entry
-                    .small_time_ms
-                    .mean()
-                    .map(|m| (m * 100.0).round() / 100.0),
-            );
-            row.set(
-                "avg_large_tput_kbps",
-                entry
-                    .large_tput_kbps
-                    .mean()
-                    .map(|m| (m * 100.0).round() / 100.0),
-            );
-            domains.push(row);
+            row.set("users_seen", entry.users_seen());
+            row.set("avg_small_time_ms", mean(&entry.small_time_ms));
+            row.set("avg_large_tput_kbps", mean(&entry.large_tput_kbps));
+            row
+        };
+        let mut domains = oak_json::Value::array();
+        for (domain, entry) in agg.worst_domains().into_iter().take(50) {
+            let mut entry = row(entry);
+            entry.set("domain", domain);
+            domains.push(entry);
         }
         doc.set("domains", domains);
+        // Every domain without a row of its own (`SiteAggregates::other`).
+        doc.set("other_domains", row(agg.other()));
         Response::new(StatusCode::OK).with_body(doc.to_string().into_bytes(), "application/json")
-    }
-
-    /// One folded [`oak_core::aggregates::SiteOverview`] pass shared
-    /// by `/oak/stats` and `/oak/metrics`. The fold walks every engine
-    /// shard, so the result is cached against an ingest generation —
-    /// the engine's ingest counter when observability is attached, the
-    /// service's otherwise — and back-to-back scrapes reuse it. The
-    /// overview (unlike a full [`oak_core::aggregates::SiteAggregates`]
-    /// merge) never clones per-user state, so a scrape stays cheap no
-    /// matter how many distinct users the engine has ever seen — a
-    /// stats endpoint whose cost grows with the user base is a
-    /// self-inflicted overload vector.
-    fn aggregates_snapshot(&self) -> Arc<oak_core::aggregates::SiteOverview> {
-        let generation = match &self.obs {
-            Some(obs) => obs.core.reports.get(),
-            None => self.stats.reports_accepted.load(Ordering::Relaxed),
-        }
-        .wrapping_add(
-            self.stats
-                .users_pruned
-                .load(Ordering::Relaxed)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        let mut cache = self.aggregates_cache.lock().expect("aggregates cache");
-        if let Some((cached_generation, agg)) = cache.as_ref() {
-            if *cached_generation == generation {
-                return Arc::clone(agg);
-            }
-        }
-        let live = self.live_engine();
-        let oak = live.as_deref().unwrap_or(&self.oak);
-        let agg = Arc::new(oak.aggregates_overview());
-        *cache = Some((generation, Arc::clone(&agg)));
-        agg
     }
 
     /// Serves every registered metric family — plus families synthesized
@@ -927,7 +886,6 @@ impl OakService {
                 vec![scalar_series(&[], stats.cluster_refused as f64)],
             ));
         }
-        let agg = self.aggregates_snapshot();
         let live = self.live_engine();
         let engine = live.as_deref().unwrap_or(&self.oak);
         families.push(scalar_family(
@@ -946,7 +904,7 @@ impl OakService {
             "oak_engine_reports_aggregated",
             "Reports folded into the aggregate site-performance record.",
             FamilyKind::Gauge,
-            vec![scalar_series(&[], agg.reports as f64)],
+            vec![scalar_series(&[], engine.report_count() as f64)],
         ));
         families.push(scalar_family(
             "oak_trace_completed_total",
