@@ -89,7 +89,7 @@ impl MiniCluster {
     fn primary(&self) -> Option<(usize, u64)> {
         self.nodes.iter().enumerate().find_map(|(idx, node)| {
             let node = node.as_ref()?;
-            (node.role(0) == Some(Role::Primary)).then(|| (idx, node.status()[0].epoch))
+            (node.role(0) == Some(Role::Primary)).then(|| (idx, node.status().epoch))
         })
     }
 
@@ -122,7 +122,7 @@ impl MiniCluster {
             let status = &self.nodes[primary]
                 .as_ref()
                 .expect("primary is alive")
-                .status()[0];
+                .status();
             if status.commit >= status.head {
                 return status.head;
             }
@@ -159,7 +159,11 @@ fn failover_trial(trial: u64, reports: u64) -> FailoverTrial {
         }
     }
     let acked = cluster.settle(primary);
-    let epoch_before = cluster.nodes[primary].as_ref().expect("alive").status()[0].epoch;
+    let epoch_before = cluster.nodes[primary]
+        .as_ref()
+        .expect("alive")
+        .status()
+        .epoch;
     // Kill at a different phase of the heartbeat window each trial.
     for _ in 0..trial % 7 {
         cluster.tick();
@@ -178,7 +182,11 @@ fn failover_trial(trial: u64, reports: u64) -> FailoverTrial {
             "no successor within 60 sim-seconds"
         );
     };
-    let head = cluster.nodes[successor].as_ref().expect("alive").status()[0].head;
+    let head = cluster.nodes[successor]
+        .as_ref()
+        .expect("alive")
+        .status()
+        .head;
     FailoverTrial {
         failover_ms: cluster.now - killed_at,
         acked_lost: acked.saturating_sub(head),

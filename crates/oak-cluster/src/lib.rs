@@ -1,30 +1,28 @@
-//! Replication for Oak: N engine nodes, each hosting a slice of the
-//! user space, surviving node death without losing an acked report.
+//! Replication for Oak: one replication group of engine nodes, every
+//! member a replica, surviving node death without losing an acked
+//! report.
 //!
 //! The paper's per-user rule state (Oak, ICDCS 2017 §4) is the unit
 //! worth replicating: it is learned from weeks of client reports and is
-//! exactly what a single-process deployment loses on a crash. This
-//! crate stacks four pieces on top of the existing engine + WAL:
+//! exactly what a single-process deployment loses on a crash. The paper
+//! runs one logical Oak server, so the group holds every user. This
+//! crate stacks three pieces on top of the existing engine + WAL:
 //!
-//! - [`ring`] — consistent-hash placement. Users map to partitions by
-//!   the engine's own shard hash; partitions map to replica sets (one
-//!   primary + followers) on a virtual-node ring.
 //! - [`lease`] — a deterministic heartbeat/lease protocol deciding who
-//!   is primary. At most one leaseholder per partition per epoch; a
-//!   vote is only granted to a candidate at least as durable as the
-//!   voter, which is the whole losslessness argument.
+//!   is primary. At most one leaseholder per epoch; a vote is only
+//!   granted to a candidate at least as durable as the voter, which is
+//!   the whole losslessness argument.
 //! - [`msg`] — the wire codec: one flat binary envelope per message,
 //!   in the WAL's own CRC frame, over the transport seam.
-//! - [`node`] — [`node::ClusterNode`] glues an engine + store per
-//!   hosted partition to the lease machine and ships WAL frames
-//!   ([`oak_store::stream`]) to followers; client acks release at the
-//!   replication watermark (majority-durable), never before.
-//! - [`router`] — the thin layer in front of the serving edge: user →
-//!   partition → current primary, or a 503 + Retry-After hint while an
-//!   election is in flight.
+//! - [`node`] — [`node::ClusterNode`] glues the engine + store to the
+//!   lease machine and ships WAL frames ([`oak_store::stream`]) to the
+//!   followers; client acks release at the replication watermark
+//!   (majority-durable), never before. A node that does not hold the
+//!   lease refuses client traffic ([`node::NotPrimary`]), which the
+//!   serving edge answers with 503 + `Retry-After`.
 //!
 //! Everything is sans-io: time is an argument, messages are return
-//! values. oak-sim drives the whole cluster deterministically (SimNet
+//! values. oak-sim drives the whole group deterministically (SimNet
 //! beside SimFs/SimClock) and checks the invariants — no acked report
 //! lost across any failover, one primary per epoch, stale primaries
 //! step down — under seeded crash/partition schedules; `oak-serve
@@ -33,8 +31,6 @@
 pub mod lease;
 pub mod msg;
 pub mod node;
-pub mod ring;
-pub mod router;
 
 /// A cluster node's identity. Dense small integers — node `n` listens at
 /// peer index `n` in `--peers` order, and sim nodes are 0..N.
@@ -47,8 +43,45 @@ impl std::fmt::Display for NodeId {
     }
 }
 
+/// The partition id of the one group. The envelope layout, the node
+/// directory (`part-00/`) and the status surfaces still name a
+/// partition; it is always this one.
+pub const PARTITION: u32 = 0;
+
+/// The replication group: its members, every one of them a replica, so
+/// the replication factor is the member count.
+#[derive(Debug, Clone)]
+pub struct Topology {
+    nodes: Vec<NodeId>,
+}
+
+impl Topology {
+    /// The group of `nodes`.
+    ///
+    /// `partitions` and `replication` are kept for `bench/`, which
+    /// builds `Topology::new(nodes, 1, 3)` (ROADMAP item 7's thaw
+    /// deletes them): only one group in which every node is a replica
+    /// is accepted.
+    ///
+    /// # Panics
+    ///
+    /// On any other layout, or on an empty group.
+    pub fn new(nodes: Vec<NodeId>, partitions: u32, replication: usize) -> Topology {
+        assert!(
+            !nodes.is_empty() && partitions == 1 && replication == nodes.len(),
+            "unsupported layout: {} node(s), {partitions} partition(s) of {replication} \
+             replica(s); one group with every node a replica is the only layout",
+            nodes.len()
+        );
+        Topology { nodes }
+    }
+
+    /// Every member.
+    pub fn nodes(&self) -> &[NodeId] {
+        &self.nodes
+    }
+}
+
 pub use lease::{Durable, Lease, LeaseConfig, LeaseMsg, Role};
 pub use msg::{DecodeStep, Envelope, Message};
-pub use node::{ClusterNode, NodeOptions, PartitionStatus};
-pub use ring::{Ring, Topology};
-pub use router::{RouteDecision, Router, RETRY_AFTER_HINT_SECS};
+pub use node::{ClusterNode, NodeOptions, NotPrimary, PartitionStatus, RETRY_AFTER_HINT_SECS};

@@ -1,5 +1,5 @@
-//! One cluster node: engines, stores, leases, and WAL shipping for
-//! every partition the node hosts.
+//! One cluster node: the group's engine, store and lease on this
+//! member, and WAL shipping to the other members.
 //!
 //! [`ClusterNode`] is sans-io like everything else in this crate: the
 //! caller owns the clock and the wires. Three entry points drive it —
@@ -10,7 +10,12 @@
 //! --cluster` pumps them through TCP. Identical bytes, identical
 //! decisions.
 //!
-//! # Replication protocol (per partition)
+//! The node hosts the one replication group ([`crate::PARTITION`]).
+//! Accessors that take a `partition` answer for that id only; the
+//! argument is kept for `bench/`, which calls `role(0)`, `commit(0)` and
+//! `primary_engine(0)`, until ROADMAP item 7's thaw deletes it.
+//!
+//! # Replication protocol
 //!
 //! - The primary stamps every emitted event with its lease epoch
 //!   ([`Oak::set_epoch`]) and ships its WAL tail to each follower
@@ -43,7 +48,7 @@
 //!   machinery; the cost — one state transfer per follower per epoch —
 //!   is the deliberate simplicity trade, measured in EXPERIMENTS.md.
 //! - The durable lease slice (epoch + vote) is persisted to the
-//!   partition directory *before* any produced message is returned, so
+//!   group's directory *before* any produced message is returned, so
 //!   a crash-and-restart cannot double-vote inside one epoch.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -58,8 +63,7 @@ use oak_store::{OakStore, StorageBackend, StoreOptions, Tail};
 
 use crate::lease::{Durable, Lease, LeaseConfig, Role};
 use crate::msg::{Envelope, Message};
-use crate::ring::Topology;
-use crate::NodeId;
+use crate::{NodeId, Topology, PARTITION};
 
 /// Node-level configuration.
 #[derive(Debug, Clone)]
@@ -93,15 +97,18 @@ impl Default for NodeOptions {
     }
 }
 
-/// Why a request cannot be served here right now. The router maps this
-/// to `503 Retry-After`.
+/// Why a request cannot be served here right now: this node does not
+/// hold the lease. The serving edge answers `503` with `Retry-After:`
+/// [`RETRY_AFTER_HINT_SECS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NotPrimary {
-    /// The partition the request belongs to.
-    pub partition: u32,
-}
+pub struct NotPrimary;
 
-/// A point-in-time view of one hosted partition, for health/stats.
+/// `Retry-After` seconds suggested to clients during failover — one
+/// election timeout rounded up: by the time a polite client retries,
+/// the new primary is normally seated.
+pub const RETRY_AFTER_HINT_SECS: u64 = 1;
+
+/// A point-in-time view of the group on this node, for health/stats.
 #[derive(Debug, Clone)]
 pub struct PartitionStatus {
     pub partition: u32,
@@ -118,7 +125,7 @@ pub struct PartitionStatus {
     pub lag: u64,
 }
 
-/// Replication bookkeeping the primary keeps per partition.
+/// Replication bookkeeping the primary keeps.
 #[derive(Debug, Default)]
 struct Shipping {
     /// Follower → highest head acked under the current epoch.
@@ -136,9 +143,9 @@ struct Shipping {
     snapshot_sent_ms: BTreeMap<NodeId, u64>,
 }
 
-/// One hosted partition: engine, store, lease, shipping state.
+/// The group's replica on this node: engine, store, lease, shipping
+/// state.
 struct Partition {
-    id: u32,
     oak: Arc<Oak>,
     store: Arc<OakStore>,
     lease: Lease,
@@ -168,7 +175,6 @@ impl Partition {
 impl std::fmt::Debug for Partition {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Partition")
-            .field("id", &self.id)
             .field("role", &self.lease.role())
             .field("epoch", &self.lease.epoch())
             .field("head", &self.head())
@@ -177,18 +183,20 @@ impl std::fmt::Debug for Partition {
     }
 }
 
-/// A cluster node hosting every partition the topology assigns it.
+/// A cluster node: one member of the replication group.
 #[derive(Debug)]
 pub struct ClusterNode {
     id: NodeId,
-    topology: Topology,
+    /// Every other member, each a follower while this node is primary.
+    followers: Vec<NodeId>,
     options: NodeOptions,
     backend: Arc<dyn StorageBackend>,
-    root: PathBuf,
-    partitions: BTreeMap<u32, Partition>,
+    /// The group's directory, `part-00/` under the node's root.
+    dir: PathBuf,
+    group: Partition,
 }
 
-/// Name of the durable lease file inside a partition directory.
+/// Name of the durable lease file inside the group's directory.
 const LEASE_FILE: &str = "lease.json";
 
 /// Name of the durable installed-snapshot-epoch file. Without it a
@@ -199,8 +207,8 @@ const INSTALLED_FILE: &str = "installed.json";
 
 impl ClusterNode {
     /// Boots (or re-boots after a crash) node `id`: recovers engine +
-    /// store for every hosted partition from `root/part-PP/`, restores
-    /// the durable lease slice, and starts everyone as a follower.
+    /// store from `root/part-00/`, restores the durable lease slice, and
+    /// starts as a follower.
     pub fn new(
         id: NodeId,
         topology: Topology,
@@ -209,36 +217,32 @@ impl ClusterNode {
         options: NodeOptions,
         now_ms: u64,
     ) -> io::Result<ClusterNode> {
-        let root = root.into();
-        let mut partitions = BTreeMap::new();
-        for partition in topology.partitions_of(id) {
-            let dir = root.join(format!("part-{partition:02}"));
-            let boot = OakStore::boot_with(backend.clone(), &dir, options.oak, options.store)?;
-            let replicas = topology.replicas(partition);
-            let mut lease = Lease::new(id, replicas, options.lease, now_ms);
-            if let Some(durable) = read_lease_file(&*backend, &dir) {
-                lease.restore(durable, now_ms);
-            }
-            partitions.insert(
-                partition,
-                Partition {
-                    id: partition,
-                    oak: Arc::new(boot.oak),
-                    store: boot.store,
-                    lease,
-                    shipping: Shipping::default(),
-                    commit: 0,
-                    installed_epoch: read_installed_epoch(&*backend, &dir),
-                },
-            );
+        let dir = root.into().join(format!("part-{PARTITION:02}"));
+        let boot = OakStore::boot_with(backend.clone(), &dir, options.oak, options.store)?;
+        let mut lease = Lease::new(id, topology.nodes().to_vec(), options.lease, now_ms);
+        if let Some(durable) = read_lease_file(&*backend, &dir) {
+            lease.restore(durable, now_ms);
         }
+        let group = Partition {
+            oak: Arc::new(boot.oak),
+            store: boot.store,
+            lease,
+            shipping: Shipping::default(),
+            commit: 0,
+            installed_epoch: read_installed_epoch(&*backend, &dir),
+        };
         Ok(ClusterNode {
             id,
-            topology,
+            followers: topology
+                .nodes()
+                .iter()
+                .copied()
+                .filter(|&n| n != id)
+                .collect(),
             options,
             backend,
-            root,
-            partitions,
+            dir,
+            group,
         })
     }
 
@@ -247,128 +251,95 @@ impl ClusterNode {
         self.id
     }
 
-    /// The shared placement contract.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
+    /// The group's replica, if `partition` names it.
+    fn hosted(&self, partition: u32) -> Option<&Partition> {
+        (partition == PARTITION).then_some(&self.group)
     }
 
-    /// The partition holding `user`'s state.
-    pub fn partition_of(&self, user: &str) -> u32 {
-        self.topology.partition_of(user)
-    }
-
-    /// The partitions this node hosts.
-    pub fn hosted_partitions(&self) -> Vec<u32> {
-        self.partitions.keys().copied().collect()
-    }
-
-    /// The engine for `partition` **iff this node currently holds its
-    /// lease** — the only handle through which client traffic (reports,
-    /// page serves, rule changes) may reach an engine. Everything
-    /// mutated through it is stamped with the lease epoch and reaches
-    /// the followers on the caller's next [`ClusterNode::ship`] (or, at
-    /// the latest, the next tick).
+    /// The engine **iff this node currently holds the lease** — the only
+    /// handle through which client traffic (reports, page serves, rule
+    /// changes) may reach an engine. Everything mutated through it is
+    /// stamped with the lease epoch and reaches the followers on the
+    /// caller's next [`ClusterNode::ship`] (or, at the latest, the next
+    /// tick).
     pub fn primary_engine(&self, partition: u32) -> Result<Arc<Oak>, NotPrimary> {
-        match self.partitions.get(&partition) {
+        match self.hosted(partition) {
             Some(p) if p.lease.is_primary() => Ok(p.oak.clone()),
-            _ => Err(NotPrimary { partition }),
+            _ => Err(NotPrimary),
         }
     }
 
     /// The local engine replica regardless of role — for observability
     /// and the sim oracle only, never for serving client traffic.
     pub fn replica_engine(&self, partition: u32) -> Option<Arc<Oak>> {
-        self.partitions.get(&partition).map(|p| p.oak.clone())
+        self.hosted(partition).map(|p| p.oak.clone())
     }
 
-    /// The durable store behind a hosted partition, so a serving edge
-    /// can drive snapshot compaction
-    /// ([`oak_store::OakStore::maybe_snapshot`]) from its ingest path.
+    /// The durable store behind the replica, so a serving edge can drive
+    /// snapshot compaction ([`oak_store::OakStore::maybe_snapshot`]) from
+    /// its ingest path.
     pub fn partition_store(&self, partition: u32) -> Option<Arc<OakStore>> {
-        self.partitions.get(&partition).map(|p| p.store.clone())
+        self.hosted(partition).map(|p| p.store.clone())
     }
 
-    /// The follower replicas whose journal has grown past
-    /// `snapshot_every_events` since their last snapshot, as the store to
+    /// The follower replica, if its journal has grown past
+    /// `snapshot_every_events` since its last snapshot, as the store to
     /// compact and the engine to snapshot into it
     /// ([`OakStore::maybe_snapshot`]). A primary compacts from its ingest
     /// path; a follower ingests nothing, so whoever drives the node calls
-    /// this after a tick — and runs the snapshots outside any lock it
+    /// this after a tick — and runs the snapshot outside any lock it
     /// holds around the node, since a snapshot fsyncs. A snapshot of an
     /// engine an install has replaced meanwhile is not written (the
     /// store's snapshots only go forward).
-    pub fn compactions_due(&self) -> Vec<(Arc<OakStore>, Arc<Oak>)> {
-        self.partitions
-            .values()
-            .filter(|p| !p.lease.is_primary() && p.store.snapshot_due())
-            .map(|p| (p.store.clone(), p.oak.clone()))
-            .collect()
+    pub fn compactions_due(&self) -> Option<(Arc<OakStore>, Arc<Oak>)> {
+        let p = &self.group;
+        (!p.lease.is_primary() && p.store.snapshot_due()).then(|| (p.store.clone(), p.oak.clone()))
     }
 
-    /// Current role for a hosted partition.
+    /// Current role in the group.
     pub fn role(&self, partition: u32) -> Option<Role> {
-        self.partitions.get(&partition).map(|p| p.lease.role())
+        self.hosted(partition).map(|p| p.lease.role())
     }
 
-    /// The replication watermark for a hosted partition: the highest
-    /// sequence number durable on a majority. A client ack for an event
-    /// batch ending at `seq` may be released once `commit >= seq`.
+    /// The replication watermark: the highest sequence number durable on
+    /// a majority. A client ack for an event batch ending at `seq` may be
+    /// released once `commit >= seq`.
     pub fn commit(&self, partition: u32) -> Option<u64> {
-        self.partitions.get(&partition).map(|p| p.commit)
+        self.hosted(partition).map(|p| p.commit)
     }
 
-    /// Point-in-time status of every hosted partition, for
-    /// health/stats surfaces.
-    pub fn status(&self) -> Vec<PartitionStatus> {
-        self.partitions
-            .values()
-            .map(|p| {
-                let head = p.head();
-                let lag = if p.lease.is_primary() {
-                    self.followers(p.id)
-                        .into_iter()
-                        .map(|f| {
-                            head.saturating_sub(p.shipping.acked.get(&f).copied().unwrap_or(0))
-                        })
-                        .max()
-                        .unwrap_or(0)
-                } else {
-                    p.commit.saturating_sub(head)
-                };
-                PartitionStatus {
-                    partition: p.id,
-                    role: p.lease.role(),
-                    epoch: p.lease.epoch(),
-                    head,
-                    commit: p.commit,
-                    lag,
-                }
-            })
-            .collect()
+    /// Point-in-time status of the group on this node, for health/stats
+    /// surfaces.
+    pub fn status(&self) -> PartitionStatus {
+        let p = &self.group;
+        let head = p.head();
+        let lag = if p.lease.is_primary() {
+            self.followers
+                .iter()
+                .map(|f| head.saturating_sub(p.shipping.acked.get(f).copied().unwrap_or(0)))
+                .max()
+                .unwrap_or(0)
+        } else {
+            p.commit.saturating_sub(head)
+        };
+        PartitionStatus {
+            partition: PARTITION,
+            role: p.lease.role(),
+            epoch: p.lease.epoch(),
+            head,
+            commit: p.commit,
+            lag,
+        }
     }
 
-    fn followers(&self, partition: u32) -> Vec<NodeId> {
-        self.topology
-            .replicas(partition)
-            .into_iter()
-            .filter(|&n| n != self.id)
-            .collect()
-    }
-
-    /// Ships what the primary engines journaled since each follower's
+    /// Ships what the primary engine journaled since each follower's
     /// sent cursor, without waiting for the clock. Call it after
     /// mutating a [`ClusterNode::primary_engine`] when the caller is
     /// about to wait on [`ClusterNode::commit`].
     pub fn ship(&mut self) -> Vec<Envelope> {
         let mut out = Vec::new();
-        let me = self.id;
-        let ids: Vec<u32> = self.partitions.keys().copied().collect();
-        for partition in ids {
-            let followers = self.followers(partition);
-            let p = self.partitions.get_mut(&partition).expect("hosted");
-            for follower in followers {
-                Self::ship_to(p, me, follower, &mut out);
-            }
+        for &follower in &self.followers {
+            Self::ship_to(&mut self.group, self.id, follower, &mut out);
         }
         out
     }
@@ -408,7 +379,7 @@ impl ClusterNode {
                     from: me,
                     to: follower,
                     msg: Message::Append {
-                        partition: p.id,
+                        partition: PARTITION,
                         epoch,
                         commit: p.commit,
                         events,
@@ -425,43 +396,34 @@ impl ClusterNode {
         }
     }
 
-    /// Advances time for every hosted partition: lease ticks (
-    /// elections, heartbeats, lease expiry) and, on primaries, snapshot
-    /// transfer and the shipping retransmit.
+    /// Advances time: lease ticks (elections, heartbeats, lease expiry)
+    /// and, on the primary, snapshot transfer and the shipping
+    /// retransmit.
     pub fn tick(&mut self, now_ms: u64) -> Vec<Envelope> {
         let mut out = Vec::new();
-        let ids: Vec<u32> = self.partitions.keys().copied().collect();
-        for partition in ids {
-            self.tick_partition(now_ms, partition, &mut out);
-        }
-        out
-    }
-
-    fn tick_partition(&mut self, now_ms: u64, partition: u32, out: &mut Vec<Envelope>) {
-        let followers = self.followers(partition);
         let me = self.id;
-        let dir = self.partition_dir(partition);
-        let backend = self.backend.clone();
-        let Some(p) = self.partitions.get_mut(&partition) else {
-            return;
-        };
+        let followers = &self.followers;
+        let p = &mut self.group;
 
         let before = (p.lease.role(), p.lease.epoch(), p.lease.durable());
         let lease_out = p.lease.tick(now_ms, p.log(), p.commit);
-        Self::apply_transition(p, &followers, before.0, before.1);
+        Self::apply_transition(p, followers, before.0, before.1);
         if p.lease.durable() != before.2 {
-            write_lease_file(&*backend, &dir, p.lease.durable());
+            write_lease_file(&*self.backend, &self.dir, p.lease.durable());
         }
         for (to, msg) in lease_out {
             out.push(Envelope {
                 from: me,
                 to,
-                msg: Message::Lease { partition, msg },
+                msg: Message::Lease {
+                    partition: PARTITION,
+                    msg,
+                },
             });
         }
 
         if !p.lease.is_primary() {
-            return;
+            return out;
         }
         let epoch = p.lease.epoch();
         // Snapshot transfers owed (epoch start, or a compacted tail).
@@ -486,7 +448,7 @@ impl ClusterNode {
                 from: me,
                 to: follower,
                 msg: Message::Snapshot {
-                    partition,
+                    partition: PARTITION,
                     epoch,
                     watermark,
                     state,
@@ -496,13 +458,14 @@ impl ClusterNode {
         // Shipping retransmit: a follower whose acked head did not move
         // since the last tick lost an `Append` (or regressed), so what
         // was sent past `acked` is written off and shipped again.
-        for &follower in &followers {
+        for &follower in followers {
             if !p.shipping.progressed.remove(&follower) {
                 p.shipping.sent.remove(&follower);
             }
-            Self::ship_to(p, me, follower, out);
+            Self::ship_to(p, me, follower, &mut out);
         }
-        Self::recompute_commit(p, &followers);
+        Self::recompute_commit(p, followers);
+        out
     }
 
     /// Role/epoch transition bookkeeping around any lease step.
@@ -539,23 +502,20 @@ impl ClusterNode {
     }
 
     /// Handles one incoming envelope, returning replies to deliver.
-    /// Envelopes addressed elsewhere or for unhosted partitions are
-    /// dropped (a healing cluster sees plenty of those).
+    /// Envelopes addressed elsewhere or naming another partition than
+    /// the group's are dropped (a healing cluster sees plenty of the
+    /// former).
     pub fn handle(&mut self, now_ms: u64, envelope: &Envelope) -> Vec<Envelope> {
         let mut out = Vec::new();
-        if envelope.to != self.id {
+        if envelope.to != self.id || envelope.msg.partition() != PARTITION {
             return out;
         }
-        let partition = envelope.msg.partition();
-        if !self.partitions.contains_key(&partition) {
-            return out;
-        }
-        let followers = self.followers(partition);
+        let partition = PARTITION;
+        let followers = &self.followers;
         let me = self.id;
-        let dir = self.partition_dir(partition);
-        let backend = self.backend.clone();
+        let (backend, dir) = (&*self.backend, &self.dir);
         let oak_config = self.options.oak;
-        let p = self.partitions.get_mut(&partition).expect("checked");
+        let p = &mut self.group;
         let from = envelope.from;
 
         let before = (p.lease.role(), p.lease.epoch(), p.lease.durable());
@@ -640,7 +600,7 @@ impl ClusterNode {
                         p.shipping.progressed.insert(from);
                     }
                     p.lease.note_contact(now_ms, from);
-                    Self::recompute_commit(p, &followers);
+                    Self::recompute_commit(p, followers);
                     // A follower still behind the head gets its next
                     // batch in the reply, not a tick later.
                     Self::ship_to(p, me, from, &mut out);
@@ -677,7 +637,7 @@ impl ClusterNode {
                                 // Persist before acking: the ack tells
                                 // the primary this install happened, so
                                 // a restart must not forget it.
-                                write_installed_epoch(&*backend, &dir, *epoch);
+                                write_installed_epoch(backend, dir, *epoch);
                                 acked = Some(*watermark);
                             }
                         }
@@ -715,21 +675,17 @@ impl ClusterNode {
                     p.shipping.sent.remove(&from);
                     p.shipping.progressed.insert(from);
                     p.lease.note_contact(now_ms, from);
-                    Self::recompute_commit(p, &followers);
+                    Self::recompute_commit(p, followers);
                     Self::ship_to(p, me, from, &mut out);
                 }
             }
         }
-        Self::apply_transition(p, &followers, before.0, before.1);
+        Self::apply_transition(p, followers, before.0, before.1);
         if p.lease.durable() != before.2 {
             // Persist before the replies (grants!) leave this node.
-            write_lease_file(&*backend, &dir, p.lease.durable());
+            write_lease_file(backend, dir, p.lease.durable());
         }
         out
-    }
-
-    fn partition_dir(&self, partition: u32) -> PathBuf {
-        self.root.join(format!("part-{partition:02}"))
     }
 }
 
@@ -817,8 +773,8 @@ mod tests {
 
     use super::*;
 
-    fn topology(nodes: u32, partitions: u32, replication: usize) -> Topology {
-        Topology::new((0..nodes).map(NodeId).collect(), partitions, replication)
+    fn topology(nodes: u32) -> Topology {
+        Topology::new((0..nodes).map(NodeId).collect(), 1, nodes as usize)
     }
 
     fn temp_root(tag: &str) -> PathBuf {
@@ -834,20 +790,14 @@ mod tests {
     }
 
     impl Harness {
-        fn new(tag: &str, n: u32, partitions: u32, replication: usize) -> Harness {
-            Harness::with_options(tag, n, partitions, replication, NodeOptions::default())
+        fn new(tag: &str, n: u32) -> Harness {
+            Harness::with_options(tag, n, NodeOptions::default())
         }
 
-        fn with_options(
-            tag: &str,
-            n: u32,
-            partitions: u32,
-            replication: usize,
-            options: NodeOptions,
-        ) -> Harness {
+        fn with_options(tag: &str, n: u32, options: NodeOptions) -> Harness {
             let root = temp_root(tag);
             let _ = std::fs::remove_dir_all(&root);
-            let topo = topology(n, partitions, replication);
+            let topo = topology(n);
             let nodes = (0..n)
                 .map(|i| {
                     ClusterNode::new(
@@ -882,7 +832,7 @@ mod tests {
             for (i, node) in self.nodes.iter_mut().enumerate() {
                 if !self.down.contains(&i) {
                     inbox.extend(node.tick(now_ms));
-                    for (store, oak) in node.compactions_due() {
+                    if let Some((store, oak)) = node.compactions_due() {
                         store.maybe_snapshot(&oak).unwrap();
                     }
                 }
@@ -908,11 +858,7 @@ mod tests {
                 let Some(primary) = self.primary_of(0) else {
                     continue;
                 };
-                if self.nodes[primary].partitions[&0]
-                    .shipping
-                    .needs_snapshot
-                    .is_empty()
-                {
+                if self.nodes[primary].group.shipping.needs_snapshot.is_empty() {
                     now += 50;
                     self.settle(now);
                     return (primary, now);
@@ -987,7 +933,7 @@ mod tests {
 
     #[test]
     fn elects_replicates_and_commits() {
-        let mut h = Harness::new("basic", 3, 1, 3);
+        let mut h = Harness::new("basic", 3);
         let mut now = 0;
         while h.primary_of(0).is_none() {
             now += 50;
@@ -1023,8 +969,8 @@ mod tests {
         }
         // Events shipped under the primary's epoch carry that epoch.
         let status = h.nodes[primary].status();
-        assert_eq!(status[0].role, Role::Primary);
-        assert!(status[0].epoch >= 1);
+        assert_eq!(status.role, Role::Primary);
+        assert!(status.epoch >= 1);
     }
 
     /// One journaled event per call, through the primary's engine.
@@ -1044,7 +990,7 @@ mod tests {
 
     #[test]
     fn ship_commits_without_a_tick() {
-        let mut h = Harness::new("ship-now", 3, 1, 3);
+        let mut h = Harness::new("ship-now", 3);
         let (primary, now) = h.elect();
         let oak = h.nodes[primary].primary_engine(0).unwrap();
         let id = oak
@@ -1065,7 +1011,7 @@ mod tests {
 
     #[test]
     fn nothing_in_flight_is_shipped_twice() {
-        let mut h = Harness::new("ship-once", 3, 1, 3);
+        let mut h = Harness::new("ship-once", 3);
         let (primary, _) = h.elect();
         let oak = h.nodes[primary].primary_engine(0).unwrap();
         let start = oak.event_seq();
@@ -1080,7 +1026,7 @@ mod tests {
         // before the third call.
         assert!(h.nodes[primary].ship().is_empty());
         let head = oak.event_seq();
-        for follower in h.nodes[primary].followers(0) {
+        for follower in h.nodes[primary].followers.clone() {
             assert_eq!(
                 appended_seqs(&shipped, follower),
                 (start..head).collect::<Vec<_>>(),
@@ -1092,7 +1038,7 @@ mod tests {
     #[test]
     fn lagging_followers_catch_up_on_acks_alone() {
         const BEHIND: usize = 5_000;
-        let mut h = Harness::new("ship-catchup", 3, 1, 3);
+        let mut h = Harness::new("ship-catchup", 3);
         let (primary, now) = h.elect();
         let oak = h.nodes[primary].primary_engine(0).unwrap();
         let id = oak
@@ -1173,7 +1119,7 @@ mod tests {
     fn followers_compact_and_reboot_to_the_same_state() {
         const TAG: &str = "follower-compaction";
         const EVENTS: u64 = 25_000;
-        let mut h = Harness::with_options(TAG, 3, 1, 3, shipped_store());
+        let mut h = Harness::with_options(TAG, 3, shipped_store());
         let (primary, mut now) = h.elect();
         let oak = h.nodes[primary].primary_engine(0).unwrap();
         let store = h.nodes[primary].partition_store(0).unwrap();
@@ -1208,7 +1154,7 @@ mod tests {
             let image = h.nodes[follower].replica_engine(0).unwrap().state_image();
             h.nodes[follower] = ClusterNode::new(
                 NodeId(follower as u32),
-                topology(3, 1, 3),
+                topology(3),
                 Arc::new(RealFs),
                 temp_root(TAG).join(format!("node-{follower}")),
                 shipped_store(),
@@ -1247,7 +1193,7 @@ mod tests {
     fn a_follower_journals_the_primarys_frames_byte_for_byte() {
         const TAG: &str = "shipped-bytes";
         const REPORTS: u64 = 250;
-        let mut h = Harness::with_options(TAG, 3, 1, 3, shipped_store());
+        let mut h = Harness::with_options(TAG, 3, shipped_store());
         let (primary, mut now) = h.elect();
         let oak = h.nodes[primary].primary_engine(0).unwrap();
         let rule = Rule::replace_identical(
@@ -1288,10 +1234,10 @@ mod tests {
     #[test]
     fn a_follower_behind_the_compaction_horizon_is_fast_forwarded_in_its_epoch() {
         const TAG: &str = "same-epoch-snapshot";
-        let mut h = Harness::with_options(TAG, 3, 1, 3, shipped_store());
+        let mut h = Harness::with_options(TAG, 3, shipped_store());
         let (p, mut now) = h.elect();
         let f = (p + 1) % 3;
-        let epoch = h.nodes[p].status()[0].epoch;
+        let epoch = h.nodes[p].status().epoch;
         let oak = h.nodes[p].primary_engine(0).unwrap();
         let store = h.nodes[p].partition_store(0).unwrap();
         let id = oak
@@ -1321,7 +1267,7 @@ mod tests {
             h.settle(now);
         }
         assert_eq!(h.primary_of(0), Some(p));
-        assert_eq!(h.nodes[p].status()[0].epoch, epoch, "the lease moved");
+        assert_eq!(h.nodes[p].status().epoch, epoch, "the lease moved");
         assert_eq!(h.head(f), h.head(p), "the follower never caught up");
         assert_eq!(h.state(f), h.state(p));
         std::fs::remove_dir_all(temp_root(TAG)).unwrap();
@@ -1329,7 +1275,7 @@ mod tests {
 
     #[test]
     fn a_snapshot_ack_is_answered_with_what_was_journaled_meanwhile() {
-        let mut h = Harness::new("ship-snapack", 3, 1, 3);
+        let mut h = Harness::new("ship-snapack", 3);
         let mut now = 0;
         while h.primary_of(0).is_none() {
             now += 50;
@@ -1350,7 +1296,7 @@ mod tests {
 
         let acks = h.deliver(now, snapshots);
         let appends = h.deliver(now, acks);
-        for follower in h.nodes[primary].followers(0) {
+        for follower in h.nodes[primary].followers.clone() {
             assert_eq!(
                 appended_seqs(&appends, follower),
                 (start..head).collect::<Vec<_>>(),
@@ -1364,7 +1310,7 @@ mod tests {
 
     #[test]
     fn the_tick_repairs_a_lost_append_and_a_gap() {
-        let mut h = Harness::new("ship-repair", 3, 1, 3);
+        let mut h = Harness::new("ship-repair", 3);
         let (primary, mut now) = h.elect();
         let oak = h.nodes[primary].primary_engine(0).unwrap();
         let id = oak
@@ -1403,7 +1349,7 @@ mod tests {
     /// outrun Q's epoch, and wait for the group to agree. Returns
     /// `(harness, P, Q, clock)`.
     fn heal_after_a_longer_dead_branch(tag: &str) -> (Harness, usize, usize, u64) {
-        let mut h = Harness::new(tag, 3, 1, 3);
+        let mut h = Harness::new(tag, 3);
         let (p, now) = h.elect();
         let oak = h.nodes[p].primary_engine(0).unwrap();
         let id = oak
@@ -1427,7 +1373,7 @@ mod tests {
         assert_eq!(h.nodes[q].commit(0), Some(x + 2), "two acked events");
         // P's lease runs out and it starts calling elections nobody
         // hears: it comes back a candidate at the group's highest epoch.
-        while h.nodes[p].status()[0].epoch <= h.nodes[q].status()[0].epoch {
+        while h.nodes[p].status().epoch <= h.nodes[q].status().epoch {
             now += 50;
             h.settle(now);
         }
@@ -1475,7 +1421,7 @@ mod tests {
         assert_eq!(primary, p, "P has the shorter election timeout");
         // Past the epoch-start snapshot, so the next event travels as an
         // `Append`.
-        while h.nodes[p].partitions[&0].shipping.needs_snapshot != [NodeId(q as u32)].into() {
+        while h.nodes[p].group.shipping.needs_snapshot != [NodeId(q as u32)].into() {
             now += 50;
             h.settle(now);
         }
@@ -1497,7 +1443,7 @@ mod tests {
 
     #[test]
     fn non_primary_refuses_client_traffic() {
-        let mut h = Harness::new("refuse", 3, 1, 3);
+        let mut h = Harness::new("refuse", 3);
         let mut now = 0;
         while h.primary_of(0).is_none() {
             now += 50;
@@ -1508,17 +1454,46 @@ mod tests {
             if i == primary {
                 assert!(node.primary_engine(0).is_ok());
             } else {
-                assert!(matches!(
-                    node.primary_engine(0),
-                    Err(NotPrimary { partition: 0 })
-                ));
+                assert!(matches!(node.primary_engine(0), Err(NotPrimary)));
             }
         }
     }
 
     #[test]
+    fn only_one_group_of_every_node_is_a_layout() {
+        let nodes = || (0..3).map(NodeId).collect::<Vec<_>>();
+        assert_eq!(Topology::new(nodes(), 1, 3).nodes(), nodes());
+        for (partitions, replication) in [(2, 3), (1, 2), (1, 4)] {
+            let built =
+                std::panic::catch_unwind(|| Topology::new(nodes(), partitions, replication));
+            assert!(built.is_err(), "{partitions} x {replication} accepted");
+        }
+    }
+
+    #[test]
+    fn an_envelope_for_another_partition_is_dropped() {
+        let mut h = Harness::new("other-partition", 3);
+        let (primary, now) = h.elect();
+        let follower = (primary + 1) % 3;
+        let before = h.nodes[follower].group.lease.durable();
+        let stray = Envelope {
+            from: NodeId(primary as u32),
+            to: NodeId(follower as u32),
+            msg: Message::Lease {
+                partition: PARTITION + 1,
+                msg: crate::lease::LeaseMsg::Heartbeat {
+                    epoch: before.epoch + 1,
+                    commit: 0,
+                },
+            },
+        };
+        assert!(h.nodes[follower].handle(now, &stray).is_empty());
+        assert_eq!(h.nodes[follower].group.lease.durable(), before);
+    }
+
+    #[test]
     fn failover_preserves_committed_writes() {
-        let mut h = Harness::new("failover", 3, 1, 3);
+        let mut h = Harness::new("failover", 3);
         let mut now = 0;
         while h.primary_of(0).is_none() {
             now += 50;
@@ -1579,7 +1554,7 @@ mod tests {
 
     #[test]
     fn restarted_follower_ignores_stale_duplicated_snapshot() {
-        let mut h = Harness::new("stale-snap", 2, 1, 2);
+        let mut h = Harness::new("stale-snap", 2);
         let mut now = 0;
         while h.primary_of(0).is_none() {
             now += 50;
@@ -1588,7 +1563,7 @@ mod tests {
         }
         let pri = h.primary_of(0).unwrap();
         let fol = 1 - pri;
-        let epoch = h.nodes[pri].status()[0].epoch;
+        let epoch = h.nodes[pri].status().epoch;
 
         // First write, fully replicated: its snapshot-equivalent state
         // is what a delayed duplicate transfer would carry.
@@ -1621,7 +1596,7 @@ mod tests {
 
         // Restart the follower (its installed-epoch memory must be on
         // disk, not only in the dropped value)...
-        let topo = topology(2, 1, 2);
+        let topo = topology(2);
         let root = temp_root("stale-snap").join(format!("node-{fol}"));
         h.nodes[fol] = ClusterNode::new(
             NodeId(fol as u32),
@@ -1744,7 +1719,7 @@ mod tests {
     fn follower_withholds_ack_while_its_journal_fails() {
         let root = temp_root("broken-disk");
         let _ = std::fs::remove_dir_all(&root);
-        let topo = topology(2, 1, 2);
+        let topo = topology(2);
         let broken = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let mut nodes = vec![
             ClusterNode::new(
@@ -1842,7 +1817,7 @@ mod tests {
     fn restart_recovers_state_and_lease() {
         let root = temp_root("restart");
         let _ = std::fs::remove_dir_all(&root);
-        let topo = topology(1, 1, 1);
+        let topo = topology(1);
         let head;
         {
             let mut node = ClusterNode::new(
@@ -1874,7 +1849,7 @@ mod tests {
         assert_eq!(oak.event_seq(), head, "events lost across restart");
         // The durable lease epoch survived: a restarted node can only
         // move *forward* in epochs.
-        assert!(node.partitions[&0].lease.epoch() >= 1);
+        assert!(node.group.lease.epoch() >= 1);
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -8,10 +8,11 @@
 //!
 //! The analysis borrows from the report it regroups: a server's IP and
 //! its domain names are slices of the report's own strings, so grouping
-//! allocates the per-server vectors and nothing per entry. Two orders
-//! here reach the journal through [`crate::events::IngestEffect`] and are
-//! kept by hand, not by a tree: servers ascend by the bytes of their IP,
-//! and each server's domains ascend, lowercase, without repeats.
+//! allocates one sorted index of the entries and the per-server vectors,
+//! and nothing per entry. Two orders here reach the journal through
+//! [`crate::events::IngestEffect`] and are kept by hand, not by a tree:
+//! servers ascend by the bytes of their IP, and each server's domains
+//! ascend, lowercase, without repeats.
 
 use std::borrow::Cow;
 
@@ -77,7 +78,105 @@ impl<'r> PageAnalysis<'r> {
         report: &'r PerfReport<impl AsRef<str>>,
         size_split: u64,
     ) -> PageAnalysis<'r> {
-        let mut servers: Vec<ServerStats<'r>> = Vec::with_capacity(report.entries.len().min(16));
+        // One sort groups the entries — by IP, then by position, so each
+        // server's samples keep report order — in O(n log n) for any
+        // number of servers.
+        let mut order: Vec<(&'r str, usize)> = report
+            .entries
+            .iter()
+            .enumerate()
+            .map(|(at, entry)| (entry.ip.as_ref(), at))
+            .collect();
+        order.sort_unstable();
+        let runs = || order.chunk_by(|a, b| a.0 == b.0);
+        let mut servers = Vec::with_capacity(runs().count());
+        for run in runs() {
+            let entries = || run.iter().map(|&(_, at)| &report.entries[at]);
+            let small = entries().filter(|e| e.bytes < size_split).count();
+            let mut stats = ServerStats {
+                ip: run[0].0,
+                domains: Vec::new(),
+                small_times_ms: Vec::with_capacity(small),
+                large_tputs_kbps: Vec::with_capacity(run.len() - small),
+                total_bytes: 0,
+                object_count: run.len(),
+            };
+            for entry in entries() {
+                if let Some(host) = entry.host() {
+                    // Domains are tracked lowercase (URL hosts are
+                    // case-insensitive); fold here, copying only when the
+                    // client actually sent uppercase.
+                    let host = if host.bytes().any(|b| b.is_ascii_uppercase()) {
+                        Cow::Owned(host.to_ascii_lowercase())
+                    } else {
+                        Cow::Borrowed(host)
+                    };
+                    // Objects of one host tend to arrive together.
+                    if stats.domains.last() != Some(&host) {
+                        stats.domains.push(host);
+                    }
+                }
+                if entry.bytes < size_split {
+                    stats.small_times_ms.push(entry.time_ms);
+                } else {
+                    stats.large_tputs_kbps.push(entry.throughput_kbps());
+                }
+                stats.total_bytes = stats.total_bytes.saturating_add(entry.bytes);
+            }
+            stats.domains.sort_unstable();
+            stats.domains.dedup();
+            servers.push(stats);
+        }
+        PageAnalysis { servers }
+    }
+
+    /// Number of distinct servers contacted.
+    pub fn server_count(&self) -> usize {
+        self.servers.len()
+    }
+
+    /// Iterates over server stats in IP order.
+    pub fn iter(&self) -> impl Iterator<Item = &ServerStats<'r>> {
+        self.servers.iter()
+    }
+
+    /// The stats for one IP, if present.
+    pub fn server(&self, ip: &str) -> Option<&ServerStats<'r>> {
+        self.servers
+            .binary_search_by(|s| s.ip.cmp(ip))
+            .ok()
+            .map(|at| &self.servers[at])
+    }
+}
+
+/// Groupings this module used to build, kept as references: the owned,
+/// tree-ordered one the borrowed analysis is tested against (the
+/// journal's bytes depend on the two agreeing on every order), and the
+/// in-place insertion the one sort replaced.
+#[cfg(test)]
+pub(crate) mod reference {
+    use std::borrow::Cow;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use super::{PageAnalysis, ServerStats as Server};
+    use crate::report::PerfReport;
+
+    #[derive(Clone, Debug, PartialEq)]
+    pub(crate) struct ServerStats {
+        pub ip: String,
+        pub domains: BTreeSet<String>,
+        pub small_times_ms: Vec<f64>,
+        pub large_tputs_kbps: Vec<f64>,
+        pub total_bytes: u64,
+        pub object_count: usize,
+    }
+
+    /// The grouping [`PageAnalysis::from_report_with_split`] did before
+    /// one sort replaced it: each new server inserted into a vector
+    /// sorted by IP, each new domain into a sorted list — quadratic in
+    /// one report's servers.
+    pub(crate) fn by_insertion(report: &PerfReport, size_split: u64) -> PageAnalysis<'_> {
+        let mut servers: Vec<Server<'_>> = Vec::with_capacity(report.entries.len().min(16));
         // The server of the previous entry: objects of one server tend to
         // arrive together, and IPs are unique in `servers`, so a hit here
         // is the index the search would return.
@@ -93,7 +192,7 @@ impl<'r> PageAnalysis<'r> {
                 Err(at) => {
                     servers.insert(
                         at,
-                        ServerStats {
+                        Server {
                             ip,
                             domains: Vec::new(),
                             small_times_ms: Vec::new(),
@@ -129,44 +228,6 @@ impl<'r> PageAnalysis<'r> {
             stats.object_count += 1;
         }
         PageAnalysis { servers }
-    }
-
-    /// Number of distinct servers contacted.
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Iterates over server stats in IP order.
-    pub fn iter(&self) -> impl Iterator<Item = &ServerStats<'r>> {
-        self.servers.iter()
-    }
-
-    /// The stats for one IP, if present.
-    pub fn server(&self, ip: &str) -> Option<&ServerStats<'r>> {
-        self.servers
-            .binary_search_by(|s| s.ip.cmp(ip))
-            .ok()
-            .map(|at| &self.servers[at])
-    }
-}
-
-/// The owned, tree-ordered analysis this module used to build, kept as
-/// the reference the borrowed one is tested against: the journal's bytes
-/// depend on the two agreeing on every order.
-#[cfg(test)]
-pub(crate) mod reference {
-    use std::collections::{BTreeMap, BTreeSet};
-
-    use crate::report::PerfReport;
-
-    #[derive(Clone, Debug, PartialEq)]
-    pub(crate) struct ServerStats {
-        pub ip: String,
-        pub domains: BTreeSet<String>,
-        pub small_times_ms: Vec<f64>,
-        pub large_tputs_kbps: Vec<f64>,
-        pub total_bytes: u64,
-        pub object_count: usize,
     }
 
     pub(crate) fn from_report_with_split(

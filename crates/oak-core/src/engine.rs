@@ -1342,10 +1342,8 @@ fn trim_shard_log(log: &mut Vec<(u64, LogEvent)>, retention: Option<usize>) {
 }
 
 /// The stable hash behind user→shard placement ([`SHARD_COUNT`] modulo
-/// of this value). Public so cluster partitioning (`oak-cluster`) can
-/// key its consistent-hash ring off the *same* bytes: a user's shard and
-/// partition are then both pure functions of the user id.
-pub fn shard_key(user: &str) -> u64 {
+/// of this value), which the aggregates' user sketch keys off too.
+pub(crate) fn shard_key(user: &str) -> u64 {
     fnv1a(user)
 }
 

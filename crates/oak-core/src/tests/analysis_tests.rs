@@ -203,6 +203,20 @@ mod against_the_reference {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
+        /// Grouping with one sort yields the analysis inserting each new
+        /// server and domain in place did, field for field.
+        #[test]
+        fn sorted_grouping_is_the_insertion_one(
+            report in report_strategy(),
+            tight_split in any::<bool>(),
+        ) {
+            let split = if tight_split { 10_000 } else { DEFAULT_SIZE_SPLIT };
+            prop_assert_eq!(
+                PageAnalysis::from_report_with_split(&report, split),
+                reference::by_insertion(&report, split)
+            );
+        }
+
         /// The borrowed analysis lists the servers, domains and samples
         /// the owned, tree-ordered one listed, in its order, bit for bit
         /// — and the ingest body written from it is the one written from

@@ -8,11 +8,11 @@
 //! round-trips — so a corrupt or truncated frame drops the connection
 //! instead of being applied.
 //!
-//! The live topology is one replication group: every peer replicates
-//! every partition (`replication = peers`), which makes the daemon a
-//! primary/standby HA pair (or triple) — the N-way partitioned layout,
-//! elections under partitions, and the loss oracles are exercised in
-//! `oak-sim`, which runs this same [`ClusterNode`] state machine.
+//! The `--peers` list is the replication group, every peer a replica of
+//! every user's state, which makes the daemon a primary/standby HA pair
+//! (or triple). Elections under network partitions, crashes mid-write
+//! and the loss oracles are exercised in `oak-sim`, which runs this same
+//! [`ClusterNode`] state machine.
 //!
 //! Threads:
 //! - a **ticker** advances the lease state machine every [`TICK_MS`] —
@@ -43,6 +43,7 @@ use std::time::Duration;
 
 use oak_cluster::{
     ClusterNode, DecodeStep, Envelope, NodeId, NodeOptions, PartitionStatus, Role, Topology,
+    PARTITION,
 };
 use oak_core::engine::{Oak, OakConfig};
 use oak_store::segment::{FRAME_OVERHEAD, MAX_FRAME};
@@ -74,10 +75,6 @@ const OUTBOX_FRAMES: usize = 256;
 /// follower, or a few [`TICK_MS`] when an `Append` is lost and the tick
 /// retransmits) but far below a client timeout.
 const COMMIT_WAIT_MS: u64 = 1_000;
-
-/// The single replication group the live runtime hosts (see module
-/// docs): every user hashes here, every peer replicates it.
-const GROUP: u32 = 0;
 
 /// One live cluster member: the replicated node, its peer addresses,
 /// and the per-peer outbound queues.
@@ -113,8 +110,7 @@ impl ClusterRuntime {
     ) -> std::io::Result<Arc<ClusterRuntime>> {
         let me = NodeId(role);
         let nodes: Vec<NodeId> = (0..peers.len() as u32).map(NodeId).collect();
-        let replication = peers.len();
-        let topology = Topology::new(nodes, 1, replication);
+        let topology = Topology::new(nodes, 1, peers.len());
         let options = NodeOptions {
             oak,
             store,
@@ -170,7 +166,7 @@ impl ClusterRuntime {
         self.node
             .lock()
             .expect("cluster node lock")
-            .partition_store(GROUP)
+            .partition_store(PARTITION)
     }
 
     /// The replica engine at boot (recovery report, rule counts).
@@ -178,7 +174,7 @@ impl ClusterRuntime {
         self.node
             .lock()
             .expect("cluster node lock")
-            .replica_engine(GROUP)
+            .replica_engine(PARTITION)
     }
 
     fn now_ms(&self) -> u64 {
@@ -189,7 +185,7 @@ impl ClusterRuntime {
         loop {
             std::thread::sleep(Duration::from_millis(TICK_MS));
             let now = self.now_ms();
-            let compactions = {
+            let compaction = {
                 let mut node = self.node.lock().expect("cluster node lock");
                 let out = node.tick(now);
                 self.maybe_seed_rules(&node);
@@ -203,7 +199,7 @@ impl ClusterRuntime {
             // its fsync stalls no ack, no ship and no commit — only the
             // next tick, by the few milliseconds it takes. Errors land in
             // the store's `write_errors`.
-            for (store, oak) in compactions {
+            if let Some((store, oak)) = compaction {
                 let _ = store.maybe_snapshot(&oak);
             }
         }
@@ -214,7 +210,7 @@ impl ClusterRuntime {
     fn maybe_seed_rules(&self, node: &ClusterNode) {
         let mut seed = self.seed_rules.lock().expect("seed rules lock");
         let Some(path) = seed.as_ref() else { return };
-        let Ok(oak) = node.primary_engine(GROUP) else {
+        let Ok(oak) = node.primary_engine(PARTITION) else {
             return;
         };
         if oak.rules().count() == 0 {
@@ -355,24 +351,23 @@ fn connect(addr: &str) -> Option<TcpStream> {
 
 impl ClusterStatusSource for ClusterRuntime {
     fn partitions(&self) -> Vec<PartitionStatus> {
-        self.node.lock().expect("cluster node lock").status()
+        vec![self.node.lock().expect("cluster node lock").status()]
     }
 
-    fn is_primary_for(&self, user: &str) -> bool {
-        let node = self.node.lock().expect("cluster node lock");
-        let partition = node.partition_of(user);
-        node.role(partition) == Some(Role::Primary)
+    /// The group holds every user, so `user` does not matter.
+    fn is_primary_for(&self, _user: &str) -> bool {
+        self.leads_maintenance()
     }
 
     fn live_engine(&self) -> Option<Arc<Oak>> {
         self.node
             .lock()
             .expect("cluster node lock")
-            .replica_engine(GROUP)
+            .replica_engine(PARTITION)
     }
 
     fn leads_maintenance(&self) -> bool {
-        self.node.lock().expect("cluster node lock").role(GROUP) == Some(Role::Primary)
+        self.node.lock().expect("cluster node lock").role(PARTITION) == Some(Role::Primary)
     }
 
     /// Blocks the ingest handler until the replication watermark covers
@@ -383,24 +378,23 @@ impl ClusterStatusSource for ClusterRuntime {
     /// state machine — the check and the park are atomic under the node
     /// lock, so an advance can never slip between them. A majority-less
     /// primary times out after [`COMMIT_WAIT_MS`] and the 204 is
-    /// withheld.
-    fn wait_for_commit(&self, user: &str, seq: u64) -> bool {
+    /// withheld. The group holds every user, so `user` does not matter.
+    fn wait_for_commit(&self, _user: &str, seq: u64) -> bool {
         let deadline = std::time::Instant::now() + Duration::from_millis(COMMIT_WAIT_MS);
         let mut node = self.node.lock().expect("cluster node lock");
-        if node.commit(node.partition_of(user)).unwrap_or(0) < seq {
+        if node.commit(PARTITION).unwrap_or(0) < seq {
             let out = node.ship();
             self.send_all(out);
         }
         loop {
-            let partition = node.partition_of(user);
-            if node.commit(partition).unwrap_or(0) >= seq {
+            if node.commit(PARTITION).unwrap_or(0) >= seq {
                 return true;
             }
             // Deposed mid-wait: this node can no longer advance the
             // watermark itself, and its unreplicated tail is about
             // to be discarded — fail fast so the client retries
             // against the new primary.
-            if node.role(partition) != Some(Role::Primary) {
+            if node.role(PARTITION) != Some(Role::Primary) {
                 return false;
             }
             let now = std::time::Instant::now();

@@ -42,8 +42,8 @@ pub struct ServiceStats {
     /// [`OakService::with_pruning`]).
     pub users_pruned: u64,
     /// Requests refused with 503 + Retry-After by the cluster layer:
-    /// either this node does not hold the primary lease for the user's
-    /// partition, or an ingested report's replication watermark failed
+    /// either this node does not hold the replication group's primary
+    /// lease, or an ingested report's replication watermark failed
     /// to cover it in time (see [`OakService::set_cluster_status`]).
     /// Always zero on a single-node deployment.
     pub cluster_refused: u64,
@@ -82,12 +82,15 @@ impl ServiceCounters {
 /// deployments, where every operator surface stays byte-identical to
 /// the pre-cluster wire format.
 pub trait ClusterStatusSource: Send + Sync {
-    /// Point-in-time status of every partition this node hosts.
+    /// Point-in-time status of the replication group on this node: one
+    /// entry, partition 0.
     fn partitions(&self) -> Vec<PartitionStatus>;
-    /// Whether this node currently holds the primary lease for `user`'s
-    /// partition. `false` turns the request away with 503 +
-    /// `Retry-After` — briefly refusing a report beats acking it into a
-    /// replica whose write would be silently discarded.
+    /// Whether this node currently holds the group's primary lease.
+    /// `false` turns the request away with 503 + `Retry-After` — briefly
+    /// refusing a report beats acking it into a replica whose write
+    /// would be silently discarded. The group holds every user; `user`
+    /// stays in the signature for `bench/`, which implements this trait,
+    /// until ROADMAP item 7's thaw.
     fn is_primary_for(&self, user: &str) -> bool;
 
     /// The replicated engine the service should serve from, when the
@@ -108,14 +111,15 @@ pub trait ClusterStatusSource: Send + Sync {
         true
     }
 
-    /// Blocks until the replication watermark for `user`'s partition
-    /// covers `seq` — the point at which a client ack may be released
-    /// (DESIGN.md §14: a `204` *means* durable on a majority) — or
-    /// until the implementation's bounded wait expires. `false` means
+    /// Blocks until the group's replication watermark covers `seq` —
+    /// the point at which a client ack may be released (DESIGN.md §14:
+    /// a `204` *means* durable on a majority) — or until the
+    /// implementation's bounded wait expires. `false` means
     /// the ack must be withheld: the service answers 503 + Retry-After
     /// and the client retries, making ingest at-least-once across a
     /// stalled majority. The default is immediate `true`: on a single
-    /// node the local WAL append *is* the durability point.
+    /// node the local WAL append *is* the durability point. `user` is
+    /// kept for `bench/` like [`ClusterStatusSource::is_primary_for`]'s.
     fn wait_for_commit(&self, user: &str, seq: u64) -> bool {
         let _ = (user, seq);
         true
@@ -392,12 +396,12 @@ impl OakService {
     }
 
     /// Attaches the node's replication status source, so `/oak/stats`
-    /// and `/oak/health` report per-partition role, epoch, and
+    /// and `/oak/health` report the group's role, epoch, and
     /// replication lag, `/oak/metrics` grows `oak_cluster_role` and
     /// `oak_cluster_replication_lag` gauge families and the
     /// `oak_cluster_commit_wait_duration_us` stage histogram, and user-scoped
-    /// traffic (page serves, report ingest) for partitions this node
-    /// does not lead is refused with 503 + `Retry-After`. The cluster
+    /// traffic (page serves, report ingest) is refused with 503 +
+    /// `Retry-After` while this node does not lead the group. The cluster
     /// runtime boots after the service is built and shared, so this is
     /// a post-start setter like [`OakService::set_edge_stats`]: first
     /// call wins.
@@ -497,8 +501,8 @@ impl OakService {
     }
 
     /// Refuses `user`'s request when a cluster status source is
-    /// attached and this node does not hold the lease for the user's
-    /// partition: 503 + `Retry-After`, so a polite client retries after
+    /// attached and this node does not hold the group's lease: 503 +
+    /// `Retry-After`, so a polite client retries after
     /// the failover window instead of writing into a replica.
     fn cluster_gate(&self, user: &str) -> Option<Response> {
         let source = self.cluster.get()?;
@@ -533,7 +537,7 @@ impl OakService {
             }
         };
 
-        // Per-user rewriting state lives on the partition's primary;
+        // Per-user rewriting state lives on the group's primary;
         // serving (and mutating) it here on a follower would diverge
         // the replicas outside the WAL stream.
         if let Some(refusal) = self.cluster_gate(&user) {
@@ -994,9 +998,9 @@ impl OakService {
             row.set("connections_open", e.connections_open);
             doc.set("edge", row);
         }
-        // A load balancer probing a cluster node sees each partition's
-        // role and replication lag inline: a follower falling behind,
-        // or a partition with no primary, shows up here before any
+        // A load balancer probing a cluster node sees the group's role
+        // and replication lag inline: a follower falling behind, or a
+        // group with no primary, shows up here before any
         // client request is refused.
         if let Some(cluster) = self.cluster.get() {
             let mut partitions = oak_json::Value::array();
@@ -1118,8 +1122,8 @@ impl OakService {
         if let Some(user) = cookie_user {
             report.user = Cow::Borrowed(user);
         }
-        // Gate on the resolved identity — the partition key — after
-        // parsing: only now is the user this report would mutate known.
+        // Gate on the resolved identity after parsing: only now is the
+        // user this report would mutate known.
         if let Some(refusal) = self.cluster_gate(&report.user) {
             return refusal;
         }

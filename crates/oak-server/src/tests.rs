@@ -714,35 +714,31 @@ fn edge_gauges_surface_only_when_attached() {
     assert!(metrics.contains("oak_edge_gauge{gauge=\"connections_open\"}"));
 }
 
-/// A fixed two-partition replication view: primary of partition 0,
-/// lagging follower of partition 1, and anything named `u-remote` lives
-/// on some other node.
-struct FakeCluster;
+/// One member's fixed view of the replication group: the lease holder
+/// at epoch 3, or a follower three events behind it.
+struct FakeCluster {
+    primary: bool,
+}
 
 impl crate::ClusterStatusSource for FakeCluster {
     fn partitions(&self) -> Vec<oak_cluster::PartitionStatus> {
-        vec![
-            oak_cluster::PartitionStatus {
-                partition: 0,
-                role: oak_cluster::Role::Primary,
-                epoch: 3,
-                head: 12,
-                commit: 12,
-                lag: 0,
-            },
-            oak_cluster::PartitionStatus {
-                partition: 1,
-                role: oak_cluster::Role::Follower,
-                epoch: 2,
-                head: 5,
-                commit: 8,
-                lag: 3,
-            },
-        ]
+        let (role, head, commit, lag) = if self.primary {
+            (oak_cluster::Role::Primary, 12, 12, 0)
+        } else {
+            (oak_cluster::Role::Follower, 5, 8, 3)
+        };
+        vec![oak_cluster::PartitionStatus {
+            partition: 0,
+            role,
+            epoch: 3,
+            head,
+            commit,
+            lag,
+        }]
     }
 
-    fn is_primary_for(&self, user: &str) -> bool {
-        user != "u-remote"
+    fn is_primary_for(&self, _user: &str) -> bool {
+        self.primary
     }
 }
 
@@ -801,49 +797,63 @@ fn cluster_surfaces_appear_only_when_attached_and_followers_refuse() {
         "without a cluster source every user is local"
     );
 
-    service.set_cluster_status(Arc::new(FakeCluster));
+    service.set_cluster_status(Arc::new(FakeCluster { primary: true }));
+    let follower = service_with_rule()
+        .with_obs(crate::ServiceObs::wall(16, 500))
+        .into_shared();
+    follower.set_cluster_status(Arc::new(FakeCluster { primary: false }));
 
-    // Locally led partition: traffic flows exactly as before.
+    // The lease holder: traffic flows exactly as before.
     assert_eq!(
-        post_report(&service, &violating_report("u-local"), Some("u-local"))
+        post_report(&service, &violating_report("u-1"), Some("u-1"))
             .status
             .0,
         204
     );
-    assert!(get(&service, "/index.html", Some("u-local"))
+    assert!(get(&service, "/index.html", Some("u-1"))
         .status
         .is_success());
 
-    // Remote partition: 503 + Retry-After for both ingest and serving.
-    let refused = post_report(&service, &violating_report("u-remote"), Some("u-remote"));
+    // A follower: 503 + Retry-After for both ingest and serving.
+    let refused = post_report(&follower, &violating_report("u-1"), Some("u-1"));
     assert_eq!(refused.status, StatusCode::UNAVAILABLE);
     assert_eq!(
         refused.header("retry-after"),
         Some(oak_cluster::RETRY_AFTER_HINT_SECS.to_string().as_str())
     );
-    let refused_page = get(&service, "/index.html", Some("u-remote"));
+    let refused_page = get(&follower, "/index.html", Some("u-1"));
     assert_eq!(refused_page.status, StatusCode::UNAVAILABLE);
     assert!(refused_page.header("retry-after").is_some());
-    assert_eq!(service.stats().cluster_refused, 2);
+    assert_eq!(follower.stats().cluster_refused, 2);
+    assert_eq!(service.stats().cluster_refused, 0);
 
-    // /oak/stats carries the full per-partition replication picture.
-    let doc = oak_json::parse(&get(&service, crate::STATS_PATH, None).body_text()).unwrap();
-    let cluster = doc.get("cluster").expect("cluster block in /oak/stats");
-    assert_eq!(cluster.get("refused").and_then(|v| v.as_u64()), Some(2));
-    let parts = cluster.get("partitions").expect("partitions array");
-    let p0 = parts.at(0).expect("partition 0 row");
+    // /oak/stats carries the replication picture, as partition 0.
+    let row = |service: &OakService| {
+        let doc = oak_json::parse(&get(service, crate::STATS_PATH, None).body_text()).unwrap();
+        let cluster = doc
+            .get("cluster")
+            .expect("cluster block in /oak/stats")
+            .clone();
+        let parts = cluster.get("partitions").expect("partitions array");
+        assert!(parts.at(1).is_none(), "one group, one row");
+        let row = parts.at(0).expect("partition 0 row").clone();
+        assert_eq!(row.get("partition").and_then(|v| v.as_u64()), Some(0));
+        (cluster, row)
+    };
+    let (_, p0) = row(&service);
     assert_eq!(p0.get("role").and_then(|v| v.as_str()), Some("primary"));
     assert_eq!(p0.get("epoch").and_then(|v| v.as_u64()), Some(3));
-    let p1 = parts.at(1).expect("partition 1 row");
-    assert_eq!(p1.get("role").and_then(|v| v.as_str()), Some("follower"));
-    assert_eq!(p1.get("lag").and_then(|v| v.as_u64()), Some(3));
-    assert_eq!(p1.get("commit").and_then(|v| v.as_u64()), Some(8));
+    let (cluster, p0) = row(&follower);
+    assert_eq!(cluster.get("refused").and_then(|v| v.as_u64()), Some(2));
+    assert_eq!(p0.get("role").and_then(|v| v.as_str()), Some("follower"));
+    assert_eq!(p0.get("lag").and_then(|v| v.as_u64()), Some(3));
+    assert_eq!(p0.get("commit").and_then(|v| v.as_u64()), Some(8));
 
     // /oak/health carries the load-bearing subset: role and lag.
-    let health = oak_json::parse(&get(&service, crate::HEALTH_PATH, None).body_text()).unwrap();
+    let health = oak_json::parse(&get(&follower, crate::HEALTH_PATH, None).body_text()).unwrap();
     let rows = health.get("cluster").expect("cluster rows in /oak/health");
     assert_eq!(
-        rows.at(1)
+        rows.at(0)
             .and_then(|r| r.get("lag"))
             .and_then(|v| v.as_u64()),
         Some(3)
@@ -853,14 +863,17 @@ fn cluster_surfaces_appear_only_when_attached_and_followers_refuse() {
     let metrics = get(&service, crate::METRICS_PATH, None).body_text();
     assert!(metrics.contains("# TYPE oak_cluster_role gauge"));
     assert!(metrics.contains("oak_cluster_role{partition=\"0\",role=\"primary\"} 1"));
-    assert!(metrics.contains("oak_cluster_role{partition=\"1\",role=\"follower\"} 1"));
     assert!(metrics.contains("# TYPE oak_cluster_replication_lag gauge"));
-    assert!(metrics.contains("oak_cluster_replication_lag{partition=\"1\"} 3"));
-    assert!(metrics.contains("oak_cluster_refused_total 2"));
+    assert!(metrics.contains("oak_cluster_replication_lag{partition=\"0\"} 0"));
     // ...and the replication stage histogram: one report got past the
-    // gate and waited for its commit (the refused one never did).
+    // gate and waited for its commit (the one before the attach never
+    // did).
     assert!(metrics.contains("# TYPE oak_cluster_commit_wait_duration_us histogram"));
     assert!(metrics.contains("oak_cluster_commit_wait_duration_us_count 1"));
+    let follower_metrics = get(&follower, crate::METRICS_PATH, None).body_text();
+    assert!(follower_metrics.contains("oak_cluster_role{partition=\"0\",role=\"follower\"} 1"));
+    assert!(follower_metrics.contains("oak_cluster_replication_lag{partition=\"0\"} 3"));
+    assert!(follower_metrics.contains("oak_cluster_refused_total 2"));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 //! The replicated simulation world: a whole `oak-cluster` deployment —
-//! N nodes, each with its own simulated disk, joined by a simulated
-//! network — driven through one seeded v2 scenario, with the cluster
-//! invariants audited continuously.
+//! one replication group of N nodes, each with its own simulated disk,
+//! joined by a simulated network — driven through one seeded v2
+//! scenario, with the cluster invariants audited continuously.
 //!
 //! Everything is the real code: real engines, real WAL stores
-//! ([`crate::fs::SimFs`] per node), the real lease/replication state
-//! machines ([`oak_cluster::ClusterNode`]), and the real router. The
-//! sim supplies only the physics — time ([`crate::clock::SimClock`]),
-//! disks, and the message fabric ([`crate::net::SimNet`] with seeded
-//! delay, reordering, duplication, loss, and scripted link cuts).
+//! ([`crate::fs::SimFs`] per node) and the real lease/replication state
+//! machines ([`oak_cluster::ClusterNode`]). A client sends each request
+//! to the node seated as primary in the highest epoch, and a group with
+//! none seated answers it with a 503. The sim supplies only the
+//! physics — time ([`crate::clock::SimClock`]), disks, and the message
+//! fabric ([`crate::net::SimNet`] with seeded delay, reordering,
+//! duplication, loss, and scripted link cuts).
 //!
 //! Invariants, checked at every tick and at a forced end-of-run heal:
 //!
@@ -19,19 +21,19 @@
 //!    when a client would get its 204; the end-of-run audit then
 //!    requires the converged engine to count at least that many reports
 //!    from each user (the site aggregates, which pruning never touches).
-//!    By sequence number: `committed_high[p]` records the highest
-//!    replication watermark any seated primary of partition `p` ever
-//!    reported, and no node may ever sit as primary with its WAL head
-//!    below it. The second check alone is blind to a *longer* history
-//!    that lacks the acked events — a deposed primary's dead branch
-//!    elected back in — which is why the first exists. Vote grants
+//!    By sequence number: `committed_high` records the highest
+//!    replication watermark any seated primary ever reported, and no
+//!    node may ever sit as primary with its WAL head below it. The
+//!    second check alone is blind to a *longer* history that lacks the
+//!    acked events — a deposed primary's dead branch elected back in —
+//!    which is why the first exists. Vote grants
 //!    compare `(branch epoch, head)` precisely to make both impossible;
 //!    `--buggy-promotion` removes the comparison to prove the harness
 //!    catches the loss.
 //! 2. **Election safety** — at most one node observed as primary per
-//!    `(partition, epoch)`, across the whole run.
+//!    epoch, across the whole run.
 //! 3. **Step-down & convergence** — after partitions heal and every
-//!    node restarts, each partition settles to exactly one primary
+//!    node restarts, the group settles to exactly one primary
 //!    (stale ones stepped down), replication drains (primary lag 0),
 //!    and every replica's engine fingerprint is byte-identical
 //!    (`last_seen` masked, as in the single-node world).
@@ -42,10 +44,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use oak_cluster::{
-    ClusterNode, LeaseConfig, NodeId, NodeOptions, PartitionStatus, Role, RouteDecision, Router,
-    Topology,
-};
+use oak_cluster::{ClusterNode, LeaseConfig, NodeId, NodeOptions, Role, Topology, PARTITION};
 use oak_core::engine::{Oak, OakConfig};
 use oak_core::report::PerfReport;
 use oak_core::Instant;
@@ -86,17 +85,11 @@ const SETTLE_BUDGET_MS: u64 = 30_000;
 /// A report ingest the cluster has run but not yet acknowledged.
 struct UnackedReport {
     user: String,
-    partition: u32,
     /// The primary it ran on, and the epoch that primary was seated in.
     node: usize,
     epoch: u64,
     /// That primary's head once the ingest was journaled.
     head: u64,
-}
-
-fn status_of(node: &ClusterNode, partition: u32) -> Option<PartitionStatus> {
-    let mut hosted = node.status().into_iter();
-    hosted.find(|st| st.partition == partition)
 }
 
 struct ClusterWorld<'a> {
@@ -110,19 +103,17 @@ struct ClusterWorld<'a> {
     /// `None` = node is down (crashed, not yet restarted).
     nodes: Vec<Option<ClusterNode>>,
     node_options: NodeOptions,
-    router: Router,
-    /// Partition → highest replication watermark any seated primary
-    /// ever reported. The supremum of releasable client acks.
-    committed_high: BTreeMap<u32, u64>,
+    /// The highest replication watermark any seated primary ever
+    /// reported. The supremum of releasable client acks.
+    committed_high: u64,
     /// Report ingests awaiting their commit (see [`UnackedReport`]).
     unacked: Vec<UnackedReport>,
     /// User → report ingests a client was acked for.
     acked_reports: BTreeMap<String, u64>,
-    /// `(partition, epoch)` → the one node seen as its primary.
-    claims: BTreeMap<(u32, u64), NodeId>,
-    /// Partition → highest epoch with an observed primary (failover
-    /// accounting).
-    epoch_high: BTreeMap<u32, u64>,
+    /// Epoch → the one node seen as its primary.
+    claims: BTreeMap<u64, NodeId>,
+    /// The highest epoch with an observed primary (failover accounting).
+    epoch_high: Option<u64>,
     stats: RunStats,
     step: usize,
 }
@@ -139,14 +130,6 @@ impl ClusterWorld<'_> {
 
     fn node_count(&self) -> usize {
         self.spec.nodes as usize
-    }
-
-    fn kill(&mut self, idx: usize) {
-        if self.nodes[idx].take().is_some() {
-            for partition in self.topology.partitions_of(NodeId(idx as u32)) {
-                self.router.invalidate(partition);
-            }
-        }
     }
 
     /// Boots (or re-boots) node `idx` from whatever its disk holds,
@@ -197,7 +180,7 @@ impl ClusterWorld<'_> {
                         let out = node.tick(now);
                         // Follower compaction, as the live ticker runs it
                         // after a tick: the disk may die inside it.
-                        for (store, oak) in node.compactions_due() {
+                        if let Some((store, oak)) = node.compactions_due() {
                             let _ = store.maybe_snapshot(&oak);
                         }
                         out
@@ -206,7 +189,7 @@ impl ClusterWorld<'_> {
                 };
                 if self.fses[idx].crashed() {
                     // Died mid-tick: nothing it "sent" ever left the box.
-                    self.kill(idx);
+                    self.nodes[idx] = None;
                     continue;
                 }
                 for envelope in out {
@@ -220,7 +203,7 @@ impl ClusterWorld<'_> {
                     None => continue, // delivered to a dead node: dropped
                 };
                 if self.fses[idx].crashed() {
-                    self.kill(idx);
+                    self.nodes[idx] = None;
                     continue;
                 }
                 for reply in replies {
@@ -232,8 +215,8 @@ impl ClusterWorld<'_> {
         Ok(())
     }
 
-    /// The continuous audit: walks every live node's partition status,
-    /// feeds the router, and checks election safety + losslessness.
+    /// The continuous audit: walks every live node's status and checks
+    /// election safety + losslessness.
     fn audit(&mut self) -> Result<(), SimFailure> {
         let started = std::time::Instant::now();
         self.release_acks();
@@ -243,62 +226,55 @@ impl ClusterWorld<'_> {
                 continue;
             };
             let me = NodeId(idx as u32);
-            for st in node.status() {
-                if st.role != Role::Primary {
-                    continue;
-                }
-                self.stats.invariant_checks += 2;
-                // Election safety: one primary per (partition, epoch).
-                let holder = self.claims.entry((st.partition, st.epoch)).or_insert(me);
-                if *holder != me {
-                    failure = Some((
-                        "single_primary",
-                        format!(
-                            "partition {} epoch {} has two primaries: {} and {}",
-                            st.partition, st.epoch, holder, me
-                        ),
-                    ));
-                    break;
-                }
-                // Failover accounting: a later epoch seating a primary.
-                let high = self.epoch_high.entry(st.partition).or_insert(st.epoch);
-                if st.epoch > *high {
-                    self.stats.failovers += 1;
-                    *high = st.epoch;
-                }
-                if st.epoch < *high {
-                    // A deposed primary that has not yet heard the new
-                    // epoch (partitioned away, inside its lease). Its
-                    // commit is frozen — a majority now lives at a
-                    // higher epoch and refuses its appends — so it can
-                    // neither lose acked events nor mint new acks; it
-                    // serves bounded-stale reads until it steps down.
-                    // Losslessness is a claim about the *authoritative*
-                    // line, below.
-                    continue;
-                }
-                // Losslessness: the authoritative (highest-epoch)
-                // primary may never sit below the highest watermark any
-                // primary ever acked at.
-                let acked = self.committed_high.entry(st.partition).or_insert(0);
-                if st.head < *acked {
-                    failure = Some((
-                        "acked_loss",
-                        format!(
-                            "node {} seated as primary of partition {} (epoch {}) with \
-                             head {} below the replication watermark {} — events acked \
-                             durable on a majority are gone from the serving history",
-                            me, st.partition, st.epoch, st.head, *acked
-                        ),
-                    ));
-                    break;
-                }
-                *acked = (*acked).max(st.commit);
-                self.router.observe_primary(st.partition, st.epoch, me);
+            let st = node.status();
+            if st.role != Role::Primary {
+                continue;
             }
-            if failure.is_some() {
+            self.stats.invariant_checks += 2;
+            // Election safety: one primary per epoch.
+            let holder = self.claims.entry(st.epoch).or_insert(me);
+            if *holder != me {
+                failure = Some((
+                    "single_primary",
+                    format!(
+                        "epoch {} has two primaries: {} and {}",
+                        st.epoch, holder, me
+                    ),
+                ));
                 break;
             }
+            // Failover accounting: a later epoch seating a primary.
+            let high = self.epoch_high.get_or_insert(st.epoch);
+            if st.epoch > *high {
+                self.stats.failovers += 1;
+                *high = st.epoch;
+            }
+            if st.epoch < *high {
+                // A deposed primary that has not yet heard the new epoch
+                // (partitioned away, inside its lease). Its commit is
+                // frozen — a majority now lives at a higher epoch and
+                // refuses its appends — so it can neither lose acked
+                // events nor mint new acks; it serves bounded-stale
+                // reads until it steps down. Losslessness is a claim
+                // about the *authoritative* line, below.
+                continue;
+            }
+            // Losslessness: the authoritative (highest-epoch) primary may
+            // never sit below the highest watermark any primary ever
+            // acked at.
+            if st.head < self.committed_high {
+                failure = Some((
+                    "acked_loss",
+                    format!(
+                        "node {} seated as primary (epoch {}) with head {} below the \
+                         replication watermark {} — events acked durable on a majority \
+                         are gone from the serving history",
+                        me, st.epoch, st.head, self.committed_high
+                    ),
+                ));
+                break;
+            }
+            self.committed_high = self.committed_high.max(st.commit);
         }
         self.stats.invariant_ns += started.elapsed().as_nanos() as u64;
         match failure {
@@ -317,7 +293,7 @@ impl ClusterWorld<'_> {
         self.unacked.retain(|op| {
             let seated = nodes[op.node]
                 .as_ref()
-                .and_then(|node| status_of(node, op.partition))
+                .map(ClusterNode::status)
                 .filter(|st| st.role == Role::Primary && st.epoch == op.epoch);
             match seated {
                 Some(st) if st.commit < op.head => true,
@@ -330,95 +306,63 @@ impl ClusterWorld<'_> {
         });
     }
 
-    /// Resolves `partition` to its live, seated primary's node index,
-    /// through the router (503-counting on the way).
-    fn primary_for(&mut self, partition: u32) -> Option<usize> {
-        match self.router.route_partition(partition) {
-            RouteDecision::Forward { node, .. } => {
-                let idx = node.0 as usize;
-                let seated = self.nodes[idx]
-                    .as_ref()
-                    .map(|n| n.role(partition) == Some(Role::Primary))
-                    .unwrap_or(false);
-                if seated {
-                    Some(idx)
-                } else {
-                    // Forward bounced: the believed primary is dead or
-                    // stepped down. Invalidate and 503.
-                    self.router.invalidate(partition);
-                    self.stats.refused += 1;
-                    None
-                }
-            }
-            RouteDecision::Unavailable { .. } => {
-                self.stats.refused += 1;
-                None
-            }
+    /// The live node seated as primary in the highest epoch, where a
+    /// client sends its request; `None`, counted as a 503, while no node
+    /// is seated.
+    fn primary(&mut self) -> Option<usize> {
+        let seated = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, node)| {
+                let st = node.as_ref()?.status();
+                (st.role == Role::Primary).then_some((st.epoch, idx))
+            })
+            .max();
+        if seated.is_none() {
+            self.stats.refused += 1;
         }
+        seated.map(|(_, idx)| idx)
     }
 
-    /// Runs one client operation against `partition`'s primary engine,
-    /// then handles a disk crash that may have fired inside it. Returns
-    /// the node it ran on with the result, unless that node is gone.
-    fn with_primary<R>(
-        &mut self,
-        partition: u32,
-        op: impl FnOnce(&Oak, Instant) -> R,
-    ) -> Option<(usize, R)> {
-        let idx = self.primary_for(partition)?;
-        let engine = match self.nodes[idx].as_ref()?.primary_engine(partition) {
-            Ok(engine) => engine,
-            Err(_) => {
-                self.router.invalidate(partition);
-                self.stats.refused += 1;
-                return None;
-            }
-        };
+    /// Runs one client operation against the primary engine, then
+    /// handles a disk crash that may have fired inside it. Returns the
+    /// node it ran on with the result, unless that node is gone.
+    fn with_primary<R>(&mut self, op: impl FnOnce(&Oak, Instant) -> R) -> Option<(usize, R)> {
+        let idx = self.primary()?;
+        let engine = self.nodes[idx].as_ref()?.primary_engine(PARTITION).ok()?;
         self.stats.requests += 1;
         let result = op(&engine, self.clock.now());
         // The serving path compacts the primary after every request that
         // journals (`OakService::with_durability`).
-        if let Some(store) = self.nodes[idx].as_ref()?.partition_store(partition) {
+        if let Some(store) = self.nodes[idx].as_ref()?.partition_store(PARTITION) {
             let _ = store.maybe_snapshot(&engine);
         }
         if self.fses[idx].crashed() {
             // The write may have been half-journaled; the node is gone
             // and the client never got an ack. Replication (or its
             // absence) is what the invariants audit.
-            self.kill(idx);
+            self.nodes[idx] = None;
             return None;
         }
         Some((idx, result))
-    }
-
-    /// Client ops that address every partition (operator rule pushes).
-    fn each_partition(&mut self, mut op: impl FnMut(&mut Self, u32)) {
-        for partition in 0..self.spec.partitions {
-            op(self, partition);
-        }
     }
 
     fn execute(&mut self, step: &Step) -> Result<(), SimFailure> {
         let fetcher = SharedFetcher(Arc::clone(&self.fetcher));
         match step {
             Step::AddRule { host, kind, ttl_ms } => {
-                let (host, kind, ttl_ms) = (*host, *kind, *ttl_ms);
-                self.each_partition(|world, partition| {
-                    world.with_primary(partition, |oak, _| {
-                        oak.add_rule(step_rule(host, kind, ttl_ms))
-                            .expect("generated rules are valid");
-                    });
+                self.with_primary(|oak, _| {
+                    oak.add_rule(step_rule(*host, *kind, *ttl_ms))
+                        .expect("generated rules are valid");
                 });
             }
             Step::RemoveRule { nth } => {
-                let nth = *nth;
-                self.each_partition(|world, partition| {
-                    world.with_primary(partition, |oak, _| {
-                        let ids: Vec<_> = oak.rules().map(|(id, _)| id).collect();
-                        if !ids.is_empty() {
-                            oak.remove_rule(ids[nth as usize % ids.len()]);
-                        }
-                    });
+                self.with_primary(|oak, _| {
+                    let ids: Vec<_> = oak.rules().map(|(id, _)| id).collect();
+                    if !ids.is_empty() {
+                        oak.remove_rule(ids[*nth as usize % ids.len()]);
+                    }
                 });
             }
             Step::Ingest {
@@ -441,35 +385,30 @@ impl ClusterWorld<'_> {
                 } else {
                     report
                 };
-                let partition = self.topology.partition_of(&report.user);
-                let ran = self.with_primary(partition, |oak, now| {
+                let ran = self.with_primary(|oak, now| {
                     oak.ingest_report_from(now, &report, &fetcher, None);
                     oak.event_seq()
                 });
                 if let Some((node, head)) = ran {
                     let seated = self.nodes[node].as_ref().expect("ran on a live node");
-                    let st = status_of(seated, partition).expect("hosts what it serves");
                     self.unacked.push(UnackedReport {
                         user: report.user,
-                        partition,
                         node,
-                        epoch: st.epoch,
+                        epoch: seated.status().epoch,
                         head,
                     });
                 }
             }
             Step::Serve { user } => {
                 let name = user_name(*user);
-                let partition = self.topology.partition_of(&name);
                 let page = sim_page();
-                self.with_primary(partition, |oak, now| {
+                self.with_primary(|oak, now| {
                     oak.modify_page(now, &name, "/p", &page);
                 });
             }
             Step::ForceActivate { user, nth } => {
                 let name = user_name(*user);
-                let partition = self.topology.partition_of(&name);
-                self.with_primary(partition, |oak, now| {
+                self.with_primary(|oak, now| {
                     let ids: Vec<_> = oak.rules().map(|(id, _)| id).collect();
                     if !ids.is_empty() {
                         oak.force_activate(now, &name, ids[*nth as usize % ids.len()]);
@@ -478,8 +417,7 @@ impl ClusterWorld<'_> {
             }
             Step::ForceDeactivate { user, nth } => {
                 let name = user_name(*user);
-                let partition = self.topology.partition_of(&name);
-                self.with_primary(partition, |oak, _| {
+                self.with_primary(|oak, _| {
                     let ids: Vec<_> = oak.rules().map(|(id, _)| id).collect();
                     if !ids.is_empty() {
                         oak.force_deactivate(&name, ids[*nth as usize % ids.len()]);
@@ -502,10 +440,8 @@ impl ClusterWorld<'_> {
             Step::Snapshot => {}
             Step::Prune { idle_ms } => {
                 let cutoff = Instant(self.clock.now().as_millis().saturating_sub(*idle_ms));
-                self.each_partition(|world, partition| {
-                    world.with_primary(partition, |oak, _| {
-                        oak.prune_inactive_users(cutoff);
-                    });
+                self.with_primary(|oak, _| {
+                    oak.prune_inactive_users(cutoff);
                 });
             }
             // A v1 crash in a cluster document: crash the node the
@@ -516,22 +452,16 @@ impl ClusterWorld<'_> {
                 self.crash_node(node, 0, *survival_seed);
             }
             Step::CheckHealth => {
-                // Any partition the router believes has a primary must
-                // actually be served by a seated one (or bounce into a
-                // 503, never into a stale engine).
-                self.stats.invariant_checks += u64::from(self.spec.partitions);
-                for partition in 0..self.spec.partitions {
-                    if let Some(idx) = self.primary_for(partition) {
-                        let node = self.nodes[idx].as_ref().expect("seated primary is live");
-                        if node.primary_engine(partition).is_err() {
-                            return Err(self.fail(
-                                "health",
-                                format!(
-                                    "router forwarded partition {partition} to n{idx}, \
-                                     which refuses as non-primary"
-                                ),
-                            ));
-                        }
+                // The node whose status reads primary must actually serve
+                // (or the client gets a 503, never a stale engine).
+                self.stats.invariant_checks += 1;
+                if let Some(idx) = self.primary() {
+                    let node = self.nodes[idx].as_ref().expect("seated primary is live");
+                    if node.primary_engine(PARTITION).is_err() {
+                        return Err(self.fail(
+                            "health",
+                            format!("n{idx} reads as primary but refuses client traffic"),
+                        ));
                     }
                 }
             }
@@ -570,7 +500,7 @@ impl ClusterWorld<'_> {
         }
         if ops_ahead == 0 {
             self.fses[idx].crash_now();
-            self.kill(idx);
+            self.nodes[idx] = None;
         } else {
             // The disk dies mid-flight: under a later tick's journaling
             // or snapshot write, exactly like a real power cut.
@@ -579,7 +509,7 @@ impl ClusterWorld<'_> {
     }
 
     /// End-of-run: heal everything, restart every dead node, and require
-    /// the cluster to converge — one primary per partition, replication
+    /// the cluster to converge — one primary, replication
     /// drained, replicas byte-identical.
     fn final_audit(&mut self) -> Result<(), SimFailure> {
         self.net.heal_all();
@@ -612,120 +542,106 @@ impl ClusterWorld<'_> {
         }
 
         // Stale primaries must all have stepped down: exactly one
-        // primary per partition among (now fully healed) live nodes.
+        // primary among (now fully healed) live nodes.
         let started = std::time::Instant::now();
-        for partition in 0..self.spec.partitions {
-            self.stats.invariant_checks += 2;
-            let primaries: Vec<NodeId> = self.seated_primaries(partition);
-            if primaries.len() != 1 {
+        self.stats.invariant_checks += 2;
+        let primaries: Vec<NodeId> = self.seated_primaries();
+        if primaries.len() != 1 {
+            return Err(self.fail(
+                "step_down",
+                format!(
+                    "{} primaries after healing: {:?}",
+                    primaries.len(),
+                    primaries
+                ),
+            ));
+        }
+        // Replica convergence: every copy of the group is the same
+        // state, byte for byte (last_seen masked).
+        let mut prints: Vec<(NodeId, String)> = Vec::new();
+        for (idx, node) in self.nodes.iter().enumerate() {
+            if let Some(engine) = node.as_ref().and_then(|n| n.replica_engine(PARTITION)) {
+                prints.push((NodeId(idx as u32), fingerprint(&engine)));
+            }
+        }
+        if let Some(((first, head), rest)) = prints.split_first() {
+            if let Some((diverged, _)) = rest.iter().find(|(_, p)| p != head) {
                 return Err(self.fail(
-                    "step_down",
+                    "replica_divergence",
                     format!(
-                        "partition {partition} has {} primaries after healing: {:?}",
-                        primaries.len(),
-                        primaries
+                        "replicas disagree after healing: {first} and {diverged} hold \
+                         different states"
                     ),
                 ));
             }
-            // Replica convergence: every copy of the partition is the
-            // same state, byte for byte (last_seen masked).
-            let mut prints: Vec<(NodeId, String)> = Vec::new();
-            for replica in self.topology.replicas(partition) {
-                if let Some(node) = self.nodes[replica.0 as usize].as_ref() {
-                    if let Some(engine) = node.replica_engine(partition) {
-                        prints.push((replica, fingerprint(&engine)));
-                    }
-                }
-            }
-            if let Some(((first, head), rest)) = prints.split_first() {
-                if let Some((diverged, _)) = rest.iter().find(|(_, p)| p != head) {
-                    return Err(self.fail(
-                        "replica_divergence",
-                        format!(
-                            "partition {partition} replicas disagree after healing: \
-                             {first} and {diverged} hold different states"
-                        ),
-                    ));
-                }
-            }
-            // Losslessness by content: the converged history counts every
-            // report a client was acked for.
-            let node = self.nodes[primaries[0].0 as usize].as_ref();
-            let engine = node.and_then(|n| n.replica_engine(partition));
-            let kept = engine.expect("seated primary is live").aggregates();
-            for (user, acked) in &self.acked_reports {
-                if self.topology.partition_of(user) != partition {
-                    continue;
-                }
-                self.stats.invariant_checks += 1;
-                let held = kept.reports_from(user);
-                if held < *acked {
-                    return Err(self.fail(
-                        "acked_loss",
-                        format!(
-                            "partition {partition} converged on a history holding {held} \
-                             report(s) from {user}, but clients were acked for {acked} — \
-                             reports acked durable on a majority are gone from every replica"
-                        ),
-                    ));
-                }
+        }
+        // Losslessness by content: the converged history counts every
+        // report a client was acked for.
+        let node = self.nodes[primaries[0].0 as usize].as_ref();
+        let engine = node.and_then(|n| n.replica_engine(PARTITION));
+        let kept = engine.expect("seated primary is live").aggregates();
+        for (user, acked) in &self.acked_reports {
+            self.stats.invariant_checks += 1;
+            let held = kept.reports_from(user);
+            if held < *acked {
+                return Err(self.fail(
+                    "acked_loss",
+                    format!(
+                        "the group converged on a history holding {held} report(s) from \
+                         {user}, but clients were acked for {acked} — reports acked \
+                         durable on a majority are gone from every replica"
+                    ),
+                ));
             }
         }
         self.stats.invariant_ns += started.elapsed().as_nanos() as u64;
         Ok(())
     }
 
-    fn seated_primaries(&self, partition: u32) -> Vec<NodeId> {
+    fn seated_primaries(&self) -> Vec<NodeId> {
         (0..self.node_count())
             .filter_map(|idx| {
                 let node = self.nodes[idx].as_ref()?;
-                (node.role(partition) == Some(Role::Primary)).then_some(NodeId(idx as u32))
+                (node.status().role == Role::Primary).then_some(NodeId(idx as u32))
             })
             .collect()
     }
 
-    /// Settled: every partition has exactly one primary whose followers
-    /// have acked its whole log and whose commit covers its head.
+    /// Settled: exactly one primary, whose followers have acked its
+    /// whole log and whose commit covers its head.
     fn converged(&self) -> bool {
-        (0..self.spec.partitions).all(|partition| {
-            let primaries = self.seated_primaries(partition);
-            let [primary] = primaries.as_slice() else {
-                return false;
-            };
-            let node = self.nodes[primary.0 as usize].as_ref().expect("seated");
-            node.status()
-                .into_iter()
-                .filter(|st| st.partition == partition)
-                .all(|st| st.lag == 0 && st.commit == st.head)
-        })
+        let primaries = self.seated_primaries();
+        let [primary] = primaries.as_slice() else {
+            return false;
+        };
+        let st = self.nodes[primary.0 as usize]
+            .as_ref()
+            .expect("seated")
+            .status();
+        st.lag == 0 && st.commit == st.head
     }
 
     fn settle_report(&self) -> String {
-        let mut parts = Vec::new();
-        for partition in 0..self.spec.partitions {
-            let primaries = self.seated_primaries(partition);
-            let mut detail = match primaries.as_slice() {
-                [] => "no primary".to_owned(),
-                [p] => format!("primary {p}"),
-                many => format!("{} primaries {:?}", many.len(), many),
-            };
-            for replica in self.topology.replicas(partition) {
-                let Some(node) = self.nodes[replica.0 as usize].as_ref() else {
-                    detail.push_str(&format!("; {replica} down"));
-                    continue;
-                };
-                for st in node.status() {
-                    if st.partition == partition {
-                        detail.push_str(&format!(
-                            "; {replica} {:?} epoch {} head {} commit {} lag {}",
-                            st.role, st.epoch, st.head, st.commit, st.lag
-                        ));
-                    }
+        let primaries = self.seated_primaries();
+        let mut detail = match primaries.as_slice() {
+            [] => "no primary".to_owned(),
+            [p] => format!("primary {p}"),
+            many => format!("{} primaries {:?}", many.len(), many),
+        };
+        for (idx, node) in self.nodes.iter().enumerate() {
+            let replica = NodeId(idx as u32);
+            match node {
+                None => detail.push_str(&format!("; {replica} down")),
+                Some(node) => {
+                    let st = node.status();
+                    detail.push_str(&format!(
+                        "; {replica} {:?} epoch {} head {} commit {} lag {}",
+                        st.role, st.epoch, st.head, st.commit, st.lag
+                    ));
                 }
             }
-            parts.push(format!("partition {partition}: {detail}"));
         }
-        parts.join("; ")
+        detail
     }
 }
 
@@ -746,8 +662,8 @@ pub fn run_cluster_scenario(
     };
     let topology = Topology::new(
         (0..spec.nodes).map(NodeId).collect(),
-        spec.partitions,
-        spec.replication,
+        1,
+        spec.nodes as usize,
     );
     let clock = SimClock::new();
     let fetcher = Arc::new(SimFetcher::new(clock.clone(), scenario.seed ^ 0xfe7c));
@@ -778,7 +694,7 @@ pub fn run_cluster_scenario(
     let mut world = ClusterWorld {
         scenario,
         spec,
-        topology: topology.clone(),
+        topology,
         clock,
         fetcher,
         net,
@@ -795,12 +711,11 @@ pub fn run_cluster_scenario(
             .collect(),
         nodes: (0..spec.nodes).map(|_| None).collect(),
         node_options,
-        router: Router::new(topology),
-        committed_high: BTreeMap::new(),
+        committed_high: 0,
         unacked: Vec::new(),
         acked_reports: BTreeMap::new(),
         claims: BTreeMap::new(),
-        epoch_high: BTreeMap::new(),
+        epoch_high: None,
         stats: RunStats::default(),
         step: 0,
     };
@@ -822,7 +737,7 @@ pub fn run_cluster_scenario(
     world.step = scenario.steps.len();
     world.final_audit()?;
 
-    world.stats.events = world.committed_high.values().sum();
+    world.stats.events = world.committed_high;
     for fs in &world.fses {
         let c = fs.counters();
         world.stats.fs.crashes += c.crashes;

@@ -39,7 +39,7 @@
 //!    shed, no shed unaccounted.
 //!
 //! Scenarios tagged with a [`ClusterSpec`] run the same engine/store
-//! stack replicated across simulated nodes instead
+//! stack replicated across the simulated nodes of one group instead
 //! ([`run_cluster_scenario`]): WAL-shipping replication with
 //! heartbeat/lease failover (`oak-cluster`), wired through a simulated
 //! network ([`SimNet`] — seeded delay, reordering, duplication, loss,
@@ -49,10 +49,10 @@
 //! 1. **Losslessness** — no event acked at the replication watermark is
 //!    ever missing from the authoritative (highest-epoch) primary, across
 //!    any schedule of crashes, partitions, and failovers.
-//! 2. **Election safety** — at most one primary per (partition, epoch).
+//! 2. **Election safety** — at most one primary per epoch.
 //! 3. **Step-down and convergence** — after healing every link and
-//!    reviving every node, each partition settles to exactly one
-//!    primary and byte-identical replicas.
+//!    reviving every node, the group settles to exactly one primary
+//!    and byte-identical replicas.
 //!
 //! A failing seed is shrunk by [`minimize`] (delta debugging over the
 //! step list; [`minimize_with`] for the cluster runner) and the result

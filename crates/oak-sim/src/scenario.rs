@@ -30,15 +30,12 @@ pub const HOSTS: usize = 4;
 /// Highest scenario format version this build decodes.
 pub const SCENARIO_VERSION: u64 = 2;
 
-/// The replicated deployment a v2 scenario runs against.
+/// The replicated deployment a v2 scenario runs against: one
+/// replication group, every node a replica.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClusterSpec {
-    /// Cluster size (node ids `0..nodes`).
+    /// Group size (node ids `0..nodes`).
     pub nodes: u32,
-    /// User-space partitions.
-    pub partitions: u32,
-    /// Replicas per partition (clamped to `nodes` by the topology).
-    pub replication: usize,
 }
 
 /// One scheduled action.
@@ -240,18 +237,14 @@ impl Scenario {
 
     /// The canonical **cluster** scenario for `seed`: client traffic
     /// and rule churn interleaved with node crashes, restarts, and link
-    /// partitions against a 3–5 node replicated deployment. Fsync is
+    /// partitions against a replication group of 3–5 nodes. Fsync is
     /// always `Always` — a replication ack asserts durability, so a
     /// looser policy would make the losslessness invariant vacuous.
     pub fn generate_cluster(seed: u64) -> Scenario {
         let mut rng = SimRng::new(seed ^ 0x636c_7573_7465_7232);
+        // Majority quorums need 3 replicas to survive one failure.
         let nodes = rng.range(3, 6) as u32;
-        let spec = ClusterSpec {
-            nodes,
-            partitions: rng.range(1, 4) as u32,
-            // Majority quorums need 3 replicas to survive one failure.
-            replication: 3,
-        };
+        let spec = ClusterSpec { nodes };
         let mut steps = Vec::new();
         // Let the first elections seat before traffic arrives.
         steps.push(Step::AdvanceClock {
@@ -357,10 +350,12 @@ impl Scenario {
         // only an actual cluster needs the v2 envelope.
         if let Some(spec) = &self.cluster {
             doc.set("v", SCENARIO_VERSION);
+            // `partitions` and `replication` name the one layout a
+            // cluster runs, in the fields earlier builds read.
             let mut cluster = Value::object();
             cluster.set("nodes", spec.nodes.to_string());
-            cluster.set("partitions", spec.partitions.to_string());
-            cluster.set("replication", spec.replication.to_string());
+            cluster.set("partitions", "1");
+            cluster.set("replication", spec.nodes.to_string());
             doc.set("cluster", cluster);
         }
         doc.set("seed", self.seed.to_string());
@@ -459,11 +454,23 @@ impl Scenario {
         }
         let cluster = match doc.get("cluster") {
             None => None,
-            Some(spec) => Some(ClusterSpec {
-                nodes: field(spec, "nodes")? as u32,
-                partitions: field(spec, "partitions")? as u32,
-                replication: field(spec, "replication")? as usize,
-            }),
+            Some(spec) => {
+                let nodes = field(spec, "nodes")?;
+                let partitions = field(spec, "partitions")?;
+                let replication = field(spec, "replication")?;
+                match u32::try_from(nodes) {
+                    Ok(n) if n > 0 && partitions == 1 && replication == nodes => {
+                        Some(ClusterSpec { nodes: n })
+                    }
+                    _ => {
+                        return Err(format!(
+                            "cluster layout of {nodes} node(s), {partitions} partition(s) of \
+                             {replication} replica(s) is not supported: a cluster is one \
+                             group with every node a replica"
+                        ))
+                    }
+                }
+            }
         };
         let fsync = match doc.get("fsync").and_then(Value::as_str) {
             Some("always") => FsyncPolicy::Always,

@@ -101,6 +101,46 @@ fn checked_in_v1_artifact_still_decodes_and_replays() {
     run_any_scenario(&scenario, healthy()).expect("fixed code passes the same schedule");
 }
 
+/// A cluster (v2) failure artifact checked in verbatim: the exact JSON
+/// `oak-sim --cluster --buggy-promotion` wrote while the scenario format
+/// still placed users on partitions. Its layout is one group of three
+/// replicas, the one layout clusters run now, so it must keep decoding,
+/// reproduce the recorded loss under the recorded fault, and pass clean
+/// without it.
+#[test]
+fn checked_in_v2_cluster_artifact_still_decodes_and_replays() {
+    let text = include_str!("../testdata/SIM_FAILURE_v2_cluster.json");
+    let doc = oak_json::parse(text).expect("artifact is valid JSON");
+    let scenario = Scenario::from_value(doc.get("scenario").expect("artifact nests a scenario"))
+        .expect("a one-group v2 scenario decodes");
+    assert_eq!(scenario.cluster, Some(ClusterSpec { nodes: 3 }));
+    let recorded_fault = doc
+        .get("buggy_promotion")
+        .and_then(oak_json::Value::as_bool);
+    assert_eq!(recorded_fault, Some(true));
+
+    let failure = run_cluster_scenario(&scenario, buggy_promotion())
+        .expect_err("recorded fault still reproduces");
+    assert_eq!(failure.invariant, "acked_loss");
+    run_cluster_scenario(&scenario, healthy()).expect("fixed code passes the same schedule");
+}
+
+/// A v2 layout other than one group of every node is refused, by name.
+#[test]
+fn a_partitioned_cluster_layout_is_refused() {
+    let mut doc = longer_dead_branch().to_value();
+    let mut cluster = oak_json::Value::object();
+    cluster.set("nodes", "5");
+    cluster.set("partitions", "2");
+    cluster.set("replication", "3");
+    doc.set("cluster", cluster);
+    let err = Scenario::from_value(&doc).expect_err("a partitioned layout is refused");
+    assert!(
+        err.contains("5 node(s), 2 partition(s) of 3 replica(s)"),
+        "the error names the layout: {err}"
+    );
+}
+
 /// The three-node schedule the sequence-number oracle cannot see. Node
 /// 0 wins the first election and replicates one report; it is cut off
 /// while still seated and journals five more that nobody hears of; the
@@ -134,11 +174,7 @@ fn longer_dead_branch() -> Scenario {
         seed: 1,
         fsync: oak_store::FsyncPolicy::Always,
         snapshot_every: 1_000,
-        cluster: Some(ClusterSpec {
-            nodes: 3,
-            partitions: 1,
-            replication: 3,
-        }),
+        cluster: Some(ClusterSpec { nodes: 3 }),
         steps,
     }
 }
