@@ -20,7 +20,9 @@
 //! - (soak mode) ChaosClient fault injection woven through the load:
 //!   slowloris dribbles, mid-body disconnects, oversized heads.
 //!
-//! The run calibrates the node's capacity closed-loop, then holds
+//! The run calibrates capacity closed-loop on a node without an
+//! overload controller, boots a fresh node whose controller target is
+//! derived from that capacity, then holds
 //! open-loop phases at 1×, (full mode) 1.5×, and 2× that capacity,
 //! recording per-class goodput, client-observed latency percentiles,
 //! `/oak/health` probe latency, peak RSS, and the server's own
@@ -29,6 +31,9 @@
 //! Gates (exit nonzero on violation) — graceful degradation, not
 //! collapse:
 //! - report goodput at 2× capacity ≥ 70% of the 1× capacity point;
+//! - at 1× capacity, ≥ 90% of attempts served;
+//! - in every phase that refuses work before it queues, refusal p50 <
+//!   a tenth of served page p50;
 //! - `/oak/health` p99 < 100 ms in every phase, zero failed probes;
 //! - bounded memory: peak RSS at 2× ≤ 2× the 1× peak + 128 MiB;
 //! - zero client-thread panics;
@@ -66,7 +71,7 @@ use oak_http::{Method, Request, ServerLimits, TransportStats};
 use oak_net::{Quality, Region, Server as NetServer, ServerId, SimTime, StatelessRng};
 use oak_server::{
     OakService, OverloadController, OverloadPolicy, PrunePolicy, ServiceObs, SiteStore,
-    HEALTH_PATH, REPORT_PATH, STATS_PATH,
+    HEALTH_PATH, OVERLOAD_INTERVAL_MS, REPORT_PATH, STATS_PATH,
 };
 use oak_store::{FsyncPolicy, OakStore, StoreOptions};
 
@@ -135,20 +140,37 @@ fn site() -> SiteStore {
     store
 }
 
-/// The harness's overload thresholds, scaled to its own concurrency:
-/// with `PHASE_THREADS` blocking clients and one edge worker, the
-/// worker queue tops out around `PHASE_THREADS - 1`, so Brownout and
-/// Shedding both sit well inside the reachable range.
-fn overload_policy() -> OverloadPolicy {
+/// The harness's overload target, derived from the calibrated capacity
+/// rather than tuned. `PHASE_THREADS` blocking clients over one edge
+/// worker can stand at most `PHASE_THREADS - 1` jobs in the queue, and
+/// each job costs the worker about `1 / capacity_rps`, so no job can
+/// wait longer than `(PHASE_THREADS - 1) / capacity_rps`: the 5 ms
+/// default would never trip at this scale. The target is a quarter of
+/// that ceiling, so the ladder's bars land inside the reachable range:
+/// brownout once a quarter of the clients stand in the queue, pages
+/// shed at half, scrapes at all of them. Reports (8× the target) are
+/// never shed here, which is what the 2× report-retention gate asks.
+fn overload_policy(capacity_rps: f64) -> OverloadPolicy {
+    let ceiling_us = (PHASE_THREADS - 1) as f64 * 1e6 / capacity_rps.max(1.0);
     OverloadPolicy {
-        sample_every_ms: 50,
-        queue_brownout: 6,
-        queue_shed: 18,
-        cooldown_samples: 3,
-        max_connections: 512,
-        ..OverloadPolicy::default()
+        target_us: (ceiling_us / 4.0).round().max(1.0) as u64,
     }
 }
+
+/// Served-share gate at 1× capacity: a node offered what it was
+/// calibrated to serve must serve it, not refuse it.
+const SERVED_SHARE_1X: f64 = 0.90;
+
+/// Shed-cost gate: in every phase that refuses work before it queues
+/// (the overload controller's admission hook, the connection cap), the
+/// refusals' p50 must be under this fraction of a served page's p50,
+/// or shedding relieves nothing. Queue-deadline drops are counted and
+/// reported beside it but not gated here: by construction each one
+/// waited the whole deadline, so its latency measures the deadline,
+/// not the shed path. A run in which no phase refuses anything passes
+/// vacuously and says so (`shed_cost_exercised` false): 24 blocking
+/// clients seldom hold a standing queue for a whole interval.
+const SHED_COST_SHARE: f64 = 0.10;
 
 /// Snapshot cadence for `--store` runs: small enough that even the
 /// smoke run compacts a few times (so the backlog and cadence gates
@@ -157,9 +179,11 @@ fn overload_policy() -> OverloadPolicy {
 /// the 50 Hz health probe stream it would otherwise dominate.
 const STORE_SNAPSHOT_EVERY: u64 = 20_000;
 
+/// Boots the node under test; `overload` arms the controller.
 #[allow(clippy::type_complexity)]
 fn start_server(
     store_dir: Option<&std::path::Path>,
+    overload: Option<OverloadPolicy>,
 ) -> (
     EdgeServer,
     Arc<OakService>,
@@ -208,8 +232,10 @@ fn start_server(
         .with_pruning(PrunePolicy {
             idle_ms: 5_000,
             every_requests: 2_048,
-        })
-        .with_overload(OverloadController::new(overload_policy()));
+        });
+    if let Some(policy) = overload {
+        service = service.with_overload(OverloadController::new(policy));
+    }
     if let Some(store) = &durable {
         service = service.with_durability(Arc::clone(store));
     }
@@ -380,12 +406,17 @@ struct PhaseTally {
     reports_ok: u64,
     scrapes_ok: u64,
     shed_503: u64,
+    /// 503s the queue deadline answered at dequeue, after waiting.
+    queue_drops: u64,
     other_status: u64,
     resets: u64,
     faults: u64,
     page_us: Vec<u64>,
     report_us: Vec<u64>,
     shed_us: Vec<u64>,
+    /// Every 503 but the queue deadline's: refusals the reactor made
+    /// before the request queued (admission hook, connection cap).
+    refusal_us: Vec<u64>,
 }
 
 impl PhaseTally {
@@ -395,12 +426,14 @@ impl PhaseTally {
         self.reports_ok += other.reports_ok;
         self.scrapes_ok += other.scrapes_ok;
         self.shed_503 += other.shed_503;
+        self.queue_drops += other.queue_drops;
         self.other_status += other.other_status;
         self.resets += other.resets;
         self.faults += other.faults;
         self.page_us.extend(other.page_us);
         self.report_us.extend(other.report_us);
         self.shed_us.extend(other.shed_us);
+        self.refusal_us.extend(other.refusal_us);
     }
 }
 
@@ -428,6 +461,7 @@ fn client_loop(
 ) -> PhaseTally {
     let mut tally = PhaseTally::default();
     let zipf = Zipf::new();
+    let queue_drop = oak_http::queue_shed_response().body;
     let client = ChaosClient::new(addr).with_read_timeout(Duration::from_secs(5));
     let mut pool = client.concurrent(1).ok();
     // Mean of the demand curve is 0.5, so normalizing by
@@ -510,6 +544,11 @@ fn client_loop(
                     (503, _) => {
                         tally.shed_503 += 1;
                         tally.shed_us.push(us);
+                        if response.body == queue_drop {
+                            tally.queue_drops += 1;
+                        } else {
+                            tally.refusal_us.push(us);
+                        }
                     }
                     _ => tally.other_status += 1,
                 }
@@ -688,6 +727,7 @@ fn run_phase(
     tally.page_us.sort_unstable();
     tally.report_us.sort_unstable();
     tally.shed_us.sort_unstable();
+    tally.refusal_us.sort_unstable();
     health_us.sort_unstable();
     PhaseResult {
         mult,
@@ -736,12 +776,26 @@ fn main() {
         (8, vec![(1.0, unit), (1.5, unit), (2.0, unit * 2)])
     };
 
-    let store_dir = with_store.then(|| {
-        let dir = std::env::temp_dir().join(format!("oak-load-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    });
-    let (mut server, _service, addr, durable) = start_server(store_dir.as_deref());
+    let scratch_store = |name: &str| {
+        with_store.then(|| {
+            let dir = std::env::temp_dir().join(format!("oak-load-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
+        })
+    };
+    // Calibrate a node without a controller, so nothing browns out the
+    // capacity it reports; then boot a fresh node whose target is
+    // derived from that capacity.
+    let cal_dir = scratch_store("cal");
+    let (mut cal_server, _, cal_addr, _) = start_server(cal_dir.as_deref(), None);
+    let capacity_rps = calibrate(cal_addr, seed, cal_secs);
+    cal_server.shutdown();
+    if let Some(dir) = &cal_dir {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    let policy = overload_policy(capacity_rps);
+    let store_dir = scratch_store("store");
+    let (mut server, _service, addr, durable) = start_server(store_dir.as_deref(), Some(policy));
     println!(
         "oak-load: {} mode on {addr} ({} client threads over {} edge worker(s), \
 user pool {USER_POOL}, {PAGES} zipf pages, faults {}, store {})",
@@ -751,9 +805,11 @@ user pool {USER_POOL}, {PAGES} zipf pages, faults {}, store {})",
         if faults { "on" } else { "off" },
         if with_store { "on" } else { "off" },
     );
-
-    let capacity_rps = calibrate(addr, seed, cal_secs);
-    println!("calibrated capacity: {capacity_rps:.0} req/s (closed loop, {CAL_THREADS} threads)\n");
+    println!(
+        "calibrated capacity: {capacity_rps:.0} req/s (closed loop, {CAL_THREADS} threads); \
+overload target {} us over {OVERLOAD_INTERVAL_MS} ms\n",
+        policy.target_us
+    );
     println!(
         "{:>5} {:>5} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>10} {:>10} {:>10} {:>9} {:>8}",
         "mult",
@@ -857,12 +913,51 @@ user pool {USER_POOL}, {PAGES} zipf pages, faults {}, store {})",
         r.tally.attempted == 0
             || (r.tally.resets as f64 / r.tally.attempted as f64) < RESET_STORM_FRACTION
     });
+    let served = |r: &PhaseResult| {
+        let t = &r.tally;
+        (t.pages_ok + t.reports_ok + t.scrapes_ok) as f64 / t.attempted.max(1) as f64
+    };
+    let served_share = served(base);
+    let served_pass = served_share >= SERVED_SHARE_1X;
+    let shed_cost_pass = results.iter().all(|r| {
+        r.tally.refusal_us.is_empty()
+            || (pct(&r.tally.refusal_us, 0.50) as f64)
+                < SHED_COST_SHARE * pct(&r.tally.page_us, 0.50) as f64
+    });
+    let shed_cost_exercised = results.iter().any(|r| !r.tally.refusal_us.is_empty());
 
     println!(
         "\nreport goodput: {base_goodput:.0}/s at 1x -> {peak_goodput:.0}/s at 2x \
 (floor {:.0}%) -> {}",
         GOODPUT_RETENTION * 100.0,
         if goodput_pass { "pass" } else { "FAIL" }
+    );
+    println!(
+        "served at 1x: {:.1}% of attempts (floor {:.0}%) -> {}",
+        served_share * 100.0,
+        SERVED_SHARE_1X * 100.0,
+        if served_pass { "pass" } else { "FAIL" }
+    );
+    println!(
+        "refusal p50 / page p50 us by phase: {:?} (ceiling {SHED_COST_SHARE} where refusing; \
+queue-deadline drops {:?} excluded) -> {}",
+        results
+            .iter()
+            .map(|r| format!(
+                "{}/{}",
+                pct(&r.tally.refusal_us, 0.50),
+                pct(&r.tally.page_us, 0.50)
+            ))
+            .collect::<Vec<_>>(),
+        results
+            .iter()
+            .map(|r| r.tally.queue_drops)
+            .collect::<Vec<_>>(),
+        match (shed_cost_pass, shed_cost_exercised) {
+            (false, _) => "FAIL",
+            (true, true) => "pass",
+            (true, false) => "pass (not exercised: no phase refused work)",
+        }
     );
     println!(
         "health p99 by phase: {health_p99:?} us (target < {HEALTH_P99_TARGET_US}) -> {}",
@@ -901,10 +996,12 @@ user pool {USER_POOL}, {PAGES} zipf pages, faults {}, store {})",
         doc.set("mult", result.mult);
         doc.set("secs", result.secs);
         doc.set("attempted", result.tally.attempted);
+        doc.set("served_share", served(result));
         doc.set("pages_ok", result.tally.pages_ok);
         doc.set("reports_ok", result.tally.reports_ok);
         doc.set("scrapes_ok", result.tally.scrapes_ok);
         doc.set("shed_503", result.tally.shed_503);
+        doc.set("queue_drops", result.tally.queue_drops);
         doc.set("other_status", result.tally.other_status);
         doc.set("resets", result.tally.resets);
         doc.set("faults_injected", result.tally.faults);
@@ -914,6 +1011,7 @@ user pool {USER_POOL}, {PAGES} zipf pages, faults {}, store {})",
         doc.set("report_p50_us", pct(&result.tally.report_us, 0.50));
         doc.set("report_p99_us", pct(&result.tally.report_us, 0.99));
         doc.set("shed_p50_us", pct(&result.tally.shed_us, 0.50));
+        doc.set("refusal_p50_us", pct(&result.tally.refusal_us, 0.50));
         doc.set("health_p99_us", pct(&result.health_us, 0.99));
         doc.set("health_failures", result.health_failures);
         doc.set("rss_peak_kb", result.rss_peak_kb);
@@ -934,6 +1032,7 @@ user pool {USER_POOL}, {PAGES} zipf pages, faults {}, store {})",
     doc.set("client_threads", PHASE_THREADS);
     doc.set("edge_workers", EDGE_WORKERS);
     doc.set("capacity_rps", capacity_rps);
+    doc.set("overload_target_us", policy.target_us);
     doc.set("phases", phases);
     let mut gates = oak_json::Value::object();
     gates.set("goodput_retention_floor", GOODPUT_RETENTION);
@@ -945,6 +1044,12 @@ user pool {USER_POOL}, {PAGES} zipf pages, faults {}, store {})",
     gates.set("rss_pass", rss_pass);
     gates.set("panics", panic_total);
     gates.set("reset_pass", reset_pass);
+    gates.set("served_share_floor_1x", SERVED_SHARE_1X);
+    gates.set("served_share_1x", served_share);
+    gates.set("served_pass", served_pass);
+    gates.set("shed_cost_share_ceiling", SHED_COST_SHARE);
+    gates.set("shed_cost_pass", shed_cost_pass);
+    gates.set("shed_cost_exercised", shed_cost_exercised);
     let store_pass = match &store_section {
         Some((store_doc, pass)) => {
             doc.set("store", store_doc.clone());
@@ -964,6 +1069,8 @@ user pool {USER_POOL}, {PAGES} zipf pages, faults {}, store {})",
         && rss_pass
         && panic_total == 0
         && reset_pass
+        && served_pass
+        && shed_cost_pass
         && store_pass
         && registry_pass)
     {

@@ -20,6 +20,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use oak_http::framing::{content_length_of, head_is_chunked};
 use oak_http::{
     over_capacity_response, Handler, HttpError, HttpMetrics, Request, Response, ServerLimits,
     Stage, StatusCode, TransportEvent, TransportStats, PEER_ADDR_HEADER,
@@ -53,6 +54,16 @@ fn gen_of(token: u64) -> u32 {
 
 fn millis(d: Duration) -> u64 {
     (d.as_millis() as u64).max(1)
+}
+
+/// True if a raw head block carries `Connection: close` — the one
+/// header a shed request's answer still honours without a full parse.
+fn head_asks_close(head: &[u8]) -> bool {
+    String::from_utf8_lossy(head).split("\r\n").any(|line| {
+        line.split_once(':').is_some_and(|(name, value)| {
+            name.eq_ignore_ascii_case("connection") && value.trim().eq_ignore_ascii_case("close")
+        })
+    })
 }
 
 /// Delay before the accept path is retried after `accept()` failed with
@@ -586,13 +597,18 @@ impl Reactor {
             Retry,
             Broken,
         }
-        // Pipelined bytes buffered earlier may already complete the
-        // message without any new socket data.
-        if self.try_parse(idx) {
-            return;
-        }
         let mut buf = [0u8; 16 * 1024];
         loop {
+            // Pipelined bytes buffered earlier may already complete the
+            // message without any new socket data. A shed answered
+            // inline leaves the connection reading again: parse on here
+            // rather than re-enter from the write path, so a run of
+            // pipelined sheds iterates instead of growing the stack.
+            while self.try_parse(idx) {
+                if !self.is_reading(idx) {
+                    return;
+                }
+            }
             let step = {
                 let Some(conn) = self.conn_mut(idx) else {
                     return;
@@ -620,19 +636,22 @@ impl Reactor {
                     self.close(idx);
                     return;
                 }
-                ReadStep::Got => {
-                    if self.try_parse(idx) {
-                        return;
-                    }
-                }
                 ReadStep::Blocked => return,
-                ReadStep::Retry => {}
+                ReadStep::Got | ReadStep::Retry => {}
             }
         }
     }
 
+    fn is_reading(&self, idx: usize) -> bool {
+        self.conns
+            .get(idx)
+            .and_then(Option::as_ref)
+            .is_some_and(|c| matches!(c.state, State::ReadingHead | State::ReadingBody(_)))
+    }
+
     /// Advances framing; returns true when the connection left its
-    /// reading state (request submitted, rejected, or closed).
+    /// reading state (request submitted, shed, rejected, or closed). A
+    /// shed whose answer went out at once may leave it reading again.
     fn try_parse(&mut self, idx: usize) -> bool {
         let limits = self.limits;
         let Some(conn) = self.conn_mut(idx) else {
@@ -644,18 +663,33 @@ impl Reactor {
         match conn.parse_step(&limits) {
             Ok(ParseStep::NeedMore) => false,
             Ok(ParseStep::HeadReady { head_len }) => {
-                if let Some(response) = self.admit_head(idx, head_len) {
-                    // Shed before the body: answer and close (the
-                    // unread body makes keep-alive unframeable).
+                if let Some(mut response) = self.admit_head(idx, head_len) {
                     self.stats.record(TransportEvent::RequestShed);
-                    let mut response = response;
-                    response.headers.set("Connection", "close");
                     let Some(conn) = self.conn_mut(idx) else {
                         return true;
                     };
-                    conn.close_after_write = true;
-                    conn.drain_after_write = true;
-                    self.enqueue_response(idx, &response, false);
+                    // Framed by the same helpers as an admitted request:
+                    // a head that declares no body is the whole request,
+                    // so consume it and keep the connection — pipelined
+                    // requests behind it still parse. A body (or framing
+                    // those helpers refuse) would stay unread and makes
+                    // keep-alive unframeable: answer and close.
+                    let head = &conn.in_buf[..head_len];
+                    let bodyless = matches!(head_is_chunked(head), Ok(false))
+                        && matches!(content_length_of(head), Ok(0));
+                    if bodyless {
+                        conn.close_after_write = head_asks_close(head);
+                        conn.in_buf.drain(..head_len);
+                        conn.scan_from = 0;
+                    } else {
+                        response.headers.set("Connection", "close");
+                        conn.close_after_write = true;
+                        conn.drain_after_write = true;
+                    }
+                    // Written without re-kicking the read side: the
+                    // caller's loop parses what is pipelined behind.
+                    self.stage_response(idx, &response, false);
+                    self.flush(idx);
                     return true;
                 }
                 // Admitted: resume framing over the same buffered bytes.
@@ -672,7 +706,7 @@ impl Reactor {
         }
     }
 
-    /// Runs the pre-body admission gate over a just-completed head.
+    /// Runs the pre-queue admission gate over a just-completed head.
     /// `Some(response)` sheds the request. A head whose request line
     /// resists the minimal peek is admitted here — the full parser will
     /// deliver its 400 with the body accounted for.
@@ -767,6 +801,11 @@ impl Reactor {
     /// an always-writable socket, so the eager attempt is correctness,
     /// not an optimization).
     fn enqueue_response(&mut self, idx: usize, response: &Response, from_handler: bool) {
+        self.stage_response(idx, response, from_handler);
+        self.write_ready(idx);
+    }
+
+    fn stage_response(&mut self, idx: usize, response: &Response, from_handler: bool) {
         let now = self.now_ms();
         let write_start = self.obs_now();
         let write_deadline = now + millis(self.limits.write_timeout);
@@ -780,10 +819,20 @@ impl Reactor {
         conn.state = State::Writing;
         self.arm(idx, write_deadline);
         self.set_interest(idx, false, true);
-        self.write_ready(idx);
     }
 
     fn write_ready(&mut self, idx: usize) {
+        // Pipelined bytes (or reads skipped during Handling) never
+        // produce a fresh edge; re-kick by hand once keep-alive resumes.
+        self.flush(idx);
+        if self.is_reading(idx) {
+            self.pump_read(idx);
+        }
+    }
+
+    /// Writes what the socket takes; once the response is out,
+    /// [`Reactor::finish_write`] settles the connection.
+    fn flush(&mut self, idx: usize) {
         loop {
             let now = self.now_ms();
             let write_timeout = millis(self.limits.write_timeout);
@@ -864,9 +913,6 @@ impl Reactor {
             }
             self.arm(idx, read_deadline);
             self.set_interest(idx, true, false);
-            // Pipelined bytes (or reads skipped during Handling) never
-            // produce a fresh edge; re-kick by hand.
-            self.pump_read(idx);
         }
     }
 

@@ -5,7 +5,10 @@
 //! processing before it could wait for readiness again (loop lag), how
 //! many events the last wait delivered, how deep the worker-pool queue
 //! is, and how many connections and timers the reactor is tracking.
-//! `/oak/stats` and `/oak/health` render a snapshot.
+//! `/oak/stats` and `/oak/health` render a snapshot. One more reading
+//! sits outside the snapshot because reading it resets it: the
+//! smallest worker-queue sojourn since the last read, the overload
+//! controller's one signal.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -20,6 +23,10 @@ pub struct EdgeStats {
     connections_open: AtomicU64,
     timers_pending: AtomicU64,
     wakeups: AtomicU64,
+    /// Smallest queue sojourn (µs) since the last
+    /// [`EdgeStats::take_min_sojourn_us`]; `u64::MAX` when no job was
+    /// dequeued. Starts at 0, so the first read is calm too.
+    min_sojourn_us: AtomicU64,
 }
 
 /// A point-in-time copy of [`EdgeStats`].
@@ -81,6 +88,29 @@ impl EdgeStats {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
                 Some(v.saturating_sub(1))
             });
+    }
+
+    /// Takes the smallest worker-queue sojourn (µs) recorded since the
+    /// previous call and starts a new interval. An interval in which no
+    /// job left the queue reads 0 if the queue is empty (nothing stood
+    /// in it) and `None` if jobs wait in it: the workers are stalled,
+    /// and no dequeue has measured for how long.
+    pub fn take_min_sojourn_us(&self) -> Option<u64> {
+        match self.min_sojourn_us.swap(u64::MAX, Ordering::Relaxed) {
+            u64::MAX if self.worker_queue_depth.load(Ordering::Relaxed) > 0 => None,
+            u64::MAX => Some(0),
+            us => Some(us),
+        }
+    }
+
+    /// Records one job's queue sojourn (µs); the worker pool calls it at
+    /// every dequeue.
+    pub fn note_sojourn(&self, us: u64) {
+        // Load first: after the interval's first dequeue most jobs are
+        // not a new minimum, and a plain load leaves the line shared.
+        if us < self.min_sojourn_us.load(Ordering::Relaxed) {
+            self.min_sojourn_us.fetch_min(us, Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn set_connections_open(&self, n: u64) {

@@ -9,14 +9,15 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, UdpSocket};
 use std::os::fd::OwnedFd;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use oak_http::fault::ChaosClient;
 use oak_http::framing::content_length_of;
 use oak_http::{
-    encode_chunked, fetch_tcp, Handler, Method, Request, Response, ServerLimits, StatusCode,
-    TransportStats,
+    encode_chunked, fetch_tcp, queue_shed_response, Handler, Method, Request, Response,
+    ServerLimits, StatusCode, TransportStats,
 };
 
 use crate::{EdgeConfig, EdgeServer};
@@ -126,6 +127,166 @@ fn pipelined_requests_answered_in_order() {
     let second = read_one_response(&mut reader);
     assert_eq!(first.body, b"path=/a body=0");
     assert_eq!(second.body, b"path=/b body=0");
+}
+
+/// Refuses `/shed` at the admission hook, runs `/slow` for 150 ms
+/// (raising `busy` once it holds the worker) and exempts `/health` from
+/// the transport's own drops; everything else echoes.
+struct Gatekeeper {
+    busy: AtomicBool,
+}
+
+impl Handler for Gatekeeper {
+    fn handle(&self, req: &Request) -> Response {
+        if req.path() == "/slow" {
+            self.busy.store(true, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(150));
+        }
+        let line = format!("path={} body={}", req.path(), req.body.len());
+        Response::new(StatusCode::OK).with_body(line.into_bytes(), "text/plain")
+    }
+
+    fn admit(&self, _method: Method, target: &str) -> Option<Response> {
+        (target == "/shed").then(|| {
+            Response::new(StatusCode::UNAVAILABLE).with_body(b"shed".to_vec(), "text/plain")
+        })
+    }
+
+    fn shed_exempt(&self, target: &str) -> bool {
+        target == "/health"
+    }
+}
+
+fn gatekeeper() -> Arc<Gatekeeper> {
+    Arc::new(Gatekeeper {
+        busy: AtomicBool::new(false),
+    })
+}
+
+#[test]
+fn a_shed_get_keeps_its_connection_and_the_requests_pipelined_behind_it() {
+    let server = EdgeServer::start_with_limits(0, gatekeeper(), tight()).unwrap();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    // One segment: a GET the admission hook refuses, then two GETs the
+    // reactor must still parse from the same buffer.
+    writer
+        .write_all(b"GET /shed HTTP/1.1\r\n\r\nGET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n")
+        .unwrap();
+    writer.flush().unwrap();
+    let mut reader = BufReader::new(stream);
+    let shed = read_one_response(&mut reader);
+    assert_eq!(shed.status, StatusCode::UNAVAILABLE);
+    assert!(
+        shed.header("connection").is_none(),
+        "a body-less shed keeps alive"
+    );
+    assert_eq!(read_one_response(&mut reader).body, b"path=/a body=0");
+    assert_eq!(read_one_response(&mut reader).body, b"path=/b body=0");
+    let snap = server.stats().snapshot();
+    assert_eq!((snap.requests_shed, snap.requests_served), (1, 2));
+    assert_eq!(snap.connections_accepted, 1, "all three on one connection");
+
+    // A shed request with a body it never read cannot keep alive.
+    let post = Request::new(Method::Post, "/shed").with_body(vec![b'x'; 64], "text/plain");
+    let resp = fetch_tcp(server.addr(), &post).unwrap();
+    assert_eq!(resp.status, StatusCode::UNAVAILABLE);
+    assert_eq!(resp.header("connection"), Some("close"));
+
+    // Conflicting Content-Length declarations are refused by the same
+    // framing an admitted request gets: the shed closes, and the bytes
+    // the second declaration claims are never served as a request.
+    let smuggled = "GET /smuggled HTTP/1.1\r\n\r\n";
+    let wire = format!(
+        "GET /shed HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: {}\r\n\r\n{smuggled}",
+        smuggled.len()
+    );
+    let resp = ChaosClient::new(server.addr())
+        .send_raw(wire.as_bytes())
+        .unwrap();
+    assert_eq!(resp.header("connection"), Some("close"));
+    assert_eq!(server.stats().snapshot().requests_served, 2);
+}
+
+#[test]
+fn a_thousand_pipelined_sheds_are_answered_on_one_connection() {
+    // Each keep-alive shed is answered inline on the reactor thread; a
+    // long run of them in one buffer must iterate, not recurse.
+    const SHEDS: usize = 1_000;
+    let server = EdgeServer::start_with_limits(0, gatekeeper(), tight()).unwrap();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut wire = b"GET /shed HTTP/1.1\r\n\r\n".repeat(SHEDS);
+    wire.extend_from_slice(b"GET /after HTTP/1.1\r\n\r\n");
+    writer.write_all(&wire).unwrap();
+    writer.flush().unwrap();
+    let mut reader = BufReader::new(stream);
+    for i in 0..SHEDS {
+        let shed = read_one_response(&mut reader);
+        assert_eq!(shed.status, StatusCode::UNAVAILABLE, "response {i}");
+    }
+    assert_eq!(read_one_response(&mut reader).body, b"path=/after body=0");
+    let snap = server.stats().snapshot();
+    assert_eq!(snap.requests_shed, SHEDS as u64);
+    assert_eq!(snap.connections_accepted, 1);
+}
+
+#[test]
+fn queue_deadline_drops_stale_work_but_serves_exempt_targets() {
+    let limits = ServerLimits {
+        queue_deadline: Duration::from_millis(20),
+        ..tight()
+    };
+    let handler = gatekeeper();
+    let server = EdgeServer::start_with_config(
+        0,
+        Arc::clone(&handler) as Arc<dyn Handler>,
+        limits,
+        Arc::new(TransportStats::default()),
+        None,
+        EdgeConfig { workers: 1 },
+    )
+    .unwrap();
+    let addr = server.addr();
+    // Hold the one worker, and start a fresh sojourn interval once it
+    // is held.
+    let slow = std::thread::spawn(move || fetch_tcp(addr, &Request::new(Method::Get, "/slow")));
+    while !handler.busy.load(Ordering::SeqCst) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    server.edge_stats().take_min_sojourn_us();
+    // Both queue behind it for well over the deadline.
+    let page = std::thread::spawn(move || fetch_tcp(addr, &Request::new(Method::Get, "/page")));
+    let health = std::thread::spawn(move || fetch_tcp(addr, &Request::new(Method::Get, "/health")));
+    while server.edge_stats().snapshot().worker_queue_depth < 2 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Jobs wait and none left the queue: a stalled interval, not a calm
+    // one.
+    assert_eq!(server.edge_stats().take_min_sojourn_us(), None);
+    let page = page.join().unwrap().unwrap();
+    let health = health.join().unwrap().unwrap();
+    assert_eq!(slow.join().unwrap().unwrap().status, StatusCode::OK);
+
+    assert_eq!(page.to_bytes(), queue_shed_response().to_bytes());
+    assert_eq!(health.status, StatusCode::OK, "exempt targets always run");
+    assert_eq!(health.body, b"path=/health body=0");
+    assert_eq!(server.stats().snapshot().requests_shed, 1);
+    // The same dequeues fed the overload signal: nothing left the queue
+    // in this interval without waiting past the deadline.
+    let min_us = server.edge_stats().take_min_sojourn_us().unwrap();
+    assert!(min_us >= 20_000, "interval minimum {min_us} us");
+    assert_eq!(
+        server.edge_stats().take_min_sojourn_us(),
+        Some(0),
+        "an empty interval reads 0"
+    );
 }
 
 #[test]

@@ -26,9 +26,9 @@ pub(crate) enum Job {
     Run {
         token: u64,
         request: Box<Request>,
-        /// When the reactor queued this job; the CoDel-style queue
-        /// deadline ([`oak_http::ServerLimits::queue_deadline`]) is
-        /// measured against it at dequeue.
+        /// When the reactor queued this job. At dequeue the worker
+        /// records the sojourn for the overload signal and checks it
+        /// against [`oak_http::ServerLimits::queue_deadline`].
         enqueued: Instant,
     },
     /// Exit the worker loop (one sentinel per worker at shutdown).
@@ -95,13 +95,18 @@ fn worker_loop(ctx: &WorkerCtx) {
                 enqueued,
             } => {
                 ctx.edge.dec_worker_queue();
+                // One clock read per job serves both the overload
+                // signal (the interval's minimum sojourn) and the
+                // deadline below.
+                let waited = enqueued.elapsed();
+                ctx.edge.note_sojourn(waited.as_micros() as u64);
                 // CoDel-style drop-at-dequeue: work that overstayed its
                 // queue deadline is answered with a canned 503 instead
                 // of processed — under overload the queue's oldest
                 // entries are the ones whose clients have already given
                 // up. Exempt targets (health probes) always run.
                 if !ctx.queue_deadline.is_zero()
-                    && enqueued.elapsed() > ctx.queue_deadline
+                    && waited > ctx.queue_deadline
                     && !ctx.handler.shed_exempt(request.path())
                 {
                     ctx.stats.record(TransportEvent::RequestShed);

@@ -33,11 +33,14 @@ pub trait Handler: Send + Sync + 'static {
     fn handle(&self, request: &Request) -> Response;
 
     /// Consulted by the server after the request head is
-    /// complete but *before* any body byte is read. Returning
-    /// `Some(response)` sheds the request: the transport answers with it
-    /// immediately (plus `Connection: close`, since the unread body makes
-    /// the connection unframeable) and never buffers the body — the
-    /// overload-control fast path. The default admits everything.
+    /// complete but *before* any body byte is read or the request is
+    /// queued for a worker. Returning `Some(response)` sheds the
+    /// request: the transport answers with it immediately and never
+    /// buffers the body — the overload-control fast path. A request
+    /// whose head declares no body keeps its connection; any other
+    /// (a body, or framing the server refuses) is answered with
+    /// `Connection: close`, since unread bytes make the connection
+    /// unframeable. The default admits everything.
     fn admit(&self, method: Method, target: &str) -> Option<Response> {
         let _ = (method, target);
         None
@@ -138,7 +141,7 @@ pub struct TransportSnapshot {
     /// Connections turned away with a 503 at the connection cap.
     pub connections_rejected: u64,
     /// Accepted connections since closed; `accepted - closed` is the
-    /// live permit occupancy the overload controller samples.
+    /// live permit occupancy.
     pub connections_closed: u64,
     /// `accept()` failures (the accept path backs off instead of
     /// hot-spinning).

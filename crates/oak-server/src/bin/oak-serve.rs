@@ -60,7 +60,8 @@ use oak_edge::{EdgeConfig, EdgeServer};
 use oak_http::{ServerLimits, TransportStats};
 use oak_server::{
     load_root, load_rules_into, AdmissionPolicy, ClusterRuntime, HealthState, OakService,
-    OverloadController, OverloadPolicy, PrunePolicy, ServiceObs, METRICS_PATH, REPORT_PATH,
+    OverloadController, OverloadPolicy, PrunePolicy, ServiceObs, METRICS_PATH,
+    OVERLOAD_INTERVAL_MS, REPORT_PATH,
 };
 use oak_store::{FsyncPolicy, OakStore, StoreOptions};
 
@@ -82,7 +83,7 @@ struct Args {
     prune: Option<PrunePolicy>,
     limits: ServerLimits,
     admission: AdmissionPolicy,
-    overload: Option<OverloadPolicy>,
+    overload: bool,
     slow_ms: u64,
     trace_ring: usize,
 }
@@ -95,10 +96,7 @@ const USAGE: &str = "usage: oak-serve --root <dir> [--rules <file>] [--port <n>]
 [--max-connections <n>] [--max-head-bytes <n>] [--max-body-bytes <n>] \
 [--read-timeout-ms <ms>] [--write-timeout-ms <ms>] [--queue-deadline-ms <ms>] \
 [--max-report-bytes <n>] [--report-rate <per-sec>] [--report-burst <n>] \
-[--overload] [--brownout-queue <n>] [--shed-queue <n>] \
-[--brownout-lag-us <us>] [--shed-lag-us <us>] \
-[--brownout-occupancy <0..1>] [--shed-occupancy <0..1>] \
-[--overload-cooldown <samples>] [--slow-ms <ms>] [--trace-ring <n>]
+[--overload] [--slow-ms <ms>] [--trace-ring <n>]
 
 site:
   --root <dir>             document root served through the engine (required)
@@ -156,22 +154,15 @@ report admission (at /oak/report):
   --report-rate <per-sec>  sustained reports/s per user; 0 = unlimited (default)
   --report-burst <n>       burst allowance above the sustained rate (default 10)
 
-overload control (the brownout/shed state machine; see DESIGN.md §15):
-  --overload               arm the controller: Brownout serves pages
-                           unrewritten and throttles background work,
-                           Shedding refuses by priority class with
-                           503 + Retry-After (pages first, scrapes next,
-                           report ingest last, /oak/health never)
-  --brownout-queue <n>     worker-queue depth entering Brownout (default 16)
-  --shed-queue <n>         worker-queue depth entering Shedding (default 64)
-  --brownout-lag-us <us>   reactor loop lag entering Brownout (default 20000)
-  --shed-lag-us <us>       reactor loop lag entering Shedding (default 100000)
-  --brownout-occupancy <f> connection-permit occupancy entering Brownout
-                           (fraction of --max-connections, default 0.8)
-  --shed-occupancy <f>     permit occupancy entering Shedding (default 0.95)
-  --overload-cooldown <n>  consecutive calm samples before stepping one
-                           state back down (default 5)
-                           (any --brownout-*/--shed-* flag implies --overload)
+overload control (the brownout/shed ladder; see DESIGN.md §15):
+  --overload               arm the controller on the worker queue's
+                           minimum sojourn per 100 ms interval (CoDel's
+                           signal): from 5 ms Brownout serves pages
+                           unrewritten and throttles background work;
+                           from 10, 20 and 40 ms Shedding refuses pages,
+                           then scrapes, then report ingest with
+                           503 + Retry-After before they queue
+                           (/oak/health never)
 
 observability (scrape /oak/metrics, traces at /oak/trace/recent):
   --slow-ms <ms>           log traces slower than this (default 500)
@@ -193,7 +184,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut limits = ServerLimits::default();
     let mut admission = AdmissionPolicy::default();
     let mut overload = false;
-    let mut overload_policy = OverloadPolicy::default();
     let mut slow_ms = 500u64;
     let mut trace_ring = 256usize;
     while let Some(flag) = argv.next() {
@@ -276,45 +266,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 )?);
             }
             "--overload" => overload = true,
-            "--brownout-queue" => {
-                overload_policy.queue_brownout =
-                    number("--brownout-queue", value("--brownout-queue")?)?;
-                overload = true;
-            }
-            "--shed-queue" => {
-                overload_policy.queue_shed = number("--shed-queue", value("--shed-queue")?)?;
-                overload = true;
-            }
-            "--brownout-lag-us" => {
-                overload_policy.lag_brownout_us =
-                    number("--brownout-lag-us", value("--brownout-lag-us")?)?;
-                overload = true;
-            }
-            "--shed-lag-us" => {
-                overload_policy.lag_shed_us = number("--shed-lag-us", value("--shed-lag-us")?)?;
-                overload = true;
-            }
-            "--brownout-occupancy" => {
-                overload_policy.permit_brownout = value("--brownout-occupancy")?
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|f| f.is_finite() && (0.0..=1.0).contains(f))
-                    .ok_or("--brownout-occupancy requires a fraction in 0..=1")?;
-                overload = true;
-            }
-            "--shed-occupancy" => {
-                overload_policy.permit_shed = value("--shed-occupancy")?
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|f| f.is_finite() && (0.0..=1.0).contains(f))
-                    .ok_or("--shed-occupancy requires a fraction in 0..=1")?;
-                overload = true;
-            }
-            "--overload-cooldown" => {
-                overload_policy.cooldown_samples =
-                    number("--overload-cooldown", value("--overload-cooldown")?)?.max(1) as u32;
-                overload = true;
-            }
             "--max-report-bytes" => {
                 admission.max_report_bytes =
                     number("--max-report-bytes", value("--max-report-bytes")?)? as usize;
@@ -380,12 +331,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         }),
         limits,
         admission,
-        overload: overload.then(|| {
-            // The permit signal normalizes against the real connection
-            // cap, whatever --max-connections chose.
-            overload_policy.max_connections = limits.max_connections as u64;
-            overload_policy
-        }),
+        overload,
         slow_ms,
         trace_ring,
     })
@@ -548,17 +494,12 @@ fn main() -> ExitCode {
         );
         service = service.with_pruning(policy);
     }
-    if let Some(policy) = args.overload {
+    if args.overload {
+        let policy = OverloadPolicy::default();
         eprintln!(
-            "overload control armed: brownout at queue {} / lag {} us / occupancy {:.2}, \
-shedding at queue {} / lag {} us / occupancy {:.2} (cooldown {} samples)",
-            policy.queue_brownout,
-            policy.lag_brownout_us,
-            policy.permit_brownout,
-            policy.queue_shed,
-            policy.lag_shed_us,
-            policy.permit_shed,
-            policy.cooldown_samples,
+            "overload control armed: minimum queue sojourn over {OVERLOAD_INTERVAL_MS} ms \
+against a {} us target",
+            policy.target_us,
         );
         service = service.with_overload(OverloadController::new(policy));
     }

@@ -43,8 +43,8 @@ pub use cluster::ClusterRuntime;
 pub use fileroot::{content_type_for, load_root, load_rules, load_rules_into};
 pub use obs::ServiceObs;
 pub use overload::{
-    OverloadController, OverloadPolicy, OverloadSnapshot, OverloadState, PressureSample,
-    RequestClass,
+    OverloadController, OverloadPolicy, OverloadSnapshot, OverloadState, RequestClass,
+    OVERLOAD_INTERVAL_MS,
 };
 pub use service::{
     AdmissionPolicy, ClusterStatusSource, HealthState, OakService, PrunePolicy, ServiceStats,

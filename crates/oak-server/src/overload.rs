@@ -2,44 +2,48 @@
 //!
 //! Every other guard in the stack (connection permits, admission
 //! buckets, read deadlines) reacts to a single request; this module
-//! reacts to the *node*. An [`OverloadController`] samples signals the
-//! serving stack already maintains — worker-queue depth and loop lag
-//! from [`oak_edge::EdgeStats`], permit occupancy from
-//! [`oak_http::TransportStats`], windowed ingest latency from the
-//! engine's `oak_ingest_duration_us` histogram — and drives a
-//! hysteresis state machine:
+//! reacts to the *node*. An [`OverloadController`] reads one signal —
+//! the worker queue's minimum sojourn over an interval, which
+//! [`oak_edge::EdgeStats`] keeps as workers dequeue — and drives a
+//! level ladder:
 //!
 //! ```text
-//! Nominal ──pressure──► Brownout ──pressure──► Shedding
-//!    ▲                     │                      │
-//!    └──── cooldown ◄──────┴────── cooldown ◄─────┘
+//! Nominal ─► Brownout ─► Shedding sev 1 ─► sev 2 ─► sev 3
+//!   (< T)     (≥ T)        (≥ 2T)          (≥ 4T)   (≥ 8T)
 //! ```
+//!
+//! The signal is CoDel's (Nichols & Jacobson, "Controlling Queue
+//! Delay", ACM Queue 2012): the *minimum* sojourn is low whenever the
+//! queue empties at least once in the interval, so a burst that drains
+//! never trips it, while a standing queue does. `T` is
+//! [`OverloadPolicy::target_us`].
 //!
 //! - **Brownout** degrades quality before refusing work: pages are
 //!   served *unrewritten* (the paper's no-op fallback — an Oak outage
 //!   "silently result[s] in pages being served as-is"), request traces
 //!   stop, and prune sweeps stretch out.
 //! - **Shedding** refuses work in priority order, cheapest loss first:
-//!   page rewrites at severity 1, operator scrapes at severity 2,
-//!   report ingest only at severity 3 — and `/oak/health` never, so the
-//!   load balancer can always tell a degraded node from a dead one.
+//!   pages at severity 1, operator scrapes at severity 2, report ingest
+//!   only at severity 3 — and `/oak/health` never, so the load balancer
+//!   can always tell a degraded node from a dead one. Every refusal is
+//!   made in the transport's pre-queue admission hook
+//!   ([`oak_http::Handler::admit`]), so a refused request never waits
+//!   behind the work it would have added to.
 //!
-//! Escalation is immediate (one bad sample); de-escalation steps down
-//! one state at a time after [`OverloadPolicy::cooldown_samples`]
-//! consecutive calm samples, so the controller cannot flap across a
-//! threshold at the sampling rate.
+//! Escalation is immediate (one interval's reading); de-escalation
+//! steps down one level per interval, so a node leaving deep shedding
+//! admits reports, then scrapes, then pages, then rewrites again.
 //!
 //! The transition function ([`OverloadController::observe`]) is pure
 //! state: `oak-sim` drives it with deterministic samples and checks it
 //! against an independent reference model, while the live service feeds
-//! it real signals through [`OverloadController::tick`].
+//! it the edge's reading through [`OverloadController::tick`].
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use oak_edge::EdgeStats;
-use oak_http::{Response, StatusCode, TransportStats, SHED_RETRY_AFTER_SECS};
-use oak_obs::{Histogram, HistogramSnapshot};
+use oak_http::{Response, StatusCode, SHED_RETRY_AFTER_SECS};
 
 use crate::{AUDIT_PATH, HEALTH_PATH, METRICS_PATH, REPORT_PATH, STATS_PATH, TRACE_PATH};
 
@@ -66,22 +70,23 @@ impl OverloadState {
         }
     }
 
-    fn from_u8(raw: u8) -> OverloadState {
-        match raw {
-            2 => OverloadState::Shedding,
+    /// The state of a ladder level (0 nominal, 1 brownout, 2..=4
+    /// shedding at severity 1..=3).
+    fn of_level(level: u8) -> OverloadState {
+        match level {
+            0 => OverloadState::Nominal,
             1 => OverloadState::Brownout,
-            _ => OverloadState::Nominal,
-        }
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            OverloadState::Nominal => 0,
-            OverloadState::Brownout => 1,
-            OverloadState::Shedding => 2,
+            _ => OverloadState::Shedding,
         }
     }
 }
+
+/// The top of the ladder: shedding at severity 3.
+const MAX_LEVEL: u8 = 4;
+
+/// How often (ms) the live controller reads and resets the edge's
+/// minimum sojourn: CoDel's 100 ms interval.
+pub const OVERLOAD_INTERVAL_MS: u64 = 100;
 
 /// What a request costs the node, for priority shedding. The order is
 /// the shed order: pages go first (the paper's fallback is explicitly
@@ -122,144 +127,37 @@ impl RequestClass {
             RequestClass::Report => "report",
         }
     }
-
-    /// The minimum shed severity at which this class is refused;
-    /// `None` is never.
-    fn shed_at(self) -> Option<u8> {
-        match self {
-            RequestClass::Health => None,
-            RequestClass::Page => Some(1),
-            RequestClass::Scrape => Some(2),
-            RequestClass::Report => Some(3),
-        }
-    }
 }
 
-/// Thresholds and pacing for the controller. Each signal has a
-/// brownout and a shed threshold; crossing *any* shed threshold puts
-/// the node in [`OverloadState::Shedding`], any brownout threshold in
-/// at least [`OverloadState::Brownout`]. A zero threshold disables
-/// that signal.
+/// The controller's one target. The default is CoDel's 5 ms, read
+/// over [`OVERLOAD_INTERVAL_MS`].
 #[derive(Clone, Copy, Debug)]
 pub struct OverloadPolicy {
-    /// Live signals are sampled at most once per this many milliseconds
-    /// (the controller piggybacks on request handling; sampling is
-    /// rate-limited, not scheduled).
-    pub sample_every_ms: u64,
-    /// Worker-queue depth (jobs parked behind the pool) thresholds.
-    pub queue_brownout: u64,
-    /// See [`OverloadPolicy::queue_brownout`].
-    pub queue_shed: u64,
-    /// Reactor loop lag (µs one iteration spent processing) thresholds.
-    pub lag_brownout_us: u64,
-    /// See [`OverloadPolicy::lag_brownout_us`].
-    pub lag_shed_us: u64,
-    /// Permit occupancy (live connections ÷ `max_connections`)
-    /// thresholds, in `0.0..=1.0`.
-    pub permit_brownout: f64,
-    /// See [`OverloadPolicy::permit_brownout`].
-    pub permit_shed: f64,
-    /// Windowed ingest p99 (µs, over the last sampling window)
-    /// thresholds.
-    pub ingest_p99_brownout_us: u64,
-    /// See [`OverloadPolicy::ingest_p99_brownout_us`].
-    pub ingest_p99_shed_us: u64,
-    /// The connection cap the permit signal is normalized against.
-    pub max_connections: u64,
-    /// Consecutive calm samples before stepping down one state.
-    pub cooldown_samples: u32,
+    /// The standing queue delay (µs) the node tolerates. A minimum
+    /// sojourn at or above it browns out; each doubling climbs one
+    /// shed severity.
+    pub target_us: u64,
 }
 
 impl Default for OverloadPolicy {
     fn default() -> OverloadPolicy {
-        OverloadPolicy {
-            sample_every_ms: 100,
-            queue_brownout: 16,
-            queue_shed: 64,
-            lag_brownout_us: 20_000,
-            lag_shed_us: 100_000,
-            permit_brownout: 0.80,
-            permit_shed: 0.95,
-            ingest_p99_brownout_us: 20_000,
-            ingest_p99_shed_us: 100_000,
-            max_connections: 1024,
-            cooldown_samples: 5,
-        }
+        OverloadPolicy { target_us: 5_000 }
     }
-}
-
-/// One sampled reading of every pressure signal. The live path builds
-/// these in [`OverloadController::tick`]; the simulator constructs them
-/// deterministically and calls [`OverloadController::observe`].
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PressureSample {
-    /// Jobs queued for the worker pool, not yet picked up.
-    pub queue_depth: u64,
-    /// Reactor loop lag, µs.
-    pub loop_lag_us: u64,
-    /// Live connections ÷ connection cap.
-    pub permit_occupancy: f64,
-    /// Ingest p99 over the last sampling window, µs.
-    pub ingest_p99_us: u64,
 }
 
 impl OverloadPolicy {
-    /// The state this sample demands, ignoring hysteresis, plus the
-    /// shed severity (1..=3) when that state is `Shedding`. Severity is
-    /// the worst signal's multiple of its shed threshold: 1 under
-    /// 1.5×, 2 under 2×, 3 at or beyond 2× — the priority ladder that
-    /// decides which [`RequestClass`]es are refused.
-    pub fn demand(&self, s: &PressureSample) -> (OverloadState, u8) {
-        let ratios = [
-            ratio(s.queue_depth as f64, self.queue_shed as f64),
-            ratio(s.loop_lag_us as f64, self.lag_shed_us as f64),
-            ratio(s.permit_occupancy, self.permit_shed),
-            ratio(s.ingest_p99_us as f64, self.ingest_p99_shed_us as f64),
-        ];
-        let worst = ratios.iter().fold(0.0f64, |a, &b| a.max(b));
-        if worst >= 1.0 {
-            let severity = if worst >= 2.0 {
-                3
-            } else if worst >= 1.5 {
-                2
-            } else {
-                1
-            };
-            return (OverloadState::Shedding, severity);
+    /// The ladder level an interval's minimum sojourn (µs) demands,
+    /// ignoring hysteresis: 0 below the target, 1 (brownout) from it,
+    /// and 2, 3, 4 (shed severity 1, 2, 3) from 2×, 4× and 8× it.
+    pub fn demand(&self, min_sojourn_us: u64) -> u8 {
+        let mut bar = self.target_us.max(1);
+        let mut level = 0;
+        while level < MAX_LEVEL && min_sojourn_us >= bar {
+            level += 1;
+            bar = bar.saturating_mul(2);
         }
-        let browned = above(s.queue_depth as f64, self.queue_brownout as f64)
-            || above(s.loop_lag_us as f64, self.lag_brownout_us as f64)
-            || above(s.permit_occupancy, self.permit_brownout)
-            || above(s.ingest_p99_us as f64, self.ingest_p99_brownout_us as f64);
-        if browned {
-            (OverloadState::Brownout, 0)
-        } else {
-            (OverloadState::Nominal, 0)
-        }
+        level
     }
-}
-
-/// `value / threshold`, 0 when the signal is disabled.
-fn ratio(value: f64, threshold: f64) -> f64 {
-    if threshold <= 0.0 {
-        0.0
-    } else {
-        value / threshold
-    }
-}
-
-/// Threshold crossed (disabled thresholds never cross).
-fn above(value: f64, threshold: f64) -> bool {
-    threshold > 0.0 && value >= threshold
-}
-
-/// State behind the controller's mutex: sampling pacing, the cooldown
-/// streak, and the previous ingest-histogram snapshot the windowed p99
-/// is deltaed against.
-struct ControllerInner {
-    last_sample_ms: u64,
-    calm_streak: u32,
-    prev_ingest: Option<HistogramSnapshot>,
 }
 
 /// A point-in-time copy of the controller's observable state.
@@ -269,6 +167,8 @@ pub struct OverloadSnapshot {
     pub state: u8,
     /// Current shed severity (0 outside Shedding).
     pub severity: u8,
+    /// The last interval's minimum queue sojourn, µs.
+    pub min_sojourn_us: u64,
     /// Page/object requests refused.
     pub shed_pages: u64,
     /// Operator scrapes refused.
@@ -277,22 +177,28 @@ pub struct OverloadSnapshot {
     pub shed_reports: u64,
     /// Pages served unrewritten under Brownout.
     pub pages_browned: u64,
-    /// Times the controller entered Brownout (from below).
+    /// Times the controller entered Brownout (from Nominal).
     pub brownout_entries: u64,
     /// Times the controller entered Shedding.
     pub shedding_entries: u64,
 }
 
-/// The hysteresis state machine plus its shed accounting. One instance
-/// is shared by the service (gating dispatch), the transport admission
-/// hook, and the operator surfaces.
+/// The ladder plus its shed accounting. One instance is shared by the
+/// service (brownout, and the admission hook that sheds) and the
+/// operator surfaces.
+#[derive(Default)]
 pub struct OverloadController {
     policy: OverloadPolicy,
-    /// `OverloadState` as its wire number, readable without the lock on
+    /// The ladder level (0..=[`MAX_LEVEL`]), readable without a lock on
     /// every request.
-    state: AtomicU8,
-    severity: AtomicU8,
-    inner: Mutex<ControllerInner>,
+    level: AtomicU8,
+    /// The reading the current level was decided on.
+    min_sojourn_us: AtomicU64,
+    /// Service-clock ms before which `tick` does not read the edge;
+    /// `u64::MAX` on a driven controller, whose next interval never
+    /// comes, so only explicit `observe` calls move it (the simulator's
+    /// determinism depends on it).
+    next_sample_ms: AtomicU64,
     shed_pages: AtomicU64,
     shed_scrapes: AtomicU64,
     shed_reports: AtomicU64,
@@ -301,50 +207,27 @@ pub struct OverloadController {
     shedding_entries: AtomicU64,
     /// Reactor gauges, once a server fronts the service.
     edge: OnceLock<Arc<EdgeStats>>,
-    /// Transport counters: permit occupancy.
-    transport: OnceLock<Arc<TransportStats>>,
-    /// The engine's ingest-duration histogram, when observability is on.
-    ingest: OnceLock<Arc<Histogram>>,
-    /// Driven mode: `tick` never samples; only explicit `observe` calls
-    /// move the machine. The simulator's determinism depends on it.
-    driven: bool,
 }
 
 impl OverloadController {
-    /// A live controller that samples attached signals on
+    /// A live controller that reads the attached edge on
     /// [`OverloadController::tick`].
     pub fn new(policy: OverloadPolicy) -> Arc<OverloadController> {
-        Arc::new(OverloadController::build(policy, false))
+        Arc::new(OverloadController {
+            policy,
+            ..OverloadController::default()
+        })
     }
 
     /// A driven controller for deterministic harnesses: `tick` is a
     /// no-op; the harness feeds [`OverloadController::observe`]
     /// directly.
     pub fn driven(policy: OverloadPolicy) -> Arc<OverloadController> {
-        Arc::new(OverloadController::build(policy, true))
-    }
-
-    fn build(policy: OverloadPolicy, driven: bool) -> OverloadController {
-        OverloadController {
+        Arc::new(OverloadController {
             policy,
-            state: AtomicU8::new(OverloadState::Nominal.as_u8()),
-            severity: AtomicU8::new(0),
-            inner: Mutex::new(ControllerInner {
-                last_sample_ms: 0,
-                calm_streak: 0,
-                prev_ingest: None,
-            }),
-            shed_pages: AtomicU64::new(0),
-            shed_scrapes: AtomicU64::new(0),
-            shed_reports: AtomicU64::new(0),
-            pages_browned: AtomicU64::new(0),
-            brownout_entries: AtomicU64::new(0),
-            shedding_entries: AtomicU64::new(0),
-            edge: OnceLock::new(),
-            transport: OnceLock::new(),
-            ingest: OnceLock::new(),
-            driven,
-        }
+            next_sample_ms: AtomicU64::new(u64::MAX),
+            ..OverloadController::default()
+        })
     }
 
     /// The policy this controller runs.
@@ -352,36 +235,33 @@ impl OverloadController {
         &self.policy
     }
 
-    /// Attaches the reactor gauges (queue depth, loop lag). First call
+    /// Attaches the reactor gauges the signal is read from. First call
     /// wins, like the service's own post-start setters.
     pub fn attach_edge(&self, stats: Arc<EdgeStats>) {
         let _ = self.edge.set(stats);
     }
 
-    /// Attaches the transport counters (permit occupancy).
-    pub fn attach_transport(&self, stats: Arc<TransportStats>) {
-        let _ = self.transport.set(stats);
-    }
-
-    /// Attaches the engine's ingest-duration histogram (windowed p99).
-    pub fn attach_ingest(&self, histogram: Arc<Histogram>) {
-        let _ = self.ingest.set(histogram);
+    fn level(&self) -> u8 {
+        self.level.load(Ordering::Relaxed)
     }
 
     /// Current state, lock-free.
     pub fn state(&self) -> OverloadState {
-        OverloadState::from_u8(self.state.load(Ordering::Relaxed))
+        OverloadState::of_level(self.level())
     }
 
     /// Current shed severity (0 outside Shedding).
     pub fn severity(&self) -> u8 {
-        self.severity.load(Ordering::Relaxed)
+        match self.level() {
+            0 | 1 => 0,
+            level => level - 1,
+        }
     }
 
     /// True in Brownout or worse: bypass page rewrites, stop tracing,
     /// stretch prune sweeps.
     pub fn brownout_active(&self) -> bool {
-        self.state() >= OverloadState::Brownout
+        self.level() >= 1
     }
 
     /// The prune-cadence multiplier: sweeps run this many times less
@@ -395,32 +275,25 @@ impl OverloadController {
         }
     }
 
-    /// Whether a request of `class` must be refused right now.
-    pub fn should_shed(&self, class: RequestClass) -> bool {
-        if self.state() != OverloadState::Shedding {
-            return false;
-        }
-        class
-            .shed_at()
-            .is_some_and(|threshold| self.severity() >= threshold)
-    }
-
-    /// Builds the counted 503 + Retry-After for a shed request of
-    /// `class`. Byte-identical wherever it is minted (service dispatch,
-    /// the transport's admission hook), so a client cannot tell where
-    /// in the stack it was refused.
-    pub fn shed_response(&self, class: RequestClass) -> Response {
-        let counter = match class {
-            RequestClass::Page => &self.shed_pages,
-            RequestClass::Scrape => &self.shed_scrapes,
-            RequestClass::Report => &self.shed_reports,
-            // Health is never shed; counting it would hide a bug.
-            RequestClass::Health => &self.shed_pages,
+    /// The counted 503 + Retry-After when a request of `class` must be
+    /// refused right now, `None` when it is served. Health is never
+    /// refused.
+    pub fn shed(&self, class: RequestClass) -> Option<Response> {
+        let (severity, counter) = match class {
+            RequestClass::Health => return None,
+            RequestClass::Page => (1, &self.shed_pages),
+            RequestClass::Scrape => (2, &self.shed_scrapes),
+            RequestClass::Report => (3, &self.shed_reports),
         };
+        if self.severity() < severity {
+            return None;
+        }
         counter.fetch_add(1, Ordering::Relaxed);
-        Response::new(StatusCode::UNAVAILABLE)
-            .with_body(b"overloaded; request shed".to_vec(), "text/plain")
-            .with_header("Retry-After", &SHED_RETRY_AFTER_SECS.to_string())
+        Some(
+            Response::new(StatusCode::UNAVAILABLE)
+                .with_body(b"overloaded; request shed".to_vec(), "text/plain")
+                .with_header("Retry-After", &SHED_RETRY_AFTER_SECS.to_string()),
+        )
     }
 
     /// Counts one page served unrewritten under Brownout.
@@ -431,8 +304,9 @@ impl OverloadController {
     /// Reads every counter and the current state.
     pub fn snapshot(&self) -> OverloadSnapshot {
         OverloadSnapshot {
-            state: self.state.load(Ordering::Relaxed),
-            severity: self.severity.load(Ordering::Relaxed),
+            state: self.level().min(2),
+            severity: self.severity(),
+            min_sojourn_us: self.min_sojourn_us.load(Ordering::Relaxed),
             shed_pages: self.shed_pages.load(Ordering::Relaxed),
             shed_scrapes: self.shed_scrapes.load(Ordering::Relaxed),
             shed_reports: self.shed_reports.load(Ordering::Relaxed),
@@ -442,226 +316,141 @@ impl OverloadController {
         }
     }
 
-    /// Live sampling entry point, called from request handling. At most
-    /// once per [`OverloadPolicy::sample_every_ms`] it gathers the
-    /// attached signals into a [`PressureSample`] and runs the
-    /// transition. No-op on a driven controller.
+    /// Live entry point, called from the admission hook with the
+    /// service clock. Once per [`OVERLOAD_INTERVAL_MS`] it takes the
+    /// edge's minimum sojourn (resetting it) and runs the transition;
+    /// an interval in which queued jobs waited but none was dequeued
+    /// (stalled workers) holds the level instead of reading calm.
+    /// No-op on a driven controller or before a server is attached.
     pub fn tick(&self, now_ms: u64) {
-        if self.driven {
+        let Some(edge) = self.edge.get() else {
+            return;
+        };
+        let due = self.next_sample_ms.load(Ordering::Relaxed);
+        if now_ms < due {
             return;
         }
-        let sample = {
-            let mut inner = self.inner.lock().expect("overload inner");
-            if now_ms.saturating_sub(inner.last_sample_ms) < self.policy.sample_every_ms.max(1)
-                && inner.last_sample_ms != 0
-            {
-                return;
+        let next = now_ms.saturating_add(OVERLOAD_INTERVAL_MS);
+        if self
+            .next_sample_ms
+            .compare_exchange(due, next, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
+        {
+            if let Some(min_sojourn_us) = edge.take_min_sojourn_us() {
+                self.observe(min_sojourn_us);
             }
-            inner.last_sample_ms = now_ms;
-            self.gather(&mut inner)
-        };
-        self.observe(&sample, now_ms);
+        }
     }
 
-    /// Builds a [`PressureSample`] from whatever signal sources are
-    /// attached; absent sources read as zero pressure.
-    fn gather(&self, inner: &mut ControllerInner) -> PressureSample {
-        let mut sample = PressureSample::default();
-        if let Some(edge) = self.edge.get() {
-            let e = edge.snapshot();
-            sample.queue_depth = e.worker_queue_depth;
-            sample.loop_lag_us = e.loop_lag_us;
+    /// The pure transition function: applies one interval's reading,
+    /// its minimum queue sojourn in µs. The live path reads it in
+    /// [`OverloadController::tick`]; the simulator derives it from its
+    /// seed. Escalation to the demanded level is immediate; below it,
+    /// the level steps down by one. Returns the state after the reading.
+    pub fn observe(&self, min_sojourn_us: u64) -> OverloadState {
+        let demanded = self.policy.demand(min_sojourn_us);
+        self.min_sojourn_us.store(min_sojourn_us, Ordering::Relaxed);
+        let next_of = |current: u8| demanded.max(current.saturating_sub(1));
+        let current = self
+            .level
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| Some(next_of(c)))
+            .unwrap_or_else(|c| c);
+        let next = next_of(current);
+        if current == 0 && next >= 1 {
+            self.brownout_entries.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(transport) = self.transport.get() {
-            let t = transport.snapshot();
-            let live = t.connections_accepted.saturating_sub(t.connections_closed);
-            sample.permit_occupancy = live as f64 / self.policy.max_connections.max(1) as f64;
+        if current < 2 && next >= 2 {
+            self.shedding_entries.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(histogram) = self.ingest.get() {
-            let snap = histogram.snapshot();
-            if let Some(prev) = inner.prev_ingest.replace(snap.clone()) {
-                sample.ingest_p99_us = window_quantile(&prev, &snap, 0.99).unwrap_or(0.0) as u64;
-            }
-        }
-        sample
+        OverloadState::of_level(next)
     }
-
-    /// The pure transition function: applies one sample to the state
-    /// machine. Escalation is immediate; de-escalation needs
-    /// [`OverloadPolicy::cooldown_samples`] consecutive samples whose
-    /// demanded state is strictly below the current one, and steps down
-    /// one state at a time. Returns the state after the sample.
-    pub fn observe(&self, sample: &PressureSample, now_ms: u64) -> OverloadState {
-        let _ = now_ms; // the machine is sample-counted, not clocked
-        let (demanded, demanded_severity) = self.policy.demand(sample);
-        let mut inner = self.inner.lock().expect("overload inner");
-        let current = self.state();
-        let next = if demanded >= current {
-            inner.calm_streak = 0;
-            demanded
-        } else {
-            inner.calm_streak += 1;
-            if inner.calm_streak >= self.policy.cooldown_samples.max(1) {
-                inner.calm_streak = 0;
-                OverloadState::from_u8(current.as_u8() - 1)
-            } else {
-                current
-            }
-        };
-        // Severity tracks the sample while Shedding is demanded; during
-        // a shedding cooldown only the gentlest class (pages) stays shed.
-        let severity = match next {
-            OverloadState::Shedding => demanded_severity.max(1),
-            _ => 0,
-        };
-        self.severity.store(severity, Ordering::Relaxed);
-        if next > current {
-            match next {
-                OverloadState::Brownout => {
-                    self.brownout_entries.fetch_add(1, Ordering::Relaxed);
-                }
-                OverloadState::Shedding => {
-                    self.shedding_entries.fetch_add(1, Ordering::Relaxed);
-                    // Jumping Nominal → Shedding passes through Brownout
-                    // conceptually; count the brownout entry too so the
-                    // transition counters sum sensibly.
-                    if current == OverloadState::Nominal {
-                        self.brownout_entries.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                OverloadState::Nominal => {}
-            }
-        }
-        self.state.store(next.as_u8(), Ordering::Relaxed);
-        next
-    }
-}
-
-/// The quantile of the *window* between two cumulative histogram
-/// snapshots: bucket-wise delta, then the standard interpolated
-/// histogram quantile. `None` when the window recorded nothing.
-fn window_quantile(prev: &HistogramSnapshot, now: &HistogramSnapshot, q: f64) -> Option<f64> {
-    if prev.buckets.len() != now.buckets.len() {
-        return now.quantile(q);
-    }
-    let delta = HistogramSnapshot {
-        bounds: Arc::clone(&now.bounds),
-        buckets: now
-            .buckets
-            .iter()
-            .zip(&prev.buckets)
-            .map(|(n, p)| n.saturating_sub(*p))
-            .collect(),
-        sum: (now.sum - prev.sum).max(0.0),
-    };
-    delta.quantile(q)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn policy() -> OverloadPolicy {
-        OverloadPolicy {
-            cooldown_samples: 3,
-            ..OverloadPolicy::default()
-        }
-    }
-
-    fn calm() -> PressureSample {
-        PressureSample::default()
-    }
-
-    fn queue(depth: u64) -> PressureSample {
-        PressureSample {
-            queue_depth: depth,
-            ..PressureSample::default()
-        }
+    /// A reading of `n` targets of the default policy.
+    fn sojourn(n: u64) -> u64 {
+        n * OverloadPolicy::default().target_us
     }
 
     #[test]
-    fn escalates_immediately_and_cools_down_stepwise() {
-        let ctl = OverloadController::driven(policy());
-        assert_eq!(ctl.observe(&queue(200), 0), OverloadState::Shedding);
-        // Calm samples: stays Shedding through the cooldown, then steps
-        // to Brownout (not straight to Nominal).
-        assert_eq!(ctl.observe(&calm(), 1), OverloadState::Shedding);
-        assert_eq!(ctl.observe(&calm(), 2), OverloadState::Shedding);
-        assert_eq!(ctl.observe(&calm(), 3), OverloadState::Brownout);
-        assert_eq!(ctl.observe(&calm(), 4), OverloadState::Brownout);
-        assert_eq!(ctl.observe(&calm(), 5), OverloadState::Brownout);
-        assert_eq!(ctl.observe(&calm(), 6), OverloadState::Nominal);
+    fn escalates_immediately_and_steps_down_one_level_per_interval() {
+        let ctl = OverloadController::driven(OverloadPolicy::default());
+        assert_eq!(ctl.observe(sojourn(8)), OverloadState::Shedding);
+        assert_eq!(ctl.severity(), 3);
+        // Calm readings: severity 2, then 1, then Brownout, then Nominal.
+        let calm = 0;
+        assert_eq!(ctl.observe(calm), OverloadState::Shedding);
+        assert_eq!(ctl.severity(), 2);
+        assert_eq!(ctl.observe(calm), OverloadState::Shedding);
+        assert_eq!(ctl.severity(), 1);
+        assert_eq!(ctl.observe(calm), OverloadState::Brownout);
+        assert_eq!(ctl.severity(), 0);
+        assert_eq!(ctl.observe(calm), OverloadState::Nominal);
+        let snap = ctl.snapshot();
+        assert_eq!((snap.brownout_entries, snap.shedding_entries), (1, 1));
     }
 
     #[test]
-    fn pressure_mid_cooldown_resets_the_streak() {
-        let ctl = OverloadController::driven(policy());
-        ctl.observe(&queue(200), 0);
-        ctl.observe(&calm(), 1);
-        ctl.observe(&calm(), 2);
-        // Pressure returns: the streak restarts from zero.
-        assert_eq!(ctl.observe(&queue(200), 3), OverloadState::Shedding);
-        ctl.observe(&calm(), 4);
-        ctl.observe(&calm(), 5);
-        assert_eq!(ctl.state(), OverloadState::Shedding);
-        assert_eq!(ctl.observe(&calm(), 6), OverloadState::Brownout);
+    fn pressure_mid_descent_climbs_straight_back() {
+        let ctl = OverloadController::driven(OverloadPolicy::default());
+        ctl.observe(sojourn(8));
+        ctl.observe(0);
+        assert_eq!(ctl.severity(), 2);
+        // A reading above the current level escalates at once; one
+        // below it still only steps down.
+        ctl.observe(sojourn(8));
+        assert_eq!(ctl.severity(), 3);
+        ctl.observe(sojourn(1));
+        assert_eq!(ctl.severity(), 2);
+        assert_eq!(ctl.snapshot().shedding_entries, 1);
     }
 
     #[test]
     fn severity_ladder_sheds_classes_in_priority_order() {
-        let ctl = OverloadController::driven(policy());
-        // queue_shed = 64: 1× → pages only.
-        ctl.observe(&queue(64), 0);
-        assert!(ctl.should_shed(RequestClass::Page));
-        assert!(!ctl.should_shed(RequestClass::Scrape));
-        assert!(!ctl.should_shed(RequestClass::Report));
-        // 1.5× → pages + scrapes.
-        ctl.observe(&queue(96), 1);
-        assert!(ctl.should_shed(RequestClass::Scrape));
-        assert!(!ctl.should_shed(RequestClass::Report));
-        // 2× → everything but health.
-        ctl.observe(&queue(128), 2);
-        assert!(ctl.should_shed(RequestClass::Report));
-        assert!(!ctl.should_shed(RequestClass::Health));
-    }
-
-    #[test]
-    fn brownout_thresholds_sit_below_shedding() {
-        let ctl = OverloadController::driven(policy());
-        assert_eq!(ctl.observe(&queue(16), 0), OverloadState::Brownout);
+        let ctl = OverloadController::driven(OverloadPolicy::default());
+        // Just under the target: nothing happens.
+        ctl.observe(OverloadPolicy::default().target_us - 1);
+        assert_eq!(ctl.state(), OverloadState::Nominal);
+        // 1×: brownout, nothing refused.
+        ctl.observe(sojourn(1));
         assert!(ctl.brownout_active());
-        assert!(!ctl.should_shed(RequestClass::Page));
         assert_eq!(ctl.prune_stretch(), 4);
+        assert!(ctl.shed(RequestClass::Page).is_none());
+        // 2× → pages only.
+        ctl.observe(sojourn(2));
+        assert!(ctl.shed(RequestClass::Page).is_some());
+        assert!(ctl.shed(RequestClass::Scrape).is_none());
+        assert!(ctl.shed(RequestClass::Report).is_none());
+        // 4× → pages + scrapes.
+        ctl.observe(sojourn(4));
+        assert!(ctl.shed(RequestClass::Scrape).is_some());
+        assert!(ctl.shed(RequestClass::Report).is_none());
+        // 8× → everything but health.
+        ctl.observe(sojourn(8));
+        assert!(ctl.shed(RequestClass::Report).is_some());
+        assert!(ctl.shed(RequestClass::Health).is_none());
     }
 
     #[test]
-    fn shed_response_counts_by_class_and_hints_retry() {
-        let ctl = OverloadController::driven(policy());
-        let response = ctl.shed_response(RequestClass::Report);
+    fn shed_counts_by_class_and_hints_retry() {
+        let ctl = OverloadController::driven(OverloadPolicy::default());
+        ctl.observe(sojourn(8));
+        let response = ctl.shed(RequestClass::Report).expect("severity 3");
         assert_eq!(response.status, StatusCode::UNAVAILABLE);
         assert_eq!(
             response.header("retry-after"),
             Some(SHED_RETRY_AFTER_SECS.to_string().as_str())
         );
-        assert_eq!(ctl.snapshot().shed_reports, 1);
-    }
-
-    #[test]
-    fn windowed_quantile_ignores_history_before_the_window() {
-        let hist = Histogram::new(oak_obs::DURATION_BOUNDS_US);
-        for _ in 0..1_000 {
-            hist.record(500_000.0); // ancient slowness
-        }
-        let prev = hist.snapshot();
-        for _ in 0..100 {
-            hist.record(100.0); // calm window
-        }
-        let now = hist.snapshot();
-        let p99 = window_quantile(&prev, &now, 0.99).unwrap();
-        assert!(
-            p99 <= 1_000.0,
-            "window p99 {p99} must reflect only the calm window"
+        assert!(ctl.shed(RequestClass::Health).is_none());
+        let snap = ctl.snapshot();
+        assert_eq!(
+            (snap.shed_reports, snap.shed_pages, snap.shed_scrapes),
+            (1, 0, 0)
         );
+        assert_eq!(snap.min_sojourn_us, 8 * OverloadPolicy::default().target_us);
     }
 
     #[test]

@@ -337,32 +337,21 @@ impl OakService {
     /// `"transport"`. Create the [`TransportStats`] first, hand one clone
     /// here and one to [`oak_edge::EdgeServer::start_with`].
     pub fn with_transport_stats(mut self, stats: Arc<TransportStats>) -> OakService {
-        if let Some(overload) = &self.overload {
-            overload.attach_transport(Arc::clone(&stats));
-        }
         self.transport = Some(stats);
         self
     }
 
-    /// Enables overload control: the controller samples the signal
-    /// sources already attached (transport counters, reactor gauges,
-    /// the engine's ingest histogram — whichever exist now or arrive
-    /// through the later setters) and the service starts degrading by
+    /// Enables overload control: the controller reads the worker
+    /// queue's minimum sojourn from the reactor gauges (attached now or
+    /// by [`OakService::set_edge_stats`]) and the service degrades by
     /// state — Brownout bypasses the rewriter and throttles background
     /// work; Shedding refuses requests by [`RequestClass`] priority,
-    /// reports last and health probes never. The same controller is
-    /// consulted by the transport's pre-body admission hook
-    /// ([`oak_http::Handler::admit`]), so shed reports cost a request
-    /// line, not a body read.
+    /// reports last and health probes never. Every refusal is made in
+    /// the transport's admission hook ([`oak_http::Handler::admit`]),
+    /// before the request queues for a worker.
     pub fn with_overload(mut self, overload: Arc<OverloadController>) -> OakService {
-        if let Some(transport) = &self.transport {
-            overload.attach_transport(Arc::clone(transport));
-        }
         if let Some(edge) = self.edge.get() {
             overload.attach_edge(Arc::clone(edge));
-        }
-        if let Some(obs) = &self.obs {
-            overload.attach_ingest(Arc::clone(&obs.core.ingest));
         }
         self.overload = Some(overload);
         self
@@ -432,9 +421,6 @@ impl OakService {
     /// [`oak_store::OakStore::set_obs`]).
     pub fn with_obs(mut self, obs: Arc<ServiceObs>) -> OakService {
         self.oak.set_obs(Arc::clone(&obs.core));
-        if let Some(overload) = &self.overload {
-            overload.attach_ingest(Arc::clone(&obs.core.ingest));
-        }
         self.obs = Some(obs);
         self
     }
@@ -634,6 +620,8 @@ impl OakService {
             let mut row = oak_json::Value::object();
             row.set("state", overload.state().as_str());
             row.set("severity", o.severity as u64);
+            row.set("min_sojourn_us", o.min_sojourn_us);
+            row.set("target_us", overload.policy().target_us);
             row.set("shed_pages", o.shed_pages);
             row.set("shed_scrapes", o.shed_scrapes);
             row.set("shed_reports", o.shed_reports);
@@ -1195,20 +1183,6 @@ impl OakService {
 impl OakService {
     fn dispatch(&self, request: &Request) -> Response {
         let path = request.path().to_owned();
-        // Overload gate, ahead of every other per-request cost
-        // (including the prune sweep): a live controller samples its
-        // signals here, then sheds by class priority. Shed GETs keep
-        // the connection alive — the request was fully read, so the
-        // 503 + Retry-After frames cleanly and the client's next
-        // attempt reuses the socket instead of re-handshaking (reports
-        // are instead refused pre-body at the transport's admit hook).
-        if let Some(overload) = &self.overload {
-            overload.tick((self.clock)().as_millis());
-            let class = RequestClass::of(&path);
-            if overload.should_shed(class) {
-                return overload.shed_response(class);
-            }
-        }
         self.maybe_prune();
         match (request.method, path.as_str()) {
             (Method::Post, REPORT_PATH) => self.accept_report(request),
@@ -1258,23 +1232,18 @@ impl Handler for OakService {
         response
     }
 
-    /// Pre-body admission: consulted by the server the moment a
-    /// request head is framed, before any body byte is read.
-    /// Only report POSTs are refused here — their bodies are the
-    /// expensive part, and an unread body forces a connection close
-    /// anyway. Shed GETs wait for dispatch, where the 503 frames over
-    /// a keep-alive socket instead of tearing it down.
-    fn admit(&self, method: Method, target: &str) -> Option<Response> {
+    /// The one shed point: consulted by the server the moment a
+    /// request head is framed, before any body byte is read and before
+    /// the request queues for a worker. A live controller reads its
+    /// signal here, then pages, scrapes and reports are refused by
+    /// class priority, so a refusal never waits behind the queue it
+    /// relieves. The transport keeps a body-less request's connection
+    /// open and closes one whose body it left unread.
+    fn admit(&self, _method: Method, target: &str) -> Option<Response> {
         let overload = self.overload.as_ref()?;
         overload.tick((self.clock)().as_millis());
-        if method != Method::Post {
-            return None;
-        }
         let path = target.split('?').next().unwrap_or(target);
-        if path == REPORT_PATH && overload.should_shed(RequestClass::Report) {
-            return Some(overload.shed_response(RequestClass::Report));
-        }
-        None
+        overload.shed(RequestClass::of(path))
     }
 
     /// The queue deadline never drops a health probe: a load balancer

@@ -62,12 +62,18 @@ fn violating_report(user: &str) -> PerfReport {
     r
 }
 
+/// Serves `req` the way the edge does: the admission hook sees the head
+/// first, and only a request it admits reaches the handler.
+fn serve(service: &OakService, req: &Request) -> Response {
+    Handler::admit(service, req.method, &req.target).unwrap_or_else(|| service.handle(req))
+}
+
 fn get(service: &OakService, path: &str, cookie: Option<&str>) -> Response {
     let mut req = Request::new(Method::Get, path);
     if let Some(c) = cookie {
         req.headers.set("Cookie", format!("{OAK_USER_COOKIE}={c}"));
     }
-    service.handle(&req)
+    serve(service, &req)
 }
 
 fn post_report(service: &OakService, report: &PerfReport, cookie: Option<&str>) -> Response {
@@ -76,7 +82,7 @@ fn post_report(service: &OakService, report: &PerfReport, cookie: Option<&str>) 
     if let Some(c) = cookie {
         req.headers.set("Cookie", format!("{OAK_USER_COOKIE}={c}"));
     }
-    service.handle(&req)
+    serve(service, &req)
 }
 
 #[test]
@@ -888,11 +894,9 @@ fn overloaded_service() -> (OakService, Arc<crate::OverloadController>) {
     (service, controller)
 }
 
-fn pressure(queue_depth: u64) -> crate::PressureSample {
-    crate::PressureSample {
-        queue_depth,
-        ..crate::PressureSample::default()
-    }
+/// A reading of `n` targets of the default policy.
+fn pressure(n: u64) -> u64 {
+    n * crate::OverloadPolicy::default().target_us
 }
 
 #[test]
@@ -904,8 +908,8 @@ fn brownout_serves_pages_unrewritten_but_still_ingests() {
         .body_text()
         .contains("cdn-b.example"));
 
-    // Brownout (queue at the brownout threshold): same page, raw.
-    controller.observe(&pressure(16), 0);
+    // Brownout (sojourn at the target): same page, raw.
+    controller.observe(pressure(1));
     assert_eq!(controller.state(), crate::OverloadState::Brownout);
     let browned = get(&service, "/index.html", Some("u-7"));
     assert_eq!(browned.status, StatusCode::OK);
@@ -920,10 +924,9 @@ fn brownout_serves_pages_unrewritten_but_still_ingests() {
     assert_eq!(accepted.status, StatusCode::NO_CONTENT);
     assert!(controller.snapshot().pages_browned >= 1);
 
-    // Recovery: calm samples walk back to Nominal and rewriting resumes.
-    for i in 0..service.overload().unwrap().policy().cooldown_samples {
-        controller.observe(&crate::PressureSample::default(), u64::from(i) + 1);
-    }
+    // Recovery: a calm interval steps back to Nominal and rewriting
+    // resumes.
+    controller.observe(pressure(0));
     assert_eq!(controller.state(), crate::OverloadState::Nominal);
     assert!(get(&service, "/index.html", Some("u-7"))
         .body_text()
@@ -935,8 +938,8 @@ fn shedding_refuses_by_priority_class_and_never_health() {
     let (service, controller) = overloaded_service();
     post_report(&service, &violating_report("u-7"), Some("u-7"));
 
-    // Severity 1 (queue at 1× the shed threshold): pages only.
-    controller.observe(&pressure(64), 0);
+    // Severity 1 (sojourn at 2× the target): pages only.
+    controller.observe(pressure(2));
     let shed = get(&service, "/index.html", Some("u-7"));
     assert_eq!(shed.status, StatusCode::UNAVAILABLE);
     assert_eq!(shed.header("retry-after"), Some("1"));
@@ -949,8 +952,8 @@ fn shedding_refuses_by_priority_class_and_never_health() {
         StatusCode::NO_CONTENT
     );
 
-    // Severity 2 (1.5×): scrapes go too; reports still land.
-    controller.observe(&pressure(96), 1);
+    // Severity 2 (4×): scrapes go too; reports still land.
+    controller.observe(pressure(4));
     assert_eq!(
         get(&service, crate::STATS_PATH, None).status,
         StatusCode::UNAVAILABLE
@@ -960,19 +963,20 @@ fn shedding_refuses_by_priority_class_and_never_health() {
         StatusCode::NO_CONTENT
     );
 
-    // Severity 3 (2×): reports shed — and the transport admit hook
-    // refuses them before the body would be read.
-    controller.observe(&pressure(128), 2);
+    // Severity 3 (8×): reports shed too.
+    controller.observe(pressure(8));
     let refused = post_report(&service, &violating_report("u-7"), Some("u-7"));
     assert_eq!(refused.status, StatusCode::UNAVAILABLE);
     assert_eq!(refused.header("retry-after"), Some("1"));
-    let admitted = Handler::admit(&service, Method::Post, REPORT_PATH);
-    let pre_body = admitted.expect("admit hook sheds report POSTs at severity 3");
-    assert_eq!(pre_body.status, StatusCode::UNAVAILABLE);
-    assert_eq!(pre_body.header("retry-after"), Some("1"));
-    // GETs are never shed at the admit hook (they shed at dispatch,
-    // keeping the connection alive).
-    assert!(Handler::admit(&service, Method::Get, "/index.html").is_none());
+    // Every class is refused at the admit hook, before it queues; the
+    // handler itself no longer sheds.
+    let pre_queue = Handler::admit(&service, Method::Get, "/index.html?x=1");
+    assert_eq!(
+        pre_queue.expect("admit hook sheds pages").status,
+        StatusCode::UNAVAILABLE
+    );
+    let handled = service.handle(&Request::new(Method::Get, "/index.html"));
+    assert_eq!(handled.status, StatusCode::OK);
 
     // Health answers 200 at every severity, and is queue-deadline exempt.
     let health = get(&service, crate::HEALTH_PATH, None);
@@ -989,7 +993,40 @@ fn shedding_refuses_by_priority_class_and_never_health() {
     let snap = controller.snapshot();
     assert!(snap.shed_pages >= 1);
     assert!(snap.shed_scrapes >= 1);
-    assert!(snap.shed_reports >= 2);
+    assert!(snap.shed_reports >= 1);
+}
+
+#[test]
+fn a_live_controller_reads_the_edge_once_per_interval_at_admission() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let now = Arc::new(AtomicU64::new(1_000));
+    let clock = Arc::clone(&now);
+    let controller = crate::OverloadController::new(crate::OverloadPolicy::default());
+    let service = service_with_rule()
+        .with_clock(move || Instant(clock.load(Ordering::SeqCst)))
+        .with_overload(Arc::clone(&controller));
+    let edge = Arc::new(oak_edge::EdgeStats::default());
+    service.set_edge_stats(Arc::clone(&edge));
+    let admits = |target: &str| Handler::admit(&service, Method::Get, target).is_none();
+
+    // The first admission opens the first interval (it reads calm).
+    assert!(admits("/index.html"));
+    // A standing 4× target sojourn is acted on only at the next
+    // interval boundary, 100 ms later.
+    edge.note_sojourn(4 * crate::OverloadPolicy::default().target_us);
+    now.store(1_050, Ordering::SeqCst);
+    assert!(admits("/index.html"));
+    now.store(1_100, Ordering::SeqCst);
+    assert!(!admits("/index.html"), "severity 2 sheds pages");
+    assert!(!admits(crate::STATS_PATH), "and scrapes");
+    assert!(admits(crate::HEALTH_PATH));
+    assert!(Handler::admit(&service, Method::Post, REPORT_PATH).is_none());
+    // An interval with no dequeue and an empty queue reads 0: one
+    // level down.
+    now.store(1_200, Ordering::SeqCst);
+    assert!(admits(crate::STATS_PATH));
+    assert!(!admits("/index.html"));
+    assert_eq!(controller.snapshot().shed_scrapes, 1);
 }
 
 #[test]
@@ -1000,13 +1037,15 @@ fn overload_surfaces_in_stats_and_metrics_only_when_attached() {
     assert!(doc.get("overload").is_none());
 
     let (service, controller) = overloaded_service();
-    controller.observe(&pressure(64), 0);
-    controller.observe(&pressure(0), 1); // calm sample; still shedding
+    controller.observe(pressure(4));
+    controller.observe(pressure(0)); // calm interval; one level down
     get(&service, "/index.html", None); // one shed page
     let doc = oak_json::parse(&get(&service, crate::STATS_PATH, None).body_text()).unwrap();
     let row = doc.get("overload").expect("overload block in /oak/stats");
     assert_eq!(row.get("state").and_then(|v| v.as_str()), Some("shedding"));
     assert_eq!(row.get("severity").and_then(|v| v.as_u64()), Some(1));
+    assert_eq!(row.get("min_sojourn_us").and_then(|v| v.as_u64()), Some(0));
+    assert_eq!(row.get("target_us").and_then(|v| v.as_u64()), Some(5_000));
     assert_eq!(row.get("shed_pages").and_then(|v| v.as_u64()), Some(1));
     assert_eq!(
         row.get("shedding_entries").and_then(|v| v.as_u64()),
@@ -1019,7 +1058,7 @@ fn overload_surfaces_in_stats_and_metrics_only_when_attached() {
     let service = service_with_rule()
         .with_obs(Arc::clone(&obs))
         .with_overload(Arc::clone(&controller));
-    controller.observe(&pressure(64), 0);
+    controller.observe(pressure(2));
     get(&service, "/index.html", None);
     let metrics = get(&service, crate::METRICS_PATH, None).body_text();
     assert!(metrics.contains("# TYPE oak_overload_state gauge"));

@@ -3,147 +3,106 @@
 //! pressure schedule that drives both.
 //!
 //! The single-node world arms a *driven* `oak_server::OverloadController`
-//! (live sampling disabled) and feeds it one [`PressureSample`] per
-//! scenario step, derived purely from `(seed, step index)` — so a run's
+//! (live sampling disabled) and feeds it one minimum-sojourn reading
+//! per scenario step, derived purely from `(seed, step index)` — so a run's
 //! entire overload trajectory is replayable from the seed alone. This
 //! module holds the other half of the check: [`RefOverload`] re-derives
 //! the expected state from the same samples using its own arithmetic
-//! (integer threshold comparisons, not the controller's float ratios),
-//! and the world asserts the two machines agree after every step. A bug
-//! in either implementation — a flipped hysteresis comparison, a
-//! severity band off by one — shows up as a divergence with a seed that
-//! reproduces it.
-//!
-//! The reference deliberately models only the queue-depth signal, which
-//! is the only one the schedule exercises: driving one signal keeps the
-//! expected-state derivation simple enough to audit by eye, and the
-//! controller's signal fusion (max across ratios) is covered by its own
-//! unit tests.
+//! (an integer log of the sojourn's multiple of the target, not the
+//! controller's doubling threshold walk), and the world asserts the two
+//! machines agree after every step. A bug in either implementation — a
+//! flipped step-down comparison, a severity band off by one — shows up
+//! as a divergence with a seed that reproduces it.
 
-use oak_server::PressureSample;
-
-/// Mirror of the default policy's queue thresholds. Constants, not a
-/// policy import: the reference must not share the controller's data
-/// any more than its code.
-const QUEUE_BROWNOUT: u64 = 16;
-const QUEUE_SHED: u64 = 64;
-const COOLDOWN_SAMPLES: u32 = 5;
+/// Mirror of the default policy's target, µs. A constant, not a policy
+/// import: the reference must not share the controller's data any more
+/// than its code.
+const TARGET_US: u64 = 5_000;
 
 /// The deterministic per-step pressure schedule: a splitmix64 hash of
-/// `(seed, step)` mapped onto bands that spend roughly half the run
-/// calm, a quarter in the brownout band, and a quarter shedding at
-/// varying severity — enough dwell time in each state for hysteresis
-/// and the severity ladder to be exercised, with transitions at
-/// seed-determined points.
-pub fn pressure_of(seed: u64, step: usize) -> PressureSample {
+/// `(seed, step)` mapped onto sojourn bands that spend roughly half the
+/// run calm, a quarter browned out, and a quarter shedding at each of
+/// the three severities — enough dwell time in each level for the
+/// step-down and the severity ladder to be exercised, with transitions
+/// at seed-determined points. The top band runs past 8× the target, so
+/// severity 3 is reached by more than its bare threshold.
+pub fn pressure_of(seed: u64, step: usize) -> u64 {
     let mut x = seed ^ (step as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^= x >> 31;
-    let queue_depth = match x % 8 {
-        // Calm: strictly below the brownout threshold.
-        0..=3 => (x >> 3) % QUEUE_BROWNOUT,
-        // Brownout band: [16, 64).
-        4 | 5 => QUEUE_BROWNOUT + (x >> 3) % (QUEUE_SHED - QUEUE_BROWNOUT),
-        // Shedding at 1×: [64, 96) — severity 1.
-        6 => QUEUE_SHED + (x >> 3) % (QUEUE_SHED / 2),
-        // Deep shedding: [96, 160) — severities 2 and 3.
-        _ => QUEUE_SHED + QUEUE_SHED / 2 + (x >> 3) % QUEUE_SHED,
-    };
-    PressureSample {
-        queue_depth,
-        ..PressureSample::default()
+    let r = x >> 4;
+    match x % 16 {
+        // Calm: [0, T).
+        0..=7 => r % TARGET_US,
+        // Brownout: [T, 2T).
+        8..=11 => TARGET_US + r % TARGET_US,
+        // Severity 1: [2T, 4T).
+        12 | 13 => 2 * TARGET_US + r % (2 * TARGET_US),
+        // Severity 2: [4T, 8T).
+        14 => 4 * TARGET_US + r % (4 * TARGET_US),
+        // Severity 3: [8T, 16T).
+        _ => 8 * TARGET_US + r % (8 * TARGET_US),
     }
 }
 
-/// The independent reference state machine. States are plain integers
-/// (0 nominal, 1 brownout, 2 shedding) and the severity bands are
-/// integer inequalities, so agreement with the controller is a real
-/// cross-check rather than the same float arithmetic twice.
-#[derive(Debug)]
+/// The independent reference state machine. The level is a plain
+/// integer (0 nominal, 1 brownout, 2..=4 shedding at severity 1..=3),
+/// so agreement with the controller is a real cross-check rather than
+/// the same arithmetic twice.
+#[derive(Debug, Default)]
 pub struct RefOverload {
-    state: u8,
-    severity: u8,
-    calm_streak: u32,
+    level: u32,
 }
 
 impl RefOverload {
-    pub fn new() -> RefOverload {
-        RefOverload {
-            state: 0,
-            severity: 0,
-            calm_streak: 0,
-        }
-    }
-
-    /// Expected state after one sample: escalate immediately to the
-    /// demanded state, de-escalate one level per `COOLDOWN_SAMPLES`
-    /// consecutive samples demanding strictly less.
-    pub fn observe(&mut self, sample: &PressureSample) {
-        let q = sample.queue_depth;
-        let (demanded, demanded_severity) = if q >= QUEUE_SHED {
-            // r >= 1.5 ⇔ 2q >= 3·shed; r >= 2 ⇔ q >= 2·shed.
-            let severity = if q >= 2 * QUEUE_SHED {
-                3
-            } else if 2 * q >= 3 * QUEUE_SHED {
-                2
-            } else {
-                1
-            };
-            (2, severity)
-        } else if q >= QUEUE_BROWNOUT {
-            (1, 0)
-        } else {
-            (0, 0)
-        };
-        if demanded >= self.state {
-            self.calm_streak = 0;
-            self.state = demanded;
-        } else {
-            self.calm_streak += 1;
-            if self.calm_streak >= COOLDOWN_SAMPLES {
-                self.calm_streak = 0;
-                self.state -= 1;
-            }
-        }
-        self.severity = if self.state == 2 {
-            demanded_severity.max(1)
-        } else {
+    /// Expected level after one minimum-sojourn reading (µs): the
+    /// demanded level is `1 + log2(sojourn / target)` (0 below the
+    /// target, capped at 4); escalate to it at once, otherwise step
+    /// down one level.
+    pub fn observe(&mut self, min_sojourn_us: u64) {
+        let multiple = min_sojourn_us / TARGET_US;
+        let demanded = if multiple == 0 {
             0
+        } else {
+            (multiple.ilog2() + 1).min(4)
+        };
+        self.level = if demanded >= self.level {
+            demanded
+        } else {
+            self.level - 1
         };
     }
 
     /// Expected controller state (0 nominal, 1 brownout, 2 shedding).
     pub fn state(&self) -> u8 {
-        self.state
+        self.level.min(2) as u8
     }
 
     /// Expected shed severity (0 outside shedding).
     pub fn severity(&self) -> u8 {
-        self.severity
+        if self.level >= 2 {
+            (self.level - 1) as u8
+        } else {
+            0
+        }
     }
 
     /// Whether a report ingest must be refused right now.
     pub fn sheds_reports(&self) -> bool {
-        self.state == 2 && self.severity >= 3
+        self.level >= 4
     }
 
     /// Whether a page serve must be refused right now.
     pub fn sheds_pages(&self) -> bool {
-        self.state == 2
+        self.level >= 2
     }
 
     /// Whether the node is expected to report itself degraded.
     pub fn degraded(&self) -> bool {
-        self.state >= 1
-    }
-}
-
-impl Default for RefOverload {
-    fn default() -> RefOverload {
-        RefOverload::new()
+        self.level >= 1
     }
 }
 
@@ -153,38 +112,29 @@ mod tests {
 
     #[test]
     fn schedule_visits_every_band() {
-        let mut calm = 0;
-        let mut brown = 0;
-        let mut shed = 0;
-        let mut deep = 0;
+        let mut bands = [0u32; 5];
         for step in 0..1_000 {
-            let q = pressure_of(42, step).queue_depth;
-            match q {
-                0..=15 => calm += 1,
-                16..=63 => brown += 1,
-                64..=95 => shed += 1,
-                _ => deep += 1,
-            }
+            let multiple = pressure_of(42, step) / TARGET_US;
+            let band = match multiple {
+                0 => 0,
+                1 => 1,
+                2 | 3 => 2,
+                4..=7 => 3,
+                _ => 4,
+            };
+            bands[band] += 1;
         }
-        assert!(calm > 0 && brown > 0 && shed > 0 && deep > 0);
+        assert!(bands.iter().all(|&n| n > 0), "bands visited: {bands:?}");
     }
 
     #[test]
-    fn reference_walks_the_hysteresis() {
-        let mut reference = RefOverload::new();
-        reference.observe(&PressureSample {
-            queue_depth: 128,
-            ..PressureSample::default()
-        });
-        assert_eq!(reference.state(), 2);
-        assert_eq!(reference.severity(), 3);
-        for _ in 0..COOLDOWN_SAMPLES {
-            reference.observe(&PressureSample::default());
+    fn reference_steps_down_one_level_per_sample() {
+        let mut reference = RefOverload::default();
+        reference.observe(8 * TARGET_US);
+        assert_eq!((reference.state(), reference.severity()), (2, 3));
+        for expected in [(2, 2), (2, 1), (1, 0), (0, 0)] {
+            reference.observe(0);
+            assert_eq!((reference.state(), reference.severity()), expected);
         }
-        assert_eq!(reference.state(), 1);
-        for _ in 0..COOLDOWN_SAMPLES {
-            reference.observe(&PressureSample::default());
-        }
-        assert_eq!(reference.state(), 0);
     }
 }

@@ -26,8 +26,8 @@ use oak_core::Instant;
 use oak_http::cookie::OAK_USER_COOKIE;
 use oak_http::{Handler, Method, Request, StatusCode};
 use oak_server::{
-    HealthState, OakService, OverloadController, OverloadPolicy, OverloadState, PressureSample,
-    ServiceObs, SiteStore, HEALTH_PATH, METRICS_PATH, REPORT_PATH,
+    HealthState, OakService, OverloadController, OverloadPolicy, OverloadState, ServiceObs,
+    SiteStore, HEALTH_PATH, METRICS_PATH, REPORT_PATH,
 };
 use oak_store::{FsyncPolicy, OakStore, StorageBackend, StoreOptions};
 
@@ -287,7 +287,7 @@ struct World<'a> {
     stats: RunStats,
     step: usize,
     /// The production controller under test, in driven mode: the run
-    /// loop feeds it one seed-determined [`PressureSample`] per step.
+    /// loop feeds it one seed-determined sojourn reading per step.
     /// Node-level state — it survives crash-recovery, so the rebuilt
     /// service is re-armed with the same instance.
     overload: Arc<OverloadController>,
@@ -309,7 +309,13 @@ impl World<'_> {
         }
     }
 
+    /// One request the way the edge serves it: the admission hook sees
+    /// the head first, and a request it refuses never reaches the
+    /// handler.
     fn request(&mut self, request: &Request) -> oak_http::Response {
+        if let Some(refusal) = self.service.admit(request.method, &request.target) {
+            return refusal;
+        }
         self.stats.requests += 1;
         self.service.handle(request)
     }
@@ -955,7 +961,7 @@ pub fn run_scenario_observed(
         stats: RunStats::default(),
         step: 0,
         overload,
-        reference: RefOverload::new(),
+        reference: RefOverload::default(),
         reports_shed: 0,
         pages_shed: 0,
     };
@@ -967,9 +973,8 @@ pub fn run_scenario_observed(
         // controller and the reference model alike — then the two state
         // machines must agree before the step's traffic is judged.
         let sample = pressure_of(scenario.seed, index);
-        let now_ms = world.clock.now().as_millis();
-        world.overload.observe(&sample, now_ms);
-        world.reference.observe(&sample);
+        world.overload.observe(sample);
+        world.reference.observe(sample);
         world.check_overload_state()?;
         world.execute(step)?;
         if world.fs.crashed() {
@@ -982,16 +987,14 @@ pub fn run_scenario_observed(
     // Let the load subside before the end-of-run audit: walk both
     // machines back to Nominal on calm samples (checking agreement at
     // every de-escalation) so the final metrics scrape is not itself
-    // shed. The bound is generous — two full cooldowns per level.
-    let calm = PressureSample::default();
+    // shed. The bound is generous — twice the ladder's four levels.
     let mut drain = 0;
     while world.overload.state() != OverloadState::Nominal {
-        let now_ms = world.clock.now().as_millis();
-        world.overload.observe(&calm, now_ms);
-        world.reference.observe(&calm);
+        world.overload.observe(0);
+        world.reference.observe(0);
         world.check_overload_state()?;
         drain += 1;
-        if drain > 64 {
+        if drain > 8 {
             return Err(world.fail(
                 "overload",
                 "controller failed to cool down to Nominal on calm samples".into(),

@@ -350,7 +350,7 @@ fn hanging_script_host_cannot_stall_report_ingest() {
 /// so a polite client knows when to come back.
 #[test]
 fn shed_and_throttle_responses_match_their_pinned_bytes() {
-    use oak::server::{OverloadController, OverloadPolicy, PressureSample};
+    use oak::server::{OverloadController, OverloadPolicy};
     use std::io::{Read, Write};
 
     /// What every 503 turn-away starts with (both bodies are 24 bytes).
@@ -410,19 +410,14 @@ fn shed_and_throttle_responses_match_their_pinned_bytes() {
     );
 
     // Severity 3: everything but health sheds.
-    controller.observe(
-        &PressureSample {
-            queue_depth: 128,
-            ..PressureSample::default()
-        },
-        0,
-    );
+    controller.observe(8 * OverloadPolicy::default().target_us);
     // Shed at the admit hook, before the body: the connection closes.
     assert_eq!(
         raw_exchange(addr, post.as_bytes()),
         format!("{SHED_HEAD}Connection: close\r\n\r\noverloaded; request shed")
     );
-    // Shed at dispatch: keep-alive survives.
+    // Shed at the admit hook too, but a GET has no body: keep-alive
+    // survives.
     assert_eq!(
         raw_exchange(addr, b"GET /index.html HTTP/1.1\r\n\r\n"),
         format!("{SHED_HEAD}\r\noverloaded; request shed")
