@@ -740,6 +740,44 @@ fn run_phase(
     }
 }
 
+/// The overload row's counters: cumulative on the server, so a phase's
+/// share is the difference of the scrapes around it.
+const OVERLOAD_COUNTERS: [&str; 6] = [
+    "shed_pages",
+    "shed_scrapes",
+    "shed_reports",
+    "pages_browned",
+    "brownout_entries",
+    "shedding_entries",
+];
+
+/// `/oak/stats`'s overload row as the phase that just ended left it. A
+/// controller still shedding scrapes refuses the first tries; it steps
+/// down a level per calm 100 ms interval, so a retry every 25 ms reads
+/// the row within a few intervals of the phase's end, not seconds after.
+fn scrape_phase_end(addr: std::net::SocketAddr) -> Option<oak_json::Value> {
+    (0..40).find_map(|attempt| {
+        if attempt > 0 {
+            std::thread::sleep(Duration::from_millis(25));
+        }
+        scrape_stats(addr).and_then(|stats| stats.get("overload").cloned())
+    })
+}
+
+/// `after`'s [`OVERLOAD_COUNTERS`] less `before`'s.
+fn overload_deltas(
+    before: Option<&oak_json::Value>,
+    after: Option<&oak_json::Value>,
+) -> Option<oak_json::Value> {
+    let read = |row: &oak_json::Value, key: &str| row.get(key).and_then(oak_json::Value::as_u64);
+    let (before, after) = (before?, after?);
+    let mut deltas = oak_json::Value::object();
+    for key in OVERLOAD_COUNTERS {
+        deltas.set(key, read(after, key)?.saturating_sub(read(before, key)?));
+    }
+    Some(deltas)
+}
+
 /// Scrapes `/oak/stats` (fresh connection) and returns the JSON doc.
 fn scrape_stats(addr: std::net::SocketAddr) -> Option<oak_json::Value> {
     let client = ChaosClient::new(addr).with_read_timeout(Duration::from_secs(2));
@@ -828,13 +866,17 @@ overload target {} us over {OVERLOAD_INTERVAL_MS} ms\n",
     );
 
     let mut results = Vec::new();
-    let mut stats_after = Vec::new();
+    let mut overload_at_end = Vec::new();
+    let mut overload_deltas_by_phase = Vec::new();
+    let mut overload_before = scrape_phase_end(addr);
     for (index, &(mult, secs)) in plan.iter().enumerate() {
         let result = run_phase(addr, seed, index, mult, capacity_rps, secs, faults);
-        // Let the controller cool down and the queue drain, then read
-        // the server's own story of the phase.
+        // The server's own story of the phase, read as it ends; then the
+        // controller cools down and the queue drains before the next.
+        let overload = scrape_phase_end(addr);
+        let deltas = overload_deltas(overload_before.as_ref(), overload.as_ref());
         std::thread::sleep(Duration::from_secs(2));
-        stats_after.push(scrape_stats(addr));
+        overload_before = scrape_phase_end(addr);
         println!(
             "{:>5.1} {:>5.0} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>10} {:>10} {:>10} {:>9} {:>8}",
             result.mult,
@@ -853,7 +895,26 @@ overload target {} us over {OVERLOAD_INTERVAL_MS} ms\n",
             result.rss_peak_kb / 1024,
             result.panics,
         );
+        if let (Some(row), Some(deltas)) = (&overload, &deltas) {
+            let count = |row: &oak_json::Value, key: &str| {
+                row.get(key).and_then(oak_json::Value::as_u64).unwrap_or(0)
+            };
+            println!(
+                "      server at phase end: {} (min sojourn {} us); this phase: {}",
+                row.get("state")
+                    .and_then(oak_json::Value::as_str)
+                    .unwrap_or("?"),
+                count(row, "min_sojourn_us"),
+                OVERLOAD_COUNTERS
+                    .iter()
+                    .map(|&key| format!("{key} +{}", count(deltas, key)))
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            );
+        }
         results.push(result);
+        overload_at_end.push(overload);
+        overload_deltas_by_phase.push(deltas);
     }
 
     // Read the store's counters before shutdown, while the journal is
@@ -991,7 +1052,11 @@ queue-deadline drops {:?} excluded) -> {}",
 
     // --- BENCH_soak.json ---
     let mut phases = oak_json::Value::array();
-    for (result, stats) in results.iter().zip(&stats_after) {
+    for ((result, overload), deltas) in results
+        .iter()
+        .zip(&overload_at_end)
+        .zip(&overload_deltas_by_phase)
+    {
         let mut doc = oak_json::Value::object();
         doc.set("mult", result.mult);
         doc.set("secs", result.secs);
@@ -1016,8 +1081,11 @@ queue-deadline drops {:?} excluded) -> {}",
         doc.set("health_failures", result.health_failures);
         doc.set("rss_peak_kb", result.rss_peak_kb);
         doc.set("panics", result.panics);
-        if let Some(overload) = stats.as_ref().and_then(|s| s.get("overload")) {
+        if let Some(overload) = overload {
             doc.set("server_overload", overload.clone());
+        }
+        if let Some(deltas) = deltas {
+            doc.set("server_overload_phase", deltas.clone());
         }
         phases.push(doc);
     }

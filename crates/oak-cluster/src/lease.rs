@@ -209,7 +209,7 @@ impl Lease {
         self.commit_hint
     }
 
-    fn majority(&self) -> usize {
+    pub(crate) fn majority(&self) -> usize {
         self.replicas.len() / 2 + 1
     }
 

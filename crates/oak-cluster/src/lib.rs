@@ -83,5 +83,5 @@ impl Topology {
 }
 
 pub use lease::{Durable, Lease, LeaseConfig, LeaseMsg, Role};
-pub use msg::{DecodeStep, Envelope, Message};
+pub use msg::{DecodeStep, Envelope, Message, MESSAGE_KINDS};
 pub use node::{ClusterNode, NodeOptions, NotPrimary, PartitionStatus, RETRY_AFTER_HINT_SECS};

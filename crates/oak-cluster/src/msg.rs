@@ -58,6 +58,19 @@ use crate::NodeId;
 /// First payload byte of every envelope.
 pub const ENVELOPE_VERSION: u8 = 1;
 
+/// The name of each message kind, indexed by its kind byte
+/// ([`Message::kind`]).
+pub const MESSAGE_KINDS: [&str; 8] = [
+    "heartbeat",
+    "heartbeat_ack",
+    "vote_request",
+    "vote_granted",
+    "append",
+    "append_ack",
+    "snapshot",
+    "snapshot_ack",
+];
+
 /// One cluster message, scoped to a partition.
 ///
 /// (No `PartialEq` — [`SequencedEvent`] carries compiled rule patterns
@@ -98,6 +111,23 @@ pub enum Message {
 }
 
 impl Message {
+    /// The message's kind byte in the envelope header, an index into
+    /// [`MESSAGE_KINDS`].
+    pub fn kind(&self) -> u8 {
+        match self {
+            Message::Lease { msg, .. } => match msg {
+                LeaseMsg::Heartbeat { .. } => 0,
+                LeaseMsg::HeartbeatAck { .. } => 1,
+                LeaseMsg::VoteRequest { .. } => 2,
+                LeaseMsg::VoteRequestGranted { .. } => 3,
+            },
+            Message::Append { .. } => 4,
+            Message::AppendAck { .. } => 5,
+            Message::Snapshot { .. } => 6,
+            Message::SnapshotAck { .. } => 7,
+        }
+    }
+
     /// The partition this message concerns.
     pub fn partition(&self) -> u32 {
         match self {
@@ -128,9 +158,9 @@ impl Envelope {
     }
 
     fn encode_payload(&self, out: &mut Vec<u8>) {
-        let header = |out: &mut Vec<u8>, kind: u8, epoch: u64| {
+        let header = |out: &mut Vec<u8>, epoch: u64| {
             out.push(ENVELOPE_VERSION);
-            out.push(kind);
+            out.push(self.msg.kind());
             put_u32(out, self.from.0);
             put_u32(out, self.to.0);
             put_u32(out, self.msg.partition());
@@ -139,11 +169,11 @@ impl Envelope {
         match &self.msg {
             Message::Lease { msg, .. } => match *msg {
                 LeaseMsg::Heartbeat { epoch, commit } => {
-                    header(out, 0, epoch);
+                    header(out, epoch);
                     put_u64(out, commit);
                 }
                 LeaseMsg::HeartbeatAck { epoch, acked } => {
-                    header(out, 1, epoch);
+                    header(out, epoch);
                     put_u64(out, acked);
                 }
                 LeaseMsg::VoteRequest {
@@ -151,11 +181,11 @@ impl Envelope {
                     branch_epoch,
                     watermark,
                 } => {
-                    header(out, 2, epoch);
+                    header(out, epoch);
                     put_u64(out, branch_epoch);
                     put_u64(out, watermark);
                 }
-                LeaseMsg::VoteRequestGranted { epoch } => header(out, 3, epoch),
+                LeaseMsg::VoteRequestGranted { epoch } => header(out, epoch),
             },
             Message::Append {
                 epoch,
@@ -163,7 +193,7 @@ impl Envelope {
                 events,
                 ..
             } => {
-                header(out, 4, *epoch);
+                header(out, *epoch);
                 put_u64(out, *commit);
                 put_len(out, events.len());
                 for event in events {
@@ -171,7 +201,7 @@ impl Envelope {
                 }
             }
             Message::AppendAck { epoch, acked, .. } => {
-                header(out, 5, *epoch);
+                header(out, *epoch);
                 put_u64(out, *acked);
             }
             Message::Snapshot {
@@ -180,14 +210,14 @@ impl Envelope {
                 state,
                 ..
             } => {
-                header(out, 6, *epoch);
+                header(out, *epoch);
                 put_u64(out, *watermark);
                 put_sized(out, |out| out.extend_from_slice(state));
             }
             Message::SnapshotAck {
                 epoch, watermark, ..
             } => {
-                header(out, 7, *epoch);
+                header(out, *epoch);
                 put_u64(out, *watermark);
             }
         }

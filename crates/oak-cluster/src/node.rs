@@ -21,13 +21,19 @@
 //!   ([`Oak::set_epoch`]) and ships its WAL tail to each follower
 //!   ([`OakStore::tail`]) — WAL shipping in the literal sense: the
 //!   frames a follower applies are decoded from the same bytes recovery
-//!   would replay. Shipping is event-driven: [`ClusterNode::ship`] sends
-//!   what was journaled since the follower's *sent* cursor, an
-//!   `AppendAck` or `SnapshotAck` from a follower still behind the head
-//!   is answered with its next batch, and the tick re-ships from the *acked* head only
-//!   when a follower made no progress since the last tick (a lost
-//!   `Append`, a gap, a regressed follower). No follower is ever owed
-//!   acks for more than one batch's worth of events. An `Append` carries
+//!   would replay. Shipping is quorum-first: the *quorum followers*, the
+//!   majority-minus-one followers with the furthest acked heads, are
+//!   what a commit waits for, and [`ClusterNode::ship`] sends them what
+//!   was journaled since their *sent* cursor at once; every other
+//!   follower is sent its events once it is [`LAZY_BATCH`] events
+//!   behind, and on every tick. An `AppendAck` from a follower still
+//!   behind is answered by the same rule, a `SnapshotAck` with whatever
+//!   was journaled during the transfer, and the tick re-ships from the
+//!   *acked* head when a follower made no progress since the last tick
+//!   (a lost `Append`, a gap, a regressed follower) — for a follower
+//!   outside the quorum only if it had an `Append` in flight at that
+//!   tick. No follower is ever owed acks for more than one batch's
+//!   worth of events. An `Append` carries
 //!   only events stamped with the primary's own lease epoch: what its
 //!   store still holds of a branch that died is not history.
 //! - A follower applies strictly in sequence (a gap, or an event not of
@@ -80,6 +86,12 @@ pub struct NodeOptions {
 
 /// Max events per `Append` message, and per follower in flight.
 pub(crate) const APPEND_BATCH: usize = 64;
+
+/// Events a follower outside the commit quorum may fall behind before it
+/// is shipped them between ticks: it costs the primary an `Append` per
+/// this many events, not one per event, and is never further behind
+/// than this plus one tick's worth.
+pub(crate) const LAZY_BATCH: usize = 16;
 
 /// Resend an unacked snapshot transfer after this long.
 const SNAPSHOT_RESEND_MS: u64 = 200;
@@ -137,6 +149,10 @@ struct Shipping {
     sent: BTreeMap<NodeId, u64>,
     /// Followers whose acked head rose since the last tick.
     progressed: BTreeSet<NodeId>,
+    /// Follower → its `sent` cursor at the last tick. A follower outside
+    /// the quorum is re-shipped only what was in flight then: a batch
+    /// cut between ticks is not lost for want of an ack.
+    sent_at_tick: BTreeMap<NodeId, u64>,
     /// Followers still owed the epoch-start snapshot transfer.
     needs_snapshot: BTreeSet<NodeId>,
     /// When each pending snapshot was last sent.
@@ -332,33 +348,62 @@ impl ClusterNode {
         }
     }
 
-    /// Ships what the primary engine journaled since each follower's
-    /// sent cursor, without waiting for the clock. Call it after
+    /// Ships what the primary engine journaled since each quorum
+    /// follower's sent cursor, without waiting for the clock, and to
+    /// every other follower [`LAZY_BATCH`] events behind. Call it after
     /// mutating a [`ClusterNode::primary_engine`] when the caller is
     /// about to wait on [`ClusterNode::commit`].
     pub fn ship(&mut self) -> Vec<Envelope> {
         let mut out = Vec::new();
         for &follower in &self.followers {
-            Self::ship_to(&mut self.group, self.id, follower, &mut out);
+            let eager = Self::in_quorum(&self.group, &self.followers, follower);
+            Self::ship_to(&mut self.group, self.id, follower, eager, &mut out);
         }
         out
     }
 
+    /// Whether `follower` is a quorum follower: one of the
+    /// majority-minus-one followers with the furthest acked heads, ties
+    /// going to the lower id. A commit waits for these, so they are
+    /// shipped every event at once.
+    fn in_quorum(p: &Partition, followers: &[NodeId], follower: NodeId) -> bool {
+        let rank = |f: NodeId| {
+            let acked = p.shipping.acked.get(&f).copied().unwrap_or(0);
+            (acked, std::cmp::Reverse(f))
+        };
+        let mine = rank(follower);
+        let ahead = followers.iter().filter(|&&f| rank(f) > mine).count();
+        // A majority of the group, less the primary itself.
+        ahead < p.lease.majority() - 1
+    }
+
     /// The one shipping path: sends `follower` the next `Append` past
-    /// what it was already sent (or has acked, whichever is further).
-    fn ship_to(p: &mut Partition, me: NodeId, follower: NodeId, out: &mut Vec<Envelope>) {
+    /// what it was already sent (or has acked, whichever is further) —
+    /// unless the follower is not `eager` and that is fewer than
+    /// [`LAZY_BATCH`] events.
+    fn ship_to(
+        p: &mut Partition,
+        me: NodeId,
+        follower: NodeId,
+        eager: bool,
+        out: &mut Vec<Envelope>,
+    ) {
         if !p.lease.is_primary() || p.shipping.needs_snapshot.contains(&follower) {
             return;
         }
         let acked = p.shipping.acked.get(&follower).copied().unwrap_or(0);
         let sent = p.shipping.sent.get(&follower).copied().unwrap_or(0);
         let from = sent.max(acked);
-        // At most one batch's worth unacked per follower. A follower
-        // that keeps up never has that much in flight and is sent every
-        // event as it happens; one that is behind is sent its next batch
-        // when it acks the last, so it is never buried under its own
-        // backlog and a retransmit repeats one batch, not a queue of them.
+        // At most one batch's worth unacked per follower. A quorum
+        // follower that keeps up never has that much in flight and is
+        // sent every event as it happens; one that is behind is sent its
+        // next batch when it acks the last, so it is never buried under
+        // its own backlog and a retransmit repeats one batch, not a
+        // queue of them.
         if from >= p.head() || from - acked >= APPEND_BATCH as u64 {
+            return;
+        }
+        if !eager && p.head() - from < LAZY_BATCH as u64 {
             return;
         }
         let epoch = p.lease.epoch();
@@ -457,12 +502,21 @@ impl ClusterNode {
         }
         // Shipping retransmit: a follower whose acked head did not move
         // since the last tick lost an `Append` (or regressed), so what
-        // was sent past `acked` is written off and shipped again.
+        // was sent past `acked` is written off and shipped again. A
+        // follower outside the quorum is re-shipped only if it had an
+        // `Append` in flight at the last tick: one cut since then may
+        // simply not be acked yet, and nothing waits on it. Then every
+        // follower is sent what it lacks, however little.
         for &follower in followers {
-            if !p.shipping.progressed.remove(&follower) {
+            let acked = p.shipping.acked.get(&follower).copied().unwrap_or(0);
+            let owed = p.shipping.sent_at_tick.get(&follower).copied().unwrap_or(0);
+            let stalled = !p.shipping.progressed.remove(&follower);
+            if stalled && (owed > acked || Self::in_quorum(p, followers, follower)) {
                 p.shipping.sent.remove(&follower);
             }
-            Self::ship_to(p, me, follower, &mut out);
+            Self::ship_to(p, me, follower, true, &mut out);
+            let sent = p.shipping.sent.get(&follower).copied().unwrap_or(0);
+            p.shipping.sent_at_tick.insert(follower, sent);
         }
         Self::recompute_commit(p, followers);
         out
@@ -480,24 +534,31 @@ impl ClusterNode {
             p.shipping.acked.clear();
             p.shipping.sent.clear();
             p.shipping.progressed.clear();
+            p.shipping.sent_at_tick.clear();
             p.shipping.snapshot_sent_ms.clear();
             p.shipping.needs_snapshot = followers.iter().copied().collect();
         }
     }
 
     /// Recomputes the replication watermark: the highest seq durable on
-    /// a majority (self head counts as one replica). Monotone.
+    /// a majority (self head counts as one replica). Monotone. Runs on
+    /// every ack, so it allocates nothing: the watermark is the largest
+    /// head that a majority of replicas hold at least.
     fn recompute_commit(p: &mut Partition, followers: &[NodeId]) {
         if !p.lease.is_primary() {
             return;
         }
-        let mut heads: Vec<u64> = vec![p.head()];
-        for follower in followers {
-            heads.push(p.shipping.acked.get(follower).copied().unwrap_or(0));
-        }
-        heads.sort_unstable_by(|a, b| b.cmp(a));
-        let majority = heads.len() / 2 + 1;
-        let durable_on_majority = heads[majority - 1];
+        let head = p.head();
+        let acked = |f: &NodeId| p.shipping.acked.get(f).copied().unwrap_or(0);
+        let majority = p.lease.majority();
+        let holding = |seq: u64| {
+            usize::from(head >= seq) + followers.iter().filter(|f| acked(f) >= seq).count()
+        };
+        let durable_on_majority = std::iter::once(head)
+            .chain(followers.iter().map(acked))
+            .filter(|&seq| holding(seq) >= majority)
+            .max()
+            .unwrap_or(0);
         p.commit = p.commit.max(durable_on_majority);
     }
 
@@ -602,8 +663,10 @@ impl ClusterNode {
                     p.lease.note_contact(now_ms, from);
                     Self::recompute_commit(p, followers);
                     // A follower still behind the head gets its next
-                    // batch in the reply, not a tick later.
-                    Self::ship_to(p, me, from, &mut out);
+                    // batch in the reply, not a tick later: a quorum
+                    // follower at once, any other one a lazy batch behind.
+                    let eager = Self::in_quorum(p, followers, from);
+                    Self::ship_to(p, me, from, eager, &mut out);
                 }
             }
             Message::Snapshot {
@@ -676,7 +739,7 @@ impl ClusterNode {
                     p.shipping.progressed.insert(from);
                     p.lease.note_contact(now_ms, from);
                     Self::recompute_commit(p, followers);
-                    Self::ship_to(p, me, from, &mut out);
+                    Self::ship_to(p, me, from, true, &mut out);
                 }
             }
         }
@@ -988,11 +1051,28 @@ mod tests {
         seqs
     }
 
+    /// The primary's quorum follower and the other follower of a
+    /// three-node group.
+    fn quorum_and_lazy(h: &Harness, primary: usize) -> (usize, usize) {
+        let node = &h.nodes[primary];
+        let [a, b] = node.followers[..] else {
+            panic!("a three-node group has two followers")
+        };
+        let (q, l) = if ClusterNode::in_quorum(&node.group, &node.followers, a) {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        (q.0 as usize, l.0 as usize)
+    }
+
     #[test]
     fn ship_commits_without_a_tick() {
         let mut h = Harness::new("ship-now", 3);
         let (primary, now) = h.elect();
+        let (quorum, lazy) = quorum_and_lazy(&h, primary);
         let oak = h.nodes[primary].primary_engine(0).unwrap();
+        let start = oak.event_seq();
         let id = oak
             .add_rule(Rule::remove(r#"<script src="http://slow.example/t.js">"#))
             .unwrap();
@@ -1000,12 +1080,19 @@ mod tests {
         let head = oak.event_seq();
         assert!(h.nodes[primary].commit(0).unwrap() < head);
 
-        // Appends out, acks back: one round trip, no clock.
+        // One Append out, to the quorum follower only; its ack back: one
+        // round trip, no clock, and the watermark covers the events.
         let appends = h.nodes[primary].ship();
-        assert_eq!(appends.len(), 2, "one Append per follower");
+        assert_eq!(appends.len(), 1, "one Append, to the quorum follower");
+        assert_eq!(appends[0].to, NodeId(quorum as u32));
         let acks = h.deliver(now, appends);
         let replies = h.deliver(now, acks);
-        assert!(replies.is_empty(), "caught-up followers need no reply");
+        assert!(replies.is_empty(), "a caught-up follower needs no reply");
+        assert_eq!(h.nodes[primary].commit(0), Some(head));
+        assert_eq!(h.head(quorum), head);
+        // The other follower gets them on the next tick.
+        assert_eq!(h.head(lazy), start);
+        h.settle(now + 20);
         h.assert_replicated(primary, head);
     }
 
@@ -1013,6 +1100,7 @@ mod tests {
     fn nothing_in_flight_is_shipped_twice() {
         let mut h = Harness::new("ship-once", 3);
         let (primary, _) = h.elect();
+        let (quorum, lazy) = quorum_and_lazy(&h, primary);
         let oak = h.nodes[primary].primary_engine(0).unwrap();
         let start = oak.event_seq();
         let id = oak
@@ -1026,11 +1114,28 @@ mod tests {
         // before the third call.
         assert!(h.nodes[primary].ship().is_empty());
         let head = oak.event_seq();
-        for follower in h.nodes[primary].followers.clone() {
+        let every = |from: u64, to: u64| (from..to).collect::<Vec<_>>();
+        assert_eq!(
+            appended_seqs(&shipped, NodeId(quorum as u32)),
+            every(start, head),
+            "the quorum follower must see every event exactly once"
+        );
+        assert!(appended_seqs(&shipped, NodeId(lazy as u32)).is_empty());
+        // Once the other follower is a lazy batch behind, it is shipped
+        // all of it, once.
+        let mut user = 3;
+        while oak.event_seq() < start + LAZY_BATCH as u64 {
+            activate(&oak, id, user);
+            user += 1;
+            shipped.extend(h.nodes[primary].ship());
+        }
+        assert!(h.nodes[primary].ship().is_empty());
+        let head = oak.event_seq();
+        for follower in [quorum, lazy] {
             assert_eq!(
-                appended_seqs(&shipped, follower),
-                (start..head).collect::<Vec<_>>(),
-                "follower {follower:?} must see every event exactly once"
+                appended_seqs(&shipped, NodeId(follower as u32)),
+                every(start, head),
+                "follower {follower} must see every event exactly once"
             );
         }
     }
@@ -1040,6 +1145,7 @@ mod tests {
         const BEHIND: usize = 5_000;
         let mut h = Harness::new("ship-catchup", 3);
         let (primary, now) = h.elect();
+        let (quorum, lazy) = quorum_and_lazy(&h, primary);
         let oak = h.nodes[primary].primary_engine(0).unwrap();
         let id = oak
             .add_rule(Rule::remove(r#"<script src="http://slow.example/t.js">"#))
@@ -1051,7 +1157,9 @@ mod tests {
         let batch = APPEND_BATCH;
 
         // One ship starts it; from then on every ack is answered with
-        // the next batch, so a round trip moves a follower 64 events.
+        // the next batch, so a round trip moves a follower 64 events:
+        // the quorum follower to the head, the other one until it is
+        // less than a lazy batch behind.
         let mut appends = h.nodes[primary].ship();
         let mut round_trips = 0;
         while !appends.is_empty() {
@@ -1063,7 +1171,126 @@ mod tests {
             round_trips <= BEHIND.div_ceil(batch),
             "{round_trips} round trips for {BEHIND} events in batches of {batch}"
         );
+        assert_eq!(h.nodes[primary].commit(0), Some(head));
+        assert_eq!(h.head(quorum), head);
+        assert!(head - h.head(lazy) < LAZY_BATCH as u64);
+        // The tick ships it the rest.
+        h.settle(now + 20);
         h.assert_replicated(primary, head);
+    }
+
+    #[test]
+    fn a_lazy_follower_is_at_most_a_lazy_batch_and_a_tick_behind() {
+        let mut h = Harness::new("ship-lazy-bound", 3);
+        let (primary, mut now) = h.elect();
+        let (_, lazy) = quorum_and_lazy(&h, primary);
+        let oak = h.nodes[primary].primary_engine(0).unwrap();
+        let id = oak
+            .add_rule(Rule::remove(r#"<script src="http://slow.example/t.js">"#))
+            .unwrap();
+        for user in 0..300 {
+            activate(&oak, id, user);
+            // What the ingest path does after each report.
+            let mut inbox = h.nodes[primary].ship();
+            while !inbox.is_empty() {
+                inbox = h.deliver(now, inbox);
+            }
+            let behind = h.head(primary) - h.head(lazy);
+            assert!(
+                behind < LAZY_BATCH as u64,
+                "the lazy follower is {behind} events behind"
+            );
+            if user % 37 == 0 {
+                now += 20;
+                h.settle(now);
+                assert_eq!(h.head(lazy), h.head(primary), "a tick leaves it behind");
+            }
+        }
+    }
+
+    #[test]
+    fn commits_resume_on_the_other_follower_when_the_quorum_follower_dies() {
+        let mut h = Harness::new("ship-quorum-dies", 3);
+        let (primary, mut now) = h.elect();
+        let (quorum, lazy) = quorum_and_lazy(&h, primary);
+        let oak = h.nodes[primary].primary_engine(0).unwrap();
+        let id = oak
+            .add_rule(Rule::remove(r#"<script src="http://slow.example/t.js">"#))
+            .unwrap();
+        let commit_one = |h: &mut Harness, now: u64, user: usize| {
+            activate(&oak, id, user);
+            let mut inbox = h.nodes[primary].ship();
+            while !inbox.is_empty() {
+                inbox = h.deliver(now, inbox);
+            }
+        };
+        commit_one(&mut h, now, 1);
+        let acked = oak.event_seq();
+        assert_eq!(h.nodes[primary].commit(0), Some(acked));
+
+        h.down = vec![quorum];
+        commit_one(&mut h, now, 2);
+        let head = oak.event_seq();
+        assert_eq!(h.nodes[primary].commit(0), Some(acked), "no majority yet");
+        let mut ticks = 0;
+        while h.nodes[primary].commit(0) != Some(head) {
+            ticks += 1;
+            assert!(ticks <= 2, "commits did not resume within two ticks");
+            now += 20;
+            h.settle(now);
+        }
+        assert_eq!(quorum_and_lazy(&h, primary), (lazy, quorum));
+        // The survivor is shipped the next event at once, and holds
+        // everything acked.
+        commit_one(&mut h, now, 3);
+        assert_eq!(h.nodes[primary].commit(0), Some(oak.event_seq()));
+        assert_eq!(h.head(lazy), oak.event_seq());
+        let replica = h.nodes[lazy].replica_engine(0).unwrap();
+        for user in 1..=3 {
+            assert_eq!(replica.active_rules(&format!("u-{user}")).len(), 1);
+        }
+    }
+
+    #[test]
+    fn the_tick_leaves_a_lazy_batch_cut_since_the_last_tick_in_flight() {
+        let mut h = Harness::new("ship-lazy-inflight", 3);
+        let (primary, now) = h.elect();
+        let (_, lazy) = quorum_and_lazy(&h, primary);
+        let oak = h.nodes[primary].primary_engine(0).unwrap();
+        let start = oak.event_seq();
+        let id = oak
+            .add_rule(Rule::remove(r#"<script src="http://slow.example/t.js">"#))
+            .unwrap();
+        // The lazy follower had nothing to ack in the last interval. A
+        // lazy batch is cut now and is still on the wire at the tick.
+        let mut in_flight = Vec::new();
+        for user in 1..LAZY_BATCH {
+            activate(&oak, id, user);
+            let (to_lazy, rest): (Vec<Envelope>, Vec<Envelope>) = h.nodes[primary]
+                .ship()
+                .into_iter()
+                .partition(|e| e.to == NodeId(lazy as u32));
+            in_flight.extend(to_lazy);
+            let acks = h.deliver(now, rest);
+            h.deliver(now, acks);
+        }
+        let head = oak.event_seq();
+        let lazy_id = NodeId(lazy as u32);
+        assert_eq!(
+            appended_seqs(&in_flight, lazy_id),
+            (start..head).collect::<Vec<_>>()
+        );
+        let tick = h.nodes[primary].tick(now + 20);
+        assert!(
+            appended_seqs(&tick, lazy_id).is_empty(),
+            "the tick re-shipped a batch cut after the last tick"
+        );
+        // Still unacked a whole tick later, it is written off as lost.
+        let tick = h.nodes[primary].tick(now + 40);
+        assert_eq!(
+            appended_seqs(&tick, lazy_id),
+            (start..head).collect::<Vec<_>>()
+        );
     }
 
     /// The shipped store options: every 64th append fsyncs, snapshots

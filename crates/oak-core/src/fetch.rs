@@ -265,9 +265,14 @@ impl ResilientFetcher {
                 let (tx, rx) = std::sync::mpsc::channel();
                 let inner = Arc::clone(&self.inner);
                 let url = url.to_owned();
-                std::thread::spawn(move || {
-                    let _ = tx.send(inner.fetch_script(&url));
-                });
+                // A fetch that outlives its deadline finishes on this
+                // thread unawaited. One that cannot be spawned drops
+                // `tx`, which ends the wait at once as a timeout.
+                let _ = std::thread::Builder::new()
+                    .name("oak-fetch".into())
+                    .spawn(move || {
+                        let _ = tx.send(inner.fetch_script(&url));
+                    });
                 match rx.recv_timeout(deadline) {
                     Ok(result) => result,
                     Err(_) => {

@@ -228,7 +228,7 @@ impl EdgeServer {
             completions,
         };
         let loop_thread = std::thread::Builder::new()
-            .name("oak-edge-reactor".to_string())
+            .name("oak-edge-loop".to_string())
             .spawn(move || reactor.run())?;
 
         Ok(EdgeServer {

@@ -19,6 +19,8 @@
 //!   full span tree.
 //! - [`validate`]: a line-grammar validator for the exposition format,
 //!   shared by the conformance tests and the `oak-metrics-lint` binary.
+//! - [`threads`]: this process's CPU time and context switches by
+//!   thread class, read from `/proc/self/task` at scrape time.
 //!
 //! # Clocks
 //!
@@ -36,6 +38,7 @@
 
 pub mod expo;
 pub mod metrics;
+pub mod threads;
 pub mod trace;
 pub mod validate;
 

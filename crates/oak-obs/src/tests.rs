@@ -464,3 +464,67 @@ fn concurrent_recording_is_torn_read_free() {
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     writer.join().unwrap();
 }
+
+// --- threads ---
+
+#[test]
+fn a_thread_class_is_its_name_without_the_index() {
+    use crate::threads::class_of;
+    assert_eq!(class_of("oak-edge-worker-12"), "oak-edge-worker");
+    assert_eq!(class_of("oak-repl-read"), "oak-repl-read");
+    assert_eq!(class_of("worker7"), "worker");
+    assert_eq!(class_of("42"), "42");
+}
+
+#[test]
+fn a_named_thread_burning_cpu_raises_its_class() {
+    const CLASS: &str = "oak-test-burn";
+    if crate::threads::read().is_none() {
+        // No `/proc/self/task`: the families are absent.
+        assert!(crate::threads::families().is_empty());
+        return;
+    }
+    let cpu_of = |classes: &std::collections::BTreeMap<String, crate::threads::ClassTotals>| {
+        classes.get(CLASS).map_or(0, |t| t.cpu_ns)
+    };
+    let (burnt_tx, burnt_rx) = std::sync::mpsc::channel::<()>();
+    let (exit_tx, exit_rx) = std::sync::mpsc::channel::<()>();
+    let before = crate::threads::read().unwrap();
+    let burner = std::thread::Builder::new()
+        .name(format!("{CLASS}-3"))
+        .spawn(move || {
+            let start = std::time::Instant::now();
+            let mut x = 0u64;
+            while start.elapsed() < std::time::Duration::from_millis(50) {
+                x = std::hint::black_box(x.wrapping_mul(31).wrapping_add(7));
+            }
+            burnt_tx.send(()).unwrap();
+            // Alive until read: an exited thread leaves the sums.
+            exit_rx.recv().unwrap();
+        })
+        .unwrap();
+    burnt_rx.recv().unwrap();
+    let after = crate::threads::read().unwrap();
+    let text = encode(crate::threads::families());
+    exit_tx.send(()).unwrap();
+    burner.join().unwrap();
+
+    assert!(
+        cpu_of(&after) >= cpu_of(&before) + 10_000_000,
+        "{CLASS} burnt {} ns",
+        cpu_of(&after) - cpu_of(&before)
+    );
+    assert!(validate_exposition(&text).is_empty(), "{text}");
+    let samples = parse_samples(&text);
+    let cpu = samples
+        .iter()
+        .find(|s| {
+            s.name == "oak_thread_cpu_seconds_total" && s.labels.iter().any(|(_, v)| v == CLASS)
+        })
+        .expect("the burner's class is exported");
+    assert!(cpu.value >= 0.01, "{text}");
+    assert!(samples.iter().any(|s| s.name == "oak_thread_switches_total"
+        && s.labels.contains(&("class".to_owned(), CLASS.to_owned()))
+        && s.labels
+            .contains(&("kind".to_owned(), "voluntary".to_owned()))));
+}

@@ -124,6 +124,13 @@ pub trait ClusterStatusSource: Send + Sync {
         let _ = (user, seq);
         true
     }
+
+    /// Envelopes this node has sent to its peers since boot, by message
+    /// kind, for `oak_cluster_envelopes_sent_total`. The default counts
+    /// nothing and renders no family.
+    fn envelopes_sent(&self) -> Vec<(&'static str, u64)> {
+        Vec::new()
+    }
 }
 
 /// Report admission limits (see [`OakService::with_admission`]).
@@ -793,6 +800,9 @@ impl OakService {
             ));
         }
         if let Some(edge) = self.edge.get() {
+            // A process with a server of its own: where its threads
+            // spend their CPU.
+            families.extend(oak_obs::threads::families());
             let e = edge.snapshot();
             families.push(scalar_family(
                 "oak_edge_gauge",
@@ -870,6 +880,17 @@ impl OakService {
                 FamilyKind::Gauge,
                 lags,
             ));
+            let sent = cluster.envelopes_sent();
+            if !sent.is_empty() {
+                families.push(scalar_family(
+                    "oak_cluster_envelopes_sent_total",
+                    "Envelopes this node queued for its peers, by message kind.",
+                    FamilyKind::Counter,
+                    sent.iter()
+                        .map(|&(kind, count)| scalar_series(&[("kind", kind)], count as f64))
+                        .collect(),
+                ));
+            }
             families.push(scalar_family(
                 "oak_cluster_refused_total",
                 "Requests refused with 503 + Retry-After because this node does \

@@ -15,7 +15,10 @@ use oak_core::report::{ObjectTiming, PerfReport};
 use oak_edge::EdgeServer;
 use oak_http::cookie::OAK_USER_COOKIE;
 use oak_http::{fetch_tcp, Method, Request, Response};
-use oak_server::{ClusterRuntime, ClusterStatusSource, OakService, SiteStore, REPORT_PATH};
+use oak_server::{
+    ClusterRuntime, ClusterStatusSource, OakService, ServiceObs, SiteStore, METRICS_PATH,
+    REPORT_PATH,
+};
 use oak_store::StoreOptions;
 
 const MEMBERS: usize = 3;
@@ -60,6 +63,7 @@ fn boot(root: &std::path::Path) -> Vec<Member> {
             .unwrap();
             let service = OakService::new(Oak::new(OakConfig::default()), SiteStore::new())
                 .with_durability(runtime.store().unwrap())
+                .with_obs(ServiceObs::wall(16, u64::MAX))
                 .into_shared();
             service.set_cluster_status(runtime.clone());
             let edge = EdgeServer::start(0, service as _).unwrap();
@@ -82,7 +86,11 @@ fn eventually(what: &str, done: impl Fn() -> bool) {
 }
 
 fn post_report(addr: SocketAddr) -> Response {
-    let mut report = PerfReport::new("u-1", "/index.html");
+    post_report_as(addr, "u-1")
+}
+
+fn post_report_as(addr: SocketAddr, user: &str) -> Response {
+    let mut report = PerfReport::new(user, "/index.html");
     for (host, time_ms) in [(1, 900.0), (2, 80.0), (3, 95.0), (4, 70.0), (5, 90.0)] {
         report.push(ObjectTiming::new(
             format!("http://cdn{host}.example/lib.js"),
@@ -93,8 +101,34 @@ fn post_report(addr: SocketAddr) -> Response {
     }
     let post = Request::new(Method::Post, REPORT_PATH)
         .with_body(report.to_json().into_bytes(), "application/json")
-        .with_header("Cookie", &format!("{OAK_USER_COOKIE}=u-1"));
+        .with_header("Cookie", &format!("{OAK_USER_COOKIE}={user}"));
     fetch_tcp(addr, &post).unwrap()
+}
+
+/// The lease holder of a booted group, once there is exactly one.
+fn elected(members: &[Member]) -> usize {
+    let leaders = || {
+        (0..members.len())
+            .filter(|&i| members[i].status().role == Role::Primary)
+            .collect::<Vec<_>>()
+    };
+    eventually("a lease holder is elected", || leaders().len() == 1);
+    leaders()[0]
+}
+
+/// `oak_cluster_envelopes_sent_total{kind}` as `addr` scrapes it.
+fn envelopes_sent(addr: SocketAddr, kind: &str) -> f64 {
+    let text = fetch_tcp(addr, &Request::new(Method::Get, METRICS_PATH))
+        .unwrap()
+        .body_text();
+    oak_obs::parse_samples(&text)
+        .into_iter()
+        .find(|s| {
+            s.name == "oak_cluster_envelopes_sent_total"
+                && s.labels == [("kind".to_owned(), kind.to_owned())]
+        })
+        .unwrap_or_else(|| panic!("no {kind} envelope count in\n{text}"))
+        .value
 }
 
 #[test]
@@ -103,13 +137,7 @@ fn a_live_group_acks_at_the_watermark_and_followers_refuse() {
     let _ = std::fs::remove_dir_all(&root);
     let members = boot(&root);
 
-    let leaders = || {
-        (0..MEMBERS)
-            .filter(|&i| members[i].status().role == Role::Primary)
-            .collect::<Vec<_>>()
-    };
-    eventually("a lease holder is elected", || leaders().len() == 1);
-    let primary = leaders()[0];
+    let primary = elected(&members);
     let followers: Vec<usize> = (0..MEMBERS).filter(|&i| i != primary).collect();
 
     // The lease holder answers 204 only once a majority holds the report.
@@ -158,6 +186,45 @@ fn a_live_group_acks_at_the_watermark_and_followers_refuse() {
     assert_eq!(
         cluster[0].get("role").and_then(oak_json::Value::as_str),
         Some("primary")
+    );
+
+    drop(members);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Two reporters at once against the lease holder: a report's `Append`
+/// goes at once only to the follower a majority needs, the other one is
+/// sent its events a batch or a tick at a time.
+#[test]
+fn a_committed_report_costs_well_under_two_appends() {
+    const REPORTS: usize = 200;
+    let root = std::env::temp_dir().join(format!("oak-live-appends-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let members = boot(&root);
+    let primary = members[elected(&members)].addr;
+    assert_eq!(post_report(primary).status.0, 204, "the group commits");
+
+    let appends = envelopes_sent(primary, "append");
+    let reporters: Vec<_> = (0..2)
+        .map(|client| {
+            std::thread::spawn(move || {
+                (0..REPORTS)
+                    .filter(|i| {
+                        let user = format!("u-{client}-{i}");
+                        post_report_as(primary, &user).status.0 == 204
+                    })
+                    .count()
+            })
+        })
+        .collect();
+    let committed: usize = reporters.into_iter().map(|r| r.join().unwrap()).sum();
+    let appends = envelopes_sent(primary, "append") - appends;
+    assert_eq!(committed, 2 * REPORTS, "every report is acked");
+    let per_report = appends / committed as f64;
+    eprintln!("{appends} appends for {committed} reports: {per_report:.3} each");
+    assert!(
+        per_report < 1.5,
+        "{per_report:.3} appends per committed report"
     );
 
     drop(members);
