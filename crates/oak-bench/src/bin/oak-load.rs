@@ -227,8 +227,10 @@ fn start_server(
         .with_transport_stats(Arc::clone(&transport))
         .with_obs(Arc::clone(&obs))
         // Pruning keeps four million potential identities from
-        // accreting unbounded per-user state — the memory gate proves
-        // it works.
+        // accreting unbounded per-user state: a pruned user takes its
+        // report count with it, so memory (the memory gate) and the
+        // snapshot (`store.snapshot_bytes`) follow the users seen in the
+        // last `idle_ms`, not the pool.
         .with_pruning(PrunePolicy {
             idle_ms: 5_000,
             every_requests: 2_048,
@@ -930,12 +932,24 @@ overload target {} us over {OVERLOAD_INTERVAL_MS} ms\n",
         // post-boot snapshot, and the tail shows one happened.
         let cadence_pass = recorded < STORE_SNAPSHOT_EVERY || since_snapshot < recorded;
         let pass = backlog_pass && cadence_pass && write_errors == 0;
+        // The newest snapshot (the names sort by watermark): what a
+        // reboot or a follower's install reads.
+        let files = std::fs::read_dir(store.dir())
+            .into_iter()
+            .flatten()
+            .flatten();
+        let snapshots = files.filter(|file| file.file_name().to_string_lossy().ends_with(".snap"));
+        let newest = snapshots.max_by_key(|file| file.file_name());
+        let snapshot_bytes = newest
+            .and_then(|file| file.metadata().ok())
+            .map_or(0, |m| m.len());
         println!(
             "store: {recorded} events journaled, {since_snapshot} since last snapshot \
-(cadence {STORE_SNAPSHOT_EVERY}), {write_errors} write errors -> {}",
+(cadence {STORE_SNAPSHOT_EVERY}, newest {snapshot_bytes} bytes), {write_errors} write errors -> {}",
             if pass { "pass" } else { "FAIL" }
         );
         let mut doc = oak_json::Value::object();
+        doc.set("snapshot_bytes", snapshot_bytes);
         doc.set("events_recorded", recorded);
         doc.set("events_since_snapshot", since_snapshot);
         doc.set("snapshot_every_events", STORE_SNAPSHOT_EVERY);

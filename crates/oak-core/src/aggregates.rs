@@ -9,18 +9,19 @@
 //!
 //! Reports are unauthenticated, so what one can add is bounded: a shard
 //! keeps at most [`SiteAggregates::MAX_ROWS`] domain rows, every other
-//! name folds into one `other` aggregate, and a row counts its distinct
-//! users in a fixed-size [`UserSketch`] rather than a set of them.
+//! name folds into one `other` aggregate, and the shard and each row
+//! count their distinct users in a fixed-size [`UserSketch`] rather than
+//! a set of them. Nothing here is kept per user: a user's report count
+//! lives in its engine state and is pruned with it
+//! ([`crate::engine::Oak::reports_from`]).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use oak_json::Value;
 
-use crate::engine::SHARD_COUNT;
-use crate::events::{
-    ascending, f64_to_value, put_f64, put_len, put_str, put_u64, FoldView, Reader,
-};
+use crate::engine::{SHARD_COUNT, STATE_IMAGE_V1, STATE_IMAGE_V2};
+use crate::events::{ascending, f64_to_value, put_f64, put_len, put_u64, FoldView, Reader};
 use crate::intern::Interner;
 
 /// Streaming mean/min/max without storing samples.
@@ -199,64 +200,6 @@ fn key_for(domain: &str, interner: &Interner) -> Arc<str> {
     }
 }
 
-/// A scrape-cost-bounded view of the site aggregates: report and
-/// distinct-user totals plus the merged per-domain records, without the
-/// per-user report counts. Merging full [`SiteAggregates`] clones one
-/// map entry per distinct user ever seen — O(lifetime users) per call. A
-/// stats endpoint hit while the engine holds millions of user records
-/// must not pay that, so the serving path folds shards into this
-/// instead: cost is bounded by the domain rows, at most
-/// [`SiteAggregates::MAX_ROWS`] a shard.
-#[derive(Clone, Debug, Default)]
-pub struct SiteOverview {
-    /// Reports folded across every shard.
-    pub reports: u64,
-    /// Distinct reporting users across every shard. Shards partition
-    /// users, so per-shard counts sum exactly.
-    pub users: u64,
-    domains: BTreeMap<Arc<str>, DomainAggregate>,
-    other: DomainAggregate,
-}
-
-impl SiteOverview {
-    /// Folds one shard's accumulator in. Only the domain rows are
-    /// deep-merged; the per-user map contributes its length.
-    pub fn fold(&mut self, shard: &SiteAggregates) {
-        self.reports += shard.reports;
-        self.users += shard.users.len() as u64;
-        merge_rows(&mut self.domains, &shard.domains);
-        self.other.merge(&shard.other);
-    }
-
-    /// Domains ordered by violation count, worst first — same ordering
-    /// as [`SiteAggregates::worst_domains`].
-    pub fn worst_domains(&self) -> Vec<(&str, &DomainAggregate)> {
-        worst(&self.domains)
-    }
-
-    /// Everything the domain rows do not hold (see
-    /// [`SiteAggregates::other`]).
-    pub fn other(&self) -> &DomainAggregate {
-        &self.other
-    }
-}
-
-fn merge_rows(
-    into: &mut BTreeMap<Arc<str>, DomainAggregate>,
-    rows: &BTreeMap<Arc<str>, DomainAggregate>,
-) {
-    for (domain, agg) in rows {
-        into.entry(Arc::clone(domain)).or_default().merge(agg);
-    }
-}
-
-/// Rows by violation count, worst first, ties by name.
-fn worst(rows: &BTreeMap<Arc<str>, DomainAggregate>) -> Vec<(&str, &DomainAggregate)> {
-    let mut rows: Vec<(&str, &DomainAggregate)> = rows.iter().map(|(d, a)| (&**d, a)).collect();
-    rows.sort_by(|a, b| b.1.violations.cmp(&a.1.violations).then(a.0.cmp(b.0)));
-    rows
-}
-
 /// Whole-site aggregates, updated per report.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SiteAggregates {
@@ -266,8 +209,8 @@ pub struct SiteAggregates {
     /// name no DNS host can have. A field rather than a key, so no host
     /// can collide with it.
     other: DomainAggregate,
-    /// Reports folded per user.
-    users: BTreeMap<String, u64>,
+    /// The distinct reporting users, sketched.
+    users: UserSketch,
     reports: u64,
 }
 
@@ -276,11 +219,6 @@ impl SiteAggregates {
     /// over the shards, so the aggregates never name more domains than
     /// the interner retains.
     pub const MAX_ROWS: usize = Interner::CAPACITY / SHARD_COUNT;
-
-    /// An empty accumulator.
-    pub fn new() -> SiteAggregates {
-        SiteAggregates::default()
-    }
 
     /// Whether a domain without a row gets one, rather than folding into
     /// `other`.
@@ -301,14 +239,8 @@ impl SiteAggregates {
         interner: &Interner,
     ) {
         self.reports += 1;
-        // A returning user (the steady state) costs no key allocation.
-        match self.users.get_mut(user) {
-            Some(reports) => *reports += 1,
-            None => {
-                self.users.insert(user.to_owned(), 1);
-            }
-        }
         let key = UserSketch::key(user);
+        self.users.insert(key);
         for server in folds {
             for domain in server.domains() {
                 let agg = match self.domains.get_mut(domain) {
@@ -341,17 +273,17 @@ impl SiteAggregates {
     }
 
     /// Folds a whole other accumulator in. The engine stripes aggregates
-    /// per user-state shard and merges on read; each user maps to exactly
-    /// one shard, so the per-user report counts add exactly, and a row's
-    /// sketch is the sketch of the union. The merge is a read-side view:
-    /// it keeps every shard's rows, so it may hold more than
-    /// [`SiteAggregates::MAX_ROWS`].
+    /// per user-state shard and merges on read, at a cost of the domain
+    /// rows; a sketch's merge is the sketch of the union. The merge is a
+    /// read-side view: it keeps every shard's rows, so it may hold more
+    /// than [`SiteAggregates::MAX_ROWS`].
     pub fn merge(&mut self, other: &SiteAggregates) {
         self.reports += other.reports;
-        for (user, reports) in &other.users {
-            *self.users.entry(user.clone()).or_default() += reports;
+        self.users.merge(&other.users);
+        for (domain, agg) in &other.domains {
+            let row = self.domains.entry(Arc::clone(domain)).or_default();
+            row.merge(agg);
         }
-        merge_rows(&mut self.domains, &other.domains);
         self.other.merge(&other.other);
     }
 
@@ -360,14 +292,10 @@ impl SiteAggregates {
         self.reports
     }
 
-    /// Reports folded for one user.
-    pub fn reports_from(&self, user: &str) -> u64 {
-        self.users.get(user).copied().unwrap_or(0)
-    }
-
-    /// Distinct users that have reported.
-    pub fn user_count(&self) -> usize {
-        self.users.len()
+    /// Distinct users that have reported, as [`UserSketch::estimate`]
+    /// gives it.
+    pub fn users_seen(&self) -> u64 {
+        self.users.estimate()
     }
 
     /// The aggregate for one domain, if it has a row.
@@ -390,9 +318,11 @@ impl SiteAggregates {
 
     /// Domains ordered by violation count, worst first — the §6 "which
     /// components of their sites are performing poorly" view, without
-    /// requiring any rules to be configured.
+    /// requiring any rules to be configured. Ties go by name.
     pub fn worst_domains(&self) -> Vec<(&str, &DomainAggregate)> {
-        worst(&self.domains)
+        let mut rows: Vec<(&str, &DomainAggregate)> = self.iter().collect();
+        rows.sort_by(|a, b| b.1.violations.cmp(&a.1.violations).then(a.0.cmp(b.0)));
+        rows
     }
 
     /// Encodes the accumulator for the readable dump. All maps are
@@ -403,13 +333,8 @@ impl SiteAggregates {
     pub fn to_value(&self) -> Value {
         let mut doc = Value::object();
         doc.set("reports", self.reports);
-        let users = self.users.iter().map(|(user, reports)| {
-            let mut pair = Value::array();
-            pair.push(user.as_str());
-            pair.push(*reports);
-            pair
-        });
-        doc.set("users", Value::Array(users.collect()));
+        doc.set("users_seen", self.users_seen());
+        doc.set("users", self.users.to_hex());
         let domains = self.domains.iter().map(|(domain, agg)| {
             let mut row = agg.to_value();
             row.set("domain", &**domain);
@@ -440,9 +365,6 @@ const STAT_BYTES: usize = 4 * 8;
 /// One [`DomainAggregate`] in a state image: three counters, two stats,
 /// the sketch's registers.
 const AGGREGATE_BYTES: usize = 3 * 8 + 2 * STAT_BYTES + REGISTERS;
-/// Smallest per-user row of a state image: an empty name, the report
-/// count.
-const MIN_USER_ROW_BYTES: usize = 4 + 8;
 
 /// Reads an index into the state image's domain table.
 fn read_domain(r: &mut Reader<'_>, table: &[Arc<str>], what: &str) -> Result<usize, String> {
@@ -455,6 +377,10 @@ fn read_domain(r: &mut Reader<'_>, table: &[Arc<str>], what: &str) -> Result<usi
     }
     Ok(index)
 }
+
+/// The per-user report counts a version 0x01 or 0x02 shard kept in its
+/// aggregates, for the engine to give to the users it still holds.
+pub(crate) type LegacyCounts<'a> = Vec<(&'a str, u64)>;
 
 impl SiteAggregates {
     /// Every domain this accumulator keeps a row for, ascending.
@@ -477,26 +403,30 @@ impl SiteAggregates {
             agg.write_image(out);
         }
         self.other.write_image(out);
-        put_len(out, self.users.len());
-        for (user, reports) in &self.users {
-            put_str(out, user);
-            put_u64(out, *reports);
-        }
+        out.extend_from_slice(&self.users.0);
     }
 
-    /// Inverse of [`SiteAggregates::write_image`]: `table` is the image's
-    /// domain table, `used` gets a mark for every entry referred to.
+    /// Inverse of [`SiteAggregates::write_image`] for an image of
+    /// `version`, which the caller has checked is one this build reads:
+    /// `table` is the image's domain table, `used` gets a mark for every
+    /// entry referred to. A version 0x02 or 0x01 shard kept a report
+    /// count per user it had folded; those are returned, for the engine
+    /// to give to the users it still holds (DESIGN.md §8, "Upgrades").
     ///
     /// # Errors
     ///
     /// Names the first field that is cut short, out of range or out of
     /// order, and a shard holding more rows than
     /// [`SiteAggregates::MAX_ROWS`].
-    pub(crate) fn read_image(
-        r: &mut Reader<'_>,
+    pub(crate) fn read_image<'a>(
+        r: &mut Reader<'a>,
         table: &[Arc<str>],
         used: &mut [bool],
-    ) -> Result<SiteAggregates, String> {
+        version: u8,
+    ) -> Result<(SiteAggregates, LegacyCounts<'a>), String> {
+        if version == STATE_IMAGE_V1 {
+            return Self::read_image_v1(r, table, used);
+        }
         let mut out = SiteAggregates {
             reports: r.u64("aggregate reports")?,
             ..SiteAggregates::default()
@@ -517,26 +447,24 @@ impl SiteAggregates {
             out.domains.insert(Arc::clone(&table[index]), agg);
         }
         out.other = DomainAggregate::read_image(r)?;
-        let mut prev = None;
-        for _ in 0..r.count(MIN_USER_ROW_BYTES, "aggregate users")? {
-            let user = r.str("aggregate user")?;
-            ascending(&mut prev, user, "aggregate users")?;
-            out.users.insert(user.to_owned(), r.u64("user reports")?);
+        if version == STATE_IMAGE_V2 {
+            let counts = out.read_user_rows(r, 4 + 8, |_, _| Ok(()))?;
+            return Ok((out, counts));
         }
-        Ok(out)
+        out.users = UserSketch(r.array("user sketch")?);
+        Ok((out, Vec::new()))
     }
 
     /// [`SiteAggregates::read_image`] for a version 0x01 image, read
-    /// until the reader is deleted (DESIGN.md §8, "Upgrades"). There a
-    /// row carried an exact `users_seen`, and each user row listed the
-    /// domains it was counted under: those lists become the sketches,
-    /// and the rows past [`SiteAggregates::MAX_ROWS`], in image order,
-    /// fold into `other`.
-    pub(crate) fn read_image_v1(
-        r: &mut Reader<'_>,
+    /// until the reader is deleted. There a row carried an exact
+    /// `users_seen`, and each user row listed the domains it was counted
+    /// under: those lists become the sketches, and the rows past
+    /// [`SiteAggregates::MAX_ROWS`], in image order, fold into `other`.
+    fn read_image_v1<'a>(
+        r: &mut Reader<'a>,
         table: &[Arc<str>],
         used: &mut [bool],
-    ) -> Result<SiteAggregates, String> {
+    ) -> Result<(SiteAggregates, LegacyCounts<'a>), String> {
         let mut out = SiteAggregates {
             reports: r.u64("aggregate reports")?,
             ..SiteAggregates::default()
@@ -560,12 +488,7 @@ impl SiteAggregates {
             agg.large_tput_kbps = RunningStat::read_image(r, "large-object stat")?;
             rows.insert(index, agg);
         }
-        let mut prev = None;
-        for _ in 0..r.count(4 + 8 + 4, "aggregate users")? {
-            let user = r.str("aggregate user")?;
-            ascending(&mut prev, user, "aggregate users")?;
-            out.users.insert(user.to_owned(), r.u64("user reports")?);
-            let key = UserSketch::key(user);
+        let counts = out.read_user_rows(r, 4 + 8 + 4, |r, key| {
             let mut prev = None;
             for _ in 0..r.count(4, "counted domains")? {
                 let index = read_domain(r, table, "counted domain index")?;
@@ -576,7 +499,8 @@ impl SiteAggregates {
                 })?;
                 row.users.insert(key);
             }
-        }
+            Ok(())
+        })?;
         for (index, agg) in rows {
             if out.admits(&table[index]) {
                 out.domains.insert(Arc::clone(&table[index]), agg);
@@ -584,7 +508,29 @@ impl SiteAggregates {
                 out.other.merge(&agg);
             }
         }
-        Ok(out)
+        Ok((out, counts))
+    }
+
+    /// A version 0x01 or 0x02 shard's user rows, each `min_row` bytes or
+    /// more: a name and its report count, then what `tail` reads, given
+    /// the user's [`UserSketch::key`]. Every user goes into the shard's
+    /// sketch; the counts are returned.
+    fn read_user_rows<'a>(
+        &mut self,
+        r: &mut Reader<'a>,
+        min_row: usize,
+        mut tail: impl FnMut(&mut Reader<'a>, u64) -> Result<(), String>,
+    ) -> Result<LegacyCounts<'a>, String> {
+        let mut prev = None;
+        r.list(min_row, "aggregate users", |r| {
+            let user = r.str("aggregate user")?;
+            ascending(&mut prev, user, "aggregate users")?;
+            let reports = r.u64("user reports")?;
+            let key = UserSketch::key(user);
+            self.users.insert(key);
+            tail(r, key)?;
+            Ok((user, reports))
+        })
     }
 }
 

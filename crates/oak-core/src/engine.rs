@@ -58,7 +58,7 @@ use crate::{analysis::PageAnalysis, OAK_ALTERNATE_HEADER};
 
 mod image;
 
-pub use image::{STATE_IMAGE_V1, STATE_IMAGE_VERSION};
+pub use image::{STATE_IMAGE_V1, STATE_IMAGE_V2, STATE_IMAGE_VERSION};
 
 /// How many user-state stripes the engine keeps. Requests for users on
 /// different stripes proceed in parallel; 16 is comfortably above the
@@ -118,6 +118,9 @@ struct UserState {
     pending: BTreeMap<RuleId, u32>,
     /// Last time this user reported or was served — the GC clock.
     last_seen: Instant,
+    /// Reports ingested for this user since its state was created: a
+    /// prune drops it with the rest.
+    reports: u64,
 }
 
 /// What a call to [`Oak::ingest_report`] did.
@@ -400,7 +403,8 @@ impl Shard {
             .is_some_and(|state| state.active.remove(&rule).is_some())
     }
 
-    /// Forgets `users` (the activity log and aggregates keep theirs).
+    /// Forgets `users`, their report counts included (the activity log
+    /// keeps their records, and the aggregates their folds).
     fn prune(&mut self, users: &[String]) {
         for user in users {
             self.users.remove(user);
@@ -654,10 +658,11 @@ impl Oak {
 
     /// Aggregate site performance across every ingested report — the §5
     /// "aggregate site performance" record, rule-independent. Merged
-    /// across shards on each call; hold the result rather than re-calling
-    /// in a loop.
+    /// across shards on each call, at a cost of the domain rows (at most
+    /// [`crate::aggregates::SiteAggregates::MAX_ROWS`] a shard), never of
+    /// the users seen.
     pub fn aggregates(&self) -> crate::aggregates::SiteAggregates {
-        let mut merged = crate::aggregates::SiteAggregates::new();
+        let mut merged = crate::aggregates::SiteAggregates::default();
         for shard in &self.shards {
             merged.merge(&shard.lock().expect("shard lock").aggregates);
         }
@@ -671,24 +676,20 @@ impl Oak {
         shards.map(|shard| shard.aggregates.report_count()).sum()
     }
 
-    /// As [`Oak::aggregates`], but folding into a
-    /// [`crate::aggregates::SiteOverview`]: totals and the merged domain
-    /// table without the per-user report counts. [`Oak::aggregates`]
-    /// costs O(distinct users ever seen) per call, which a serving-path
-    /// stats scrape must not pay; this costs O(domains).
-    pub fn aggregates_overview(&self) -> crate::aggregates::SiteOverview {
-        let mut overview = crate::aggregates::SiteOverview::default();
-        for shard in &self.shards {
-            overview.fold(&shard.lock().expect("shard lock").aggregates);
-        }
-        overview
+    /// Reports ingested for `user` since its state was created: 0 for a
+    /// user the engine does not hold, never reported for, or has pruned.
+    pub fn reports_from(&self, user: &str) -> u64 {
+        let shard = self.shard(user).lock().expect("shard lock");
+        shard.users.get(user).map_or(0, |state| state.reports)
     }
 
     /// Drops per-user state not touched since `cutoff`; returns how many
     /// users were pruned. Production hygiene: the paper's per-user
     /// profiles are long-lived but not immortal — a profile whose cookie
     /// will never return (crawler, cleared cookies) must not hold memory
-    /// forever. The activity log and aggregates are unaffected.
+    /// forever. A pruned user's report count goes with its state; the
+    /// activity log keeps its records, and the aggregates what it added
+    /// to their totals and sketches.
     pub fn prune_inactive_users(&self, cutoff: Instant) -> usize {
         let mut pruned = 0;
         for (index, shard) in self.shards.iter().enumerate() {
@@ -1133,6 +1134,7 @@ impl Oak {
         }
         let user = shard.users.get_mut(parts.user).expect("just inserted");
         user.last_seen = parts.time;
+        user.reports += 1;
         for id in pending {
             *user.pending.entry(id).or_insert(0) += 1;
         }
@@ -1282,6 +1284,7 @@ fn user_row(name: &str, state: &UserState) -> Value {
     let mut row = Value::object();
     row.set("user", name);
     row.set("last_seen", state.last_seen.as_millis());
+    row.set("reports", state.reports);
     let mut active = Value::array();
     for (rule, a) in &state.active {
         let mut entry = Value::object();

@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       1     version       STATE_IMAGE_VERSION (0x02)
+//! 0       1     version       STATE_IMAGE_VERSION (0x03)
 //! 1       4     shard_count   u32, SHARD_COUNT or the image is refused
 //! 5       8     event_seq     u64, the watermark
 //! 13      8     log_seq       u64
@@ -23,9 +23,9 @@
 //! shard  = reports:u64
 //!          n×(domain:u32 agg)             at most 4,096 rows
 //!          agg                            `other`
-//!          n×(user:str reports:u64)
+//!          users:64×u8                    the shard's user sketch
 //!          n×record                       the shard's activity log
-//!          n×(user:str last_seen:u64
+//!          n×(user:str last_seen:u64 reports:u64
 //!             n×(rule:u32 alt:u64 tried:u64 at:u64 severity:f64)
 //!             n×(rule:u32 count:u32))
 //! agg    = objects:u64 bytes:u64 violations:u64 small:stat large:stat
@@ -41,9 +41,11 @@
 //! so are trailing bytes — so `state_image(from_state_image(b)) == b`, up
 //! to the spelling of a rule's spec text, which is the spec codec's to
 //! keep. The reader checks every count against the bytes that remain
-//! before it allocates for it. This build also reads version 0x01, whose
-//! shards listed per user the domains it was counted under
-//! ([`SiteAggregates::read_image_v1`]; DESIGN.md §8, "Upgrades").
+//! before it allocates for it. A shard's aggregates keep nothing per
+//! user. This build also reads versions 0x02 and 0x01, whose shards kept
+//! every folded user's report count after `other`: the counts go to the
+//! users still held and are dropped for the rest, as a prune drops them
+//! ([`SiteAggregates::read_image`]; DESIGN.md §8, "Upgrades").
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, MutexGuard};
@@ -56,14 +58,18 @@ use crate::events::{
 use crate::time::Instant;
 
 /// First byte of every state image this build writes.
-pub const STATE_IMAGE_VERSION: u8 = 2;
+pub const STATE_IMAGE_VERSION: u8 = 3;
 
 /// The version before it, which this build still reads.
+pub const STATE_IMAGE_V2: u8 = 2;
+
+/// The version before that, which this build still reads.
 pub const STATE_IMAGE_V1: u8 = 1;
 
 /// Smallest `rules` row: the id and an empty spec.
 const MIN_RULE_ROW_BYTES: usize = 4 + 4;
-/// Smallest `users` row: an empty name, `last_seen`, two empty lists.
+/// Smallest `users` row: an empty name, `last_seen`, two empty lists
+/// (and `reports` since version 0x03).
 const MIN_USER_STATE_BYTES: usize = 4 + 8 + 4 + 4;
 /// One `active` entry: the rule, three integers, the severity.
 const ACTIVE_BYTES: usize = 4 + 4 * 8;
@@ -145,16 +151,14 @@ impl Oak {
     /// count the image cannot back.
     pub fn from_state_image(config: OakConfig, image: &[u8]) -> Result<Oak, String> {
         let mut r = Reader::new(image);
-        let read_aggregates = match r.u8("state image version")? {
-            STATE_IMAGE_VERSION => SiteAggregates::read_image,
-            STATE_IMAGE_V1 => SiteAggregates::read_image_v1,
-            version => {
-                return Err(format!(
-                    "unsupported state image version 0x{version:02x} \
-                     (expected 0x{STATE_IMAGE_V1:02x} or 0x{STATE_IMAGE_VERSION:02x})"
-                ))
-            }
-        };
+        let version = r.u8("state image version")?;
+        if !(STATE_IMAGE_V1..=STATE_IMAGE_VERSION).contains(&version) {
+            return Err(format!(
+                "unsupported state image version 0x{version:02x} (expected \
+                 0x{STATE_IMAGE_V1:02x}, 0x{STATE_IMAGE_V2:02x} or 0x{STATE_IMAGE_VERSION:02x})"
+            ));
+        }
+        let counted = version == STATE_IMAGE_VERSION;
         let shard_count = r.u32("shard count")?;
         if shard_count as usize != SHARD_COUNT {
             return Err(format!(
@@ -186,17 +190,23 @@ impl Oak {
         let mut used = vec![false; domains.len()];
         for shard in &mut oak.shards {
             let shard = shard.get_mut().expect("shard lock");
-            shard.aggregates = read_aggregates(&mut r, &domains, &mut used)?;
+            let (aggregates, counts) =
+                SiteAggregates::read_image(&mut r, &domains, &mut used, version)?;
+            shard.aggregates = aggregates;
             shard.log = r.list(MIN_RECORD_BYTES, "log records", LogEvent::decode_record)?;
             let mut prev = None;
-            let users = r.count(MIN_USER_STATE_BYTES, "users")?;
+            let users = r.count(MIN_USER_STATE_BYTES + 8 * usize::from(counted), "users")?;
             shard.users.reserve(users);
             for _ in 0..users {
                 let name = r.str("user")?;
                 ascending(&mut prev, name, "users")?;
-                shard
-                    .users
-                    .insert(name.to_owned(), UserState::read_image(&mut r)?);
+                let state = UserState::read_image(&mut r, counted)?;
+                shard.users.insert(name.to_owned(), state);
+            }
+            for (user, reports) in counts {
+                if let Some(state) = shard.users.get_mut(user) {
+                    state.reports = reports;
+                }
             }
         }
         if let Some(unused) = used.iter().position(|used| !used) {
@@ -213,6 +223,7 @@ impl Oak {
 impl UserState {
     fn write_image(&self, out: &mut Vec<u8>) {
         put_u64(out, self.last_seen.as_millis());
+        put_u64(out, self.reports);
         put_len(out, self.active.len());
         for (rule, active) in &self.active {
             put_u32(out, rule.0);
@@ -228,12 +239,15 @@ impl UserState {
         }
     }
 
-    fn read_image(r: &mut Reader<'_>) -> Result<UserState, String> {
+    /// Inverse of `write_image`; a row before version 0x03 has no
+    /// `reports`, so `counted` is false for it.
+    fn read_image(r: &mut Reader<'_>, counted: bool) -> Result<UserState, String> {
         let index = |r: &mut Reader<'_>, what: &str| {
             let raw = r.u64(what)?;
             usize::try_from(raw).map_err(|_| format!("{what} {raw} out of range"))
         };
         let last_seen = Instant(r.u64("last seen")?);
+        let reports = if counted { r.u64("user reports")? } else { 0 };
         let mut prev = None;
         let active = r.list(ACTIVE_BYTES, "active rules", |r| {
             let rule = read_rule_id(r, "active rule")?;
@@ -256,6 +270,7 @@ impl UserState {
             active: active.into_iter().collect(),
             pending: pending.into_iter().collect(),
             last_seen,
+            reports,
         })
     }
 }

@@ -59,11 +59,11 @@ fn fold(agg: &mut SiteAggregates, report: &PerfReport, violators: &[Violation]) 
 
 #[test]
 fn fold_accumulates_per_domain() {
-    let mut agg = SiteAggregates::new();
+    let mut agg = SiteAggregates::default();
     fold(&mut agg, &report("u-1", false), &[]);
     fold(&mut agg, &report("u-2", false), &[]);
     assert_eq!(agg.report_count(), 2);
-    assert_eq!(agg.user_count(), 2);
+    assert_eq!(agg.users_seen(), 2);
 
     let cdn = agg.domain("cdn.example").unwrap();
     assert_eq!(cdn.objects, 4, "two objects per report");
@@ -78,7 +78,7 @@ fn fold_accumulates_per_domain() {
 
 #[test]
 fn violations_attribute_to_the_flagged_ip() {
-    let mut agg = SiteAggregates::new();
+    let mut agg = SiteAggregates::default();
     let flagged = Violation {
         ip: "10.0.0.1".to_owned(),
         domains: vec!["cdn.example".to_owned()],
@@ -103,7 +103,7 @@ fn a_domain_is_filed_under_its_spelling() {
     use crate::events::Fold;
 
     let interner = Interner::new();
-    let mut agg = SiteAggregates::new();
+    let mut agg = SiteAggregates::default();
     for domain in ["cdn.example", "CDN.Example", "cdn.example"] {
         let fold = Fold {
             domains: &[domain],
@@ -124,11 +124,11 @@ fn a_domain_is_filed_under_its_spelling() {
 
 #[test]
 fn repeat_users_counted_once_per_domain() {
-    let mut agg = SiteAggregates::new();
+    let mut agg = SiteAggregates::default();
     for _ in 0..5 {
         fold(&mut agg, &report("u-same", false), &[]);
     }
-    assert_eq!(agg.user_count(), 1);
+    assert_eq!(agg.users_seen(), 1);
     assert_eq!(agg.domain("cdn.example").unwrap().users_seen(), 1);
 }
 
@@ -158,49 +158,9 @@ fn engine_exposes_aggregates() {
     oak.ingest_report(Instant::ZERO, &r, &NoFetch);
     let agg = oak.aggregates();
     assert_eq!(agg.report_count(), 1);
+    assert_eq!(oak.report_count(), 1);
     assert_eq!(agg.domain("slow.example").unwrap().violations, 1);
     assert_eq!(agg.worst_domains()[0].0, "slow.example");
-}
-
-#[test]
-fn overview_matches_the_full_merge() {
-    use crate::engine::{Oak, OakConfig};
-    use crate::matching::NoFetch;
-    use crate::Instant;
-
-    // Users spread across shards, some returning — the overview (the
-    // serving path's cheap fold) must agree with the exact merge on
-    // every total and on the domain ordering.
-    let oak = Oak::new(OakConfig::default());
-    for i in 0..40 {
-        let r = report(&format!("u-{}", i % 25), i % 7 == 0);
-        oak.ingest_report(Instant(i), &r, &NoFetch);
-    }
-    let full = oak.aggregates();
-    let overview = oak.aggregates_overview();
-    assert_eq!(overview.reports, full.report_count());
-    assert_eq!(oak.report_count(), full.report_count());
-    assert_eq!(overview.users, full.user_count() as u64);
-    let full_worst: Vec<&str> = full.worst_domains().iter().map(|(d, _)| *d).collect();
-    let overview_worst: Vec<&str> = overview.worst_domains().iter().map(|(d, _)| *d).collect();
-    assert_eq!(overview_worst, full_worst);
-    for (domain, agg) in full.worst_domains() {
-        let o = overview
-            .worst_domains()
-            .into_iter()
-            .find(|(d, _)| *d == domain)
-            .expect("domain present in overview")
-            .1
-            .clone();
-        assert_eq!(o.objects, agg.objects, "{domain} objects");
-        assert_eq!(o.bytes, agg.bytes, "{domain} bytes");
-        assert_eq!(o.violations, agg.violations, "{domain} violations");
-        assert_eq!(
-            o.small_time_ms.mean(),
-            agg.small_time_ms.mean(),
-            "{domain} small-time mean"
-        );
-    }
 }
 
 /// The history behind `tests/golden/aggregates_snapshot.json`: 24 users
@@ -379,7 +339,7 @@ fn one_reporter_cannot_grow_the_aggregates() {
     // A name no DNS host can have never gets a row, in a shard with room.
     let long = format!("{}.example", "x".repeat(292));
     assert_eq!(long.len(), 300);
-    let mut agg = SiteAggregates::new();
+    let mut agg = SiteAggregates::default();
     let mut r = report("u-1", false);
     r.push(ObjectTiming::new(
         format!("http://{long}/a.js"),
@@ -391,6 +351,36 @@ fn one_reporter_cannot_grow_the_aggregates() {
     assert!(agg.domain(&long).is_none());
     assert_eq!((agg.other().objects, agg.other().bytes), (1, 5_000));
     assert_eq!(agg.iter().count(), 2);
+}
+
+/// One client that takes a new user id every report, its users pruned
+/// between batches (user-ID churn, which used to leave a report count per
+/// user ever seen in the aggregates): once they are pruned the engine
+/// keeps nothing per user, so the image is the same size after 200
+/// reports and after 400.
+#[test]
+fn a_rotating_reporter_leaves_the_image_bounded_once_pruned() {
+    use crate::engine::{Oak, OakConfig};
+    use crate::matching::NoFetch;
+    use crate::Instant;
+
+    let oak = Oak::new(OakConfig::default());
+    let mut images = Vec::new();
+    for n in 1..=400u64 {
+        let user = format!("rotating-{n:06}");
+        oak.ingest_report(Instant(n), &report(&user, false), &NoFetch);
+        if n % 50 == 0 {
+            assert_eq!(oak.prune_inactive_users(Instant(n + 1)), 50);
+        }
+        if n == 200 || n == 400 {
+            images.push(oak.state_image().1.len());
+        }
+    }
+    assert_eq!(images[0], images[1]);
+    assert_eq!((oak.user_count(), oak.report_count()), (0, 400));
+    let cdn = oak.aggregates().domain("cdn.example").unwrap().clone();
+    assert_eq!(cdn.objects, 800);
+    assert!(within_bound(cdn.users_seen(), 400), "{}", cdn.users_seen());
 }
 
 mod against_the_model {
@@ -416,12 +406,19 @@ mod against_the_model {
         users: BTreeSet<String>,
     }
 
-    type Model = BTreeMap<String, Row>;
+    /// One shard in the reference fold: its rows, and every user it
+    /// folded, whatever the report named.
+    #[derive(Clone, Debug, Default)]
+    struct Model {
+        rows: BTreeMap<String, Row>,
+        users: BTreeSet<String>,
+    }
 
     fn model_fold(model: &mut Model, user: &str, effect: &IngestEffect) {
+        model.users.insert(user.to_owned());
         for server in effect.folds() {
             for domain in server.domains() {
-                let row = model.entry(domain.to_owned()).or_default();
+                let row = model.rows.entry(domain.to_owned()).or_default();
                 row.objects += server.objects();
                 row.bytes += server.bytes();
                 row.violations += u64::from(server.violated());
@@ -433,8 +430,9 @@ mod against_the_model {
     }
 
     fn model_merge(into: &mut Model, from: &Model) {
-        for (domain, theirs) in from {
-            let ours = into.entry(domain.clone()).or_default();
+        into.users.extend(from.users.iter().cloned());
+        for (domain, theirs) in &from.rows {
+            let ours = into.rows.entry(domain.clone()).or_default();
             ours.objects += theirs.objects;
             ours.bytes += theirs.bytes;
             ours.violations += theirs.violations;
@@ -515,12 +513,13 @@ mod against_the_model {
         /// or not — leaves every row with the reference fold's objects,
         /// bytes, violations and stats exactly, and with the sketch of
         /// the reference's exact user set, whose estimate is within the
-        /// stated bound of that set's size; and its part of a state image
+        /// stated bound of that set's size; the shard's own sketch is the
+        /// sketch of every user it folded; and its part of a state image
         /// reads back into an equal accumulator.
         #[test]
         fn rows_are_the_reference_fold(ops in prop::collection::vec(op_strategy(), 0..40)) {
-            let mut shards = vec![SiteAggregates::new(); SHARDS];
-            let mut models = vec![Model::new(); SHARDS];
+            let mut shards = vec![SiteAggregates::default(); SHARDS];
+            let mut models = vec![Model::default(); SHARDS];
             let interner = Interner::new();
             for op in &ops {
                 match op {
@@ -538,9 +537,13 @@ mod against_the_model {
                 }
             }
             for (shard, model) in shards.iter().zip(&models) {
-                prop_assert_eq!(shard.iter().count(), model.len());
+                prop_assert_eq!(shard.iter().count(), model.rows.len());
                 prop_assert_eq!(shard.other(), &Default::default());
-                for ((domain, agg), (name, row)) in shard.iter().zip(model) {
+                let mut everyone = UserSketch::default();
+                model.users.iter().for_each(|u| everyone.insert(UserSketch::key(u)));
+                prop_assert_eq!(shard.users_seen(), everyone.estimate());
+                prop_assert!(within_bound(shard.users_seen(), model.users.len()));
+                for ((domain, agg), (name, row)) in shard.iter().zip(&model.rows) {
                     prop_assert_eq!(domain, name.as_str());
                     prop_assert_eq!(
                         (agg.objects, agg.bytes, agg.violations),
@@ -559,8 +562,11 @@ mod against_the_model {
                 let table: Vec<Arc<str>> = table.into_iter().map(Arc::from).collect();
                 let mut reader = crate::events::Reader::new(&image);
                 let mut used = vec![false; table.len()];
-                let read = SiteAggregates::read_image(&mut reader, &table, &mut used);
-                prop_assert_eq!(&read.unwrap(), shard);
+                let version = crate::engine::STATE_IMAGE_VERSION;
+                let (read, counts) = SiteAggregates::read_image(&mut reader, &table, &mut used, version)
+                    .expect("a shard's own image reads");
+                prop_assert_eq!(&read, shard);
+                prop_assert!(counts.is_empty());
                 prop_assert!(reader.finish("the shard").is_ok() && used.iter().all(|u| *u));
             }
         }

@@ -503,10 +503,15 @@ fn prune_inactive_users_drops_only_stale_state() {
         &NoFetch,
     );
     assert_eq!(oak.user_count(), 2);
+    assert_eq!(oak.reports_from("u-old"), 1);
 
     let pruned = oak.prune_inactive_users(Instant(10_000));
     assert_eq!(pruned, 1);
     assert_eq!(oak.user_count(), 1);
+    // A pruned user's report count goes with its state.
+    assert_eq!(oak.reports_from("u-old"), 0);
+    assert_eq!(oak.reports_from("u-new"), 1);
+    assert_eq!(oak.report_count(), 2);
     assert!(
         oak.active_rules("u-old").is_empty(),
         "stale profile dropped"
@@ -609,7 +614,8 @@ fn aggregates_merge_is_exact_across_shards() {
     }
     let agg = oak.aggregates();
     assert_eq!(agg.report_count(), 40);
-    assert_eq!(agg.user_count(), 20);
+    assert_eq!(agg.users_seen(), 20);
+    assert!((0..20).all(|t| oak.reports_from(&format!("agg-u{t}")) == 2));
     let img = agg.domain("img.example").expect("seen in every report");
     // 20 is the sketch's estimate for these twenty names, which happens
     // to be exact: they fill 17 registers, and 64 · ln(64 / 47) rounds

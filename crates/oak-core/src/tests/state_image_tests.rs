@@ -2,7 +2,7 @@
 //! engine histories, the hostile-image suite (truncation, bit flips,
 //! counts and indexes that lie — error, never panic, never over-allocate),
 //! a golden file that makes a layout change a deliberate re-bless, and
-//! the version 0x01 golden, which this build still reads.
+//! the version 0x01 and 0x02 goldens, which this build still reads.
 //!
 //! Regenerate the golden file after an intentional layout change with
 //! `OAK_BLESS=1 cargo test -p oak-core golden`.
@@ -15,7 +15,9 @@ use proptest::prelude::*;
 use super::engine_props::{op_strategy, run_ops, Journal};
 use super::peak_alloc_during;
 use crate::aggregates::SiteAggregates;
-use crate::engine::{Oak, OakConfig, SHARD_COUNT, STATE_IMAGE_V1, STATE_IMAGE_VERSION};
+use crate::engine::{
+    Oak, OakConfig, SHARD_COUNT, STATE_IMAGE_V1, STATE_IMAGE_V2, STATE_IMAGE_VERSION,
+};
 use crate::events::{put_len, put_str, put_u32, put_u64};
 use crate::matching::NoFetch;
 use crate::report::{ObjectTiming, PerfReport};
@@ -44,10 +46,11 @@ fn report(user: &str, slow_host: &str, slow_ms: f64) -> PerfReport {
     r
 }
 
-/// The engine behind `tests/golden/state_image.hex`: every part of the
-/// layout populated by three users — activations forced and earned, a
-/// pending count, log records of all four kinds, a pruned user the
-/// aggregates and the log still remember, shards that hold nothing — on a
+/// The engine behind `tests/golden/state_image_v3.hex` and its older
+/// versions: every part of the layout populated by three users —
+/// activations forced and earned, a pending count, log records of all
+/// four kinds, a pruned user the aggregates' sketches and the log still
+/// remember (its report count is gone), shards that hold nothing — on a
 /// replicated branch (epoch 3), with event sequence numbers allocated.
 fn golden_engine() -> Oak {
     let mut oak = Oak::new(OakConfig::default());
@@ -92,6 +95,8 @@ fn golden_engine() -> Oak {
     oak.force_activate(Instant(70_070), "ü-3", strikes);
 
     assert_eq!(oak.user_count(), 3);
+    assert_eq!(oak.reports_from("u-4"), 0);
+    assert_eq!(oak.reports_from("u-1"), 4);
     assert!(oak.active_rules("u-1").is_empty());
     assert_eq!(oak.active_rules("u-2").len(), 1);
     assert_eq!(oak.log().len(), 7);
@@ -186,7 +191,19 @@ fn every_single_bit_flip_is_an_error_or_another_engine() {
 /// the sketch.
 const ZERO_AGGREGATE: [u8; 3 * 8 + 2 * 32 + 64] = [0; 3 * 8 + 2 * 32 + 64];
 
+/// A shard's user sketch, empty.
+const EMPTY_SKETCH: [u8; 64] = [0; 64];
+
 fn empty_shard(out: &mut Vec<u8>) {
+    put_u64(out, 0); // reports
+    put_len(out, 0); // domains
+    out.extend_from_slice(&ZERO_AGGREGATE); // other
+    out.extend_from_slice(&EMPTY_SKETCH);
+    put_len(out, 0); // log
+    put_len(out, 0); // users
+}
+
+fn empty_v2_shard(out: &mut Vec<u8>) {
     put_u64(out, 0); // reports
     put_len(out, 0); // domains
     out.extend_from_slice(&ZERO_AGGREGATE); // other
@@ -232,12 +249,38 @@ fn image_with(table: &[&str], shard: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     image_of(STATE_IMAGE_VERSION, table, shard, empty_shard)
 }
 
+fn v2_image_with(table: &[&str], shard: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    image_of(STATE_IMAGE_V2, table, shard, empty_v2_shard)
+}
+
 fn v1_image_with(table: &[&str], shard: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     image_of(STATE_IMAGE_V1, table, shard, empty_v1_shard)
 }
 
-/// Shard 0 with an all-zero row for each of `domains` and one aggregate
-/// user.
+/// `n` user names that hash to shard 0, where a hand-built image puts
+/// them, ascending.
+fn shard_zero_users(n: usize) -> Vec<String> {
+    let names = (0..).map(|i| format!("u-{i}"));
+    let on_zero =
+        |name: &String| (crate::engine::shard_key(name) as usize).is_multiple_of(SHARD_COUNT);
+    let mut users: Vec<String> = names.filter(on_zero).take(n).collect();
+    users.sort();
+    users
+}
+
+/// A `users` row of `version` for a user with no rules, seen at 0.
+fn user_row(out: &mut Vec<u8>, version: u8, name: &str, reports: u64) {
+    put_str(out, name);
+    put_u64(out, 0); // last_seen
+    if version == STATE_IMAGE_VERSION {
+        put_u64(out, reports);
+    }
+    put_len(out, 0); // active
+    put_len(out, 0); // pending
+}
+
+/// Shard 0 with an all-zero row for each of `domains` and one user, who
+/// sent the shard's one report.
 fn shard_with(domains: &[u32]) -> impl FnOnce(&mut Vec<u8>) {
     let domains = domains.to_vec();
     move |out| {
@@ -248,11 +291,10 @@ fn shard_with(domains: &[u32]) -> impl FnOnce(&mut Vec<u8>) {
             out.extend_from_slice(&ZERO_AGGREGATE);
         }
         out.extend_from_slice(&ZERO_AGGREGATE);
-        put_len(out, 1);
-        put_str(out, "u-1");
-        put_u64(out, 1);
+        out.extend_from_slice(&EMPTY_SKETCH);
         put_len(out, 0); // log
-        put_len(out, 0); // users
+        put_len(out, 1);
+        user_row(out, STATE_IMAGE_VERSION, &shard_zero_users(1)[0], 1);
     }
 }
 
@@ -289,8 +331,37 @@ fn hand_built_images_are_the_layout() {
     let loaded = load(&image_with(&two, shard_with(&[0, 1]))).expect("loads");
     let aggregates = loaded.aggregates();
     assert_eq!(aggregates.report_count(), 1);
-    assert_eq!(aggregates.reports_from("u-1"), 1);
+    assert_eq!(loaded.reports_from(&shard_zero_users(1)[0]), 1);
     assert!(aggregates.domain("b.example").is_some());
+}
+
+/// A version 0x02 shard listed every user it had folded with its report
+/// count. Each goes into the shard's sketch; a count goes to its user's
+/// state, and the count of a user the shard holds no state for is
+/// dropped, as a prune drops it.
+#[test]
+fn a_v2_shard_gives_its_counts_to_the_users_it_still_holds() {
+    let users = shard_zero_users(2);
+    let (held, pruned) = (&users[0], &users[1]);
+    let image = v2_image_with(&[], |out| {
+        put_u64(out, 7); // reports
+        put_len(out, 0); // domains
+        out.extend_from_slice(&ZERO_AGGREGATE); // other
+        put_len(out, 2);
+        for (user, reports) in [(held, 5), (pruned, 2)] {
+            put_str(out, user);
+            put_u64(out, reports);
+        }
+        put_len(out, 0); // log
+        put_len(out, 1);
+        user_row(out, STATE_IMAGE_V2, held, 0);
+    });
+    let loaded = load_hostile(&image).expect("loads");
+    assert_eq!(loaded.reports_from(held), 5);
+    assert_eq!(loaded.reports_from(pruned), 0);
+    assert_eq!(loaded.report_count(), 7);
+    assert_eq!(loaded.aggregates().users_seen(), 2);
+    assert_eq!(loaded.state_image().1[0], STATE_IMAGE_VERSION);
 }
 
 /// A version 0x01 user row counted the user only under domains its own
@@ -391,12 +462,7 @@ fn lying_counts_fail_before_they_allocate() {
 
     // And every count of a shard, each with room for a hundred elements
     // behind it but not the thousand it claims.
-    let counts = [
-        "aggregate domains",
-        "aggregate users",
-        "log records",
-        "users",
-    ];
+    let counts = ["aggregate domains", "log records", "users"];
     for (nth, what) in counts.iter().enumerate() {
         let image = image_with(&[], |out| {
             put_u64(out, 0);
@@ -404,6 +470,7 @@ fn lying_counts_fail_before_they_allocate() {
                 put_len(out, 0);
                 if before == 0 {
                     out.extend_from_slice(&ZERO_AGGREGATE); // other
+                    out.extend_from_slice(&EMPTY_SKETCH);
                 }
             }
             put_len(out, 1_000);
@@ -415,6 +482,16 @@ fn lying_counts_fail_before_they_allocate() {
             "{what}: {err}"
         );
     }
+    let listed = v2_image_with(&[], |out| {
+        put_u64(out, 0);
+        put_len(out, 0);
+        out.extend_from_slice(&ZERO_AGGREGATE);
+        put_len(out, 1_000);
+        out.extend_from_slice(&[0; 1_000]);
+    });
+    assert!(load_hostile(&listed)
+        .unwrap_err()
+        .starts_with("1000 aggregate users cannot fit in the "));
     let counted = v1_image_with(&[], |out| {
         put_u64(out, 0);
         put_len(out, 0);
@@ -435,10 +512,10 @@ fn rejects_what_is_not_this_layout() {
     let err = |image: &[u8]| load_hostile(image).unwrap_err();
 
     let mut future = good.clone();
-    future[0] = 3;
+    future[0] = 4;
     assert_eq!(
         err(&future),
-        "unsupported state image version 0x03 (expected 0x01 or 0x02)"
+        "unsupported state image version 0x04 (expected 0x01, 0x02 or 0x03)"
     );
     // The byte that opens a snapshot document is not a version.
     assert!(err(br#"{"version":1}"#).starts_with("unsupported state image version 0x7b"));
@@ -486,14 +563,11 @@ fn rejects_what_is_not_this_layout() {
         put_u64(out, 0);
         put_len(out, 0);
         out.extend_from_slice(&ZERO_AGGREGATE);
-        put_len(out, 0);
+        out.extend_from_slice(&EMPTY_SKETCH);
         put_len(out, 0);
         put_len(out, 2);
         for _ in 0..2 {
-            put_str(out, "u-1");
-            put_u64(out, 0); // last_seen
-            put_len(out, 0);
-            put_len(out, 0);
+            user_row(out, STATE_IMAGE_VERSION, "u-1", 0);
         }
     });
     assert_eq!(err(&twice), "users are not strictly ascending");
@@ -527,7 +601,7 @@ fn golden_bytes(text: &str) -> Vec<u8> {
 fn golden_image_is_unchanged() {
     let oak = golden_engine();
     let mut text = String::from(
-        "# Oak::state_image of a populated three-user engine, version 0x02 \
+        "# Oak::state_image of a populated three-user engine, version 0x03 \
          (crates/oak-core/src/engine/image.rs).\n\
          # Re-bless on purpose: OAK_BLESS=1 cargo test -p oak-core golden\n",
     );
@@ -535,7 +609,7 @@ fn golden_image_is_unchanged() {
         text.extend(line.iter().map(|b| format!("{b:02x}")));
         text.push('\n');
     }
-    let path = golden_path("state_image_v2.hex");
+    let path = golden_path("state_image_v3.hex");
     if std::env::var_os("OAK_BLESS").is_some() {
         std::fs::write(&path, &text).unwrap();
     }
@@ -547,24 +621,34 @@ fn golden_image_is_unchanged() {
          bytes — if intentional, bump STATE_IMAGE_VERSION and regenerate with OAK_BLESS=1"
     );
     // And the checked-in bytes still load to the same engine.
-    let loaded = load(&golden_bytes(&expected)).expect("golden image loads");
-    assert_eq!(document(&loaded), document(&oak));
-    assert_eq!(loaded.active_rules("u-1"), oak.active_rules("u-1"));
-    assert_eq!(loaded.log(), oak.log());
+    assert_golden_loads("state_image_v3.hex", STATE_IMAGE_VERSION);
 }
 
-/// The same engine as version 0x01 wrote it — read-only, never
-/// re-blessed: it loads to the engine the history builds, and re-images
-/// as this version writes it.
-#[test]
-fn the_v1_golden_image_still_loads() {
-    let text = std::fs::read_to_string(golden_path("state_image.hex")).expect("v1 golden present");
+/// The golden image `file`, of `version` (the older ones read-only,
+/// never re-blessed): it loads to the engine the history builds, the
+/// pruned user's count dropped, and re-images as this version writes it.
+fn assert_golden_loads(file: &str, version: u8) {
+    let text = std::fs::read_to_string(golden_path(file)).expect("golden present");
     let bytes = golden_bytes(&text);
-    assert_eq!(bytes[0], STATE_IMAGE_V1);
+    assert_eq!(bytes[0], version);
     let oak = golden_engine();
-    let loaded = load(&bytes).expect("the v1 golden image loads");
+    let loaded = load(&bytes).expect("the golden image loads");
     assert_eq!(document(&loaded), document(&oak));
     assert_eq!(loaded.active_rules("u-1"), oak.active_rules("u-1"));
     assert_eq!(loaded.log(), oak.log());
+    assert_eq!(
+        (loaded.reports_from("u-1"), loaded.reports_from("u-4")),
+        (4, 0)
+    );
     assert_eq!(loaded.state_image(), oak.state_image());
+}
+
+#[test]
+fn the_v2_golden_image_still_loads() {
+    assert_golden_loads("state_image_v2.hex", STATE_IMAGE_V2);
+}
+
+#[test]
+fn the_v1_golden_image_still_loads() {
+    assert_golden_loads("state_image.hex", STATE_IMAGE_V1);
 }

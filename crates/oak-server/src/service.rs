@@ -681,12 +681,12 @@ impl OakService {
             doc.set("fetch", row);
         }
 
-        // A fold of every shard's rows: bounded by the rows a shard keeps,
-        // not by the users the engine has seen.
+        // A merge of every shard's rows and sketch: bounded by the rows a
+        // shard keeps, not by the users the engine has seen.
         let live = self.live_engine();
-        let agg = live.as_deref().unwrap_or(&self.oak).aggregates_overview();
-        doc.set("reports", agg.reports);
-        doc.set("users", agg.users);
+        let agg = live.as_deref().unwrap_or(&self.oak).aggregates();
+        doc.set("reports", agg.report_count());
+        doc.set("users", agg.users_seen());
         let row = |entry: &oak_core::aggregates::DomainAggregate| {
             let mean = |stat: &oak_core::aggregates::RunningStat| {
                 stat.mean().map(|m| (m * 100.0).round() / 100.0)

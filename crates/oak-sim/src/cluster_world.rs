@@ -20,7 +20,8 @@
 //!    reports a commit at or past the head the ingest produced, which is
 //!    when a client would get its 204; the end-of-run audit then
 //!    requires the converged engine to count at least that many reports
-//!    from each user (the site aggregates, which pruning never touches).
+//!    from each user ([`Oak::reports_from`]). A prune drops a user's
+//!    count, so it drops what the oracle tracks for the users it pruned.
 //!    By sequence number: `committed_high` records the highest
 //!    replication watermark any seated primary ever reported, and no
 //!    node may ever sit as primary with its WAL head below it. The
@@ -41,7 +42,7 @@
 //! A violation is a [`SimFailure`] like any other: the scenario
 //! minimizes by ddmin and round-trips through the v2 JSON codec.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use oak_cluster::{ClusterNode, LeaseConfig, NodeId, NodeOptions, Role, Topology, PARTITION};
@@ -440,9 +441,25 @@ impl ClusterWorld<'_> {
             Step::Snapshot => {}
             Step::Prune { idle_ms } => {
                 let cutoff = Instant(self.clock.now().as_millis().saturating_sub(*idle_ms));
+                let users: BTreeSet<String> = (self.acked_reports.keys())
+                    .chain(self.unacked.iter().map(|op| &op.user))
+                    .cloned()
+                    .collect();
+                // A user this prune drops takes its count along: what it was
+                // acked for, or will be for an ingest journaled before the
+                // prune, is no longer a count a history must hold. Read
+                // before a crash can take the primary (its prune may yet
+                // converge); a count already 0 stays audited.
+                let mut pruned = BTreeSet::new();
                 self.with_primary(|oak, _| {
+                    let held: Vec<String> = (users.into_iter())
+                        .filter(|user| oak.reports_from(user) > 0)
+                        .collect();
                     oak.prune_inactive_users(cutoff);
+                    pruned.extend(held.into_iter().filter(|user| oak.reports_from(user) == 0));
                 });
+                self.acked_reports.retain(|user, _| !pruned.contains(user));
+                self.unacked.retain(|op| !pruned.contains(&op.user));
             }
             // A v1 crash in a cluster document: crash the node the
             // survival seed picks, immediately (defined behavior for
@@ -579,7 +596,7 @@ impl ClusterWorld<'_> {
         // report a client was acked for.
         let node = self.nodes[primaries[0].0 as usize].as_ref();
         let engine = node.and_then(|n| n.replica_engine(PARTITION));
-        let kept = engine.expect("seated primary is live").aggregates();
+        let kept = engine.expect("seated primary is live");
         for (user, acked) in &self.acked_reports {
             self.stats.invariant_checks += 1;
             let held = kept.reports_from(user);

@@ -200,6 +200,41 @@ fn a_longer_dead_branch_is_caught_by_content() {
     run_cluster_scenario(&scenario, healthy()).expect("branch-aware votes keep the acked reports");
 }
 
+/// A prune drops a user's report count with its state, so the history
+/// that converges lawfully holds none from a pruned user. u-0's two
+/// reports are acked before the prune; u-1's one is journaled, still
+/// unacked, a millisecond before it, and acked after. Neither is a loss,
+/// and u-2's report after the prune is still audited.
+#[test]
+fn a_pruned_users_acked_reports_are_not_a_loss() {
+    let report = |user| Step::Ingest {
+        user,
+        host: 0,
+        violating: false,
+        binary: false,
+    };
+    let steps = vec![
+        Step::AdvanceClock { ms: 1_500 },
+        report(0),
+        report(0),
+        Step::AdvanceClock { ms: 300 },
+        report(1),
+        Step::AdvanceClock { ms: 1 },
+        Step::Prune { idle_ms: 0 },
+        Step::AdvanceClock { ms: 300 },
+        report(2),
+        Step::AdvanceClock { ms: 3_000 },
+    ];
+    let scenario = Scenario {
+        seed: 1,
+        fsync: oak_store::FsyncPolicy::Always,
+        snapshot_every: 1_000,
+        cluster: Some(ClusterSpec { nodes: 3 }),
+        steps,
+    };
+    run_cluster_scenario(&scenario, healthy()).expect("a pruned count is not a lost one");
+}
+
 fn find_promotion_failure() -> (u64, Scenario, oak_sim::SimFailure) {
     for seed in 0..200 {
         let scenario = Scenario::generate_cluster(seed);

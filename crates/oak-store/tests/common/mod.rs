@@ -177,7 +177,8 @@ fn mask_last_seen(value: &mut oak_json::Value) {
 
 /// The acceptance-criteria observables, rendered to comparable text:
 /// `rules()` (via the spec formatter — `Rule` has no `PartialEq`),
-/// `active_rules()` for every given user, `aggregates()`, and `log()`.
+/// `active_rules()` and `reports_from()` for every given user,
+/// `aggregates()`, and `log()`.
 pub fn observables(oak: &Oak, users: &[String]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -186,6 +187,7 @@ pub fn observables(oak: &Oak, users: &[String]) -> String {
     }
     for user in users {
         writeln!(out, "active {user} {:?}", oak.active_rules(user)).unwrap();
+        writeln!(out, "reports {user} {}", oak.reports_from(user)).unwrap();
     }
     writeln!(out, "aggregates {:?}", oak.aggregates()).unwrap();
     writeln!(out, "log {:?}", oak.log()).unwrap();

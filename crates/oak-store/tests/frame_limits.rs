@@ -113,9 +113,9 @@ fn a_hundred_thousand_users_survive_a_reboot() {
         );
     }
     let boot = OakStore::boot(&dir, OakConfig::default(), StoreOptions::default()).unwrap();
-    let aggregates = boot.oak.aggregates();
-    assert_eq!(aggregates.user_count() as u64, USERS);
-    assert_eq!(aggregates.report_count(), USERS);
+    assert_eq!(boot.oak.user_count() as u64, USERS);
+    assert_eq!(boot.oak.report_count(), USERS);
+    assert_eq!(boot.oak.reports_from("user-099999"), 1);
     assert_eq!(boot.store.write_errors(), 0);
     std::fs::remove_dir_all(&dir).expect("clean up");
 }
