@@ -89,8 +89,8 @@ fn corpus_report(user: usize) -> PerfReport {
     report
 }
 
-/// A service with a handful of Type 2 rules, mirroring the contention
-/// harness so ingest numbers compare across benchmarks.
+/// A service with a handful of Type 2 rules, like the durability
+/// harness's engine, so ingest numbers compare across benchmarks.
 fn build_service() -> OakService {
     let oak = Oak::new(OakConfig::default());
     for i in 0..8 {

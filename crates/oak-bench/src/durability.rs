@@ -1,25 +1,63 @@
 //! Durability-tax harness: ingest throughput with the WAL on vs. off,
 //! and recovery time as a function of log length.
 //!
-//! Reuses the [`crate::contention`] workload (40 rules, 40-server
-//! reports) so the WAL numbers compare directly with the contended
-//! throughput bench. Used by the `bench_durability` binary, which
-//! records `BENCH_durability.json` for CI.
+//! The workload is 40 Type 2 rules and reports of 40 servers, three
+//! objects each. Used by the `bench_durability` binary, which records
+//! `BENCH_durability.json` for CI.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use oak_core::engine::OakConfig;
+use oak_core::engine::{Oak, OakConfig};
 use oak_core::matching::NoFetch;
+use oak_core::report::{ObjectTiming, PerfReport};
+use oak_core::rule::Rule;
 use oak_core::Instant;
 use oak_store::{recover, FsyncPolicy, OakStore, Recovery, StoreOptions};
 
-use crate::contention::{build_engine, contended_report};
-
-/// Users the ingest loop rotates through (spread across engine shards).
+/// Users the ingest loop rotates through.
 pub const BENCH_USERS: usize = 8;
+
+/// Rules registered on the engine under test.
+const RULE_COUNT: usize = 40;
+
+/// Servers per synthetic report.
+const SERVER_COUNT: usize = 40;
+
+/// A report from `user` with [`SERVER_COUNT`] servers, three objects each.
+fn contended_report(user: &str) -> PerfReport {
+    let mut report = PerfReport::new(user, "/index.html");
+    for s in 0..SERVER_COUNT {
+        for o in 0..3 {
+            report.push(ObjectTiming::new(
+                format!("http://host{s}.example/obj{o}.js"),
+                format!("10.0.{}.{}", s / 250, s % 250 + 1),
+                if o == 2 {
+                    120_000
+                } else {
+                    8_000 + (s * 131 + o * 17) as u64 % 30_000
+                },
+                80.0 + ((s * 37 + o * 101) % 120) as f64,
+            ));
+        }
+    }
+    report
+}
+
+/// A fresh engine with [`RULE_COUNT`] Type 2 rules.
+fn build_engine() -> Oak {
+    let oak = Oak::new(OakConfig::default());
+    for i in 0..RULE_COUNT {
+        oak.add_rule(Rule::replace_identical(
+            format!("http://host{i}.example/"),
+            [format!("http://alt.example/host{i}.example/")],
+        ))
+        .unwrap();
+    }
+    oak
+}
 
 /// A fresh scratch directory under the system temp root.
 pub fn scratch_dir(tag: &str) -> PathBuf {

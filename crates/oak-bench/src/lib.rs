@@ -22,7 +22,6 @@
 
 pub mod alloc;
 pub mod benchworld;
-pub mod contention;
 pub mod durability;
 pub mod matchrate;
 pub mod paper;

@@ -46,7 +46,7 @@
 
 use std::sync::Arc;
 
-use oak_core::engine::{STATE_IMAGE_V1, STATE_IMAGE_VERSION};
+use oak_core::engine::{STATE_IMAGE_V2, STATE_IMAGE_VERSION};
 use oak_core::events::{
     put_len, put_sized, put_u32, put_u64, Reader, SequencedEvent, EVENT_HEADER_LEN,
 };
@@ -271,7 +271,7 @@ impl Envelope {
                 // Anything but an image version this build reads — the
                 // `{` of the snapshot document a build before the image
                 // sent included — is not a peer of this one.
-                if !matches!(state.first(), Some(&(STATE_IMAGE_V1..=STATE_IMAGE_VERSION))) {
+                if !matches!(state.first(), Some(&(STATE_IMAGE_V2..=STATE_IMAGE_VERSION))) {
                     return Err("the snapshot is not a state image of this version".to_owned());
                 }
                 Message::Snapshot {

@@ -7,9 +7,9 @@
 //! aggregates over every ingested report, independent of any rule — the
 //! raw material for dashboards and for the §6 auditing workflow.
 //!
-//! Reports are unauthenticated, so what one can add is bounded: a shard
-//! keeps at most [`SiteAggregates::MAX_ROWS`] domain rows, every other
-//! name folds into one `other` aggregate, and the shard and each row
+//! Reports are unauthenticated, so what one can add is bounded: the
+//! engine keeps at most [`SiteAggregates::MAX_ROWS`] domain rows, every
+//! other name folds into one `other` aggregate, and the whole and each row
 //! count their distinct users in a fixed-size [`UserSketch`] rather than
 //! a set of them. Nothing here is kept per user: a user's report count
 //! lives in its engine state and is pruned with it
@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use oak_json::Value;
 
-use crate::engine::{SHARD_COUNT, STATE_IMAGE_V1, STATE_IMAGE_V2};
+use crate::engine::STATE_IMAGE_V2;
 use crate::events::{ascending, f64_to_value, put_f64, put_len, put_u64, FoldView, Reader};
 use crate::intern::Interner;
 
@@ -85,8 +85,7 @@ const REGISTERS: usize = 64;
 /// exactly depends on where its users hash. It is a pure function of
 /// the set of users folded in, so a
 /// replayed fold rebuilds it byte for byte, and a merge is a
-/// register-wise max: shards partition users, so the merge of theirs is
-/// the sketch of the union.
+/// register-wise max: the sketch of the union.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UserSketch([u8; REGISTERS]);
 
@@ -97,12 +96,13 @@ impl Default for UserSketch {
 }
 
 impl UserSketch {
-    /// What the sketch hashes `user` to: its FNV-1a — the hash that
-    /// places it on a shard — through MurmurHash3's 64-bit finaliser.
-    /// The finaliser matters: FNV-1a modulo the shard count picks the
-    /// shard, so every user one shard sketches shares those low bits.
+    /// What the sketch hashes `user` to: its FNV-1a through
+    /// MurmurHash3's 64-bit finaliser. Images on disk hold sketches of
+    /// these keys, so the finaliser stays; it was chosen while FNV-1a
+    /// modulo a shard count placed users, when every user one shard
+    /// sketched shared those low bits.
     pub fn key(user: &str) -> u64 {
-        let mut h = crate::engine::shard_key(user);
+        let mut h = crate::engine::fnv1a(user);
         h ^= h >> 33;
         h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
         h ^= h >> 33;
@@ -177,7 +177,7 @@ impl DomainAggregate {
         self.users.estimate()
     }
 
-    /// Folds another domain's accumulator in (shard merge).
+    /// Folds another domain's accumulator in.
     fn merge(&mut self, other: &DomainAggregate) {
         self.objects = self.objects.saturating_add(other.objects);
         self.bytes = self.bytes.saturating_add(other.bytes);
@@ -203,9 +203,9 @@ fn key_for(domain: &str, interner: &Interner) -> Arc<str> {
 /// Whole-site aggregates, updated per report.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SiteAggregates {
-    /// At most [`SiteAggregates::MAX_ROWS`] in an engine shard.
+    /// At most [`SiteAggregates::MAX_ROWS`] in an engine.
     domains: BTreeMap<Arc<str>, DomainAggregate>,
-    /// Every fold whose domain has no row: one new to a full shard, or a
+    /// Every fold whose domain has no row: one new to a full table, or a
     /// name no DNS host can have. A field rather than a key, so no host
     /// can collide with it.
     other: DomainAggregate,
@@ -215,10 +215,9 @@ pub struct SiteAggregates {
 }
 
 impl SiteAggregates {
-    /// Most domain rows an engine shard keeps: the interner's capacity
-    /// over the shards, so the aggregates never name more domains than
-    /// the interner retains.
-    pub const MAX_ROWS: usize = Interner::CAPACITY / SHARD_COUNT;
+    /// Most domain rows an engine keeps: the interner's capacity, so the
+    /// aggregates never name more domains than the interner retains.
+    pub const MAX_ROWS: usize = Interner::CAPACITY;
 
     /// Whether a domain without a row gets one, rather than folding into
     /// `other`.
@@ -228,7 +227,7 @@ impl SiteAggregates {
 
     /// Folds one ingest's per-server increments, read in place from its
     /// [`crate::events::IngestEffect`]. The live engine and WAL replay
-    /// both fold the same bytes in the shard's log order, so the
+    /// both fold the same bytes in the log's order, so the
     /// floating-point accumulation order, which domains get rows, and
     /// therefore every recovered byte are identical. A domain new to this
     /// accumulator is keyed by `interner`'s handle.
@@ -272,11 +271,10 @@ impl SiteAggregates {
         }
     }
 
-    /// Folds a whole other accumulator in. The engine stripes aggregates
-    /// per user-state shard and merges on read, at a cost of the domain
-    /// rows; a sketch's merge is the sketch of the union. The merge is a
-    /// read-side view: it keeps every shard's rows, so it may hold more
-    /// than [`SiteAggregates::MAX_ROWS`].
+    /// Folds a whole other accumulator in, at a cost of the domain rows:
+    /// rows add, and a sketch's merge is the sketch of the union. A state
+    /// image from before version 0x04 carries one accumulator per engine
+    /// shard, and its reader merges them (DESIGN.md §8, "Upgrades").
     pub fn merge(&mut self, other: &SiteAggregates) {
         self.reports += other.reports;
         self.users.merge(&other.users);
@@ -303,8 +301,8 @@ impl SiteAggregates {
         self.domains.get(domain)
     }
 
-    /// Every fold whose domain has no row of its own: one new to a shard
-    /// already holding [`SiteAggregates::MAX_ROWS`] rows, or longer than
+    /// Every fold whose domain has no row of its own: one new to an
+    /// engine already holding [`SiteAggregates::MAX_ROWS`] rows, or longer than
     /// [`Interner::MAX_NAME`]. Never listed by
     /// [`SiteAggregates::worst_domains`].
     pub fn other(&self) -> &DomainAggregate {
@@ -378,7 +376,7 @@ fn read_domain(r: &mut Reader<'_>, table: &[Arc<str>], what: &str) -> Result<usi
     Ok(index)
 }
 
-/// The per-user report counts a version 0x01 or 0x02 shard kept in its
+/// The per-user report counts a version 0x02 shard kept in its
 /// aggregates, for the engine to give to the users it still holds.
 pub(crate) type LegacyCounts<'a> = Vec<(&'a str, u64)>;
 
@@ -390,15 +388,12 @@ impl SiteAggregates {
 
     /// Appends the accumulator's part of a state image
     /// ([`crate::engine::Oak::state_image`]; DESIGN.md §8 tables the
-    /// layout): a row's domain travels as its index in `table`, the
-    /// image's ascending domain table.
-    pub(crate) fn write_image(&self, out: &mut Vec<u8>, table: &[&str]) {
+    /// layout): a row's domain travels as its index in the image's domain
+    /// table, which is [`SiteAggregates::domain_names`].
+    pub(crate) fn write_image(&self, out: &mut Vec<u8>) {
         put_u64(out, self.reports);
         put_len(out, self.domains.len());
-        for (domain, agg) in &self.domains {
-            let index = table
-                .binary_search(&&**domain)
-                .expect("the table holds every row's domain");
+        for (index, agg) in self.domains.values().enumerate() {
             put_len(out, index);
             agg.write_image(out);
         }
@@ -409,24 +404,20 @@ impl SiteAggregates {
     /// Inverse of [`SiteAggregates::write_image`] for an image of
     /// `version`, which the caller has checked is one this build reads:
     /// `table` is the image's domain table, `used` gets a mark for every
-    /// entry referred to. A version 0x02 or 0x01 shard kept a report
-    /// count per user it had folded; those are returned, for the engine
-    /// to give to the users it still holds (DESIGN.md §8, "Upgrades").
+    /// entry referred to. A version 0x02 shard kept a report count per
+    /// user it had folded; those are returned, for the engine to give to
+    /// the users it still holds (DESIGN.md §8, "Upgrades").
     ///
     /// # Errors
     ///
     /// Names the first field that is cut short, out of range or out of
-    /// order, and a shard holding more rows than
-    /// [`SiteAggregates::MAX_ROWS`].
+    /// order, and more rows than [`SiteAggregates::MAX_ROWS`].
     pub(crate) fn read_image<'a>(
         r: &mut Reader<'a>,
         table: &[Arc<str>],
         used: &mut [bool],
         version: u8,
     ) -> Result<(SiteAggregates, LegacyCounts<'a>), String> {
-        if version == STATE_IMAGE_V1 {
-            return Self::read_image_v1(r, table, used);
-        }
         let mut out = SiteAggregates {
             reports: r.u64("aggregate reports")?,
             ..SiteAggregates::default()
@@ -434,7 +425,7 @@ impl SiteAggregates {
         let rows = r.count(4 + AGGREGATE_BYTES, "aggregate domains")?;
         if rows > Self::MAX_ROWS {
             return Err(format!(
-                "{rows} aggregate domains in a shard, which keeps at most {}",
+                "{rows} aggregate domains, past the bound of {}",
                 Self::MAX_ROWS
             ));
         }
@@ -448,87 +439,22 @@ impl SiteAggregates {
         }
         out.other = DomainAggregate::read_image(r)?;
         if version == STATE_IMAGE_V2 {
-            let counts = out.read_user_rows(r, 4 + 8, |_, _| Ok(()))?;
+            let counts = out.read_user_rows(r)?;
             return Ok((out, counts));
         }
         out.users = UserSketch(r.array("user sketch")?);
         Ok((out, Vec::new()))
     }
 
-    /// [`SiteAggregates::read_image`] for a version 0x01 image, read
-    /// until the reader is deleted. There a row carried an exact
-    /// `users_seen`, and each user row listed the domains it was counted
-    /// under: those lists become the sketches, and the rows past
-    /// [`SiteAggregates::MAX_ROWS`], in image order, fold into `other`.
-    fn read_image_v1<'a>(
-        r: &mut Reader<'a>,
-        table: &[Arc<str>],
-        used: &mut [bool],
-    ) -> Result<(SiteAggregates, LegacyCounts<'a>), String> {
-        let mut out = SiteAggregates {
-            reports: r.u64("aggregate reports")?,
-            ..SiteAggregates::default()
-        };
-        // Every row the image lists, by table index: sketched first, then
-        // admitted in image order.
-        let mut rows = BTreeMap::new();
+    /// A version 0x02 shard's user rows: a name and its report count.
+    /// Every user goes into the shard's sketch; the counts are returned.
+    fn read_user_rows<'a>(&mut self, r: &mut Reader<'a>) -> Result<LegacyCounts<'a>, String> {
         let mut prev = None;
-        for _ in 0..r.count(4 + 4 * 8 + 2 * STAT_BYTES, "aggregate domains")? {
-            let index = read_domain(r, table, "aggregate domain index")?;
-            ascending(&mut prev, index, "aggregate domain indexes")?;
-            used[index] = true;
-            let mut agg = DomainAggregate {
-                objects: r.u64("domain objects")?,
-                bytes: r.u64("domain bytes")?,
-                violations: r.u64("domain violations")?,
-                ..DomainAggregate::default()
-            };
-            r.u64("domain users seen")?;
-            agg.small_time_ms = RunningStat::read_image(r, "small-object stat")?;
-            agg.large_tput_kbps = RunningStat::read_image(r, "large-object stat")?;
-            rows.insert(index, agg);
-        }
-        let counts = out.read_user_rows(r, 4 + 8 + 4, |r, key| {
-            let mut prev = None;
-            for _ in 0..r.count(4, "counted domains")? {
-                let index = read_domain(r, table, "counted domain index")?;
-                ascending(&mut prev, index, "counted domain indexes")?;
-                let row = rows.get_mut(&index).ok_or_else(|| {
-                    let name = &table[index];
-                    format!("counted domain {index} ({name:?}) has no aggregate row in its shard")
-                })?;
-                row.users.insert(key);
-            }
-            Ok(())
-        })?;
-        for (index, agg) in rows {
-            if out.admits(&table[index]) {
-                out.domains.insert(Arc::clone(&table[index]), agg);
-            } else {
-                out.other.merge(&agg);
-            }
-        }
-        Ok((out, counts))
-    }
-
-    /// A version 0x01 or 0x02 shard's user rows, each `min_row` bytes or
-    /// more: a name and its report count, then what `tail` reads, given
-    /// the user's [`UserSketch::key`]. Every user goes into the shard's
-    /// sketch; the counts are returned.
-    fn read_user_rows<'a>(
-        &mut self,
-        r: &mut Reader<'a>,
-        min_row: usize,
-        mut tail: impl FnMut(&mut Reader<'a>, u64) -> Result<(), String>,
-    ) -> Result<LegacyCounts<'a>, String> {
-        let mut prev = None;
-        r.list(min_row, "aggregate users", |r| {
+        r.list(4 + 8, "aggregate users", |r| {
             let user = r.str("aggregate user")?;
             ascending(&mut prev, user, "aggregate users")?;
             let reports = r.u64("user reports")?;
-            let key = UserSketch::key(user);
-            self.users.insert(key);
-            tail(r, key)?;
+            self.users.insert(UserSketch::key(user));
             Ok((user, reports))
         })
     }

@@ -16,19 +16,13 @@
 //!   [`RuleSurface`]s, and the domain→rule index) is read-mostly and sits
 //!   behind one `RwLock`: reports and page serves share it, rule add /
 //!   remove takes the write lock;
-//! - **user state** (activations, pending counts, per-user GC clock) is
-//!   striped across [`SHARD_COUNT`] shards keyed by an FNV-1a hash of the
-//!   user id, each behind its own `Mutex`. Requests for different users
-//!   contend only when they hash to the same shard.
+//! - the **state** — every user's activations, pending counts and GC
+//!   clock, the activity log and the site aggregates — sits behind one
+//!   `Mutex`. Striping it over sixteen locks never measured faster on
+//!   any workload, so it is one (DESIGN.md §7).
 //!
-//! The activity log and the site aggregates are sharded too; [`Oak::log`]
-//! stitches shard logs back into one globally ordered history using
-//! per-event sequence numbers, and [`Oak::aggregates`] merges the shard
-//! accumulators on read.
-//!
-//! Lock order is rule table before shard, shards in ascending index;
-//! no method acquires them in any other order, so the engine cannot
-//! deadlock against itself.
+//! Lock order is rule table before state; no method acquires them in the
+//! other order, so the engine cannot deadlock against itself.
 //!
 //! # One writer
 //!
@@ -43,7 +37,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use oak_html::{Document, Rewriter};
 use oak_json::Value;
@@ -58,12 +52,7 @@ use crate::{analysis::PageAnalysis, OAK_ALTERNATE_HEADER};
 
 mod image;
 
-pub use image::{STATE_IMAGE_V1, STATE_IMAGE_V2, STATE_IMAGE_VERSION};
-
-/// How many user-state stripes the engine keeps. Requests for users on
-/// different stripes proceed in parallel; 16 is comfortably above the
-/// core counts this engine targets while keeping merge-on-read cheap.
-pub const SHARD_COUNT: usize = 16;
+pub use image::{STATE_IMAGE_V2, STATE_IMAGE_V3, STATE_IMAGE_VERSION};
 
 /// Engine-wide configuration.
 #[derive(Clone, Copy, Debug)]
@@ -74,11 +63,11 @@ pub struct OakConfig {
     /// [`MatchLevel::ExternalJs`] — the full mechanism — by default;
     /// lower settings exist for the Fig. 8 ablation.
     pub max_match_level: MatchLevel,
-    /// In-memory activity-log retention, as entries *per shard*
-    /// ([`Oak::log`] therefore returns at most `SHARD_COUNT ×` this).
-    /// `None` retains everything — right for experiments, wrong for a
-    /// long-running server: with a retention cap, old entries fall out
-    /// of RAM while remaining durable in the write-ahead log.
+    /// In-memory activity-log retention, as entries in total: [`Oak::log`]
+    /// returns at most this many. `None` retains everything — right for
+    /// experiments, wrong for a long-running server: with a retention
+    /// cap, old entries fall out of RAM while remaining durable in the
+    /// write-ahead log.
     pub log_retention: Option<usize>,
 }
 
@@ -371,19 +360,18 @@ impl DomainIndex {
     }
 }
 
-/// One stripe of user-keyed state, plus its slice of the activity log and
-/// the site aggregates.
+/// Everything user-keyed, with the activity log and the site aggregates:
+/// what the engine's one state lock guards.
 #[derive(Debug, Default)]
-struct Shard {
+struct State {
     users: HashMap<String, UserState>,
-    /// `(sequence, event)`: sequence numbers come from the engine-global
-    /// counter, so merging shard logs by sequence reconstructs the exact
-    /// global order of state changes.
+    /// `(sequence, event)`, ascending: the sequence numbers come from the
+    /// engine's log counter, and are what the state image carries.
     log: Vec<(u64, LogEvent)>,
     aggregates: crate::aggregates::SiteAggregates,
 }
 
-impl Shard {
+impl State {
     /// Forces `rule` active for `user` (operator action: no log entry).
     fn force_activate(&mut self, time: Instant, user: &str, rule_id: RuleId, rule: &Rule) {
         let forced = ActiveRule {
@@ -425,9 +413,8 @@ impl Shard {
 pub struct Oak {
     config: OakConfig,
     rules: RwLock<RuleTable>,
-    shards: Vec<Mutex<Shard>>,
-    /// Allocates the per-event sequence numbers that order the sharded
-    /// activity log.
+    state: Mutex<State>,
+    /// Allocates the per-record sequence numbers of the activity log.
     log_seq: AtomicU64,
     /// Allocates the sequence numbers that order emitted [`EngineEvent`]s
     /// (allocated under the emitting operation's locks, so sequence order
@@ -450,7 +437,7 @@ impl fmt::Debug for Oak {
         f.debug_struct("Oak")
             .field("config", &self.config)
             .field("rules", &self.rules)
-            .field("shards", &self.shards)
+            .field("state", &self.state)
             .field("log_seq", &self.log_seq)
             .field("event_seq", &self.event_seq)
             .field("sink", &self.sink.as_ref().map(|_| "EventSink"))
@@ -470,9 +457,7 @@ impl Oak {
         Oak {
             config,
             rules: RwLock::new(RuleTable::default()),
-            shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
+            state: Mutex::new(State::default()),
             log_seq: AtomicU64::new(0),
             event_seq: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
@@ -507,11 +492,11 @@ impl Oak {
     /// Call sites hold the locks their mutation took, which is what makes
     /// sequence order meaningful; the closure defers payload construction
     /// to the sinked case.
-    fn emit_with(&self, shard: Option<usize>, build: impl FnOnce() -> EngineEvent) {
+    fn emit_with(&self, build: impl FnOnce() -> EngineEvent) {
         if let Some(sink) = &self.sink {
             let seq = self.event_seq.fetch_add(1, Ordering::Relaxed);
             sink.record(
-                shard,
+                None,
                 &SequencedEvent {
                     seq,
                     epoch: self.epoch.load(Ordering::Relaxed),
@@ -547,14 +532,9 @@ impl Oak {
         self.event_seq.load(Ordering::SeqCst)
     }
 
-    /// The shard index holding `user`'s state.
-    fn shard_index(&self, user: &str) -> usize {
-        fnv1a(user) as usize % SHARD_COUNT
-    }
-
-    /// The shard holding `user`'s state.
-    fn shard(&self, user: &str) -> &Mutex<Shard> {
-        &self.shards[self.shard_index(user)]
+    /// The state lock.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("state lock")
     }
 
     /// The next global log sequence number.
@@ -575,7 +555,7 @@ impl Oak {
         table.insert(id, rule);
         // Emitted under the write lock: no ingest that can see this rule
         // sequences before it.
-        self.emit_with(None, || EngineEvent::RuleAdded {
+        self.emit_with(|| EngineEvent::RuleAdded {
             id,
             rule: table.rules[&id].clone(),
         });
@@ -610,28 +590,23 @@ impl Oak {
     pub fn remove_rule(&self, id: RuleId) -> Option<Rule> {
         let mut table = self.rules.write().expect("rule table lock");
         let rule = self.apply_rule_removed(&mut table, id)?;
-        self.emit_with(None, || EngineEvent::RuleRemoved { id });
+        self.emit_with(|| EngineEvent::RuleRemoved { id });
         Some(rule)
     }
 
     /// Drops rule `id` from the table and from every user's state.
     fn apply_rule_removed(&self, table: &mut RuleTable, id: RuleId) -> Option<Rule> {
         let rule = table.remove(id)?;
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("shard lock");
-            for state in shard.users.values_mut() {
-                state.active.remove(&id);
-                state.pending.remove(&id);
-            }
+        for user in self.state().users.values_mut() {
+            user.active.remove(&id);
+            user.pending.remove(&id);
         }
         Some(rule)
     }
 
     /// The rules currently active for `user`, with their state.
     pub fn active_rules(&self, user: &str) -> Vec<(RuleId, ActiveRule)> {
-        self.shard(user)
-            .lock()
-            .expect("shard lock")
+        self.state()
             .users
             .get(user)
             .map(|u| u.active.iter().map(|(id, a)| (*id, a.clone())).collect())
@@ -640,47 +615,37 @@ impl Oak {
 
     /// The full activity log, in global event order.
     pub fn log(&self) -> Vec<LogEvent> {
-        let mut entries: Vec<(u64, LogEvent)> = Vec::new();
-        for shard in &self.shards {
-            entries.extend(shard.lock().expect("shard lock").log.iter().cloned());
-        }
-        entries.sort_by_key(|(seq, _)| *seq);
-        entries.into_iter().map(|(_, event)| event).collect()
+        let state = self.state();
+        state.log.iter().map(|(_, event)| event.clone()).collect()
     }
 
     /// Users that have submitted at least one report or been force-toggled.
     pub fn user_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard lock").users.len())
-            .sum()
+        self.state().users.len()
     }
 
     /// Aggregate site performance across every ingested report — the §5
-    /// "aggregate site performance" record, rule-independent. Merged
-    /// across shards on each call, at a cost of the domain rows (at most
-    /// [`crate::aggregates::SiteAggregates::MAX_ROWS`] a shard), never of
-    /// the users seen.
+    /// "aggregate site performance" record, rule-independent. A copy, at
+    /// a cost of the domain rows (at most
+    /// [`crate::aggregates::SiteAggregates::MAX_ROWS`]), never of the
+    /// users seen.
     pub fn aggregates(&self) -> crate::aggregates::SiteAggregates {
-        let mut merged = crate::aggregates::SiteAggregates::default();
-        for shard in &self.shards {
-            merged.merge(&shard.lock().expect("shard lock").aggregates);
-        }
-        merged
+        self.state().aggregates.clone()
     }
 
     /// Reports folded into the aggregates: [`Oak::aggregates`]'s
-    /// `report_count`, without merging a row.
+    /// `report_count`, without copying a row.
     pub fn report_count(&self) -> u64 {
-        let shards = self.shards.iter().map(|s| s.lock().expect("shard lock"));
-        shards.map(|shard| shard.aggregates.report_count()).sum()
+        self.state().aggregates.report_count()
     }
 
     /// Reports ingested for `user` since its state was created: 0 for a
     /// user the engine does not hold, never reported for, or has pruned.
     pub fn reports_from(&self, user: &str) -> u64 {
-        let shard = self.shard(user).lock().expect("shard lock");
-        shard.users.get(user).map_or(0, |state| state.reports)
+        self.state()
+            .users
+            .get(user)
+            .map_or(0, |state| state.reports)
     }
 
     /// Drops per-user state not touched since `cutoff`; returns how many
@@ -691,23 +656,20 @@ impl Oak {
     /// activity log keeps its records, and the aggregates what it added
     /// to their totals and sketches.
     pub fn prune_inactive_users(&self, cutoff: Instant) -> usize {
-        let mut pruned = 0;
-        for (index, shard) in self.shards.iter().enumerate() {
-            let mut shard = shard.lock().expect("shard lock");
-            let mut stale: Vec<String> = shard
-                .users
-                .iter()
-                .filter(|(_, state)| state.last_seen < cutoff)
-                .map(|(user, _)| user.clone())
-                .collect();
-            pruned += stale.len();
-            if !stale.is_empty() {
-                // Sorted so the durable event (and replay) is independent
-                // of HashMap iteration order.
-                stale.sort_unstable();
-                shard.prune(&stale);
-                self.emit_with(Some(index), || EngineEvent::Pruned { users: stale });
-            }
+        let mut state = self.state();
+        let mut stale: Vec<String> = state
+            .users
+            .iter()
+            .filter(|(_, user)| user.last_seen < cutoff)
+            .map(|(user, _)| user.clone())
+            .collect();
+        let pruned = stale.len();
+        if !stale.is_empty() {
+            // Sorted so the durable event (and replay) is independent of
+            // HashMap iteration order.
+            stale.sort_unstable();
+            state.prune(&stale);
+            self.emit_with(|| EngineEvent::Pruned { users: stale });
         }
         pruned
     }
@@ -768,12 +730,11 @@ impl Oak {
             Candidates::Subset(set) => set.into_iter().collect(),
         };
 
-        let shard_index = self.shard_index(user);
-        let mut shard = self.shards[shard_index].lock().expect("shard lock");
+        let mut guard = self.state();
 
         // Decide against the state as it stands; nothing is written until
         // the whole effect is known.
-        let state = shard.users.get(user);
+        let state = guard.users.get(user);
         let mut records: Vec<(u64, LogEvent)> = Vec::new();
         let mut record = |rule: RuleId, action: LogAction| {
             let entry = LogEvent {
@@ -878,7 +839,7 @@ impl Oak {
             IngestEffect::from_analysis(now, user, &analysis, &violations, &pending, &records);
 
         // Apply — through the function replay uses — then emit.
-        self.apply_ingest(&table, &mut shard, effect.parts());
+        self.apply_ingest(&table, &mut guard, effect.parts());
         let mut outcome = IngestOutcome {
             violations,
             ..IngestOutcome::default()
@@ -891,7 +852,7 @@ impl Oak {
                 LogAction::Expired => outcome.expired.push(entry.rule),
             }
         }
-        self.emit_with(Some(shard_index), || EngineEvent::Ingest(effect));
+        self.emit_with(|| EngineEvent::Ingest(effect));
         if let Some(obs) = &self.obs {
             let end = obs.now();
             let start = ingest_start.unwrap_or(end);
@@ -932,23 +893,22 @@ impl Oak {
         };
 
         let table = self.rules.read().expect("rule table lock");
-        let shard_index = self.shard_index(user);
-        let mut shard = self.shards[shard_index].lock().expect("shard lock");
-        let expired: Vec<(u64, RuleId)> = expired_rules(&table, shard.users.get(user), now)
+        let mut guard = self.state();
+        let expired: Vec<(u64, RuleId)> = expired_rules(&table, guard.users.get(user), now)
             .into_iter()
             .map(|rule| (self.next_seq(), rule))
             .collect();
         if !expired.is_empty() {
             // Serving is otherwise read-only; TTL expiry is the one page
             // path that mutates durable state, so it gets its own event.
-            self.apply_serve_expiry(&table, &mut shard, now, user, &expired);
-            self.emit_with(Some(shard_index), || EngineEvent::ServeExpiry {
+            self.apply_serve_expiry(&table, &mut guard, now, user, &expired);
+            self.emit_with(|| EngineEvent::ServeExpiry {
                 time: now,
                 user: user.to_owned(),
                 expired,
             });
         }
-        let Some(state) = shard.users.get_mut(user) else {
+        let Some(state) = guard.users.get_mut(user) else {
             return unmodified(html);
         };
         state.last_seen = now;
@@ -1029,10 +989,9 @@ impl Oak {
             .rules
             .get(&rule_id)
             .unwrap_or_else(|| panic!("unknown {rule_id}"));
-        let shard_index = self.shard_index(user);
-        let mut shard = self.shards[shard_index].lock().expect("shard lock");
-        shard.force_activate(now, user, rule_id, rule);
-        self.emit_with(Some(shard_index), || EngineEvent::ForceActivate {
+        let mut state = self.state();
+        state.force_activate(now, user, rule_id, rule);
+        self.emit_with(|| EngineEvent::ForceActivate {
             time: now,
             user: user.to_owned(),
             rule: rule_id,
@@ -1041,10 +1000,9 @@ impl Oak {
 
     /// Deactivates a rule for a user (no log entry; operator action).
     pub fn force_deactivate(&self, user: &str, rule_id: RuleId) {
-        let shard_index = self.shard_index(user);
-        let mut shard = self.shards[shard_index].lock().expect("shard lock");
-        if shard.force_deactivate(user, rule_id) {
-            self.emit_with(Some(shard_index), || EngineEvent::ForceDeactivate {
+        let mut state = self.state();
+        if state.force_deactivate(user, rule_id) {
+            self.emit_with(|| EngineEvent::ForceDeactivate {
                 user: user.to_owned(),
                 rule: rule_id,
             });
@@ -1084,19 +1042,16 @@ impl Oak {
             EngineEvent::Ingest(effect) => {
                 let parts = effect.parts();
                 let table = self.rules.read().expect("rule table lock");
-                let mut shard = self.shard(parts.user).lock().expect("shard lock");
-                self.apply_ingest(&table, &mut shard, parts);
+                self.apply_ingest(&table, &mut self.state(), parts);
             }
             EngineEvent::ForceActivate { time, user, rule } => {
                 let table = self.rules.read().expect("rule table lock");
                 if let Some(r) = table.rules.get(rule) {
-                    let mut shard = self.shard(user).lock().expect("shard lock");
-                    shard.force_activate(*time, user, *rule, r);
+                    self.state().force_activate(*time, user, *rule, r);
                 }
             }
             EngineEvent::ForceDeactivate { user, rule } => {
-                let mut shard = self.shard(user).lock().expect("shard lock");
-                shard.force_deactivate(user, *rule);
+                self.state().force_deactivate(user, *rule);
             }
             EngineEvent::ServeExpiry {
                 time,
@@ -1104,44 +1059,38 @@ impl Oak {
                 expired,
             } => {
                 let table = self.rules.read().expect("rule table lock");
-                let mut shard = self.shard(user).lock().expect("shard lock");
-                self.apply_serve_expiry(&table, &mut shard, *time, user, expired);
+                self.apply_serve_expiry(&table, &mut self.state(), *time, user, expired);
             }
-            EngineEvent::Pruned { users } => {
-                for user in users {
-                    let mut shard = self.shard(user).lock().expect("shard lock");
-                    shard.prune(std::slice::from_ref(user));
-                }
-            }
+            EngineEvent::Pruned { users } => self.state().prune(users),
         }
     }
 
-    /// Applies one ingest's effect to its user's shard: the aggregate
+    /// Applies one ingest's effect to the state: the aggregate
     /// folds, the pending-violation counts, and every log record with
     /// the state transition it implies — read in place from the effect's
     /// bytes. Live ingest calls this with the effect it has just decided
     /// on; replay with the one it decoded.
-    fn apply_ingest(&self, table: &RuleTable, shard: &mut Shard, mut parts: IngestParts<'_>) {
-        shard
+    fn apply_ingest(&self, table: &RuleTable, state: &mut State, mut parts: IngestParts<'_>) {
+        state
             .aggregates
             .fold(parts.user, &mut parts.folds, &self.interner);
         let (pending, records) = parts.folds.rest();
         // No key allocation for a returning user.
-        if !shard.users.contains_key(parts.user) {
-            shard
+        if !state.users.contains_key(parts.user) {
+            state
                 .users
                 .insert(parts.user.to_owned(), UserState::default());
         }
-        let user = shard.users.get_mut(parts.user).expect("just inserted");
+        let user = state.users.get_mut(parts.user).expect("just inserted");
         user.last_seen = parts.time;
         user.reports += 1;
         for id in pending {
             *user.pending.entry(id).or_insert(0) += 1;
         }
         for (seq, entry) in records {
-            self.apply_record(table, shard, seq, entry);
+            self.apply_record(table, state, seq, entry);
         }
-        trim_shard_log(&mut shard.log, self.config.log_retention);
+        trim_log(&mut state.log, self.config.log_retention);
     }
 
     /// Applies the TTL expiries a page serve found (see
@@ -1149,13 +1098,13 @@ impl Oak {
     fn apply_serve_expiry(
         &self,
         table: &RuleTable,
-        shard: &mut Shard,
+        state: &mut State,
         time: Instant,
         user: &str,
         expired: &[(u64, RuleId)],
     ) {
-        if let Some(state) = shard.users.get_mut(user) {
-            state.last_seen = time;
+        if let Some(user) = state.users.get_mut(user) {
+            user.last_seen = time;
         }
         for (seq, rule) in expired {
             let entry = LogEvent {
@@ -1164,23 +1113,23 @@ impl Oak {
                 rule: *rule,
                 action: LogAction::Expired,
             };
-            self.apply_record(table, shard, *seq, entry);
+            self.apply_record(table, state, *seq, entry);
         }
-        trim_shard_log(&mut shard.log, self.config.log_retention);
+        trim_log(&mut state.log, self.config.log_retention);
     }
 
     /// The one place an activation, advance, deactivation or expiry
     /// changes a user's state and enters the activity log: the change is
     /// read off the record, so the two cannot disagree. A record for a
-    /// user the shard no longer holds is logged all the same.
-    fn apply_record(&self, table: &RuleTable, shard: &mut Shard, seq: u64, entry: LogEvent) {
+    /// user the engine no longer holds is logged all the same.
+    fn apply_record(&self, table: &RuleTable, state: &mut State, seq: u64, entry: LogEvent) {
         bump_to(&self.log_seq, seq + 1);
-        if let Some(state) = shard.users.get_mut(&entry.user) {
+        if let Some(user) = state.users.get_mut(&entry.user) {
             match &entry.action {
                 LogAction::Activated { severity, .. } => {
-                    state.pending.remove(&entry.rule);
+                    user.pending.remove(&entry.rule);
                     if let Some(rule) = table.rules.get(&entry.rule) {
-                        state.active.insert(
+                        user.active.insert(
                             entry.rule,
                             ActiveRule {
                                 alternative_index: initial_alternative(rule, &entry.user),
@@ -1192,17 +1141,17 @@ impl Oak {
                     }
                 }
                 LogAction::Advanced { to_index } => {
-                    if let Some(active) = state.active.get_mut(&entry.rule) {
+                    if let Some(active) = user.active.get_mut(&entry.rule) {
                         active.alternative_index = *to_index;
                         active.alternatives_tried += 1;
                     }
                 }
                 LogAction::Deactivated | LogAction::Expired => {
-                    state.active.remove(&entry.rule);
+                    user.active.remove(&entry.rule);
                 }
             }
         }
-        shard.log.push((seq, entry));
+        state.log.push((seq, entry));
     }
 
     /// A consistent point-in-time dump of the full engine state as a JSON
@@ -1211,22 +1160,17 @@ impl Oak {
     /// and shipped is the state image ([`Oak::state_image`]), which
     /// carries the same fields.
     ///
-    /// Takes the rule-table read lock and then every shard lock in
-    /// ascending order (the engine's lock order), so mutations are
-    /// quiesced for the duration and the cut is exact: every event with a
-    /// sequence number below the recorded `event_seq` watermark is
-    /// reflected, every later one is not.
+    /// Takes the rule-table read lock and then the state lock (the
+    /// engine's lock order), so mutations are quiesced for the duration
+    /// and the cut is exact: every event with a sequence number below the
+    /// recorded `event_seq` watermark is reflected, every later one is
+    /// not.
     pub fn snapshot_json(&self) -> Value {
         let table = self.rules.read().expect("rule table lock");
-        let guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("shard lock"))
-            .collect();
+        let state = self.state();
 
         let mut doc = Value::object();
         doc.set("version", 1u64);
-        doc.set("shard_count", SHARD_COUNT as u64);
         doc.set("next_rule_id", u64::from(table.next_rule_id));
         doc.set("log_seq", self.log_seq.load(Ordering::SeqCst));
         doc.set("event_seq", self.event_seq.load(Ordering::SeqCst));
@@ -1243,23 +1187,17 @@ impl Oak {
         }
         doc.set("rules", rules);
 
-        let mut shards = Value::array();
-        for guard in &guards {
-            let mut shard_doc = Value::object();
-            let mut user_rows = Value::array();
-            for (name, state) in sorted_users(guard) {
-                user_rows.push(user_row(name, state));
-            }
-            shard_doc.set("users", user_rows);
-            let mut log_rows = Value::array();
-            for (seq, entry) in &guard.log {
-                log_rows.push(log_row(*seq, entry));
-            }
-            shard_doc.set("log", log_rows);
-            shard_doc.set("aggregates", guard.aggregates.to_value());
-            shards.push(shard_doc);
+        let mut user_rows = Value::array();
+        for (name, user) in sorted_users(&state) {
+            user_rows.push(user_row(name, user));
         }
-        doc.set("shards", shards);
+        doc.set("users", user_rows);
+        let mut log_rows = Value::array();
+        for (seq, entry) in &state.log {
+            log_rows.push(log_row(*seq, entry));
+        }
+        doc.set("log", log_rows);
+        doc.set("aggregates", state.aggregates.to_value());
         doc
     }
 }
@@ -1272,14 +1210,14 @@ fn rule_row(id: RuleId, rule: &Rule) -> Value {
     row
 }
 
-/// A shard's users in the order the snapshot document lists them.
-fn sorted_users(shard: &Shard) -> Vec<(&String, &UserState)> {
-    let mut users: Vec<(&String, &UserState)> = shard.users.iter().collect();
+/// The users in the order the snapshot document and the image list them.
+fn sorted_users(state: &State) -> Vec<(&String, &UserState)> {
+    let mut users: Vec<(&String, &UserState)> = state.users.iter().collect();
     users.sort_by_key(|(name, _)| *name);
     users
 }
 
-/// One `users` row of a snapshot shard record.
+/// One `users` row of the snapshot document.
 fn user_row(name: &str, state: &UserState) -> Value {
     let mut row = Value::object();
     row.set("user", name);
@@ -1307,7 +1245,7 @@ fn user_row(name: &str, state: &UserState) -> Value {
     row
 }
 
-/// One `log` row of a snapshot shard record.
+/// One `log` row of the snapshot document.
 fn log_row(seq: u64, entry: &LogEvent) -> Value {
     let mut row = entry.to_value();
     row.set("seq", seq);
@@ -1332,11 +1270,11 @@ fn expired_rules(table: &RuleTable, state: Option<&UserState>, now: Instant) -> 
     expired
 }
 
-/// Enforces [`OakConfig::log_retention`] on one shard's log slice:
-/// drops the oldest entries (per-shard appends are sequence-ordered, so
-/// the front is the oldest) once the cap is exceeded. Dropped entries
-/// remain durable in the write-ahead log when a sink is attached.
-fn trim_shard_log(log: &mut Vec<(u64, LogEvent)>, retention: Option<usize>) {
+/// Enforces [`OakConfig::log_retention`]: drops the oldest entries (the
+/// log is sequence-ordered, so the front is the oldest) once the cap is
+/// exceeded. Dropped entries remain durable in the write-ahead log when a
+/// sink is attached.
+fn trim_log(log: &mut Vec<(u64, LogEvent)>, retention: Option<usize>) {
     if let Some(cap) = retention {
         if log.len() > cap {
             log.drain(..log.len() - cap);
@@ -1344,15 +1282,9 @@ fn trim_shard_log(log: &mut Vec<(u64, LogEvent)>, retention: Option<usize>) {
     }
 }
 
-/// The stable hash behind user→shard placement ([`SHARD_COUNT`] modulo
-/// of this value), which the aggregates' user sketch keys off too.
-pub(crate) fn shard_key(user: &str) -> u64 {
-    fnv1a(user)
-}
-
-/// FNV-1a over a string — shard selection and user-hash alternative
-/// selection share this.
-fn fnv1a(s: &str) -> u64 {
+/// FNV-1a over a string — user-hash alternative selection and the
+/// aggregates' user sketch share this.
+pub(crate) fn fnv1a(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {
         h ^= u64::from(b);

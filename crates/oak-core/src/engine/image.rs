@@ -10,24 +10,21 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       1     version       STATE_IMAGE_VERSION (0x03)
-//! 1       4     shard_count   u32, SHARD_COUNT or the image is refused
-//! 5       8     event_seq     u64, the watermark
-//! 13      8     log_seq       u64
-//! 21      8     epoch         u64
-//! 29      4     next_rule_id  u32
-//! 33      …     n×(id:u32 spec:str)       rules, the §4.1 spec text
+//! 0       1     version       STATE_IMAGE_VERSION (0x04)
+//! 1       8     event_seq     u64, the watermark
+//! 9       8     log_seq       u64
+//! 17      8     epoch         u64
+//! 25      4     next_rule_id  u32
+//! 29      …     n×(id:u32 spec:str)       rules, the §4.1 spec text
 //!               n×str                     the domain table
-//!               shard_count × shard
-//!
-//! shard  = reports:u64
-//!          n×(domain:u32 agg)             at most 4,096 rows
-//!          agg                            `other`
-//!          users:64×u8                    the shard's user sketch
-//!          n×record                       the shard's activity log
-//!          n×(user:str last_seen:u64 reports:u64
-//!             n×(rule:u32 alt:u64 tried:u64 at:u64 severity:f64)
-//!             n×(rule:u32 count:u32))
+//!               reports:u64
+//!               n×(domain:u32 agg)        at most 65,536 rows
+//!               agg                       `other`
+//!               users:64×u8               the user sketch
+//!               n×record                  the activity log
+//!               n×(user:str last_seen:u64 reports:u64
+//!                  n×(rule:u32 alt:u64 tried:u64 at:u64 severity:f64)
+//!                  n×(rule:u32 count:u32))
 //! agg    = objects:u64 bytes:u64 violations:u64 small:stat large:stat
 //!          users:64×u8                    the sketch's registers
 //! stat   = count:u64 sum:f64 min:f64 max:f64
@@ -35,22 +32,29 @@
 //! ```
 //!
 //! `str`, `n×T`, `f64` and `record` are the event layout's. The table
-//! holds every shard's row keys, each once. One state has one encoding:
-//! the table, the rules, and every user, per-domain and per-rule list are
-//! strictly ascending, a table entry nothing refers to is an error, and
-//! so are trailing bytes — so `state_image(from_state_image(b)) == b`, up
-//! to the spelling of a rule's spec text, which is the spec codec's to
-//! keep. The reader checks every count against the bytes that remain
-//! before it allocates for it. A shard's aggregates keep nothing per
-//! user. This build also reads versions 0x02 and 0x01, whose shards kept
-//! every folded user's report count after `other`: the counts go to the
+//! holds the rows' keys. One state has one encoding: the table, the
+//! rules, and every user, per-domain and per-rule list are strictly
+//! ascending, a table entry nothing refers to is an error, and so are
+//! trailing bytes — so `state_image(from_state_image(b)) == b`, up to the
+//! spelling of a rule's spec text, which is the spec codec's to keep. The
+//! reader checks every count against the bytes that remain before it
+//! allocates for it.
+//!
+//! This build also reads versions 0x03 and 0x02, written by engines that
+//! striped their state over sixteen shards: a `shard_count:u32` (16)
+//! follows the version byte, and the domain table is followed by sixteen
+//! sections of the aggregates, log and users above. They fold into one:
+//! the user sets are disjoint, the logs merge in seq order, and the
+//! aggregates merge ([`SiteAggregates::merge`]). A version 0x02 section
+//! kept every folded user's report count after `other`, where 0x03 keeps
+//! the sketch, and its user rows carry no `reports`: the counts go to the
 //! users still held and are dropped for the rest, as a prune drops them
-//! ([`SiteAggregates::read_image`]; DESIGN.md §8, "Upgrades").
+//! (DESIGN.md §8, "Upgrades").
 
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, MutexGuard};
+use std::sync::Arc;
 
-use super::{ActiveRule, LogEvent, Oak, OakConfig, Shard, UserState, SHARD_COUNT};
+use super::{ActiveRule, LogEvent, Oak, OakConfig, UserState};
 use crate::aggregates::SiteAggregates;
 use crate::events::{
     ascending, put_f64, put_len, put_str, put_u32, put_u64, read_rule_id, Reader, MIN_RECORD_BYTES,
@@ -58,13 +62,16 @@ use crate::events::{
 use crate::time::Instant;
 
 /// First byte of every state image this build writes.
-pub const STATE_IMAGE_VERSION: u8 = 3;
+pub const STATE_IMAGE_VERSION: u8 = 4;
 
 /// The version before it, which this build still reads.
-pub const STATE_IMAGE_V2: u8 = 2;
+pub const STATE_IMAGE_V3: u8 = 3;
 
 /// The version before that, which this build still reads.
-pub const STATE_IMAGE_V1: u8 = 1;
+pub const STATE_IMAGE_V2: u8 = 2;
+
+/// The shard sections of a version 0x03 or 0x02 image.
+const LEGACY_SHARDS: u32 = 16;
 
 /// Smallest `rules` row: the id and an empty spec.
 const MIN_RULE_ROW_BYTES: usize = 4 + 4;
@@ -76,18 +83,6 @@ const ACTIVE_BYTES: usize = 4 + 4 * 8;
 /// One `pending` entry: the rule and its count.
 const PENDING_BYTES: usize = 4 + 4;
 
-/// The image's domain table over a quiesced engine: every shard's row
-/// keys, ascending, each once.
-fn domain_table<'a>(shards: &'a [MutexGuard<'_, Shard>]) -> Vec<&'a str> {
-    let mut names: Vec<&str> = shards
-        .iter()
-        .flat_map(|s| s.aggregates.domain_names())
-        .collect();
-    names.sort_unstable();
-    names.dedup();
-    names
-}
-
 impl Oak {
     /// The full engine state as one byte record (the layout is tabled in
     /// DESIGN.md §8 and at the top of `engine/image.rs`), with its
@@ -95,22 +90,16 @@ impl Oak {
     /// replication follower installs.
     ///
     /// Taken under the locks [`Oak::snapshot_json`] takes — the rule
-    /// table, then every shard in ascending order — so the cut is exact:
-    /// every event below the watermark is reflected, none at or above
-    /// it. The engine answers nobody while this runs, which is why the
-    /// image is a copy of the state rather than a rendering of it.
+    /// table, then the state — so the cut is exact: every event below
+    /// the watermark is reflected, none at or above it. The engine
+    /// answers nobody while this runs, which is why the image is a copy
+    /// of the state rather than a rendering of it.
     pub fn state_image(&self) -> (u64, Vec<u8>) {
         let table = self.rules.read().expect("rule table lock");
-        let guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("shard lock"))
-            .collect();
+        let state = self.state();
         let event_seq = self.event_seq.load(Ordering::SeqCst);
 
-        let domains = domain_table(&guards);
         let mut out = vec![STATE_IMAGE_VERSION];
-        put_len(&mut out, SHARD_COUNT);
         put_u64(&mut out, event_seq);
         put_u64(&mut out, self.log_seq.load(Ordering::SeqCst));
         put_u64(&mut out, self.epoch.load(Ordering::Relaxed));
@@ -120,51 +109,56 @@ impl Oak {
             put_u32(&mut out, id.0);
             put_str(&mut out, &crate::spec::format_rule(rule));
         }
+        let domains: Vec<&str> = state.aggregates.domain_names().collect();
         put_len(&mut out, domains.len());
-        for name in &domains {
+        for name in domains {
             put_str(&mut out, name);
         }
-        for guard in &guards {
-            guard.aggregates.write_image(&mut out, &domains);
-            put_len(&mut out, guard.log.len());
-            for (seq, entry) in &guard.log {
-                entry.encode_record(*seq, &mut out);
-            }
-            put_len(&mut out, guard.users.len());
-            for (name, state) in super::sorted_users(guard) {
-                put_str(&mut out, name);
-                state.write_image(&mut out);
-            }
+        state.aggregates.write_image(&mut out);
+        put_len(&mut out, state.log.len());
+        for (seq, entry) in &state.log {
+            entry.encode_record(*seq, &mut out);
+        }
+        put_len(&mut out, state.users.len());
+        for (name, user) in super::sorted_users(&state) {
+            put_str(&mut out, name);
+            user.write_image(&mut out);
         }
         (event_seq, out)
     }
 
-    /// Reconstructs an engine from a [`Oak::state_image`].
+    /// Reconstructs an engine from a [`Oak::state_image`], or from an
+    /// image of a version before it that this build still reads.
     ///
     /// # Errors
     ///
     /// Names the first field that is cut short, out of range, out of
     /// order, not UTF-8 or followed by bytes it should not be — a version
-    /// byte this build does not know, a [`SHARD_COUNT`] other than this
-    /// engine's (user→shard placement would not line up) and rule-spec
-    /// parse failures included. Never panics, and never allocates for a
-    /// count the image cannot back.
+    /// byte this build does not know, an older image's shard count other
+    /// than sixteen, a user two of its shards hold and rule-spec parse
+    /// failures included. Never panics, and never allocates for a count
+    /// the image cannot back.
     pub fn from_state_image(config: OakConfig, image: &[u8]) -> Result<Oak, String> {
         let mut r = Reader::new(image);
         let version = r.u8("state image version")?;
-        if !(STATE_IMAGE_V1..=STATE_IMAGE_VERSION).contains(&version) {
+        if !(STATE_IMAGE_V2..=STATE_IMAGE_VERSION).contains(&version) {
             return Err(format!(
                 "unsupported state image version 0x{version:02x} (expected \
-                 0x{STATE_IMAGE_V1:02x}, 0x{STATE_IMAGE_V2:02x} or 0x{STATE_IMAGE_VERSION:02x})"
+                 0x{STATE_IMAGE_V2:02x}, 0x{STATE_IMAGE_V3:02x} or 0x{STATE_IMAGE_VERSION:02x})"
             ));
         }
-        let counted = version == STATE_IMAGE_VERSION;
-        let shard_count = r.u32("shard count")?;
-        if shard_count as usize != SHARD_COUNT {
-            return Err(format!(
-                "state image has {shard_count} shards, engine has {SHARD_COUNT}"
-            ));
-        }
+        let sections = if version == STATE_IMAGE_VERSION {
+            1
+        } else {
+            let shards = r.u32("shard count")?;
+            if shards != LEGACY_SHARDS {
+                return Err(format!(
+                    "state image version 0x{version:02x} has {shards} shards, not {LEGACY_SHARDS}"
+                ));
+            }
+            LEGACY_SHARDS
+        };
+        let counted = version != STATE_IMAGE_V2;
         let mut oak = Oak::new(config);
         *oak.event_seq.get_mut() = r.u64("event seq")?;
         *oak.log_seq.get_mut() = r.u64("log seq")?;
@@ -188,25 +182,43 @@ impl Oak {
             Ok(Arc::from(name))
         })?;
         let mut used = vec![false; domains.len()];
-        for shard in &mut oak.shards {
-            let shard = shard.get_mut().expect("shard lock");
+        let state = oak.state.get_mut().expect("state lock");
+        for _ in 0..sections {
             let (aggregates, counts) =
                 SiteAggregates::read_image(&mut r, &domains, &mut used, version)?;
-            shard.aggregates = aggregates;
-            shard.log = r.list(MIN_RECORD_BYTES, "log records", LogEvent::decode_record)?;
+            if sections == 1 {
+                state.aggregates = aggregates;
+            } else {
+                state.aggregates.merge(&aggregates);
+            }
+            state
+                .log
+                .extend(r.list(MIN_RECORD_BYTES, "log records", LogEvent::decode_record)?);
             let mut prev = None;
             let users = r.count(MIN_USER_STATE_BYTES + 8 * usize::from(counted), "users")?;
-            shard.users.reserve(users);
+            state.users.reserve(users);
             for _ in 0..users {
                 let name = r.str("user")?;
                 ascending(&mut prev, name, "users")?;
-                let state = UserState::read_image(&mut r, counted)?;
-                shard.users.insert(name.to_owned(), state);
-            }
-            for (user, reports) in counts {
-                if let Some(state) = shard.users.get_mut(user) {
-                    state.reports = reports;
+                let user = UserState::read_image(&mut r, counted)?;
+                if state.users.insert(name.to_owned(), user).is_some() {
+                    return Err(format!("user {name:?} is held by two shards"));
                 }
+            }
+            for (name, reports) in counts {
+                if let Some(user) = state.users.get_mut(name) {
+                    user.reports = reports;
+                }
+            }
+        }
+        if sections > 1 {
+            state.log.sort_by_key(|(seq, _)| *seq);
+            let rows = state.aggregates.domain_names().count();
+            if rows > SiteAggregates::MAX_ROWS {
+                return Err(format!(
+                    "{rows} aggregate domains, past the bound of {}",
+                    SiteAggregates::MAX_ROWS
+                ));
             }
         }
         if let Some(unused) = used.iter().position(|used| !used) {
@@ -239,8 +251,8 @@ impl UserState {
         }
     }
 
-    /// Inverse of `write_image`; a row before version 0x03 has no
-    /// `reports`, so `counted` is false for it.
+    /// Inverse of `write_image`; a version 0x02 row has no `reports`, so
+    /// `counted` is false for it.
     fn read_image(r: &mut Reader<'_>, counted: bool) -> Result<UserState, String> {
         let index = |r: &mut Reader<'_>, what: &str| {
             let raw = r.u64(what)?;

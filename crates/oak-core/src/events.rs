@@ -36,14 +36,15 @@
 //! happened and what happened to the user's state are read off the same
 //! value.
 //!
-//! # Sequencing and shards
+//! # Sequencing
 //!
 //! Event sequence numbers are allocated while the emitting operation
-//! still holds its engine locks, so for any two events that touch the
-//! same lock (same user shard, or the rule table), sequence order equals
-//! application order. Events for different shards commute, which is what
-//! lets the WAL keep one segment per shard and merge by sequence number
-//! on recovery.
+//! still holds its engine locks, so for any two events that take the
+//! same lock (the state, or the rule table's write lock) sequence order
+//! equals application order. Two that do not — a rule edit holds only
+//! the table, a prune only the state — commute, and may reach the sink
+//! in either order: the WAL is one stream of frames, which recovery
+//! reads back sorted by sequence number.
 //!
 //! # Byte layout
 //!
@@ -107,15 +108,16 @@ use crate::rule::{Rule, RuleId};
 use crate::spec;
 use crate::time::Instant;
 
-/// Where emitted events go. `oak-store` implements this over per-shard
-/// WAL segments; tests implement it over a `Mutex<Vec<_>>`.
+/// Where emitted events go. `oak-store` implements this over one WAL
+/// stream; tests implement it over a `Mutex<Vec<_>>`.
 ///
 /// `record` is called while the engine still holds the locks the
-/// mutation took, so per-shard calls are already serialized in sequence
-/// order; implementations must not call back into the engine.
+/// mutation took; implementations must not call back into the engine.
 pub trait EventSink: Send + Sync {
-    /// Persists one event. `shard` is the user-state stripe the event
-    /// belongs to, or `None` for rule-table (engine-global) events.
+    /// Persists one event. The engine passes `None` for `shard`: it keeps
+    /// one state, not stripes of it. The parameter stays while the
+    /// benchmark harness (`bench/`), which implements this trait, cannot
+    /// change with it.
     fn record(&self, shard: Option<usize>, event: &SequencedEvent);
 }
 
@@ -182,8 +184,8 @@ pub enum EngineEvent {
         /// `(log sequence, rule)` per expiry, in log order.
         expired: Vec<(u64, RuleId)>,
     },
-    /// [`crate::engine::Oak::prune_inactive_users`] dropped these users
-    /// from one shard. Recording the resolved user list (not the cutoff)
+    /// [`crate::engine::Oak::prune_inactive_users`] dropped these users,
+    /// one event a sweep. Recording the resolved user list (not the cutoff)
     /// keeps replay exact even though per-user `last_seen` clocks are
     /// only approximately reconstructed.
     Pruned {
@@ -786,7 +788,7 @@ pub(crate) const MIN_RECORD_BYTES: usize = 8 + 8 + 4 + 4 + 1;
 impl LogEvent {
     /// Appends the `record` layout: the log sequence number, then the
     /// entry — one element of an ingest's `records` and of a state
-    /// image's shard log ([`crate::engine::Oak::state_image`]).
+    /// image's log ([`crate::engine::Oak::state_image`]).
     pub(crate) fn encode_record(&self, seq: u64, out: &mut Vec<u8>) {
         put_u64(out, seq);
         put_u64(out, self.time.as_millis());

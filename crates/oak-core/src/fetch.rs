@@ -4,7 +4,7 @@
 //! bodies (§4.2.2), which puts third-party hosts on the report-ingest
 //! path — and third-party hosts are routinely slow or dead. A naive
 //! fetcher lets one hung host stall `ingest_report_from` indefinitely
-//! and block a whole engine shard. [`ResilientFetcher`] decorates any
+//! while it holds the engine's state lock, blocking every user. [`ResilientFetcher`] decorates any
 //! [`ScriptFetcher`] with the standard defenses:
 //!
 //! - a **per-attempt deadline**: the inner fetch runs on a helper thread

@@ -24,14 +24,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Lock stripes; must be a power of two. Matches the engine's shard
-/// count so contention behaves the same under the bench workloads.
-const STRIPES: usize = 16;
-
 /// A concurrent, capacity-capped intern table keyed by FNV-1a of the
-/// lowercased bytes.
+/// lowercased bytes, behind one lock.
 pub struct Interner {
-    stripes: Vec<Mutex<HashMap<u64, Vec<Arc<str>>>>>,
+    table: Mutex<HashMap<u64, Vec<Arc<str>>>>,
     interned: AtomicUsize,
 }
 
@@ -53,7 +49,7 @@ impl Interner {
     /// An empty interner.
     pub fn new() -> Interner {
         Interner {
-            stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
+            table: Mutex::new(HashMap::new()),
             interned: AtomicUsize::new(0),
         }
     }
@@ -63,8 +59,7 @@ impl Interner {
     /// or every time, for a name over [`Interner::MAX_NAME`] bytes.
     pub fn intern_lower(&self, s: &str) -> Arc<str> {
         let hash = fnv1a_lower(s);
-        let stripe = &self.stripes[(hash as usize) & (STRIPES - 1)];
-        let mut table = stripe.lock().unwrap_or_else(|e| e.into_inner());
+        let mut table = self.table.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(bucket) = table.get(&hash) {
             if let Some(hit) = bucket.iter().find(|c| eq_lower(c, s)) {
                 return Arc::clone(hit);

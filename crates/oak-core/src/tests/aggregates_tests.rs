@@ -163,8 +163,7 @@ fn engine_exposes_aggregates() {
     assert_eq!(agg.worst_domains()[0].0, "slow.example");
 }
 
-/// The history behind `tests/golden/aggregates_snapshot.json`: 24 users
-/// over the 16 shards (so some shards hold several users, some none),
+/// The history behind `tests/golden/aggregates_snapshot.json`: 24 users,
 /// every user on the two shared hosts, thirds of them on hosts the
 /// others never touch, one host spelled in mixed case, one host on two
 /// IPs, returning users, and a violator.
@@ -246,7 +245,7 @@ fn golden_aggregates_snapshot_is_written_byte_for_byte() {
     let golden = std::fs::read_to_string(&path).expect("golden file present");
     let golden = golden.trim_end();
     assert!(
-        golden.contains(r#""domain":"only-1.example""#) && golden.contains(r#""violations":1"#)
+        golden.contains(r#""domain":"only-1.example""#) && golden.contains(r#""violations":9"#)
     );
     assert_eq!(
         written, golden,
@@ -297,7 +296,7 @@ fn users_seen_is_within_the_sketch_bound() {
 
 /// One user sends `n` reports of 1,000 hosts no report names twice (the
 /// measurement that found a reporter growing the image without bound):
-/// the rows stop at the shard's bound, the rest folds into `other`
+/// the rows stop at the engine's bound, the rest folds into `other`
 /// without losing a count, and the image stops growing.
 #[test]
 fn one_reporter_cannot_grow_the_aggregates() {
@@ -332,11 +331,12 @@ fn one_reporter_cannot_grow_the_aggregates() {
         }
     }
     // Every row full: the image is the same size at 200 reports and at
-    // 400, and under what a shard's rows can take up.
+    // 400, and under what the rows can take up.
     assert_eq!(images[0], images[1]);
     assert!(images[1] < SiteAggregates::MAX_ROWS * 256, "{}", images[1]);
 
-    // A name no DNS host can have never gets a row, in a shard with room.
+    // A name no DNS host can have never gets a row, in aggregates with
+    // room.
     let long = format!("{}.example", "x".repeat(292));
     assert_eq!(long.len(), 300);
     let mut agg = SiteAggregates::default();
@@ -406,7 +406,7 @@ mod against_the_model {
         users: BTreeSet<String>,
     }
 
-    /// One shard in the reference fold: its rows, and every user it
+    /// One accumulator in the reference fold: its rows, and every user it
     /// folded, whatever the report named.
     #[derive(Clone, Debug, Default)]
     struct Model {
@@ -509,11 +509,11 @@ mod against_the_model {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Any history of folds and merges — users confined to a shard
-        /// or not — leaves every row with the reference fold's objects,
+        /// Any history of folds and merges — users confined to one
+        /// accumulator or not — leaves every row with the reference fold's objects,
         /// bytes, violations and stats exactly, and with the sketch of
         /// the reference's exact user set, whose estimate is within the
-        /// stated bound of that set's size; the shard's own sketch is the
+        /// stated bound of that set's size; the accumulator's own sketch is the
         /// sketch of every user it folded; and its part of a state image
         /// reads back into an equal accumulator.
         #[test]
@@ -558,7 +558,7 @@ mod against_the_model {
                 }
                 let table: Vec<&str> = shard.domain_names().collect();
                 let mut image = Vec::new();
-                shard.write_image(&mut image, &table);
+                shard.write_image(&mut image);
                 let table: Vec<Arc<str>> = table.into_iter().map(Arc::from).collect();
                 let mut reader = crate::events::Reader::new(&image);
                 let mut used = vec![false; table.len()];

@@ -590,9 +590,7 @@ fn concurrent_disjoint_users_keep_independent_state() {
 }
 
 #[test]
-fn log_merges_across_shards_in_ingestion_order() {
-    // Users land on different state shards, but the merged log must
-    // still read back in exact ingestion order.
+fn the_log_reads_back_in_ingestion_order() {
     let (oak, _) = engine_with_jq_rule(&[JQ_ALT_B]);
     let users = ["u-a", "u-b", "u-c", "u-d", "u-e"];
     for user in users {
@@ -604,7 +602,7 @@ fn log_merges_across_shards_in_ingestion_order() {
 }
 
 #[test]
-fn aggregates_merge_is_exact_across_shards() {
+fn aggregates_count_every_report_and_user() {
     let (oak, _) = engine_with_jq_rule(&[JQ_ALT_B]);
     for t in 0..20 {
         let user = format!("agg-u{t}");
@@ -620,11 +618,7 @@ fn aggregates_merge_is_exact_across_shards() {
     // 20 is the sketch's estimate for these twenty names, which happens
     // to be exact: they fill 17 registers, and 64 · ln(64 / 47) rounds
     // to 20. A change to `UserSketch::key` may move it within its bound.
-    assert_eq!(
-        img.users_seen(),
-        20,
-        "per-shard sketches merge to the union's"
-    );
+    assert_eq!(img.users_seen(), 20, "the sketch counts every user");
     // 2 png objects x 2 reports x 20 users.
     assert_eq!(img.small_time_ms.count, 80);
 }

@@ -2,7 +2,8 @@
 //! engine histories, the hostile-image suite (truncation, bit flips,
 //! counts and indexes that lie — error, never panic, never over-allocate),
 //! a golden file that makes a layout change a deliberate re-bless, and
-//! the version 0x01 and 0x02 goldens, which this build still reads.
+//! the version 0x02 and 0x03 goldens, which this build still reads,
+//! folding their sixteen shards into one.
 //!
 //! Regenerate the golden file after an intentional layout change with
 //! `OAK_BLESS=1 cargo test -p oak-core golden`.
@@ -15,9 +16,7 @@ use proptest::prelude::*;
 use super::engine_props::{op_strategy, run_ops, Journal};
 use super::peak_alloc_during;
 use crate::aggregates::SiteAggregates;
-use crate::engine::{
-    Oak, OakConfig, SHARD_COUNT, STATE_IMAGE_V1, STATE_IMAGE_V2, STATE_IMAGE_VERSION,
-};
+use crate::engine::{Oak, OakConfig, STATE_IMAGE_V2, STATE_IMAGE_V3, STATE_IMAGE_VERSION};
 use crate::events::{put_len, put_str, put_u32, put_u64};
 use crate::matching::NoFetch;
 use crate::report::{ObjectTiming, PerfReport};
@@ -46,12 +45,14 @@ fn report(user: &str, slow_host: &str, slow_ms: f64) -> PerfReport {
     r
 }
 
-/// The engine behind `tests/golden/state_image_v3.hex` and its older
+/// The engine behind `tests/golden/state_image_v4.hex` and its older
 /// versions: every part of the layout populated by three users —
 /// activations forced and earned, a pending count, log records of all
 /// four kinds, a pruned user the aggregates' sketches and the log still
-/// remember (its report count is gone), shards that hold nothing — on a
-/// replicated branch (epoch 3), with event sequence numbers allocated.
+/// remember (its report count is gone) — on a replicated branch (epoch
+/// 3), with event sequence numbers allocated. Every timing is dyadic, so
+/// the sums of an older image's sixteen shards add up exactly to one
+/// engine's.
 fn golden_engine() -> Oak {
     let mut oak = Oak::new(OakConfig::default());
     oak.set_event_sink(Arc::new(Journal::default()));
@@ -194,6 +195,7 @@ const ZERO_AGGREGATE: [u8; 3 * 8 + 2 * 32 + 64] = [0; 3 * 8 + 2 * 32 + 64];
 /// A shard's user sketch, empty.
 const EMPTY_SKETCH: [u8; 64] = [0; 64];
 
+/// An empty section: of a version 0x04 image, or one shard of a 0x03.
 fn empty_shard(out: &mut Vec<u8>) {
     put_u64(out, 0); // reports
     put_len(out, 0); // domains
@@ -212,23 +214,25 @@ fn empty_v2_shard(out: &mut Vec<u8>) {
     }
 }
 
-fn empty_v1_shard(out: &mut Vec<u8>) {
-    put_u64(out, 0); // reports
-    for _ in 0..4 {
-        put_len(out, 0); // domains, aggregate users, log, users
-    }
-}
+/// The shards of a version 0x03 or 0x02 image.
+const LEGACY_SHARDS: usize = 16;
 
-/// A hand-built image of `version`: no rules, `table`, shard 0 as
-/// `shard` writes it, fifteen more as `empty` does.
+/// A hand-built image of `version`: no rules, `table`, then what
+/// `section` writes — and before version 0x04, the shard count first and
+/// as many empty shards after as make sixteen, `empty` writing each.
+/// `shards` says how many `section` writes.
 fn image_of(
     version: u8,
     table: &[&str],
-    shard: impl FnOnce(&mut Vec<u8>),
+    shards: usize,
+    section: impl FnOnce(&mut Vec<u8>),
     empty: fn(&mut Vec<u8>),
 ) -> Vec<u8> {
+    let legacy = version != STATE_IMAGE_VERSION;
     let mut out = vec![version];
-    put_len(&mut out, SHARD_COUNT);
+    if legacy {
+        put_len(&mut out, LEGACY_SHARDS);
+    }
     for _ in 0..3 {
         put_u64(&mut out, 0); // event_seq, log_seq, epoch
     }
@@ -238,51 +242,38 @@ fn image_of(
     for name in table {
         put_str(&mut out, name);
     }
-    shard(&mut out);
-    for _ in 1..SHARD_COUNT {
-        empty(&mut out);
+    section(&mut out);
+    if legacy {
+        for _ in shards..LEGACY_SHARDS {
+            empty(&mut out);
+        }
     }
     out
 }
 
-fn image_with(table: &[&str], shard: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    image_of(STATE_IMAGE_VERSION, table, shard, empty_shard)
+fn image_with(table: &[&str], section: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    image_of(STATE_IMAGE_VERSION, table, 1, section, empty_shard)
 }
 
 fn v2_image_with(table: &[&str], shard: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    image_of(STATE_IMAGE_V2, table, shard, empty_v2_shard)
-}
-
-fn v1_image_with(table: &[&str], shard: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    image_of(STATE_IMAGE_V1, table, shard, empty_v1_shard)
-}
-
-/// `n` user names that hash to shard 0, where a hand-built image puts
-/// them, ascending.
-fn shard_zero_users(n: usize) -> Vec<String> {
-    let names = (0..).map(|i| format!("u-{i}"));
-    let on_zero =
-        |name: &String| (crate::engine::shard_key(name) as usize).is_multiple_of(SHARD_COUNT);
-    let mut users: Vec<String> = names.filter(on_zero).take(n).collect();
-    users.sort();
-    users
+    image_of(STATE_IMAGE_V2, table, 1, shard, empty_v2_shard)
 }
 
 /// A `users` row of `version` for a user with no rules, seen at 0.
 fn user_row(out: &mut Vec<u8>, version: u8, name: &str, reports: u64) {
     put_str(out, name);
     put_u64(out, 0); // last_seen
-    if version == STATE_IMAGE_VERSION {
+    if version != STATE_IMAGE_V2 {
         put_u64(out, reports);
     }
     put_len(out, 0); // active
     put_len(out, 0); // pending
 }
 
-/// Shard 0 with an all-zero row for each of `domains` and one user, who
-/// sent the shard's one report.
-fn shard_with(domains: &[u32]) -> impl FnOnce(&mut Vec<u8>) {
-    let domains = domains.to_vec();
+/// A section with an all-zero row for each of `domains` and one user,
+/// `user`, who sent its one report.
+fn section_with(domains: &[u32], user: &str) -> impl FnOnce(&mut Vec<u8>) {
+    let (domains, user) = (domains.to_vec(), user.to_owned());
     move |out| {
         put_u64(out, 1);
         put_len(out, domains.len());
@@ -294,32 +285,7 @@ fn shard_with(domains: &[u32]) -> impl FnOnce(&mut Vec<u8>) {
         out.extend_from_slice(&EMPTY_SKETCH);
         put_len(out, 0); // log
         put_len(out, 1);
-        user_row(out, STATE_IMAGE_VERSION, &shard_zero_users(1)[0], 1);
-    }
-}
-
-/// Shard 0 of a version 0x01 image with `domains` aggregate rows, each
-/// of its index + 1 objects, and one aggregate user, counted under
-/// `counted`.
-fn v1_shard_with(domains: &[u32], counted: &[u32]) -> impl FnOnce(&mut Vec<u8>) {
-    let (domains, counted) = (domains.to_vec(), counted.to_vec());
-    move |out| {
-        put_u64(out, 1);
-        put_len(out, domains.len());
-        for index in domains {
-            put_u32(out, index);
-            put_u64(out, u64::from(index) + 1);
-            out.extend_from_slice(&[0; 3 * 8 + 2 * 32]);
-        }
-        put_len(out, 1);
-        put_str(out, "u-1");
-        put_u64(out, 1);
-        put_len(out, counted.len());
-        for index in counted {
-            put_u32(out, index);
-        }
-        put_len(out, 0); // log
-        put_len(out, 0); // users
+        user_row(out, STATE_IMAGE_VERSION, &user, 1);
     }
 }
 
@@ -328,10 +294,10 @@ fn hand_built_images_are_the_layout() {
     let empty = Oak::new(OakConfig::default());
     assert_eq!(image_with(&[], empty_shard), empty.state_image().1);
     let two = ["a.example", "b.example"];
-    let loaded = load(&image_with(&two, shard_with(&[0, 1]))).expect("loads");
+    let loaded = load(&image_with(&two, section_with(&[0, 1], "u-1"))).expect("loads");
     let aggregates = loaded.aggregates();
     assert_eq!(aggregates.report_count(), 1);
-    assert_eq!(loaded.reports_from(&shard_zero_users(1)[0]), 1);
+    assert_eq!(loaded.reports_from("u-1"), 1);
     assert!(aggregates.domain("b.example").is_some());
 }
 
@@ -341,8 +307,7 @@ fn hand_built_images_are_the_layout() {
 /// dropped, as a prune drops it.
 #[test]
 fn a_v2_shard_gives_its_counts_to_the_users_it_still_holds() {
-    let users = shard_zero_users(2);
-    let (held, pruned) = (&users[0], &users[1]);
+    let (held, pruned) = ("u-1", "u-2");
     let image = v2_image_with(&[], |out| {
         put_u64(out, 7); // reports
         put_len(out, 0); // domains
@@ -364,82 +329,51 @@ fn a_v2_shard_gives_its_counts_to_the_users_it_still_holds() {
     assert_eq!(loaded.state_image().1[0], STATE_IMAGE_VERSION);
 }
 
-/// A version 0x01 user row counted the user only under domains its own
-/// shard aggregates: a fold counted it only under the key it just folded
-/// into. An image whose user names a domain that only another shard
-/// aggregates, or that no shard does, is refused.
+/// An engine keeps at most [`SiteAggregates::MAX_ROWS`] rows: this build
+/// writes no more, and reads no more — in one section, or in the sixteen
+/// shards of an older image, whose rows are merged before they count.
 #[test]
-fn a_v1_image_whose_user_counts_a_domain_its_shard_does_not_aggregate_is_refused() {
-    let two = ["a.example", "b.example"];
-    let refusal = "counted domain 1 (\"b.example\") has no aggregate row in its shard";
-    let mut elsewhere = v1_image_with(&two, |out| {
-        v1_shard_with(&[0], &[1])(out);
-        v1_shard_with(&[1], &[1])(out);
-    });
-    // Shard 1 is written above, so one empty shard too many follows.
-    elsewhere.truncate(elsewhere.len() - (8 + 4 * 4));
-    assert_eq!(load_hostile(&elsewhere).unwrap_err(), refusal);
-    let nowhere = v1_image_with(&two, v1_shard_with(&[0], &[1]));
-    assert_eq!(load_hostile(&nowhere).unwrap_err(), refusal);
-    // The same user counted where it is aggregated loads.
-    let mut listed = v1_image_with(&two, |out| {
-        v1_shard_with(&[0], &[0])(out);
-        v1_shard_with(&[1], &[1])(out);
-    });
-    listed.truncate(listed.len() - (8 + 4 * 4));
-    assert!(load_hostile(&listed).is_ok());
-}
-
-/// A shard keeps at most [`SiteAggregates::MAX_ROWS`] rows: this build
-/// writes no more, and reads no more. A version 0x01 shard's lists of
-/// domains per user become sketches, and past the bound it keeps its
-/// first rows in image order — its table's, not the log's, so two
-/// replicas that boot one v1 history from snapshots at different
-/// watermarks may keep different rows — and folds the rest into
-/// `other`: counts, stats and users.
-#[test]
-fn a_shard_holds_at_most_its_bound_of_rows() {
+fn an_image_holds_at_most_the_bound_of_rows() {
     let names: Vec<String> = (0..=SiteAggregates::MAX_ROWS)
         .map(|i| format!("d{i:05}.example"))
         .collect();
     let names: Vec<&str> = names.iter().map(String::as_str).collect();
     let indexes: Vec<u32> = (0..names.len() as u32).collect();
     let (bound, over) = (&indexes[..SiteAggregates::MAX_ROWS], &indexes[..]);
-
-    assert!(load(&image_with(&names[..bound.len()], shard_with(bound))).is_ok());
-    assert_eq!(
-        load(&image_with(&names, shard_with(over))).unwrap_err(),
-        format!(
-            "{} aggregate domains in a shard, which keeps at most {}",
-            over.len(),
-            bound.len()
-        )
+    let refusal = format!(
+        "{} aggregate domains, past the bound of {}",
+        over.len(),
+        bound.len()
     );
 
-    let last = *over.last().unwrap();
-    let v1 = load(&v1_image_with(&names, v1_shard_with(over, &[0, last]))).expect("loads");
-    let aggregates = v1.aggregates();
-    let kept: Vec<(&str, u64)> = aggregates
-        .iter()
-        .map(|(name, agg)| (name, agg.objects))
-        .collect();
-    let first: Vec<(&str, u64)> = names[..SiteAggregates::MAX_ROWS]
-        .iter()
-        .zip(1..)
-        .map(|(&name, objects)| (name, objects))
-        .collect();
-    assert_eq!(kept, first);
-    assert_eq!(aggregates.other().objects, u64::from(last) + 1);
-    assert_eq!(aggregates.other().users_seen(), 1);
-    assert_eq!(aggregates.domain(names[0]).unwrap().users_seen(), 1);
-    let again = load(&v1.state_image().1).expect("its image loads");
-    assert_eq!(document(&again), document(&v1));
+    let at_bound = image_with(&names[..bound.len()], section_with(bound, "u-1"));
+    assert!(load(&at_bound).is_ok());
+    let one = image_with(&names, section_with(over, "u-1"));
+    assert_eq!(load(&one).unwrap_err(), refusal);
+
+    let (low, high) = over.split_at(over.len() / 2);
+    let two_shards = |low: &[u32], high: &[u32]| {
+        image_of(
+            STATE_IMAGE_V3,
+            &names[..low.len() + high.len()],
+            2,
+            |out| {
+                section_with(low, "u-1")(out);
+                section_with(high, "u-2")(out);
+            },
+            empty_shard,
+        )
+    };
+    assert_eq!(load(&two_shards(low, high)).unwrap_err(), refusal);
+    let (low, high) = bound.split_at(bound.len() / 2);
+    let merged = load(&two_shards(low, high)).expect("a bound's worth of rows loads");
+    assert_eq!(merged.aggregates().iter().count(), SiteAggregates::MAX_ROWS);
 }
 
 #[test]
 fn lying_counts_fail_before_they_allocate() {
     // Every count the header region has, claiming four billion elements.
-    let prefix = 1 + 4 + 3 * 8 + 4;
+    let prefix = 1 + 3 * 8 + 4;
     let lie = |image: &mut Vec<u8>, at: usize| {
         image[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     };
@@ -460,7 +394,7 @@ fn lying_counts_fail_before_they_allocate() {
         .unwrap_err()
         .starts_with("4294967295 domain table cannot fit in the "));
 
-    // And every count of a shard, each with room for a hundred elements
+    // And every count of the section, each with room for a hundred elements
     // behind it but not the thousand it claims.
     let counts = ["aggregate domains", "log records", "users"];
     for (nth, what) in counts.iter().enumerate() {
@@ -492,17 +426,6 @@ fn lying_counts_fail_before_they_allocate() {
     assert!(load_hostile(&listed)
         .unwrap_err()
         .starts_with("1000 aggregate users cannot fit in the "));
-    let counted = v1_image_with(&[], |out| {
-        put_u64(out, 0);
-        put_len(out, 0);
-        put_len(out, 1);
-        put_str(out, "u-1");
-        put_u64(out, 1);
-        put_len(out, 100_000);
-    });
-    assert!(load_hostile(&counted)
-        .unwrap_err()
-        .starts_with("100000 counted domains cannot fit in the "));
 }
 
 #[test]
@@ -512,17 +435,35 @@ fn rejects_what_is_not_this_layout() {
     let err = |image: &[u8]| load_hostile(image).unwrap_err();
 
     let mut future = good.clone();
-    future[0] = 4;
+    future[0] = 5;
     assert_eq!(
         err(&future),
-        "unsupported state image version 0x04 (expected 0x01, 0x02 or 0x03)"
+        "unsupported state image version 0x05 (expected 0x02, 0x03 or 0x04)"
     );
+    let mut v1 = good.clone();
+    v1[0] = 1;
+    assert!(err(&v1).starts_with("unsupported state image version 0x01"));
     // The byte that opens a snapshot document is not a version.
     assert!(err(br#"{"version":1}"#).starts_with("unsupported state image version 0x7b"));
 
-    let mut shards = good.clone();
+    // An older image has sixteen shards, and they hold disjoint users.
+    let mut shards = image_of(STATE_IMAGE_V3, &[], 0, |_| {}, empty_shard);
     shards[1] = 17;
-    assert_eq!(err(&shards), "state image has 17 shards, engine has 16");
+    assert_eq!(
+        err(&shards),
+        "state image version 0x03 has 17 shards, not 16"
+    );
+    let twice = image_of(
+        STATE_IMAGE_V3,
+        &[],
+        2,
+        |out| {
+            section_with(&[], "u-1")(out);
+            section_with(&[], "u-1")(out);
+        },
+        empty_shard,
+    );
+    assert_eq!(err(&twice), "user \"u-1\" is held by two shards");
 
     let mut trailing = good.clone();
     trailing.push(0);
@@ -530,32 +471,24 @@ fn rejects_what_is_not_this_layout() {
 
     // Domain indexes that lie: past the table, out of order, twice.
     assert_eq!(
-        err(&image_with(&["a.example"], shard_with(&[5]))),
+        err(&image_with(&["a.example"], section_with(&[5], "u-1"))),
         "aggregate domain index 5 is past the 1-entry domain table"
-    );
-    assert_eq!(
-        err(&v1_image_with(&["a.example"], v1_shard_with(&[0], &[1]))),
-        "counted domain index 1 is past the 1-entry domain table"
     );
     let two = ["a.example", "b.example"];
     assert_eq!(
-        err(&image_with(&two, shard_with(&[1, 0]))),
+        err(&image_with(&two, section_with(&[1, 0], "u-1"))),
         "aggregate domain indexes are not strictly ascending"
-    );
-    assert_eq!(
-        err(&v1_image_with(&two, v1_shard_with(&[0, 1], &[1, 1]))),
-        "counted domain indexes are not strictly ascending"
     );
     // One encoding per state: a table out of order, a name nothing uses.
     assert_eq!(
         err(&image_with(
             &["b.example", "a.example"],
-            shard_with(&[0, 1])
+            section_with(&[0, 1], "u-1")
         )),
         "domain names are not strictly ascending"
     );
     assert_eq!(
-        err(&image_with(&two, shard_with(&[0]))),
+        err(&image_with(&two, section_with(&[0], "u-1"))),
         "domain table entry 1 (\"b.example\") is not referred to"
     );
     // A user listed twice.
@@ -572,8 +505,8 @@ fn rejects_what_is_not_this_layout() {
     });
     assert_eq!(err(&twice), "users are not strictly ascending");
 
-    let mut not_utf8 = image_with(&["a.example"], shard_with(&[0]));
-    let name = 1 + 4 + 3 * 8 + 4 + 4 + 4 + 4;
+    let mut not_utf8 = image_with(&["a.example"], section_with(&[0], "u-1"));
+    let name = 1 + 3 * 8 + 4 + 4 + 4 + 4;
     assert_eq!(&not_utf8[name..name + 2], b"a.");
     not_utf8[name] = 0xFF;
     assert_eq!(err(&not_utf8), "domain name is not valid UTF-8");
@@ -601,7 +534,7 @@ fn golden_bytes(text: &str) -> Vec<u8> {
 fn golden_image_is_unchanged() {
     let oak = golden_engine();
     let mut text = String::from(
-        "# Oak::state_image of a populated three-user engine, version 0x03 \
+        "# Oak::state_image of a populated three-user engine, version 0x04 \
          (crates/oak-core/src/engine/image.rs).\n\
          # Re-bless on purpose: OAK_BLESS=1 cargo test -p oak-core golden\n",
     );
@@ -609,7 +542,7 @@ fn golden_image_is_unchanged() {
         text.extend(line.iter().map(|b| format!("{b:02x}")));
         text.push('\n');
     }
-    let path = golden_path("state_image_v3.hex");
+    let path = golden_path("state_image_v4.hex");
     if std::env::var_os("OAK_BLESS").is_some() {
         std::fs::write(&path, &text).unwrap();
     }
@@ -621,12 +554,13 @@ fn golden_image_is_unchanged() {
          bytes — if intentional, bump STATE_IMAGE_VERSION and regenerate with OAK_BLESS=1"
     );
     // And the checked-in bytes still load to the same engine.
-    assert_golden_loads("state_image_v3.hex", STATE_IMAGE_VERSION);
+    assert_golden_loads("state_image_v4.hex", STATE_IMAGE_VERSION);
 }
 
 /// The golden image `file`, of `version` (the older ones read-only,
-/// never re-blessed): it loads to the engine the history builds, the
-/// pruned user's count dropped, and re-images as this version writes it.
+/// never re-blessed, their sixteen shards folded into one): it loads to
+/// the engine the history builds, the pruned user's count dropped, and
+/// re-images as this version writes it.
 fn assert_golden_loads(file: &str, version: u8) {
     let text = std::fs::read_to_string(golden_path(file)).expect("golden present");
     let bytes = golden_bytes(&text);
@@ -644,11 +578,11 @@ fn assert_golden_loads(file: &str, version: u8) {
 }
 
 #[test]
-fn the_v2_golden_image_still_loads() {
-    assert_golden_loads("state_image_v2.hex", STATE_IMAGE_V2);
+fn the_v3_golden_image_still_loads() {
+    assert_golden_loads("state_image_v3.hex", STATE_IMAGE_V3);
 }
 
 #[test]
-fn the_v1_golden_image_still_loads() {
-    assert_golden_loads("state_image.hex", STATE_IMAGE_V1);
+fn the_v2_golden_image_still_loads() {
+    assert_golden_loads("state_image_v2.hex", STATE_IMAGE_V2);
 }

@@ -122,10 +122,9 @@ durability (see DESIGN.md §8):
 
 engine state:
   --audit-retention <entries>
-                           activity-log entries kept in memory PER SHARD;
-                           the engine has 16 shards, so /oak/audit can hold
-                           up to 16x this many. Older entries stay only in
-                           the --store log (default: keep every entry)
+                           activity-log entries kept in memory, in total;
+                           older entries stay only in the --store log
+                           (default: keep every entry)
   --prune-idle-ms <ms>     evict per-user state idle for longer than this
                            (default: never)
   --prune-every <requests> run the idle sweep once every this many

@@ -241,11 +241,10 @@ pub struct PrunePolicy {
 /// The Oak proxy: serves a [`SiteStore`] through the per-user rewriting
 /// engine and ingests client performance reports.
 ///
-/// Thread-safe without an outer lock: the engine is internally sharded
-/// (see [`oak_core::engine::Oak`]'s concurrency docs) and the counters
-/// are atomics, so one service instance backs every worker of an
-/// [`oak_edge::EdgeServer`] directly and requests for different users
-/// proceed in parallel.
+/// Thread-safe without an outer lock: the engine is internally
+/// synchronized (see [`oak_core::engine::Oak`]'s concurrency docs) and
+/// the counters are atomics, so one service instance backs every worker
+/// of an [`oak_edge::EdgeServer`] directly.
 pub struct OakService {
     oak: Oak,
     store: SiteStore,
@@ -681,8 +680,8 @@ impl OakService {
             doc.set("fetch", row);
         }
 
-        // A merge of every shard's rows and sketch: bounded by the rows a
-        // shard keeps, not by the users the engine has seen.
+        // The engine's rows and sketch: bounded by the rows it keeps, not
+        // by the users it has seen.
         let live = self.live_engine();
         let agg = live.as_deref().unwrap_or(&self.oak).aggregates();
         doc.set("reports", agg.report_count());

@@ -422,8 +422,8 @@ fn log_retention_bounds_the_audit_window() {
     let service = OakService::new(oak, store);
 
     // One user cycling activate → deactivate appends two log entries per
-    // round, all in the same shard (retention is per shard — the
-    // worst-case memory bound is `cap × SHARD_COUNT`).
+    // round; retention is a total, so the log never holds more than the
+    // cap.
     let alt_violating = |user: &str| {
         let mut r = violating_report(user);
         r.entries[0] =

@@ -20,7 +20,7 @@
 //! 4. **Rule integrity** — no user is ever left active on a rule that
 //!    no longer exists.
 //! 5. **Bounded memory** — a closed user pool and a configured log
-//!    retention keep shard state and the audit log bounded under any
+//!    retention keep user state and the audit log bounded under any
 //!    schedule.
 //! 6. **Observability consistency** — the end-of-run `/oak/metrics`
 //!    scrape passes the exposition-grammar validator,

@@ -22,7 +22,7 @@ use oak_store::FsyncPolicy;
 
 use crate::rng::SimRng;
 
-/// Users a scenario spreads traffic over (crosses engine shards).
+/// Users a scenario spreads traffic over.
 pub const USERS: usize = 6;
 /// Simulated CDN hosts (and the rule-per-host pool).
 pub const HOSTS: usize = 4;
@@ -309,6 +309,9 @@ impl Scenario {
                 },
                 91..=96 => Step::RestartNode {
                     node: rng.below(nodes as u64),
+                },
+                97..=98 => Step::Prune {
+                    idle_ms: rng.range(50, 500),
                 },
                 _ => Step::CheckHealth,
             });

@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use oak_core::engine::{Oak, OakConfig, SHARD_COUNT};
+use oak_core::engine::{Oak, OakConfig};
 use oak_core::events::{EventSink, SequencedEvent};
 use oak_core::report::{ObjectTiming, PerfReport};
 use oak_core::rule::Rule;
@@ -37,7 +37,7 @@ use crate::fs::{FaultCounters, SimFs, SimFsOptions};
 use crate::overload_oracle::{pressure_of, RefOverload};
 use crate::scenario::{Scenario, Step, HOSTS, USERS};
 
-/// Per-shard in-memory audit-log retention for simulated engines; small
+/// In-memory audit-log retention for simulated engines; small
 /// so the bounded-memory invariant bites.
 pub(crate) const LOG_RETENTION: usize = 32;
 
@@ -568,7 +568,7 @@ impl World<'_> {
                     }
                 }
             }
-            // Bounded memory: the user pool is closed, so shard state and
+            // Bounded memory: the user pool is closed, so user state and
             // the retained log must stay bounded no matter the schedule.
             if oak.user_count() > USERS {
                 return Err((
@@ -576,12 +576,11 @@ impl World<'_> {
                     format!("{} users tracked, workload has {USERS}", oak.user_count()),
                 ));
             }
-            let log_bound = LOG_RETENTION * SHARD_COUNT;
-            if oak.log().len() > log_bound {
+            if oak.log().len() > LOG_RETENTION {
                 return Err((
                     "bounded_memory",
                     format!(
-                        "{} log entries retained, bound {log_bound}",
+                        "{} log entries retained, bound {LOG_RETENTION}",
                         oak.log().len()
                     ),
                 ));

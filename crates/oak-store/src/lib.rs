@@ -12,7 +12,7 @@
 //!    folded), never the raw inputs — so replay needs no script fetcher
 //!    and no clock, and is bit-for-bit deterministic.
 //! 2. [`OakStore`] is an [`oak_core::events::EventSink`] that journals
-//!    those events into CRC-framed, per-shard WAL segments
+//!    those events into one stream of CRC-framed WAL segments
 //!    ([`segment`]), fsyncing on a configurable policy.
 //! 3. [`OakStore::snapshot`] compacts history into one state image
 //!    ([`oak_core::engine::Oak::state_image`]), after which superseded

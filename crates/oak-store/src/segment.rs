@@ -3,12 +3,13 @@
 //! Layout:
 //!
 //! ```text
-//! [magic "OAKSEG01": 8 bytes][shard: u32 LE]          ← segment header
+//! [magic "OAKSEG01": 8 bytes][reserved: u32 LE]       ← segment header
 //! [len: u32 LE][crc32: u32 LE][payload: len bytes]    ← frame, repeated
 //! ```
 //!
-//! The shard field names the engine shard whose events the segment holds;
-//! [`META_SHARD`] marks the global segment (rule-table events). Frames are
+//! This build writes 0 in the reserved field and nothing reads it; builds
+//! that striped the engine wrote there the shard whose events the segment
+//! held (`u32::MAX` for rule edits). Frames are
 //! self-delimiting and check-summed, so a reader can walk a segment and
 //! stop at the first frame whose length or CRC does not hold — everything
 //! before that point is valid history, everything after is a torn tail.
@@ -21,15 +22,13 @@ use crate::crc32::crc32;
 
 /// Magic prefix of every WAL segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"OAKSEG01";
-/// Shard field value naming the global (rule-table) segment.
-pub const META_SHARD: u32 = u32::MAX;
 /// Upper bound on one WAL or stream frame's payload: a reader that has
 /// not seen the whole frame yet takes a larger length for corruption
 /// rather than buffer towards it, so no writer may produce one.
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 /// Fixed per-frame overhead: `[len: u32][crc: u32]`.
 pub const FRAME_OVERHEAD: usize = 8;
-/// Fixed segment header size: magic plus the shard field.
+/// Fixed segment header size: magic plus the reserved field.
 pub const SEGMENT_HEADER: usize = SEGMENT_MAGIC.len() + 4;
 
 /// The `[len: u32 LE][crc32: u32 LE]` that precedes `payload` in its
@@ -154,9 +153,6 @@ pub fn decode_file_frame(buf: &[u8], offset: usize) -> Option<(&[u8], usize)> {
 /// Everything salvageable from one segment file's bytes.
 #[derive(Debug)]
 pub struct SegmentContents<'a> {
-    /// The engine shard the segment belongs to; `None` for the global
-    /// segment.
-    pub shard: Option<usize>,
     /// Valid frames in file order: the offset of the frame in the file,
     /// and its payload.
     pub frames: Vec<(usize, &'a [u8])>,
@@ -174,7 +170,6 @@ pub struct SegmentContents<'a> {
 /// but never filled (all zeroes, whose CRC is zero) reads as.
 pub fn parse_segment(buf: &[u8]) -> SegmentContents<'_> {
     let mut contents = SegmentContents {
-        shard: None,
         frames: Vec::new(),
         clean: false,
     };
@@ -184,12 +179,6 @@ pub fn parse_segment(buf: &[u8]) -> SegmentContents<'_> {
     if &header[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
         return contents;
     }
-    let shard = u32::from_le_bytes(header[SEGMENT_MAGIC.len()..].try_into().expect("4 bytes"));
-    contents.shard = if shard == META_SHARD {
-        None
-    } else {
-        Some(shard as usize)
-    };
     let mut offset = SEGMENT_HEADER;
     while let Some((payload, next)) = decode_frame(buf, offset) {
         if payload.is_empty() {
@@ -215,25 +204,17 @@ pub struct SegmentWriter {
 impl SegmentWriter {
     /// Creates the file at `path` on the real filesystem and writes the
     /// segment header. See [`SegmentWriter::create_with`].
-    pub fn create(path: PathBuf, shard: Option<usize>) -> io::Result<Self> {
-        SegmentWriter::create_with(&RealFs, path, shard)
+    pub fn create(path: PathBuf) -> io::Result<Self> {
+        SegmentWriter::create_with(&RealFs, path)
     }
 
     /// Creates the file at `path` through `backend` and writes the
     /// segment header. The new directory entry is durable only once the
     /// caller syncs the parent directory.
-    pub fn create_with(
-        backend: &dyn StorageBackend,
-        path: PathBuf,
-        shard: Option<usize>,
-    ) -> io::Result<Self> {
+    pub fn create_with(backend: &dyn StorageBackend, path: PathBuf) -> io::Result<Self> {
         let mut file = backend.create(&path)?;
-        let shard_field = match shard {
-            Some(index) => index as u32,
-            None => META_SHARD,
-        };
         file.write_all(SEGMENT_MAGIC)?;
-        file.write_all(&shard_field.to_le_bytes())?;
+        file.write_all(&0u32.to_le_bytes())?;
         Ok(SegmentWriter {
             file,
             path,

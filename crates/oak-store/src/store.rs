@@ -1,13 +1,14 @@
-//! The store proper: per-shard WAL writers, snapshots, compaction, and
-//! crash recovery.
+//! The store proper: the WAL writer, snapshots, compaction, and crash
+//! recovery.
 //!
 //! One [`OakStore`] owns a directory. Inside it live:
 //!
-//! - `seg-SS-NNNNNNNN.wal` — WAL segments, one live segment per engine
-//!   shard plus one global segment (`SS` = shard slot, `16` for global;
-//!   `NNNNNNNN` = allocation counter). Events land in the segment of the
-//!   shard they mutate, so shard-parallel ingest never contends on one
-//!   file; recovery merges segments by global sequence number.
+//! - `seg-00-NNNNNNNN.wal` — WAL segments, one live at a time (`NNNNNNNN`
+//!   = allocation counter). Every event lands in it; recovery reads the
+//!   segments back sorted by sequence number. Builds that striped the
+//!   engine kept one live segment per shard, `SS` in `seg-SS-` naming
+//!   it (`16` for rule edits); a boot reads those the same way, and
+//!   nothing else reads `SS`.
 //! - `seg-SS-NNNNNNNN-MMMMMMMMMMMMMMMMMMMM.wal` — a *sealed* segment: one
 //!   nobody appends to any more, renamed to carry `M`, the highest
 //!   sequence number in it, so a reader whose range starts past `M` can
@@ -28,7 +29,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use oak_core::engine::{Oak, OakConfig, SHARD_COUNT};
+use oak_core::engine::{Oak, OakConfig};
 use oak_core::events::{EventSink, SequencedEvent};
 
 use crate::backend::{RealFs, StorageBackend};
@@ -75,8 +76,8 @@ pub const RECENT_TAIL_CAP: usize = 1024;
 pub enum FsyncPolicy {
     /// `fdatasync` after every event. Survives power loss; slowest.
     Always,
-    /// `fdatasync` once every N events per segment. Bounds loss to the
-    /// last N events of each shard.
+    /// `fdatasync` once every N events. Bounds loss to the last N
+    /// events.
     EveryN(u64),
     /// Never fsync explicitly; the OS flushes on its own schedule.
     /// Survives process crashes (the page cache persists), not power
@@ -117,16 +118,15 @@ struct ClosedSegment {
     max_seq: u64,
 }
 
-/// The write half: an [`EventSink`] that journals engine events into
-/// per-shard WAL segments and periodically compacts them into snapshots.
+/// The write half: an [`EventSink`] that journals engine events into WAL
+/// segments and periodically compacts them into snapshots.
 #[derive(Debug)]
 pub struct OakStore {
     backend: Arc<dyn StorageBackend>,
     dir: PathBuf,
     options: StoreOptions,
-    /// One slot per engine shard plus the global slot at `SHARD_COUNT`.
-    /// Writers open lazily on first use so idle shards cost nothing.
-    slots: Vec<Mutex<Option<SegmentWriter>>>,
+    /// The live segment: opened on the first append after a rotation.
+    live: Mutex<Option<SegmentWriter>>,
     closed: Mutex<Vec<ClosedSegment>>,
     segment_ids: AtomicU64,
     events_recorded: AtomicU64,
@@ -180,7 +180,7 @@ impl OakStore {
             backend,
             dir,
             options,
-            slots: (0..=SHARD_COUNT).map(|_| Mutex::new(None)).collect(),
+            live: Mutex::new(None),
             closed: Mutex::new(Vec::new()),
             segment_ids: AtomicU64::new(next_id),
             events_recorded: AtomicU64::new(0),
@@ -300,15 +300,13 @@ impl OakStore {
         )
     }
 
-    /// Flushes every open segment to stable storage regardless of the
+    /// Flushes the live segment to stable storage regardless of the
     /// fsync policy.
     pub fn sync_all(&self) -> io::Result<()> {
-        for slot in &self.slots {
-            if let Some(writer) = self.lock_slot(slot).as_mut() {
-                writer.sync()?;
-            }
+        match self.lock_live().as_mut() {
+            Some(writer) => writer.sync(),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Whether `snapshot_every_events` have accumulated since the last
@@ -331,9 +329,9 @@ impl OakStore {
 
     /// Writes a compacted snapshot of `oak` and retires superseded files.
     ///
-    /// The engine quiesces (all shard locks) only while the state is
+    /// The engine quiesces (its state lock) only while the state is
     /// encoded; the write, fsync, and atomic rename happen outside the
-    /// locks. Afterwards every live segment is rotated out and sealed,
+    /// locks. Afterwards the live segment is rotated out and sealed,
     /// snapshots beyond `keep_snapshots` are pruned, and every segment
     /// whose events all predate the *oldest kept* snapshot's watermark is
     /// deleted — so if the newest snapshot ever fails its checksum, the
@@ -400,12 +398,10 @@ impl OakStore {
         *last = at;
         self.events_since_snapshot.store(0, Ordering::Relaxed);
 
-        // Rotate every live segment out; new ones open lazily.
-        for slot in &self.slots {
-            let writer = self.lock_slot(slot).take();
-            if let Some(writer) = writer {
-                self.retire(writer)?;
-            }
+        // Rotate the live segment out; the next append opens a new one.
+        let writer = self.lock_live().take();
+        if let Some(writer) = writer {
+            self.retire(writer)?;
         }
 
         // Delete the snapshots of a branch the engine left (see
@@ -481,7 +477,7 @@ impl OakStore {
             .file_name()
             .and_then(|name| parse_segment_name(name.to_str()?))
             .filter(|name| name.sealed.is_none())
-            .map(|name| path.with_file_name(sealed_segment_name(name.slot, name.id, max_seq)));
+            .map(|name| path.with_file_name(sealed_segment_name(name.id, max_seq)));
         let path = match sealed {
             Some(sealed) if self.backend.rename(&path, &sealed).is_ok() => sealed,
             _ => path,
@@ -489,25 +485,16 @@ impl OakStore {
         ClosedSegment { path, max_seq }
     }
 
-    fn lock_slot<'a>(
-        &self,
-        slot: &'a Mutex<Option<SegmentWriter>>,
-    ) -> std::sync::MutexGuard<'a, Option<SegmentWriter>> {
-        slot.lock().expect("segment slot lock")
+    fn lock_live(&self) -> std::sync::MutexGuard<'_, Option<SegmentWriter>> {
+        self.live.lock().expect("live segment lock")
     }
 
-    fn append_to_slot(&self, index: usize, seq: u64, frame: &[u8]) -> io::Result<()> {
-        let slot = &self.slots[index];
-        let mut guard = self.lock_slot(slot);
+    fn append(&self, seq: u64, frame: &[u8]) -> io::Result<()> {
+        let mut guard = self.lock_live();
         if guard.is_none() {
             let id = self.segment_ids.fetch_add(1, Ordering::Relaxed);
-            let path = self.dir.join(segment_name(index, id));
-            let shard = if index == SHARD_COUNT {
-                None
-            } else {
-                Some(index)
-            };
-            *guard = Some(SegmentWriter::create_with(&*self.backend, path, shard)?);
+            let path = self.dir.join(segment_name(id));
+            *guard = Some(SegmentWriter::create_with(&*self.backend, path)?);
             // The new segment's directory entry must be durable before
             // any frame in it is acknowledged: data-only fsyncs pin the
             // bytes to an inode a crash could otherwise leave nameless.
@@ -540,12 +527,11 @@ impl OakStore {
 }
 
 impl EventSink for OakStore {
-    fn record(&self, shard: Option<usize>, event: &SequencedEvent) {
-        let index = shard.unwrap_or(SHARD_COUNT).min(SHARD_COUNT);
+    fn record(&self, _shard: Option<usize>, event: &SequencedEvent) {
         let frame = build_frame(|out| event.encode_into(out));
         let _span = oak_obs::span("wal_append");
         let start = self.obs.get().map(|o| o.now());
-        let result = self.append_to_slot(index, event.seq, &frame);
+        let result = self.append(event.seq, &frame);
         if let Some(obs) = self.obs.get() {
             obs.wal_appends.inc();
             obs.wal_append_bytes.add(frame.len() as u64);
@@ -575,7 +561,8 @@ impl EventSink for OakStore {
 /// Files a journaled frame in the recent ring under its `seq`, keeping
 /// the ring seq-sorted and at most [`RECENT_TAIL_CAP`] long.
 fn ring_insert(recent: &mut VecDeque<(u64, Vec<u8>)>, seq: u64, frame: Vec<u8>) {
-    // Concurrent shard appends can land slightly out of order.
+    // Events that take different engine locks can land slightly out of
+    // order (oak_core::events, "Sequencing").
     let at = recent.partition_point(|(s, _)| *s < seq);
     recent.insert(at, (seq, frame));
     while recent.len() > RECENT_TAIL_CAP {
@@ -607,7 +594,7 @@ fn ring_tail(
             break;
         }
         if *seq != expect {
-            // A lower seq is still mid-append in another shard;
+            // A lower seq is still mid-append on another thread;
             // shipping past the hole would let a follower apply out
             // of order.
             break;
@@ -807,12 +794,14 @@ fn load_snapshot(backend: &dyn StorageBackend, path: &Path, config: OakConfig) -
     Oak::from_state_image(config, payload).map_err(|e| bad(&e))
 }
 
-pub(crate) fn segment_name(slot: usize, id: u64) -> String {
-    format!("seg-{slot:02}-{id:08}.wal")
+pub(crate) fn segment_name(id: u64) -> String {
+    format!("seg-00-{id:08}.wal")
 }
 
-fn sealed_segment_name(slot: usize, id: u64, max_seq: u64) -> String {
-    format!("seg-{slot:02}-{id:08}-{max_seq:020}.wal")
+/// The sealed name of segment `id`, whatever `SS` its unsealed name had:
+/// ids are unique across slots, and nothing reads `SS`.
+fn sealed_segment_name(id: u64, max_seq: u64) -> String {
+    format!("seg-00-{id:08}-{max_seq:020}.wal")
 }
 
 fn snapshot_name(watermark: u64) -> String {
@@ -822,7 +811,6 @@ fn snapshot_name(watermark: u64) -> String {
 /// What a segment file's name says about it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct SegmentName {
-    pub slot: usize,
     pub id: u64,
     /// The highest seq in the file, for a sealed segment.
     pub sealed: Option<u64>,
@@ -833,12 +821,12 @@ pub(crate) struct SegmentName {
 pub(crate) fn parse_segment_name(name: &str) -> Option<SegmentName> {
     let rest = name.strip_prefix("seg-")?.strip_suffix(".wal")?;
     let (slot, rest) = rest.split_once('-')?;
+    slot.parse::<u32>().ok()?;
     let (id, sealed) = match rest.split_once('-') {
         Some((id, max_seq)) => (id, Some(max_seq.parse().ok()?)),
         None => (rest, None),
     };
     Some(SegmentName {
-        slot: slot.parse().ok()?,
         id: id.parse().ok()?,
         sealed,
     })
@@ -891,7 +879,7 @@ mod tests {
         events.map(|events| events.iter().map(|e| e.seq).collect())
     }
 
-    /// Out-of-order shard appends, a hole and an overflowing ring: for
+    /// Out-of-order appends, a hole and an overflowing ring: for
     /// every `from_seq` the ring can answer, the jump to it returns what
     /// walking from the front returned.
     #[test]
@@ -899,7 +887,7 @@ mod tests {
         const HOLE: u64 = 1_100;
         let total = RECENT_TAIL_CAP as u64 + 200;
         let mut recent = VecDeque::new();
-        // Shards land in runs of eight, each run reversed: every append
+        // Appends land in runs of eight, each run reversed: every append
         // but the first of a run is behind one already filed.
         for run in (0..total).step_by(8) {
             for seq in (run..(run + 8).min(total)).rev().filter(|&seq| seq != HOLE) {

@@ -11,7 +11,7 @@
 //! - [`Tail::Events`] — the log still covers `from_seq`, and the result
 //!   is the *contiguous* run of events `from_seq, from_seq + 1, …` as
 //!   far as the log currently reaches. Contiguity is the load-bearing
-//!   guarantee: per-shard segments are merged by sequence number, and a
+//!   guarantee: segments are read back sorted by sequence number, and a
 //!   frame that is mid-write (or torn) truncates the run rather than
 //!   leaving a hole, so a follower can apply the batch blindly.
 //! - [`Tail::Compacted`] — `from_seq` predates the newest snapshot
@@ -235,8 +235,8 @@ pub(crate) fn tail_batch(
         });
     }
     // Truncate at the first gap: a hole means a lower-seq frame is still
-    // being written (or was torn) in another shard's segment, and
-    // shipping past it would let a follower apply out of order.
+    // being written (or was torn), and shipping past it would let a
+    // follower apply out of order.
     let run = events
         .iter()
         .zip(from_seq..)
@@ -281,10 +281,10 @@ mod tests {
         std::env::temp_dir().join(format!("oak-stream-{tag}-{}", std::process::id()))
     }
 
-    /// Hand-writes the global segment `name` in `dir`: one `RuleRemoved`
+    /// Hand-writes the segment `name` in `dir`: one `RuleRemoved`
     /// frame per seq, stamped with `epoch`.
     fn write_segment(dir: &Path, name: &str, epoch: u64, seqs: impl IntoIterator<Item = u64>) {
-        let mut writer = crate::segment::SegmentWriter::create(dir.join(name), None).unwrap();
+        let mut writer = crate::segment::SegmentWriter::create(dir.join(name)).unwrap();
         for seq in seqs {
             let ev = SequencedEvent {
                 seq,
@@ -440,7 +440,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         // Hand-write a segment with seqs 0, 1, 3 — seq 2 is "mid-write
         // elsewhere". The tail must stop at the gap.
-        write_segment(&dir, "seg-16-00000000.wal", 0, [0, 1, 3]);
+        write_segment(&dir, "seg-00-00000000.wal", 0, [0, 1, 3]);
         let tail = tail_wal(&RealFs, &dir, 0).unwrap();
         let events = events_of(tail);
         assert_eq!(events.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1]);
@@ -461,8 +461,8 @@ mod tests {
         // 1, of which only 0 and 1 ever committed; then it installed the
         // winner's snapshot at 2 and followed seqs 2 and 3 in epoch 3.
         // The dead frames sit in the file that sorts first.
-        write_segment(&dir, "seg-16-00000000.wal", 1, 0..5);
-        write_segment(&dir, "seg-16-00000001.wal", 3, 2..4);
+        write_segment(&dir, "seg-00-00000000.wal", 1, 0..5);
+        write_segment(&dir, "seg-00-00000001.wal", 3, 2..4);
 
         let shipped = |from| -> Vec<(u64, u64)> {
             let events = events_of(tail_wal(&RealFs, &dir, from).unwrap());
@@ -506,7 +506,7 @@ mod tests {
         let from = 100;
         let ahead = from + 100;
         let mut writer =
-            crate::segment::SegmentWriter::create(dir.join("seg-16-00000000.wal"), None).unwrap();
+            crate::segment::SegmentWriter::create(dir.join("seg-00-00000000.wal")).unwrap();
         for seq in 0..ahead {
             writer.append(seq, &removed(seq)).unwrap();
         }
@@ -584,7 +584,7 @@ mod tests {
         for entry in std::fs::read_dir(from).unwrap() {
             let name = entry.unwrap().file_name().into_string().unwrap();
             let target = match parse_segment_name(&name) {
-                Some(segment) => crate::store::segment_name(segment.slot, segment.id),
+                Some(segment) => crate::store::segment_name(segment.id),
                 None => name.clone(),
             };
             assert!(!to.join(&target).exists(), "{name} twice");
@@ -609,7 +609,7 @@ mod tests {
             .map(|(path, high)| {
                 let name = path.file_name().unwrap().to_str().unwrap();
                 let segment = parse_segment_name(name).unwrap();
-                (crate::store::segment_name(segment.slot, segment.id), *high)
+                (crate::store::segment_name(segment.id), *high)
             })
             .collect();
         highs.sort();

@@ -108,13 +108,13 @@ fn flip_a_byte(path: &Path) {
 
 /// Rewrites the snapshot at `path` as a later build might have written
 /// it: the same frame, checksum and all, around an image whose version
-/// byte is 0x04.
+/// byte is 0x05.
 fn stamp_a_newer_version(path: &Path) {
     let bytes = fs::read(path).expect("read snapshot");
     let at = SNAPSHOT_MAGIC.len() + FRAME_OVERHEAD;
     let mut image = bytes[at..].to_vec();
-    assert_eq!(image[0], 3);
-    image[0] = 4;
+    assert_eq!(image[0], 4);
+    image[0] = 5;
     let mut file = SNAPSHOT_MAGIC.to_vec();
     file.extend_from_slice(&frame_header(&image).expect("header"));
     file.extend_from_slice(&image);
@@ -178,7 +178,7 @@ fn an_unreadable_snapshot_is_never_replaced_by_a_partial_engine() {
     }
     let message = refused(&copy);
     assert!(
-        message.contains("unsupported state image version 0x04 (expected 0x01, 0x02 or 0x03)"),
+        message.contains("unsupported state image version 0x05 (expected 0x02, 0x03 or 0x04)"),
         "{message}"
     );
     // With the older one still readable, the newer build's file is
