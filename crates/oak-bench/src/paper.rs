@@ -16,7 +16,7 @@ use std::sync::OnceLock;
 use oak_client::{Browser, BrowserConfig, ReportingMode, SimSession, Universe};
 use oak_core::analysis::PageAnalysis;
 use oak_core::detect::{detect_violators, DetectorConfig, OutlierMethod, Violation, ViolationKind};
-use oak_core::engine::{LogAction, Oak, OakConfig};
+use oak_core::engine::{Oak, OakConfig};
 use oak_core::matching::MatchLevel;
 use oak_core::report::{ObjectTiming, PerfReport};
 use oak_core::rule::Rule;
@@ -798,17 +798,17 @@ fn ablation_match_depth(paper: &Paper) -> Measured {
                 }
             }
             let mut session = SimSession::new(&corpus, oak);
+            let mut activations = 0;
             for round in 0..3u64 {
                 for site_index in 0..corpus.sites.len() {
                     for &client in corpus.clients.iter().take(10) {
-                        session.visit(site_index, client, SimTime::from_minutes(round * 30));
+                        let (_, outcome) =
+                            session.visit(site_index, client, SimTime::from_minutes(round * 30));
+                        activations += outcome.activated.len();
                     }
                 }
             }
-            let log = session.oak.log();
-            log.iter()
-                .filter(|e| matches!(e.action, LogAction::Activated { .. }))
-                .count()
+            activations
         })
         .collect();
     let text: Vec<String> = activations.iter().map(usize::to_string).collect();

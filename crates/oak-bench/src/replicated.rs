@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use oak_client::rules::{closest_replica, rules_for_site};
 use oak_client::{original_url, Browser, BrowserConfig, Universe};
-use oak_core::engine::{LogAction, Oak, OakConfig};
+use oak_core::engine::{Oak, OakConfig};
 use oak_core::rule::RuleId;
 use oak_core::stats::median;
 use oak_core::Instant;
@@ -178,6 +178,8 @@ fn run_site_client(
     let mut oak_times: DomainTimes = BTreeMap::new();
     // Choice in effect per load, per rule id.
     let mut choices: BTreeMap<RuleId, Vec<bool>> = BTreeMap::new();
+    // Activated domains: rules some ingest activated.
+    let mut activated: Vec<RuleId> = Vec::new();
     for k in 0..LOADS {
         let t = load_time(k);
         let now = Instant(t.as_millis());
@@ -194,16 +196,9 @@ fn run_site_client(
         let modified = oak.modify_page(now, &user, &site.index_path, &site.html);
         let load = browser.load_page(universe, site, &modified.html, &modified.cache_hints, t);
         record_times(&mut oak_times, k, &load);
-        oak.ingest_report(now, &load.report, universe);
+        let outcome = oak.ingest_report(now, &load.report, universe);
+        activated.extend(outcome.activated);
     }
-
-    // Activated domains: rules with at least one Activated log event.
-    let activated: Vec<RuleId> = oak
-        .log()
-        .iter()
-        .filter(|e| matches!(e.action, LogAction::Activated { .. }))
-        .map(|e| e.rule)
-        .collect();
     let mut activated_domains: Vec<String> = Vec::new();
 
     // Correctness and ratios, for activated rules only ("we ignore cases

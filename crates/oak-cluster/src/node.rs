@@ -1458,6 +1458,10 @@ mod tests {
         std::fs::remove_dir_all(temp_root(TAG)).unwrap();
     }
 
+    /// The install carries an activity log its byte budget has trimmed,
+    /// and records after it trim the installed window: the window is a
+    /// function of the records applied, so the follower's image is the
+    /// primary's, byte for byte.
     #[test]
     fn a_follower_behind_the_compaction_horizon_is_fast_forwarded_in_its_epoch() {
         const TAG: &str = "same-epoch-snapshot";
@@ -1470,8 +1474,18 @@ mod tests {
         let id = oak
             .add_rule(Rule::remove(r#"<script src="http://slow.example/t.js">"#))
             .unwrap();
+        let lib = oak
+            .add_rule(Rule::remove(r#"<script src="http://cdn0.example/lib.js">"#))
+            .unwrap();
         now += 20;
         h.settle(now);
+        // A fresh user whose activation carries a 64 KiB violator IP.
+        let hostile = |n: u64| {
+            let mut r = report(0);
+            r.user = format!("hostile-{n}");
+            r.entries[0].ip = "9".repeat(64 << 10);
+            oak.ingest_report(Instant(n), &r, &NoFetch).activated
+        };
 
         // Cut for less than an election timeout, so `f` stays a follower
         // of this epoch, whose opening snapshot it installed. The primary
@@ -1482,6 +1496,10 @@ mod tests {
         for user in 0..users {
             activate(&oak, id, user);
         }
+        for n in 0..80 {
+            assert_eq!(hostile(n), vec![lib]);
+        }
+        assert!(oak.log().len() < 80, "the budget trimmed the log");
         now += 20;
         h.settle(now);
         store.snapshot(&oak).unwrap();
@@ -1493,10 +1511,17 @@ mod tests {
             now += 20;
             h.settle(now);
         }
+        for n in 80..85 {
+            assert_eq!(hostile(n), vec![lib]);
+        }
+        now += 20;
+        h.settle(now);
         assert_eq!(h.primary_of(0), Some(p));
         assert_eq!(h.nodes[p].status().epoch, epoch, "the lease moved");
         assert_eq!(h.head(f), h.head(p), "the follower never caught up");
         assert_eq!(h.state(f), h.state(p));
+        let installed = h.nodes[f].replica_engine(0).unwrap().state_image();
+        assert!(installed == oak.state_image(), "the images differ");
         std::fs::remove_dir_all(temp_root(TAG)).unwrap();
     }
 

@@ -34,7 +34,7 @@
 //! replay and a follower applying a shipped event are one code path —
 //! with or without a sink.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -63,12 +63,6 @@ pub struct OakConfig {
     /// [`MatchLevel::ExternalJs`] — the full mechanism — by default;
     /// lower settings exist for the Fig. 8 ablation.
     pub max_match_level: MatchLevel,
-    /// In-memory activity-log retention, as entries in total: [`Oak::log`]
-    /// returns at most this many. `None` retains everything — right for
-    /// experiments, wrong for a long-running server: with a retention
-    /// cap, old entries fall out of RAM while remaining durable in the
-    /// write-ahead log.
-    pub log_retention: Option<usize>,
 }
 
 impl Default for OakConfig {
@@ -76,7 +70,6 @@ impl Default for OakConfig {
         OakConfig {
             detector: DetectorConfig::default(),
             max_match_level: MatchLevel::ExternalJs,
-            log_retention: None,
         }
     }
 }
@@ -360,14 +353,25 @@ impl DomainIndex {
     }
 }
 
+/// The activity log's budget, in encoded bytes: the engine keeps the
+/// latest records whose sizes in the state image sum to at most this,
+/// and drops the oldest as new ones arrive. A record's user and violator
+/// IP are client strings, so a count would bound nothing; 4 MiB holds
+/// about 79,000 records of a typical 53 bytes.
+pub const LOG_BYTES: usize = 4 << 20;
+
 /// Everything user-keyed, with the activity log and the site aggregates:
 /// what the engine's one state lock guards.
 #[derive(Debug, Default)]
 struct State {
     users: HashMap<String, UserState>,
-    /// `(sequence, event)`, ascending: the sequence numbers come from the
-    /// engine's log counter, and are what the state image carries.
-    log: Vec<(u64, LogEvent)>,
+    /// `(sequence, event)`, ascending: the window of the activity log,
+    /// at most [`LOG_BYTES`] of records once a record has trimmed it.
+    log: VecDeque<(u64, LogEvent)>,
+    /// The encoded size of `log`'s records.
+    log_bytes: usize,
+    /// The sequence number the next log record gets.
+    log_seq: u64,
     aggregates: crate::aggregates::SiteAggregates,
 }
 
@@ -398,6 +402,20 @@ impl State {
             self.users.remove(user);
         }
     }
+
+    /// Appends a record to the log, then drops the oldest records while
+    /// the window is over [`LOG_BYTES`] — a record larger than the budget
+    /// drops itself. The window is a function of the records applied, so
+    /// replay and a follower's install trim alike.
+    fn push_log(&mut self, seq: u64, entry: LogEvent) {
+        self.log_seq = self.log_seq.max(seq + 1);
+        self.log_bytes += entry.record_len();
+        self.log.push_back((seq, entry));
+        while self.log_bytes > LOG_BYTES {
+            let (_, oldest) = self.log.pop_front().expect("an over-budget log");
+            self.log_bytes -= oldest.record_len();
+        }
+    }
 }
 
 /// The Oak server engine.
@@ -414,8 +432,6 @@ pub struct Oak {
     config: OakConfig,
     rules: RwLock<RuleTable>,
     state: Mutex<State>,
-    /// Allocates the per-record sequence numbers of the activity log.
-    log_seq: AtomicU64,
     /// Allocates the sequence numbers that order emitted [`EngineEvent`]s
     /// (allocated under the emitting operation's locks, so sequence order
     /// is application order wherever it matters).
@@ -438,7 +454,6 @@ impl fmt::Debug for Oak {
             .field("config", &self.config)
             .field("rules", &self.rules)
             .field("state", &self.state)
-            .field("log_seq", &self.log_seq)
             .field("event_seq", &self.event_seq)
             .field("sink", &self.sink.as_ref().map(|_| "EventSink"))
             .finish()
@@ -458,7 +473,6 @@ impl Oak {
             config,
             rules: RwLock::new(RuleTable::default()),
             state: Mutex::new(State::default()),
-            log_seq: AtomicU64::new(0),
             event_seq: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             sink: None,
@@ -537,11 +551,6 @@ impl Oak {
         self.state.lock().expect("state lock")
     }
 
-    /// The next global log sequence number.
-    fn next_seq(&self) -> u64 {
-        self.log_seq.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Registers an operator rule.
     ///
     /// # Errors
@@ -613,10 +622,20 @@ impl Oak {
             .unwrap_or_default()
     }
 
-    /// The full activity log, in global event order.
+    /// The activity log's window, in global event order: the latest
+    /// records, at most [`LOG_BYTES`] of them as the state image encodes
+    /// them. With a store attached, older records stay in its write-ahead
+    /// log until compaction.
     pub fn log(&self) -> Vec<LogEvent> {
         let state = self.state();
         state.log.iter().map(|(_, event)| event.clone()).collect()
+    }
+
+    /// The encoded size of [`Oak::log`]'s records: at most [`LOG_BYTES`],
+    /// unless an image an older build wrote loaded a larger window and no
+    /// record has trimmed it since.
+    pub fn log_bytes(&self) -> usize {
+        self.state().log_bytes
     }
 
     /// Users that have submitted at least one report or been force-toggled.
@@ -734,6 +753,7 @@ impl Oak {
 
         // Decide against the state as it stands; nothing is written until
         // the whole effect is known.
+        let mut next_seq = guard.log_seq;
         let state = guard.users.get(user);
         let mut records: Vec<(u64, LogEvent)> = Vec::new();
         let mut record = |rule: RuleId, action: LogAction| {
@@ -743,7 +763,8 @@ impl Oak {
                 rule,
                 action,
             };
-            records.push((self.next_seq(), entry));
+            records.push((next_seq, entry));
+            next_seq += 1;
         };
         // TTL expiries come first, and the candidates below see the
         // user's activations without them: a rule that just expired can
@@ -894,9 +915,8 @@ impl Oak {
 
         let table = self.rules.read().expect("rule table lock");
         let mut guard = self.state();
-        let expired: Vec<(u64, RuleId)> = expired_rules(&table, guard.users.get(user), now)
-            .into_iter()
-            .map(|rule| (self.next_seq(), rule))
+        let expired: Vec<(u64, RuleId)> = (guard.log_seq..)
+            .zip(expired_rules(&table, guard.users.get(user), now))
             .collect();
         if !expired.is_empty() {
             // Serving is otherwise read-only; TTL expiry is the one page
@@ -1088,9 +1108,8 @@ impl Oak {
             *user.pending.entry(id).or_insert(0) += 1;
         }
         for (seq, entry) in records {
-            self.apply_record(table, state, seq, entry);
+            apply_record(table, state, seq, entry);
         }
-        trim_log(&mut state.log, self.config.log_retention);
     }
 
     /// Applies the TTL expiries a page serve found (see
@@ -1113,45 +1132,8 @@ impl Oak {
                 rule: *rule,
                 action: LogAction::Expired,
             };
-            self.apply_record(table, state, *seq, entry);
+            apply_record(table, state, *seq, entry);
         }
-        trim_log(&mut state.log, self.config.log_retention);
-    }
-
-    /// The one place an activation, advance, deactivation or expiry
-    /// changes a user's state and enters the activity log: the change is
-    /// read off the record, so the two cannot disagree. A record for a
-    /// user the engine no longer holds is logged all the same.
-    fn apply_record(&self, table: &RuleTable, state: &mut State, seq: u64, entry: LogEvent) {
-        bump_to(&self.log_seq, seq + 1);
-        if let Some(user) = state.users.get_mut(&entry.user) {
-            match &entry.action {
-                LogAction::Activated { severity, .. } => {
-                    user.pending.remove(&entry.rule);
-                    if let Some(rule) = table.rules.get(&entry.rule) {
-                        user.active.insert(
-                            entry.rule,
-                            ActiveRule {
-                                alternative_index: initial_alternative(rule, &entry.user),
-                                alternatives_tried: 1,
-                                activated_at: entry.time,
-                                default_severity: *severity,
-                            },
-                        );
-                    }
-                }
-                LogAction::Advanced { to_index } => {
-                    if let Some(active) = user.active.get_mut(&entry.rule) {
-                        active.alternative_index = *to_index;
-                        active.alternatives_tried += 1;
-                    }
-                }
-                LogAction::Deactivated | LogAction::Expired => {
-                    user.active.remove(&entry.rule);
-                }
-            }
-        }
-        state.log.push((seq, entry));
     }
 
     /// A consistent point-in-time dump of the full engine state as a JSON
@@ -1172,7 +1154,7 @@ impl Oak {
         let mut doc = Value::object();
         doc.set("version", 1u64);
         doc.set("next_rule_id", u64::from(table.next_rule_id));
-        doc.set("log_seq", self.log_seq.load(Ordering::SeqCst));
+        doc.set("log_seq", state.log_seq);
         doc.set("event_seq", self.event_seq.load(Ordering::SeqCst));
         // Emitted only under replication, like the per-event field: a
         // single-node snapshot stays byte-identical to version 1 files.
@@ -1257,6 +1239,41 @@ fn bump_to(counter: &AtomicU64, target: u64) {
     counter.fetch_max(target, Ordering::Relaxed);
 }
 
+/// The one place an activation, advance, deactivation or expiry changes
+/// a user's state and enters the activity log: the change is read off the
+/// record, so the two cannot disagree. A record for a user the engine no
+/// longer holds is logged all the same.
+fn apply_record(table: &RuleTable, state: &mut State, seq: u64, entry: LogEvent) {
+    if let Some(user) = state.users.get_mut(&entry.user) {
+        match &entry.action {
+            LogAction::Activated { severity, .. } => {
+                user.pending.remove(&entry.rule);
+                if let Some(rule) = table.rules.get(&entry.rule) {
+                    user.active.insert(
+                        entry.rule,
+                        ActiveRule {
+                            alternative_index: initial_alternative(rule, &entry.user),
+                            alternatives_tried: 1,
+                            activated_at: entry.time,
+                            default_severity: *severity,
+                        },
+                    );
+                }
+            }
+            LogAction::Advanced { to_index } => {
+                if let Some(active) = user.active.get_mut(&entry.rule) {
+                    active.alternative_index = *to_index;
+                    active.alternatives_tried += 1;
+                }
+            }
+            LogAction::Deactivated | LogAction::Expired => {
+                user.active.remove(&entry.rule);
+            }
+        }
+    }
+    state.push_log(seq, entry);
+}
+
 /// The activations of `state` whose TTL has run out at `now`, in rule-id
 /// order. Read-only: the caller journals and applies the expiries.
 fn expired_rules(table: &RuleTable, state: Option<&UserState>, now: Instant) -> Vec<RuleId> {
@@ -1268,18 +1285,6 @@ fn expired_rules(table: &RuleTable, state: Option<&UserState>, now: Instant) -> 
         }
     }
     expired
-}
-
-/// Enforces [`OakConfig::log_retention`]: drops the oldest entries (the
-/// log is sequence-ordered, so the front is the oldest) once the cap is
-/// exceeded. Dropped entries remain durable in the write-ahead log when a
-/// sink is attached.
-fn trim_log(log: &mut Vec<(u64, LogEvent)>, retention: Option<usize>) {
-    if let Some(cap) = retention {
-        if log.len() > cap {
-            log.drain(..log.len() - cap);
-        }
-    }
 }
 
 /// FNV-1a over a string — user-hash alternative selection and the

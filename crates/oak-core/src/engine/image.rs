@@ -101,7 +101,7 @@ impl Oak {
 
         let mut out = vec![STATE_IMAGE_VERSION];
         put_u64(&mut out, event_seq);
-        put_u64(&mut out, self.log_seq.load(Ordering::SeqCst));
+        put_u64(&mut out, state.log_seq);
         put_u64(&mut out, self.epoch.load(Ordering::Relaxed));
         put_u32(&mut out, table.next_rule_id);
         put_len(&mut out, table.rules.len());
@@ -161,7 +161,7 @@ impl Oak {
         let counted = version != STATE_IMAGE_V2;
         let mut oak = Oak::new(config);
         *oak.event_seq.get_mut() = r.u64("event seq")?;
-        *oak.log_seq.get_mut() = r.u64("log seq")?;
+        let log_seq = r.u64("log seq")?;
         *oak.epoch.get_mut() = r.u64("epoch")?;
         let next_rule_id = r.u32("next rule id")?;
 
@@ -183,6 +183,7 @@ impl Oak {
         })?;
         let mut used = vec![false; domains.len()];
         let state = oak.state.get_mut().expect("state lock");
+        state.log_seq = log_seq;
         for _ in 0..sections {
             let (aggregates, counts) =
                 SiteAggregates::read_image(&mut r, &domains, &mut used, version)?;
@@ -191,9 +192,12 @@ impl Oak {
             } else {
                 state.aggregates.merge(&aggregates);
             }
-            state
-                .log
-                .extend(r.list(MIN_RECORD_BYTES, "log records", LogEvent::decode_record)?);
+            // Loaded as written, over the budget or not: the next record
+            // trims it.
+            for (seq, entry) in r.list(MIN_RECORD_BYTES, "log records", LogEvent::decode_record)? {
+                state.log_bytes += entry.record_len();
+                state.log.push_back((seq, entry));
+            }
             let mut prev = None;
             let users = r.count(MIN_USER_STATE_BYTES + 8 * usize::from(counted), "users")?;
             state.users.reserve(users);
@@ -212,7 +216,7 @@ impl Oak {
             }
         }
         if sections > 1 {
-            state.log.sort_by_key(|(seq, _)| *seq);
+            state.log.make_contiguous().sort_by_key(|(seq, _)| *seq);
             let rows = state.aggregates.domain_names().count();
             if rows > SiteAggregates::MAX_ROWS {
                 return Err(format!(

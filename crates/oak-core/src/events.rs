@@ -813,7 +813,7 @@ impl LogEvent {
     }
 
     /// Bytes [`LogEvent::encode_record`] appends.
-    fn record_len(&self) -> usize {
+    pub(crate) fn record_len(&self) -> usize {
         MIN_RECORD_BYTES
             + self.user.len()
             + match &self.action {

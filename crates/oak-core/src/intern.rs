@@ -21,20 +21,21 @@
 //!   to match: see [`crate::aggregates::SiteAggregates::MAX_ROWS`].)
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A concurrent, capacity-capped intern table keyed by FNV-1a of the
 /// lowercased bytes, behind one lock.
+#[derive(Default)]
 pub struct Interner {
-    table: Mutex<HashMap<u64, Vec<Arc<str>>>>,
-    interned: AtomicUsize,
+    table: Mutex<Table>,
 }
 
-impl Default for Interner {
-    fn default() -> Self {
-        Interner::new()
-    }
+/// What the interner's lock guards.
+#[derive(Default)]
+struct Table {
+    buckets: HashMap<u64, Vec<Arc<str>>>,
+    /// Strings retained across all buckets.
+    interned: usize,
 }
 
 impl Interner {
@@ -48,10 +49,7 @@ impl Interner {
 
     /// An empty interner.
     pub fn new() -> Interner {
-        Interner {
-            table: Mutex::new(HashMap::new()),
-            interned: AtomicUsize::new(0),
-        }
+        Interner::default()
     }
 
     /// Returns the shared lowercase form of `s`, allocating only the
@@ -60,7 +58,7 @@ impl Interner {
     pub fn intern_lower(&self, s: &str) -> Arc<str> {
         let hash = fnv1a_lower(s);
         let mut table = self.table.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(bucket) = table.get(&hash) {
+        if let Some(bucket) = table.buckets.get(&hash) {
             if let Some(hit) = bucket.iter().find(|c| eq_lower(c, s)) {
                 return Arc::clone(hit);
             }
@@ -70,18 +68,23 @@ impl Interner {
         } else {
             Arc::from(s)
         };
-        if s.len() <= Interner::MAX_NAME
-            && self.interned.load(Ordering::Relaxed) < Interner::CAPACITY
-        {
-            self.interned.fetch_add(1, Ordering::Relaxed);
-            table.entry(hash).or_default().push(Arc::clone(&fresh));
+        if s.len() <= Interner::MAX_NAME && table.interned < Interner::CAPACITY {
+            table.interned += 1;
+            table
+                .buckets
+                .entry(hash)
+                .or_default()
+                .push(Arc::clone(&fresh));
         }
         fresh
     }
 
     /// Distinct strings currently retained (diagnostics and tests).
     pub fn len(&self) -> usize {
-        self.interned.load(Ordering::Relaxed)
+        self.table
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .interned
     }
 
     /// True when nothing has been retained yet.

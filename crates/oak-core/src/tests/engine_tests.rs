@@ -3,7 +3,7 @@ use std::sync::Arc;
 use oak_pattern::Scope;
 
 use super::engine_props::Journal;
-use crate::engine::{LogAction, ModifiedPage, Oak, OakConfig};
+use crate::engine::{LogAction, ModifiedPage, Oak, OakConfig, LOG_BYTES};
 use crate::events::SequencedEvent;
 use crate::matching::NoFetch;
 use crate::report::{DeviceClass, ObjectTiming, PerfReport};
@@ -599,6 +599,38 @@ fn the_log_reads_back_in_ingestion_order() {
     }
     let logged: Vec<String> = oak.log().iter().map(|e| e.user.clone()).collect();
     assert_eq!(logged, users.map(str::to_owned).to_vec());
+}
+
+/// One client posting as a fresh user each time, every activation
+/// carrying a 64 KiB violator IP: the log keeps its last `LOG_BYTES`, so
+/// past the budget the image grows by the users alone.
+#[test]
+fn a_hostile_reporter_cannot_grow_the_log() {
+    let (oak, rule) = engine_with_jq_rule(&[JQ_ALT_B]);
+    let ip = "9".repeat(64 << 10);
+    let mut images = Vec::new();
+    for n in 1..=200u64 {
+        let r = report_with_slow(&format!("h-{n}"), "cdn-a.example", &ip, 900.0);
+        let outcome = oak.ingest_report(Instant(n), &r, &NoFetch);
+        assert_eq!(outcome.activated, vec![rule]);
+        if n == 100 || n == 200 {
+            let mut section = Vec::new();
+            for entry in oak.log() {
+                entry.encode_record(0, &mut section);
+            }
+            assert_eq!(section.len(), oak.log_bytes());
+            assert!(section.len() <= LOG_BYTES, "{} bytes of log", section.len());
+            images.push(oak.state_image().1.len());
+        }
+    }
+    // One record: seq, time, user, rule, tag, the IP and the severity.
+    let record = format!("h-200{ip}").len() + 8 + 8 + 4 + 4 + 1 + 4 + 8;
+    assert!(
+        images[1].abs_diff(images[0]) <= record,
+        "image {} bytes at 100 activations, {} at 200",
+        images[0],
+        images[1]
+    );
 }
 
 #[test]

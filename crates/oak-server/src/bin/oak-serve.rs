@@ -9,7 +9,7 @@
 //!           [--edge-workers <n>]
 //!           [--store ./oak-state] [--fsync always|never|<n>]
 //!           [--cluster --peers <a:p,b:p,c:p> --role <n>]
-//!           [--snapshot-every <events>] [--audit-retention <entries>]
+//!           [--snapshot-every <events>]
 //!           [--prune-idle-ms <ms>] [--prune-every <requests>]
 //!           [--max-connections <n>] [--max-head-bytes <n>]
 //!           [--max-body-bytes <n>] [--read-timeout-ms <ms>]
@@ -46,6 +46,10 @@
 //! recovered engine already holds rules, `--rules` is skipped — the
 //! journal, not the file, is authoritative after the first run.
 //!
+//! The audit log the engine keeps, and `/oak/audit` folds, is its latest
+//! 4 MiB of records (`oak_core::engine::LOG_BYTES`); with `--store`,
+//! older records stay in the WAL until a snapshot compacts it.
+//!
 //! Clients POST performance reports to `/oak/report`; pages are
 //! personalized per user via the `oak_uid` cookie.
 
@@ -79,7 +83,6 @@ struct Args {
     edge: EdgeConfig,
     store: Option<PathBuf>,
     store_options: StoreOptions,
-    audit_retention: Option<usize>,
     prune: Option<PrunePolicy>,
     limits: ServerLimits,
     admission: AdmissionPolicy,
@@ -92,7 +95,7 @@ const USAGE: &str = "usage: oak-serve --root <dir> [--rules <file>] [--port <n>]
 [--edge-workers <n>] \
 [--store <dir>] [--fsync always|never|<n>] [--snapshot-every <events>] \
 [--cluster --peers <a:p,b:p,...> --role <n>] \
-[--audit-retention <entries>] [--prune-idle-ms <ms>] [--prune-every <requests>] \
+[--prune-idle-ms <ms>] [--prune-every <requests>] \
 [--max-connections <n>] [--max-head-bytes <n>] [--max-body-bytes <n>] \
 [--read-timeout-ms <ms>] [--write-timeout-ms <ms>] [--queue-deadline-ms <ms>] \
 [--max-report-bytes <n>] [--report-rate <per-sec>] [--report-burst <n>] \
@@ -121,10 +124,6 @@ durability (see DESIGN.md §8):
                            events (default 10000)
 
 engine state:
-  --audit-retention <entries>
-                           activity-log entries kept in memory, in total;
-                           older entries stay only in the --store log
-                           (default: keep every entry)
   --prune-idle-ms <ms>     evict per-user state idle for longer than this
                            (default: never)
   --prune-every <requests> run the idle sweep once every this many
@@ -177,7 +176,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut edge = EdgeConfig::default();
     let mut store = None;
     let mut store_options = StoreOptions::default();
-    let mut audit_retention = None;
     let mut prune_idle_ms = None;
     let mut prune_every = 1024u64;
     let mut limits = ServerLimits::default();
@@ -225,10 +223,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--snapshot-every" => {
                 store_options.snapshot_every_events =
                     number("--snapshot-every", value("--snapshot-every")?)?.max(1);
-            }
-            "--audit-retention" => {
-                audit_retention =
-                    Some(number("--audit-retention", value("--audit-retention")?)? as usize);
             }
             "--prune-idle-ms" => {
                 prune_idle_ms = Some(number("--prune-idle-ms", value("--prune-idle-ms")?)?);
@@ -323,7 +317,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         edge,
         store,
         store_options,
-        audit_retention,
         prune: prune_idle_ms.map(|idle_ms| PrunePolicy {
             idle_ms,
             every_requests: prune_every,
@@ -358,10 +351,7 @@ fn main() -> ExitCode {
         args.root.display()
     );
 
-    let config = OakConfig {
-        log_retention: args.audit_retention,
-        ..OakConfig::default()
-    };
+    let config = OakConfig::default();
 
     // --cluster: the replication runtime owns the store directory and
     // the engine; the service resolves the live replica per request via

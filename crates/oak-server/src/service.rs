@@ -579,10 +579,9 @@ impl OakService {
 
     /// Renders the §6 offline audit as plain text (`GET /oak/audit`).
     ///
-    /// The audit covers the engine's in-memory log window. With
-    /// [`oak_core::engine::OakConfig::log_retention`] set, older entries
-    /// rotate out of memory; when durability is on they remain in the
-    /// WAL and snapshots for offline analysis.
+    /// The audit covers the engine's log window: its latest
+    /// [`oak_core::engine::LOG_BYTES`] of records. When durability is on,
+    /// older records remain in the WAL until a snapshot compacts it.
     fn audit_view(&self) -> Response {
         let live = self.live_engine();
         let oak = live.as_deref().unwrap_or(&self.oak);

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use oak_core::engine::{Oak, OakConfig};
+use oak_core::engine::{LogAction, LogEvent, Oak, OakConfig, LOG_BYTES};
 use oak_core::report::{ObjectTiming, PerfReport};
 use oak_core::rule::Rule;
 use oak_core::{Instant, OAK_ALTERNATE_HEADER};
@@ -410,34 +410,48 @@ fn pruning_sweep_evicts_idle_users_and_counts_them() {
 }
 
 #[test]
-fn log_retention_bounds_the_audit_window() {
-    let oak = Oak::new(OakConfig {
-        log_retention: Some(3),
-        ..OakConfig::default()
-    });
-    oak.add_rule(Rule::replace_identical(JQ_DEFAULT, [JQ_ALT]))
-        .unwrap();
-    let mut store = SiteStore::new();
-    store.add_page("/index.html", PAGE);
-    let service = OakService::new(oak, store);
+fn the_audit_window_holds_the_last_log_bytes() {
+    let service = service_with_rule();
 
-    // One user cycling activate → deactivate appends two log entries per
-    // round; retention is a total, so the log never holds more than the
-    // cap.
+    // One user cycling activate → deactivate appends two records per
+    // round. A 60,000-byte cookie id puts that much in every record, so
+    // forty rounds cross the log's byte budget.
+    let user = format!("u-{}", "r".repeat(59_998));
     let alt_violating = |user: &str| {
         let mut r = violating_report(user);
         r.entries[0] =
             ObjectTiming::new("http://cdn-b.example/jquery.js", "10.0.9.9", 30_000, 900.0);
         r
     };
-    for _ in 0..4 {
-        post_report(&service, &violating_report("u-r"), Some("u-r"));
-        post_report(&service, &alt_violating("u-r"), Some("u-r"));
+    let rounds = 40;
+    for _ in 0..rounds {
+        post_report(&service, &violating_report(&user), Some(&user));
+        post_report(&service, &alt_violating(&user), Some(&user));
     }
+    // A record's size in the state image: seq, time, user, rule, tag and
+    // the action's fields.
+    let record_bytes = |entry: &LogEvent| {
+        25 + entry.user.len()
+            + match &entry.action {
+                LogAction::Activated { violator_ip, .. } => 4 + violator_ip.len() + 8,
+                LogAction::Advanced { .. } => 8,
+                LogAction::Deactivated | LogAction::Expired => 0,
+            }
+    };
     service.with_oak(|oak| {
         let log = oak.log();
-        assert_eq!(log.len(), 3, "retention caps the in-memory log");
+        let bytes: usize = log.iter().map(record_bytes).sum();
+        assert_eq!(oak.log_bytes(), bytes);
+        assert!(log.len() < 2 * rounds, "the budget trimmed the log");
+        assert!(bytes <= LOG_BYTES, "{bytes} bytes of records kept");
+        // The window is the latest records: the one before it, at least
+        // 25 bytes and the user, would not have fitted.
+        assert!(bytes + 25 + user.len() > LOG_BYTES);
+        assert_eq!(log.last().unwrap().action, LogAction::Deactivated);
     });
+    let audit = get(&service, "/oak/audit", None);
+    assert_eq!(audit.status, StatusCode::OK);
+    assert!(audit.body_text().starts_with("oak audit:"));
 }
 
 #[test]

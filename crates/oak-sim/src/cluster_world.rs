@@ -58,7 +58,7 @@ use crate::net::{SimNet, SimNetOptions};
 use crate::scenario::{ClusterSpec, Scenario, Step, HOSTS};
 use crate::world::{
     benign_report, fingerprint, sim_page, step_rule, user_name, violating_report, RunStats,
-    SharedFetcher, SimFailure, LOG_RETENTION,
+    SharedFetcher, SimFailure,
 };
 
 /// Knobs for a cluster run, beyond the scenario itself.
@@ -689,10 +689,7 @@ pub fn run_cluster_scenario(
         SimNetOptions::default(),
     );
     let node_options = NodeOptions {
-        oak: OakConfig {
-            log_retention: Some(LOG_RETENTION),
-            ..OakConfig::default()
-        },
+        oak: OakConfig::default(),
         store: StoreOptions {
             // Replication acks assert durability; anything looser makes
             // the losslessness invariant vacuous, so the cluster world

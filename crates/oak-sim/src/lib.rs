@@ -19,9 +19,9 @@
 //!    `/oak/health`; a serving one answers 200.
 //! 4. **Rule integrity** — no user is ever left active on a rule that
 //!    no longer exists.
-//! 5. **Bounded memory** — a closed user pool and a configured log
-//!    retention keep user state and the audit log bounded under any
-//!    schedule.
+//! 5. **Bounded memory** — a closed user pool keeps user state bounded
+//!    under any schedule, and the audit log holds at most
+//!    `oak_core::engine::LOG_BYTES` of records.
 //! 6. **Observability consistency** — the end-of-run `/oak/metrics`
 //!    scrape passes the exposition-grammar validator,
 //!    `oak_wal_append_count` covers every event the store acknowledged

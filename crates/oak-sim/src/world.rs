@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use oak_core::engine::{Oak, OakConfig};
+use oak_core::engine::{Oak, OakConfig, LOG_BYTES};
 use oak_core::events::{EventSink, SequencedEvent};
 use oak_core::report::{ObjectTiming, PerfReport};
 use oak_core::rule::Rule;
@@ -36,10 +36,6 @@ use crate::fetch::{FetchFaults, HostMode, SimFetcher};
 use crate::fs::{FaultCounters, SimFs, SimFsOptions};
 use crate::overload_oracle::{pressure_of, RefOverload};
 use crate::scenario::{Scenario, Step, HOSTS, USERS};
-
-/// In-memory audit-log retention for simulated engines; small
-/// so the bounded-memory invariant bites.
-pub(crate) const LOG_RETENTION: usize = 32;
 
 /// Completed traces the simulated tracer retains; small so ring
 /// eviction is exercised by longer scenarios.
@@ -568,20 +564,21 @@ impl World<'_> {
                     }
                 }
             }
-            // Bounded memory: the user pool is closed, so user state and
-            // the retained log must stay bounded no matter the schedule.
+            // Bounded memory: the user pool is closed, so user state must
+            // stay bounded no matter the schedule, and the log within its
+            // byte budget.
             if oak.user_count() > USERS {
                 return Err((
                     "bounded_memory",
                     format!("{} users tracked, workload has {USERS}", oak.user_count()),
                 ));
             }
-            if oak.log().len() > LOG_RETENTION {
+            if oak.log_bytes() > LOG_BYTES {
                 return Err((
                     "bounded_memory",
                     format!(
-                        "{} log entries retained, bound {LOG_RETENTION}",
-                        oak.log().len()
+                        "{} bytes of log records retained, budget {LOG_BYTES}",
+                        oak.log_bytes()
                     ),
                 ));
             }
@@ -887,10 +884,7 @@ pub fn run_scenario_observed(
     let fetcher = Arc::new(SimFetcher::new(clock.clone(), scenario.seed ^ 0xfe7c));
     let mirror = Arc::new(Mirror::default());
     let dir = PathBuf::from("/sim/oak-store");
-    let config = OakConfig {
-        log_retention: Some(LOG_RETENTION),
-        ..OakConfig::default()
-    };
+    let config = OakConfig::default();
     let store_options = StoreOptions {
         fsync: scenario.fsync,
         snapshot_every_events: scenario.snapshot_every,

@@ -8,9 +8,11 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use common::{apply_op, fingerprint, scripted_ops, seed_rules, temp_dir};
-use oak_core::engine::{Oak, OakConfig};
+use common::{apply_op, fingerprint, scripted_ops, seed_rules, temp_dir, violating_report};
+use oak_core::engine::{Oak, OakConfig, LOG_BYTES};
 use oak_core::events::SequencedEvent;
+use oak_core::matching::NoFetch;
+use oak_core::Instant;
 use oak_store::segment::parse_segment;
 use oak_store::{recover, tail_wal, FsyncPolicy, OakStore, RealFs, StoreOptions, Tail};
 
@@ -198,6 +200,65 @@ fn corrupt_newest_snapshot_falls_back_without_loss() {
     let recovered = recover(&dir, OakConfig::default()).expect("recover");
     assert!(recovered.snapshot_loaded, "older snapshot still loads");
     assert_eq!(fingerprint(&recovered.oak), live);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// The activity log's byte budget across a crash: reports whose violator
+/// IPs are 64 KiB long trim the log before a snapshot and after it, the
+/// last WAL frame is torn, and recovery rebuilds the engine as it stood
+/// before that frame — its image byte for byte, the trimmed window
+/// included.
+#[test]
+fn a_trimmed_log_recovers_past_a_torn_tail() {
+    let dir = temp_dir("trimmed");
+    let store = Arc::new(OakStore::open(&dir, always_fsync()).expect("open store"));
+    let mut oak = Oak::new(OakConfig::default());
+    oak.set_event_sink(store.clone());
+    seed_rules(&oak);
+    let ip = "9".repeat(64 << 10);
+    let mut live = Vec::new();
+    for n in 0..100 {
+        if n == 70 {
+            assert!(oak.log().len() < n, "the log trimmed before the snapshot");
+            store.snapshot(&oak).expect("snapshot");
+        }
+        if n == 99 {
+            live = oak.state_image().1;
+        }
+        // cdn3's rule has no TTL and needs one violation: each report
+        // logs exactly one activation, for a user of its own.
+        let mut report = violating_report(0, 3);
+        report.user = format!("hostile-{n}");
+        report.entries[0].ip = ip.clone();
+        let outcome = oak.ingest_report(Instant(n as u64 * 10), &report, &NoFetch);
+        assert_eq!(outcome.activated.len(), 1);
+    }
+    assert!(oak.log_bytes() <= LOG_BYTES);
+    drop(oak);
+    drop(store);
+
+    let live_segment = wal_files(&dir)
+        .into_iter()
+        .find(|path| {
+            let name = path.file_stem().and_then(|stem| stem.to_str());
+            name.is_some_and(|name| name.split('-').count() == 3)
+        })
+        .expect("the live segment");
+    let file = fs::OpenOptions::new()
+        .write(true)
+        .open(&live_segment)
+        .expect("open live segment");
+    let len = file.metadata().expect("metadata").len();
+    file.set_len(len - 100).expect("tear the last frame");
+    drop(file);
+
+    let recovered = recover(&dir, OakConfig::default()).expect("recover");
+    assert!(recovered.snapshot_loaded);
+    assert_eq!(recovered.torn_segments, 1);
+    assert!(
+        recovered.oak.state_image().1 == live,
+        "recovered another state"
+    );
     fs::remove_dir_all(&dir).ok();
 }
 
