@@ -168,6 +168,18 @@ impl ReportDecodeError {
     }
 }
 
+/// Refuses an entry's `ip` over [`PerfReport::MAX_IP_BYTES`]; both
+/// decoders call it, so both give the same error.
+pub(crate) fn check_ip(ip: &str) -> Result<(), ReportDecodeError> {
+    if ip.len() > PerfReport::MAX_IP_BYTES {
+        return Err(ReportDecodeError(format!(
+            "ip longer than {} bytes",
+            PerfReport::MAX_IP_BYTES
+        )));
+    }
+    Ok(())
+}
+
 impl From<ParseError> for ReportDecodeError {
     fn from(e: ParseError) -> ReportDecodeError {
         ReportDecodeError(e.to_string())
@@ -194,6 +206,12 @@ impl PerfReport {
     /// physically implausible for one object and imprecise, so it is
     /// rejected rather than rounded into the throughput statistics.
     pub const MAX_BYTES: u64 = 1 << 53;
+
+    /// Longest accepted `ip`: 45 bytes, the longest IPv6 text form
+    /// (`ffff:ffff:ffff:ffff:ffff:ffff:255.255.255.255`). A longer one
+    /// is no address, and would be journaled and shipped whole with
+    /// every event that names it.
+    pub const MAX_IP_BYTES: usize = 45;
 
     /// Largest accepted `time_ms`: about a year. MAD detection compares
     /// medians, but aggregates average raw values — one absurd timing
@@ -463,6 +481,7 @@ fn decode_entry<'b>(
     };
     let url = string("url", url)?;
     let ip = string("ip", ip)?;
+    check_ip(&ip).map_err(|e| e.in_entry(i))?;
     // As `Value::as_u64`, then the report's own cap: a non-negative
     // integer no larger than 2^53.
     let bytes = match bytes {

@@ -190,6 +190,10 @@ fn decode_errors_keep_their_text() {
         (entry(r#"{"url":1}"#), "entry 0: url not a string"),
         (entry(r#"{"url":"x"}"#), "entry 0: missing ip"),
         (entry(r#"{"url":"x","ip":[]}"#), "entry 0: ip not a string"),
+        (
+            entry(&format!(r#"{{"url":"x","ip":"{}"}}"#, "9".repeat(46))),
+            "entry 0: ip longer than 45 bytes",
+        ),
         (entry(r#"{"url":"x","ip":"i"}"#), "entry 0: missing bytes"),
         (
             entry(r#"{"url":"x","ip":"i","bytes":"1"}"#),

@@ -21,7 +21,8 @@ fn valid_report() -> impl Strategy<Value = PerfReport> {
     let text = || "\\PC{0,12}";
     let entry = (
         text(),
-        text(),
+        // At most 4 bytes a character: within `MAX_IP_BYTES`.
+        "\\PC{0,11}",
         0u64..PerfReport::MAX_BYTES + 1,
         0u64..32_000_000_001,
     );
@@ -114,6 +115,22 @@ fn bounds_rejected_identically() {
     assert_eq!(
         json_err.to_string(),
         "bad performance report: entry 0: bytes not a non-negative integer within 2^53"
+    );
+
+    // An ip past the longest IPv6 text form; that form itself passes.
+    let longest = "ffff:ffff:ffff:ffff:ffff:ffff:255.255.255.255";
+    assert_eq!(longest.len(), PerfReport::MAX_IP_BYTES);
+    let mut named = PerfReport::new("u", "/p");
+    named.push(ObjectTiming::new("http://h.example/o", longest, 1, 1.0));
+    assert_eq!(PerfReport::from_json(&named.to_json()).unwrap(), named);
+    assert_eq!(PerfReport::from_binary(&named.to_binary()).unwrap(), named);
+    named.entries[0].ip = format!("{longest}0");
+    let json_err = PerfReport::from_json(&named.to_json()).unwrap_err();
+    let bin_err = PerfReport::from_binary(&named.to_binary()).unwrap_err();
+    assert_eq!(json_err.to_string(), bin_err.to_string());
+    assert_eq!(
+        json_err.to_string(),
+        "bad performance report: entry 0: ip longer than 45 bytes"
     );
 
     // Time out of range.

@@ -21,7 +21,7 @@
 //! varint  entry_count      — must be ≤ PerfReport::MAX_ENTRIES
 //! entry_count × {
 //!   varint url_len         + url_len bytes of UTF-8
-//!   varint ip_len          + ip_len bytes of UTF-8
+//!   varint ip_len          + ip_len bytes of UTF-8, ≤ PerfReport::MAX_IP_BYTES
 //!   varint bytes           — must be ≤ PerfReport::MAX_BYTES
 //!   f64le  time_ms         — must be finite, 0 ≤ t ≤ MAX_TIME_MS
 //! }
@@ -41,7 +41,7 @@
 
 use std::borrow::Cow;
 
-use crate::report::{DeviceClass, ObjectTiming, PerfReport, ReportDecodeError};
+use crate::report::{check_ip, DeviceClass, ObjectTiming, PerfReport, ReportDecodeError};
 
 /// The negotiated media type for binary reports.
 pub const OAK_REPORT_CONTENT_TYPE: &str = "application/x-oak-report";
@@ -137,6 +137,7 @@ pub fn decode(bytes: &[u8]) -> Result<PerfReport<Cow<'_, str>>, ReportDecodeErro
     for i in 0..count {
         let url = r.str("url").map_err(|e| e.in_entry(i))?;
         let ip = r.str("ip").map_err(|e| e.in_entry(i))?;
+        check_ip(ip).map_err(|e| e.in_entry(i))?;
         let object_bytes = r.varint("bytes").map_err(|e| e.in_entry(i))?;
         if object_bytes > PerfReport::MAX_BYTES {
             return Err(ReportDecodeError::new(format!(

@@ -6,6 +6,8 @@
 //! decisions delegate to [`oak_http::framing`].
 
 use std::net::TcpStream;
+use std::sync::atomic::AtomicU8;
+use std::sync::Arc;
 
 use oak_http::framing::{
     content_length_of, head_end, head_is_chunked, ChunkedProgress, ChunkedScan,
@@ -14,6 +16,14 @@ use oak_http::{HttpError, ServerLimits};
 
 /// Sentinel for "no deadline armed".
 pub(crate) const NO_DEADLINE: u64 = u64::MAX;
+
+/// [`Conn::handoff`]: a worker holds the request.
+pub(crate) const HANDLING: u8 = 0;
+/// [`Conn::handoff`]: a read edge went by while a worker held the
+/// request; the worker must wake the reactor when it is done.
+pub(crate) const READ_SEEN: u8 = 1;
+/// [`Conn::handoff`]: the worker is done and its completion is queued.
+pub(crate) const DONE: u8 = 2;
 
 /// Where the connection is in its request/response cycle.
 pub(crate) enum State {
@@ -24,6 +34,9 @@ pub(crate) enum State {
     /// A worker owns the request; the reactor neither reads nor writes
     /// (not reading is the backpressure: the peer's next pipelined
     /// request stays in the socket buffer until this response is out).
+    /// A worker lent the socket writes the reply itself; a read edge
+    /// seen meanwhile is recorded in [`Conn::handoff`] so the worker
+    /// wakes the reactor for it.
     Handling,
     /// Flushing `out` to the socket.
     Writing,
@@ -58,7 +71,12 @@ pub(crate) enum ParseStep {
 
 /// One live connection owned by the reactor thread.
 pub(crate) struct Conn {
-    pub stream: TcpStream,
+    /// Shared with a worker that writes its reply directly; the fd
+    /// closes when the last holder drops it.
+    pub stream: Arc<TcpStream>,
+    /// The hand-off word, [`HANDLING`] → [`READ_SEEN`] (reactor) or
+    /// [`DONE`] (worker); reset to [`HANDLING`] at each hand-off.
+    pub handoff: Arc<AtomicU8>,
     /// Peer IP, stamped into [`oak_http::PEER_ADDR_HEADER`].
     pub peer_ip: Option<String>,
     pub state: State,
@@ -87,9 +105,10 @@ pub(crate) struct Conn {
     pub read_start_ns: u64,
     /// Clock reading when the current response's write phase began.
     pub write_start_ns: u64,
-    /// Interest currently registered with the poller.
-    pub want_read: bool,
-    pub want_write: bool,
+    /// The last read returned less than its buffer, so the socket was
+    /// empty and any later byte raises a fresh edge. Taken by the
+    /// request it completes.
+    pub read_drained: bool,
     /// Whether the current request's head was already surfaced as
     /// [`ParseStep::HeadReady`] (the admission gate runs once).
     pub head_seen: bool,
@@ -98,7 +117,8 @@ pub(crate) struct Conn {
 impl Conn {
     pub fn new(stream: TcpStream, peer_ip: Option<String>, counted: bool) -> Conn {
         Conn {
-            stream,
+            stream: Arc::new(stream),
+            handoff: Arc::new(AtomicU8::new(DONE)),
             peer_ip,
             state: State::ReadingHead,
             in_buf: Vec::new(),
@@ -112,8 +132,7 @@ impl Conn {
             deadline_ms: NO_DEADLINE,
             read_start_ns: 0,
             write_start_ns: 0,
-            want_read: false,
-            want_write: false,
+            read_drained: false,
             head_seen: false,
         }
     }

@@ -5,19 +5,21 @@
 //! occasional Oak reports, so the server runs on a fixed thread budget
 //! instead of one OS thread per connection:
 //!
-//! - **one reactor thread** owning every socket, woken by edge-triggered
-//!   epoll (Linux, via four raw `extern "C"` declarations — no
-//!   dependencies) or level-triggered poll(2) (other unix),
+//! - **one reactor thread** owning every socket, each registered once
+//!   with edge-triggered epoll (four raw `extern "C"` declarations — no
+//!   dependencies),
 //! - **a hashed timer wheel** enforcing the read/write deadlines of
 //!   [`oak_http::ServerLimits`] (slowloris → 408, idle keep-alive →
 //!   silent close, stalled writer → disconnect),
 //! - **a small fixed worker pool** running [`oak_http::Handler`]s off
-//!   the loop, with `catch_unwind` panic isolation (panic → 500).
+//!   the loop, with `catch_unwind` panic isolation (panic → 500). A
+//!   worker lent the socket writes a keep-alive reply itself, so such a
+//!   request wakes the reactor once, for its own bytes (DESIGN.md §13).
 //!
 //! Every protocol guard (400/408/413/431/500/503, keep-alive, drain,
 //! the [`oak_http::TransportStats`] counters) is decided here, over the
 //! framing rules in [`oak_http::framing`]; `tests/torture_edge.rs` at
-//! the workspace root runs the abuse gauntlet against it. Unix only:
+//! the workspace root runs the abuse gauntlet against it. Linux only:
 //! elsewhere the crate compiles and [`EdgeServer`] refuses to start.
 //!
 //! # Example
@@ -208,7 +210,7 @@ impl EdgeServer {
     ) -> Result<EdgeServer, HttpError> {
         Err(HttpError::Io(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
-            "oak-edge reactor requires a unix target",
+            "oak-edge reactor requires Linux (epoll)",
         )))
     }
 

@@ -2,14 +2,21 @@
 //!
 //! One reactor thread owns the listener, every connection, the timer
 //! wheel, and the poller. Workers (see [`crate::workers`]) run handlers
-//! and hand responses back through a completion list plus a wake pipe,
-//! so the whole server costs a handful of threads however many
-//! connections are open.
+//! and report back through a completion list, so the whole server costs
+//! a handful of threads however many connections are open.
+//!
+//! Each socket is registered once, for read and write, and never
+//! re-registered: backpressure is not reading, and the reactor hears a
+//! client's next request while a worker still holds the connection. A
+//! request whose socket is known empty is lent to its worker, which
+//! writes the reply itself; the reactor learns of it on the client's
+//! next read edge or its own next turn, so a keep-alive request costs
+//! the reactor one wake-up. The wake pipe is kept for replies the
+//! reactor must act on at once.
 //!
 //! Edge-triggered discipline: every progress function drains its socket
 //! to `WouldBlock`, and every state re-entry re-kicks progress by hand
-//! (buffered pipelined bytes produce no new readiness edge). That same
-//! discipline makes the level-triggered poll(2) fallback correct too.
+//! (buffered pipelined bytes produce no new readiness edge).
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -26,11 +33,11 @@ use oak_http::{
     Stage, StatusCode, TransportEvent, TransportStats, PEER_ADDR_HEADER,
 };
 
-use crate::conn::{Conn, ParseStep, State, NO_DEADLINE};
+use crate::conn::{Conn, ParseStep, State, HANDLING, NO_DEADLINE, READ_SEEN};
 use crate::stats::EdgeStats;
-use crate::sys::{Event, Interest, Poller};
+use crate::sys::{Event, Poller};
 use crate::wheel::{TimerWheel, TICK_MS};
-use crate::workers::{spawn_workers, Job, Pool, WorkerCtx};
+use crate::workers::{spawn_workers, Direct, Job, Pool, Reply, WorkerCtx};
 use crate::EdgeConfig;
 
 /// Poller token for the accept socket.
@@ -51,6 +58,10 @@ fn index_of(token: u64) -> usize {
 fn gen_of(token: u64) -> u32 {
     (token >> 32) as u32
 }
+
+/// Bytes one socket read asks for. A shorter read means the socket was
+/// emptied ([`Conn::read_drained`]).
+const READ_CHUNK: usize = 16 * 1024;
 
 fn millis(d: Duration) -> u64 {
     (d.as_millis() as u64).max(1)
@@ -166,22 +177,8 @@ impl EdgeServer {
         wake_tx.set_nonblocking(true)?;
         wake_rx.set_nonblocking(true)?;
         let mut poller = Poller::new()?;
-        poller.register(
-            listener.as_raw_fd(),
-            LISTENER,
-            Interest {
-                readable: true,
-                writable: false,
-            },
-        )?;
-        poller.register(
-            wake_rx.as_raw_fd(),
-            WAKEUP,
-            Interest {
-                readable: true,
-                writable: false,
-            },
-        )?;
+        poller.register(listener.as_raw_fd(), LISTENER)?;
+        poller.register(wake_rx.as_raw_fd(), WAKEUP)?;
 
         let stop = Arc::new(AtomicBool::new(false));
         let edge = Arc::new(EdgeStats::default());
@@ -226,6 +223,7 @@ impl EdgeServer {
             handler,
             pool: Arc::clone(&pool),
             completions,
+            applying: Vec::new(),
         };
         let loop_thread = std::thread::Builder::new()
             .name("oak-edge-loop".to_string())
@@ -318,7 +316,10 @@ struct Reactor {
     /// framing; workers hold their own clone for `handle`.
     handler: Arc<dyn Handler>,
     pool: Arc<Pool>,
-    completions: Arc<Mutex<Vec<(u64, Response)>>>,
+    completions: Arc<Mutex<Vec<(u64, Reply)>>>,
+    /// Swapped with `completions` each turn, so neither side's buffer
+    /// is reallocated per reply.
+    applying: Vec<(u64, Reply)>,
 }
 
 impl Reactor {
@@ -362,10 +363,14 @@ impl Reactor {
             for ev in &events {
                 match ev.token {
                     LISTENER => self.accept_ready(),
-                    WAKEUP => self.drain_wakeups(),
+                    WAKEUP if ev.readable => self.drain_wakeups(),
+                    WAKEUP => {}
                     token => self.conn_event(token, ev.readable, ev.writable),
                 }
             }
+            // Every turn: a reply its worker wrote is settled here, on
+            // the turn the client's next read edge starts or within a
+            // tick, which arms the connection's idle deadline.
             self.apply_completions();
             let now = self.now_ms();
             self.wheel.advance(now, &mut due);
@@ -417,33 +422,17 @@ impl Reactor {
 
     /// `accept()` failed: look again after the backoff delay. Whatever
     /// is already in the backlog raises no new edge, so without the
-    /// timer it would sit there until the next SYN; and a
-    /// level-triggered poller would report the listener on every wait,
-    /// so it is not polled in the meantime.
+    /// timer it would sit there until the next SYN; edges that do come
+    /// meanwhile find the retry pending and are ignored.
     fn accept_retry_later(&mut self) {
         let at = self.now_ms() + self.accept_backoff.next_delay_ms();
         self.accept_backoff.pending = true;
         self.wheel.schedule(LISTENER, at);
-        self.listen_for_connections(false);
     }
 
     fn accept_retry_fired(&mut self) {
         self.accept_backoff.pending = false;
-        self.listen_for_connections(true);
         self.accept_ready();
-    }
-
-    fn listen_for_connections(&mut self, readable: bool) {
-        if let Some(listener) = &self.listener {
-            let _ = self.poller.reregister(
-                listener.as_raw_fd(),
-                LISTENER,
-                Interest {
-                    readable,
-                    writable: false,
-                },
-            );
-        }
     }
 
     fn admit(&mut self, stream: TcpStream, addr: SocketAddr) {
@@ -462,7 +451,6 @@ impl Reactor {
             conn.state = State::Writing;
             conn.close_after_write = true;
             conn.drain_after_write = true;
-            conn.want_write = true;
             let idx = self.insert(conn);
             let cap = millis(self.limits.write_timeout).min(1000);
             self.arm(idx, now + cap);
@@ -472,7 +460,6 @@ impl Reactor {
         self.stats.record(TransportEvent::ConnectionAccepted);
         let peer_ip = Some(addr.ip().to_string());
         let mut conn = Conn::new(stream, peer_ip, true);
-        conn.want_read = true;
         conn.read_start_ns = self.obs_now();
         let idx = self.insert(conn);
         self.arm(idx, now + millis(self.limits.read_timeout));
@@ -490,14 +477,7 @@ impl Reactor {
             self.conns.len() - 1
         });
         let token = token_of(idx, self.gens[idx]);
-        let _ = self.poller.register(
-            conn.stream.as_raw_fd(),
-            token,
-            Interest {
-                readable: conn.want_read,
-                writable: conn.want_write,
-            },
-        );
+        let _ = self.poller.register(conn.stream.as_raw_fd(), token);
         if conn.counted {
             self.open_counted += 1;
             self.edge.set_connections_open(self.open_counted as u64);
@@ -530,22 +510,6 @@ impl Reactor {
         }
     }
 
-    fn set_interest(&mut self, idx: usize, readable: bool, writable: bool) {
-        let token = token_of(idx, self.gens[idx]);
-        let Some(conn) = self.conn_mut(idx) else {
-            return;
-        };
-        if conn.want_read == readable && conn.want_write == writable {
-            return;
-        }
-        conn.want_read = readable;
-        conn.want_write = writable;
-        let fd = conn.stream.as_raw_fd();
-        let _ = self
-            .poller
-            .reregister(fd, token, Interest { readable, writable });
-    }
-
     // ---- event dispatch -------------------------------------------------
 
     fn conn_event(&mut self, token: u64, readable: bool, writable: bool) {
@@ -556,7 +520,10 @@ impl Reactor {
         if readable {
             self.read_ready(idx);
         }
-        if writable && self.conns.get(idx).is_some_and(Option::is_some) {
+        // Every socket is registered for writability too: an edge
+        // matters only to a response the reactor is writing.
+        let flushing = matches!(self.conn_mut(idx), Some(c) if matches!(c.state, State::Writing));
+        if writable && flushing {
             self.write_ready(idx);
         }
     }
@@ -580,13 +547,26 @@ impl Reactor {
         let Some(conn) = self.conn_mut(idx) else {
             return;
         };
-        if matches!(conn.state, State::DrainClose) {
-            self.drain_discard(idx);
-        } else if matches!(conn.state, State::ReadingHead | State::ReadingBody(_)) {
-            self.pump_read(idx);
+        match conn.state {
+            State::DrainClose => self.drain_discard(idx),
+            State::ReadingHead | State::ReadingBody(_) => self.pump_read(idx),
+            // The edge is spent. A worker still at work learns of it and
+            // wakes the reactor when done; one already DONE has queued
+            // its completion, which this loop turn applies. Either way
+            // the keep-alive re-kick then reads the bytes.
+            State::Handling => {
+                let _ = conn.handoff.compare_exchange(
+                    HANDLING,
+                    READ_SEEN,
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                );
+            }
+            // Backpressure: the bytes stay unread until the response is
+            // out; the re-kick on keep-alive re-entry picks them up. The
+            // edge is spent, so the socket is no longer known empty.
+            State::Writing => conn.read_drained = false,
         }
-        // Backpressure while Handling/Writing: the reactor leaves socket
-        // bytes unread; the re-kick on keep-alive re-entry picks them up.
     }
 
     fn pump_read(&mut self, idx: usize) {
@@ -597,7 +577,7 @@ impl Reactor {
             Retry,
             Broken,
         }
-        let mut buf = [0u8; 16 * 1024];
+        let mut buf = [0u8; READ_CHUNK];
         loop {
             // Pipelined bytes buffered earlier may already complete the
             // message without any new socket data. A shed answered
@@ -616,10 +596,11 @@ impl Reactor {
                 if !matches!(conn.state, State::ReadingHead | State::ReadingBody(_)) {
                     return;
                 }
-                match conn.stream.read(&mut buf) {
+                match (&*conn.stream).read(&mut buf) {
                     Ok(0) => ReadStep::Eof,
                     Ok(n) => {
                         conn.in_buf.extend_from_slice(&buf[..n]);
+                        conn.read_drained = n < READ_CHUNK;
                         ReadStep::Got
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => ReadStep::Blocked,
@@ -688,7 +669,7 @@ impl Reactor {
                     }
                     // Written without re-kicking the read side: the
                     // caller's loop parses what is pipelined behind.
-                    self.stage_response(idx, &response, false);
+                    self.stage(idx, response.to_bytes(), 0, false);
                     self.flush(idx);
                     return true;
                 }
@@ -720,10 +701,13 @@ impl Reactor {
     }
 
     /// A complete message is framed at `in_buf[..msg_end]`: parse it,
-    /// stamp the peer header, and hand it to the workers.
+    /// stamp the peer header, and hand it to the workers — with the
+    /// socket, when no later byte can arrive without a fresh edge and
+    /// the connection stays open after the reply.
     fn finish_request(&mut self, idx: usize, msg_end: usize) {
         let token = token_of(idx, self.gens[idx]);
         let parse_start = self.obs_now();
+        let draining = self.drain_until.is_some();
         let Some(conn) = self.conn_mut(idx) else {
             return;
         };
@@ -741,6 +725,18 @@ impl Reactor {
                 conn.scan_from = 0;
                 conn.state = State::Handling;
                 conn.deadline_ms = NO_DEADLINE;
+                // Pipelined bytes, a full last read or a close to come
+                // all need the reactor straight after the reply.
+                let lend = std::mem::take(&mut conn.read_drained)
+                    && conn.in_buf.is_empty()
+                    && !conn.close_after_write
+                    && !draining;
+                // The queue's lock orders this before the worker's swap.
+                conn.handoff.store(HANDLING, Ordering::Relaxed);
+                let direct = lend.then(|| Direct {
+                    stream: Arc::clone(&conn.stream),
+                    handoff: Arc::clone(&conn.handoff),
+                });
                 let read_start = conn.read_start_ns;
                 if let Some(obs) = &self.obs {
                     // Read covers socket entry → complete buffer
@@ -750,12 +746,12 @@ impl Reactor {
                     obs.record(Stage::Read, read_start, parse_start);
                     obs.record(Stage::Parse, parse_start, obs.now());
                 }
-                self.set_interest(idx, false, false);
                 self.edge.inc_worker_queue();
                 self.pool.submit(Job::Run {
                     token,
                     request: Box::new(request),
                     enqueued: Instant::now(),
+                    direct,
                 });
             }
             Err(HttpError::Truncated | HttpError::Io(_)) => self.close(idx),
@@ -791,34 +787,30 @@ impl Reactor {
         };
         conn.close_after_write = true;
         conn.drain_after_write = true;
-        self.enqueue_response(idx, &response, false);
+        self.stage(idx, response.to_bytes(), 0, false);
+        self.write_ready(idx);
     }
 
     // ---- write path -----------------------------------------------------
 
-    /// Stages `response` for writing and pushes as much as the socket
+    /// Stages serialised response bytes, `out[..sent]` already on the
+    /// wire, under the write deadline. The caller pushes what the socket
     /// takes right now (with ET there may never be a writable event for
     /// an always-writable socket, so the eager attempt is correctness,
     /// not an optimization).
-    fn enqueue_response(&mut self, idx: usize, response: &Response, from_handler: bool) {
-        self.stage_response(idx, response, from_handler);
-        self.write_ready(idx);
-    }
-
-    fn stage_response(&mut self, idx: usize, response: &Response, from_handler: bool) {
+    fn stage(&mut self, idx: usize, out: Vec<u8>, sent: usize, from_handler: bool) {
         let now = self.now_ms();
         let write_start = self.obs_now();
         let write_deadline = now + millis(self.limits.write_timeout);
         let Some(conn) = self.conn_mut(idx) else {
             return;
         };
-        conn.out = response.to_bytes();
-        conn.out_pos = 0;
+        conn.out = out;
+        conn.out_pos = sent;
         conn.from_handler = from_handler;
         conn.write_start_ns = write_start;
         conn.state = State::Writing;
         self.arm(idx, write_deadline);
-        self.set_interest(idx, false, true);
     }
 
     fn write_ready(&mut self, idx: usize) {
@@ -846,7 +838,7 @@ impl Reactor {
                 break;
             }
             let chunk = &conn.out[conn.out_pos..];
-            match conn.stream.write(chunk) {
+            match (&*conn.stream).write(chunk) {
                 Ok(0) => {
                     self.close(idx);
                     return;
@@ -900,7 +892,6 @@ impl Reactor {
                 conn.state = State::DrainClose;
             }
             self.arm(idx, now + 500);
-            self.set_interest(idx, true, false);
             self.drain_discard(idx);
         } else if close_after || draining {
             // Explicit `Connection: close`, or the server is draining
@@ -912,7 +903,6 @@ impl Reactor {
                 conn.read_start_ns = obs_now;
             }
             self.arm(idx, read_deadline);
-            self.set_interest(idx, true, false);
         }
     }
 
@@ -925,7 +915,7 @@ impl Reactor {
             if !matches!(conn.state, State::DrainClose) {
                 return;
             }
-            match conn.stream.read(&mut sink) {
+            match (&*conn.stream).read(&mut sink) {
                 Ok(0) => {
                     self.close(idx);
                     return;
@@ -986,12 +976,16 @@ impl Reactor {
 
     // ---- worker completions ---------------------------------------------
 
+    /// Settles every queued worker reply: a written one as a finished
+    /// write, unsent bytes by writing them. Either way the connection
+    /// then re-kicks its read side.
     fn apply_completions(&mut self) {
-        let done: Vec<(u64, Response)> = {
-            let mut guard = self.completions.lock().unwrap();
-            std::mem::take(&mut *guard)
-        };
-        for (token, response) in done {
+        let mut done = std::mem::take(&mut self.applying);
+        std::mem::swap(
+            &mut *self.completions.lock().expect("completion lock"),
+            &mut done,
+        );
+        for (token, reply) in done.drain(..) {
             let idx = index_of(token);
             if idx >= self.gens.len() || self.gens[idx] != gen_of(token) {
                 continue; // connection force-closed while handling
@@ -999,8 +993,13 @@ impl Reactor {
             if !self.conns.get(idx).is_some_and(Option::is_some) {
                 continue;
             }
-            self.enqueue_response(idx, &response, true);
+            match reply {
+                Reply::Written => self.finish_write(idx),
+                Reply::Unsent { bytes, sent } => self.stage(idx, bytes, sent, true),
+            }
+            self.write_ready(idx);
         }
+        self.applying = done;
     }
 
     // ---- drain / shutdown -----------------------------------------------

@@ -47,8 +47,10 @@ pub struct EdgeSnapshot {
     pub connections_open: u64,
     /// Timer-wheel entries pending (includes lazily cancelled ones).
     pub timers_pending: u64,
-    /// Wake-pipe signals the reactor has drained (worker completions
-    /// plus shutdown kicks).
+    /// Wake-pipe signals the reactor has drained: replies it had to act
+    /// on at once (bytes a worker could not write, or a written reply
+    /// whose connection raised a read edge meanwhile) plus shutdown
+    /// kicks. A reply its worker wrote whole wakes nobody.
     pub wakeups: u64,
 }
 

@@ -1,11 +1,11 @@
 //! Thin OS readiness layer, dependency-free.
 //!
 //! Linux gets edge-triggered epoll through four `extern "C"`
-//! declarations (no libc crate); every other unix falls back to
-//! level-triggered poll(2). The [`Poller`] surface is identical either
-//! way: register/reregister/deregister a raw fd under a `u64` token and
-//! wait for [`Event`]s. Non-unix targets compile the crate but
-//! [`crate::EdgeServer`] refuses to start there.
+//! declarations (no libc crate). A fd is registered once, for
+//! readability and writability both, under a `u64` token, and stays so
+//! until it is deregistered: the reactor never changes what it listens
+//! for. Other targets compile the crate, but [`Poller::new`] fails there
+//! and so [`crate::EdgeServer`] refuses to start.
 
 #![allow(unsafe_code)]
 
@@ -19,18 +19,11 @@ pub(crate) struct Event {
     pub writable: bool,
 }
 
-/// What a registration wants to hear about.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Interest {
-    pub readable: bool,
-    pub writable: bool,
-}
-
 pub(crate) use imp::Poller;
 
 #[cfg(target_os = "linux")]
 mod imp {
-    use super::{Event, Interest};
+    use super::Event;
     use std::io;
     use std::os::fd::RawFd;
     use std::os::raw::c_int;
@@ -61,13 +54,16 @@ mod imp {
     const EPOLL_CLOEXEC: c_int = 0o2000000;
     const EPOLL_CTL_ADD: c_int = 1;
     const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
     const EPOLLIN: u32 = 0x001;
     const EPOLLOUT: u32 = 0x004;
     const EPOLLERR: u32 = 0x008;
     const EPOLLHUP: u32 = 0x010;
     const EPOLLRDHUP: u32 = 0x2000;
     const EPOLLET: u32 = 1 << 31;
+    /// Every registration: edge-triggered, both directions, and RDHUP so
+    /// a peer half-close surfaces as readability (read returns 0) rather
+    /// than silence.
+    const MASK: u32 = EPOLLET | EPOLLRDHUP | EPOLLIN | EPOLLOUT;
 
     /// Edge-triggered epoll instance.
     pub(crate) struct Poller {
@@ -87,22 +83,11 @@ mod imp {
             })
         }
 
-        fn mask(interest: Interest) -> u32 {
-            // Always edge-triggered; RDHUP so a peer half-close surfaces
-            // as readability (read returns 0) rather than silence.
-            let mut m = EPOLLET | EPOLLRDHUP;
-            if interest.readable {
-                m |= EPOLLIN;
-            }
-            if interest.writable {
-                m |= EPOLLOUT;
-            }
-            m
-        }
-
-        fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        fn ctl(&self, op: c_int, fd: RawFd, token: u64) -> io::Result<()> {
+            // DEL ignores the event, but pre-2.6.9 kernels insist on a
+            // non-null one.
             let mut ev = EpollEvent {
-                events: Poller::mask(interest),
+                events: MASK,
                 data: token,
             };
             let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
@@ -113,25 +98,12 @@ mod imp {
             }
         }
 
-        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        pub fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
+        pub fn register(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, fd, token)
         }
 
         pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            // Pre-2.6.9 kernels insist on a non-null event for DEL.
-            self.ctl(
-                EPOLL_CTL_DEL,
-                fd,
-                0,
-                Interest {
-                    readable: false,
-                    writable: false,
-                },
-            )
+            self.ctl(EPOLL_CTL_DEL, fd, 0)
         }
 
         /// Waits up to `timeout_ms` (-1 blocks) and appends readiness
@@ -176,138 +148,35 @@ mod imp {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
+#[cfg(not(target_os = "linux"))]
 mod imp {
-    use super::{Event, Interest};
+    use super::Event;
     use std::io;
-    use std::os::fd::RawFd;
-    use std::os::raw::{c_int, c_short, c_uint};
+    use std::os::raw::c_int;
 
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: c_int,
-        events: c_short,
-        revents: c_short,
-    }
+    /// Stub so the crate compiles off Linux; it cannot be constructed,
+    /// so `EdgeServer::start*` fails with `Unsupported`.
+    pub(crate) struct Poller(std::convert::Infallible);
 
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: c_uint, timeout: c_int) -> c_int;
-    }
-
-    const POLLIN: c_short = 0x001;
-    const POLLOUT: c_short = 0x004;
-    const POLLERR: c_short = 0x008;
-    const POLLHUP: c_short = 0x010;
-
-    /// Level-triggered poll(2) fallback; the reactor's progress
-    /// functions drain to `WouldBlock`, so level semantics only cost
-    /// spurious wakeups, never stalls.
-    pub(crate) struct Poller {
-        registered: Vec<(RawFd, u64, Interest)>,
-        fds: Vec<PollFd>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                registered: Vec::new(),
-                fds: Vec::new(),
-            })
-        }
-
-        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.registered.push((fd, token, interest));
-            Ok(())
-        }
-
-        pub fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            for slot in &mut self.registered {
-                if slot.0 == fd {
-                    *slot = (fd, token, interest);
-                    return Ok(());
-                }
-            }
-            self.register(fd, token, interest)
-        }
-
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            self.registered.retain(|&(f, _, _)| f != fd);
-            Ok(())
-        }
-
-        pub fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Event>) -> io::Result<()> {
-            out.clear();
-            self.fds.clear();
-            for &(fd, _, interest) in &self.registered {
-                let mut events = 0;
-                if interest.readable {
-                    events |= POLLIN;
-                }
-                if interest.writable {
-                    events |= POLLOUT;
-                }
-                self.fds.push(PollFd {
-                    fd,
-                    events,
-                    revents: 0,
-                });
-            }
-            let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as c_uint, timeout_ms) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            for (pfd, &(_, token, _)) in self.fds.iter().zip(&self.registered) {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                out.push(Event {
-                    token,
-                    readable: pfd.revents & (POLLIN | POLLERR | POLLHUP) != 0,
-                    writable: pfd.revents & (POLLOUT | POLLERR | POLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-}
-
-#[cfg(not(unix))]
-mod imp {
-    use super::{Event, Interest};
-    use std::io;
-    use std::os::fd::RawFd;
-
-    /// Stub so the crate compiles off-unix; `EdgeServer::start*` refuses
-    /// before ever constructing one.
-    pub(crate) struct Poller;
-
+    #[allow(dead_code)]
     impl Poller {
         pub fn new() -> io::Result<Poller> {
             Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "oak-edge reactor requires a unix target",
+                "oak-edge reactor requires Linux (epoll)",
             ))
         }
 
-        pub fn register(&mut self, _: RawFd, _: u64, _: Interest) -> io::Result<()> {
-            unreachable!("stub Poller cannot be constructed")
+        pub fn register(&mut self, _: c_int, _: u64) -> io::Result<()> {
+            match self.0 {}
         }
 
-        pub fn reregister(&mut self, _: RawFd, _: u64, _: Interest) -> io::Result<()> {
-            unreachable!("stub Poller cannot be constructed")
-        }
-
-        pub fn deregister(&mut self, _: RawFd) -> io::Result<()> {
-            unreachable!("stub Poller cannot be constructed")
+        pub fn deregister(&mut self, _: c_int) -> io::Result<()> {
+            match self.0 {}
         }
 
         pub fn wait(&mut self, _: i32, _: &mut Vec<Event>) -> io::Result<()> {
-            unreachable!("stub Poller cannot be constructed")
+            match self.0 {}
         }
     }
 }

@@ -20,6 +20,7 @@ use oak_http::{
     ServerLimits, StatusCode, TransportStats,
 };
 
+use crate::wheel::TICK_MS;
 use crate::{EdgeConfig, EdgeServer};
 
 fn echo() -> Arc<dyn Handler> {
@@ -452,9 +453,7 @@ fn gauges_track_connections_and_recover_after_close() {
         let _ = pool.exchange(0, &Request::new(Method::Get, "/a")).unwrap();
         let _ = pool.exchange(1, &Request::new(Method::Get, "/b")).unwrap();
         assert_eq!(server.active_connections(), 2);
-        let snap = server.edge_stats().snapshot();
-        assert_eq!(snap.connections_open, 2);
-        assert!(snap.wakeups >= 1, "worker completions must wake the loop");
+        assert_eq!(server.edge_stats().snapshot().connections_open, 2);
     }
     // Pool dropped: the reactor must notice both EOFs and return slots.
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
@@ -462,6 +461,166 @@ fn gauges_track_connections_and_recover_after_close() {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(server.active_connections(), 0);
+}
+
+/// A worker writes a keep-alive reply itself and wakes the loop only
+/// when a read edge went by meanwhile, so sequential requests on one
+/// connection leave the wake pipe almost untouched (one wake each when
+/// the reactor wrote every reply). The client pauses between requests:
+/// one sent back to back can reach the reactor before a preempted
+/// worker has marked its reply done, and that race rightly costs a wake
+/// (up to one request in five on a loaded 2-CPU host).
+#[test]
+fn sequential_keepalive_requests_rarely_wake_the_loop() {
+    let server = start_tight();
+    let mut pool = ChaosClient::new(server.addr()).concurrent(1).unwrap();
+    let before = server.edge_stats().snapshot().wakeups;
+    for i in 0..200 {
+        let resp = pool
+            .exchange(0, &Request::new(Method::Get, format!("/r{i}")))
+            .unwrap();
+        assert_eq!(resp.body, format!("path=/r{i} body=0").into_bytes());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let wakeups = server.edge_stats().snapshot().wakeups - before;
+    assert!(wakeups < 20, "200 requests drained {wakeups} wakeups");
+}
+
+/// A reply the loop never hears about waits for its next tick before
+/// the connection reads again. Round trips that lost their wake would
+/// cost a tick each; these must average a tenth of one.
+#[test]
+fn ping_pong_round_trips_do_not_wait_for_the_tick() {
+    const ROUND_TRIPS: u64 = 2_000;
+    let server = start_tight();
+    let mut pool = ChaosClient::new(server.addr()).concurrent(1).unwrap();
+    let ping = Request::new(Method::Get, "/ping");
+    let started = std::time::Instant::now();
+    for _ in 0..ROUND_TRIPS {
+        assert_eq!(pool.exchange(0, &ping).unwrap().status, StatusCode::OK);
+    }
+    let elapsed = started.elapsed();
+    let budget = Duration::from_millis(ROUND_TRIPS * TICK_MS / 10);
+    assert!(
+        elapsed < budget,
+        "{ROUND_TRIPS} round trips took {elapsed:?}"
+    );
+}
+
+/// A request that arrives while the worker still holds its predecessor
+/// raises its only read edge then; the worker must wake the loop for it
+/// rather than leave it to the next tick.
+#[test]
+fn a_request_sent_during_its_predecessors_handling_is_read_at_once() {
+    let handler = gatekeeper();
+    let server =
+        EdgeServer::start_with_limits(0, Arc::clone(&handler) as Arc<dyn Handler>, tight())
+            .unwrap();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut gaps = Duration::ZERO;
+    for _ in 0..20 {
+        writer.write_all(b"GET /slow HTTP/1.1\r\n\r\n").unwrap();
+        // The worker holds `/slow` for 150 ms from here on.
+        while !handler.busy.swap(false, Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        writer.write_all(b"GET /next HTTP/1.1\r\n\r\n").unwrap();
+        assert_eq!(read_one_response(&mut reader).body, b"path=/slow body=0");
+        let first = std::time::Instant::now();
+        assert_eq!(read_one_response(&mut reader).body, b"path=/next body=0");
+        gaps += first.elapsed();
+    }
+    // Twenty lost wakes would wait out half a tick each on average.
+    let budget = Duration::from_millis(20 * TICK_MS / 4);
+    assert!(gaps < budget, "second replies trailed by {gaps:?} in all");
+}
+
+/// Answers `/big` with [`BIG`] patterned bytes, more than a loopback
+/// socket buffers, and echoes everything else.
+fn big_replies() -> Arc<dyn Handler> {
+    Arc::new(|req: &Request| {
+        if req.path() == "/big" {
+            let body = (0..BIG).map(|i| (i % 251) as u8).collect();
+            return Response::new(StatusCode::OK).with_body(body, "application/octet-stream");
+        }
+        let line = format!("path={} body={}", req.path(), req.body.len());
+        Response::new(StatusCode::OK).with_body(line.into_bytes(), "text/plain")
+    })
+}
+
+const BIG: usize = 8 << 20;
+
+fn one_worker(handler: Arc<dyn Handler>, limits: ServerLimits) -> EdgeServer {
+    let stats = Arc::new(TransportStats::default());
+    EdgeServer::start_with_config(0, handler, limits, stats, None, EdgeConfig { workers: 1 })
+        .unwrap()
+}
+
+/// A reply the socket cannot take at once goes back to the loop: the one
+/// worker serves the next connection while the first client has not
+/// read, and that client still gets every byte when it does.
+#[test]
+fn a_reply_larger_than_the_socket_buffer_does_not_hold_the_worker() {
+    let server = one_worker(big_replies(), tight());
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    writer.write_all(b"GET /big HTTP/1.1\r\n\r\n").unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+
+    let resp = fetch_tcp(server.addr(), &Request::new(Method::Get, "/other")).unwrap();
+    assert_eq!(resp.body, b"path=/other body=0");
+
+    let big = read_one_response(&mut BufReader::new(stream));
+    assert_eq!(big.body.len(), BIG);
+    assert!(big
+        .body
+        .iter()
+        .enumerate()
+        .all(|(i, &b)| b == (i % 251) as u8));
+}
+
+/// The rest of a reply the worker could not write is under the write
+/// deadline like any other: a client that never reads is cut.
+#[test]
+fn a_client_that_never_reads_a_large_reply_is_cut_at_the_write_timeout() {
+    let limits = ServerLimits {
+        write_timeout: Duration::from_millis(300),
+        ..tight()
+    };
+    let server = one_worker(big_replies(), limits);
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let sent = std::time::Instant::now();
+    stream.write_all(b"GET /big HTTP/1.1\r\n\r\n").unwrap();
+    while server.active_connections() == 0 && sent.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    while server.active_connections() > 0 && sent.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let cut = sent.elapsed();
+    assert!(
+        (limits.write_timeout..Duration::from_secs(2)).contains(&cut),
+        "cut after {cut:?}"
+    );
+    // The kernel delivers what it had queued, then the close.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut got = Vec::new();
+    let _ = stream.read_to_end(&mut got);
+    assert!(
+        got.len() < BIG,
+        "the whole reply went out: {} bytes",
+        got.len()
+    );
 }
 
 #[test]

@@ -3,12 +3,23 @@
 //! The reactor never calls a [`oak_http::Handler`] itself: a slow or
 //! panicking handler on the event loop would stall every connection.
 //! Instead, complete requests are queued here; a worker runs the handler
-//! under `catch_unwind` (panic → 500), pushes the response into the
-//! completion list, and kicks the reactor's wake pipe so it picks the
-//! response up.
+//! under `catch_unwind` (panic → 500) and serialises the response.
+//!
+//! A request handed over with its socket ([`Direct`]) is answered by the
+//! worker itself with non-blocking writes. When the whole response goes
+//! out it queues a [`Reply::Written`] completion and wakes the reactor
+//! only if a read edge went by meanwhile (the hand-off word, DESIGN.md
+//! §13); the reactor otherwise settles the connection on its next turn.
+//! Any other reply — no socket lent, a partial write, `WouldBlock` or
+//! an error — goes back as [`Reply::Unsent`] bytes with a wake, and the
+//! reactor finishes it under the write deadline. A worker never blocks
+//! on a socket.
 
 use std::collections::VecDeque;
+use std::io::{self, Write};
+use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -17,6 +28,7 @@ use oak_http::{
     TransportEvent, TransportStats,
 };
 
+use crate::conn::{DONE, READ_SEEN};
 use crate::reactor::Waker;
 use crate::stats::EdgeStats;
 
@@ -30,9 +42,27 @@ pub(crate) enum Job {
         /// records the sojourn for the overload signal and checks it
         /// against [`oak_http::ServerLimits::queue_deadline`].
         enqueued: Instant,
+        /// The socket, when the worker may write the reply itself.
+        direct: Option<Direct>,
     },
     /// Exit the worker loop (one sentinel per worker at shutdown).
     Stop,
+}
+
+/// What the reactor lends a worker to answer on the socket itself.
+pub(crate) struct Direct {
+    pub stream: Arc<TcpStream>,
+    /// The connection's hand-off word (`crate::conn::HANDLING` when lent).
+    pub handoff: Arc<AtomicU8>,
+}
+
+/// A worker's answer to one job, queued for the reactor.
+pub(crate) enum Reply {
+    /// The worker wrote the whole response to the lent socket.
+    Written,
+    /// The serialised response, written up to `sent`; the reactor
+    /// writes the rest.
+    Unsent { bytes: Vec<u8>, sent: usize },
 }
 
 /// The shared job queue.
@@ -67,7 +97,7 @@ pub(crate) struct WorkerCtx {
     pub stats: Arc<TransportStats>,
     pub edge: Arc<EdgeStats>,
     pub obs: Option<Arc<HttpMetrics>>,
-    pub completions: Arc<Mutex<Vec<(u64, Response)>>>,
+    pub completions: Arc<Mutex<Vec<(u64, Reply)>>>,
     pub wake: Waker,
     /// Zero disables drop-at-dequeue.
     pub queue_deadline: Duration,
@@ -93,6 +123,7 @@ fn worker_loop(ctx: &WorkerCtx) {
                 token,
                 request,
                 enqueued,
+                direct,
             } => {
                 ctx.edge.dec_worker_queue();
                 // One clock read per job serves both the overload
@@ -110,11 +141,7 @@ fn worker_loop(ctx: &WorkerCtx) {
                     && !ctx.handler.shed_exempt(request.path())
                 {
                     ctx.stats.record(TransportEvent::RequestShed);
-                    ctx.completions
-                        .lock()
-                        .unwrap()
-                        .push((token, queue_shed_response()));
-                    ctx.wake.wake();
+                    ctx.reply(token, &queue_shed_response(), direct);
                     continue;
                 }
                 let handle_start = ctx.obs.as_ref().map(|o| o.now());
@@ -134,9 +161,57 @@ fn worker_loop(ctx: &WorkerCtx) {
                 }
                 // Counted whether or not the write later succeeds.
                 ctx.stats.record(TransportEvent::RequestServed);
-                ctx.completions.lock().unwrap().push((token, response));
-                ctx.wake.wake();
+                ctx.reply(token, &response, direct);
             }
         }
     }
+}
+
+impl WorkerCtx {
+    /// Serialises `response` and writes what the lent socket takes now;
+    /// queues the outcome for the reactor and wakes it when it has to
+    /// act (see the module docs).
+    fn reply(&self, token: u64, response: &Response, direct: Option<Direct>) {
+        let bytes = response.to_bytes();
+        let write_start = self.obs.as_ref().map(|o| o.now());
+        let sent = direct
+            .as_ref()
+            .map_or(0, |d| write_nonblocking(&d.stream, &bytes));
+        let Some(direct) = direct.filter(|_| sent == bytes.len()) else {
+            self.complete(token, Reply::Unsent { bytes, sent });
+            self.wake.wake();
+            return;
+        };
+        if let (Some(obs), Some(start)) = (self.obs.as_ref(), write_start) {
+            obs.record(Stage::Write, start, obs.now());
+        }
+        // Queued before the swap: a reactor that finds DONE applies it
+        // on the same turn.
+        self.complete(token, Reply::Written);
+        if direct.handoff.swap(DONE, Ordering::AcqRel) == READ_SEEN {
+            self.wake.wake();
+        }
+    }
+
+    fn complete(&self, token: u64, reply: Reply) {
+        self.completions
+            .lock()
+            .expect("completion lock")
+            .push((token, reply));
+    }
+}
+
+/// Writes `bytes` until done, `WouldBlock` or an error; returns how many
+/// went out. The socket is non-blocking, so this never waits.
+fn write_nonblocking(mut stream: &TcpStream, bytes: &[u8]) -> usize {
+    let mut sent = 0;
+    while sent < bytes.len() {
+        match stream.write(&bytes[sent..]) {
+            Ok(0) => break,
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    sent
 }

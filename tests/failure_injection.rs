@@ -33,6 +33,12 @@ fn hostile_report_bodies_never_poison_the_engine() {
             .to_vec(),
         vec![0xff, 0xfe, 0x00, 0x80],
         br#"{"user":"u","page":"/","entries":"not-a-list"}"#.to_vec(),
+        // An ip past the longest IPv6 text form would be journaled whole.
+        format!(
+            r#"{{"user":"u","page":"/","entries":[{{"url":"x","ip":"{}","bytes":1,"time_ms":1}}]}}"#,
+            "9".repeat(64 << 10)
+        )
+        .into_bytes(),
         // Deep nesting: the JSON parser bounds recursion.
         {
             let mut v = br#"{"user":"u","page":"/","entries":"#.to_vec();
@@ -40,6 +46,7 @@ fn hostile_report_bodies_never_poison_the_engine() {
             v
         },
     ];
+    let events_before = service.with_oak(|oak| oak.event_seq());
     for body in hostile_bodies {
         let req = Request::new(Method::Post, REPORT_PATH).with_body(body, "application/json");
         let resp = service.handle(&req);
@@ -47,7 +54,12 @@ fn hostile_report_bodies_never_poison_the_engine() {
     }
     let stats = service.stats();
     assert_eq!(stats.reports_accepted, 0);
-    assert_eq!(stats.reports_rejected, 8);
+    assert_eq!(stats.reports_rejected, 9);
+    assert_eq!(
+        service.with_oak(|oak| oak.event_seq()),
+        events_before,
+        "nothing journaled"
+    );
 }
 
 #[test]
